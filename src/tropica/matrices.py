@@ -14,11 +14,13 @@ Row = tuple[Fraction, ...]
 
 
 def to_fraction(x) -> Fraction:
-    """Coerce ints, Fractions and "p/q" strings; reject floats (inexact)."""
+    """Coerce ints, Fractions and "p/q" strings; reject floats (inexact) and the rest."""
     if isinstance(x, float):
         raise ValueError("floating point values are not allowed; use rationals")
     if isinstance(x, bool):
         raise ValueError("booleans are not rational numbers")
+    if not isinstance(x, (int, str, Fraction)):
+        raise ValueError(f"expected an integer or a 'p/q' string, got {x!r}")
     return Fraction(x)
 
 

@@ -223,7 +223,3 @@ def parse_matrix_json(data) -> list[list[Fraction]]:
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise ValueError("matrix JSON must be a non-empty array of arrays")
     return [[to_fraction(x) for x in row] for row in data]
-
-
-def matrix_to_json(rows) -> list[list[str]]:
-    return [[str(x) for x in row] for row in rows]

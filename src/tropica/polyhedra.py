@@ -190,11 +190,22 @@ def contains_point(poly: Polyhedron, point) -> bool:
 
 
 def implicit_equality_indices(poly: Polyhedron) -> list[int]:
-    """Indices of LE constraints that hold with equality on the whole set."""
+    """Indices of LE constraints that hold with equality on the whole set.
+
+    An implicit equality is tight at every feasible point, so only the LE
+    constraints tight at one feasible point are probed: such a constraint is
+    implicit when making it strict leaves no feasible point.  On the empty
+    set every LE index is returned.
+    """
     cons = _as_constraints(poly)
+    candidates = [i for i, (_, _, rel) in enumerate(cons) if rel == LE]
+    point = _feasible_point(cons, poly.n)
+    if point is None:
+        return candidates
     out = []
-    for i, (coeffs, rhs, rel) in enumerate(cons):
-        if rel != LE:
+    for i in candidates:
+        coeffs, rhs, _ = cons[i]
+        if _value(coeffs, point) != rhs:
             continue
         probe = list(cons)
         probe[i] = (coeffs, rhs, LT)
@@ -214,10 +225,7 @@ def dimension(poly: Polyhedron) -> int:
     """Dimension of the affine hull; -1 for the empty set."""
     if is_empty(poly):
         return -1
-    normals = _equality_normals(poly)
-    if not normals:
-        return poly.n
-    return poly.n - rank(normals)
+    return poly.n - rank(_equality_normals(poly))
 
 
 def affine_hull_directions(poly: Polyhedron) -> list[tuple[Fraction, ...]]:
@@ -230,16 +238,11 @@ def affine_hull_directions(poly: Polyhedron) -> list[tuple[Fraction, ...]]:
 
 def relative_interior_point(poly: Polyhedron) -> tuple[Fraction, ...]:
     """A rational point satisfying every non-implied inequality strictly."""
-    cons = _as_constraints(poly)
     implicit = set(implicit_equality_indices(poly))
-    probe: list[Constraint] = []
-    for i, (coeffs, rhs, rel) in enumerate(cons):
-        if rel == EQ:
-            probe.append((coeffs, rhs, EQ))
-        elif i in implicit:
-            probe.append((coeffs, rhs, EQ))
-        else:
-            probe.append((coeffs, rhs, LT))
+    probe = [
+        (coeffs, rhs, EQ if rel == EQ or i in implicit else LT)
+        for i, (coeffs, rhs, rel) in enumerate(_as_constraints(poly))
+    ]
     point = _feasible_point(probe, poly.n)
     if point is None:
         raise ValueError("polyhedron is empty")
@@ -274,15 +277,3 @@ def fm_eliminate(poly: Polyhedron, index: int) -> Polyhedron:
         out.append(HalfSpace(coeffs, rhs, LE if rel == LT else rel))
     return Polyhedron(tuple(out), poly.n - 1)
 
-
-def polyhedron_to_json(poly: Polyhedron) -> dict:
-    return {
-        "normals": [[str(x) for x in h.normal] for h in poly.constraints],
-        "rhs": [str(h.rhs) for h in poly.constraints],
-        "relations": [h.relation for h in poly.constraints],
-    }
-
-
-def polyhedron_from_json(data: dict, n: int) -> Polyhedron:
-    rows = list(zip(data["normals"], data["rhs"], data["relations"]))
-    return make_polyhedron(rows, n)

@@ -5,6 +5,10 @@ enumeration: for each unordered pair of terms of a generator, the cell where
 those two terms agree and dominate all others.  No face lattice is computed;
 dimension and coverage queries only need maximal cells.
 
+Maximality and cell dimension come from argmax signatures, not from
+polyhedral probing: the set of terms of each generator that attain the
+maximum at a cell's relative interior point (see ``_maximal_cells``).
+
 Conventions: monomials never vanish and the zero polynomial vanishes nowhere
 on R^n, so both contribute empty hypersurfaces.  On a bottom stratum of the
 affine (T^n) extension a generator all of whose terms die vanishes
@@ -13,10 +17,12 @@ identically there (its value is bottom).
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from .matrices import dot, rank, to_fraction
 from .polyhedra import (
     EQ,
     LE,
@@ -25,13 +31,12 @@ from .polyhedra import (
     Polyhedron,
     _feasible_point,
     contains_point,
-    dimension,
     full_space,
     intersect,
     is_empty,
     relative_interior_point,
 )
-from .polynomials import POLY, Exponents, Polynomial
+from .polynomials import LAURENT, POLY, Exponents, Polynomial
 
 
 @dataclass(frozen=True)
@@ -83,57 +88,52 @@ def tie_cell(f: Polynomial, i: Exponents, j: Exponents) -> Polyhedron:
     return Polyhedron(tuple(cons), f.n)
 
 
-def _make_cell(poly: Polyhedron, stratum: tuple[int, ...] = ()) -> Cell | None:
+Signature = tuple[frozenset[Exponents], ...]
+
+
+def _argmax(f: Polynomial, point) -> frozenset[Exponents]:
+    """The terms of f attaining its maximum at the point."""
+    values = {expo: c + dot(expo, point) for expo, c in f.terms()}
+    top = max(values.values())
+    return frozenset(expo for expo, v in values.items() if v == top)
+
+
+def _make_cell(poly: Polyhedron, gens: list[Polynomial]) -> tuple[Signature, Cell] | None:
+    """The cell of a non-empty candidate, with its argmax signature.
+
+    Near its relative interior point the cell is cut out by the ties within
+    each argmax set: its dimension is n minus the rank of those differences.
+    """
     if is_empty(poly):
         return None
-    return Cell(poly, dimension(poly), relative_interior_point(poly), stratum)
+    point = relative_interior_point(poly)
+    signature = tuple(_argmax(g, point) for g in gens)
+    ties = [tuple(a - b for a, b in zip(e, min(terms))) for terms in signature for e in terms]
+    return signature, Cell(poly, poly.n - rank(ties), point)
 
 
-def _cell_subset(a: Cell, b: Cell) -> bool:
-    """Exact inclusion test: a is contained in b."""
-    if a.stratum != b.stratum:
-        return False
-    base = [(h.normal, h.rhs, h.relation) for h in a.polyhedron.constraints]
-    n = a.polyhedron.n
-    for h in b.polyhedron.constraints:
-        neg = tuple(-x for x in h.normal)
-        if h.relation == LE:
-            # a point of a with h.normal . x > h.rhs?
-            if _feasible_point(base + [(neg, -h.rhs, LT)], n) is not None:
-                return False
-        else:
-            if _feasible_point(base + [(neg, -h.rhs, LT)], n) is not None:
-                return False
-            if _feasible_point(base + [(h.normal, h.rhs, LT)], n) is not None:
-                return False
-    return True
+def _maximal_cells(polys, gens: list[Polynomial]) -> tuple[Cell, ...]:
+    """The inclusion-maximal cells among the candidates, one per set, in key order.
 
+    Cell A lies in cell B exactly when each of B's argmax sets is contained
+    in A's, so equal cells share a signature (the key-smallest represents
+    them) and a signature strictly containing another marks a proper face.
+    """
+    groups: dict[Signature, Cell] = {}
+    for signature, cell in filter(None, (_make_cell(p, gens) for p in polys)):
+        if signature not in groups or cell.key() < groups[signature].key():
+            groups[signature] = cell
 
-def _dedup_maximal(cells: list[Cell]) -> list[Cell]:
-    """Drop cells contained in another cell; among equal sets keep one."""
-    cells = sorted(cells, key=Cell.key)
-    kept: list[Cell] = []
-    for cell in cells:
-        drop = False
-        for other in kept:
-            if _cell_subset(cell, other):
-                drop = True
-                break
-        if not drop:
-            kept = [k for k in kept if not _cell_subset(k, cell)]
-            kept.append(cell)
-    return sorted(kept, key=Cell.key)
+    def is_face(sig: Signature) -> bool:
+        return any(other != sig and all(b <= a for a, b in zip(sig, other)) for other in groups)
+
+    return tuple(sorted((c for s, c in groups.items() if not is_face(s)), key=Cell.key))
 
 
 def hypersurface(f: Polynomial) -> PolyComplex:
     """The locus where the maximum of f is attained at least twice."""
-    cells: list[Cell] = []
-    support = f.support()
-    for i, j in itertools.combinations(support, 2):
-        cell = _make_cell(tie_cell(f, i, j))
-        if cell is not None:
-            cells.append(cell)
-    return PolyComplex(f.n, f.mode, tuple(_dedup_maximal(cells)))
+    polys = (tie_cell(f, i, j) for i, j in itertools.combinations(f.support(), 2))
+    return PolyComplex(f.n, f.mode, _maximal_cells(polys, [f]))
 
 
 def prevariety(gens: list[Polynomial]) -> PolyComplex:
@@ -157,15 +157,8 @@ def prevariety(gens: list[Polynomial]) -> PolyComplex:
         if not polys:
             return PolyComplex(n, mode, ())
         per_gen.append(polys)
-    cells: list[Cell] = []
-    for combo in itertools.product(*per_gen):
-        poly = combo[0]
-        for extra in combo[1:]:
-            poly = intersect(poly, extra)
-        cell = _make_cell(poly)
-        if cell is not None:
-            cells.append(cell)
-    return PolyComplex(n, mode, tuple(_dedup_maximal(cells)))
+    polys = (functools.reduce(intersect, combo) for combo in itertools.product(*per_gen))
+    return PolyComplex(n, mode, _maximal_cells(polys, gens))
 
 
 def affine_prevariety(gens: list[Polynomial]) -> PolyComplex:
@@ -192,16 +185,9 @@ def affine_prevariety(gens: list[Polynomial]) -> PolyComplex:
             live = [r for r in restricted if not r.is_zero()]
             if not live:
                 ambient = n - len(dead)
-                space = full_space(ambient)
-                cells.append(
-                    Cell(space, ambient, tuple([Fraction(0)] * ambient), tuple(dead))
-                )
+                cells.append(Cell(full_space(ambient), ambient, (Fraction(0),) * ambient, dead))
                 continue
-            sub = prevariety(live)
-            for cell in sub.cells:
-                cells.append(
-                    Cell(cell.polyhedron, cell.dim, cell.interior_point, tuple(dead))
-                )
+            cells.extend(replace(cell, stratum=dead) for cell in prevariety(live).cells)
     return PolyComplex(n, POLY, tuple(sorted(cells, key=Cell.key)))
 
 
@@ -280,21 +266,45 @@ def complex_to_json(x: PolyComplex) -> dict:
     return {"ambient": x.ambient, "mode": x.mode, "cells": cells}
 
 
-def complex_from_json(data: dict) -> PolyComplex:
-    cells = []
-    for c in data["cells"]:
-        stratum = tuple(c.get("stratum", []))
-        ncoords = data["ambient"] - len(stratum)
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _rationals(values, length: int, what: str) -> tuple[Fraction, ...]:
+    _require(isinstance(values, list) and len(values) == length, f"{what} needs {length} entries")
+    return tuple(to_fraction(v) for v in values)
+
+
+def complex_from_json(data) -> PolyComplex:
+    """Read the output of complex_to_json; malformed input raises ValueError."""
+    _require(isinstance(data, dict), "a complex must be a JSON object")
+    ambient, mode, cells = data.get("ambient"), data.get("mode"), data.get("cells")
+    _require(_is_int(ambient) and ambient >= 0, "ambient must be a non-negative integer")
+    _require(mode in (LAURENT, POLY), f"mode must be {LAURENT!r} or {POLY!r}")
+    _require(isinstance(cells, list), "cells must be a list")
+    out = []
+    for c in cells:
+        _require(isinstance(c, dict), "each cell must be a JSON object")
+        stratum = c.get("stratum", [])
+        ok = isinstance(stratum, list) and all(_is_int(v) and 0 <= v < ambient for v in stratum)
+        _require(ok and stratum == sorted(set(stratum)), "stratum must list increasing variables")
+        ncoords = ambient - len(stratum)
+        normals, rhs, relations = (c.get(k) for k in ("normals", "rhs", "relations"))
+        _require(
+            all(isinstance(v, list) and len(v) == len(normals) for v in (normals, rhs, relations)),
+            "normals, rhs and relations must be lists of equal length",
+        )
         cons = tuple(
-            HalfSpace(tuple(Fraction(v) for v in normal), Fraction(rhs), rel)
-            for normal, rhs, rel in zip(c["normals"], c["rhs"], c["relations"])
+            HalfSpace(_rationals(a, ncoords, "a normal"), to_fraction(b), rel)
+            for a, b, rel in zip(normals, rhs, relations)
         )
-        cells.append(
-            Cell(
-                Polyhedron(cons, ncoords),
-                int(c["dim"]),
-                tuple(Fraction(v) for v in c["interior_point"]),
-                stratum,
-            )
-        )
-    return PolyComplex(int(data["ambient"]), data["mode"], tuple(cells))
+        dim = c.get("dim")
+        _require(_is_int(dim) and 0 <= dim <= ncoords, f"dim must be an integer in 0..{ncoords}")
+        point = _rationals(c.get("interior_point"), ncoords, "interior_point")
+        out.append(Cell(Polyhedron(cons, ncoords), dim, point, tuple(stratum)))
+    return PolyComplex(ambient, mode, tuple(out))

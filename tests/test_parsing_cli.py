@@ -226,6 +226,13 @@ def test_cli_exit_codes(capsys):
     assert code == 1 and json.loads(err)["error"] == "domain"
 
 
+def test_cli_matrix_rejects_non_rational_entries(capsys):
+    # a JSON null used to reach Fraction() and end in a TypeError traceback
+    code, out, err = run_cli(["prime-check", "--matrix", "[[null, 1]]"], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "domain"
+
+
 def test_cli_plot_deterministic(capsys):
     args = ["plot", "--poly", "x + y + 0", "--bbox=-5,-5,5,5"]
     code, first, _ = run_cli(args, capsys)
@@ -261,6 +268,47 @@ def test_cli_plot_point(capsys):
     )
     code, out, _ = run_cli(["plot", "--complex", complex_json, "--bbox=-5,-5,5,5"], capsys)
     assert code == 0 and out.count("<circle") == 1
+
+
+def _point_complex(**cell_changes):
+    cell = {
+        "stratum": [],
+        "normals": [["1", "0"], ["0", "1"]],
+        "rhs": ["1", "2"],
+        "relations": ["eq", "eq"],
+        "dim": 0,
+        "interior_point": ["1", "2"],
+    }
+    cell.update(cell_changes)
+    return {"ambient": 2, "mode": "laurent", "cells": [cell]}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _point_complex(rhs=[0.1, "2"]),  # JSON float: inexact
+        _point_complex(interior_point=["1", 2.0]),
+        _point_complex(dim=0.9),  # was truncated to 0
+        _point_complex(dim=True),
+        {"cells": 5},  # was a TypeError traceback
+        {"ambient": 2, "mode": "laurent", "cells": 5},
+        [1, 2],
+        {"ambient": 2, "mode": "laurent", "cells": [7]},
+        {"ambient": "2", "mode": "laurent", "cells": []},
+        {"ambient": 2, "mode": "tropical", "cells": []},
+        _point_complex(rhs=["1"]),  # fewer rhs than normals
+        _point_complex(relations="eq"),
+        _point_complex(normals=[["1", "0", "0"], ["0", "1"]]),  # wrong normal length
+        _point_complex(normals=[["1", None], ["0", "1"]]),
+        _point_complex(relations=["eq", "ge"]),
+        _point_complex(stratum=[5]),
+        _point_complex(interior_point=["1"]),
+    ],
+)
+def test_cli_plot_rejects_malformed_complex(capsys, data):
+    code, out, err = run_cli(["plot", "--complex", json.dumps(data)], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "domain"
 
 
 def test_cli_json_determinism(capsys):
