@@ -461,7 +461,9 @@ def main(argv=None) -> int:
         json.dump({"error": "parse", "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2
-    except (ValueError, KeyError, AdmissibilityError, EmptyVarietyError, ZeroDivisionError) as exc:
+    except (
+        ValueError, KeyError, AdmissibilityError, EmptyVarietyError, ZeroDivisionError, OSError
+    ) as exc:
         json.dump({"error": "domain", "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1

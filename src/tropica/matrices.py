@@ -8,18 +8,32 @@ the right tool.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 Row = tuple[Fraction, ...]
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
 
 def to_fraction(x) -> Fraction:
-    """Coerce ints, Fractions and "p/q" strings; reject floats (inexact) and the rest."""
+    """Coerce ints, Fractions and "p/q" strings; reject floats (inexact) and the rest.
+
+    Strings must be an optionally signed integer or "p/q" with q non-zero:
+    decimals ("1.5"), exponents ("1e2") and padding are not rational literals.
+    """
     if isinstance(x, float):
         raise ValueError("floating point values are not allowed; use rationals")
     if isinstance(x, bool):
         raise ValueError("booleans are not rational numbers")
-    if not isinstance(x, (int, str, Fraction)):
+    if isinstance(x, str):
+        if not _RATIONAL.fullmatch(x):
+            raise ValueError(f"expected an integer or a 'p/q' string, got {x!r}")
+        num, _, den = x.partition("/")
+        if den and int(den) == 0:
+            raise ValueError(f"zero denominator in {x!r}")
+        return Fraction(int(num), int(den or 1))
+    if not isinstance(x, (int, Fraction)):
         raise ValueError(f"expected an integer or a 'p/q' string, got {x!r}")
     return Fraction(x)
 
@@ -74,6 +88,3 @@ def nullspace(rows, ncols: int) -> list[Row]:
 def dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
-
-def mat_vec(rows, vec) -> list[Fraction]:
-    return [dot(row, vec) for row in rows]

@@ -25,7 +25,7 @@ from .matrices import to_fraction
 _LETTER_VARS = {"x": 0, "y": 1, "z": 2, "w": 3}
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<inf>-inf\b)|(?P<number>-?\d+(?:/\d+)?)|(?P<name>[A-Za-z]\w*)|(?P<op>[+*^]))"
+    r"\s*(?:(?P<inf>-inf\b)|(?P<number>-?[0-9]+(?:/[0-9]+)?)|(?P<name>[A-Za-z]\w*)|(?P<op>[+*^]))"
 )
 
 
@@ -35,6 +35,14 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+def _rational(text: str, pos: int) -> Fraction:
+    """Strict rational literal; a malformed one (such as "2/0") is a parse error."""
+    try:
+        return to_fraction(text)
+    except ValueError as exc:
+        raise ParseError(str(exc), pos) from None
 
 
 def _tokenize(text: str):
@@ -139,7 +147,7 @@ def parse_polynomial(text: str, mode: str = LAURENT, nvars: int | None = None) -
                 expos = _parse_monomial(p, style)
         elif kind == "number":
             p.take()
-            coeff = Fraction(value)
+            coeff = _rational(value, pos)
             expos = {}
             k2, v2, _ = p.peek()
             if k2 == "op" and v2 == "*":
@@ -213,7 +221,7 @@ def parse_point(text: str) -> tuple[Fraction, ...]:
     items = [s.strip() for s in text.split(",") if s.strip()]
     if not items:
         raise ParseError("empty point", 0)
-    return tuple(Fraction(s) for s in items)
+    return tuple(_rational(s, text.find(s)) for s in items)
 
 
 def parse_matrix_json(data) -> list[list[Fraction]]:

@@ -46,7 +46,9 @@ class Polynomial:
             value = scalar(c)
             if is_bottom(value):
                 continue
-            key = tuple(int(e) for e in expo)
+            key = tuple(map(int, expo))
+            if key != tuple(expo):
+                raise ValueError(f"exponents must be integers, got {tuple(expo)}")
             if len(key) != self.n:
                 raise ValueError(f"exponent vector {key} has length {len(key)}, expected {self.n}")
             if self.mode == POLY and any(e < 0 for e in key):

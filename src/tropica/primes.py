@@ -7,14 +7,26 @@ exponents; term t1 beats term t2 when the first non-zero entry of
 U @ ((c1, u1) - (c2, u2)) is positive.  Rows are stored exactly as given:
 adding earlier rows to later ones preserves the order, but upward row
 operations change the prime, so no automatic reduction is applied.
+
+Queries run on integers.  Multiplying a row by a positive number leaves the
+sign of each entry of U @ (t1 - t2) unchanged, hence the order too (Joó and
+Mincheva, Prime congruences of additively idempotent semirings and a
+Nullstellensatz for tropical polynomials, Selecta Math. 2018).  So each
+matrix caches its rows cleared of denominators (``int_rows``), and the terms
+of one query are scaled by their common denominator D > 0, which again
+keeps every sign.  A term's key is then the integer tuple U_int @ (D c, D u),
+and terms compare as their keys compare lexicographically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 
-from .matrices import mat_vec, rank, to_fraction
+from .matrices import rank, to_fraction
 from .polynomials import Exponents, LAURENT, Polynomial, _check_mode
 from .scalars import is_bottom
 
@@ -42,6 +54,15 @@ class AdmissibleMatrix:
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def int_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each row times the lcm of its denominators: same order, integer entries."""
+        out = []
+        for row in self.rows:
+            scale = lcm(*(x.denominator for x in row))
+            out.append(tuple(x.numerator * (scale // x.denominator) for x in row))
+        return tuple(out)
 
     def to_json(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.rows]
@@ -80,25 +101,42 @@ def check_admissible(rows, n: int, mode: str = LAURENT) -> AdmissibleMatrix:
     return AdmissibleMatrix(frozen, n, mode)
 
 
-def _term_vector(term: Term, n: int) -> list[Fraction]:
+def _term_vector(term: Term, n: int) -> tuple[Fraction, tuple[Fraction, ...]]:
     coeff, expo = term
     if is_bottom(coeff):
         raise ValueError("terms must have a non-bottom coefficient")
     if len(expo) != n:
         raise ValueError(f"exponent vector has length {len(expo)}, expected {n}")
-    return [Fraction(coeff)] + [Fraction(e) for e in expo]
+    return Fraction(coeff), tuple(Fraction(e) for e in expo)
+
+
+def _keys(matrix: AdmissibleMatrix, vectors) -> tuple[list[tuple[int, ...]], int]:
+    """Integer keys U_int @ (D c, D u) of (c, u) vectors, and their common denominator D."""
+    den = 1
+    for coeff, expo in vectors:
+        den = lcm(den, coeff.denominator, *(e.denominator for e in expo))
+    rows = matrix.int_rows
+    keys = []
+    for coeff, expo in vectors:
+        scaled = [coeff.numerator * (den // coeff.denominator)]
+        scaled.extend(e.numerator * (den // e.denominator) for e in expo)
+        keys.append(tuple(sum(map(mul, row, scaled)) for row in rows))
+    return keys, den
+
+
+def _polynomial_keys(matrix: AdmissibleMatrix, f: Polynomial):
+    if f.n != matrix.n:
+        raise ValueError(f"polynomial has {f.n} variables, expected {matrix.n}")
+    return _keys(matrix, [(coeff, expo) for expo, coeff in f.terms()])
 
 
 def compare_terms(matrix: AdmissibleMatrix, t1: Term, t2: Term) -> str:
     """Sign of the first non-zero entry of U @ (t1 - t2)."""
-    v1 = _term_vector(t1, matrix.n)
-    v2 = _term_vector(t2, matrix.n)
-    delta = [a - b for a, b in zip(v1, v2)]
-    for value in mat_vec(matrix.rows, delta):
-        if value > 0:
-            return GREATER
-        if value < 0:
-            return LESS
+    (k1, k2), _ = _keys(matrix, [_term_vector(t1, matrix.n), _term_vector(t2, matrix.n)])
+    if k1 > k2:
+        return GREATER
+    if k1 < k2:
+        return LESS
     return EQUAL
 
 
@@ -106,17 +144,9 @@ def leading_class(matrix: AdmissibleMatrix, f: Polynomial) -> tuple[Exponents, .
     """Support elements of f that are maximal (mutually equal) under the order."""
     if f.is_zero():
         raise ValueError("the zero polynomial has no leading class")
-    best: list[tuple[Exponents, Fraction]] = []
-    for expo, coeff in f.terms():
-        if not best:
-            best = [(expo, coeff)]
-            continue
-        cmp = compare_terms(matrix, (coeff, expo), (best[0][1], best[0][0]))
-        if cmp == GREATER:
-            best = [(expo, coeff)]
-        elif cmp == EQUAL:
-            best.append((expo, coeff))
-    return tuple(expo for expo, _ in best)
+    keys, _ = _polynomial_keys(matrix, f)
+    top = max(keys)
+    return tuple(expo for (expo, _), key in zip(f.terms(), keys) if key == top)
 
 
 def pair_in_prime(matrix: AdmissibleMatrix, f: Polynomial, g: Polynomial) -> bool:
@@ -124,14 +154,15 @@ def pair_in_prime(matrix: AdmissibleMatrix, f: Polynomial, g: Polynomial) -> boo
 
     Both reduce to their leading terms, so the pair lies in the congruence
     exactly when the leading terms compare equal.  The zero polynomial is
-    congruent only to itself.
+    congruent only to itself.  The keys of f are scaled by D_f and those of
+    g by D_g, so the leading keys are compared at the common scale D_f D_g.
     """
     f._require_compatible(g)
     if f.is_zero() or g.is_zero():
         return f.is_zero() and g.is_zero()
-    lf = leading_class(matrix, f)[0]
-    lg = leading_class(matrix, g)[0]
-    return compare_terms(matrix, (f.coefficient(lf), lf), (g.coefficient(lg), lg)) == EQUAL
+    keys_f, den_f = _polynomial_keys(matrix, f)
+    keys_g, den_g = _polynomial_keys(matrix, g)
+    return [x * den_g for x in max(keys_f)] == [x * den_f for x in max(keys_g)]
 
 
 def bend_ideal_member(matrix: AdmissibleMatrix, f: Polynomial) -> bool:
@@ -146,7 +177,8 @@ def bend_ideal_member(matrix: AdmissibleMatrix, f: Polynomial) -> bool:
         return True
     if f.is_monomial():
         return False
-    return len(leading_class(matrix, f)) >= 2
+    keys, _ = _polynomial_keys(matrix, f)
+    return keys.count(max(keys)) >= 2
 
 
 def classify_prime(matrix: AdmissibleMatrix) -> tuple[str, int]:

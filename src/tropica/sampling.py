@@ -10,9 +10,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .matrices import rank
 from .polynomials import LAURENT, POLY, Polynomial
-from .primes import AdmissibleMatrix, check_admissible
+from .primes import AdmissibilityError, AdmissibleMatrix, check_admissible
 
 
 def random_fraction(rng: random.Random, lo: int = -4, hi: int = 4, max_den: int = 3) -> Fraction:
@@ -71,13 +70,14 @@ def random_admissible(
             rows[0][0] = Fraction(0)
         elif first_entry == "positive":
             rows[0][0] = Fraction(abs(rng.randint(1, 4)), rng.randint(1, 3))
-        if rank(rows) != nrows:
-            continue
         col0 = [r[0] for r in rows]
         pivot = next((i for i, x in enumerate(col0) if x != 0), None)
         if pivot is not None and col0[pivot] < 0:
             rows[pivot] = [-x for x in rows[pivot]]
-        return check_admissible(rows, n, mode)
+        try:
+            return check_admissible(rows, n, mode)
+        except AdmissibilityError:  # dependent rows: draw again
+            continue
 
 
 def random_member_polynomial(

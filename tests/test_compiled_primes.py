@@ -1,0 +1,225 @@
+"""Integer-key prime queries against the Fraction implementation they replaced.
+
+The reference functions below are the former `primes.compare_terms` (the
+difference vector multiplied by the stored Fraction rows, then the sign of
+the first non-zero entry) and the former pairwise `leading_class` loop, with
+`pair_in_prime` and `bend_ideal_member` rebuilt on them.  The former
+`sampling.random_admissible` loop, which checked the rank itself before
+`check_admissible` checked it again, is kept to show that the draws did not
+change.  They are kept here only as oracles.
+"""
+
+import random
+from fractions import Fraction
+from math import lcm
+
+from tropica.matrices import dot, nullspace, rank
+from tropica.polynomials import LAURENT, Polynomial
+from tropica.primes import (
+    EQUAL,
+    GREATER,
+    LESS,
+    AdmissibilityError,
+    bend_ideal_member,
+    check_admissible,
+    compare_terms,
+    leading_class,
+    pair_in_prime,
+)
+from tropica.sampling import random_admissible, random_fraction, random_member_polynomial
+
+# -- reference implementations -------------------------------------------------
+
+
+def ref_compare_terms(matrix, t1, t2):
+    v1 = [Fraction(t1[0])] + [Fraction(e) for e in t1[1]]
+    v2 = [Fraction(t2[0])] + [Fraction(e) for e in t2[1]]
+    delta = [a - b for a, b in zip(v1, v2)]
+    for value in [dot(row, delta) for row in matrix.rows]:
+        if value > 0:
+            return GREATER
+        if value < 0:
+            return LESS
+    return EQUAL
+
+
+def ref_leading_class(matrix, f):
+    best = []
+    for expo, coeff in f.terms():
+        if not best:
+            best = [(expo, coeff)]
+            continue
+        cmp = ref_compare_terms(matrix, (coeff, expo), (best[0][1], best[0][0]))
+        if cmp == GREATER:
+            best = [(expo, coeff)]
+        elif cmp == EQUAL:
+            best.append((expo, coeff))
+    return tuple(expo for expo, _ in best)
+
+
+def ref_pair_in_prime(matrix, f, g):
+    if f.is_zero() or g.is_zero():
+        return f.is_zero() and g.is_zero()
+    lf = ref_leading_class(matrix, f)[0]
+    lg = ref_leading_class(matrix, g)[0]
+    return ref_compare_terms(matrix, (f.coefficient(lf), lf), (g.coefficient(lg), lg)) == EQUAL
+
+
+def ref_bend_ideal_member(matrix, f):
+    if f.is_zero():
+        return True
+    if f.is_monomial():
+        return False
+    return len(ref_leading_class(matrix, f)) >= 2
+
+
+def ref_random_admissible(rng, n, nrows, mode=LAURENT, first_entry="any"):
+    while True:
+        rows = [[random_fraction(rng) for _ in range(n + 1)] for _ in range(nrows)]
+        if first_entry == "zero":
+            rows[0][0] = Fraction(0)
+        elif first_entry == "positive":
+            rows[0][0] = Fraction(abs(rng.randint(1, 4)), rng.randint(1, 3))
+        if rank(rows) != nrows:
+            continue
+        col0 = [r[0] for r in rows]
+        pivot = next((i for i, x in enumerate(col0) if x != 0), None)
+        if pivot is not None and col0[pivot] < 0:
+            rows[pivot] = [-x for x in rows[pivot]]
+        return check_admissible(rows, n, mode)
+
+
+# -- seeded inputs ---------------------------------------------------------------
+
+SHAPES = [(n, r) for n in range(1, 5) for r in range(1, n + 2)]
+
+
+def _fraction(rng, max_den):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, max_den))
+
+
+def mixed_matrix(rng, n, nrows):
+    """Admissible matrix whose entries have denominators up to 12."""
+    while True:
+        rows = [
+            [_fraction(rng, rng.choice((1, 2, 5, 12))) for _ in range(n + 1)] for _ in range(nrows)
+        ]
+        pivot = next((r for r in rows if r[0] != 0), None)
+        if pivot is not None and pivot[0] < 0:
+            rows[rows.index(pivot)] = [-x for x in pivot]
+        try:
+            return check_admissible(rows, n)
+        except AdmissibilityError:
+            continue
+
+
+def kernel_direction(matrix):
+    """(dc, du) with U @ (dc, du) = 0 and du a non-zero integer vector, or None."""
+    for vec in nullspace(matrix.rows, matrix.n + 1):
+        if any(vec[1:]):
+            scale = lcm(*(x.denominator for x in vec[1:]))
+            return vec[0] * scale, tuple(int(x * scale) for x in vec[1:])
+    return None
+
+
+def tied_polynomial(rng, matrix):
+    """Random terms, each followed by copies shifted along the kernel direction."""
+    n = matrix.n
+    direction = kernel_direction(matrix)
+    coeffs = {}
+    for _ in range(rng.randint(1, 4)):
+        expo = tuple(rng.randint(-3, 3) for _ in range(n))
+        c = _fraction(rng, rng.choice((1, 3, 4, 7)))
+        coeffs[expo] = c
+        if direction is not None:
+            dc, du = direction
+            for k in range(1, rng.randint(1, 3) + 1):
+                coeffs[tuple(e - k * d for e, d in zip(expo, du))] = c - k * dc
+    return Polynomial(coeffs, n)
+
+
+def member_polynomial(rng, matrix):
+    point = tuple(_fraction(rng, 5) for _ in range(matrix.n))
+    return random_member_polynomial(rng, point, max_deg=3)
+
+
+def matrices(seed, per_shape):
+    rng = random.Random(seed)
+    for n, r in SHAPES:
+        for i in range(per_shape):
+            yield rng, (mixed_matrix(rng, n, r) if i % 2 else random_admissible(rng, n, r))
+
+
+# -- tests -----------------------------------------------------------------------
+
+
+def test_leading_class_and_membership_match_reference():
+    ties = 0
+    for rng, matrix in matrices(71, 12):
+        for i in range(8):
+            f = member_polynomial(rng, matrix) if i % 2 else tied_polynomial(rng, matrix)
+            expected = ref_leading_class(matrix, f)
+            assert leading_class(matrix, f) == expected, (matrix, f)
+            assert bend_ideal_member(matrix, f) == ref_bend_ideal_member(matrix, f)
+            ties += len(expected) >= 2
+    assert ties > 300  # tied leading classes, where the order of the result matters
+
+
+def test_compare_terms_matches_reference():
+    equal = 0
+    for rng, matrix in matrices(73, 10):
+        n = matrix.n
+        direction = kernel_direction(matrix)
+        for i in range(10):
+            t1 = (_fraction(rng, 7), tuple(_fraction(rng, rng.choice((1, 3))) for _ in range(n)))
+            if i % 3 == 0:
+                t2 = t1
+            elif i % 3 == 1 and direction is not None:
+                dc, du = direction
+                t2 = (t1[0] - dc, tuple(a - b for a, b in zip(t1[1], du)))
+            else:
+                t2 = (_fraction(rng, 5), tuple(rng.randint(-3, 3) for _ in range(n)))
+            expected = ref_compare_terms(matrix, t1, t2)
+            assert compare_terms(matrix, t1, t2) == expected, (matrix, t1, t2)
+            assert compare_terms(matrix, t2, t1) == ref_compare_terms(matrix, t2, t1)
+            equal += expected == EQUAL
+    assert equal > 200
+
+
+def test_pair_in_prime_across_denominators():
+    # g keeps f's leading term and adds lower terms over other denominators,
+    # so the two polynomials are cleared by different common denominators
+    congruent = 0
+    for rng, matrix in matrices(79, 8):
+        n = matrix.n
+        for i in range(8):
+            f = member_polynomial(rng, matrix) if i % 2 else tied_polynomial(rng, matrix)
+            lead = ref_leading_class(matrix, f)[0]
+            top = (f.coefficient(lead), lead)
+            coeffs = {lead: top[0]}
+            den = rng.choice((2, 3, 5, 7, 11))
+            for _ in range(rng.randint(0, 3)):
+                expo = tuple(rng.randint(-3, 3) for _ in range(n))
+                c = Fraction(rng.randint(-20, 20), den)
+                if expo not in coeffs and ref_compare_terms(matrix, (c, expo), top) == LESS:
+                    coeffs[expo] = c
+            if i % 4 == 3:  # lift the leading term by 1/den: not congruent
+                coeffs[lead] = top[0] + Fraction(1, den)
+            g = Polynomial(coeffs, n)
+            expected = ref_pair_in_prime(matrix, f, g)
+            assert pair_in_prime(matrix, f, g) == expected, (matrix, f, g)
+            assert pair_in_prime(matrix, g, f) == expected
+            congruent += expected
+    assert congruent > 200
+
+
+def test_random_admissible_draws_unchanged():
+    for seed in range(300):
+        n = 1 + seed % 4
+        nrows = 1 + seed // 4 % (n + 1)
+        first = ("any", "zero", "positive")[seed % 3]
+        old, new = random.Random(seed), random.Random(seed)
+        assert random_admissible(new, n, nrows, first_entry=first) == ref_random_admissible(
+            old, n, nrows, first_entry=first
+        )
+        assert new.getstate() == old.getstate()

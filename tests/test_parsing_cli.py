@@ -311,6 +311,33 @@ def test_cli_plot_rejects_malformed_complex(capsys, data):
     assert json.loads(err)["error"] == "domain"
 
 
+@pytest.mark.parametrize(
+    "args, code, kind",
+    [
+        (["eval", "--poly", "x + y", "--point", "1.5,2"], 2, "parse"),  # decimals were read
+        (["eval", "--poly", "x + y", "--point", "1e2,0"], 2, "parse"),
+        (["prime-check", "--matrix", '[["1e2", 1]]'], 1, "domain"),  # JSON readers: domain
+        (["plot", "--complex", json.dumps(_point_complex(rhs=["0.5", "1e0"]))], 1, "domain"),
+        (["eval", "--poly", "x + y", "--point", "2/0,1"], 2, "parse"),  # was exit 1
+        (["eval", "--poly", "2/0*x + y", "--point", "1,1"], 2, "parse"),
+    ],
+    ids=["point-decimal", "point-exponent", "matrix-exponent", "complex-decimal",
+         "point-zero-denominator", "poly-zero-denominator"],
+)
+def test_cli_strict_rationals(capsys, args, code, kind):
+    rc, out, err = run_cli(args, capsys)
+    assert rc == code and out == ""
+    assert json.loads(err)["error"] == kind
+
+
+@pytest.mark.parametrize("command", ["trace-verify --trace", "eval --point 1 --file"])
+def test_cli_missing_file_is_domain_error(capsys, tmp_path, command):
+    # a FileNotFoundError used to escape main() as a traceback
+    rc, out, err = run_cli(command.split() + [str(tmp_path / "missing.json")], capsys)
+    assert rc == 1 and out == ""
+    assert json.loads(err)["error"] == "domain"
+
+
 def test_cli_json_determinism(capsys):
     args = ["hypersurface", "--poly", "x + y + 0"]
     _, first, _ = run_cli(args, capsys)

@@ -65,6 +65,15 @@ def test_poly_mode_rejects_negative_exponents():
         Polynomial({(-1,): 0}, 1, POLY)
 
 
+def test_rejects_non_integral_exponents():
+    # 1.5 used to be truncated to 1
+    with pytest.raises(ValueError):
+        Polynomial({(1.5,): 0}, 1)
+    with pytest.raises(ValueError):
+        Polynomial({(Fraction(1, 2), 0): 0}, 2)
+    assert Polynomial({(Fraction(2),): 0}, 1).support() == ((2,),)
+
+
 # -- deletion and bends -------------------------------------------------------
 
 
