@@ -13,7 +13,7 @@ from tropica.parsing import format_polynomial, parse_polynomial
 from tropica.polynomials import LAURENT, POLY
 from tropica.primes import bend_ideal_member, check_admissible
 from tropica.rendering import render_svg
-from tropica.sampling import random_member_polynomial, random_point
+from tropica.sampling import point_members, random_point
 from tropica.traces import load_trace, verify_trace
 from tropica.tropical_linear import (
     MembershipSample,
@@ -65,14 +65,7 @@ def elimination_dichotomy() -> None:
     rng = random.Random(1)
     window = monomial_window(2, POLY, 2)
     point = random_point(rng, 2, -2, 2, 2)
-    oracle = lambda h: h.is_zero() or h.to_polynomial().vanishes_at(point)
-    samples, seen = [], set()
-    while len(samples) < 12:
-        poly = random_member_polynomial(rng, point, POLY, max_deg=2)
-        if poly.degree() <= 2 and poly not in seen:
-            seen.add(poly)
-            samples.append(vector_from_polynomial(poly, window))
-    result = check_tropical_axiom(MembershipSample(tuple(samples), oracle, point))
+    result = check_tropical_axiom(point_members(rng, point, window, 12))
     print(f"  geometric prime at {tuple(map(str, point))}: passed={result.passed}")
 
     lwindow = monomial_window(2, LAURENT, 2)

@@ -12,7 +12,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .krull import EmptyVarietyError, coordinate_dimension
@@ -20,6 +19,8 @@ from .parsing import (
     ParseError,
     format_monomial,
     format_polynomial,
+    parse_circuits_json,
+    parse_classical,
     parse_matrix_json,
     parse_point,
     parse_polynomial,
@@ -32,22 +33,13 @@ from .primes import (
     check_admissible,
     classify_prime,
     compare_terms,
-    leading_class,
     variety_of_prime,
 )
 from .rendering import render_svg
-from .sampling import random_member_polynomial
+from .sampling import point_members, prime_members
 from .scalars import scalar_str
 from .traces import load_trace, verify_trace
-from .tropical_linear import (
-    CircuitSet,
-    MembershipSample,
-    TropVector,
-    check_tropical_axiom,
-    monomial_window,
-    truncated_tropicalization,
-    vector_from_polynomial,
-)
+from .tropical_linear import check_tropical_axiom, monomial_window, truncated_tropicalization
 from .varieties import (
     affine_prevariety,
     complex_from_json,
@@ -202,72 +194,16 @@ def _cmd_trace_verify(args):
 
 
 def _cmd_tideal_check(args):
-    degree = args.degree
     if args.circuits:
-        data = _load_json_arg(args.circuits)
-        window = monomial_window(int(data["nvars"]), data.get("mode", POLY), int(data["degree"]))
-        circuits = tuple(
-            TropVector.make(
-                window, {tuple(int(v) for v in expo): Fraction(0) for expo in support}
-            )
-            for support in data["circuits"]
-        )
-        description = CircuitSet(window, circuits)
+        description = parse_circuits_json(_load_json_arg(args.circuits))
     elif args.point:
         point = parse_point(args.point)
-        n = len(point)
-        window = monomial_window(n, args.mode, degree)
-        rng = random.Random(_seed(args))
-        oracle = lambda h: h.is_zero() or h.to_polynomial().vanishes_at(point)
-        samples, seen = [], set()
-        while len(samples) < args.trials:
-            poly = random_member_polynomial(rng, point, args.mode, max_deg=degree)
-            if poly.degree() <= degree and poly not in seen:
-                seen.add(poly)
-                samples.append(vector_from_polynomial(poly, window))
-        description = MembershipSample(tuple(samples), oracle, point)
+        window = monomial_window(len(point), args.mode, args.degree)
+        description = point_members(random.Random(_seed(args)), point, window, args.trials)
     elif args.matrix:
         matrix = _matrix(args)
-        window = monomial_window(matrix.n, args.mode, degree)
-        rng = random.Random(_seed(args))
-        oracle = lambda h: bend_ideal_member(matrix, h.to_polynomial())
-        # a geometric prime carries an evaluation point; the witness search
-        # needs it for the second-level tie candidates
-        point = variety_of_prime(matrix) if classify_prime(matrix)[0] == "geometric" else None
-        samples, seen = [], set()
-        attempts = 0
-
-        def record(poly):
-            if bend_ideal_member(matrix, poly) and not poly.is_zero() and poly not in seen:
-                seen.add(poly)
-                samples.append(vector_from_polynomial(poly, window))
-
-        while len(samples) < args.trials and attempts < args.trials * 200:
-            attempts += 1
-            poly = Polynomial(
-                {
-                    expo: Fraction(rng.randint(-2, 2))
-                    for expo in rng.sample(window.monomials, k=min(3, len(window)))
-                },
-                matrix.n,
-                args.mode,
-            )
-            if not bend_ideal_member(matrix, poly) or poly.is_zero():
-                continue
-            record(poly)
-            # partner sharing the leading terms but with one low term moved:
-            # the shape on which the elimination axiom can genuinely fail
-            leaders = set(leading_class(matrix, poly))
-            low = [e for e in poly.support() if e not in leaders]
-            if low:
-                moved = rng.choice(low)
-                target = rng.choice(window.monomials)
-                if target not in poly.support():
-                    partner = poly.delete_term(moved) + Polynomial(
-                        {target: poly.coefficient(moved)}, matrix.n, args.mode
-                    )
-                    record(partner)
-        description = MembershipSample(tuple(samples), oracle, point)
+        window = monomial_window(matrix.n, args.mode, args.degree)
+        description = prime_members(random.Random(_seed(args)), matrix, window, args.trials)
     else:
         raise ValueError("one of --circuits, --point or --matrix is required")
     result = check_tropical_axiom(description)
@@ -282,53 +218,11 @@ def _cmd_tideal_check(args):
     _emit(payload, args)
 
 
-def _parse_classical(text: str, nvars: int | None):
-    """Classical rational polynomial, e.g. "x - y" or "x^2 - 2*x*y"."""
-    out: dict[tuple[int, ...], Fraction] = {}
-    pieces = []
-    current = ""
-    for ch in text:
-        if ch in "+-" and current.strip():
-            pieces.append(current)
-            current = ch
-        else:
-            current += ch
-    if current.strip():
-        pieces.append(current)
-    terms = []
-    for piece in pieces:
-        piece = piece.strip()
-        sign = Fraction(1)
-        if piece.startswith("-"):
-            sign, piece = Fraction(-1), piece[1:].strip()
-        elif piece.startswith("+"):
-            piece = piece[1:].strip()
-        poly = parse_polynomial(piece, POLY, nvars)
-        if not poly.is_monomial():
-            raise ValueError(f"classical term {piece!r} did not parse to a single term")
-        expo = poly.support()[0]
-        coeff = poly.coefficient(expo)
-        coeff = Fraction(1) if coeff == 0 else coeff  # tropical unit marks "no coefficient"
-        terms.append((expo, sign * coeff))
-    n = nvars if nvars is not None else max(len(e) for e, _ in terms)
-    for expo, value in terms:
-        key = tuple(expo) + (0,) * (n - len(expo))
-        out[key] = out.get(key, Fraction(0)) + value
-    return {k: v for k, v in out.items() if v != 0}, n
-
-
 def _cmd_tideal_trop(args):
-    nvars = args.nvars
-    parsed = []
-    n = 0
-    for text in args.gens:
-        coeffs, gn = _parse_classical(text, nvars)
-        parsed.append(coeffs)
-        n = max(n, gn)
-    parsed = [
-        {tuple(e) + (0,) * (n - len(e)): c for e, c in g.items()} for g in parsed
-    ]
-    circuits = truncated_tropicalization(parsed, n, args.degree)
+    parsed = [parse_classical(text, args.nvars) for text in args.gens]
+    n = max(gn for _, gn in parsed)
+    gens = [{e + (0,) * (n - len(e)): c for e, c in coeffs.items()} for coeffs, _ in parsed]
+    circuits = truncated_tropicalization(gens, n, args.degree)
     payload = {
         "nvars": n,
         "degree": args.degree,

@@ -11,6 +11,10 @@ Coefficients are rational literals ("3", "-1", "7/2"); "+" is the tropical
 sum, "*" the tropical product.  A bare monomial carries the unit coefficient
 (rational 0).  "-inf" terms are dropped.  Variables are x, y, z, w or
 x1..xn; the two styles cannot be mixed in one expression.
+
+Classical polynomials over Q (``parse_classical``) share the monomials and
+the term grammar, but "-" is an operator (coefficients are unsigned), a bare
+monomial has coefficient 1 and like terms add as rationals.
 """
 
 from __future__ import annotations
@@ -21,11 +25,15 @@ from fractions import Fraction
 
 from .polynomials import LAURENT, POLY, Polynomial
 from .matrices import to_fraction
+from .tropical_linear import CircuitSet, TropVector, monomial_window
 
 _LETTER_VARS = {"x": 0, "y": 1, "z": 2, "w": 3}
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<inf>-inf\b)|(?P<number>-?[0-9]+(?:/[0-9]+)?)|(?P<name>[A-Za-z]\w*)|(?P<op>[+*^]))"
+)
+_CLASSICAL_TOKEN = re.compile(
+    r"\s*(?:(?P<number>[0-9]+(?:/[0-9]+)?)|(?P<name>[A-Za-z]\w*)|(?P<op>[-+*^]))"
 )
 
 
@@ -45,13 +53,15 @@ def _rational(text: str, pos: int) -> Fraction:
         raise ParseError(str(exc), pos) from None
 
 
-def _tokenize(text: str):
+def _tokenize(text: str, pattern=_TOKEN):
+    if not isinstance(text, str):
+        raise ParseError(f"expected polynomial text, got {type(text).__name__}", 0)
     tokens = []
     pos = 0
     while pos < len(text):
         if text[pos:].strip() == "":
             break
-        m = _TOKEN.match(text, pos)
+        m = pattern.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         kind = m.lastgroup
@@ -73,11 +83,6 @@ class _Parser:
         tok = self.peek()
         self.i += 1
         return tok
-
-    def expect_end(self):
-        kind, value, pos = self.peek()
-        if kind is not None:
-            raise ParseError(f"unexpected token {value!r}", pos)
 
 
 def _var_index(name: str, pos: int, style: dict) -> int:
@@ -122,67 +127,76 @@ def _parse_monomial(p: _Parser, style: dict) -> dict[int, int]:
     return expos
 
 
+def _read_terms(text: str, nvars: int | None, classical: bool):
+    """Terms of ``text`` as (negated, coefficient, exponent tuple), and the variable count."""
+    tokens = _tokenize(text, _CLASSICAL_TOKEN if classical else _TOKEN)
+    if not tokens:
+        raise ParseError("empty polynomial text", 0)
+    p = _Parser(tokens, len(text))
+    style: dict = {}
+    terms: list[tuple[bool, object, dict[int, int]]] = []
+    negated = False
+    if classical and p.peek()[0] == "op" and p.peek()[1] in "+-":
+        negated = p.take()[1] == "-"
+    while True:
+        kind, value, pos = p.peek()
+        if kind in ("inf", "number"):
+            p.take()
+            coeff = "-inf" if kind == "inf" else _rational(value, pos)
+            expos: dict[int, int] = {}
+            k2, v2, _ = p.peek()
+            if k2 == "op" and v2 == "*":
+                p.take()
+                expos = _parse_monomial(p, style)
+        elif kind == "name":
+            coeff = Fraction(1) if classical else Fraction(0)
+            expos = _parse_monomial(p, style)
+        else:
+            raise ParseError("expected a term", pos)
+        terms.append((negated, coeff, expos))
+        k3, v3, pos3 = p.peek()
+        if k3 is None:
+            break
+        if k3 == "op" and v3 in "+-":
+            p.take()
+            negated = v3 == "-"
+            continue
+        raise ParseError(f"unexpected token {v3!r}", pos3)
+
+    inferred = 0
+    for _, _, expos in terms:
+        for idx in expos:
+            inferred = max(inferred, idx + 1)
+    n = inferred if nvars is None else int(nvars)
+    if n < inferred:
+        raise ParseError(f"expression uses {inferred} variables but nvars={n}", 0)
+    return [(neg, c, tuple(e.get(i, 0) for i in range(n))) for neg, c, e in terms], n
+
+
 def parse_polynomial(text: str, mode: str = LAURENT, nvars: int | None = None) -> Polynomial:
     """Parse the grammar above into a Polynomial.
 
     ``nvars`` fixes the ambient variable count; otherwise it is inferred from
     the variables that appear (letters count up to the furthest letter used).
     """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty polynomial text", 0)
-    p = _Parser(tokens, len(text))
-    style: dict = {}
-    terms: list[tuple[object, dict[int, int]]] = []
-    while True:
-        kind, value, pos = p.peek()
-        coeff: object
-        if kind == "inf":
-            p.take()
-            coeff = "-inf"
-            expos: dict[int, int] = {}
-            k2, v2, _ = p.peek()
-            if k2 == "op" and v2 == "*":
-                p.take()
-                expos = _parse_monomial(p, style)
-        elif kind == "number":
-            p.take()
-            coeff = _rational(value, pos)
-            expos = {}
-            k2, v2, _ = p.peek()
-            if k2 == "op" and v2 == "*":
-                p.take()
-                expos = _parse_monomial(p, style)
-        elif kind == "name":
-            coeff = Fraction(0)
-            expos = _parse_monomial(p, style)
-        else:
-            raise ParseError("expected a term", pos)
-        terms.append((coeff, expos))
-        k3, v3, pos3 = p.peek()
-        if k3 is None:
-            break
-        if k3 == "op" and v3 == "+":
-            p.take()
-            continue
-        raise ParseError(f"unexpected token {v3!r}", pos3)
-    p.expect_end()
-
-    inferred = 0
-    for _, expos in terms:
-        for idx in expos:
-            inferred = max(inferred, idx + 1)
-    n = inferred if nvars is None else int(nvars)
-    if n < inferred:
-        raise ParseError(f"expression uses {inferred} variables but nvars={n}", 0)
-    coeffs: dict[tuple[int, ...], object] = {}
+    terms, n = _read_terms(text, nvars, classical=False)
     poly = Polynomial.zero(n, mode)
-    for coeff, expos in terms:
-        if mode == POLY and any(e < 0 for e in expos.values()):
+    for _, coeff, key in terms:
+        if mode == POLY and any(e < 0 for e in key):
             raise ParseError("negative exponents are not allowed in poly mode", 0)
-        key = tuple(expos.get(i, 0) for i in range(n))
         poly = poly + Polynomial({key: coeff}, n, mode)
     return poly
+
+
+def parse_classical(
+    text: str, nvars: int | None = None
+) -> tuple[dict[tuple[int, ...], Fraction], int]:
+    """Non-zero coefficients of classical text such as "x - 2*y", and n (``nvars`` as above)."""
+    terms, n = _read_terms(text, nvars, classical=True)
+    coeffs: dict[tuple[int, ...], Fraction] = {}
+    for negated, coeff, key in terms:
+        coeffs[key] = coeffs.get(key, Fraction(0)) + (-coeff if negated else coeff)
+    return {key: c for key, c in coeffs.items() if c != 0}, n
 
 
 def _var_name(i: int, n: int) -> str:
@@ -231,3 +245,24 @@ def parse_matrix_json(data) -> list[list[Fraction]]:
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise ValueError("matrix JSON must be a non-empty array of arrays")
     return [[to_fraction(x) for x in row] for row in data]
+
+
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def parse_circuits_json(data) -> CircuitSet:
+    """Circuit JSON (README) as a CircuitSet; counts and exponents must be JSON integers."""
+    if not isinstance(data, dict) or not isinstance(data.get("circuits"), list):
+        raise ValueError('circuit JSON must be an object with a "circuits" array')
+    n = _json_int(data["nvars"], "nvars")
+    window = monomial_window(n, data.get("mode", POLY), _json_int(data["degree"], "degree"))
+    circuits = []
+    for support in data["circuits"]:
+        if not isinstance(support, list) or not all(isinstance(e, list) for e in support):
+            raise ValueError("a circuit must be an array of exponent vectors")
+        values = {tuple(_json_int(e, "an exponent") for e in expo): Fraction(0) for expo in support}
+        circuits.append(TropVector.make(window, values))
+    return CircuitSet(window, tuple(circuits))

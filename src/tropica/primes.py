@@ -107,7 +107,7 @@ def _term_vector(term: Term, n: int) -> tuple[Fraction, tuple[Fraction, ...]]:
         raise ValueError("terms must have a non-bottom coefficient")
     if len(expo) != n:
         raise ValueError(f"exponent vector has length {len(expo)}, expected {n}")
-    return Fraction(coeff), tuple(Fraction(e) for e in expo)
+    return to_fraction(coeff), tuple(to_fraction(e) for e in expo)
 
 
 def _keys(matrix: AdmissibleMatrix, vectors) -> tuple[list[tuple[int, ...]], int]:

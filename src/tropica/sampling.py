@@ -11,7 +11,17 @@ import random
 from fractions import Fraction
 
 from .polynomials import LAURENT, POLY, Polynomial
-from .primes import AdmissibilityError, AdmissibleMatrix, check_admissible
+from .primes import (
+    GEOMETRIC,
+    AdmissibilityError,
+    AdmissibleMatrix,
+    bend_ideal_member,
+    check_admissible,
+    classify_prime,
+    leading_class,
+    variety_of_prime,
+)
+from .tropical_linear import MembershipSample, MonomialWindow, vector_from_polynomial
 
 
 def random_fraction(rng: random.Random, lo: int = -4, hi: int = 4, max_den: int = 3) -> Fraction:
@@ -92,6 +102,8 @@ def random_member_polynomial(
     Two support elements are pinned to a common value; any further terms are
     pushed strictly below it.
     """
+    if max_deg < 1:
+        raise ValueError("member polynomials need max_deg >= 1 (two distinct exponents)")
     n = len(point)
     target = random_fraction(rng)
     support: set[tuple[int, ...]] = set()
@@ -109,3 +121,54 @@ def random_member_polynomial(
         drop = Fraction(rng.randint(1, 4), rng.randint(1, 3))
         coeffs[expo] = target - shift - drop
     return Polynomial(coeffs, n, mode)
+
+
+def point_members(rng: random.Random, point, window: MonomialWindow, count: int) -> MembershipSample:
+    """``count`` distinct members of the geometric prime at ``point``, inside ``window``.
+
+    Members come from ``random_member_polynomial`` with the window's mode and
+    degree; the oracle is "vanishes at the point".
+    """
+    point = tuple(point)
+    members: dict[Polynomial, None] = {}  # insertion-ordered set
+    while len(members) < count:
+        poly = random_member_polynomial(rng, point, window.mode, max_deg=window.degree)
+        if poly.degree() <= window.degree:
+            members[poly] = None
+    oracle = lambda h: h.is_zero() or h.to_polynomial().vanishes_at(point)
+    return MembershipSample(tuple(vector_from_polynomial(f, window) for f in members), oracle, point)
+
+
+def prime_members(
+    rng: random.Random, matrix: AdmissibleMatrix, window: MonomialWindow, count: int
+) -> MembershipSample:
+    """Distinct members of the bend ideal of ``matrix`` inside ``window``.
+
+    Each drawn member comes with a partner that keeps its leading terms and
+    moves one low term, the shape on which the elimination axiom can fail.
+    Stops at ``count`` members (a partner may add one more) or ``count * 200``
+    draws.  A geometric prime also carries its point for the witness search.
+    """
+    members: dict[Polynomial, None] = {}
+    attempts = 0
+    while len(members) < count and attempts < count * 200:
+        attempts += 1
+        drawn = rng.sample(window.monomials, k=min(3, len(window)))
+        coeffs = {expo: Fraction(rng.randint(-2, 2)) for expo in drawn}
+        poly = Polynomial(coeffs, window.n, window.mode)
+        if not bend_ideal_member(matrix, poly):
+            continue
+        members[poly] = None
+        leaders = leading_class(matrix, poly)
+        low = [e for e in poly.support() if e not in leaders]
+        if low:
+            moved = rng.choice(low)
+            target = rng.choice(window.monomials)
+            if target not in poly.support():
+                term = Polynomial({target: poly.coefficient(moved)}, window.n, window.mode)
+                partner = poly.delete_term(moved) + term
+                if bend_ideal_member(matrix, partner):
+                    members[partner] = None
+    oracle = lambda h: bend_ideal_member(matrix, h.to_polynomial())
+    point = variety_of_prime(matrix) if classify_prime(matrix)[0] == GEOMETRIC else None
+    return MembershipSample(tuple(vector_from_polynomial(f, window) for f in members), oracle, point)

@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .parsing import format_polynomial, parse_polynomial
+from .parsing import _json_int, format_polynomial, parse_polynomial
 from .polynomials import Exponents, LAURENT, Pair, Polynomial
 
 GEN, REFL, SYM, TRANS, ADD, MUL, TWIST = "GEN", "REFL", "SYM", "TRANS", "ADD", "MUL", "TWIST"
@@ -231,16 +231,22 @@ def trace_to_json(trace: DerivationTrace) -> dict:
 
 
 def _parse_pair(data, mode: str, n: int) -> Pair:
+    if not isinstance(data, list) or len(data) != 2:
+        raise ValueError(f"a pair must be an array of two polynomials, got {data!r}")
     left, right = data
     return Pair(parse_polynomial(left, mode, n), parse_polynomial(right, mode, n))
 
 
 def trace_from_json(data: dict) -> DerivationTrace:
-    if isinstance(data, (str, Path)):
-        data = json.loads(Path(data).read_text())
+    if not isinstance(data, dict):
+        raise ValueError("trace JSON must be an object")
     mode = data.get("mode", LAURENT)
-    n = int(data["nvars"])
+    n = _json_int(data["nvars"], "nvars")
+    if not isinstance(data["generators"], list):
+        raise ValueError("generators must be an array of polynomials")
     gens = tuple(parse_polynomial(text, mode, n) for text in data["generators"])
+    if not isinstance(data["steps"], list) or not all(isinstance(e, dict) for e in data["steps"]):
+        raise ValueError("steps must be an array of objects")
     steps = []
     for entry in data["steps"]:
         rule = entry["rule"]

@@ -27,8 +27,8 @@ from tropica.primes import (
     variety_of_prime,
 )
 from tropica.sampling import (
+    point_members,
     random_admissible,
-    random_member_polynomial,
     random_nonzero_polynomial,
     random_point,
 )
@@ -210,16 +210,10 @@ def test_criterion_09_tropical_ideal_dichotomy():
         window = monomial_window(2, POLY, 2)
         for _ in range(20):
             point = random_point(rng, 2, -3, 3, 3)
-            oracle = lambda h: h.is_zero() or h.to_polynomial().vanishes_at(point)
-            samples, seen = [], set()
-            while len(samples) < 14:
-                poly = random_member_polynomial(rng, point, POLY, max_extra=3, max_deg=2)
-                if poly.degree() <= 2 and poly not in seen:
-                    seen.add(poly)
-                    samples.append(vector_from_polynomial(poly, window))
-            npairs = len(samples) * (len(samples) + 1) // 2
+            sample = point_members(rng, point, window, 14)
+            npairs = len(sample.samples) * (len(sample.samples) + 1) // 2
             assert npairs >= 100
-            result = check_tropical_axiom(MembershipSample(tuple(samples), oracle, point))
+            result = check_tropical_axiom(sample)
             assert result.passed, result.counterexample
         lwindow = monomial_window(2, LAURENT, 2)
         matrix = check_admissible([[0, 1, 1]], 2)

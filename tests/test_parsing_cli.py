@@ -13,6 +13,7 @@ from tropica.cli import main
 from tropica.parsing import (
     ParseError,
     format_polynomial,
+    parse_classical,
     parse_matrix_json,
     parse_polynomial,
 )
@@ -180,10 +181,138 @@ def test_cli_trace_verify_rejects_corruption(tmp_path, capsys):
     assert result["accepted"] is False and result["failed_step"] == 3
 
 
+_DELETE = object()
+_FIELD_VALUES = [
+    None, True, 0, -1, 7, 2.5, "", "x", "x + y", "GEN", [], {}, [1], ["x"], ["x", "y", "z"],
+    {"a": 1}, _DELETE,
+]
+
+
+def _json_paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _json_paths(child, prefix + (key,))
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in (REPO / "traces").glob("*.json")))
+def test_cli_trace_verify_mutated_json(tmp_path, capsys, name):
+    # one field replaced (or deleted) per run; this used to end in TypeError and
+    # AttributeError tracebacks in almost half the runs
+    base = (REPO / "traces" / f"{name}.json").read_text()
+    paths = list(_json_paths(json.loads(base)))
+    rng = random.Random(name)
+    mutant = tmp_path / "mutant.json"
+    for _ in range(100):
+        data = json.loads(base)
+        path, value = rng.choice(paths), rng.choice(_FIELD_VALUES)
+        if not path:
+            data = [] if value is _DELETE else value
+        else:
+            node = data
+            for key in path[:-1]:
+                node = node[key]
+            if value is not _DELETE:
+                node[path[-1]] = value
+            elif isinstance(node, dict):
+                del node[path[-1]]
+            else:
+                node.pop(path[-1])
+        mutant.write_text(json.dumps(data))
+        code, out, err = run_cli(["trace-verify", "--trace", str(mutant)], capsys)
+        assert code in (0, 1, 2), (path, value)
+        if code == 0:
+            assert "accepted" in json.loads(out) and err == ""
+        else:
+            assert out == "" and json.loads(err)["error"] == {1: "domain", 2: "parse"}[code]
+
+
 def test_cli_tideal_trop(capsys):
     code, out, _ = run_cli(["tideal-trop", "--gens", "x - y", "--degree", "1"], capsys)
     assert code == 0
     assert json.loads(out)["circuits"] == [["x", "y"]]
+
+
+@pytest.mark.parametrize(
+    "args, circuits",
+    [
+        (["--gens", "0*x - y", "--nvars", "2"], [["y"]]),  # 0*x was read as 1*x
+        (["--gens", "x - 0"], [["x"]]),  # the constant 0 was read as 1
+    ],
+)
+def test_cli_tideal_trop_zero_coefficients(capsys, args, circuits):
+    code, out, _ = run_cli(["tideal-trop", *args, "--degree", "1"], capsys)
+    assert code == 0 and json.loads(out)["circuits"] == circuits
+
+
+def test_cli_tideal_trop_error_position(capsys):
+    # the position used to count from the start of the split piece "2*q"
+    code, out, err = run_cli(["tideal-trop", "--gens", "x + 2*q", "--degree", "1"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "parse", "message": "unknown variable 'q' (at position 6)"}
+
+
+def _parse_classical(text, nvars):
+    """The former CLI reader: split on +/-, parse each piece with the tropical grammar."""
+    out = {}
+    pieces = []
+    current = ""
+    for ch in text:
+        if ch in "+-" and current.strip():
+            pieces.append(current)
+            current = ch
+        else:
+            current += ch
+    if current.strip():
+        pieces.append(current)
+    terms = []
+    for piece in pieces:
+        piece = piece.strip()
+        sign = Fraction(1)
+        if piece.startswith("-"):
+            sign, piece = Fraction(-1), piece[1:].strip()
+        elif piece.startswith("+"):
+            piece = piece[1:].strip()
+        poly = parse_polynomial(piece, POLY, nvars)
+        if not poly.is_monomial():
+            raise ValueError(f"classical term {piece!r} did not parse to a single term")
+        expo = poly.support()[0]
+        coeff = poly.coefficient(expo)
+        coeff = Fraction(1) if coeff == 0 else coeff  # tropical unit marks "no coefficient"
+        terms.append((expo, sign * coeff))
+    n = nvars if nvars is not None else max(len(e) for e, _ in terms)
+    for expo, value in terms:
+        key = tuple(expo) + (0,) * (n - len(expo))
+        out[key] = out.get(key, Fraction(0)) + value
+    return {k: v for k, v in out.items() if v != 0}, n
+
+
+def _classical_text(rng):
+    """Classical polynomial text with no zero coefficient, in one naming style."""
+    n = rng.randint(1, 4)
+    names = [f"x{i + 1}" for i in range(n)] if rng.random() < 0.3 else list("xyzw"[:n])
+    text = rng.choice(["", "", "-", "+", "- "])
+    for k in range(rng.randint(1, 5)):
+        factors = [rng.choice(names) for _ in range(rng.randint(0, 3))]
+        monom = "*".join(v if rng.random() < 0.5 else f"{v}^{rng.randint(0, 3)}" for v in factors)
+        integer, fraction = str(rng.randint(1, 5)), f"{rng.randint(1, 7)}/{rng.randint(1, 4)}"
+        coeff = rng.choice(["", "", integer, fraction])
+        if not monom:
+            term = coeff or str(rng.randint(1, 9))
+        else:
+            term = f"{coeff}*{monom}" if coeff else monom
+        if k:
+            text += rng.choice([" + ", " - ", "+", "-", " -", "- "])
+        text += term
+    return text
+
+
+def test_parse_classical_matches_split_parser():
+    rng = random.Random(2024)
+    for _ in range(600):
+        text = _classical_text(rng)
+        nvars = rng.choice([None, 4, 5])
+        assert parse_classical(text, nvars) == _parse_classical(text, nvars), text
 
 
 def test_cli_tideal_check_circuits(capsys):
@@ -213,8 +342,50 @@ def test_cli_tideal_check_matrix_counterexample(capsys):
         capsys,
     )
     assert code == 0
-    data = json.loads(out)
-    assert data["passed"] is False and "counterexample" in data
+    expected = {
+        "counterexample": {
+            "f": "2*x^2*y^-1 + x^-1*y^2 + x^-2*y^-2",
+            "g": "2*x^2*y^-1 + x^-1*y^2 + x^2*y^-2",
+            "monomial": "x^-1*y^2",
+        },
+        "passed": False,
+    }
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def test_cli_tideal_check_point_output(capsys):
+    args = ["tideal-check", "--point", "0,0", "--degree", "2", "--trials", "15", "--seed", "0"]
+    code, out, err = run_cli(args, capsys)
+    assert (code, out, err) == (0, '{\n  "passed": true\n}\n', "")
+
+
+def test_cli_tideal_check_point_degree_zero(capsys):
+    # a degree-0 window has one monomial, so no member polynomial exists: this looped forever
+    args = ["tideal-check", "--point", "0,0", "--degree", "0"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "domain"
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"nvars": 2.9, "degree": 1, "circuits": [[[1, 0], [0, 1]]]},  # was truncated to 2
+        {"nvars": 2, "degree": 1, "circuits": [[[1.5, 0], [0, 1]]]},  # was truncated to 1
+        {"nvars": 2, "degree": 1, "circuits": 5},  # was a TypeError traceback
+        [1],  # was a TypeError traceback
+        {"nvars": 2, "degree": "1", "circuits": []},
+        {"nvars": True, "degree": 1, "circuits": []},
+        {"nvars": 2, "circuits": []},
+        {"nvars": 2, "degree": 1, "circuits": [5]},
+        {"nvars": 2, "degree": 1, "circuits": [[[1, 0, 0]]]},
+        {"nvars": 2, "degree": 1, "circuits": [[[2, 0]]]},  # outside the window
+    ],
+)
+def test_cli_tideal_check_rejects_malformed_circuits(capsys, data):
+    code, out, err = run_cli(["tideal-check", "--circuits", json.dumps(data)], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "domain"
 
 
 def test_cli_exit_codes(capsys):

@@ -101,6 +101,16 @@ def test_compare_rejects_bottom():
         compare_terms(m, (BOTTOM, (1,)), (Fraction(0), (0,)))
 
 
+@pytest.mark.parametrize(
+    "t1, t2",
+    [((0.5, (1,)), (0, (1.25,))), ((0.5, (1,)), (0, (1,))), ((0, (1,)), (0, (1.25,)))],
+)
+def test_compare_rejects_floats(t1, t2):
+    # floats used to be wrapped in Fraction() and compared
+    with pytest.raises(ValueError):
+        compare_terms(check_admissible([[1, 1]], 1), t1, t2)
+
+
 def test_total_order_trichotomy_and_transitivity():
     rng = random.Random(31)
     for _ in range(200):

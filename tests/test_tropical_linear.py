@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from tropica.parsing import parse_polynomial
+from tropica.parsing import format_polynomial, parse_polynomial
 from tropica.polynomials import LAURENT, POLY, Polynomial
 from tropica.primes import bend_ideal_member, check_admissible, geometric_prime_of_point
-from tropica.sampling import random_member_polynomial, random_point
+from tropica.sampling import point_members, prime_members, random_point
 from tropica.scalars import BOTTOM, is_bottom, trop_add, trop_mul
 from tropica.tropical_linear import (
     AxiomResult,
@@ -108,10 +108,6 @@ def test_residuation_vs_grid_brute_force():
 # -- elimination witness ------------------------------------------------------------------
 
 
-def _point_oracle(point):
-    return lambda h: h.is_zero() or h.to_polynomial().vanishes_at(point)
-
-
 def test_elimination_low_term_example():
     # members of the bend ideal at the origin; eliminating x keeps y plus the
     # low data, with the tie dropped to the second level
@@ -121,7 +117,7 @@ def test_elimination_low_term_example():
     point = (Fraction(0), Fraction(0))
     f = vector_from_polynomial(P("x + y + -1", 2), w)
     g = vector_from_polynomial(P("x + y + -2", 2), w)
-    oracle = _point_oracle(point)
+    oracle = point_members(random.Random(0), point, w, 0).oracle
     h = elimination_witness(f, g, (1, 0), oracle, _point_tie_values(f, g, (1, 0), point))
     assert h is not None
     assert h.get((1, 0)) is not None and is_bottom(h.get((1, 0)))
@@ -143,7 +139,7 @@ def test_elimination_identical_inputs():
     w = monomial_window(2, POLY, 2)
     point = (Fraction(0), Fraction(0))
     f = vector_from_polynomial(P("x + y + 0", 2), w)
-    h = elimination_witness(f, f, (1, 0), _point_oracle(point))
+    h = elimination_witness(f, f, (1, 0), point_members(random.Random(0), point, w, 0).oracle)
     # first candidate: delete x from f, which still vanishes at the origin
     assert h is not None and dict(h.entries) == {(0, 0): Fraction(0), (0, 1): Fraction(0)}
 
@@ -159,24 +155,43 @@ def test_elimination_precondition():
 # -- the axiom check ------------------------------------------------------------------------
 
 
-def _geometric_samples(rng, point, window, count):
-    samples, seen = [], set()
-    while len(samples) < count:
-        poly = random_member_polynomial(rng, point, POLY, max_extra=3, max_deg=window.degree)
-        if poly.degree() <= window.degree and poly not in seen:
-            seen.add(poly)
-            samples.append(vector_from_polynomial(poly, window))
-    return tuple(samples)
-
-
 def test_axiom_passes_for_geometric_primes():
     rng = random.Random(7)
     w = monomial_window(2, POLY, 2)
     for _ in range(6):
         point = random_point(rng, 2, -2, 2, 2)
-        samples = _geometric_samples(rng, point, w, 10)
-        result = check_tropical_axiom(MembershipSample(samples, _point_oracle(point), point))
+        result = check_tropical_axiom(point_members(rng, point, w, 10))
         assert result.passed, result.counterexample
+
+
+def test_point_members_pinned():
+    # the samples and RNG state of the sampling loop that point_members replaced
+    rng = random.Random(0)
+    point = (Fraction(1), Fraction(-1, 2))
+    sample = point_members(rng, point, monomial_window(2, POLY, 2), 4)
+    assert [format_polynomial(v.to_polynomial()) for v in sample.samples] == [
+        "-3/2*x*y + y^2", "-5*x^2 + -3", "-3/2*x + y", "3*y^2 + 1*x",
+    ]
+    assert rng.random() == 0.19459095568233187
+    assert sample.point == point and all(sample.oracle(v) for v in sample.samples)
+    # x + c at the origin: few members, so draws repeat and only distinct ones count
+    small = point_members(random.Random(1), (Fraction(0),), monomial_window(1, POLY, 1), 12)
+    assert len(set(small.samples)) == 12
+
+
+def test_prime_members_pinned():
+    # as above for the CLI's matrix loop; a partner may overshoot the count
+    rng = random.Random(0)
+    matrix = check_admissible([[1, 1, -1]], 2, POLY)
+    sample = prime_members(rng, matrix, monomial_window(2, POLY, 2), 4)
+    assert [format_polynomial(v.to_polynomial()) for v in sample.samples] == [
+        "x*y + 2*y^2 + 0", "-1*x*y + -1*y^2 + -2*x", "-1*x*y + -2*x + -1",
+        "-2*y^2 + 2*y + 1", "-2*x + 2*y + 1",
+    ]
+    assert rng.random() == 0.07000430092833387
+    assert sample.point == (1, -1) and all(sample.oracle(v) for v in sample.samples)
+    degree_prime = check_admissible([[0, 1, 1]], 2)
+    assert prime_members(rng, degree_prime, monomial_window(2, LAURENT, 1), 2).point is None
 
 
 def test_axiom_fails_for_degree_prime():
