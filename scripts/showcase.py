@@ -21,7 +21,6 @@ from tropica.tropical_linear import (
     monomial_window,
     span_membership,
     truncated_tropicalization,
-    vector_from_polynomial,
 )
 from tropica.varieties import hypersurface
 
@@ -46,12 +45,8 @@ def dimension_reports() -> None:
 
 def ideal_congruence_gap() -> None:
     header("ideal vs congruence gap for {x+y, x+z}")
-    window = monomial_window(3, POLY, 1)
-    gens = [
-        vector_from_polynomial(parse_polynomial("x + y", POLY, 3), window),
-        vector_from_polynomial(parse_polynomial("x + z", POLY, 3), window),
-    ]
-    target = vector_from_polynomial(parse_polynomial("y + z", POLY, 3), window)
+    gens = [parse_polynomial("x + y", POLY, 3), parse_polynomial("x + z", POLY, 3)]
+    target = parse_polynomial("y + z", POLY, 3)
     print("  y + z in the degree-1 span:", span_membership(target, gens) is not None)
     for name in ("sum_bend_left", "sum_bend_right"):
         trace = load_trace(REPO / "traces" / f"{name}.json")
@@ -68,16 +63,15 @@ def elimination_dichotomy() -> None:
     result = check_tropical_axiom(point_members(rng, point, window, 12))
     print(f"  geometric prime at {tuple(map(str, point))}: passed={result.passed}")
 
-    lwindow = monomial_window(2, LAURENT, 2)
     matrix = check_admissible([[0, 1, 1]], 2)
-    oracle = lambda h: bend_ideal_member(matrix, h.to_polynomial())
-    f = vector_from_polynomial(parse_polynomial("x + y + x^-1", LAURENT, 2), lwindow)
-    g = vector_from_polynomial(parse_polynomial("x + y + x^-2", LAURENT, 2), lwindow)
+    oracle = lambda h: bend_ideal_member(matrix, h)
+    f = parse_polynomial("x + y + x^-1", LAURENT, 2)
+    g = parse_polynomial("x + y + x^-2", LAURENT, 2)
     result = check_tropical_axiom(MembershipSample((f, g), oracle, None))
     cf, _, cu = result.counterexample
     print(
         f"  degree-order prime [[0,1,1]]: passed={result.passed} "
-        f"(counterexample eliminates {cu} from {format_polynomial(cf.to_polynomial())})"
+        f"(counterexample eliminates {cu} from {format_polynomial(cf)})"
     )
 
 
@@ -85,14 +79,13 @@ def realizability() -> None:
     header("tropicalized principal ideal (x - y), degree <= 3")
     circuits = truncated_tropicalization([{(1, 0): 1, (0, 1): -1}], 2, 3)
     print(f"  {len(circuits.circuits)} circuits")
-    to_vector = lambda f: vector_from_polynomial(f.collapse_coefficients(), circuits.window)
     product = parse_polynomial("x + y + 0", POLY, 2) * parse_polynomial("x + y + x*y", POLY, 2)
     for label, poly in [
         ("(x+y+0)(x+y+xy)", product),
         ("x+y+0", parse_polynomial("x + y + 0", POLY, 2)),
         ("x+y+xy", parse_polynomial("x + y + x*y", POLY, 2)),
     ]:
-        print(f"  member({label}) = {circuits.member(to_vector(poly))}")
+        print(f"  member({label}) = {circuits.member(poly.collapse_coefficients())}")
 
 
 def render_line() -> None:

@@ -211,9 +211,9 @@ def _cmd_tideal_check(args):
     if result.counterexample:
         f, g, u = result.counterexample
         payload["counterexample"] = {
-            "f": format_polynomial(f.to_polynomial()),
-            "g": format_polynomial(g.to_polynomial()),
-            "monomial": format_monomial(u, f.window.n) or "1",
+            "f": format_polynomial(f),
+            "g": format_polynomial(g),
+            "monomial": format_monomial(u, f.n) or "1",
         }
     _emit(payload, args)
 

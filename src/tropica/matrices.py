@@ -22,6 +22,8 @@ def to_fraction(x) -> Fraction:
     Strings must be an optionally signed integer or "p/q" with q non-zero:
     decimals ("1.5"), exponents ("1e2") and padding are not rational literals.
     """
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise ValueError("floating point values are not allowed; use rationals")
     if isinstance(x, bool):

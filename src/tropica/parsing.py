@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .polynomials import LAURENT, POLY, Polynomial
 from .matrices import to_fraction
-from .tropical_linear import CircuitSet, TropVector, monomial_window
+from .tropical_linear import CircuitSet, monomial_window
 
 _LETTER_VARS = {"x": 0, "y": 1, "z": 2, "w": 3}
 
@@ -259,10 +259,14 @@ def parse_circuits_json(data) -> CircuitSet:
         raise ValueError('circuit JSON must be an object with a "circuits" array')
     n = _json_int(data["nvars"], "nvars")
     window = monomial_window(n, data.get("mode", POLY), _json_int(data["degree"], "degree"))
+    inside = set(window.monomials)
     circuits = []
     for support in data["circuits"]:
         if not isinstance(support, list) or not all(isinstance(e, list) for e in support):
             raise ValueError("a circuit must be an array of exponent vectors")
-        values = {tuple(_json_int(e, "an exponent") for e in expo): Fraction(0) for expo in support}
-        circuits.append(TropVector.make(window, values))
+        expos = [tuple(_json_int(e, "an exponent") for e in expo) for expo in support]
+        for expo in expos:
+            if expo not in inside:
+                raise ValueError(f"monomial {expo} is outside the window")
+        circuits.append(Polynomial(dict.fromkeys(expos, 0), n, window.mode))
     return CircuitSet(window, tuple(circuits))

@@ -71,7 +71,7 @@ class AdmissibleMatrix:
 def admissibility_violations(rows, n: int) -> list[str]:
     """Report every violated admissibility condition (empty list = valid)."""
     problems = []
-    rows = [list(r) for r in rows]
+    rows = [[to_fraction(x) for x in r] for r in rows]
     if not rows:
         return ["matrix must have at least one row"]
     if any(len(r) != n + 1 for r in rows):

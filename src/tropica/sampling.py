@@ -21,7 +21,7 @@ from .primes import (
     leading_class,
     variety_of_prime,
 )
-from .tropical_linear import MembershipSample, MonomialWindow, vector_from_polynomial
+from .tropical_linear import MembershipSample, MonomialWindow
 
 
 def random_fraction(rng: random.Random, lo: int = -4, hi: int = 4, max_den: int = 3) -> Fraction:
@@ -127,16 +127,19 @@ def point_members(rng: random.Random, point, window: MonomialWindow, count: int)
     """``count`` distinct members of the geometric prime at ``point``, inside ``window``.
 
     Members come from ``random_member_polynomial`` with the window's mode and
-    degree; the oracle is "vanishes at the point".
+    degree; the oracle is "vanishes at the point".  Stops at ``count`` members
+    or ``count * 200`` draws, since a small window may hold fewer members.
     """
     point = tuple(point)
     members: dict[Polynomial, None] = {}  # insertion-ordered set
-    while len(members) < count:
+    attempts = 0
+    while len(members) < count and attempts < count * 200:
+        attempts += 1
         poly = random_member_polynomial(rng, point, window.mode, max_deg=window.degree)
         if poly.degree() <= window.degree:
             members[poly] = None
-    oracle = lambda h: h.is_zero() or h.to_polynomial().vanishes_at(point)
-    return MembershipSample(tuple(vector_from_polynomial(f, window) for f in members), oracle, point)
+    oracle = lambda h: h.is_zero() or h.vanishes_at(point)
+    return MembershipSample(tuple(members), oracle, point)
 
 
 def prime_members(
@@ -169,6 +172,6 @@ def prime_members(
                 partner = poly.delete_term(moved) + term
                 if bend_ideal_member(matrix, partner):
                     members[partner] = None
-    oracle = lambda h: bend_ideal_member(matrix, h.to_polynomial())
+    oracle = lambda h: bend_ideal_member(matrix, h)
     point = variety_of_prime(matrix) if classify_prime(matrix)[0] == GEOMETRIC else None
-    return MembershipSample(tuple(vector_from_polynomial(f, window) for f in members), oracle, point)
+    return MembershipSample(tuple(members), oracle, point)

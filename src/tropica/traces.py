@@ -66,8 +66,9 @@ def instantiate_bend_generators(gens: list[Polynomial]) -> list[tuple[int, Expon
 def _check_step(step: DerivationStep, trace: DerivationTrace, index: int) -> str | None:
     """None when the step is forced by its rule; otherwise the reason."""
 
+    # indices are exact ints: a JSON boolean is an int in Python, not an index
     def premise(arg) -> DerivationStep | str:
-        if not isinstance(arg, int) or not 0 <= arg < index:
+        if type(arg) is not int or not 0 <= arg < index:
             return f"premise index {arg!r} must reference an earlier step"
         return trace.steps[arg]
 
@@ -78,7 +79,7 @@ def _check_step(step: DerivationStep, trace: DerivationTrace, index: int) -> str
         if len(step.args) != 2:
             return "GEN expects (generator index, deleted monomial)"
         g_index, expo = step.args
-        if not isinstance(g_index, int) or not 0 <= g_index < len(trace.generators):
+        if type(g_index) is not int or not 0 <= g_index < len(trace.generators):
             return f"generator index {g_index!r} out of range"
         g = trace.generators[g_index]
         if tuple(expo) not in g.coeffs:

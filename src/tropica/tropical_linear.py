@@ -1,10 +1,10 @@
 """Degree-truncated tropical linear algebra.
 
-Vectors are indexed by a fixed monomial window (all monomials of total degree
-<= d in poly mode, or all exponents in [-d, d]^n in Laurent mode).  The
-module provides span membership by max-plus residuation, the monomial
-elimination axiom checked pairwise, and circuits of tropicalized rational
-ideals under the trivial valuation.
+Vectors are ``Polynomial``s whose support lies in a fixed monomial window
+(all monomials of total degree <= d in poly mode, or all exponents in
+[-d, d]^n in Laurent mode).  The module provides span membership by max-plus
+residuation, the monomial elimination axiom checked pairwise, and circuits
+of tropicalized rational ideals under the trivial valuation.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
-from .matrices import rank, row_echelon
+from .matrices import dot, rank, row_echelon, to_fraction
 from .polynomials import Exponents, LAURENT, POLY, Polynomial
 from .scalars import BOTTOM, TropScalar, is_bottom, trop_add, trop_mul
 
@@ -30,11 +30,13 @@ class MonomialWindow:
     degree: int
     monomials: tuple[Exponents, ...]
 
-    def index(self, expo: Exponents) -> int:
-        return self.monomials.index(tuple(expo))
-
     def __len__(self) -> int:
         return len(self.monomials)
+
+
+def window_order(expo: Exponents):
+    """Graded-lex sort key of the window: total degree first, then the exponents."""
+    return (sum(expo), expo)
 
 
 def monomial_window(n: int, mode: str, degree: int) -> MonomialWindow:
@@ -50,68 +52,28 @@ def monomial_window(n: int, mode: str, degree: int) -> MonomialWindow:
         monos = list(itertools.product(range(-degree, degree + 1), repeat=n))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    monos.sort(key=lambda e: (sum(e), e))
+    monos.sort(key=window_order)
     return MonomialWindow(n, mode, degree, tuple(monos))
 
 
-@dataclass(frozen=True)
-class TropVector:
-    """Sparse vector over a monomial window; absent entries are bottom."""
-
-    window: MonomialWindow
-    entries: tuple[tuple[Exponents, Fraction], ...]
-
-    @classmethod
-    def make(cls, window: MonomialWindow, values: dict) -> "TropVector":
-        items = []
-        for expo, value in values.items():
-            if is_bottom(value):
-                continue
-            key = tuple(expo)
-            if key not in window.monomials:
-                raise ValueError(f"monomial {key} is outside the window")
-            items.append((key, Fraction(value)))
-        items.sort(key=lambda kv: window.monomials.index(kv[0]))
-        return cls(window, tuple(items))
-
-    def get(self, expo: Exponents) -> TropScalar:
-        for key, value in self.entries:
-            if key == expo:
-                return value
-        return BOTTOM
-
-    def support(self) -> frozenset[Exponents]:
-        return frozenset(key for key, _ in self.entries)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def to_polynomial(self) -> Polynomial:
-        return Polynomial(dict(self.entries), self.window.n, self.window.mode)
+def _require_same_ring(vectors) -> None:
+    if len({(v.n, v.mode) for v in vectors}) > 1:
+        raise ValueError("all vectors must have the same variable count and mode")
 
 
-def vector_from_polynomial(f: Polynomial, window: MonomialWindow) -> TropVector:
-    if f.n != window.n or f.mode != window.mode:
-        raise ValueError("polynomial does not match the window")
-    return TropVector.make(window, f.coeffs)
-
-
-def span_membership(v: TropVector, gens: list[TropVector]) -> list[TropScalar] | None:
+def span_membership(v: Polynomial, gens: list[Polynomial]) -> list[TropScalar] | None:
     """Largest coefficients with combination <= v, accepted when it equals v.
 
     The principal solution of the max-plus system: lambda_j is the minimum of
     v_i - g_j_i over the support of g_j (bottom when v is bottom somewhere on
     that support).  If even this combination misses v, nothing does.
     """
-    window = v.window
-    for g in gens:
-        if g.window != window:
-            raise ValueError("all vectors must share one window")
+    _require_same_ring([v, *gens])
     lambdas: list[TropScalar] = []
     for g in gens:
         lam: TropScalar | None = None
-        for expo, value in g.entries:
-            target = v.get(expo)
+        for expo, value in g.terms():
+            target = v.coefficient(expo)
             if is_bottom(target):
                 lam = BOTTOM
                 break
@@ -124,43 +86,42 @@ def span_membership(v: TropVector, gens: list[TropVector]) -> list[TropScalar] |
     for lam, g in zip(lambdas, gens):
         if is_bottom(lam):
             continue
-        for expo, value in g.entries:
+        for expo, value in g.terms():
             combo[expo] = trop_add(combo.get(expo, BOTTOM), trop_mul(lam, value))
     achieved = {k: val for k, val in combo.items() if not is_bottom(val)}
-    if achieved == dict(v.entries):
+    if achieved == v.coeffs:
         return lambdas
     return None
 
 
 def elimination_witness(
-    f: TropVector,
-    g: TropVector,
+    f: Polynomial,
+    g: Polynomial,
     u: Exponents,
-    oracle: Callable[[TropVector], bool],
-    tie_values: Callable[[Exponents], Iterable[Fraction]] | None = None,
-):
+    oracle: Callable[[Polynomial], bool],
+    point: tuple[Fraction, ...] | None = None,
+) -> Polynomial | None:
     """Search for the elimination-axiom witness for the shared monomial u.
 
     The witness h must drop u, equal max(f_v, g_v) wherever f and g differ,
     and stay <= the common value on ties.  Candidates vary the tie positions
-    over {common value, bottom}; ``tie_values`` can contribute further exact
-    values per tie position (used when the membership oracle comes from a
-    geometric point, where a tie sometimes has to drop to the second-highest
-    level).  Returns the first candidate the oracle accepts, else None.
+    over {common value, bottom}.  When the oracle comes from a geometric
+    ``point``, where a tie sometimes has to drop to a lower level, each tie
+    is then also tried alone at the top forced level at the point, when that
+    level is <= its common value.  Returns the first candidate the oracle
+    accepts, else None.
     """
     u = tuple(u)
-    fu, gu = f.get(u), g.get(u)
+    fu, gu = f.coefficient(u), g.coefficient(u)
     if is_bottom(fu) or fu != gu:
         raise ValueError("u must carry the same non-bottom coefficient in f and g")
-    window = f.window
-    if g.window != window:
-        raise ValueError("f and g must share one window")
+    _require_same_ring([f, g])
     forced: dict[Exponents, Fraction] = {}
     ties: list[tuple[Exponents, Fraction]] = []
-    for expo in sorted(f.support() | g.support(), key=window.monomials.index):
+    for expo in sorted({*f.support(), *g.support()}, key=window_order):
         if expo == u:
             continue
-        fv, gv = f.get(expo), g.get(expo)
+        fv, gv = f.coefficient(expo), g.coefficient(expo)
         if fv == gv:
             ties.append((expo, fv))
         else:
@@ -176,17 +137,15 @@ def elimination_witness(
                     if idx not in subset:
                         values[expo] = common
                 yield values
-        if tie_values is not None:
-            for idx, (expo, common) in enumerate(ties):
-                for value in tie_values(expo):
-                    if value > common:
-                        continue
-                    values = dict(forced)
-                    values[expo] = value
-                    yield values
+        if point is not None and forced:
+            top = max(value + dot(expo, point) for expo, value in forced.items())
+            for expo, common in ties:
+                level = top - dot(expo, point)
+                if level <= common:
+                    yield {**forced, expo: level}
 
     for values in candidates():
-        h = TropVector.make(window, values)
+        h = Polynomial(values, f.n, f.mode)
         if oracle(h):
             return h
     return None
@@ -195,7 +154,7 @@ def elimination_witness(
 @dataclass(frozen=True)
 class AxiomResult:
     passed: bool
-    counterexample: tuple[TropVector, TropVector, Exponents] | None = None
+    counterexample: tuple[Polynomial, Polynomial, Exponents] | None = None
 
 
 @dataclass(frozen=True)
@@ -203,11 +162,11 @@ class MembershipSample:
     """Oracle-backed description: sampled members plus the membership test.
 
     ``point`` is the evaluation point when the oracle comes from a geometric
-    prime; it drives the extra tie-value candidates of the witness search.
+    prime; it drives the extra tie-level candidates of the witness search.
     """
 
-    samples: tuple[TropVector, ...]
-    oracle: Callable[[TropVector], bool]
+    samples: tuple[Polynomial, ...]
+    oracle: Callable[[Polynomial], bool]
     point: tuple[Fraction, ...] | None = None
 
 
@@ -217,46 +176,24 @@ class CircuitSet:
     every non-bottom coordinate is the unit)."""
 
     window: MonomialWindow
-    circuits: tuple[TropVector, ...]
-    trivial: bool = False  # the whole window is spanned (unit ideal)
+    circuits: tuple[Polynomial, ...]
+    trivial: bool = False  # the constant monomial is a circuit: the slice holds 1
 
     def supports(self) -> tuple[frozenset[Exponents], ...]:
-        return tuple(c.support() for c in self.circuits)
+        return tuple(frozenset(c.support()) for c in self.circuits)
 
-    def member(self, v: TropVector) -> bool:
+    def member(self, v: Polynomial) -> bool:
         """Support is a union of circuit supports (with unit values)."""
         if v.is_zero():
             return True
-        if any(value != 0 for _, value in v.entries):
+        if any(value != 0 for _, value in v.terms()):
             return False
-        supp = v.support()
+        supp = frozenset(v.support())
         covered = set()
-        for circuit in self.circuits:
-            cs = circuit.support()
+        for cs in self.supports():
             if cs <= supp:
                 covered |= cs
         return covered == supp
-
-
-def _point_tie_values(f, g, u, point):
-    """Extra tie-value candidates: drop a tie to the top forced level."""
-    window = f.window
-    forced_levels = []
-    for expo in f.support() | g.support():
-        if expo == u:
-            continue
-        fv, gv = f.get(expo), g.get(expo)
-        if fv != gv:
-            value = trop_add(fv, gv)
-            forced_levels.append(value + sum(Fraction(e) * p for e, p in zip(expo, point)))
-    if not forced_levels:
-        return lambda expo: ()
-    top = max(forced_levels)
-
-    def values(expo):
-        return (top - sum(Fraction(e) * p for e, p in zip(expo, point)),)
-
-    return values
 
 
 def check_tropical_axiom(description) -> AxiomResult:
@@ -277,13 +214,10 @@ def check_tropical_axiom(description) -> AxiomResult:
     else:
         raise TypeError("description must be a CircuitSet or MembershipSample")
     for f, g in itertools.combinations_with_replacement(vectors, 2):
-        shared = sorted(f.support() & g.support(), key=f.window.monomials.index)
-        for u in shared:
-            if f.get(u) != g.get(u):
+        for u in sorted(set(f.support()).intersection(g.support()), key=window_order):
+            if f.coefficient(u) != g.coefficient(u):
                 continue
-            tie_values = _point_tie_values(f, g, u, point) if point is not None else None
-            witness = elimination_witness(f, g, u, oracle, tie_values)
-            if witness is None:
+            if elimination_witness(f, g, u, oracle, point) is None:
                 return AxiomResult(False, (f, g, u))
     return AxiomResult(True)
 
@@ -312,7 +246,8 @@ def truncated_tropicalization(rational_gens: list[dict], n: int, degree: int) ->
         )
     gen_maps = []
     for g in rational_gens:
-        clean = {tuple(e): Fraction(c) for e, c in g.items() if Fraction(c) != 0}
+        coeffs = {tuple(e): to_fraction(c) for e, c in g.items()}
+        clean = {e: c for e, c in coeffs.items() if c != 0}
         if not clean:
             continue
         if any(len(e) != n or min(e) < 0 for e in clean):
@@ -350,8 +285,8 @@ def truncated_tropicalization(rational_gens: list[dict], n: int, degree: int) ->
             if rank(submatrix) < r:
                 circuits.append(frozenset(combo))
     vectors = tuple(
-        TropVector.make(window, {window.monomials[i]: Fraction(0) for i in sorted(c)})
+        Polynomial({window.monomials[i]: 0 for i in c}, n, POLY)
         for c in sorted(circuits, key=lambda c: sorted(c))
     )
-    trivial = any(len(c) == 1 for c in circuits)
+    trivial = frozenset([columns[(0,) * n]]) in circuits
     return CircuitSet(window, vectors, trivial)

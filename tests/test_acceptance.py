@@ -36,12 +36,10 @@ from tropica.scalars import BOTTOM, is_bottom, trop_add, trop_mul
 from tropica.traces import load_trace, verify_trace
 from tropica.tropical_linear import (
     MembershipSample,
-    TropVector,
     check_tropical_axiom,
     monomial_window,
     span_membership,
     truncated_tropicalization,
-    vector_from_polynomial,
 )
 
 TRACE_DIR = Path(__file__).resolve().parent.parent / "traces"
@@ -193,12 +191,8 @@ def test_criterion_07_trace_corpus():
 
 def test_criterion_08_closed_ideal_gap():
     with budget(8, 1.0, "y+z outside the degree-1 span yet inside the congruence"):
-        window = monomial_window(3, POLY, 1)
-        gens = [
-            vector_from_polynomial(P("x + y", 3, POLY), window),
-            vector_from_polynomial(P("x + z", 3, POLY), window),
-        ]
-        target = vector_from_polynomial(P("y + z", 3, POLY), window)
+        gens = [P("x + y", 3, POLY), P("x + z", 3, POLY)]
+        target = P("y + z", 3, POLY)
         assert span_membership(target, gens) is None
         for name in ("sum_bend_left", "sum_bend_right"):
             assert verify_trace(load_trace(TRACE_DIR / f"{name}.json")).accepted
@@ -215,27 +209,23 @@ def test_criterion_09_tropical_ideal_dichotomy():
             assert npairs >= 100
             result = check_tropical_axiom(sample)
             assert result.passed, result.counterexample
-        lwindow = monomial_window(2, LAURENT, 2)
         matrix = check_admissible([[0, 1, 1]], 2)
-        oracle = lambda h: bend_ideal_member(matrix, h.to_polynomial())
-        f = vector_from_polynomial(P("x + y + x^-1", 2), lwindow)
-        g = vector_from_polynomial(P("x + y + x^-2", 2), lwindow)
+        oracle = lambda h: bend_ideal_member(matrix, h)
+        f = P("x + y + x^-1", 2)
+        g = P("x + y + x^-2", 2)
         result = check_tropical_axiom(MembershipSample((f, g), oracle, None))
         assert not result.passed
         cf, cg, cu = result.counterexample
-        assert cf.get(cu) == cg.get(cu) and not is_bottom(cf.get(cu))
+        assert cf.coefficient(cu) == cg.coefficient(cu) and not is_bottom(cf.coefficient(cu))
 
 
 def test_criterion_10_realizable_non_primeness():
     with budget(10, 5.0, "product support in the tropicalized ideal, factors outside"):
         circuits = truncated_tropicalization([{(1, 0): 1, (0, 1): -1}], 2, 3)
-        to_vector = lambda f: vector_from_polynomial(
-            f.collapse_coefficients(), circuits.window
-        )
         product = P("x + y + 0", 2, POLY) * P("x + y + x*y", 2, POLY)
-        assert circuits.member(to_vector(product))
-        assert not circuits.member(to_vector(P("x + y + 0", 2, POLY)))
-        assert not circuits.member(to_vector(P("x + y + x*y", 2, POLY)))
+        assert circuits.member(product.collapse_coefficients())
+        assert not circuits.member(P("x + y + 0", 2, POLY).collapse_coefficients())
+        assert not circuits.member(P("x + y + x*y", 2, POLY).collapse_coefficients())
 
 
 def _grid_scalars():
@@ -247,7 +237,7 @@ def _combine(lams, gens):
     for lam, g in zip(lams, gens):
         if is_bottom(lam):
             continue
-        for expo, value in g.entries:
+        for expo, value in g.terms():
             out[expo] = trop_add(out.get(expo, BOTTOM), trop_mul(lam, value))
     return {k: v for k, v in out.items() if not is_bottom(v)}
 
@@ -286,9 +276,10 @@ def test_criterion_11_oracle_equivalences():
         for _ in range(200):
             k = rng.randint(1, 3)
             gens = [
-                TropVector.make(
-                    window,
+                Polynomial(
                     {c: Fraction(rng.randint(-2, 2)) for c in coords if rng.random() < 0.7},
+                    5,
+                    POLY,
                 )
                 for _ in range(k)
             ]
@@ -296,10 +287,10 @@ def test_criterion_11_oracle_equivalences():
                 entries = {c: Fraction(rng.randint(-2, 2)) for c in coords if rng.random() < 0.7}
             else:
                 entries = _combine([rng.choice(_grid_scalars()) for _ in range(k)], gens)
-            v = TropVector.make(window, entries)
+            v = Polynomial(entries, 5, POLY)
             fast = span_membership(v, gens)
             slow = any(
-                _combine(lams, gens) == dict(v.entries)
+                _combine(lams, gens) == v.coeffs
                 for lams in itertools.product(_grid_scalars(), repeat=k)
             )
             assert (fast is not None) == slow

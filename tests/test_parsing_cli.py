@@ -245,6 +245,19 @@ def test_cli_tideal_trop_zero_coefficients(capsys, args, circuits):
     assert code == 0 and json.loads(out)["circuits"] == circuits
 
 
+@pytest.mark.parametrize(
+    "args, trivial",
+    [
+        (["--gens", "x - 0"], False),  # the monomial ideal (x) was flagged as the unit ideal
+        (["--gens", "x", "--gens", "y"], False),
+        (["--gens", "1", "--nvars", "2"], True),
+    ],
+)
+def test_cli_tideal_trop_trivial_means_unit_ideal(capsys, args, trivial):
+    code, out, _ = run_cli(["tideal-trop", *args, "--degree", "1"], capsys)
+    assert code == 0 and json.loads(out)["trivial"] is trivial
+
+
 def test_cli_tideal_trop_error_position(capsys):
     # the position used to count from the start of the split piece "2*q"
     code, out, err = run_cli(["tideal-trop", "--gens", "x + 2*q", "--degree", "1"], capsys)
@@ -365,6 +378,14 @@ def test_cli_tideal_check_point_degree_zero(capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "domain"
+
+
+def test_cli_tideal_check_point_small_window(capsys):
+    # the window {1, x} holds fewer than 100 members at 0: this looped forever
+    args = ["tideal-check", "--mode", "poly", "--point", "0", "--degree", "1", "--trials", "100"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"passed": True}
 
 
 @pytest.mark.parametrize(
@@ -552,13 +573,31 @@ def test_cli_entry_point_installed():
     assert proc.returncode == 2  # empty point is a parse error
 
 
-def test_readme_trace_example_verifies():
-    # the schema example documented in the README must stay valid
+def _readme_trace_json():
     import re
 
+    readme = (REPO / "README.md").read_text()
+    return json.loads(re.search(r'```json\n(\{.*?\})\n```', readme, re.DOTALL).group(1))
+
+
+def test_readme_trace_example_verifies():
+    # the schema example documented in the README must stay valid
     from tropica.traces import trace_from_json, verify_trace
 
-    readme = (REPO / "README.md").read_text()
-    block = re.search(r'```json\n(\{.*?\})\n```', readme, re.DOTALL).group(1)
-    trace = trace_from_json(json.loads(block))
+    trace = trace_from_json(_readme_trace_json())
     assert verify_trace(trace).accepted
+
+
+@pytest.mark.parametrize("rule, field", [("GEN", "generator"), ("SYM", "step")])
+def test_cli_trace_verify_rejects_boolean_indices(capsys, tmp_path, rule, field):
+    # false == 0 in Python, so the README trace with a false index was accepted
+    data = _readme_trace_json()
+    index = next(i for i, step in enumerate(data["steps"]) if step["rule"] == rule)
+    assert data["steps"][index][field] == 0
+    data["steps"][index][field] = False
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["trace-verify", "--trace", str(path)], capsys)
+    assert code == 0 and err == ""
+    result = json.loads(out)
+    assert result["accepted"] is False and result["failed_step"] == index

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropica.matrices import to_fraction
 from tropica.parsing import parse_polynomial
 from tropica.polynomials import (
     LAURENT,
@@ -72,6 +73,13 @@ def test_rejects_non_integral_exponents():
     with pytest.raises(ValueError):
         Polynomial({(Fraction(1, 2), 0): 0}, 2)
     assert Polynomial({(Fraction(2),): 0}, 1).support() == ((2,),)
+
+
+def test_fraction_coefficients_are_kept():
+    # to_fraction returns a Fraction as it is instead of copying it per coefficient
+    c = Fraction(1, 3)
+    assert to_fraction(c) is c
+    assert Polynomial({(1,): c}, 1).coefficient((1,)) is c
 
 
 # -- deletion and bends -------------------------------------------------------

@@ -55,6 +55,13 @@ def test_dependent_rows_rejected():
         check_admissible([[1, 0], [2, 0]], 1)
 
 
+def test_admissibility_violations_rejects_floats():
+    # 0.1 is not 1/10: the float row was reported independent of [1, 10]
+    with pytest.raises(ValueError):
+        admissibility_violations([[0.1, 1], [1, 10]], 1)
+    assert admissibility_violations([["1/10", 1], [1, 10]], 1) == ["rows are linearly dependent"]
+
+
 def test_negative_leading_column_rejected():
     assert "first non-zero entry of column 0 must be positive" in admissibility_violations(
         [[-1, 3]], 1

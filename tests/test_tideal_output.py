@@ -1,0 +1,88 @@
+"""Byte-for-byte stdout of `tideal-check` and `tideal-trop` on a fixed corpus.
+
+Geometric primes (a point, or the matrix [[1,1,-1]] of the point (1,-1))
+pass the monomial elimination axiom; the degree prime [[0,1,1]] fails it,
+and the first counterexample found is pinned for every mode, degree and seed.
+"""
+
+import json
+
+import pytest
+
+from tropica.cli import main
+
+GRID = [(mode, degree, seed) for mode in ("poly", "laurent") for degree in (1, 2) for seed in range(4)]
+
+
+def _options(mode, degree, seed):
+    return ["--mode", mode, "--degree", str(degree), "--trials", "15", "--seed", str(seed)]
+
+
+# (mode, degree, seed) -> (f, g, eliminated monomial) for --matrix [[0,1,1]]
+DEGREE_PRIME = {
+    ("poly", 1, 0): ("2*x + y + 1", "2*x + -2*y + -2", "x"),
+    ("poly", 1, 1): ("1*x + 1*y + -2", "-1*x + 1*y + 1", "y"),
+    ("poly", 1, 2): ("-1*x + y + 0", "1*x + y + 1", "y"),
+    ("poly", 1, 3): ("1*x + 2*y + 2", "x + 2*y + 2", "y"),
+    ("poly", 2, 0): ("2*x^2 + y^2 + 1", "2*x^2 + y^2 + 1*x", "y^2"),
+    ("poly", 2, 1): ("1*x*y + -2*y^2 + 2", "1*x*y + 2*y^2 + 2*x", "x*y"),
+    ("poly", 2, 2): ("-1*x^2 + x*y + 0", "-1*x^2 + 2*x*y + 0", "x^2"),
+    ("poly", 2, 3): ("2*x^2 + 2*y^2 + 1*x", "2*x^2 + -2*y^2 + 2", "x^2"),
+    ("laurent", 1, 0): ("2*x + y + 2*x^-1", "2*x + y + 2*x^-1*y", "y"),
+    ("laurent", 1, 1): ("2*x*y^-1 + 2 + 2*x^-1*y^-1", "2*x*y^-1 + 2 + 2*y^-1", "1"),
+    ("laurent", 1, 2): ("x + -2*y + 1*y^-1", "x + -2*y + 1*x^-1*y", "y"),
+    ("laurent", 1, 3): ("-1*x + -1*y + -1*x*y^-1", "-1*x + -1*y + -1*x^-1*y^-1", "y"),
+    ("laurent", 2, 0): ("-2*x^2*y + 1*x*y^2 + 2", "-2*x^2*y + 1*x*y^2 + 2*x^-1", "x*y^2"),
+    ("laurent", 2, 1): ("-2*x^2 + x*y + -1*x*y^-1", "-2*x^2 + x*y + -1*x^-2*y^-1", "x*y"),
+    ("laurent", 2, 2): ("1*y + x^-1*y^2 + 2*y^-1", "1*y + x^-1*y^2 + 2*x^-1*y", "x^-1*y^2"),
+    ("laurent", 2, 3): ("x^2*y^-1 + 2*x + -1*x^-1", "2*x^2*y^-1 + 2*x + 1*x^-1*y", "x"),
+}
+
+PASSED = {"passed": True}
+
+
+def _failed(f, g, monomial):
+    return {"counterexample": {"f": f, "g": g, "monomial": monomial}, "passed": False}
+
+
+CORPUS = (
+    [(["tideal-check", "--point", "1/2,-1", *_options(*key)], PASSED) for key in GRID]
+    + [(["tideal-check", "--matrix", "[[1,1,-1]]", *_options(*key)], PASSED) for key in GRID]
+    + [
+        (["tideal-check", "--matrix", "[[0,1,1]]", *_options(*key)], _failed(*DEGREE_PRIME[key]))
+        for key in GRID
+    ]
+    + [
+        (["tideal-check", "--matrix", "[[0,1,1]]", "--degree", "2"], _failed(*DEGREE_PRIME["laurent", 2, 0])),
+        (
+            ["tideal-check", "--circuits", '{"nvars": 2, "degree": 1, "mode": "poly", "circuits": [[[1, 0], [0, 1]]]}'],
+            PASSED,
+        ),
+        (
+            ["tideal-trop", "--gens", "x - y", "--degree", "3"],
+            {
+                "circuits": [
+                    ["x", "y"], ["x*y", "y^2"], ["x^2", "y^2"], ["x*y", "x^2"], ["x*y^2", "y^3"],
+                    ["x^2*y", "y^3"], ["x^3", "y^3"], ["x*y^2", "x^2*y"], ["x*y^2", "x^3"],
+                    ["x^2*y", "x^3"],
+                ],
+                "degree": 3,
+                "mode": "poly",
+                "nvars": 2,
+                "trivial": False,
+            },
+        ),
+        (
+            ["tideal-trop", "--gens", "x^2 - y*z", "--nvars", "3", "--degree", "2"],
+            {"circuits": [["x^2", "y*z"]], "degree": 2, "mode": "poly", "nvars": 3, "trivial": False},
+        ),
+    ]
+)
+
+
+@pytest.mark.parametrize("argv, expected", CORPUS, ids=[" ".join(argv) for argv, _ in CORPUS])
+def test_tideal_stdout_pinned(capsys, argv, expected):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
