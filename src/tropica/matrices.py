@@ -1,15 +1,18 @@
 """Exact linear algebra over the rationals.
 
 Everything in this package that touches matrix rank, kernels or affine hulls
-must stay exact, so the routines here work on lists of ``Fraction`` rows and
-never round.  Inputs are small (desk scale), so plain Gaussian elimination is
-the right tool.
+must stay exact, so nothing here rounds, and every entry is read through
+``to_fraction`` (integers, ``Fraction``s and "p/q" strings only).  ``rank``
+clears each row of denominators and runs Bareiss fraction-free elimination
+on integers; ``row_echelon`` and ``nullspace`` return ``Fraction`` rows,
+because their entries reach the JSON output.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 Row = tuple[Fraction, ...]
 
@@ -40,9 +43,15 @@ def to_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def row_echelon(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Reduced row echelon form (in place on a copy)."""
-    mat = [list(r) for r in rows]
+def clear_denominators(row) -> tuple[int, ...]:
+    """The row of rationals times the lcm of its denominators."""
+    scale = lcm(*(x.denominator for x in row))
+    return tuple(x.numerator * (scale // x.denominator) for x in row)
+
+
+def row_echelon(rows) -> list[list[Fraction]]:
+    """Reduced row echelon form of a copy of the rows."""
+    mat = [[to_fraction(x) for x in r] for r in rows]
     if not mat:
         return mat
     ncols = len(mat[0])
@@ -65,13 +74,33 @@ def row_echelon(rows: list[list[Fraction]]) -> list[list[Fraction]]:
 
 
 def rank(rows) -> int:
-    mat = row_echelon([list(map(Fraction, r)) for r in rows])
-    return sum(1 for row in mat if any(v != 0 for v in row))
+    """Rank by Bareiss elimination (Math. Comp. 1968) on the rows cleared of denominators.
+
+    After k pivots every remaining entry is a (k+1)-minor of the input, so
+    the division by the previous pivot is exact.
+    """
+    cleared = (clear_denominators([to_fraction(x) for x in r]) for r in rows)
+    mat = [row for row in cleared if any(row)]
+    r, previous = 0, 1
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        top = mat[r]
+        p = top[col]
+        for i in range(r + 1, len(mat)):
+            row = mat[i]
+            f = row[col]
+            mat[i] = tuple((p * a - f * b) // previous for a, b in zip(row, top))
+        previous = p
+        r += 1
+    return r
 
 
 def nullspace(rows, ncols: int) -> list[Row]:
     """Basis of {x : A x = 0} for the matrix with the given rows."""
-    mat = row_echelon([list(map(Fraction, r)) for r in rows])
+    mat = row_echelon(rows)
     mat = [row for row in mat if any(v != 0 for v in row)]
     pivot_cols = []
     for row in mat:

@@ -1,22 +1,27 @@
 """Exact rational polyhedra: feasibility, dimension, interior points, projection.
 
 Everything is decided by Fourier-Motzkin elimination with equality pivoting
-and pairwise redundancy pruning; no LP solver and no floating point.  Strict
-inequalities are supported internally so that implicit equalities and
-relative interior points are exact.  Desk scale: a handful of dimensions and
-a few dozen constraints.
+and deduplication of parallel rows; no LP solver and no floating point.
+Constraints come in and go out as ``Fraction``s, but elimination runs on
+integer rows: each constraint is cleared of denominators once, rows combine
+by integer cross-multiplication, and only back-substitution builds the
+rational coordinates of the point.  Strict inequalities are supported
+internally so that implicit equalities and relative interior points are
+exact.  Desk scale: a handful of dimensions and a few dozen constraints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .matrices import nullspace, rank, to_fraction
+from .matrices import clear_denominators, nullspace, rank, to_fraction
 
 LE, EQ, LT = "le", "eq", "lt"
 
 Constraint = tuple[tuple[Fraction, ...], Fraction, str]
+IntRow = tuple[tuple[int, ...], int, str]  # a.x rel b with integer a and b
 
 
 @dataclass(frozen=True)
@@ -52,72 +57,86 @@ def _as_constraints(poly: Polyhedron) -> list[Constraint]:
     return [(h.normal, h.rhs, h.relation) for h in poly.constraints]
 
 
-def _normalize(cons: list[Constraint]) -> list[Constraint] | None:
-    """Scale, drop trivial rows, dedupe; None when a constant row is violated."""
-    best: dict[tuple, tuple[Fraction, str]] = {}
-    eqs: dict[tuple, Fraction] = {}
-    for coeffs, rhs, rel in cons:
-        pivot = next((c for c in coeffs if c != 0), None)
-        if pivot is None:
-            if rel == EQ and rhs != 0:
-                return None
-            if rel == LE and rhs < 0:
-                return None
-            if rel == LT and rhs <= 0:
+def _int_row(coeffs, rhs, rel) -> IntRow:
+    """The constraint times the lcm of its denominators (a positive scale)."""
+    *a, b = clear_denominators((*coeffs, rhs))
+    return tuple(a), b, rel
+
+
+def _normalize(rows: list[IntRow]) -> list[IntRow] | None:
+    """Drop trivial rows and dedupe; None when a constant row is violated.
+
+    Rows are deduplicated on their primitive normal a / gcd(a); of two
+    inequalities the one with the smaller b / gcd(a) is kept (the strict one
+    on a tie), and two equalities, signed by their first non-zero entry,
+    must agree.  Each kept row is divided by the gcd of its entries.
+    """
+    eqs: dict[tuple[int, ...], tuple[IntRow, int]] = {}
+    best: dict[tuple[int, ...], tuple[IntRow, int]] = {}
+    for a, b, rel in rows:
+        g = gcd(*a)
+        if g == 0:
+            if b < 0 or (b == 0 and rel == LT) or (b != 0 and rel == EQ):
                 return None
             continue
+        if rel == EQ and next(x for x in a if x) < 0:
+            a, b = tuple(-x for x in a), -b
+        content = gcd(g, b)
+        if content > 1:
+            a, b, g = tuple(x // content for x in a), b // content, g // content
+        key = a if g == 1 else tuple(x // g for x in a)
+        table = eqs if rel == EQ else best
+        old = table.get(key)
+        if old is None:
+            table[key] = ((a, b, rel), g)
+            continue
+        (_, old_b, _), old_g = old
         if rel == EQ:
-            scale = Fraction(1) / abs(pivot) * (1 if pivot > 0 else -1)
-            key = tuple(c * scale for c in coeffs)
-            value = rhs * scale
-            if key in eqs and eqs[key] != value:
+            if b * old_g != old_b * g:
                 return None
-            eqs[key] = value
-            continue
-        # only positive scaling keeps the inequality direction
-        scale = Fraction(1) / abs(pivot)
-        key = tuple(c * scale for c in coeffs)
-        value = rhs * scale
-        if key in best:
-            old_rhs, old_rel = best[key]
-            if value < old_rhs or (value == old_rhs and rel == LT):
-                best[key] = (value, rel)
-        else:
-            best[key] = (value, rel)
-    out: list[Constraint] = [(k, v, EQ) for k, v in sorted(eqs.items())]
-    out.extend((k, v, r) for k, (v, r) in sorted(best.items()))
-    return out
+        elif b * old_g < old_b * g or (b * old_g == old_b * g and rel == LT):
+            table[key] = ((a, b, rel), g)
+    return [row for row, _ in eqs.values()] + [row for row, _ in best.values()]
 
 
-def _eliminate_last(cons: list[Constraint], n: int) -> list[Constraint] | None:
-    """Project onto the first n-1 coordinates; None when infeasibility is evident."""
+def _eliminate_last(rows: list[IntRow], n: int) -> list[IntRow] | None:
+    """Project onto the first n-1 coordinates; None when infeasibility is evident.
+
+    With an equality pivot p every other row is replaced by
+    |p_j| * row - sgn(p_j) * row_j * p; otherwise each row with a negative
+    last entry is paired with each row with a positive one.  Both combine
+    rows with integer weights, positive on every inequality.
+    """
     j = n - 1
-    kept: list[Constraint] = []
-    eq_pivot: Constraint | None = None
-    with_var: list[Constraint] = []
-    for coeffs, rhs, rel in cons:
-        if coeffs[j] == 0:
-            kept.append((coeffs[:j], rhs, rel))
-        elif rel == EQ and eq_pivot is None:
-            eq_pivot = (coeffs, rhs, rel)
+    kept: list[IntRow] = []
+    pivot: IntRow | None = None
+    lowers: list[IntRow] = []
+    uppers: list[IntRow] = []
+    for row in rows:
+        c = row[0][j]
+        if c == 0:
+            kept.append((row[0][:j], row[1], row[2]))
+        elif row[2] == EQ and pivot is None:
+            pivot = row
+        elif c < 0:
+            lowers.append(row)
         else:
-            with_var.append((coeffs, rhs, rel))
-    if eq_pivot is not None:
-        pc, pb, _ = eq_pivot
-        for coeffs, rhs, rel in with_var:
-            factor = coeffs[j] / pc[j]
-            new_coeffs = tuple(a - factor * p for a, p in zip(coeffs[:j], pc[:j]))
-            kept.append((new_coeffs, rhs - factor * pb, rel))
+            uppers.append(row)
+    if pivot is not None:
+        pa, pb, _ = pivot
+        weight, sign = abs(pa[j]), 1 if pa[j] > 0 else -1
+        pa = pa[:j]
+        for a, b, rel in lowers + uppers:
+            f = sign * a[j]
+            combined = tuple(weight * x - f * p for x, p in zip(a, pa))
+            kept.append((combined, weight * b - f * pb, rel))
         return _normalize(kept)
-    lowers = [(c, b, r) for c, b, r in with_var if c[j] < 0]
-    uppers = [(c, b, r) for c, b, r in with_var if c[j] > 0]
-    for lc, lb, lr in lowers:
-        for uc, ub, ur in uppers:
-            lo_w, up_w = uc[j], -lc[j]
-            coeffs = tuple(lo_w * a + up_w * b for a, b in zip(lc[:j], uc[:j]))
-            rhs = lo_w * lb + up_w * ub
-            rel = LT if LT in (lr, ur) else LE
-            kept.append((coeffs, rhs, rel))
+    for la, lb, lr in lowers:
+        up_w = -la[j]
+        for ua, ub, ur in uppers:
+            lo_w = ua[j]
+            a = tuple(lo_w * x + up_w * y for x, y in zip(la[:j], ua))
+            kept.append((a, lo_w * lb + up_w * ub, LT if LT in (lr, ur) else LE))
     return _normalize(kept)
 
 
@@ -125,57 +144,81 @@ def _value(coeffs, point) -> Fraction:
     return sum((a * x for a, x in zip(coeffs, point)), Fraction(0))
 
 
-def _feasible_point(cons: list[Constraint], n: int) -> tuple[Fraction, ...] | None:
-    cons = _normalize(cons)
-    if cons is None:
-        return None
-    if n == 0:
-        return ()
-    reduced = _eliminate_last(cons, n)
-    if reduced is None:
-        return None
-    base = _feasible_point(reduced, n - 1)
-    if base is None:
-        return None
-    j = n - 1
-    forced: Fraction | None = None
-    lower: tuple[Fraction, bool] | None = None  # (bound, strict)
-    upper: tuple[Fraction, bool] | None = None
-    for coeffs, rhs, rel in cons:
-        cj = coeffs[j]
-        if cj == 0:
+def _coordinate(rows: list[IntRow], nums: list[int], den: int) -> Fraction | None:
+    """The chosen value of the last coordinate over the base point nums / den.
+
+    A row a.x rel b bounds it by t / (a_j den) with t = b den - a[:j].nums;
+    bounds are compared by cross-multiplication, and only the chosen value
+    is a Fraction: the forced value, the midpoint of a bounded interval, a
+    bound moved by one into a half-line, or 0 on the whole line.
+    """
+    j = len(nums)
+    forced = lower = upper = None  # bounds (t, q) meaning t / q, with q > 0
+    for a, b, rel in rows:
+        c = a[j]
+        if c == 0:
             continue
-        bound = (rhs - _value(coeffs[:j], base)) / cj
+        t, q = b * den - sum(x * y for x, y in zip(a, nums)), c * den
+        if q < 0:
+            t, q = -t, -q
         if rel == EQ:
-            forced = bound if forced is None else forced
-            if forced != bound:
+            if forced is None:
+                forced = (t, q)
+            elif t * forced[1] != forced[0] * q:
                 return None
-        elif cj > 0:
-            strict = rel == LT
-            if upper is None or bound < upper[0] or (bound == upper[0] and strict):
-                upper = (bound, strict)
-        else:
-            strict = rel == LT
-            if lower is None or bound > lower[0] or (bound == lower[0] and strict):
-                lower = (bound, strict)
+        elif c > 0:
+            if upper is None or t * upper[1] < upper[0] * q:
+                upper = (t, q)
+        elif lower is None or t * lower[1] > lower[0] * q:
+            lower = (t, q)
     if forced is not None:
-        value = forced
-    elif lower is None and upper is None:
-        value = Fraction(0)
-    elif lower is None:
-        value = upper[0] - 1
-    elif upper is None:
-        value = lower[0] + 1
-    elif lower[0] < upper[0]:
-        value = (lower[0] + upper[0]) / 2
-    else:
-        # elimination guarantees lower == upper with both bounds non-strict
-        value = lower[0]
-    return base + (value,)
+        return Fraction(*forced)
+    if lower is None and upper is None:
+        return Fraction(0)
+    if lower is None:
+        return Fraction(upper[0] - upper[1], upper[1])
+    if upper is None:
+        return Fraction(lower[0] + lower[1], lower[1])
+    # elimination guarantees lower <= upper, and equality only when both are non-strict
+    return Fraction(lower[0] * upper[1] + upper[0] * lower[1], 2 * lower[1] * upper[1])
+
+
+def _feasible_point(cons: list[Constraint], n: int) -> tuple[Fraction, ...] | None:
+    """A point of the system (normal, rhs, relation), or None when it is empty.
+
+    Fourier-Motzkin runs on integer rows down to the constant level; the
+    coordinates are then fixed first to last, each in its interval over the
+    ones before, with the point kept over a common denominator.
+    """
+    rows = _normalize([_int_row(*c) for c in cons])
+    levels = []
+    for k in range(n, 0, -1):
+        if rows is None:
+            return None
+        levels.append(rows)
+        rows = _eliminate_last(rows, k)
+    if rows is None:
+        return None
+    nums: list[int] = []
+    den = 1
+    for rows in reversed(levels):
+        value = _coordinate(rows, nums, den)
+        if value is None:
+            return None
+        scale = value.denominator // gcd(den, value.denominator)
+        nums = [x * scale for x in nums]
+        den *= scale
+        nums.append(value.numerator * (den // value.denominator))
+    return tuple(Fraction(x, den) for x in nums)
+
+
+def feasible_point(poly: Polyhedron) -> tuple[Fraction, ...] | None:
+    """Some point of the polyhedron, or None when it is empty."""
+    return _feasible_point(_as_constraints(poly), poly.n)
 
 
 def is_empty(poly: Polyhedron) -> bool:
-    return _feasible_point(_as_constraints(poly), poly.n) is None
+    return feasible_point(poly) is None
 
 
 def contains_point(poly: Polyhedron, point) -> bool:
@@ -189,17 +232,19 @@ def contains_point(poly: Polyhedron, point) -> bool:
     return True
 
 
-def implicit_equality_indices(poly: Polyhedron) -> list[int]:
+def implicit_equality_indices(poly: Polyhedron, point=None) -> list[int]:
     """Indices of LE constraints that hold with equality on the whole set.
 
     An implicit equality is tight at every feasible point, so only the LE
     constraints tight at one feasible point are probed: such a constraint is
-    implicit when making it strict leaves no feasible point.  On the empty
-    set every LE index is returned.
+    implicit when making it strict leaves no feasible point.  ``point`` is a
+    feasible point already known (any one gives the same answer); without it
+    one is computed.  On the empty set every LE index is returned.
     """
     cons = _as_constraints(poly)
     candidates = [i for i, (_, _, rel) in enumerate(cons) if rel == LE]
-    point = _feasible_point(cons, poly.n)
+    if point is None:
+        point = _feasible_point(cons, poly.n)
     if point is None:
         return candidates
     out = []
@@ -214,18 +259,19 @@ def implicit_equality_indices(poly: Polyhedron) -> list[int]:
     return out
 
 
-def _equality_normals(poly: Polyhedron) -> list[tuple[Fraction, ...]]:
+def _equality_normals(poly: Polyhedron, point=None) -> list[tuple[Fraction, ...]]:
     normals = [h.normal for h in poly.constraints if h.relation == EQ]
-    implicit = set(implicit_equality_indices(poly))
+    implicit = set(implicit_equality_indices(poly, point))
     normals.extend(h.normal for i, h in enumerate(poly.constraints) if i in implicit)
     return normals
 
 
 def dimension(poly: Polyhedron) -> int:
     """Dimension of the affine hull; -1 for the empty set."""
-    if is_empty(poly):
+    point = feasible_point(poly)
+    if point is None:
         return -1
-    return poly.n - rank(_equality_normals(poly))
+    return poly.n - rank(_equality_normals(poly, point))
 
 
 def affine_hull_directions(poly: Polyhedron) -> list[tuple[Fraction, ...]]:
@@ -236,9 +282,12 @@ def affine_hull_directions(poly: Polyhedron) -> list[tuple[Fraction, ...]]:
     return nullspace(normals, poly.n)
 
 
-def relative_interior_point(poly: Polyhedron) -> tuple[Fraction, ...]:
-    """A rational point satisfying every non-implied inequality strictly."""
-    implicit = set(implicit_equality_indices(poly))
+def relative_interior_point(poly: Polyhedron, point=None) -> tuple[Fraction, ...]:
+    """A rational point satisfying every non-implied inequality strictly.
+
+    ``point``, a feasible point already known, saves one feasibility solve.
+    """
+    implicit = set(implicit_equality_indices(poly, point))
     probe = [
         (coeffs, rhs, EQ if rel == EQ or i in implicit else LT)
         for i, (coeffs, rhs, rel) in enumerate(_as_constraints(poly))
@@ -264,16 +313,15 @@ def fm_eliminate(poly: Polyhedron, index: int) -> Polyhedron:
         raise ValueError(f"coordinate index {index} out of range for n={poly.n}")
     # move the coordinate to the end, then eliminate it
     order = [i for i in range(poly.n) if i != index] + [index]
-    cons: list[Constraint] = []
+    rows = []
     for h in poly.constraints:
-        cons.append((tuple(h.normal[i] for i in order), h.rhs, h.relation))
-    reduced = _eliminate_last(cons, poly.n)
+        rows.append(_int_row(tuple(h.normal[i] for i in order), h.rhs, h.relation))
+    reduced = _eliminate_last(rows, poly.n)
     if reduced is None:
         # projection of an (evidently) empty set: encode a constant contradiction
         zero = tuple([Fraction(0)] * (poly.n - 1))
         return Polyhedron((HalfSpace(zero, Fraction(-1), LE),), poly.n - 1)
     out = []
-    for coeffs, rhs, rel in reduced:
-        out.append(HalfSpace(coeffs, rhs, LE if rel == LT else rel))
+    for a, b, rel in reduced:
+        out.append(HalfSpace(tuple(map(Fraction, a)), Fraction(b), LE if rel == LT else rel))
     return Polyhedron(tuple(out), poly.n - 1)
-

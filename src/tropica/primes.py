@@ -26,7 +26,7 @@ from functools import cached_property
 from math import lcm
 from operator import mul
 
-from .matrices import rank, to_fraction
+from .matrices import clear_denominators, rank, to_fraction
 from .polynomials import Exponents, LAURENT, Polynomial, _check_mode
 from .scalars import is_bottom
 
@@ -58,11 +58,7 @@ class AdmissibleMatrix:
     @cached_property
     def int_rows(self) -> tuple[tuple[int, ...], ...]:
         """Each row times the lcm of its denominators: same order, integer entries."""
-        out = []
-        for row in self.rows:
-            scale = lcm(*(x.denominator for x in row))
-            out.append(tuple(x.numerator * (scale // x.denominator) for x in row))
-        return tuple(out)
+        return tuple(map(clear_denominators, self.rows))
 
     def to_json(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.rows]

@@ -19,6 +19,7 @@ from .polynomials import Exponents, LAURENT, POLY, Polynomial
 from .scalars import BOTTOM, TropScalar, is_bottom, trop_add, trop_mul
 
 MAX_WINDOW_MONOMIALS = 20  # desk-scale cap for circuit enumeration
+MAX_WINDOW_SIZE = 10_000  # the largest window monomial_window builds
 
 
 @dataclass(frozen=True)
@@ -39,19 +40,48 @@ def window_order(expo: Exponents):
     return (sum(expo), expo)
 
 
-def monomial_window(n: int, mode: str, degree: int) -> MonomialWindow:
+def window_size(n: int, mode: str, degree: int, limit: int) -> int:
+    """The number of monomials in the window, or limit + 1 when it holds more.
+
+    Counted without building the window: C(n + d, n) in poly mode and
+    (2d + 1)^n in Laurent mode, one variable at a time until the count
+    passes ``limit``.
+    """
     if degree < 0:
         raise ValueError("window degree must be non-negative")
+    if mode not in (POLY, LAURENT):
+        raise ValueError(f"unknown mode {mode!r}")
+    if degree == 0:
+        return 1  # the constant monomial alone, whatever n is
+    size = 1
+    for k in range(1, n + 1):
+        # C(d + k, k) after k poly-mode steps, (2d + 1)^k in Laurent mode
+        size = size * (degree + k) // k if mode == POLY else size * (2 * degree + 1)
+        if size > limit:
+            return limit + 1
+    return size
+
+
+def _require_window_size(n: int, mode: str, degree: int, cap: int, what: str) -> None:
+    size = window_size(n, mode, degree, cap)
+    if size > cap:
+        raise ValueError(
+            f"the degree-{degree} {mode} window in {n} variables has more than {cap} "
+            f"monomials; the cap {what} is {cap}"
+        )
+
+
+def monomial_window(n: int, mode: str, degree: int) -> MonomialWindow:
+    """The window, after checking that it holds at most MAX_WINDOW_SIZE monomials."""
+    _require_window_size(n, mode, degree, MAX_WINDOW_SIZE, "on monomial windows")
     if mode == POLY:
         monos = [
             expo
             for expo in itertools.product(range(degree + 1), repeat=n)
             if sum(expo) <= degree
         ]
-    elif mode == LAURENT:
-        monos = list(itertools.product(range(-degree, degree + 1), repeat=n))
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        monos = list(itertools.product(range(-degree, degree + 1), repeat=n))
     monos.sort(key=window_order)
     return MonomialWindow(n, mode, degree, tuple(monos))
 
@@ -239,11 +269,8 @@ def truncated_tropicalization(rational_gens: list[dict], n: int, degree: int) ->
     under the trivial valuation its vectors are Boolean, so the circuits are
     exactly the support-minimal non-zero row-space vectors.
     """
+    _require_window_size(n, POLY, degree, MAX_WINDOW_MONOMIALS, "for circuit enumeration")
     window = monomial_window(n, POLY, degree)
-    if len(window) > MAX_WINDOW_MONOMIALS:
-        raise ValueError(
-            f"window has {len(window)} monomials; the desk-scale cap is {MAX_WINDOW_MONOMIALS}"
-        )
     gen_maps = []
     for g in rational_gens:
         coeffs = {tuple(e): to_fraction(c) for e, c in g.items()}

@@ -31,6 +31,7 @@ from .polyhedra import (
     Polyhedron,
     _feasible_point,
     contains_point,
+    feasible_point,
     full_space,
     intersect,
     is_empty,
@@ -104,9 +105,10 @@ def _make_cell(poly: Polyhedron, gens: list[Polynomial]) -> tuple[Signature, Cel
     Near its relative interior point the cell is cut out by the ties within
     each argmax set: its dimension is n minus the rank of those differences.
     """
-    if is_empty(poly):
+    point = feasible_point(poly)
+    if point is None:
         return None
-    point = relative_interior_point(poly)
+    point = relative_interior_point(poly, point)
     signature = tuple(_argmax(g, point) for g in gens)
     ties = [tuple(a - b for a, b in zip(e, min(terms))) for terms in signature for e in terms]
     return signature, Cell(poly, poly.n - rank(ties), point)

@@ -380,6 +380,25 @@ def test_cli_tideal_check_point_degree_zero(capsys):
     assert json.loads(err)["error"] == "domain"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["tideal-trop", "--gens", "x - y", "--nvars", "3", "--degree", "1000000"],
+        ["tideal-trop", "--gens", "x - y", "--nvars", "3", "--degree", "300"],
+        ["tideal-check", "--mode", "poly", "--point", "0,0", "--degree", "1000000"],
+        ["tideal-check", "--matrix", "[[0,1,1]]", "--degree", "1000000"],
+        ["tideal-check", "--circuits", '{"nvars": 2, "degree": 1000000, "circuits": []}'],
+    ],
+)
+def test_cli_window_caps(capsys, args):
+    # the window size is computed before the window is built: degree 10^6 did not return
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "domain"
+    assert "monomials; the cap" in error["message"]
+
+
 def test_cli_tideal_check_point_small_window(capsys):
     # the window {1, x} holds fewer than 100 members at 0: this looped forever
     args = ["tideal-check", "--mode", "poly", "--point", "0", "--degree", "1", "--trials", "100"]

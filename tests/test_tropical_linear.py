@@ -11,13 +11,16 @@ from tropica.polynomials import LAURENT, POLY, Polynomial
 from tropica.primes import bend_ideal_member, check_admissible, geometric_prime_of_point
 from tropica.sampling import point_members, prime_members, random_point
 from tropica.scalars import BOTTOM, is_bottom, trop_add, trop_mul
+from tropica import tropical_linear
 from tropica.tropical_linear import (
+    MAX_WINDOW_SIZE,
     AxiomResult,
     CircuitSet,
     MembershipSample,
     check_tropical_axiom,
     elimination_witness,
     monomial_window,
+    window_size,
     truncated_tropicalization,
 )
 from tropica.varieties import affine_prevariety, prevariety
@@ -34,6 +37,32 @@ def test_window_sizes():
     assert len(monomial_window(2, POLY, 2)) == 6
     assert len(monomial_window(1, LAURENT, 2)) == 5
     assert monomial_window(2, POLY, 1).monomials == ((0, 0), (0, 1), (1, 0))
+
+
+def test_window_size_counts_without_building():
+    for mode in (POLY, LAURENT):
+        for n in range(5):
+            for degree in range(5):
+                size = len(monomial_window(n, mode, degree))
+                assert window_size(n, mode, degree, 10**6) == size
+                assert window_size(n, mode, degree, size - 1) == size  # limit + 1
+    assert window_size(3, POLY, 1_000_000, 20) == 21
+    assert window_size(10**6, LAURENT, 10**6, 100) == 101
+    assert window_size(10**6, POLY, 0, 100) == 1
+
+
+def test_window_cap(monkeypatch):
+    # C(1 + d, 1) = d + 1 and 3^n: the largest windows under the cap are built
+    assert len(monomial_window(1, POLY, MAX_WINDOW_SIZE - 1)) == MAX_WINDOW_SIZE
+    assert len(monomial_window(8, LAURENT, 1)) == 3**8 <= MAX_WINDOW_SIZE
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the window was built")
+
+    monkeypatch.setattr(tropical_linear.itertools, "product", fail)
+    for n, mode, degree in ((1, POLY, MAX_WINDOW_SIZE), (9, LAURENT, 1), (3, POLY, 10**6)):
+        with pytest.raises(ValueError, match="more than 10000 monomials"):
+            monomial_window(n, mode, degree)
 
 
 # -- span membership by residuation ---------------------------------------------------
