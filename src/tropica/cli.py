@@ -1,13 +1,16 @@
 """Command line front end.
 
-Exit codes: 0 on success, 1 on domain errors, 2 on parse/syntax errors.
-Errors are emitted as JSON objects on stderr.  The environment variable
-TROPICA_SEED overrides any --seed value.
+Exit codes: 0 on success, 1 on domain errors, 2 on parse/syntax errors
+(argument errors included).  Errors are emitted as JSON objects on stderr.
+The environment variable TROPICA_SEED overrides any --seed value.  The
+argument parser is built once per process and reused by every ``main``
+call; each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -194,6 +197,8 @@ def _cmd_trace_verify(args):
 
 
 def _cmd_tideal_check(args):
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     if args.circuits:
         description = parse_circuits_json(_load_json_arg(args.circuits))
     elif args.point:
@@ -251,6 +256,17 @@ def _cmd_plot(args):
         sys.stdout.write(svg)
 
 
+class UsageError(Exception):
+    """A command line that argparse rejects: missing, unknown or ill-typed arguments."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse reports errors by raising UsageError instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _add_common(sub, poly_inputs: bool = True):
     sub.add_argument("--mode", choices=[LAURENT, POLY], default=LAURENT)
     sub.add_argument("--format", choices=["json", "text"], default="json")
@@ -261,8 +277,14 @@ def _add_common(sub, poly_inputs: bool = True):
         sub.add_argument("--nvars", type=int, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The argument parser, built on first use and shared by every later call.
+
+    ``parse_args`` keeps no state between calls, so sharing it is safe as
+    long as no caller adds to it.
+    """
+    parser = _Parser(
         prog="tropica",
         description="Exact tropical commutative algebra workbench.",
     )
@@ -347,11 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.func(args)
-    except ParseError as exc:
+    except (ParseError, UsageError) as exc:
         json.dump({"error": "parse", "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2

@@ -4,8 +4,9 @@ Everything in this package that touches matrix rank, kernels or affine hulls
 must stay exact, so nothing here rounds, and every entry is read through
 ``to_fraction`` (integers, ``Fraction``s and "p/q" strings only).  ``rank``
 clears each row of denominators and runs Bareiss fraction-free elimination
-on integers; ``row_echelon`` and ``nullspace`` return ``Fraction`` rows,
-because their entries reach the JSON output.
+on integers (``int_rank``, which callers with integer rows use directly);
+``row_echelon`` and ``nullspace`` return ``Fraction`` rows, because their
+entries reach the JSON output.
 """
 
 from __future__ import annotations
@@ -74,13 +75,17 @@ def row_echelon(rows) -> list[list[Fraction]]:
 
 
 def rank(rows) -> int:
-    """Rank by Bareiss elimination (Math. Comp. 1968) on the rows cleared of denominators.
+    """Rank of a rational matrix: ``int_rank`` of its rows cleared of denominators."""
+    return int_rank([clear_denominators([to_fraction(x) for x in r]) for r in rows])
+
+
+def int_rank(rows) -> int:
+    """Rank of an integer matrix by Bareiss elimination (Math. Comp. 1968).
 
     After k pivots every remaining entry is a (k+1)-minor of the input, so
     the division by the previous pivot is exact.
     """
-    cleared = (clear_denominators([to_fraction(x) for x in r]) for r in rows)
-    mat = [row for row in cleared if any(row)]
+    mat = [row for row in rows if any(row)]
     r, previous = 0, 1
     for col in range(len(mat[0]) if mat else 0):
         pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)

@@ -242,8 +242,8 @@ def parse_matrix_json(data) -> list[list[Fraction]]:
     """Matrix as a JSON array of arrays of rationals ("p/q" strings or ints)."""
     if isinstance(data, str):
         data = json.loads(data)
-    if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
-        raise ValueError("matrix JSON must be a non-empty array of arrays")
+    if not isinstance(data, list) or not data or not all(isinstance(r, list) and r for r in data):
+        raise ValueError("matrix JSON must be a non-empty array of non-empty arrays")
     return [[to_fraction(x) for x in row] for row in data]
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .matrices import dot, rank, row_echelon, to_fraction
+from .matrices import clear_denominators, dot, int_rank, row_echelon, to_fraction
 from .polynomials import Exponents, LAURENT, POLY, Polynomial
 from .scalars import BOTTOM, TropScalar, is_bottom, trop_add, trop_mul
 
@@ -268,6 +268,16 @@ def truncated_tropicalization(rational_gens: list[dict], n: int, degree: int) ->
     generator shifted by every monomial that keeps it inside the window);
     under the trivial valuation its vectors are Boolean, so the circuits are
     exactly the support-minimal non-zero row-space vectors.
+
+    Subsets S of the window are scanned by size, skipping supersets of
+    circuits found.  Let b_1..b_r be the reduced row echelon basis with
+    pivot columns p_1..p_r.  Every row-space vector is v = sum_k v[p_k] b_k,
+    because b_k is 1 at p_k and 0 at the other pivots.  If v vanishes
+    outside S, then v[p_k] = 0 for each pivot outside S, so v combines only
+    the live rows (pivot in S), and it vanishes on the pivots outside S.
+    Hence a non-zero v supported in S exists iff the live rows, restricted
+    to the free columns outside S, are dependent: rank < number of live
+    rows.  A subset without a pivot has no live row and holds no circuit.
     """
     _require_window_size(n, POLY, degree, MAX_WINDOW_MONOMIALS, "for circuit enumeration")
     window = monomial_window(n, POLY, degree)
@@ -299,17 +309,22 @@ def truncated_tropicalization(rational_gens: list[dict], n: int, degree: int) ->
     r = len(basis)
     if r == 0:
         return CircuitSet(window, ())
-    circuits: list[frozenset[Exponents]] = []
+    circuits: list[frozenset[int]] = []
     max_size = len(window) - r + 1
     indices = range(len(window))
+    pivots = [next(j for j, v in enumerate(row) if v != 0) for row in basis]
+    free = [j for j in indices if j not in pivots]
+    int_basis = [clear_denominators(row) for row in basis]
     for size in range(1, max_size + 1):
         for combo in itertools.combinations(indices, size):
             combo_set = set(combo)
             if any(c <= combo_set for c in circuits):
                 continue
-            outside = [i for i in indices if i not in combo_set]
-            submatrix = [[row[i] for i in outside] for row in basis]
-            if rank(submatrix) < r:
+            live = [row for row, p in zip(int_basis, pivots) if p in combo_set]
+            if not live:
+                continue
+            outside = [j for j in free if j not in combo_set]
+            if int_rank([[row[j] for j in outside] for row in live]) < len(live):
                 circuits.append(frozenset(combo))
     vectors = tuple(
         Polynomial({window.monomials[i]: 0 for i in c}, n, POLY)

@@ -1,0 +1,133 @@
+"""`cli.main` reuses one argument parser per process; no call may see another's state.
+
+Every `tropica ...` line of the README command block runs through `main` in
+one process, and each stdout (or written SVG) must be byte-identical to a
+fresh `python -m tropica.cli` subprocess.  Then come sequences that would
+show state leaking from one call into the next: a repeated option, lines
+read with `--file`, a subcommand that overwrites `args.mode` or
+`args.nvars`, and `TROPICA_SEED` set and unset between two calls.
+"""
+
+import json
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from tropica.cli import build_parser, main
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _readme_commands() -> list[list[str]]:
+    readme = (REPO / "README.md").read_text()
+    block = re.search(r"## Command line.*?```sh\n(.*?)```", readme, re.DOTALL).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("tropica ")]
+
+
+def _with_output(argv, directory: Path) -> list[str]:
+    """The argv with its --output file moved into ``directory``."""
+    argv = list(argv)
+    if "--output" in argv:
+        at = argv.index("--output") + 1
+        argv[at] = str(directory / Path(argv[at]).name)
+    return argv
+
+
+def _fresh(argv, env_seed=None):
+    """(exit code, stdout, stderr) of a new `python -m tropica.cli` process."""
+    env = {k: v for k, v in os.environ.items() if k != "TROPICA_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    if env_seed is not None:
+        env["TROPICA_SEED"] = env_seed
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropica.cli", *argv], cwd=REPO, env=env, capture_output=True, text=True
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_process(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture
+def repo_cwd(monkeypatch):
+    monkeypatch.chdir(REPO)  # the README names traces/ relative to the repository
+    monkeypatch.delenv("TROPICA_SEED", raising=False)
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_readme_commands_match_fresh_processes(repo_cwd, capsys, tmp_path):
+    commands = _readme_commands()
+    assert len(commands) == 15 and len({argv[0] for argv in commands}) == 14  # every subcommand
+    (tmp_path / "fresh").mkdir()
+    (tmp_path / "reused").mkdir()
+    for argv in commands:
+        reused = _in_process(_with_output(argv, tmp_path / "reused"), capsys)
+        fresh = _fresh(_with_output(argv, tmp_path / "fresh"))
+        assert reused == fresh and reused[0] == 0, argv
+    svg = (tmp_path / "reused" / "line.svg").read_text()
+    assert svg.startswith("<svg") and svg == (tmp_path / "fresh" / "line.svg").read_text()
+
+
+# (earlier call, probe): the probe's output must not depend on the earlier call
+SEQUENCES = [
+    (
+        ["eval", "--poly", "x + 1", "--poly", "y", "--point", "1,2"],  # two --poly: a domain error
+        ["eval", "--poly", "x + 1", "--point", "3"],
+    ),
+    (
+        ["prevariety", "--poly", "x + 1", "--poly", "y + 2", "--nvars", "2"],
+        ["hypersurface", "--poly", "x + 0"],
+    ),
+    (
+        ["affine-prevariety", "--poly", "x + y"],  # sets args.mode to poly
+        ["hypersurface", "--poly", "x^-1 + y + 0"],  # a parse error in poly mode
+    ),
+    (
+        ["prime-member", "--matrix", "[[1,0,0]]", "--poly", "x + y"],  # sets args.nvars to 2
+        ["eval", "--poly", "x + 1", "--point", "3"],  # a domain error with two variables
+    ),
+    (
+        ["eval", "--poly", "x", "--bogus"],  # an argument error
+        ["eval", "--poly", "x", "--point", "2"],
+    ),
+]
+
+
+@pytest.mark.parametrize("first, probe", SEQUENCES, ids=["poly-twice", "poly-list", "mode", "nvars", "usage"])
+def test_no_state_leaks_between_calls(repo_cwd, capsys, first, probe):
+    _in_process(first, capsys)
+    reused = _in_process(probe, capsys)
+    assert reused == _fresh(probe)
+    assert reused[0] == 0
+
+
+def test_file_lines_do_not_leak_into_later_calls(repo_cwd, capsys, tmp_path):
+    # --file lines join the --poly list; they must not stay in it for the next call
+    (tmp_path / "f.txt").write_text("x + 1\n")
+    _in_process(["eval", "--file", str(tmp_path / "f.txt"), "--point", "1"], capsys)
+    probe = ["eval", "--poly", "x + 2", "--point", "3"]
+    reused = _in_process(probe, capsys)
+    assert reused == _fresh(probe) and reused[0] == 0
+
+
+def test_seed_environment_read_per_call(repo_cwd, capsys, monkeypatch):
+    # the degree prime fails the axiom, and the counterexample depends on the seed
+    argv = ["tideal-check", "--matrix", "[[0,1,1]]", "--degree", "2", "--trials", "8", "--seed", "5"]
+    monkeypatch.setenv("TROPICA_SEED", "0")
+    with_env = _in_process(argv, capsys)
+    monkeypatch.delenv("TROPICA_SEED")
+    without_env = _in_process(argv, capsys)
+    assert with_env == _fresh(argv, env_seed="0")
+    assert without_env == _fresh(argv)
+    assert json.loads(with_env[1]) != json.loads(without_env[1])

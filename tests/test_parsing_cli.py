@@ -98,6 +98,8 @@ def test_matrix_json():
         parse_matrix_json("[[1.5, 2]]")  # floats are not rationals
     with pytest.raises(ValueError):
         parse_matrix_json("[]")
+    with pytest.raises(ValueError):
+        parse_matrix_json("[[1, 2], []]")
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -435,6 +437,66 @@ def test_cli_exit_codes(capsys):
     assert code == 1 and json.loads(err)["error"] == "domain"
     code, _, err = run_cli(["dim", "--poly", "x + 0", "--poly", "x + 1"], capsys)
     assert code == 1 and json.loads(err)["error"] == "domain"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["eval", "--poly", "x"],  # --point missing
+        ["evaluate", "--poly", "x"],  # unknown subcommand
+        [],  # no subcommand
+        ["tideal-check", "--degree", "abc"],  # not an integer
+        ["eval", "--poly", "x", "--point", "1", "--bogus"],  # unknown option
+        ["hypersurface", "--poly", "x", "--mode", "tropical"],  # not a choice
+    ],
+)
+def test_cli_argument_errors_are_json_parse_errors(capsys, args):
+    # argparse used to print its usage text and raise SystemExit(2)
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "parse" and error["message"]
+
+
+def test_cli_help_keeps_text_and_exit_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tropica eval")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["prime-check"],
+        ["prime-variety"],
+        ["prime-compare", "--term1", "x", "--term2", "1"],
+        ["prime-member", "--poly", "x + 1"],
+        ["tideal-check", "--degree", "1"],
+    ],
+)
+@pytest.mark.parametrize("matrix", ["[[]]", "[[1, 0], []]"])
+def test_cli_matrix_with_an_empty_row_is_domain_error(capsys, args, matrix):
+    # an empty row used to end in an IndexError traceback
+    code, out, err = run_cli([*args, "--matrix", matrix], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "domain"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--point", "0", "--trials", "-5"],
+        ["--point", "0,0", "--trials", "0"],
+        ["--matrix", "[[0,1,1]]", "--trials", "0"],
+        ["--circuits", '{"nvars": 1, "degree": 1, "circuits": []}', "--trials", "0"],
+    ],
+)
+def test_cli_tideal_check_trials_below_one_is_domain_error(capsys, args):
+    # these drew no member and printed {"passed": true}
+    code, out, err = run_cli(["tideal-check", *args], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "domain"
 
 
 def test_cli_matrix_rejects_non_rational_entries(capsys):
