@@ -51,6 +51,8 @@ from .varieties import (
     prevariety,
 )
 
+MAX_TRIALS = 1_000  # tideal-check members; sampling stops after 200 draws per trial
+
 
 def _emit(data, args) -> None:
     if getattr(args, "format", "json") == "text":
@@ -199,6 +201,8 @@ def _cmd_trace_verify(args):
 def _cmd_tideal_check(args):
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if args.trials > MAX_TRIALS:
+        raise ValueError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
     if args.circuits:
         description = parse_circuits_json(_load_json_arg(args.circuits))
     elif args.point:

@@ -40,7 +40,15 @@ LESS, EQUAL, GREATER = "less", "equal", "greater"
 
 
 class AdmissibilityError(ValueError):
-    """Raised when a matrix fails one of the admissibility conditions."""
+    """Raised when a matrix fails admissibility conditions.
+
+    ``violations`` lists each failed condition; the message joins them
+    with "; ".
+    """
+
+    def __init__(self, violations: list[str]):
+        self.violations = list(violations)
+        super().__init__("; ".join(self.violations))
 
 
 @dataclass(frozen=True)
@@ -88,12 +96,10 @@ def check_admissible(rows, n: int, mode: str = LAURENT) -> AdmissibleMatrix:
     _check_mode(mode)
     frozen = tuple(tuple(to_fraction(x) for x in row) for row in rows)
     if any(len(r) != n + 1 for r in frozen) or not frozen:
-        raise AdmissibilityError(
-            f"matrix must be non-empty with {n + 1} columns"
-        )
+        raise AdmissibilityError([f"matrix must be non-empty with {n + 1} columns"])
     problems = admissibility_violations(frozen, n)
     if problems:
-        raise AdmissibilityError("; ".join(problems))
+        raise AdmissibilityError(problems)
     return AdmissibleMatrix(frozen, n, mode)
 
 

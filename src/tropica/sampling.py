@@ -7,18 +7,18 @@ reproducible.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
+from operator import mul
 
+from .matrices import dot, to_fraction
 from .polynomials import LAURENT, POLY, Polynomial
 from .primes import (
-    GEOMETRIC,
     AdmissibilityError,
     AdmissibleMatrix,
-    bend_ideal_member,
     check_admissible,
-    classify_prime,
-    leading_class,
+    geometric_prime_of_point,
     variety_of_prime,
 )
 from .tropical_linear import MembershipSample, MonomialWindow
@@ -100,10 +100,11 @@ def random_member_polynomial(
     """Random polynomial whose maximum at ``point`` is attained at least twice.
 
     Two support elements are pinned to a common value; any further terms are
-    pushed strictly below it.
+    pushed strictly below it.  The point is read exactly (no floats).
     """
     if max_deg < 1:
         raise ValueError("member polynomials need max_deg >= 1 (two distinct exponents)")
+    point = [to_fraction(p) for p in point]
     n = len(point)
     target = random_fraction(rng)
     support: set[tuple[int, ...]] = set()
@@ -111,26 +112,27 @@ def random_member_polynomial(
         support.add(random_exponents(rng, n, mode, max_deg))
     coeffs = {}
     for expo in support:
-        shift = sum(Fraction(e) * Fraction(p) for e, p in zip(expo, point))
-        coeffs[expo] = target - shift
+        coeffs[expo] = target - dot(expo, point)
     for _ in range(rng.randint(0, max_extra)):
         expo = random_exponents(rng, n, mode, max_deg)
         if expo in coeffs:
             continue
-        shift = sum(Fraction(e) * Fraction(p) for e, p in zip(expo, point))
         drop = Fraction(rng.randint(1, 4), rng.randint(1, 3))
-        coeffs[expo] = target - shift - drop
+        coeffs[expo] = target - dot(expo, point) - drop
     return Polynomial(coeffs, n, mode)
 
 
 def point_members(rng: random.Random, point, window: MonomialWindow, count: int) -> MembershipSample:
     """``count`` distinct members of the geometric prime at ``point``, inside ``window``.
 
-    Members come from ``random_member_polynomial`` with the window's mode and
-    degree; the oracle is "vanishes at the point".  Stops at ``count`` members
-    or ``count * 200`` draws, since a small window may hold fewer members.
+    The prime is ``geometric_prime_of_point(point, window.mode)``, whose bend
+    ideal holds the polynomials that vanish at the point.  Members come from
+    ``random_member_polynomial`` with the window's mode and degree.  Stops at
+    ``count`` members or ``count * 200`` draws, since a small window may hold
+    fewer members.
     """
-    point = tuple(point)
+    prime = geometric_prime_of_point(point, window.mode)
+    point = variety_of_prime(prime)
     members: dict[Polynomial, None] = {}  # insertion-ordered set
     attempts = 0
     while len(members) < count and attempts < count * 200:
@@ -138,8 +140,7 @@ def point_members(rng: random.Random, point, window: MonomialWindow, count: int)
         poly = random_member_polynomial(rng, point, window.mode, max_deg=window.degree)
         if poly.degree() <= window.degree:
             members[poly] = None
-    oracle = lambda h: h.is_zero() or h.vanishes_at(point)
-    return MembershipSample(tuple(members), oracle, point)
+    return MembershipSample(tuple(members), prime)
 
 
 def prime_members(
@@ -150,28 +151,45 @@ def prime_members(
     Each drawn member comes with a partner that keeps its leading terms and
     moves one low term, the shape on which the elimination axiom can fail.
     Stops at ``count`` members (a partner may add one more) or ``count * 200``
-    draws.  A geometric prime also carries its point for the witness search.
+    draws.
+
+    Draws are tested on integer keys: coefficients and exponents are
+    integers, so a term's key is ``U_int @ (c, e)`` with no denominator, and
+    the exponent part is computed once per window monomial.  A draw is a
+    member when its top key is attained twice; a partner keeps the top class
+    (the moved term is below it), so it is a member when its new term's key
+    is at most the top.  Only accepted members and partners become
+    polynomials.
     """
+    if window.n != matrix.n:
+        raise ValueError(f"the window has {window.n} variables, the prime {matrix.n}")
+    weights = [row[0] for row in matrix.int_rows]
+    lifted = {
+        expo: [sum(map(mul, row[1:], expo)) for row in matrix.int_rows]
+        for expo in window.monomials
+    }
+
+    @functools.cache
+    def key(coeff: int, expo) -> tuple[int, ...]:
+        return tuple(coeff * w + x for w, x in zip(weights, lifted[expo]))
+
     members: dict[Polynomial, None] = {}
     attempts = 0
     while len(members) < count and attempts < count * 200:
         attempts += 1
         drawn = rng.sample(window.monomials, k=min(3, len(window)))
-        coeffs = {expo: Fraction(rng.randint(-2, 2)) for expo in drawn}
-        poly = Polynomial(coeffs, window.n, window.mode)
-        if not bend_ideal_member(matrix, poly):
+        coeffs = {expo: rng.randint(-2, 2) for expo in drawn}
+        keys = {expo: key(c, expo) for expo, c in coeffs.items()}
+        top = max(keys.values())
+        if list(keys.values()).count(top) < 2:
             continue
+        poly = Polynomial(coeffs, window.n, window.mode)
         members[poly] = None
-        leaders = leading_class(matrix, poly)
-        low = [e for e in poly.support() if e not in leaders]
+        low = [e for e in poly.support() if keys[e] != top]
         if low:
             moved = rng.choice(low)
             target = rng.choice(window.monomials)
-            if target not in poly.support():
-                term = Polynomial({target: poly.coefficient(moved)}, window.n, window.mode)
-                partner = poly.delete_term(moved) + term
-                if bend_ideal_member(matrix, partner):
-                    members[partner] = None
-    oracle = lambda h: bend_ideal_member(matrix, h)
-    point = variety_of_prime(matrix) if classify_prime(matrix)[0] == GEOMETRIC else None
-    return MembershipSample(tuple(members), oracle, point)
+            if target not in coeffs and key(coeffs[moved], target) <= top:
+                term = Polynomial({target: coeffs[moved]}, window.n, window.mode)
+                members[poly.delete_term(moved) + term] = None
+    return MembershipSample(tuple(members), matrix)

@@ -16,10 +16,19 @@ from typing import Callable
 
 from .matrices import clear_denominators, dot, int_rank, row_echelon, to_fraction
 from .polynomials import Exponents, LAURENT, POLY, Polynomial
+from .primes import (
+    GEOMETRIC,
+    AdmissibleMatrix,
+    _keys,
+    bend_ideal_member,
+    classify_prime,
+    variety_of_prime,
+)
 from .scalars import BOTTOM, TropScalar, is_bottom, trop_add, trop_mul
 
 MAX_WINDOW_MONOMIALS = 20  # desk-scale cap for circuit enumeration
 MAX_WINDOW_SIZE = 10_000  # the largest window monomial_window builds
+MAX_TIES = 16  # tie positions per elimination triple (2^ties witness candidates)
 
 
 @dataclass(frozen=True)
@@ -124,6 +133,11 @@ def span_membership(v: Polynomial, gens: list[Polynomial]) -> list[TropScalar] |
     return None
 
 
+def _require_few_ties(count: int) -> None:
+    if count > MAX_TIES:
+        raise ValueError("too many tie positions for exhaustive search")
+
+
 def elimination_witness(
     f: Polynomial,
     g: Polynomial,
@@ -156,8 +170,7 @@ def elimination_witness(
             ties.append((expo, fv))
         else:
             forced[expo] = trop_add(fv, gv)
-    if len(ties) > 16:
-        raise ValueError("too many tie positions for exhaustive search")
+    _require_few_ties(len(ties))
 
     def candidates():
         for dropped in range(len(ties) + 1):
@@ -189,15 +202,25 @@ class AxiomResult:
 
 @dataclass(frozen=True)
 class MembershipSample:
-    """Oracle-backed description: sampled members plus the membership test.
+    """Sampled members of the bend ideal of a prime, with the prime itself.
 
-    ``point`` is the evaluation point when the oracle comes from a geometric
-    prime; it drives the extra tie-level candidates of the witness search.
+    The membership test (``oracle``) and the point of a geometric prime
+    (``point``, None for other primes) are read off the prime.
     """
 
     samples: tuple[Polynomial, ...]
-    oracle: Callable[[Polynomial], bool]
-    point: tuple[Fraction, ...] | None = None
+    prime: AdmissibleMatrix
+
+    def oracle(self, h: Polynomial) -> bool:
+        return bend_ideal_member(self.prime, h)
+
+    @property
+    def geometric(self) -> bool:
+        return classify_prime(self.prime)[0] == GEOMETRIC
+
+    @property
+    def point(self) -> tuple[Fraction, ...] | None:
+        return variety_of_prime(self.prime) if self.geometric else None
 
 
 @dataclass(frozen=True)
@@ -230,25 +253,94 @@ def check_tropical_axiom(description) -> AxiomResult:
     """Run the monomial elimination axiom over all applicable pairs.
 
     ``description`` is either a CircuitSet (all circuit pairs are tested
-    against support membership) or a MembershipSample (all sample pairs are
-    tested against the oracle).  Returns the first failing triple.
+    against support membership by the witness search) or a MembershipSample
+    (all sample pairs are decided on the prime's term keys, see
+    ``_witness_exists``).  Pairs come in sample order, each pair's shared
+    monomials in window order, and the first failing triple is returned.
     """
-    if isinstance(description, CircuitSet):
-        vectors = list(description.circuits)
-        oracle = description.member
-        point = None
-    elif isinstance(description, MembershipSample):
-        vectors = list(description.samples)
-        oracle = description.oracle
-        point = description.point
-    else:
+    if isinstance(description, MembershipSample):
+        return _check_on_keys(description)
+    if not isinstance(description, CircuitSet):
         raise TypeError("description must be a CircuitSet or MembershipSample")
-    for f, g in itertools.combinations_with_replacement(vectors, 2):
+    for f, g in itertools.combinations_with_replacement(description.circuits, 2):
         for u in sorted(set(f.support()).intersection(g.support()), key=window_order):
             if f.coefficient(u) != g.coefficient(u):
                 continue
-            if elimination_witness(f, g, u, oracle, point) is None:
+            if elimination_witness(f, g, u, description.member) is None:
                 return AxiomResult(False, (f, g, u))
+    return AxiomResult(True)
+
+
+def _witness_exists(forced: list, ties: list, geometric: bool) -> bool:
+    """Whether some witness candidate of one triple (f, g, u) is in the bend ideal.
+
+    ``forced`` holds the keys of max(f_v, g_v) at the positions v != u where
+    f and g differ (F), ``ties`` the keys of the tie positions other than u
+    (T); all keys share one denominator.  A term's key grows with its
+    coefficient, since the first non-zero entry of column 0 is positive, so
+    the key of max(f_v, g_v) is the larger of the two keys.  A candidate h
+    keeps F and a subset S of T at their values, and h is in the bend ideal
+    iff its top key is attained twice (or h = 0).  With M the top key of F,
+    a witness exists iff
+
+    1. F is empty: dropping every tie gives h = 0;
+    2. M occurs at least twice in F and T: keep the ties with key M;
+    3. two ties share a key K > M: keep those two, and K is attained twice;
+    4. the prime is geometric and some tie has a key above M: lowered to
+       the level where its value at the point equals M, which is below its
+       common value, that tie is a tie-level candidate, and M is attained
+       twice.
+
+    Conversely, if h = F + S has its top key K attained twice, then K = M
+    gives (2) and K > M gives two ties of S at K, (3).  A tie-level
+    candidate exists only at a geometric prime and needs a tie key >= M,
+    which is (2) or (4).
+    """
+    if not forced:
+        return True
+    top = max(forced)
+    if forced.count(top) + ties.count(top) >= 2:
+        return True
+    above = [key for key in ties if key > top]
+    if geometric:
+        return bool(above)
+    return len(set(above)) < len(above)
+
+
+def _check_on_keys(sample: MembershipSample) -> AxiomResult:
+    """The axiom over a MembershipSample, each triple decided by ``_witness_exists``.
+
+    One ``_keys`` call gives every term of every sample its key at one
+    common denominator, so keys of different samples compare directly.  The
+    triples, their order and the tie cap are those of the witness search.
+    """
+    prime, samples = sample.prime, sample.samples
+    if any(f.n != prime.n for f in samples):
+        raise ValueError(f"every sample must have {prime.n} variables, like the prime")
+    _require_same_ring(samples)
+    keys = iter(_keys(prime, [(coeff, expo) for f in samples for expo, coeff in f.terms()])[0])
+    tables = [{expo: (coeff, next(keys)) for expo, coeff in f.terms()} for f in samples]
+    orders = [sorted(table, key=window_order) for table in tables]
+    geometric = sample.geometric
+    for i, j in itertools.combinations_with_replacement(range(len(samples)), 2):
+        tf, tg = tables[i], tables[j]
+        forced = [key for expo, (_, key) in tg.items() if expo not in tf]
+        ties = []
+        for expo in orders[i]:
+            coeff, key = tf[expo]
+            other = tg.get(expo)
+            if other is None:
+                forced.append(key)
+            elif other[0] != coeff:
+                forced.append(max(key, other[1]))
+            else:
+                ties.append((expo, key))
+        if ties:
+            _require_few_ties(len(ties) - 1)
+        for u, _ in ties:
+            others = [key for expo, key in ties if expo != u]
+            if not _witness_exists(forced, others, geometric):
+                return AxiomResult(False, (samples[i], samples[j], u))
     return AxiomResult(True)
 
 

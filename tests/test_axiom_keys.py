@@ -1,0 +1,222 @@
+"""The elimination axiom decided on prime keys, against the searches it replaced.
+
+`ref_check_axiom` is the former `check_tropical_axiom` loop over a
+MembershipSample: every triple (f, g, u) goes to `elimination_witness`,
+which tries up to 2^ties candidate polynomials against a membership oracle
+and, at a geometric prime, the tie-level candidates at its point.  Point
+samples use the former oracle "zero or vanishes at the point".
+`ref_prime_members` is the former `sampling.prime_members` loop, which
+built a polynomial for every draw and asked `bend_ideal_member`.  Both are
+kept here only as oracles.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from tropica.polynomials import LAURENT, POLY, Polynomial
+from tropica.primes import (
+    AdmissibilityError,
+    bend_ideal_member,
+    check_admissible,
+    geometric_prime_of_point,
+    leading_class,
+)
+from tropica.sampling import (
+    point_members,
+    prime_members,
+    random_admissible,
+    random_fraction,
+    random_point,
+    random_polynomial,
+)
+from tropica.tropical_linear import (
+    AxiomResult,
+    MembershipSample,
+    check_tropical_axiom,
+    elimination_witness,
+    monomial_window,
+    window_order,
+)
+
+FIRST_ENTRIES = ("any", "zero", "positive")
+
+# -- reference implementations -------------------------------------------------
+
+
+def ref_check_axiom(sample: MembershipSample, oracle=None) -> AxiomResult:
+    oracle = oracle or sample.oracle
+    for f, g in itertools.combinations_with_replacement(sample.samples, 2):
+        for u in sorted(set(f.support()).intersection(g.support()), key=window_order):
+            if f.coefficient(u) != g.coefficient(u):
+                continue
+            if elimination_witness(f, g, u, oracle, sample.point) is None:
+                return AxiomResult(False, (f, g, u))
+    return AxiomResult(True)
+
+
+def ref_prime_members(rng, matrix, window, count):
+    members = {}
+    attempts = 0
+    while len(members) < count and attempts < count * 200:
+        attempts += 1
+        drawn = rng.sample(window.monomials, k=min(3, len(window)))
+        coeffs = {expo: Fraction(rng.randint(-2, 2)) for expo in drawn}
+        poly = Polynomial(coeffs, window.n, window.mode)
+        if not bend_ideal_member(matrix, poly):
+            continue
+        members[poly] = None
+        leaders = leading_class(matrix, poly)
+        low = [e for e in poly.support() if e not in leaders]
+        if low:
+            moved = rng.choice(low)
+            target = rng.choice(window.monomials)
+            if target not in poly.support():
+                term = Polynomial({target: poly.coefficient(moved)}, window.n, window.mode)
+                partner = poly.delete_term(moved) + term
+                if bend_ideal_member(matrix, partner):
+                    members[partner] = None
+    return tuple(members)
+
+
+# -- seeded descriptions -----------------------------------------------------------
+
+
+def _outcome(run):
+    try:
+        return run()
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _window(rng, n):
+    mode = rng.choice((POLY, LAURENT))
+    degree = 1 if (n == 3 and mode == LAURENT) else rng.randint(1, 2)
+    return monomial_window(n, mode, degree)
+
+
+def _variants(rng, polys, window):
+    """Each polynomial with one coefficient changed or one term moved: many shared ties."""
+    out = []
+    for f in polys:
+        terms = dict(f.coeffs)
+        expo = rng.choice(f.support())
+        if rng.random() < 0.5:
+            terms[expo] = terms[expo] + random_fraction(rng, -2, 2)
+        else:
+            terms[rng.choice(window.monomials)] = terms.pop(expo)
+        out.append(Polynomial(terms, f.n, f.mode))
+    return out
+
+
+def _tied_prime(rng, n, rank, mode):
+    """An admissible matrix of 0/1 entries: many terms share a key."""
+    while True:
+        rows = [[rng.randint(0, 1) for _ in range(n + 1)] for _ in range(rank)]
+        try:
+            return check_admissible(rows, n, mode)
+        except AdmissibilityError:
+            continue
+
+
+def _description(seed):
+    """(label, sample, oracle of the former search) for one seed.
+
+    Seeds cycle through point samples, prime samples and arbitrary
+    polynomials with fractional coefficients (with their variants) on a
+    random prime or on a 0/1 prime; ranks run through 1..n+1 and
+    ``first_entry`` through its three values.
+    """
+    rng = random.Random(seed)
+    n = 1 + seed % 3
+    window = _window(rng, n)
+    kind = (seed // 3) % 4
+    rank = 1 + (seed // 12) % (n + 1)
+    first = FIRST_ENTRIES[(seed // 48) % 3]
+    if kind == 0:
+        point = random_point(rng, n, -2, 2, 3)
+        sample = point_members(rng, point, window, rng.randint(2, 7))
+        return "point", sample, lambda h: h.is_zero() or h.vanishes_at(point)
+    if kind == 3:
+        matrix = _tied_prime(rng, n, rank, window.mode)
+    else:
+        matrix = random_admissible(rng, n, rank, window.mode, first)
+    if kind == 1:
+        return "prime", prime_members(rng, matrix, window, rng.randint(2, 6)), None
+    if kind == 2:
+        polys = [
+            random_polynomial(rng, n, window.mode, max_terms=5, max_deg=window.degree, min_terms=2)
+            for _ in range(rng.randint(1, 3))
+        ]
+    else:  # coefficients 0 and 1 and a 0/1 prime: equal keys abound
+        polys = [
+            Polynomial({rng.choice(window.monomials): rng.randint(0, 1) for _ in range(5)}, n, window.mode)
+            for _ in range(rng.randint(1, 3))
+        ]
+    label = "tied" if kind == 3 else "random"
+    return label, MembershipSample(tuple(polys + _variants(rng, polys, window)), matrix), None
+
+
+def test_axiom_on_keys_matches_witness_search():
+    # each sample whole, then each pair of it alone: a failure early in the
+    # whole sample would hide every later triple
+    labels, failed, ranks = set(), 0, set()
+    for seed in range(540):
+        label, sample, oracle = _description(seed)
+        pairs = itertools.combinations(sample.samples, 2)
+        for part in [sample, *(MembershipSample(pair, sample.prime) for pair in pairs)]:
+            expected = _outcome(lambda: ref_check_axiom(part, oracle))
+            got = _outcome(lambda: check_tropical_axiom(part))
+            assert got == expected, (seed, label, part.samples)
+        labels.add((label, sample.prime.mode))
+        ranks.add((sample.prime.n, sample.prime.rank, sample.geometric))
+        failed += not check_tropical_axiom(sample).passed
+    assert len(labels) == 8
+    assert {(n, r) for n, r, _ in ranks} == {(n, r) for n in (1, 2, 3) for r in range(1, n + 2)}
+    assert failed >= 30
+
+
+def test_axiom_on_keys_same_pair_and_tie_cap():
+    window = monomial_window(2, LAURENT, 2)
+    prime = check_admissible([[0, 1, 1]], 2)
+    big = Polynomial({expo: 0 for expo in window.monomials[:18]}, 2)  # 17 ties with itself
+    edge = Polynomial({expo: 0 for expo in window.monomials[:17]}, 2)  # 16 ties: still searched
+    f = Polynomial({(1, 0): 0, (0, 1): 0, (-1, 0): 0}, 2)
+    g = Polynomial({(1, 0): 0, (0, 1): 0, (-2, 0): 0}, 2)
+    cases = [
+        MembershipSample((f,), prime),  # the pair (f, f) alone: h = 0 is a witness
+        MembershipSample((f, g, big), prime),  # (f, g) fails before (f, big) is reached
+        MembershipSample((big, f, g), prime),  # (big, big) raises first
+        MembershipSample((edge,), prime),
+        MembershipSample((edge, big), geometric_prime_of_point((0, 0))),
+    ]
+    outcomes = [_outcome(lambda: check_tropical_axiom(s)) for s in cases]
+    assert outcomes == [_outcome(lambda: ref_check_axiom(s)) for s in cases]
+    assert outcomes[0] == AxiomResult(True)
+    assert outcomes[1] == AxiomResult(False, (f, g, (0, 1)))
+    assert outcomes[2] == outcomes[4] == ("ValueError", "too many tie positions for exhaustive search")
+    assert outcomes[3] == AxiomResult(True)
+
+
+def test_axiom_on_keys_rejects_samples_of_another_ring():
+    sample = MembershipSample((Polynomial({(1,): 0, (0,): 0}, 1),), check_admissible([[0, 1, 1]], 2))
+    with pytest.raises(ValueError):
+        check_tropical_axiom(sample)
+
+
+def test_prime_members_match_former_loop():
+    for seed in range(300):
+        rng = random.Random(10_000 + seed)
+        n = 1 + seed % 3
+        window = _window(rng, n)
+        matrix = random_admissible(rng, n, 1 + (seed // 3) % (n + 1), window.mode, FIRST_ENTRIES[seed % 3])
+        count = rng.randint(1, 5)
+        old, new = random.Random(seed), random.Random(seed)
+        expected = ref_prime_members(old, matrix, window, count)
+        sample = prime_members(new, matrix, window, count)
+        assert sample.samples == expected, seed
+        assert [str(f.terms()) for f in sample.samples] == [str(f.terms()) for f in expected]
+        assert new.getstate() == old.getstate(), seed
+        assert sample.prime == matrix

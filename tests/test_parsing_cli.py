@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from tropica import cli
 from tropica.cli import main
 from tropica.parsing import (
     ParseError,
@@ -497,6 +498,33 @@ def test_cli_tideal_check_trials_below_one_is_domain_error(capsys, args):
     code, out, err = run_cli(["tideal-check", *args], capsys)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "domain"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--point", "0", "--mode", "poly", "--degree", "1"],
+        ["--matrix", "[[1,0]]", "--mode", "poly", "--degree", "1"],
+        ["--circuits", '{"nvars": 1, "degree": 1, "circuits": []}'],
+    ],
+)
+def test_cli_tideal_check_trials_above_cap_is_domain_error(capsys, monkeypatch, args):
+    # --trials 1000000 on a 19-member window headed for 2*10^8 draws
+    def no_draws(*_):
+        raise AssertionError("sampled although --trials is over the cap")
+
+    monkeypatch.setattr(cli, "point_members", no_draws)
+    monkeypatch.setattr(cli, "prime_members", no_draws)
+    code, out, err = run_cli(["tideal-check", *args, "--trials", str(cli.MAX_TRIALS + 1)], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "domain", "message": "--trials must be at most 1000, got 1001"}
+
+
+def test_cli_tideal_check_trials_at_cap(capsys):
+    args = ["tideal-check", "--mode", "poly", "--matrix", "[[1,0]]", "--degree", "1", "--trials", "1000"]
+    code, out, err = run_cli(args, capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"passed": True}
 
 
 def test_cli_matrix_rejects_non_rational_entries(capsys):

@@ -55,6 +55,20 @@ def test_dependent_rows_rejected():
         check_admissible([[1, 0], [2, 0]], 1)
 
 
+def test_admissibility_error_lists_violations():
+    with pytest.raises(AdmissibilityError) as caught:
+        check_admissible([[-1, 0], [-2, 0]], 1)
+    assert caught.value.violations == [
+        "rows are linearly dependent",
+        "first non-zero entry of column 0 must be positive",
+    ]
+    assert str(caught.value) == "rows are linearly dependent; first non-zero entry of column 0 must be positive"
+    with pytest.raises(AdmissibilityError) as caught:
+        check_admissible([[1, 2, 3]], 1)
+    assert caught.value.violations == ["matrix must be non-empty with 2 columns"]
+    assert str(caught.value) == "matrix must be non-empty with 2 columns"
+
+
 def test_admissibility_violations_rejects_floats():
     # 0.1 is not 1/10: the float row was reported independent of [1, 10]
     with pytest.raises(ValueError):
