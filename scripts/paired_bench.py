@@ -102,18 +102,37 @@ def per_layer(args, workload: str) -> dict:
     }
 
 
+def workload_specs(parser, items: list[str], names: list[str]) -> list[tuple[str, int]]:
+    """(workload, pairs) for every NAME[:PAIRS] spec; a bad one stops before any run."""
+    specs = []
+    for item in items:
+        workload, colon, pairs = item.partition(":")
+        if workload not in names:
+            parser.error(f"--workload {item!r}: not a workload of BENCHMARK.json ({', '.join(names)})")
+        try:
+            count = int(pairs) if colon else 10
+        except ValueError:
+            count = None
+        if count is None or count < 2:
+            parser.error(f"--workload {item!r}: the pair count must be an integer of at least 2")
+        specs.append((workload, count))
+    return specs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    parser.add_argument("--workload", action="append", required=True, help="NAME or NAME:PAIRS (default 10 pairs)")
+    parser.add_argument("--workload", action="append", required=True, help="NAME or NAME:PAIRS, at least 2 pairs (default 10)")
     parser.add_argument("--first-seed", type=int, default=31)
     parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--trace-seed", type=int, default=None, help="also record per-layer counts at this seed")
     parser.add_argument("--label", default="paired")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    specs = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    workloads = workload_specs(parser, args.workload, [w["name"] for w in benchmark["workloads"]])
+    specs = benchmark["end_to_end"]
     report = {
         "label": args.label,
         "machine": f"{platform.machine()}, {platform.python_implementation()} {platform.python_version()}",
@@ -128,9 +147,8 @@ def main(argv=None) -> int:
         "BENCHMARK.json bound",
         "end_to_end": {},
     }
-    for item in args.workload:
-        workload, _, pairs = item.partition(":")
-        report["end_to_end"][workload] = result = paired(args, workload, int(pairs or 10), specs)
+    for workload, pairs in workloads:
+        report["end_to_end"][workload] = result = paired(args, workload, pairs, specs)
         for name, m in result["metrics"].items():
             print(
                 f"{workload} {name}: parent {m['parent']['median']:.4g} [{m['parent']['q1']:.4g}, "

@@ -2,19 +2,28 @@
 
 Everything is decided by Fourier-Motzkin elimination with equality pivoting
 and deduplication of parallel rows; no LP solver and no floating point.
-Constraints come in and go out as ``Fraction``s, but elimination runs on
-integer rows: each constraint is cleared of denominators once, rows combine
-by integer cross-multiplication, and only back-substitution builds the
-rational coordinates of the point.  Strict inequalities are supported
-internally so that implicit equalities and relative interior points are
-exact.  Desk scale: a handful of dimensions and a few dozen constraints.
+Elimination runs on integer rows a.x rel b, and there is one implementation
+of each solve: ``_int_feasible_point`` (a point as integers (nums, den), the
+point nums / den), ``_int_implicit_equalities`` and ``_int_interior_point``.
+The ``Fraction`` entry points (``feasible_point``, ``implicit_equality_indices``,
+``relative_interior_point``) clear each constraint of denominators once and
+call them; only back-substitution builds rational coordinates.
+
+Scaling lemma: ``_normalize`` divides every row by the gcd of its entries
+before anything else, so any positive multiple of a row gives the same
+primitive row, and a system given by any positive multiples of its rows
+gives the same eliminations and the same point.  Callers that hold integer
+rows already (the cell layer in ``varieties``) pass them in directly.
+Strict inequalities are supported internally so that implicit equalities
+and relative interior points are exact.  Desk scale: a handful of
+dimensions and a few dozen constraints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .matrices import clear_denominators, nullspace, rank, to_fraction
 
@@ -22,6 +31,7 @@ LE, EQ, LT = "le", "eq", "lt"
 
 Constraint = tuple[tuple[Fraction, ...], Fraction, str]
 IntRow = tuple[tuple[int, ...], int, str]  # a.x rel b with integer a and b
+IntPoint = tuple[tuple[int, ...], int]  # the point nums / den, with den > 0
 
 
 @dataclass(frozen=True)
@@ -183,14 +193,15 @@ def _coordinate(rows: list[IntRow], nums: list[int], den: int) -> Fraction | Non
     return Fraction(lower[0] * upper[1] + upper[0] * lower[1], 2 * lower[1] * upper[1])
 
 
-def _feasible_point(cons: list[Constraint], n: int) -> tuple[Fraction, ...] | None:
-    """A point of the system (normal, rhs, relation), or None when it is empty.
+def _int_feasible_point(rows: list[IntRow], n: int) -> IntPoint | None:
+    """A point (nums, den) of the integer system, or None when it is empty.
 
-    Fourier-Motzkin runs on integer rows down to the constant level; the
-    coordinates are then fixed first to last, each in its interval over the
-    ones before, with the point kept over a common denominator.
+    This is the one Fourier-Motzkin solve: the rows are normalized, then
+    eliminated down to the constant level; the coordinates are then fixed
+    first to last, each in its interval over the ones before, with the point
+    kept over a common denominator den > 0.
     """
-    rows = _normalize([_int_row(*c) for c in cons])
+    rows = _normalize(rows)
     levels = []
     for k in range(n, 0, -1):
         if rows is None:
@@ -209,7 +220,59 @@ def _feasible_point(cons: list[Constraint], n: int) -> tuple[Fraction, ...] | No
         nums = [x * scale for x in nums]
         den *= scale
         nums.append(value.numerator * (den // value.denominator))
+    return tuple(nums), den
+
+
+def _int_implicit_equalities(rows: list[IntRow], n: int, point: IntPoint) -> list[int]:
+    """Indices of the LE rows that hold with equality on the whole (non-empty) set.
+
+    An implicit equality is tight at every feasible point, so only the LE
+    rows tight at the feasible ``point`` are probed: such a row is implicit
+    when making it strict leaves no feasible point.
+    """
+    nums, den = point
+    out = []
+    for i, (a, b, rel) in enumerate(rows):
+        if rel != LE or sum(x * y for x, y in zip(a, nums)) != b * den:
+            continue
+        probe = list(rows)
+        probe[i] = (a, b, LT)
+        if _int_feasible_point(probe, n) is None:
+            out.append(i)
+    return out
+
+
+def _int_interior_point(rows: list[IntRow], n: int, point: IntPoint) -> IntPoint:
+    """A point satisfying every row that is not an implicit equality strictly."""
+    implicit = set(_int_implicit_equalities(rows, n, point))
+    probe = [(a, b, EQ if rel == EQ or i in implicit else LT) for i, (a, b, rel) in enumerate(rows)]
+    found = _int_feasible_point(probe, n)
+    if found is None:
+        raise ValueError("polyhedron is empty")
+    return found
+
+
+def _fractions(point: IntPoint) -> tuple[Fraction, ...]:
+    nums, den = point
     return tuple(Fraction(x, den) for x in nums)
+
+
+def _int_point(point) -> IntPoint:
+    """A rational point as (nums, den) over the lcm of its denominators."""
+    point = [to_fraction(x) for x in point]
+    den = lcm(*(x.denominator for x in point))
+    return tuple(x.numerator * (den // x.denominator) for x in point), den
+
+
+def int_rows(poly: Polyhedron) -> list[IntRow]:
+    """The constraints cleared of denominators, in order."""
+    return [_int_row(h.normal, h.rhs, h.relation) for h in poly.constraints]
+
+
+def _feasible_point(cons: list[Constraint], n: int) -> tuple[Fraction, ...] | None:
+    """A point of the system (normal, rhs, relation), or None when it is empty."""
+    found = _int_feasible_point([_int_row(*c) for c in cons], n)
+    return None if found is None else _fractions(found)
 
 
 def feasible_point(poly: Polyhedron) -> tuple[Fraction, ...] | None:
@@ -235,28 +298,15 @@ def contains_point(poly: Polyhedron, point) -> bool:
 def implicit_equality_indices(poly: Polyhedron, point=None) -> list[int]:
     """Indices of LE constraints that hold with equality on the whole set.
 
-    An implicit equality is tight at every feasible point, so only the LE
-    constraints tight at one feasible point are probed: such a constraint is
-    implicit when making it strict leaves no feasible point.  ``point`` is a
-    feasible point already known (any one gives the same answer); without it
-    one is computed.  On the empty set every LE index is returned.
+    ``point`` is a feasible point already known (any one gives the same
+    answer); without it one is computed.  On the empty set every LE index is
+    returned.
     """
-    cons = _as_constraints(poly)
-    candidates = [i for i, (_, _, rel) in enumerate(cons) if rel == LE]
-    if point is None:
-        point = _feasible_point(cons, poly.n)
-    if point is None:
-        return candidates
-    out = []
-    for i in candidates:
-        coeffs, rhs, _ = cons[i]
-        if _value(coeffs, point) != rhs:
-            continue
-        probe = list(cons)
-        probe[i] = (coeffs, rhs, LT)
-        if _feasible_point(probe, poly.n) is None:
-            out.append(i)
-    return out
+    rows = int_rows(poly)
+    found = _int_feasible_point(rows, poly.n) if point is None else _int_point(point)
+    if found is None:
+        return [i for i, h in enumerate(poly.constraints) if h.relation == LE]
+    return _int_implicit_equalities(rows, poly.n, found)
 
 
 def _equality_normals(poly: Polyhedron, point=None) -> list[tuple[Fraction, ...]]:
@@ -282,20 +332,19 @@ def affine_hull_directions(poly: Polyhedron) -> list[tuple[Fraction, ...]]:
     return nullspace(normals, poly.n)
 
 
-def relative_interior_point(poly: Polyhedron, point=None) -> tuple[Fraction, ...]:
+def relative_interior_point(poly: Polyhedron, point=None, rows=None) -> tuple[Fraction, ...]:
     """A rational point satisfying every non-implied inequality strictly.
 
-    ``point``, a feasible point already known, saves one feasibility solve.
+    ``point``, a feasible point already known, saves one feasibility solve;
+    ``rows``, the constraints as integer rows (each a positive multiple of
+    its constraint, in order), saves clearing them of denominators.
     """
-    implicit = set(implicit_equality_indices(poly, point))
-    probe = [
-        (coeffs, rhs, EQ if rel == EQ or i in implicit else LT)
-        for i, (coeffs, rhs, rel) in enumerate(_as_constraints(poly))
-    ]
-    point = _feasible_point(probe, poly.n)
-    if point is None:
+    if rows is None:
+        rows = int_rows(poly)
+    found = _int_feasible_point(rows, poly.n) if point is None else _int_point(point)
+    if found is None:
         raise ValueError("polyhedron is empty")
-    return point
+    return _fractions(_int_interior_point(rows, poly.n, found))
 
 
 def intersect(p: Polyhedron, q: Polyhedron) -> Polyhedron:

@@ -9,6 +9,17 @@ Maximality and cell dimension come from argmax signatures, not from
 polyhedral probing: the set of terms of each generator that attain the
 maximum at a cell's relative interior point (see ``_maximal_cells``).
 
+Integer rows: each polynomial is scaled once to integers.  With L the lcm
+of its coefficient denominators, term k becomes (L e_k, L c_k), the affine
+function L (c_k + e_k . x).  Tie-cell rows, prevariety products and the
+regions of ``vanishes_on_complex`` go to Fourier-Motzkin as integer rows,
+each L times the Fraction constraint it stands for; by the scaling lemma of
+``polyhedra`` they give the same eliminations and points.  Argmax sets are
+compared as integers L den times the term values at the point nums / den;
+L den > 0 keeps their order.  So the candidates, the number of solves and
+the output are those of the Fraction constraints, and the Fraction
+polyhedron of a candidate (output data) is built only when it is non-empty.
+
 Conventions: monomials never vanish and the zero polynomial vanishes nowhere
 on R^n, so both contribute empty hypersurfaces.  On a bottom stratum of the
 affine (T^n) extension a generator all of whose terms die vanishes
@@ -21,20 +32,25 @@ import functools
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
-from .matrices import dot, rank, to_fraction
+from .matrices import int_rank, to_fraction
 from .polyhedra import (
     EQ,
     LE,
     LT,
     HalfSpace,
+    IntPoint,
+    IntRow,
     Polyhedron,
-    _feasible_point,
+    _fractions,
+    _int_feasible_point,
+    _int_point,
     contains_point,
-    feasible_point,
+    dimension,
     full_space,
+    int_rows,
     intersect,
-    is_empty,
     relative_interior_point,
 )
 from .polynomials import LAURENT, POLY, Exponents, Polynomial
@@ -71,58 +87,88 @@ class PolyComplex:
         return not self.cells
 
 
-def _term_affine(f: Polynomial, expo: Exponents) -> tuple[tuple[Fraction, ...], Fraction]:
-    """The affine function of a term as (gradient, constant)."""
-    return tuple(Fraction(e) for e in expo), Fraction(f.coefficient(expo))
-
-
 def tie_cell(f: Polynomial, i: Exponents, j: Exponents) -> Polyhedron:
     """{x : term_i(x) = term_j(x) >= term_k(x) for all k}."""
-    gi, ci = _term_affine(f, i)
-    gj, cj = _term_affine(f, j)
-    cons = [HalfSpace(tuple(a - b for a, b in zip(gi, gj)), cj - ci, EQ)]
-    for k in f.support():
-        if k in (i, j):
-            continue
-        gk, ck = _term_affine(f, k)
-        cons.append(HalfSpace(tuple(a - b for a, b in zip(gk, gi)), ci - ck, LE))
+    ci = f.coefficient(i)
+    cons = [HalfSpace(tuple(Fraction(a - b) for a, b in zip(i, j)), f.coefficient(j) - ci, EQ)]
+    for k, ck in f.terms():
+        if k != i and k != j:
+            cons.append(HalfSpace(tuple(Fraction(a - b) for a, b in zip(k, i)), ci - ck, LE))
     return Polyhedron(tuple(cons), f.n)
+
+
+ScaledTerm = tuple[Exponents, tuple[int, ...], int]
+
+
+def _scaled_terms(f: Polynomial) -> list[ScaledTerm]:
+    """The terms of f, in support order, as (e_k, L e_k, L c_k).
+
+    L is the lcm of f's coefficient denominators, so L (c_k + e_k . x) is
+    term k's affine function with integer coefficients.
+    """
+    scale = lcm(*(c.denominator for _, c in f.terms()))
+    return [
+        (e, tuple(scale * x for x in e), c.numerator * (scale // c.denominator))
+        for e, c in f.terms()
+    ]
+
+
+def _difference(terms: list[ScaledTerm], k: int, i: int, rel: str) -> IntRow:
+    """The row term_k rel term_i, as a.x rel b with integer a and b."""
+    _, gk, ck = terms[k]
+    _, gi, ci = terms[i]
+    return tuple(a - b for a, b in zip(gk, gi)), ci - ck, rel
+
+
+def _tie_rows(terms: list[ScaledTerm], i: int, j: int) -> list[IntRow]:
+    """The rows of tie_cell(f, e_i, e_j), each times L."""
+    rows = [_difference(terms, i, j, EQ)]
+    rows.extend(_difference(terms, k, i, LE) for k in range(len(terms)) if k != i and k != j)
+    return rows
 
 
 Signature = tuple[frozenset[Exponents], ...]
 
 
-def _argmax(f: Polynomial, point) -> frozenset[Exponents]:
-    """The terms of f attaining its maximum at the point."""
-    values = {expo: c + dot(expo, point) for expo, c in f.terms()}
-    top = max(values.values())
-    return frozenset(expo for expo, v in values.items() if v == top)
+def _argmax(terms: list[ScaledTerm], point: IntPoint) -> frozenset[Exponents]:
+    """The terms attaining the maximum at nums / den, compared as L den times their values."""
+    nums, den = point
+    values = [(c * den + sum(x * y for x, y in zip(g, nums)), e) for e, g, c in terms]
+    top = max(v for v, _ in values)
+    return frozenset(e for v, e in values if v == top)
 
 
-def _make_cell(poly: Polyhedron, gens: list[Polynomial]) -> tuple[Signature, Cell] | None:
+def _make_cell(
+    rows: list[IntRow], build, scaled: list[list[ScaledTerm]], n: int
+) -> tuple[Signature, Cell] | None:
     """The cell of a non-empty candidate, with its argmax signature.
 
+    ``rows`` are the candidate's constraints times positive integers;
+    ``build`` makes its Fraction polyhedron, which is only output data.
     Near its relative interior point the cell is cut out by the ties within
     each argmax set: its dimension is n minus the rank of those differences.
     """
-    point = feasible_point(poly)
-    if point is None:
+    found = _int_feasible_point(rows, n)
+    if found is None:
         return None
-    point = relative_interior_point(poly, point)
-    signature = tuple(_argmax(g, point) for g in gens)
+    poly = build()
+    point = relative_interior_point(poly, _fractions(found), rows)
+    at = _int_point(point)
+    signature = tuple(_argmax(terms, at) for terms in scaled)
     ties = [tuple(a - b for a, b in zip(e, min(terms))) for terms in signature for e in terms]
-    return signature, Cell(poly, poly.n - rank(ties), point)
+    return signature, Cell(poly, n - int_rank(ties), point)
 
 
-def _maximal_cells(polys, gens: list[Polynomial]) -> tuple[Cell, ...]:
+def _maximal_cells(candidates, scaled: list[list[ScaledTerm]], n: int) -> tuple[Cell, ...]:
     """The inclusion-maximal cells among the candidates, one per set, in key order.
 
-    Cell A lies in cell B exactly when each of B's argmax sets is contained
-    in A's, so equal cells share a signature (the key-smallest represents
-    them) and a signature strictly containing another marks a proper face.
+    A candidate is (rows, build) as for ``_make_cell``.  Cell A lies in cell
+    B exactly when each of B's argmax sets is contained in A's, so equal
+    cells share a signature (the key-smallest represents them) and a
+    signature strictly containing another marks a proper face.
     """
     groups: dict[Signature, Cell] = {}
-    for signature, cell in filter(None, (_make_cell(p, gens) for p in polys)):
+    for signature, cell in filter(None, (_make_cell(*c, scaled, n) for c in candidates)):
         if signature not in groups or cell.key() < groups[signature].key():
             groups[signature] = cell
 
@@ -134,8 +180,12 @@ def _maximal_cells(polys, gens: list[Polynomial]) -> tuple[Cell, ...]:
 
 def hypersurface(f: Polynomial) -> PolyComplex:
     """The locus where the maximum of f is attained at least twice."""
-    polys = (tie_cell(f, i, j) for i, j in itertools.combinations(f.support(), 2))
-    return PolyComplex(f.n, f.mode, _maximal_cells(polys, [f]))
+    terms = _scaled_terms(f)
+    candidates = (
+        (_tie_rows(terms, i, j), functools.partial(tie_cell, f, terms[i][0], terms[j][0]))
+        for i, j in itertools.combinations(range(len(terms)), 2)
+    )
+    return PolyComplex(f.n, f.mode, _maximal_cells(candidates, [terms], f.n))
 
 
 def prevariety(gens: list[Polynomial]) -> PolyComplex:
@@ -152,15 +202,25 @@ def prevariety(gens: list[Polynomial]) -> PolyComplex:
     if any(len(g) < 2 for g in gens):
         # a monomial (or zero) generator never vanishes on R^n
         return PolyComplex(n, mode, ())
-    per_gen: list[list[Polyhedron]] = []
-    for g in gens:
-        polys = [tie_cell(g, i, j) for i, j in itertools.combinations(g.support(), 2)]
-        polys = [p for p in polys if not is_empty(p)]
-        if not polys:
+    scaled = [_scaled_terms(g) for g in gens]
+    per_gen: list[list[tuple[list[IntRow], Polyhedron]]] = []
+    for g, terms in zip(gens, scaled):
+        ties = []
+        for i, j in itertools.combinations(range(len(terms)), 2):
+            rows = _tie_rows(terms, i, j)
+            if _int_feasible_point(rows, n) is not None:
+                ties.append((rows, tie_cell(g, terms[i][0], terms[j][0])))
+        if not ties:
             return PolyComplex(n, mode, ())
-        per_gen.append(polys)
-    polys = (functools.reduce(intersect, combo) for combo in itertools.product(*per_gen))
-    return PolyComplex(n, mode, _maximal_cells(polys, gens))
+        per_gen.append(ties)
+    candidates = (
+        (
+            [row for rows, _ in combo for row in rows],
+            functools.partial(functools.reduce, intersect, [poly for _, poly in combo]),
+        )
+        for combo in itertools.product(*per_gen)
+    )
+    return PolyComplex(n, mode, _maximal_cells(candidates, scaled, n))
 
 
 def affine_prevariety(gens: list[Polynomial]) -> PolyComplex:
@@ -224,30 +284,19 @@ def vanishes_on_complex(f: Polynomial, x: PolyComplex) -> bool:
             return False  # the zero polynomial vanishes nowhere on R^n
         if restricted.is_monomial():
             return False
-        support = restricted.support()
-        base = [(h.normal, h.rhs, h.relation) for h in cell.polyhedron.constraints]
+        terms = _scaled_terms(restricted)
+        base = int_rows(cell.polyhedron)
         ncoords = cell.polyhedron.n
-        for i in support:
-            gi, ci = _term_affine(restricted, i)
-            region = list(base)
-            for k in support:
-                if k == i:
-                    continue
-                gk, ck = _term_affine(restricted, k)
-                region.append((tuple(a - b for a, b in zip(gk, gi)), ci - ck, LE))
-            if _feasible_point(region, ncoords) is None:
+        for i in range(len(terms)):
+            others = [k for k in range(len(terms)) if k != i]
+            region = base + [_difference(terms, k, i, LE) for k in others]
+            if _int_feasible_point(region, ncoords) is None:
                 continue
-            covered = False
-            for j in support:
-                if j == i:
-                    continue
-                gj, cj = _term_affine(restricted, j)
-                # does term_j < term_i somewhere on the region?
-                strict = region + [(tuple(a - b for a, b in zip(gj, gi)), ci - cj, LT)]
-                if _feasible_point(strict, ncoords) is None:
-                    covered = True
-                    break
-            if not covered:
+            # covered when term_j < term_i nowhere on the region, for some j
+            if not any(
+                _int_feasible_point(region + [_difference(terms, j, i, LT)], ncoords) is None
+                for j in others
+            ):
                 return False
     return True
 
@@ -283,7 +332,11 @@ def _rationals(values, length: int, what: str) -> tuple[Fraction, ...]:
 
 
 def complex_from_json(data) -> PolyComplex:
-    """Read the output of complex_to_json; malformed input raises ValueError."""
+    """Read the output of complex_to_json; malformed input raises ValueError.
+
+    A cell whose interior_point violates its constraints, or whose dim is
+    not the dimension of its polyhedron, is malformed too.
+    """
     _require(isinstance(data, dict), "a complex must be a JSON object")
     ambient, mode, cells = data.get("ambient"), data.get("mode"), data.get("cells")
     _require(_is_int(ambient) and ambient >= 0, "ambient must be a non-negative integer")
@@ -308,5 +361,9 @@ def complex_from_json(data) -> PolyComplex:
         dim = c.get("dim")
         _require(_is_int(dim) and 0 <= dim <= ncoords, f"dim must be an integer in 0..{ncoords}")
         point = _rationals(c.get("interior_point"), ncoords, "interior_point")
-        out.append(Cell(Polyhedron(cons, ncoords), dim, point, tuple(stratum)))
+        poly = Polyhedron(cons, ncoords)
+        _require(contains_point(poly, point), "interior_point violates the cell's constraints")
+        actual = dimension(poly)
+        _require(dim == actual, f"dim is {dim} but the cell has dimension {actual}")
+        out.append(Cell(poly, dim, point, tuple(stratum)))
     return PolyComplex(ambient, mode, tuple(out))

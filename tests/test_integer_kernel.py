@@ -329,27 +329,40 @@ def test_given_point_gives_the_same_answers():
 
 
 def test_make_cell_solves_each_candidate_once(monkeypatch):
-    """The unmodified system of a candidate is solved once, not once per query."""
+    """The unmodified system of a candidate is solved once, not once per query.
+
+    Each candidate costs one feasibility solve; a non-empty one adds one
+    probe per LE row tight at that point and one interior solve.
+    """
     f = parse_polynomial("x^2 + 1*x*y + y^2 + x + -1*y + 2*x*z + z^2 + 0", "poly", 3)
     candidates = []
     original = varieties._make_cell
 
-    def make_cell(poly, gens):
-        candidates.append(poly)
-        return original(poly, gens)
+    def make_cell(rows, build, scaled, n):
+        candidates.append(list(rows))
+        return original(rows, build, scaled, n)
 
     solved = []
-    solve = polyhedra._feasible_point
+    solve = polyhedra._int_feasible_point
 
-    def counted(cons, n):
-        solved.append(tuple(cons))
-        return solve(cons, n)
+    def counted(rows, n):
+        solved.append(list(rows))
+        return solve(rows, n)
 
     monkeypatch.setattr(varieties, "_make_cell", make_cell)
-    monkeypatch.setattr(polyhedra, "_feasible_point", counted)
+    monkeypatch.setattr(varieties, "_int_feasible_point", counted)
+    monkeypatch.setattr(polyhedra, "_int_feasible_point", counted)
     varieties.hypersurface(f)
     assert len(candidates) == 28
-    for poly in candidates:
-        own = tuple((h.normal, h.rhs, h.relation) for h in poly.constraints)
-        assert solved.count(own) == 1
-
+    expected = 0
+    for rows in candidates:
+        assert solved.count(rows) == 1
+        point = solve(rows, 3)
+        expected += 1
+        if point is not None:
+            nums, den = point
+            tight = [
+                rel == LE and sum(x * y for x, y in zip(a, nums)) == b * den for a, b, rel in rows
+            ]
+            expected += sum(tight) + 1
+    assert len(solved) == expected

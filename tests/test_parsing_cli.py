@@ -604,6 +604,20 @@ def _point_complex(**cell_changes):
         _point_complex(relations=["eq", "ge"]),
         _point_complex(stratum=[5]),
         _point_complex(interior_point=["1"]),
+        _point_complex(interior_point=["1", "3"]),  # outside the cell: used to load
+        _point_complex(dim=1),  # the cell is a point: used to load
+        {  # the line x = 0 with dim 2 and a point off it: complex_dim was 2
+            "ambient": 2,
+            "mode": "laurent",
+            "cells": [{"normals": [[1, 0]], "rhs": ["0"], "relations": ["eq"], "dim": 2,
+                       "interior_point": ["5", "7"]}],
+        },
+        {
+            "ambient": 2,
+            "mode": "laurent",
+            "cells": [{"normals": [[1, 0]], "rhs": ["0"], "relations": ["eq"], "dim": 2,
+                       "interior_point": ["0", "7"]}],
+        },
     ],
 )
 def test_cli_plot_rejects_malformed_complex(capsys, data):
