@@ -102,6 +102,14 @@ def _polynomials(args) -> list[Polynomial]:
     return [parse_polynomial(text, args.mode, inferred) for text in texts]
 
 
+def _polynomial(args) -> Polynomial:
+    """The polynomial of a command that takes exactly one."""
+    polys = _polynomials(args)
+    if len(polys) != 1:
+        raise ValueError(f"{args.command} takes one polynomial, got {len(polys)}")
+    return polys[0]
+
+
 def _matrix(args):
     rows = parse_matrix_json(_load_json_arg(args.matrix))
     n = len(rows[0]) - 1
@@ -119,19 +127,19 @@ def _seed(args) -> int:
 
 
 def _cmd_eval(args):
-    (f,) = _polynomials(args)
+    f = _polynomial(args)
     point = parse_point(args.point)
     _emit({"value": scalar_str(f.evaluate(point)), "vanishes": f.vanishes_at(point)}, args)
 
 
 def _cmd_bend(args):
-    (f,) = _polynomials(args)
+    f = _polynomial(args)
     pairs = [[format_polynomial(p.left), format_polynomial(p.right)] for p in f.bend_pairs()]
     _emit({"pairs": pairs}, args)
 
 
 def _cmd_hypersurface(args):
-    (f,) = _polynomials(args)
+    f = _polynomial(args)
     _emit(complex_to_json(hypersurface(f)), args)
 
 
@@ -185,7 +193,7 @@ def _cmd_prime_variety(args):
 def _cmd_prime_member(args):
     matrix = _matrix(args)
     args.nvars = matrix.n
-    (f,) = _polynomials(args)
+    f = _polynomial(args)
     _emit({"member": bend_ideal_member(matrix, f)}, args)
 
 
@@ -249,7 +257,7 @@ def _cmd_plot(args):
     if args.complex:
         x = complex_from_json(_load_json_arg(args.complex))
     else:
-        x = hypersurface(_polynomials(args)[0])
+        x = hypersurface(_polynomial(args))
     bbox = parse_point(args.bbox)
     if len(bbox) != 4:
         raise ValueError("--bbox expects xmin,ymin,xmax,ymax")

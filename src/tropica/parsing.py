@@ -231,11 +231,19 @@ def format_polynomial(f: Polynomial) -> str:
 
 
 def parse_point(text: str) -> tuple[Fraction, ...]:
-    """Comma-separated rationals, e.g. "1,-1/2"."""
-    items = [s.strip() for s in text.split(",") if s.strip()]
-    if not items:
+    """Comma-separated rationals, e.g. "1,-1/2"; errors give the coordinate's offset."""
+    if not text.strip():
         raise ParseError("empty point", 0)
-    return tuple(_rational(s, text.find(s)) for s in items)
+    point = []
+    start = 0
+    for item in text.split(","):
+        coordinate = item.strip()
+        pos = start + len(item) - len(item.lstrip())
+        if not coordinate:
+            raise ParseError("empty coordinate", pos)
+        point.append(_rational(coordinate, pos))
+        start += len(item) + 1
+    return tuple(point)
 
 
 def parse_matrix_json(data) -> list[list[Fraction]]:

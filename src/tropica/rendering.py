@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .matrices import dot
+from .matrices import dot, to_fraction
 from .polyhedra import EQ, LE, HalfSpace, Polyhedron, intersect, is_empty
 from .polyhedra import dimension, relative_interior_point, affine_hull_directions
 from .varieties import PolyComplex
@@ -18,7 +18,7 @@ _SIZE = 400
 
 
 def _bbox_polyhedron(bbox) -> Polyhedron:
-    xmin, ymin, xmax, ymax = (Fraction(v) for v in bbox)
+    xmin, ymin, xmax, ymax = bbox
     if xmin >= xmax or ymin >= ymax:
         raise ValueError("bounding box must have positive extent")
     cons = (
@@ -36,7 +36,7 @@ def _fmt(x: float) -> str:
 
 class _Mapper:
     def __init__(self, bbox):
-        self.xmin, self.ymin, self.xmax, self.ymax = (Fraction(v) for v in bbox)
+        self.xmin, self.ymin, self.xmax, self.ymax = bbox
 
     def to_svg(self, point) -> tuple[float, float]:
         x = (point[0] - self.xmin) / (self.xmax - self.xmin) * _SIZE
@@ -72,6 +72,7 @@ def render_svg(x: PolyComplex, bbox) -> str:
     """SVG document for a 2-dimensional complex clipped to (xmin,ymin,xmax,ymax)."""
     if x.ambient != 2:
         raise ValueError("SVG rendering requires an ambient dimension of 2")
+    bbox = tuple(to_fraction(v) for v in bbox)
     box = _bbox_polyhedron(bbox)
     mapper = _Mapper(bbox)
     shapes: list[str] = []

@@ -1,9 +1,10 @@
 """Tropical hypersurfaces and prevarieties as exact polyhedral complexes.
 
 A complex stores the maximal candidate cells of the tie-and-dominate
-enumeration: for each unordered pair of terms of a generator, the cell where
-those two terms agree and dominate all others.  No face lattice is computed;
-dimension and coverage queries only need maximal cells.
+enumeration.  A candidate intersects one non-empty tie cell per generator
+(two of its terms agree and dominate all others), so a hypersurface is the
+prevariety of one generator.  No face lattice is computed; dimension and
+coverage queries only need maximal cells.
 
 Maximality and cell dimension come from argmax signatures, not from
 polyhedral probing: the set of terms of each generator that attain the
@@ -11,14 +12,14 @@ maximum at a cell's relative interior point (see ``_maximal_cells``).
 
 Integer rows: each polynomial is scaled once to integers.  With L the lcm
 of its coefficient denominators, term k becomes (L e_k, L c_k), the affine
-function L (c_k + e_k . x).  Tie-cell rows, prevariety products and the
+function L (c_k + e_k . x).  Tie-cell rows, their intersections and the
 regions of ``vanishes_on_complex`` go to Fourier-Motzkin as integer rows,
 each L times the Fraction constraint it stands for; by the scaling lemma of
 ``polyhedra`` they give the same eliminations and points.  Argmax sets are
 compared as integers L den times the term values at the point nums / den;
-L den > 0 keeps their order.  So the candidates, the number of solves and
-the output are those of the Fraction constraints, and the Fraction
-polyhedron of a candidate (output data) is built only when it is non-empty.
+L den > 0 keeps their order.  So the candidates and the output are those of
+the Fraction constraints.  The tie cells' Fraction polyhedra (output data)
+are built once per non-empty tie cell.
 
 Conventions: monomials never vanish and the zero polynomial vanishes nowhere
 on R^n, so both contribute empty hypersurfaces.  On a bottom stratum of the
@@ -28,7 +29,6 @@ identically there (its value is bottom).
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -50,7 +50,6 @@ from .polyhedra import (
     dimension,
     full_space,
     int_rows,
-    intersect,
     relative_interior_point,
 )
 from .polynomials import LAURENT, POLY, Exponents, Polynomial
@@ -138,20 +137,16 @@ def _argmax(terms: list[ScaledTerm], point: IntPoint) -> frozenset[Exponents]:
     return frozenset(e for v, e in values if v == top)
 
 
-def _make_cell(
-    rows: list[IntRow], build, scaled: list[list[ScaledTerm]], n: int
-) -> tuple[Signature, Cell] | None:
+def _make_cell(candidate, scaled: list[list[ScaledTerm]], n: int) -> tuple[Signature, Cell]:
     """The cell of a non-empty candidate, with its argmax signature.
 
-    ``rows`` are the candidate's constraints times positive integers;
-    ``build`` makes its Fraction polyhedron, which is only output data.
+    A candidate is (rows, found, cells): its constraints times positive
+    integers, a point of them, and the tie cells it intersects (output data).
     Near its relative interior point the cell is cut out by the ties within
     each argmax set: its dimension is n minus the rank of those differences.
     """
-    found = _int_feasible_point(rows, n)
-    if found is None:
-        return None
-    poly = build()
+    rows, found, cells = candidate
+    poly = Polyhedron(tuple(h for cell in cells for h in cell.constraints), n)
     point = relative_interior_point(poly, _fractions(found), rows)
     at = _int_point(point)
     signature = tuple(_argmax(terms, at) for terms in scaled)
@@ -162,13 +157,13 @@ def _make_cell(
 def _maximal_cells(candidates, scaled: list[list[ScaledTerm]], n: int) -> tuple[Cell, ...]:
     """The inclusion-maximal cells among the candidates, one per set, in key order.
 
-    A candidate is (rows, build) as for ``_make_cell``.  Cell A lies in cell
-    B exactly when each of B's argmax sets is contained in A's, so equal
-    cells share a signature (the key-smallest represents them) and a
-    signature strictly containing another marks a proper face.
+    Candidates are as for ``_make_cell``.  Cell A lies in cell B exactly
+    when each of B's argmax sets is contained in A's, so equal cells share a
+    signature (the key-smallest represents them) and a signature strictly
+    containing another marks a proper face.
     """
     groups: dict[Signature, Cell] = {}
-    for signature, cell in filter(None, (_make_cell(*c, scaled, n) for c in candidates)):
+    for signature, cell in (_make_cell(c, scaled, n) for c in candidates):
         if signature not in groups or cell.key() < groups[signature].key():
             groups[signature] = cell
 
@@ -178,21 +173,28 @@ def _maximal_cells(candidates, scaled: list[list[ScaledTerm]], n: int) -> tuple[
     return tuple(sorted((c for s, c in groups.items() if not is_face(s)), key=Cell.key))
 
 
+def _extend(candidates, ties, n: int):
+    """Each candidate intersected with each tie cell, in product order; empty ones are dropped."""
+    for rows, _, cells in candidates:
+        for more, _, tie in ties:
+            joined = rows + more
+            found = _int_feasible_point(joined, n)
+            if found is not None:
+                yield joined, found, cells + tie
+
+
 def hypersurface(f: Polynomial) -> PolyComplex:
     """The locus where the maximum of f is attained at least twice."""
-    terms = _scaled_terms(f)
-    candidates = (
-        (_tie_rows(terms, i, j), functools.partial(tie_cell, f, terms[i][0], terms[j][0]))
-        for i, j in itertools.combinations(range(len(terms)), 2)
-    )
-    return PolyComplex(f.n, f.mode, _maximal_cells(candidates, [terms], f.n))
+    return prevariety([f])
 
 
 def prevariety(gens: list[Polynomial]) -> PolyComplex:
     """Intersection of the generators' hypersurfaces over R^n.
 
     This is the prevariety of the input set; it equals the variety of the
-    generated ideal only when the input is a tropical basis.
+    generated ideal only when the input is a tropical basis.  Generators are
+    intersected one at a time, depth first, and an empty partial
+    intersection is never extended.
     """
     if not gens:
         raise ValueError("at least one generator is required")
@@ -203,23 +205,17 @@ def prevariety(gens: list[Polynomial]) -> PolyComplex:
         # a monomial (or zero) generator never vanishes on R^n
         return PolyComplex(n, mode, ())
     scaled = [_scaled_terms(g) for g in gens]
-    per_gen: list[list[tuple[list[IntRow], Polyhedron]]] = []
+    candidates = None
     for g, terms in zip(gens, scaled):
         ties = []
         for i, j in itertools.combinations(range(len(terms)), 2):
             rows = _tie_rows(terms, i, j)
-            if _int_feasible_point(rows, n) is not None:
-                ties.append((rows, tie_cell(g, terms[i][0], terms[j][0])))
+            found = _int_feasible_point(rows, n)
+            if found is not None:
+                ties.append((rows, found, (tie_cell(g, terms[i][0], terms[j][0]),)))
         if not ties:
             return PolyComplex(n, mode, ())
-        per_gen.append(ties)
-    candidates = (
-        (
-            [row for rows, _ in combo for row in rows],
-            functools.partial(functools.reduce, intersect, [poly for _, poly in combo]),
-        )
-        for combo in itertools.product(*per_gen)
-    )
+        candidates = ties if candidates is None else _extend(candidates, ties, n)
     return PolyComplex(n, mode, _maximal_cells(candidates, scaled, n))
 
 

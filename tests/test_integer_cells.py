@@ -2,14 +2,17 @@
 
 `varieties` scales each polynomial once to integers (term k becomes
 (L e_k, L c_k), L the lcm of its coefficient denominators) and hands
-Fourier-Motzkin integer rows: tie cells, prevariety products and the regions
+Fourier-Motzkin integer rows: tie cells, their intersections and the regions
 of `vanishes_on_complex`.  The former Fraction code is kept below as the
 oracle: `ref_make_cell` solves the Fraction polyhedron of each candidate and
-compares `Fraction` term values at its interior point, and
+compares `Fraction` term values at its interior point, `ref_prevariety`
+builds the full product of the generators' non-empty tie cells, and
 `ref_vanishes_on_complex` builds every region from `Fraction` constraints.
 On seeded inputs (mixed denominators, so L > 1; generators of different
 scales; poly and Laurent mode; affine strata; complexes read back from
-JSON) the JSON bytes, the booleans and the number of solves must agree.
+JSON) the JSON bytes and the booleans must agree.  The solves agree too, up
+to the schedule: `prevariety` intersects one generator at a time and drops
+empty partial intersections (`ref_partials` counts them on the oracle).
 """
 
 import functools
@@ -17,6 +20,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -112,6 +116,53 @@ def ref_affine_prevariety(gens):
             for cell in ref_prevariety(live).cells:
                 cells.append(Cell(cell.polyhedron, cell.dim, cell.interior_point, dead))
     return PolyComplex(n, POLY, tuple(sorted(cells, key=Cell.key)))
+
+
+def ref_partials(gens):
+    """Products, partial intersections solved and those found empty, for prevariety(gens).
+
+    The oracle solves each product of non-empty tie cells once.  One generator
+    at a time, the first level reuses each tie cell's point and every later
+    level solves each extension of a non-empty partial intersection once.
+    A full candidate has the same rows either way, so the probes and interior
+    solves that follow agree: new solves = oracle solves - products + solved.
+    """
+    if any(len(g) < 2 for g in gens):
+        return 0, 0, 0
+    per_gen = []
+    for g in gens:
+        polys = [tie_cell(g, i, j) for i, j in itertools.combinations(g.support(), 2)]
+        polys = [p for p in polys if not is_empty(p)]
+        if not polys:
+            return 0, 0, 0
+        per_gen.append(polys)
+    solved = empty = 0
+    partial = per_gen[0]
+    for polys in per_gen[1:]:
+        extended = [intersect(p, q) for p in partial for q in polys]
+        partial = [p for p in extended if not is_empty(p)]
+        solved += len(extended)
+        empty += len(extended) - len(partial)
+    return prod(len(polys) for polys in per_gen), solved, empty
+
+
+def schedule_offset(gens):
+    """New solves minus oracle solves for prevariety(gens)."""
+    products, solved, _ = ref_partials(gens)
+    return solved - products
+
+
+def affine_schedule_offset(gens):
+    """New solves minus oracle solves for affine_prevariety(gens): one prevariety per stratum."""
+    n = gens[0].n
+    offset = 0
+    for size in range(n + 1):
+        for dead in itertools.combinations(range(n), size):
+            restricted = [g.restrict_to_stratum(dead) for g in gens]
+            live = [r for r in restricted if not r.is_zero()]
+            if live and not any(r.is_monomial() for r in restricted):
+                offset += schedule_offset(live)
+    return offset
 
 
 def ref_term_affine(f, expo):
@@ -235,9 +286,27 @@ def test_prevarieties_match_fraction_oracle(solves):
             ]
             got, expected, new_solves, ref_solves = same(solves, prevariety, ref_prevariety, gens)
             assert as_bytes(got) == as_bytes(expected), gens
-            assert new_solves == ref_solves
+            assert new_solves == ref_solves + schedule_offset(gens)
             cells += len(got.cells)
     assert cells >= 60
+
+
+def test_pruned_prevarieties_match_product_oracle(solves):
+    """Three or four generators with tied coefficients: most partial intersections are empty."""
+    rng = random.Random(95)
+    empty = 0
+    for _ in range(8):
+        mode = rng.choice([LAURENT, POLY])
+        gens = [
+            random_polynomial(rng, 3, mode, rng.randint(4, 6), [0, 1, -1])
+            for _ in range(rng.choice([3, 4]))
+        ]
+        got, expected, new_solves, ref_solves = same(solves, prevariety, ref_prevariety, gens)
+        assert as_bytes(got) == as_bytes(expected), gens
+        products, solved, dropped = ref_partials(gens)
+        assert new_solves == ref_solves - products + solved
+        empty += dropped
+    assert empty >= 2000
 
 
 def test_affine_prevarieties_match_fraction_oracle(solves):
@@ -254,7 +323,7 @@ def test_affine_prevarieties_match_fraction_oracle(solves):
             solves, affine_prevariety, ref_affine_prevariety, gens
         )
         assert as_bytes(got) == as_bytes(expected), gens
-        assert new_solves == ref_solves
+        assert new_solves == ref_solves + affine_schedule_offset(gens)
         strata += sum(bool(c.stratum) for c in got.cells)
     assert strata >= 15
 

@@ -331,16 +331,27 @@ def test_given_point_gives_the_same_answers():
 def test_make_cell_solves_each_candidate_once(monkeypatch):
     """The unmodified system of a candidate is solved once, not once per query.
 
-    Each candidate costs one feasibility solve; a non-empty one adds one
-    probe per LE row tight at that point and one interior solve.
+    Each candidate costs one feasibility solve; a non-empty one reaches
+    `_make_cell` with the point found and adds one probe per LE row tight at
+    that point and one interior solve.
     """
     f = parse_polynomial("x^2 + 1*x*y + y^2 + x + -1*y + 2*x*z + z^2 + 0", "poly", 3)
     candidates = []
+    tie_rows = varieties._tie_rows
+
+    def recorded_tie_rows(terms, i, j):
+        rows = tie_rows(terms, i, j)
+        candidates.append(list(rows))
+        return rows
+
+    made = []
     original = varieties._make_cell
 
-    def make_cell(rows, build, scaled, n):
-        candidates.append(list(rows))
-        return original(rows, build, scaled, n)
+    def make_cell(candidate, scaled, n):
+        rows, found, _ = candidate
+        made.append(list(rows))
+        assert found == solve(rows, n)
+        return original(candidate, scaled, n)
 
     solved = []
     solve = polyhedra._int_feasible_point
@@ -349,20 +360,24 @@ def test_make_cell_solves_each_candidate_once(monkeypatch):
         solved.append(list(rows))
         return solve(rows, n)
 
+    monkeypatch.setattr(varieties, "_tie_rows", recorded_tie_rows)
     monkeypatch.setattr(varieties, "_make_cell", make_cell)
     monkeypatch.setattr(varieties, "_int_feasible_point", counted)
     monkeypatch.setattr(polyhedra, "_int_feasible_point", counted)
     varieties.hypersurface(f)
     assert len(candidates) == 28
     expected = 0
+    nonempty = []
     for rows in candidates:
         assert solved.count(rows) == 1
         point = solve(rows, 3)
         expected += 1
         if point is not None:
+            nonempty.append(rows)
             nums, den = point
             tight = [
                 rel == LE and sum(x * y for x, y in zip(a, nums)) == b * den for a, b, rel in rows
             ]
             expected += sum(tight) + 1
+    assert made == nonempty
     assert len(solved) == expected

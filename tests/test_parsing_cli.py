@@ -19,7 +19,9 @@ from tropica.parsing import (
     parse_polynomial,
 )
 from tropica.polynomials import LAURENT, POLY, Polynomial
+from tropica.rendering import render_svg
 from tropica.sampling import random_polynomial
+from tropica.varieties import hypersurface
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -643,6 +645,59 @@ def test_cli_strict_rationals(capsys, args, code, kind):
     rc, out, err = run_cli(args, capsys)
     assert rc == code and out == ""
     assert json.loads(err)["error"] == kind
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["eval", "--poly", "x + y", "--point", "1,,2"], "empty coordinate (at position 2)"),
+        (["eval", "--poly", "x + y", "--point", "1,2,"], "empty coordinate (at position 4)"),
+        (["eval", "--poly", "x + y", "--point", "1, ,2"], "empty coordinate (at position 3)"),
+        (
+            ["tideal-check", "--point", "0,,0", "--degree", "1", "--trials", "2"],
+            "empty coordinate (at position 2)",
+        ),
+        (
+            ["eval", "--poly", "x + y", "--point", "1/2,1/"],
+            "expected an integer or a 'p/q' string, got '1/' (at position 4)",
+        ),
+        (["plot", "--poly", "x + y + 0", "--bbox=-5,,5,5"], "empty coordinate (at position 3)"),
+    ],
+    ids=["eval-inner", "eval-trailing", "eval-blank", "tideal-check", "bad-offset", "bbox"],
+)
+def test_cli_point_coordinates_are_parse_errors(capsys, args, message):
+    # empty coordinates were dropped: "1,,2" and "1,2," were read as (1, 2)
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "parse", "message": message}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["eval", "--point", "1,2"],
+        ["bend"],
+        ["hypersurface"],
+        ["prime-member", "--matrix", "[[1,0,0]]"],
+        ["plot"],  # drew the first polynomial only
+    ],
+    ids=lambda args: args[0],
+)
+def test_cli_one_polynomial_commands_reject_more(capsys, args):
+    polys = ["--poly", "x + y + 0", "--poly", "x + 1", "--nvars", "2"]
+    code, out, err = run_cli(args + polys, capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "domain",
+        "message": f"{args[0]} takes one polynomial, got 2",
+    }
+
+
+@pytest.mark.parametrize("bbox", [(-5, -5, 5.5, 5), (-5, -5, "0.5", 5)])
+def test_render_svg_rejects_inexact_bbox(bbox):
+    # Fraction(v) read the float 5.5 and the decimal "0.5" as exact bounds
+    with pytest.raises(ValueError):
+        render_svg(hypersurface(parse_polynomial("x + y + 0")), bbox)
 
 
 @pytest.mark.parametrize("command", ["trace-verify --trace", "eval --point 1 --file"])
