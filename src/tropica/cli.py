@@ -211,6 +211,10 @@ def _cmd_tideal_check(args):
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     if args.trials > MAX_TRIALS:
         raise ValueError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
+    given = [f"--{k}" for k in ("circuits", "point", "matrix") if getattr(args, k) is not None]
+    if len(given) > 1:
+        got = " and ".join(given)
+        raise ValueError(f"tideal-check takes one of --circuits, --point or --matrix, got {got}")
     if args.circuits:
         description = parse_circuits_json(_load_json_arg(args.circuits))
     elif args.point:
@@ -255,6 +259,8 @@ def _cmd_tideal_trop(args):
 
 def _cmd_plot(args):
     if args.complex:
+        if args.poly or args.file:
+            raise ValueError("plot takes --complex or --poly/--file, not both")
         x = complex_from_json(_load_json_arg(args.complex))
     else:
         x = hypersurface(_polynomial(args))

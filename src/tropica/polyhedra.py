@@ -17,6 +17,21 @@ rows already (the cell layer in ``varieties``) pass them in directly.
 Strict inequalities are supported internally so that implicit equalities
 and relative interior points are exact.  Desk scale: a handful of
 dimensions and a few dozen constraints.
+
+Strictness lemma: let R be EQ/LE rows and R' the same rows with every LE
+row made strict.  Strictness changes only the relation of a row:
+elimination builds the same (a, b) rows from R and from R' at every level,
+``_normalize`` keeps the same primitive row of a parallel pair, and
+``_coordinate`` ignores strictness.  R' can therefore fail where R does not
+only on a derived constant row 0 < 0.  That row combines the input rows
+with positive weight on some LE row, so at a point meeting every LE row
+strictly its left side is below its right side, which 0 < 0 forbids.  So
+R' is feasible exactly when no LE row is tight at the point P that
+``_int_feasible_point`` returns for R, and then its solve returns P too
+(``_coordinate`` picks interior values, so P meets strict rows strictly).
+``_int_interior_point`` uses this: when no LE row is tight at P, P is the
+interior point, with no further solve; only otherwise are the tight rows
+probed and the strict system solved.
 """
 
 from __future__ import annotations
@@ -223,6 +238,16 @@ def _int_feasible_point(rows: list[IntRow], n: int) -> IntPoint | None:
     return tuple(nums), den
 
 
+def _tight_rows(rows: list[IntRow], point: IntPoint) -> list[int]:
+    """Indices of the LE rows that hold with equality at the point nums / den."""
+    nums, den = point
+    return [
+        i
+        for i, (a, b, rel) in enumerate(rows)
+        if rel == LE and sum(x * y for x, y in zip(a, nums)) == b * den
+    ]
+
+
 def _int_implicit_equalities(rows: list[IntRow], n: int, point: IntPoint) -> list[int]:
     """Indices of the LE rows that hold with equality on the whole (non-empty) set.
 
@@ -230,11 +255,9 @@ def _int_implicit_equalities(rows: list[IntRow], n: int, point: IntPoint) -> lis
     rows tight at the feasible ``point`` are probed: such a row is implicit
     when making it strict leaves no feasible point.
     """
-    nums, den = point
     out = []
-    for i, (a, b, rel) in enumerate(rows):
-        if rel != LE or sum(x * y for x, y in zip(a, nums)) != b * den:
-            continue
+    for i in _tight_rows(rows, point):
+        a, b, _ = rows[i]
         probe = list(rows)
         probe[i] = (a, b, LT)
         if _int_feasible_point(probe, n) is None:
@@ -243,7 +266,15 @@ def _int_implicit_equalities(rows: list[IntRow], n: int, point: IntPoint) -> lis
 
 
 def _int_interior_point(rows: list[IntRow], n: int, point: IntPoint) -> IntPoint:
-    """A point satisfying every row that is not an implicit equality strictly."""
+    """A point satisfying every row that is not an implicit equality strictly.
+
+    ``point`` is the one ``_int_feasible_point(rows, n)`` returns.  When no
+    LE row is tight there it is the answer (strictness lemma above);
+    otherwise the tight rows are probed and the system with every other LE
+    row strict is solved.
+    """
+    if not _tight_rows(rows, point):
+        return point
     implicit = set(_int_implicit_equalities(rows, n, point))
     probe = [(a, b, EQ if rel == EQ or i in implicit else LT) for i, (a, b, rel) in enumerate(rows)]
     found = _int_feasible_point(probe, n)
@@ -335,9 +366,13 @@ def affine_hull_directions(poly: Polyhedron) -> list[tuple[Fraction, ...]]:
 def relative_interior_point(poly: Polyhedron, point=None, rows=None) -> tuple[Fraction, ...]:
     """A rational point satisfying every non-implied inequality strictly.
 
-    ``point``, a feasible point already known, saves one feasibility solve;
-    ``rows``, the constraints as integer rows (each a positive multiple of
-    its constraint, in order), saves clearing them of denominators.
+    ``point`` saves one feasibility solve, and must be the point that solve
+    returns (``feasible_point(poly)``): when it meets every inequality
+    strictly it is returned as it is, by the strictness lemma, which makes
+    it the point the strict solve would find.  Another feasible point still
+    gives a relative interior point, but not always the same one.  ``rows``,
+    the constraints as integer rows (each a positive multiple of its
+    constraint, in order), saves clearing them of denominators.
     """
     if rows is None:
         rows = int_rows(poly)

@@ -13,13 +13,13 @@ maximum at a cell's relative interior point (see ``_maximal_cells``).
 Integer rows: each polynomial is scaled once to integers.  With L the lcm
 of its coefficient denominators, term k becomes (L e_k, L c_k), the affine
 function L (c_k + e_k . x).  Tie-cell rows, their intersections and the
-regions of ``vanishes_on_complex`` go to Fourier-Motzkin as integer rows,
-each L times the Fraction constraint it stands for; by the scaling lemma of
-``polyhedra`` they give the same eliminations and points.  Argmax sets are
-compared as integers L den times the term values at the point nums / den;
-L den > 0 keeps their order.  So the candidates and the output are those of
-the Fraction constraints.  The tie cells' Fraction polyhedra (output data)
-are built once per non-empty tie cell.
+strict-dominance systems of ``vanishes_on_complex`` go to Fourier-Motzkin
+as integer rows, each L times the Fraction constraint it stands for; by the
+scaling lemma of ``polyhedra`` they give the same eliminations and points.
+Argmax sets are compared as integers L den times the term values at the
+point nums / den; L den > 0 keeps their order.  So the candidates and the
+output are those of the Fraction constraints.  The tie cells' Fraction
+polyhedra (output data) are built once per non-empty tie cell.
 
 Conventions: monomials never vanish and the zero polynomial vanishes nowhere
 on R^n, so both contribute empty hypersurfaces.  On a bottom stratum of the
@@ -265,10 +265,11 @@ def complex_contains_point(x: PolyComplex, point) -> bool:
 def vanishes_on_complex(f: Polynomial, x: PolyComplex) -> bool:
     """True when f tropically vanishes at every point of the complex.
 
-    Decided exactly: each cell is refined into the regions where one term of
-    f dominates, and on each non-empty region some other term must agree with
-    the dominating one identically (a convex set covered by finitely many
-    hyperplanes lies in one of them).
+    Decided by strict dominance: a point is off V(f) exactly when one term
+    of f lies strictly above all the others there.  So f vanishes on a cell
+    iff, for every term i, the cell together with the rows term_k < term_i
+    (all k != i) is empty: one solve per term and cell, and the first
+    feasible system answers False.
     """
     if f.n != x.ambient:
         raise ValueError(f"ambient mismatch: {f.n} vs {x.ambient}")
@@ -284,15 +285,8 @@ def vanishes_on_complex(f: Polynomial, x: PolyComplex) -> bool:
         base = int_rows(cell.polyhedron)
         ncoords = cell.polyhedron.n
         for i in range(len(terms)):
-            others = [k for k in range(len(terms)) if k != i]
-            region = base + [_difference(terms, k, i, LE) for k in others]
-            if _int_feasible_point(region, ncoords) is None:
-                continue
-            # covered when term_j < term_i nowhere on the region, for some j
-            if not any(
-                _int_feasible_point(region + [_difference(terms, j, i, LT)], ncoords) is None
-                for j in others
-            ):
+            dominant = base + [_difference(terms, k, i, LT) for k in range(len(terms)) if k != i]
+            if _int_feasible_point(dominant, ncoords) is not None:
                 return False
     return True
 

@@ -2,17 +2,23 @@
 
 `varieties` scales each polynomial once to integers (term k becomes
 (L e_k, L c_k), L the lcm of its coefficient denominators) and hands
-Fourier-Motzkin integer rows: tie cells, their intersections and the regions
-of `vanishes_on_complex`.  The former Fraction code is kept below as the
-oracle: `ref_make_cell` solves the Fraction polyhedron of each candidate and
-compares `Fraction` term values at its interior point, `ref_prevariety`
-builds the full product of the generators' non-empty tie cells, and
-`ref_vanishes_on_complex` builds every region from `Fraction` constraints.
+Fourier-Motzkin integer rows: tie cells, their intersections and the
+strict-dominance systems of `vanishes_on_complex`.  The former code is kept
+below as the oracle: `ref_make_cell` solves the Fraction polyhedron of each
+candidate, finds its interior point with `ref_int_interior_point` (probe
+every LE row tight at the feasible point, then solve the strict system) and
+compares `Fraction` term values there, `ref_prevariety` builds the full
+product of the generators' non-empty tie cells, and
+`ref_vanishes_on_complex` (Fraction rows) and `ref_int_vanishes_on_complex`
+(integer rows) refine each cell into the regions where one term dominates.
 On seeded inputs (mixed denominators, so L > 1; generators of different
 scales; poly and Laurent mode; affine strata; complexes read back from
 JSON) the JSON bytes and the booleans must agree.  The solves agree too, up
-to the schedule: `prevariety` intersects one generator at a time and drops
-empty partial intersections (`ref_partials` counts them on the oracle).
+to the schedule, which each test states exactly: `prevariety` intersects
+one generator at a time and drops empty partial intersections, a candidate
+whose feasible point meets every LE row strictly needs no interior solve
+(`ref_partials` counts both on the oracle), and vanishing makes one
+strict-dominance solve per term read (`dominance_solves`).
 """
 
 import functools
@@ -27,13 +33,18 @@ import pytest
 from tropica import polyhedra, varieties
 from tropica.matrices import dot, rank
 from tropica.polyhedra import (
+    EQ,
     LE,
     LT,
     _feasible_point,
+    _fractions,
+    _int_point,
     feasible_point,
     full_space,
+    int_rows,
     intersect,
     is_empty,
+    make_polyhedron,
     relative_interior_point,
 )
 from tropica.polynomials import LAURENT, POLY, Polynomial
@@ -52,6 +63,25 @@ from tropica.varieties import (
 # -- oracles: the former Fraction cell layer --------------------------------------
 
 
+def ref_int_interior_point(rows, n, point):
+    """The former `polyhedra._int_interior_point`: probe every tight LE row, then solve."""
+    implicit = set(polyhedra._int_implicit_equalities(rows, n, point))
+    probe = [(a, b, EQ if rel == EQ or i in implicit else LT) for i, (a, b, rel) in enumerate(rows)]
+    found = polyhedra._int_feasible_point(probe, n)
+    if found is None:
+        raise ValueError("polyhedron is empty")
+    return found
+
+
+def tight_rows(poly, point):
+    """Indices of the LE constraints that hold with equality at the point."""
+    return [
+        i
+        for i, h in enumerate(poly.constraints)
+        if h.relation == LE and dot(h.normal, point) == h.rhs
+    ]
+
+
 def ref_argmax(f, point):
     values = {expo: c + dot(expo, point) for expo, c in f.terms()}
     top = max(values.values())
@@ -62,7 +92,7 @@ def ref_make_cell(poly, gens):
     point = feasible_point(poly)
     if point is None:
         return None
-    point = relative_interior_point(poly, point)
+    point = _fractions(ref_int_interior_point(int_rows(poly), poly.n, _int_point(point)))
     signature = tuple(ref_argmax(g, point) for g in gens)
     ties = [tuple(a - b for a, b in zip(e, min(terms))) for terms in signature for e in terms]
     return signature, Cell(poly, poly.n - rank(ties), point)
@@ -119,22 +149,24 @@ def ref_affine_prevariety(gens):
 
 
 def ref_partials(gens):
-    """Products, partial intersections solved and those found empty, for prevariety(gens).
+    """Products, partial intersections solved, those found empty, and interior shortcuts.
 
     The oracle solves each product of non-empty tie cells once.  One generator
     at a time, the first level reuses each tie cell's point and every later
     level solves each extension of a non-empty partial intersection once.
     A full candidate has the same rows either way, so the probes and interior
-    solves that follow agree: new solves = oracle solves - products + solved.
+    solves that follow agree, except that a non-empty candidate whose
+    feasible point meets every LE row strictly (a shortcut) needs no
+    interior solve: new solves = oracle solves - products + solved - shortcuts.
     """
     if any(len(g) < 2 for g in gens):
-        return 0, 0, 0
+        return 0, 0, 0, 0
     per_gen = []
     for g in gens:
         polys = [tie_cell(g, i, j) for i, j in itertools.combinations(g.support(), 2)]
         polys = [p for p in polys if not is_empty(p)]
         if not polys:
-            return 0, 0, 0
+            return 0, 0, 0, 0
         per_gen.append(polys)
     solved = empty = 0
     partial = per_gen[0]
@@ -143,13 +175,14 @@ def ref_partials(gens):
         partial = [p for p in extended if not is_empty(p)]
         solved += len(extended)
         empty += len(extended) - len(partial)
-    return prod(len(polys) for polys in per_gen), solved, empty
+    shortcuts = sum(not tight_rows(p, feasible_point(p)) for p in partial)
+    return prod(len(polys) for polys in per_gen), solved, empty, shortcuts
 
 
 def schedule_offset(gens):
     """New solves minus oracle solves for prevariety(gens)."""
-    products, solved, _ = ref_partials(gens)
-    return solved - products
+    products, solved, _, shortcuts = ref_partials(gens)
+    return solved - products - shortcuts
 
 
 def affine_schedule_offset(gens):
@@ -169,6 +202,34 @@ def ref_term_affine(f, expo):
     return tuple(Fraction(e) for e in expo), Fraction(f.coefficient(expo))
 
 
+def ref_uncovered(restricted, cell, i):
+    """Term i's region of the cell is non-empty and no other term agrees with it there.
+
+    A convex set covered by finitely many hyperplanes lies in one of them, so
+    this holds exactly when term i strictly dominates somewhere on the cell.
+    """
+    support = restricted.support()
+    base = [(h.normal, h.rhs, h.relation) for h in cell.polyhedron.constraints]
+    ncoords = cell.polyhedron.n
+    gi, ci = ref_term_affine(restricted, i)
+    region = list(base)
+    for k in support:
+        if k == i:
+            continue
+        gk, ck = ref_term_affine(restricted, k)
+        region.append((tuple(a - b for a, b in zip(gk, gi)), ci - ck, LE))
+    if _feasible_point(region, ncoords) is None:
+        return False
+    for j in support:
+        if j == i:
+            continue
+        gj, cj = ref_term_affine(restricted, j)
+        strict = region + [(tuple(a - b for a, b in zip(gj, gi)), ci - cj, LT)]
+        if _feasible_point(strict, ncoords) is None:
+            return False
+    return True
+
+
 def ref_vanishes_on_complex(f, x):
     for cell in x.cells:
         restricted = f.restrict_to_stratum(cell.stratum) if cell.stratum else f
@@ -178,31 +239,62 @@ def ref_vanishes_on_complex(f, x):
             return False
         if restricted.is_monomial():
             return False
-        support = restricted.support()
-        base = [(h.normal, h.rhs, h.relation) for h in cell.polyhedron.constraints]
+        if any(ref_uncovered(restricted, cell, i) for i in restricted.support()):
+            return False
+    return True
+
+
+def ref_int_vanishes_on_complex(f, x):
+    """The former integer loop of `varieties.vanishes_on_complex`: regions, then strict probes."""
+    for cell in x.cells:
+        restricted = f.restrict_to_stratum(cell.stratum) if cell.stratum else f
+        if restricted.is_zero():
+            if cell.stratum:
+                continue  # value is bottom on the whole stratum
+            return False  # the zero polynomial vanishes nowhere on R^n
+        if restricted.is_monomial():
+            return False
+        terms = varieties._scaled_terms(restricted)
+        base = int_rows(cell.polyhedron)
         ncoords = cell.polyhedron.n
-        for i in support:
-            gi, ci = ref_term_affine(restricted, i)
-            region = list(base)
-            for k in support:
-                if k == i:
-                    continue
-                gk, ck = ref_term_affine(restricted, k)
-                region.append((tuple(a - b for a, b in zip(gk, gi)), ci - ck, LE))
-            if _feasible_point(region, ncoords) is None:
+        for i in range(len(terms)):
+            others = [k for k in range(len(terms)) if k != i]
+            region = base + [varieties._difference(terms, k, i, LE) for k in others]
+            if polyhedra._int_feasible_point(region, ncoords) is None:
                 continue
-            covered = False
-            for j in support:
-                if j == i:
-                    continue
-                gj, cj = ref_term_affine(restricted, j)
-                strict = region + [(tuple(a - b for a, b in zip(gj, gi)), ci - cj, LT)]
-                if _feasible_point(strict, ncoords) is None:
-                    covered = True
-                    break
-            if not covered:
+            # covered when term_j < term_i nowhere on the region, for some j
+            if not any(
+                polyhedra._int_feasible_point(
+                    region + [varieties._difference(terms, j, i, LT)], ncoords
+                )
+                is None
+                for j in others
+            ):
                 return False
     return True
+
+
+def dominance_solves(f, x):
+    """The solves of strict dominance on x, from the oracle's per-term answers.
+
+    One solve per term of each cell read, up to and including the first term
+    that is uncovered (so strictly dominates somewhere); a zero or monomial
+    restriction answers with no solve.
+    """
+    total = 0
+    for cell in x.cells:
+        restricted = f.restrict_to_stratum(cell.stratum) if cell.stratum else f
+        if restricted.is_zero():
+            if cell.stratum:
+                continue
+            return total
+        if restricted.is_monomial():
+            return total
+        for read, i in enumerate(restricted.support(), 1):
+            if ref_uncovered(restricted, cell, i):
+                return total + read
+        total += len(restricted)
+    return total
 
 
 # -- seeded inputs ------------------------------------------------------------------
@@ -260,7 +352,7 @@ def same(solves, new, ref, *args):
 
 def test_hypersurfaces_match_fraction_oracle(solves):
     rng = random.Random(91)
-    merged = 0
+    merged = skipped = 0
     for mode in (LAURENT, POLY):
         for _ in range(45):
             f = random_polynomial(rng, rng.randint(1, 3), mode, rng.randint(2, 6), MIXED)
@@ -268,14 +360,16 @@ def test_hypersurfaces_match_fraction_oracle(solves):
                 solves, hypersurface, ref_hypersurface, f
             )
             assert as_bytes(got) == as_bytes(expected), f
-            assert new_solves == ref_solves
+            shortcuts = ref_partials([f])[3]
+            assert new_solves == ref_solves - shortcuts
             merged += len(got.cells) < len(f) * (len(f) - 1) // 2
-    assert merged >= 20
+            skipped += shortcuts
+    assert merged >= 20 and skipped >= 100
 
 
 def test_prevarieties_match_fraction_oracle(solves):
     rng = random.Random(92)
-    cells = 0
+    cells = skipped = 0
     for mode in (LAURENT, POLY):
         for _ in range(30):
             n = rng.choice([2, 2, 3])
@@ -288,7 +382,8 @@ def test_prevarieties_match_fraction_oracle(solves):
             assert as_bytes(got) == as_bytes(expected), gens
             assert new_solves == ref_solves + schedule_offset(gens)
             cells += len(got.cells)
-    assert cells >= 60
+            skipped += ref_partials(gens)[3]
+    assert cells >= 60 and skipped >= 60
 
 
 def test_pruned_prevarieties_match_product_oracle(solves):
@@ -303,8 +398,8 @@ def test_pruned_prevarieties_match_product_oracle(solves):
         ]
         got, expected, new_solves, ref_solves = same(solves, prevariety, ref_prevariety, gens)
         assert as_bytes(got) == as_bytes(expected), gens
-        products, solved, dropped = ref_partials(gens)
-        assert new_solves == ref_solves - products + solved
+        products, solved, dropped, shortcuts = ref_partials(gens)
+        assert new_solves == ref_solves - products + solved - shortcuts
         empty += dropped
     assert empty >= 2000
 
@@ -331,6 +426,7 @@ def test_affine_prevarieties_match_fraction_oracle(solves):
 def test_vanishing_on_read_back_complexes_matches_fraction_oracle(solves):
     rng = random.Random(94)
     answers = []
+    saved = 0
     for _ in range(40):
         kind = rng.choice(["hypersurface", "prevariety", "affine"])
         n = rng.choice([1, 2, 3]) if kind == "affine" else rng.choice([2, 3])
@@ -350,7 +446,66 @@ def test_vanishing_on_read_back_complexes_matches_fraction_oracle(solves):
             got, expected, new_solves, ref_solves = same(
                 solves, vanishes_on_complex, ref_vanishes_on_complex, f, x
             )
-            assert got is expected, (f, gens)
-            assert new_solves == ref_solves
+            former, _, former_solves, fraction_solves = same(
+                solves, ref_int_vanishes_on_complex, ref_vanishes_on_complex, f, x
+            )
+            assert got is expected is former, (f, gens)
+            assert former_solves == fraction_solves
+            assert new_solves == dominance_solves(f, x)
             answers.append(got)
+            saved += former_solves - new_solves
     assert answers.count(True) >= 40 and answers.count(False) >= 40
+    assert saved >= 500
+
+
+# -- the strictness lemma ---------------------------------------------------------
+
+
+def random_int_system(rng):
+    """Integer EQ/LE rows in 1-4 variables, with duplicate, parallel and opposite rows."""
+    n = rng.randint(1, 4)
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        a = tuple(rng.randint(-2, 2) for _ in range(n))
+        b = rng.randint(-3, 3)
+        rows.append((a, b, EQ if rng.random() < 0.15 else LE))
+        roll = rng.random()
+        if roll < 0.15:
+            rows.append(rows[-1])
+        elif roll < 0.35:
+            k = rng.randint(2, 3)
+            rows.append((tuple(k * x for x in a), k * b + rng.randint(-1, 1), LE))
+        elif roll < 0.5:
+            rows.append((tuple(-x for x in a), rng.randint(0, 1) - b, LE))
+    return rows, n
+
+
+def test_strict_system_is_feasible_iff_no_row_is_tight():
+    """R with every LE row strict is feasible iff no LE row is tight at R's FM point.
+
+    Then both solves give the same point, and `relative_interior_point`
+    returns it with no further solve; either way it matches the oracle.
+    """
+    rng = random.Random(96)
+    shortcut = probed = empty = 0
+    for _ in range(1500):
+        rows, n = random_int_system(rng)
+        point = polyhedra._int_feasible_point(rows, n)
+        strict = [(a, b, LT if rel == LE else rel) for a, b, rel in rows]
+        strict_point = polyhedra._int_feasible_point(strict, n)
+        if point is None:
+            assert strict_point is None, rows
+            empty += 1
+            continue
+        poly = make_polyhedron(rows, n)
+        tight = tight_rows(poly, _fractions(point))
+        assert (strict_point is not None) == (not tight), rows
+        if strict_point is not None:
+            assert strict_point == point, rows
+            shortcut += 1
+        else:
+            probed += 1
+        expected = _fractions(ref_int_interior_point(rows, n, point))
+        assert relative_interior_point(poly) == expected, rows
+        assert relative_interior_point(poly, _fractions(point), rows) == expected, rows
+    assert shortcut >= 500 and probed >= 150 and empty >= 300

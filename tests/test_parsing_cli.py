@@ -693,6 +693,45 @@ def test_cli_one_polynomial_commands_reject_more(capsys, args):
     }
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--poly", "x + y + 0"], ["--file", "polys.txt"]],
+    ids=["poly", "file"],
+)
+def test_cli_plot_rejects_complex_with_polynomials(capsys, extra):
+    # --poly and --file were ignored: the empty complex was drawn, exit 0
+    empty = json.dumps({"ambient": 2, "mode": "laurent", "cells": []})
+    code, out, err = run_cli(["plot", "--complex", empty, *extra], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "domain",
+        "message": "plot takes --complex or --poly/--file, not both",
+    }
+
+
+@pytest.mark.parametrize(
+    "args, given",
+    [
+        (["--point", "0,0", "--matrix", "[[1,0,0]]"], "--point and --matrix"),
+        (["--circuits", "[]", "--point", "0,0"], "--circuits and --point"),
+        (["--matrix", "[[1,0,0]]", "--circuits", "[]"], "--circuits and --matrix"),
+        (
+            ["--circuits", "[]", "--point", "0,0", "--matrix", "[[1,0,0]]"],
+            "--circuits and --point and --matrix",
+        ),
+    ],
+    ids=["point-matrix", "circuits-point", "matrix-circuits", "all-three"],
+)
+def test_cli_tideal_check_takes_one_description(capsys, args, given):
+    # only the first of --circuits, --point and --matrix was used
+    code, out, err = run_cli(["tideal-check", *args, "--degree", "1", "--trials", "2"], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "domain",
+        "message": f"tideal-check takes one of --circuits, --point or --matrix, got {given}",
+    }
+
+
 @pytest.mark.parametrize("bbox", [(-5, -5, 5.5, 5), (-5, -5, "0.5", 5)])
 def test_render_svg_rejects_inexact_bbox(bbox):
     # Fraction(v) read the float 5.5 and the decimal "0.5" as exact bounds
