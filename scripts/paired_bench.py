@@ -11,8 +11,11 @@ that slow drift of the machine falls on both sides.  The script prints each
 side's median and quartiles and the change's win count for every
 end-to-end metric of the change's ``BENCHMARK.json``, and writes them with
 the raw runs.  ``--trace-seed`` adds one ``--trace 1`` run per side and
-workload for the per-layer counts.  Only ``perfbench/run.py`` is called;
-nothing under ``perfbench/`` is written.
+workload for the per-layer counts.  Each run's ``correct`` and ``failed``
+are printed, and the script exits 1 after writing the file when any run
+has ``correct: false`` or ``failed > 0``: a wrong answer's speed is no win.
+Only ``perfbench/run.py`` is called; nothing under ``perfbench/`` is
+written.
 """
 
 from __future__ import annotations
@@ -71,8 +74,10 @@ def paired(args, workload: str, pairs: int, specs: list[dict]) -> dict:
         order = SIDES if seed % 2 else SIDES[::-1]
         for side in order:
             results[side].append(run(getattr(args, side), workload, seed, args.seconds, 0))
+        last = {side: results[side][-1] for side in SIDES}
         print(f"{workload} seed {seed}: " + ", ".join(
-            f"{side} {results[side][-1]['metrics']['ops_per_s']['value']:.1f} ops/s" for side in SIDES
+            f"{side} {r['metrics']['ops_per_s']['value']:.1f} ops/s (correct {r['correct']}, failed {r['failed']})"
+            for side, r in last.items()
         ), flush=True)
     metrics = {}
     for spec in specs:
@@ -94,6 +99,7 @@ def per_layer(args, workload: str) -> dict:
     names = traced["change"]["metrics"]
     return {
         "correct": {side: traced[side]["correct"] for side in SIDES},
+        "failed": {side: traced[side]["failed"] for side in SIDES},
         "metrics": {
             name: {side: traced[side]["metrics"][name]["value"] for side in SIDES}
             | {"unit": names[name]["unit"]}
@@ -158,6 +164,12 @@ def main(argv=None) -> int:
         if args.trace_seed is not None:
             report.setdefault(f"per_layer_seed{args.trace_seed}", {})[workload] = per_layer(args, workload)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
+    checked = list(report["end_to_end"].values())
+    checked += [r for key, runs in report.items() if key.startswith("per_layer") for r in runs.values()]
+    if any(not all(r["correct"].values()) or any(r["failed"].values()) for r in checked):
+        print("a run gave wrong answers or failed operations: its medians and wins mean nothing",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -27,6 +27,7 @@ from .parsing import (
     parse_matrix_json,
     parse_point,
     parse_polynomial,
+    parse_polynomials,
 )
 from .polynomials import LAURENT, POLY, Polynomial
 from .primes import (
@@ -94,12 +95,7 @@ def _polynomials(args) -> list[Polynomial]:
         )
     if not texts:
         raise ValueError("no polynomials given (use --poly or --file)")
-    inferred = args.nvars
-    if inferred is None:
-        inferred = 0
-        for text in texts:
-            inferred = max(inferred, parse_polynomial(text, args.mode).n)
-    return [parse_polynomial(text, args.mode, inferred) for text in texts]
+    return parse_polynomials(texts, args.mode, args.nvars)
 
 
 def _polynomial(args) -> Polynomial:

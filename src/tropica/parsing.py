@@ -9,8 +9,13 @@ Grammar::
 
 Coefficients are rational literals ("3", "-1", "7/2"); "+" is the tropical
 sum, "*" the tropical product.  A bare monomial carries the unit coefficient
-(rational 0).  "-inf" terms are dropped.  Variables are x, y, z, w or
-x1..xn; the two styles cannot be mixed in one expression.
+(rational 0).  "-inf" terms are dropped, and a repeated monomial keeps the
+largest coefficient.  Variables are x, y, z, w or x1..xn; the two styles
+cannot be mixed in one expression.
+
+``parse_polynomial`` folds the terms into one coefficient map and builds a
+single ``Polynomial``; ``parse_polynomials`` reads each of several texts
+once and pads their exponents to a common variable count.
 
 Classical polynomials over Q (``parse_classical``) share the monomials and
 the term grammar, but "-" is an operator (coefficients are unsigned), a bare
@@ -23,8 +28,9 @@ import json
 import re
 from fractions import Fraction
 
-from .polynomials import LAURENT, POLY, Polynomial
+from .polynomials import LAURENT, POLY, Exponents, Polynomial
 from .matrices import to_fraction
+from .scalars import BOTTOM, TropScalar, trop_add
 from .tropical_linear import CircuitSet, monomial_window
 
 _LETTER_VARS = {"x": 0, "y": 1, "z": 2, "w": 3}
@@ -142,7 +148,7 @@ def _read_terms(text: str, nvars: int | None, classical: bool):
         kind, value, pos = p.peek()
         if kind in ("inf", "number"):
             p.take()
-            coeff = "-inf" if kind == "inf" else _rational(value, pos)
+            coeff = BOTTOM if kind == "inf" else _rational(value, pos)
             expos: dict[int, int] = {}
             k2, v2, _ = p.peek()
             if k2 == "op" and v2 == "*":
@@ -173,19 +179,41 @@ def _read_terms(text: str, nvars: int | None, classical: bool):
     return [(neg, c, tuple(e.get(i, 0) for i in range(n))) for neg, c, e in terms], n
 
 
+def _fold_terms(text: str, mode: str, nvars: int | None) -> tuple[dict[Exponents, TropScalar], int]:
+    """The coefficient map of ``text`` (a repeated monomial keeps the max) and n."""
+    terms, n = _read_terms(text, nvars, classical=False)
+    coeffs: dict[Exponents, TropScalar] = {}
+    for _, coeff, key in terms:
+        if mode == POLY and any(e < 0 for e in key):
+            raise ParseError("negative exponents are not allowed in poly mode", 0)
+        coeffs[key] = trop_add(coeffs.get(key, BOTTOM), coeff)
+    return coeffs, n
+
+
 def parse_polynomial(text: str, mode: str = LAURENT, nvars: int | None = None) -> Polynomial:
     """Parse the grammar above into a Polynomial.
 
     ``nvars`` fixes the ambient variable count; otherwise it is inferred from
     the variables that appear (letters count up to the furthest letter used).
+    The terms are folded into one map first, so one ``Polynomial`` is built.
     """
-    terms, n = _read_terms(text, nvars, classical=False)
-    poly = Polynomial.zero(n, mode)
-    for _, coeff, key in terms:
-        if mode == POLY and any(e < 0 for e in key):
-            raise ParseError("negative exponents are not allowed in poly mode", 0)
-        poly = poly + Polynomial({key: coeff}, n, mode)
-    return poly
+    coeffs, n = _fold_terms(text, mode, nvars)
+    return Polynomial(coeffs, n, mode)
+
+
+def parse_polynomials(texts, mode: str = LAURENT, nvars: int | None = None) -> list[Polynomial]:
+    """Each text parsed once, all over ``nvars`` variables or else the most any text uses.
+
+    The first text that does not parse raises as in ``parse_polynomial``.
+    An inferred count pads each text's exponents with zeros, which is what
+    parsing the text again with that count would give.
+    """
+    folded = [_fold_terms(text, mode, nvars) for text in texts]
+    n = max((k for _, k in folded), default=0)
+    return [
+        Polynomial({key + (0,) * (n - k): c for key, c in coeffs.items()}, n, mode)
+        for coeffs, k in folded
+    ]
 
 
 def parse_classical(

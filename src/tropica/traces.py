@@ -231,44 +231,60 @@ def trace_to_json(trace: DerivationTrace) -> dict:
     }
 
 
-def _parse_pair(data, mode: str, n: int) -> Pair:
+def _parse_pair(data, parse) -> Pair:
     if not isinstance(data, list) or len(data) != 2:
         raise ValueError(f"a pair must be an array of two polynomials, got {data!r}")
     left, right = data
-    return Pair(parse_polynomial(left, mode, n), parse_polynomial(right, mode, n))
+    return Pair(parse(left), parse(right))
 
 
 def trace_from_json(data: dict) -> DerivationTrace:
+    """The trace of README JSON, each distinct polynomial text parsed once.
+
+    A trace repeats its texts (a conclusion is usually a later premise), so
+    the parsed polynomials are kept in a dict local to this call and shared:
+    polynomials are immutable.  An entry that is not a string goes straight
+    to ``parse_polynomial``, which rejects it.
+    """
     if not isinstance(data, dict):
         raise ValueError("trace JSON must be an object")
     mode = data.get("mode", LAURENT)
     n = _json_int(data["nvars"], "nvars")
+    parsed: dict[str, Polynomial] = {}
+
+    def parse(text) -> Polynomial:
+        if not isinstance(text, str):
+            return parse_polynomial(text, mode, n)
+        if text not in parsed:
+            parsed[text] = parse_polynomial(text, mode, n)
+        return parsed[text]
+
     if not isinstance(data["generators"], list):
         raise ValueError("generators must be an array of polynomials")
-    gens = tuple(parse_polynomial(text, mode, n) for text in data["generators"])
+    gens = tuple(parse(text) for text in data["generators"])
     if not isinstance(data["steps"], list) or not all(isinstance(e, dict) for e in data["steps"]):
         raise ValueError("steps must be an array of objects")
     steps = []
     for entry in data["steps"]:
         rule = entry["rule"]
-        conclusion = _parse_pair(entry["conclusion"], mode, n)
+        conclusion = _parse_pair(entry["conclusion"], parse)
         if rule == GEN:
-            mono = parse_polynomial(entry["delete"], mode, n)
+            mono = parse(entry["delete"])
             if not mono.is_monomial():
                 raise ValueError(f"GEN delete field {entry['delete']!r} is not a monomial")
             args = (entry["generator"], mono.support()[0])
         elif rule == REFL:
-            args = (parse_polynomial(entry["poly"], mode, n),)
+            args = (parse(entry["poly"]),)
         elif rule == SYM:
             args = (entry["step"],)
         elif rule in (TRANS, ADD, MUL):
             args = (entry["left"], entry["right"])
         elif rule == TWIST:
-            args = (entry["step"], _parse_pair(entry["pair"], mode, n))
+            args = (entry["step"], _parse_pair(entry["pair"], parse))
         else:
             raise ValueError(f"unknown rule {rule!r}")
         steps.append(DerivationStep(rule, args, conclusion))
-    return DerivationTrace(gens, tuple(steps), _parse_pair(data["goal"], mode, n))
+    return DerivationTrace(gens, tuple(steps), _parse_pair(data["goal"], parse))
 
 
 def load_trace(path) -> DerivationTrace:

@@ -45,12 +45,11 @@ from .polyhedra import (
     Polyhedron,
     _fractions,
     _int_feasible_point,
-    _int_point,
+    _int_interior_point,
     contains_point,
     dimension,
     full_space,
     int_rows,
-    relative_interior_point,
 )
 from .polynomials import LAURENT, POLY, Exponents, Polynomial
 
@@ -147,11 +146,10 @@ def _make_cell(candidate, scaled: list[list[ScaledTerm]], n: int) -> tuple[Signa
     """
     rows, found, cells = candidate
     poly = Polyhedron(tuple(h for cell in cells for h in cell.constraints), n)
-    point = relative_interior_point(poly, _fractions(found), rows)
-    at = _int_point(point)
+    at = _int_interior_point(rows, n, found)
     signature = tuple(_argmax(terms, at) for terms in scaled)
     ties = [tuple(a - b for a, b in zip(e, min(terms))) for terms in signature for e in terms]
-    return signature, Cell(poly, n - int_rank(ties), point)
+    return signature, Cell(poly, n - int_rank(ties), _fractions(at))
 
 
 def _maximal_cells(candidates, scaled: list[list[ScaledTerm]], n: int) -> tuple[Cell, ...]:

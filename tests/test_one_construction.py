@@ -1,0 +1,329 @@
+"""Each polynomial is built once: the parser, the point sampler and the trace reader.
+
+`ref_parse_polynomial` is the former term-by-term fold of `parse_polynomial`
+(one polynomial per term, summed one at a time), and `ref_cli_polynomials`
+the former two-pass reading of `--poly` texts without `--nvars`.
+`ref_random_member_polynomial` and `ref_point_members` are the former
+`Fraction` sampling loop, which built a polynomial for every draw, repeats
+and rejects included.  They are kept here only as oracles.
+"""
+
+import json
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from tropica import parsing, traces
+from tropica.matrices import dot, to_fraction
+from tropica.parsing import ParseError, parse_polynomial, parse_polynomials
+from tropica.polynomials import LAURENT, POLY, Polynomial
+from tropica.primes import geometric_prime_of_point, variety_of_prime
+from tropica.sampling import (
+    point_members,
+    random_exponents,
+    random_fraction,
+    random_member_polynomial,
+    random_point,
+)
+from tropica.tropical_linear import MembershipSample, monomial_window
+
+REPO = Path(__file__).resolve().parent.parent
+
+# -- reference implementations -------------------------------------------------
+
+
+def ref_parse_polynomial(text, mode=LAURENT, nvars=None):
+    terms, n = parsing._read_terms(text, nvars, classical=False)
+    poly = Polynomial.zero(n, mode)
+    for _, coeff, key in terms:
+        if mode == POLY and any(e < 0 for e in key):
+            raise ParseError("negative exponents are not allowed in poly mode", 0)
+        poly = poly + Polynomial({key: coeff}, n, mode)
+    return poly
+
+
+def ref_cli_polynomials(texts, mode, nvars):
+    inferred = nvars
+    if inferred is None:
+        inferred = 0
+        for text in texts:
+            inferred = max(inferred, parse_polynomial(text, mode).n)
+    return [parse_polynomial(text, mode, inferred) for text in texts]
+
+
+def ref_random_member_polynomial(rng, point, mode=LAURENT, max_extra=3, max_deg=2):
+    if max_deg < 1:
+        raise ValueError("member polynomials need max_deg >= 1 (two distinct exponents)")
+    point = [to_fraction(p) for p in point]
+    n = len(point)
+    target = random_fraction(rng)
+    support = set()
+    while len(support) < 2:
+        support.add(random_exponents(rng, n, mode, max_deg))
+    coeffs = {}
+    for expo in support:
+        coeffs[expo] = target - dot(expo, point)
+    for _ in range(rng.randint(0, max_extra)):
+        expo = random_exponents(rng, n, mode, max_deg)
+        if expo in coeffs:
+            continue
+        drop = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+        coeffs[expo] = target - dot(expo, point) - drop
+    return Polynomial(coeffs, n, mode)
+
+
+def ref_point_members(rng, point, window, count):
+    prime = geometric_prime_of_point(point, window.mode)
+    point = variety_of_prime(prime)
+    members = {}
+    attempts = 0
+    while len(members) < count and attempts < count * 200:
+        attempts += 1
+        poly = ref_random_member_polynomial(rng, point, window.mode, max_deg=window.degree)
+        if poly.degree() <= window.degree:
+            members[poly] = None
+    return MembershipSample(tuple(members), prime)
+
+
+def outcome(call, *args):
+    """The result of a call, or the type and message of the error it raised."""
+    try:
+        return "ok", call(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# -- the parser ------------------------------------------------------------------
+
+_LETTERS = ("x", "y", "z", "w")
+
+
+def _random_text(rng):
+    """Grammar text with repeated monomials, -inf terms and, now and then, a defect."""
+    names = _LETTERS if rng.random() < 0.6 else tuple(f"x{i}" for i in range(1, 6))
+    names = names[: rng.randint(1, len(names))]
+    monomials = []
+    for _ in range(rng.randint(1, 4)):
+        factors = []
+        for name in rng.sample(names, rng.randint(1, len(names))):
+            power = rng.choice((1, 1, 2, 3, -1, -2, 0))
+            factors.append(name if power == 1 and rng.random() < 0.7 else f"{name}^{power}")
+        monomials.append("*".join(factors))
+    terms = []
+    for _ in range(rng.randint(1, 6)):
+        coeff = rng.choice(("", "", "0", "3", "-1", "7/2", "-5/3", "-inf", "12"))
+        monomial = rng.choice(monomials + [""])
+        if not monomial:
+            terms.append(coeff or "0")
+        else:
+            terms.append(f"{coeff}*{monomial}" if coeff else monomial)
+    text = " + ".join(terms)
+    if rng.random() < 0.15:
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + rng.choice(("*", "+", "^", "q", "1/0", " ", "x1")) + text[at:]
+    return text
+
+
+def test_parser_matches_fold_oracle():
+    rng = random.Random(20)
+    parsed = errors = 0
+    for _ in range(1500):
+        text = _random_text(rng)
+        mode = rng.choice((LAURENT, POLY))
+        nvars = rng.choice((None, None, 1, 3, 5))
+        got = outcome(parse_polynomial, text, mode, nvars)
+        assert got == outcome(ref_parse_polynomial, text, mode, nvars), text
+        if got[0] == "ok":
+            parsed += 1
+            assert got[1].terms() == ref_parse_polynomial(text, mode, nvars).terms()
+        else:
+            errors += 1
+    assert parsed > 400 and errors > 200
+
+
+@pytest.mark.parametrize(
+    "text, mode, expected",
+    [
+        ("1*x + 3*x + -2*x", LAURENT, {(1,): Fraction(3)}),
+        ("-inf*x + -inf + y", LAURENT, {(0, 1): Fraction(0)}),
+        ("-inf*x + 2*x", POLY, {(1,): Fraction(2)}),
+        ("-inf", LAURENT, {}),
+        ("x*x^-1 + 0", LAURENT, {(0,): Fraction(0)}),
+    ],
+)
+def test_parser_folds_terms(text, mode, expected):
+    assert parse_polynomial(text, mode).coeffs == expected
+
+
+@pytest.mark.parametrize(
+    "text, mode, message",
+    [
+        ("x + y^-1", POLY, "negative exponents are not allowed in poly mode (at position 0)"),
+        ("-inf*x^-1", POLY, "negative exponents are not allowed in poly mode (at position 0)"),
+        (3, LAURENT, "expected polynomial text, got int (at position 0)"),
+        (None, POLY, "expected polynomial text, got NoneType (at position 0)"),
+        (["x"], LAURENT, "expected polynomial text, got list (at position 0)"),
+    ],
+)
+def test_parser_errors_kept(text, mode, message):
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial(text, mode)
+    assert str(exc.value) == message
+
+
+def test_parse_polynomials_matches_two_pass_reading():
+    rng = random.Random(21)
+    for _ in range(400):
+        texts = [_random_text(rng) for _ in range(rng.randint(1, 4))]
+        mode = rng.choice((LAURENT, POLY))
+        nvars = rng.choice((None, None, 2, 4, 0, -1))
+        assert outcome(parse_polynomials, texts, mode, nvars) == outcome(
+            ref_cli_polynomials, texts, mode, nvars
+        ), texts
+
+
+# -- the point sampler ------------------------------------------------------------
+
+
+def _case(seed):
+    """(point, window, count) for one seed; the two modes alternate."""
+    rng = random.Random(seed)
+    n = 1 + seed % 3
+    mode = POLY if seed % 2 else LAURENT
+    degree = rng.randint(1, 3 if n == 1 else 2)
+    point = random_point(rng, n, -3, 3, 4)
+    if rng.random() < 0.2:  # points given as strings and ints
+        point = tuple(str(x) if x.denominator > 1 else int(x) for x in point)
+    return point, monomial_window(n, mode, degree), rng.randint(0, 12)
+
+
+def test_point_members_match_fraction_loop():
+    # x + c at the origin holds 19 members: the last three cases run out of draws
+    small = [((Fraction(0),), monomial_window(1, POLY, 1), 20)] * 3
+    exhausted = 0
+    for seed, (point, window, count) in enumerate([_case(seed) for seed in range(420)] + small):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        sample = point_members(ours, point, window, count)
+        expected = ref_point_members(theirs, point, window, count)
+        assert sample.samples == expected.samples, seed
+        assert sample.prime == expected.prime
+        assert ours.getstate() == theirs.getstate(), seed
+        exhausted += len(sample.samples) < count
+    assert exhausted >= 3
+
+
+def test_random_member_polynomial_matches_fraction_loop():
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = rng.randint(1, 4)
+        point = random_point(rng, n, -4, 4, 5)
+        mode = rng.choice((LAURENT, POLY))
+        args = (mode, rng.randint(0, 4), rng.randint(1, 3))
+        ours, theirs = random.Random(seed), random.Random(seed)
+        f = random_member_polynomial(ours, point, *args)
+        assert f == ref_random_member_polynomial(theirs, point, *args), seed
+        assert f.terms() == ref_random_member_polynomial(random.Random(seed), point, *args).terms()
+        assert ours.getstate() == theirs.getstate()
+        assert f.vanishes_at(point)
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        ("member", ((Fraction(1),), POLY, 3, 0)),
+        ("member", ((0.5,), POLY)),
+        ("member", ((0.5,), POLY, 3, 0)),
+        ("member", (("1/0",), LAURENT)),
+        ("points", ((Fraction(0),), monomial_window(1, POLY, 0), 1)),
+        ("points", ((0.1,), monomial_window(1, POLY, 2), 3)),
+    ],
+)
+def test_sampler_errors_kept(call, args):
+    ours = (random_member_polynomial, point_members)[call == "points"]
+    theirs = (ref_random_member_polynomial, ref_point_members)[call == "points"]
+    got = outcome(ours, random.Random(0), *args)
+    assert got[0] == "ValueError" and got == outcome(theirs, random.Random(0), *args)
+
+
+def test_point_members_count_zero_draws_nothing():
+    # a degree-0 window raises only once a draw is made, as before
+    rng = random.Random(0)
+    state = rng.getstate()
+    assert point_members(rng, (Fraction(0),), monomial_window(1, POLY, 0), 0).samples == ()
+    assert rng.getstate() == state
+
+
+# -- construction counts ------------------------------------------------------------
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """The number of Polynomial constructions so far, as a one-element list."""
+    count = [0]
+    init = Polynomial.__init__
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "__init__", counting)
+    return count
+
+
+@pytest.mark.parametrize(
+    "text", ["x", "3*x^2*y + 0*x + -1", "1*x + 3*x + -inf*y + 2 + 7/2*x*y*z", "-inf"]
+)
+def test_one_construction_per_parse(constructions, text):
+    parse_polynomial(text, LAURENT)
+    assert constructions[0] == 1
+
+
+def test_point_members_build_one_polynomial_per_member(constructions):
+    # x + c at the origin: about 19 members exist, so most draws repeat
+    sample = point_members(random.Random(1), (Fraction(0),), monomial_window(1, POLY, 1), 30)
+    assert constructions[0] == len(sample.samples) == len(set(sample.samples))
+    constructions[0] = 0
+    sample = point_members(random.Random(2), (Fraction(1, 2), Fraction(-1)), monomial_window(2, POLY, 2), 25)
+    assert constructions[0] == len(sample.samples) == 25
+
+
+def test_trace_reader_parses_each_distinct_text_once(monkeypatch):
+    texts = []
+    parse = traces.parse_polynomial
+
+    def counting(text, *args):
+        texts.append(text)
+        return parse(text, *args)
+
+    monkeypatch.setattr(traces, "parse_polynomial", counting)
+    for path in sorted((REPO / "traces").glob("*.json")):
+        before = len(texts)
+        traces.load_trace(path)
+        assert len(set(texts[before:])) == len(texts) - before, path.name
+    assert len(texts) == 46
+
+
+def test_trace_reader_shares_repeated_texts():
+    data = json.loads((REPO / "traces" / "monomial_bridge.json").read_text())
+    trace = traces.trace_from_json(data)
+    assert trace == traces.trace_from_json(json.loads(json.dumps(data)))
+    first = trace.steps[0].conclusion.left
+    assert first is trace.generators[trace.steps[0].args[0]]
+
+
+def test_cli_reads_each_text_once(monkeypatch, capsys):
+    from tropica.cli import main
+
+    read = []
+    read_terms = parsing._read_terms
+
+    def counting(text, *args, **kwargs):
+        read.append(text)
+        return read_terms(text, *args, **kwargs)
+
+    monkeypatch.setattr(parsing, "_read_terms", counting)
+    assert main(["prevariety", "--poly", "x + y + 0", "--poly", "x + z + 1"]) == 0
+    assert read == ["x + y + 0", "x + z + 1"]
+    capsys.readouterr()

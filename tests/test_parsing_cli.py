@@ -818,3 +818,49 @@ def test_cli_trace_verify_rejects_boolean_indices(capsys, tmp_path, rule, field)
     assert code == 0 and err == ""
     result = json.loads(out)
     assert result["accepted"] is False and result["failed_step"] == index
+
+
+# where each polynomial text of the README trace sits: (path to the text's container, key)
+_TRACE_TEXT_FIELDS = {
+    "generators": (("generators",), 1),
+    "conclusion": (("steps", 0, "conclusion"), 0),
+    "delete": (("steps", 0), "delete"),
+    "poly": (("steps", 1), "poly"),
+    "pair": (("steps", 5, "pair"), 1),
+    "goal": (("goal",), 1),
+}
+
+
+@pytest.mark.parametrize("value, kind", [(7, "int"), (["x"], "list"), (None, "NoneType")])
+@pytest.mark.parametrize("field", sorted(_TRACE_TEXT_FIELDS))
+def test_cli_trace_verify_non_text_polynomial(capsys, tmp_path, field, value, kind):
+    data = _readme_trace_json()
+    path, key = _TRACE_TEXT_FIELDS[field]
+    node = data
+    for step in path:
+        node = node[step]
+    node[key] = value
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps(data))
+    code, out, err = run_cli(["trace-verify", "--trace", str(trace)], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "parse",
+        "message": f"expected polynomial text, got {kind} (at position 0)",
+    }
+
+
+@pytest.mark.parametrize("field", sorted(_TRACE_TEXT_FIELDS))
+def test_cli_trace_verify_repeated_malformed_text(capsys, tmp_path, field):
+    # the malformed text stands in the given field and in the goal's left side
+    data = _readme_trace_json()
+    path, key = _TRACE_TEXT_FIELDS[field]
+    node = data
+    for step in path:
+        node = node[step]
+    node[key] = data["goal"][0] = "x + * y"
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps(data))
+    code, out, err = run_cli(["trace-verify", "--trace", str(trace)], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "parse", "message": "expected a term (at position 4)"}
