@@ -63,19 +63,23 @@ def _emit(data, args) -> None:
 
 
 def _as_text(data, indent: str = "") -> str:
+    """One ``key: value`` or ``- item`` line per scalar, sorted by key.
+
+    A non-empty inner list or dict sits indented under its own key or
+    marker; an empty one prints as ``[]`` or ``{}``.
+    """
     if isinstance(data, dict):
-        lines = []
-        for key in sorted(data):
-            value = data[key]
-            if isinstance(value, (dict, list)):
-                lines.append(f"{indent}{key}:")
-                lines.append(_as_text(value, indent + "  "))
-            else:
-                lines.append(f"{indent}{key}: {value}")
-        return "\n".join(lines)
-    if isinstance(data, list):
-        return "\n".join(_as_text(v, indent + "  ") if isinstance(v, (dict, list)) else f"{indent}- {v}" for v in data)
-    return f"{indent}{data}"
+        items = [(f"{key}:", data[key]) for key in sorted(data)]
+    else:
+        items = [("-", value) for value in data]
+    lines = []
+    for label, value in items:
+        if isinstance(value, (dict, list)) and value:
+            lines.append(f"{indent}{label}")
+            lines.append(_as_text(value, indent + "  "))
+        else:
+            lines.append(f"{indent}{label} {value}")
+    return "\n".join(lines)
 
 
 def _load_json_arg(text: str):

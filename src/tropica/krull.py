@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrices import dot
-from .polyhedra import EQ, affine_hull_directions
+from .polyhedra import affine_hull_directions, line_bounds
 from .polynomials import Polynomial
 from .primes import AdmissibleMatrix, admissibility_violations, bend_ideal_member, check_admissible
 from .varieties import Cell, PolyComplex, complex_dim, prevariety
@@ -62,15 +61,7 @@ def contains_bends(matrix: AdmissibleMatrix, gens: list[Polynomial]) -> bool:
 def _interior_shift(cell: Cell, direction) -> tuple[Fraction, ...]:
     """omega + t * direction staying inside the cell, with t > 0 rational."""
     omega = cell.interior_point
-    t_max: Fraction | None = None
-    for h in cell.polyhedron.constraints:
-        if h.relation == EQ:
-            continue
-        slope = dot(h.normal, direction)
-        if slope > 0:
-            slack = h.rhs - dot(h.normal, omega)
-            bound = slack / slope
-            t_max = bound if t_max is None or bound < t_max else t_max
+    _, t_max = line_bounds(cell.polyhedron, omega, direction)
     t = Fraction(1) if t_max is None else t_max / 2
     if t <= 0:
         raise ValueError("interior point is not strictly inside the cell")
@@ -82,8 +73,11 @@ def witness_prime(x: PolyComplex, gens: list[Polynomial]) -> AdmissibleMatrix:
 
     Rows are (1, p) for d+1 affinely independent rational points of a maximal
     cell: its relative interior point and one shift along each affine-hull
-    basis direction.  Ties between maximal cells are broken by the canonical
-    cell serialization, so the witness is deterministic.
+    basis direction.  The directions are read off that point: the rows tight
+    there are the equalities and implicit equalities of the cell, so their
+    nullspace is its affine hull (``affine_hull_directions``).  Ties between
+    maximal cells are broken by the canonical cell serialization, so the
+    witness is deterministic.
     """
     if x.is_empty():
         raise EmptyVarietyError("cannot build a witness over an empty complex")
@@ -94,7 +88,10 @@ def witness_prime(x: PolyComplex, gens: list[Polynomial]) -> AdmissibleMatrix:
     cell = candidates[0]
     omega = cell.interior_point
     rows = [[Fraction(1), *omega]]
-    for direction in affine_hull_directions(cell.polyhedron)[:d]:
+    directions = affine_hull_directions(cell.polyhedron, omega)
+    if len(directions) != d:  # a boundary point has more tight rows
+        raise ValueError("interior point is not strictly inside the cell")
+    for direction in directions:
         point = _interior_shift(cell, direction)
         rows.append([Fraction(1), *point])
     mode = gens[0].mode if gens else x.mode

@@ -340,43 +340,54 @@ def implicit_equality_indices(poly: Polyhedron, point=None) -> list[int]:
     return _int_implicit_equalities(rows, poly.n, found)
 
 
-def _equality_normals(poly: Polyhedron, point=None) -> list[tuple[Fraction, ...]]:
-    normals = [h.normal for h in poly.constraints if h.relation == EQ]
-    implicit = set(implicit_equality_indices(poly, point))
-    normals.extend(h.normal for i, h in enumerate(poly.constraints) if i in implicit)
-    return normals
-
-
 def dimension(poly: Polyhedron) -> int:
     """Dimension of the affine hull; -1 for the empty set."""
     point = feasible_point(poly)
     if point is None:
         return -1
-    return poly.n - rank(_equality_normals(poly, point))
+    implicit = set(implicit_equality_indices(poly, point))
+    normals = [h.normal for i, h in enumerate(poly.constraints) if h.relation == EQ or i in implicit]
+    return poly.n - rank(normals)
 
 
-def affine_hull_directions(poly: Polyhedron) -> list[tuple[Fraction, ...]]:
-    """Rational basis of the direction space of the affine hull."""
-    normals = _equality_normals(poly)
-    if not normals:
-        return [tuple(Fraction(int(i == k)) for i in range(poly.n)) for k in range(poly.n)]
-    return nullspace(normals, poly.n)
+def affine_hull_directions(poly: Polyhedron, point) -> list[tuple[Fraction, ...]]:
+    """Rational basis of the direction space of the affine hull, read off ``point``.
 
-
-def relative_interior_point(poly: Polyhedron, point=None, rows=None) -> tuple[Fraction, ...]:
-    """A rational point satisfying every non-implied inequality strictly.
-
-    ``point`` saves one feasibility solve, and must be the point that solve
-    returns (``feasible_point(poly)``): when it meets every inequality
-    strictly it is returned as it is, by the strictness lemma, which makes
-    it the point the strict solve would find.  Another feasible point still
-    gives a relative interior point, but not always the same one.  ``rows``,
-    the constraints as integer rows (each a positive multiple of its
-    constraint, in order), saves clearing them of denominators.
+    ``point`` must be a relative interior point (``relative_interior_point``).
+    Tight-row lemma: at such a point the rows that hold with equality are
+    exactly the EQ rows and the implicit equalities (Schrijver, *Theory of
+    Linear and Integer Programming*, 8.2), so the hull is the nullspace of
+    their normals, with no solve.  The basis is that of ``nullspace``: the
+    reduced row echelon form of a row space is unique, so any point with the
+    same tight rows gives the same directions.
     """
-    if rows is None:
-        rows = int_rows(poly)
-    found = _int_feasible_point(rows, poly.n) if point is None else _int_point(point)
+    return nullspace([h.normal for h in poly.constraints if _value(h.normal, point) == h.rhs], poly.n)
+
+
+def line_bounds(poly: Polyhedron, point, direction) -> tuple[Fraction | None, Fraction | None]:
+    """The interval (lo, hi) of t with point + t * direction in the polyhedron.
+
+    ``point`` lies in the polyhedron and ``direction`` in its affine hull,
+    so EQ rows hold along the whole line and are skipped, as are rows
+    parallel to it.  A side with no bound reads None.
+    """
+    lo = hi = None
+    for h in poly.constraints:
+        slope = _value(h.normal, direction)
+        if h.relation == EQ or slope == 0:
+            continue
+        bound = (h.rhs - _value(h.normal, point)) / slope
+        if slope > 0:
+            hi = bound if hi is None or bound < hi else hi
+        else:
+            lo = bound if lo is None or bound > lo else lo
+    return lo, hi
+
+
+def relative_interior_point(poly: Polyhedron) -> tuple[Fraction, ...]:
+    """A rational point satisfying every non-implied inequality strictly."""
+    rows = int_rows(poly)
+    found = _int_feasible_point(rows, poly.n)
     if found is None:
         raise ValueError("polyhedron is empty")
     return _fractions(_int_interior_point(rows, poly.n, found))

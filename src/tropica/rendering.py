@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .matrices import dot, to_fraction
-from .polyhedra import EQ, LE, HalfSpace, Polyhedron, intersect, is_empty
-from .polyhedra import dimension, relative_interior_point, affine_hull_directions
+from .matrices import to_fraction
+from .polyhedra import EQ, LE, HalfSpace, Polyhedron, affine_hull_directions, intersect, is_empty
+from .polyhedra import line_bounds, relative_interior_point
 from .varieties import PolyComplex
 
 _SIZE = 400
@@ -44,23 +44,9 @@ class _Mapper:
         return float(x), float(y)
 
 
-def _segment_endpoints(poly: Polyhedron):
-    """Endpoints of a bounded 1-dimensional polyhedron."""
-    q = relative_interior_point(poly)
-    (direction,) = affine_hull_directions(poly)
-    t_lo = None
-    t_hi = None
-    for h in poly.constraints:
-        slope = dot(h.normal, direction)
-        if slope == 0:
-            continue
-        bound = (h.rhs - dot(h.normal, q)) / slope
-        if h.relation == EQ:
-            continue
-        if slope > 0:
-            t_hi = bound if t_hi is None or bound < t_hi else t_hi
-        else:
-            t_lo = bound if t_lo is None or bound > t_lo else t_lo
+def _segment_endpoints(poly: Polyhedron, q, direction):
+    """Endpoints of a bounded 1-dimensional polyhedron, with q in its relative interior."""
+    t_lo, t_hi = line_bounds(poly, q, direction)
     if t_lo is None or t_hi is None:
         raise ValueError("cell is unbounded inside the box")
     a = tuple(qi + t_lo * d for qi, d in zip(q, direction))
@@ -69,47 +55,40 @@ def _segment_endpoints(poly: Polyhedron):
 
 
 def render_svg(x: PolyComplex, bbox) -> str:
-    """SVG document for a 2-dimensional complex clipped to (xmin,ymin,xmax,ymax)."""
+    """SVG document for a 2-dimensional complex clipped to (xmin,ymin,xmax,ymax).
+
+    Each clipped cell takes one feasibility check and one relative interior
+    point; its affine hull, and so its dimension, is read off that point.
+    """
     if x.ambient != 2:
         raise ValueError("SVG rendering requires an ambient dimension of 2")
     bbox = tuple(to_fraction(v) for v in bbox)
     box = _bbox_polyhedron(bbox)
     mapper = _Mapper(bbox)
     shapes: list[str] = []
-    axis_style = 'stroke="#bbbbbb" stroke-width="1"'
-    for axis_cell in (
+    axes = (
         Polyhedron((HalfSpace((Fraction(1), Fraction(0)), Fraction(0), EQ),), 2),
         Polyhedron((HalfSpace((Fraction(0), Fraction(1)), Fraction(0), EQ),), 2),
-    ):
-        clipped = intersect(axis_cell, box)
+    )
+    pieces = [(axis, 'stroke="#bbbbbb" stroke-width="1"') for axis in axes]
+    pieces += [(c.polyhedron, 'stroke="#1f6fb2" stroke-width="2"') for c in x.cells if not c.stratum]
+    for poly, style in pieces:
+        clipped = intersect(poly, box)
         if is_empty(clipped):
             continue
-        a, b = _segment_endpoints(clipped)
-        (x1, y1), (x2, y2) = mapper.to_svg(a), mapper.to_svg(b)
-        shapes.append(
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" {axis_style}/>'
-        )
-    for cell in x.cells:
-        if cell.stratum:
-            continue
-        clipped = intersect(cell.polyhedron, box)
-        if is_empty(clipped):
-            continue
-        dim = dimension(clipped)
-        if dim >= 2:
+        q = relative_interior_point(clipped)
+        directions = affine_hull_directions(clipped, q)
+        if len(directions) >= 2:
             raise ValueError("2-dimensional cells are not supported by the renderer")
-        if dim == 1:
-            a, b = _segment_endpoints(clipped)
+        if directions:
+            a, b = _segment_endpoints(clipped, q, directions[0])
             (x1, y1), (x2, y2) = mapper.to_svg(a), mapper.to_svg(b)
             shapes.append(
-                f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-                'stroke="#1f6fb2" stroke-width="2"/>'
+                f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" {style}/>'
             )
         else:
-            px, py = mapper.to_svg(relative_interior_point(clipped))
-            shapes.append(
-                f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="3" fill="#b23a1f"/>'
-            )
+            px, py = mapper.to_svg(q)
+            shapes.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="3" fill="#b23a1f"/>')
     body = "\n".join(shapes)
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '

@@ -187,7 +187,8 @@ def prime_members(
     Each drawn member comes with a partner that keeps its leading terms and
     moves one low term, the shape on which the elimination axiom can fail.
     Stops at ``count`` members (a partner may add one more) or ``count * 200``
-    draws.
+    draws.  A window of fewer than two monomials holds no member, and is an
+    error.
 
     Draws are tested on integer keys: coefficients and exponents are
     integers, so a term's key is ``U_int @ (c, e)`` with no denominator, and
@@ -199,6 +200,8 @@ def prime_members(
     """
     if window.n != matrix.n:
         raise ValueError(f"the window has {window.n} variables, the prime {matrix.n}")
+    if len(window) < 2:
+        raise ValueError(f"the window holds {len(window)} monomial; a member needs two terms")
     weights = [row[0] for row in matrix.int_rows]
     lifted = {
         expo: [sum(map(mul, row[1:], expo)) for row in matrix.int_rows]

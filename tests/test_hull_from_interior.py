@@ -1,0 +1,205 @@
+"""The affine hull read off a relative interior point, and one line-clipping loop.
+
+`affine_hull_directions(poly, point)` takes the nullspace of the normals of
+the rows tight at a relative interior point.  Tight-row lemma: there the
+tight rows are exactly the EQ rows and the implicit equalities, so the row
+space, and with it the reduced echelon basis, is that of the former code.
+That code is kept below as the oracle: `ref_affine_hull_directions` solves
+for a feasible point, probes every LE row tight there for an implicit
+equality, and takes the nullspace of the EQ and implicit normals.
+`line_bounds` replaces two clipping loops, kept below as
+`ref_interior_shift_bound` (the witness shift in `krull`) and
+`ref_segment_bounds` (the segment endpoints in `rendering`).
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from tropica import polyhedra, varieties
+from tropica.krull import coordinate_dimension, witness_prime
+from tropica.matrices import dot, nullspace
+from tropica.parsing import parse_polynomials
+from tropica.polyhedra import (
+    EQ,
+    LE,
+    affine_hull_directions,
+    implicit_equality_indices,
+    is_empty,
+    line_bounds,
+    make_polyhedron,
+    relative_interior_point,
+)
+from tropica.polynomials import LAURENT, POLY
+from tropica.rendering import render_svg
+from tropica.sampling import random_polynomial
+from tropica.varieties import affine_prevariety, complex_from_json, hypersurface, prevariety
+
+
+def ref_affine_hull_directions(poly):
+    """The former hull: a fresh feasibility solve, then probe for implicit equalities."""
+    normals = [h.normal for h in poly.constraints if h.relation == EQ]
+    implicit = set(implicit_equality_indices(poly))
+    normals.extend(h.normal for i, h in enumerate(poly.constraints) if i in implicit)
+    if not normals:
+        return [tuple(Fraction(int(i == k)) for i in range(poly.n)) for k in range(poly.n)]
+    return nullspace(normals, poly.n)
+
+
+def ref_interior_shift_bound(poly, omega, direction):
+    """The former loop of `krull._interior_shift`: the upper end of the line only."""
+    t_max = None
+    for h in poly.constraints:
+        if h.relation == EQ:
+            continue
+        slope = dot(h.normal, direction)
+        if slope > 0:
+            bound = (h.rhs - dot(h.normal, omega)) / slope
+            t_max = bound if t_max is None or bound < t_max else t_max
+    return t_max
+
+
+def ref_segment_bounds(poly, q, direction):
+    """The former loop of `rendering._segment_endpoints`: both ends of the line."""
+    t_lo = t_hi = None
+    for h in poly.constraints:
+        slope = dot(h.normal, direction)
+        if slope == 0:
+            continue
+        bound = (h.rhs - dot(h.normal, q)) / slope
+        if h.relation == EQ:
+            continue
+        if slope > 0:
+            t_hi = bound if t_hi is None or bound < t_hi else t_hi
+        else:
+            t_lo = bound if t_lo is None or bound > t_lo else t_lo
+    return t_lo, t_hi
+
+
+def random_rows(rng):
+    """Rational EQ/LE rows in 1-4 variables, with duplicate, parallel, opposite and zero rows.
+
+    An opposite row with the negated right side makes both rows implicit
+    equalities.
+    """
+    n = rng.randint(1, 4)
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        a = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n))
+        b = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        rows.append((a, b, EQ if rng.random() < 0.15 else LE))
+        roll = rng.random()
+        if roll < 0.1:
+            rows.append(rows[-1])
+        elif roll < 0.25:
+            k = rng.randint(2, 3)
+            rows.append((tuple(k * x for x in a), k * b + rng.randint(-1, 1), LE))
+        elif roll < 0.5:
+            rows.append((tuple(-x for x in a), -b + rng.choice([0, 0, 1]), LE))
+        elif roll < 0.6:
+            rows.append(((Fraction(0),) * n, Fraction(rng.randint(0, 1)), rng.choice([LE, EQ])))
+    return rows, n
+
+
+def test_hull_at_the_interior_point_matches_the_probing_oracle():
+    rng = random.Random(1689)
+    checked = with_implicit = 0
+    while checked < 1200:
+        rows, n = random_rows(rng)
+        poly = make_polyhedron(rows, n)
+        if is_empty(poly):
+            continue
+        checked += 1
+        with_implicit += bool(implicit_equality_indices(poly))
+        point = relative_interior_point(poly)
+        assert affine_hull_directions(poly, point) == ref_affine_hull_directions(poly), rows
+    assert with_implicit >= 400
+
+
+@pytest.mark.parametrize("builder", ["prevariety", "affine_prevariety"])
+def test_hull_of_every_cell_matches_the_probing_oracle(builder):
+    rng = random.Random(300)
+    cells = 0
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        mode = POLY if builder == "affine_prevariety" else rng.choice([LAURENT, POLY])
+        gens = [random_polynomial(rng, n, mode, 4, 2, 2) for _ in range(rng.randint(1, 2))]
+        if builder == "prevariety":
+            x = prevariety(gens)
+        else:
+            x = affine_prevariety(gens)
+        for cell in x.cells:
+            cells += 1
+            directions = affine_hull_directions(cell.polyhedron, cell.interior_point)
+            assert directions == ref_affine_hull_directions(cell.polyhedron), gens
+            assert len(directions) == cell.dim
+    assert cells >= 300
+
+
+def test_line_bounds_match_the_former_loops():
+    rng = random.Random(41)
+    checked = 0
+    while checked < 400:
+        rows, n = random_rows(rng)
+        poly = make_polyhedron(rows, n)
+        if is_empty(poly):
+            continue
+        checked += 1
+        point = relative_interior_point(poly)
+        other = tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
+        for direction in affine_hull_directions(poly, point) + [other]:
+            lo, hi = line_bounds(poly, point, direction)
+            assert hi == ref_interior_shift_bound(poly, point, direction), rows
+            assert (lo, hi) == ref_segment_bounds(poly, point, direction), rows
+
+
+def test_witness_rejects_a_boundary_interior_point():
+    # a ray read from JSON with its apex as interior point: the directions
+    # read off a boundary point are too few, which the witness must not hide
+    ray = {
+        "stratum": [],
+        "normals": [["1", "0"], ["0", "1"]],
+        "rhs": ["0", "0"],
+        "relations": ["eq", "le"],
+        "dim": 1,
+        "interior_point": ["0", "0"],
+    }
+    x = complex_from_json({"ambient": 2, "mode": "laurent", "cells": [ray]})
+    with pytest.raises(ValueError, match="not strictly inside the cell"):
+        witness_prime(x, [])
+    ray["interior_point"] = ["0", "-1"]
+    x = complex_from_json({"ambient": 2, "mode": "laurent", "cells": [ray]})
+    assert witness_prime(x, []).rank == 2
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts Fourier-Motzkin solves, from `polyhedra` and from `varieties`."""
+    count = [0]
+    solve = polyhedra._int_feasible_point
+
+    def counted(rows, n):
+        count[0] += 1
+        return solve(rows, n)
+
+    monkeypatch.setattr(polyhedra, "_int_feasible_point", counted)
+    monkeypatch.setattr(varieties, "_int_feasible_point", counted)
+    return count
+
+
+def test_dimension_report_makes_no_hull_solve(solves):
+    # three tie cells, each one solve; the former hull made a fourth
+    (f,) = parse_polynomials(["x + y + 0"], LAURENT, None)
+    report = coordinate_dimension([f])
+    assert report.coordinate_dim == 2
+    assert solves[0] == 3
+
+
+def test_plot_of_a_line_makes_two_solves_per_clipped_cell(solves):
+    # two axes and three rays: a feasibility check and an interior point each (was 18)
+    (f,) = parse_polynomials(["x + y + 0"], LAURENT, None)
+    x = hypersurface(f)
+    solves[0] = 0
+    render_svg(x, (-5, -5, 5, 5))
+    assert solves[0] == 10

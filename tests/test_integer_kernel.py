@@ -26,7 +26,6 @@ from tropica.polyhedra import (
     implicit_equality_indices,
     is_empty,
     make_polyhedron,
-    relative_interior_point,
 )
 
 # -- oracles: the former Fraction implementations --------------------------------
@@ -325,7 +324,6 @@ def test_given_point_gives_the_same_answers():
             continue
         checked += 1
         assert implicit_equality_indices(p, point) == implicit_equality_indices(p)
-        assert relative_interior_point(p, point) == relative_interior_point(p)
 
 
 def test_make_cell_solves_each_candidate_once(monkeypatch):

@@ -386,6 +386,19 @@ def test_cli_tideal_check_point_degree_zero(capsys):
 
 
 @pytest.mark.parametrize(
+    "matrix,degree",
+    [("[[1,0]]", "0"), ("[[1,0,0]]", "0"), ("[[1]]", "2")],
+)
+def test_cli_tideal_check_matrix_one_monomial_window(capsys, matrix, degree):
+    # a one-monomial window holds no member: this printed {"passed": true} after 0 draws
+    args = ["tideal-check", "--matrix", matrix, "--degree", degree]
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    assert error == {"error": "domain", "message": "the window holds 1 monomial; a member needs two terms"}
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["tideal-trop", "--gens", "x - y", "--nvars", "3", "--degree", "1000000"],
@@ -779,6 +792,110 @@ def test_cli_text_format(capsys):
     )
     assert code == 0
     assert "value: 2" in out
+
+
+# each nested list under its own "-" marker; this printed the bend pairs as six
+# undivided lines, the witness as six numbers and the empty stratum as a blank line
+TEXT_PINS = {
+    "bend": """\
+pairs:
+  -
+    - x + y + 0
+    - y + 0
+  -
+    - x + y + 0
+    - x + 0
+  -
+    - x + y + 0
+    - x + y
+""",
+    "dim": """\
+caveat: computed from the prevariety of the given generators
+coordinate_dim: 2
+variety_dim: 1
+witness:
+  -
+    - 1
+    - -1
+    - 0
+  -
+    - 1
+    - -1/2
+    - 0
+witness_checks:
+  admissible: True
+  contains_bends: True
+  rank: 2
+""",
+    "hypersurface": """\
+ambient: 2
+cells:
+  -
+    dim: 1
+    interior_point:
+      - -1
+      - 0
+    normals:
+      -
+        - 0
+        - 1
+      -
+        - 1
+        - -1
+    relations:
+      - eq
+      - le
+    rhs:
+      - 0
+      - 0
+    stratum: []
+  -
+    dim: 1
+    interior_point:
+      - 1
+      - 1
+    normals:
+      -
+        - 1
+        - -1
+      -
+        - -1
+        - 0
+    relations:
+      - eq
+      - le
+    rhs:
+      - 0
+      - 0
+    stratum: []
+  -
+    dim: 1
+    interior_point:
+      - 0
+      - -1
+    normals:
+      -
+        - 1
+        - 0
+      -
+        - -1
+        - 1
+    relations:
+      - eq
+      - le
+    rhs:
+      - 0
+      - 0
+    stratum: []
+mode: laurent
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(TEXT_PINS))
+def test_cli_text_format_nests_lists(capsys, command):
+    code, out, _ = run_cli([command, "--poly", "x + y + 0", "--format", "text"], capsys)
+    assert (code, out) == (0, TEXT_PINS[command])
 
 
 def test_cli_entry_point_installed():

@@ -80,7 +80,7 @@ def test_dimension_vs_sampled_affine_hull():
             continue
         d = dimension(p)
         base = relative_interior_point(p)
-        directions = affine_hull_directions(p)
+        directions = affine_hull_directions(p, base)
         assert len(directions) == d
         # shifted samples along hull directions stay inside (small steps)
         for v in directions:
