@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import mul
 
 from .polyhedra import _int_point
-from .polynomials import LAURENT, POLY, Polynomial
+from .polynomials import LAURENT, POLY, Polynomial, term_key
 from .primes import (
     AdmissibilityError,
     AdmissibleMatrix,
@@ -195,8 +195,10 @@ def prime_members(
     the exponent part is computed once per window monomial.  A draw is a
     member when its top key is attained twice; a partner keeps the top class
     (the moved term is below it), so it is a member when its new term's key
-    is at most the top.  Only accepted members and partners become
-    polynomials.
+    is at most the top.  Repeats are found on the integer coefficient maps,
+    and a partner is a map edit, so one ``Polynomial`` is built per member
+    returned.  The low terms are listed in display order (``term_key``), the
+    order the partner's RNG choice reads them in.
     """
     if window.n != matrix.n:
         raise ValueError(f"the window has {window.n} variables, the prime {matrix.n}")
@@ -212,7 +214,7 @@ def prime_members(
     def key(coeff: int, expo) -> tuple[int, ...]:
         return tuple(coeff * w + x for w, x in zip(weights, lifted[expo]))
 
-    members: dict[Polynomial, None] = {}
+    members: dict[frozenset, dict] = {}
     attempts = 0
     while len(members) < count and attempts < count * 200:
         attempts += 1
@@ -222,13 +224,14 @@ def prime_members(
         top = max(keys.values())
         if list(keys.values()).count(top) < 2:
             continue
-        poly = Polynomial(coeffs, window.n, window.mode)
-        members[poly] = None
-        low = [e for e in poly.support() if keys[e] != top]
+        members.setdefault(frozenset(coeffs.items()), coeffs)
+        low = sorted((e for e in coeffs if keys[e] != top), key=term_key)
         if low:
             moved = rng.choice(low)
             target = rng.choice(window.monomials)
             if target not in coeffs and key(coeffs[moved], target) <= top:
-                term = Polynomial({target: coeffs[moved]}, window.n, window.mode)
-                members[poly.delete_term(moved) + term] = None
-    return MembershipSample(tuple(members), matrix)
+                partner = {e: c for e, c in coeffs.items() if e != moved}
+                partner[target] = coeffs[moved]
+                members.setdefault(frozenset(partner.items()), partner)
+    polys = (Polynomial(c, window.n, window.mode) for c in members.values())
+    return MembershipSample(tuple(polys), matrix)

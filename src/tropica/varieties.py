@@ -10,16 +10,16 @@ Maximality and cell dimension come from argmax signatures, not from
 polyhedral probing: the set of terms of each generator that attain the
 maximum at a cell's relative interior point (see ``_maximal_cells``).
 
-Integer rows: each polynomial is scaled once to integers.  With L the lcm
-of its coefficient denominators, term k becomes (L e_k, L c_k), the affine
+Integer rows: a prevariety scales all its generators by one L, the lcm of
+their coefficient denominators, so term k becomes (L e_k, L c_k), the affine
 function L (c_k + e_k . x).  Tie-cell rows, their intersections and the
-strict-dominance systems of ``vanishes_on_complex`` go to Fourier-Motzkin
-as integer rows, each L times the Fraction constraint it stands for; by the
-scaling lemma of ``polyhedra`` they give the same eliminations and points.
-Argmax sets are compared as integers L den times the term values at the
-point nums / den; L den > 0 keeps their order.  So the candidates and the
-output are those of the Fraction constraints.  The tie cells' Fraction
-polyhedra (output data) are built once per non-empty tie cell.
+strict-dominance systems go to Fourier-Motzkin as integer rows, each L times
+the Fraction constraint it stands for; by the scaling lemma of ``polyhedra``
+they give the same eliminations and points.  Argmax sets are compared as
+integers L den times the term values at the point nums / den; L den > 0
+keeps their order.  So the candidates and the output are those of the
+Fraction constraints.  A tie cell is built once, as rows; a cell's Fraction
+polyhedron (output data) is its rows divided by L.
 
 Conventions: monomials never vanish and the zero polynomial vanishes nowhere
 on R^n, so both contribute empty hypersurfaces.  On a bottom stratum of the
@@ -46,6 +46,7 @@ from .polyhedra import (
     _fractions,
     _int_feasible_point,
     _int_interior_point,
+    affine_hull_directions,
     contains_point,
     dimension,
     full_space,
@@ -85,26 +86,15 @@ class PolyComplex:
         return not self.cells
 
 
-def tie_cell(f: Polynomial, i: Exponents, j: Exponents) -> Polyhedron:
-    """{x : term_i(x) = term_j(x) >= term_k(x) for all k}."""
-    ci = f.coefficient(i)
-    cons = [HalfSpace(tuple(Fraction(a - b) for a, b in zip(i, j)), f.coefficient(j) - ci, EQ)]
-    for k, ck in f.terms():
-        if k != i and k != j:
-            cons.append(HalfSpace(tuple(Fraction(a - b) for a, b in zip(k, i)), ci - ck, LE))
-    return Polyhedron(tuple(cons), f.n)
-
-
 ScaledTerm = tuple[Exponents, tuple[int, ...], int]
 
 
-def _scaled_terms(f: Polynomial) -> list[ScaledTerm]:
-    """The terms of f, in support order, as (e_k, L e_k, L c_k).
+def _scaled_terms(f: Polynomial, scale: int) -> list[ScaledTerm]:
+    """The terms of f, in support order, as (e_k, L e_k, L c_k) with L = scale.
 
-    L is the lcm of f's coefficient denominators, so L (c_k + e_k . x) is
+    L is a multiple of f's coefficient denominators, so L (c_k + e_k . x) is
     term k's affine function with integer coefficients.
     """
-    scale = lcm(*(c.denominator for _, c in f.terms()))
     return [
         (e, tuple(scale * x for x in e), c.numerator * (scale // c.denominator))
         for e, c in f.terms()
@@ -119,7 +109,7 @@ def _difference(terms: list[ScaledTerm], k: int, i: int, rel: str) -> IntRow:
 
 
 def _tie_rows(terms: list[ScaledTerm], i: int, j: int) -> list[IntRow]:
-    """The rows of tie_cell(f, e_i, e_j), each times L."""
+    """The tie cell {x : term_i(x) = term_j(x) >= term_k(x) for all k}, each row times L."""
     rows = [_difference(terms, i, j, EQ)]
     rows.extend(_difference(terms, k, i, LE) for k in range(len(terms)) if k != i and k != j)
     return rows
@@ -136,32 +126,36 @@ def _argmax(terms: list[ScaledTerm], point: IntPoint) -> frozenset[Exponents]:
     return frozenset(e for v, e in values if v == top)
 
 
-def _make_cell(candidate, scaled: list[list[ScaledTerm]], n: int) -> tuple[Signature, Cell]:
+def _make_cell(
+    candidate, scaled: list[list[ScaledTerm]], scale: int, n: int
+) -> tuple[Signature, Cell]:
     """The cell of a non-empty candidate, with its argmax signature.
 
-    A candidate is (rows, found, cells): its constraints times positive
-    integers, a point of them, and the tie cells it intersects (output data).
+    A candidate is (rows, found): its constraints, each L = scale times the
+    Fraction constraint it stands for, and a point of them.  The cell's
+    polyhedron (output data) is read off the rows, each divided by L.
     Near its relative interior point the cell is cut out by the ties within
     each argmax set: its dimension is n minus the rank of those differences.
     """
-    rows, found, cells = candidate
-    poly = Polyhedron(tuple(h for cell in cells for h in cell.constraints), n)
+    rows, found = candidate
+    cons = [(tuple(Fraction(x // scale) for x in a), Fraction(b, scale), rel) for a, b, rel in rows]
+    poly = Polyhedron(tuple(HalfSpace(*c) for c in cons), n)
     at = _int_interior_point(rows, n, found)
     signature = tuple(_argmax(terms, at) for terms in scaled)
     ties = [tuple(a - b for a, b in zip(e, min(terms))) for terms in signature for e in terms]
     return signature, Cell(poly, n - int_rank(ties), _fractions(at))
 
 
-def _maximal_cells(candidates, scaled: list[list[ScaledTerm]], n: int) -> tuple[Cell, ...]:
-    """The inclusion-maximal cells among the candidates, one per set, in key order.
+def _maximal_cells(made) -> tuple[Cell, ...]:
+    """The inclusion-maximal cells among the made ones, one per set, in key order.
 
-    Candidates are as for ``_make_cell``.  Cell A lies in cell B exactly
-    when each of B's argmax sets is contained in A's, so equal cells share a
-    signature (the key-smallest represents them) and a signature strictly
-    containing another marks a proper face.
+    ``made`` yields (signature, cell) pairs, as ``_make_cell`` returns them.
+    Cell A lies in cell B exactly when each of B's argmax sets is contained
+    in A's, so equal cells share a signature (the key-smallest represents
+    them) and a signature strictly containing another marks a proper face.
     """
     groups: dict[Signature, Cell] = {}
-    for signature, cell in (_make_cell(c, scaled, n) for c in candidates):
+    for signature, cell in made:
         if signature not in groups or cell.key() < groups[signature].key():
             groups[signature] = cell
 
@@ -173,12 +167,12 @@ def _maximal_cells(candidates, scaled: list[list[ScaledTerm]], n: int) -> tuple[
 
 def _extend(candidates, ties, n: int):
     """Each candidate intersected with each tie cell, in product order; empty ones are dropped."""
-    for rows, _, cells in candidates:
-        for more, _, tie in ties:
+    for rows, _ in candidates:
+        for more, _ in ties:
             joined = rows + more
             found = _int_feasible_point(joined, n)
             if found is not None:
-                yield joined, found, cells + tie
+                yield joined, found
 
 
 def hypersurface(f: Polynomial) -> PolyComplex:
@@ -192,7 +186,7 @@ def prevariety(gens: list[Polynomial]) -> PolyComplex:
     This is the prevariety of the input set; it equals the variety of the
     generated ideal only when the input is a tropical basis.  Generators are
     intersected one at a time, depth first, and an empty partial
-    intersection is never extended.
+    intersection is never extended.  All generators are scaled by one L.
     """
     if not gens:
         raise ValueError("at least one generator is required")
@@ -202,19 +196,21 @@ def prevariety(gens: list[Polynomial]) -> PolyComplex:
     if any(len(g) < 2 for g in gens):
         # a monomial (or zero) generator never vanishes on R^n
         return PolyComplex(n, mode, ())
-    scaled = [_scaled_terms(g) for g in gens]
+    scale = lcm(*(c.denominator for g in gens for _, c in g.terms()))
+    scaled = [_scaled_terms(g, scale) for g in gens]
     candidates = None
-    for g, terms in zip(gens, scaled):
+    for terms in scaled:
         ties = []
         for i, j in itertools.combinations(range(len(terms)), 2):
             rows = _tie_rows(terms, i, j)
             found = _int_feasible_point(rows, n)
             if found is not None:
-                ties.append((rows, found, (tie_cell(g, terms[i][0], terms[j][0]),)))
+                ties.append((rows, found))
         if not ties:
             return PolyComplex(n, mode, ())
         candidates = ties if candidates is None else _extend(candidates, ties, n)
-    return PolyComplex(n, mode, _maximal_cells(candidates, scaled, n))
+    made = (_make_cell(c, scaled, scale, n) for c in candidates)
+    return PolyComplex(n, mode, _maximal_cells(made))
 
 
 def affine_prevariety(gens: list[Polynomial]) -> PolyComplex:
@@ -279,7 +275,7 @@ def vanishes_on_complex(f: Polynomial, x: PolyComplex) -> bool:
             return False  # the zero polynomial vanishes nowhere on R^n
         if restricted.is_monomial():
             return False
-        terms = _scaled_terms(restricted)
+        terms = _scaled_terms(restricted, lcm(*(c.denominator for _, c in restricted.terms())))
         base = int_rows(cell.polyhedron)
         ncoords = cell.polyhedron.n
         for i in range(len(terms)):
@@ -322,8 +318,9 @@ def _rationals(values, length: int, what: str) -> tuple[Fraction, ...]:
 def complex_from_json(data) -> PolyComplex:
     """Read the output of complex_to_json; malformed input raises ValueError.
 
-    A cell whose interior_point violates its constraints, or whose dim is
-    not the dimension of its polyhedron, is malformed too.
+    A cell whose dim is not its polyhedron's dimension, or whose
+    interior_point is off its relative interior (where fewer than dim hull
+    directions remain), is malformed too.
     """
     _require(isinstance(data, dict), "a complex must be a JSON object")
     ambient, mode, cells = data.get("ambient"), data.get("mode"), data.get("cells")
@@ -353,5 +350,7 @@ def complex_from_json(data) -> PolyComplex:
         _require(contains_point(poly, point), "interior_point violates the cell's constraints")
         actual = dimension(poly)
         _require(dim == actual, f"dim is {dim} but the cell has dimension {actual}")
+        interior = len(affine_hull_directions(poly, point)) == dim
+        _require(interior, "interior_point lies on the boundary of the cell")
         out.append(Cell(poly, dim, point, tuple(stratum)))
     return PolyComplex(ambient, mode, tuple(out))

@@ -3,7 +3,8 @@
 The reference functions below are the former `varieties._cell_subset` /
 `_dedup_maximal` pair (cell inclusion by Fourier-Motzkin feasibility probes)
 and the former `polyhedra.implicit_equality_indices`, which probed every LE
-constraint.  They are kept here only as oracles.
+constraint.  They are kept here only as oracles.  Tie cells come from the
+`Fraction` oracle `tie_cell` of `test_integer_cells`.
 """
 
 import itertools
@@ -26,7 +27,9 @@ from tropica.polyhedra import (
     is_empty,
 )
 from tropica.polynomials import LAURENT, POLY, Polynomial
-from tropica.varieties import Cell, complex_to_json, tie_cell
+from tropica.varieties import Cell, complex_to_json
+
+from test_integer_cells import tie_cell
 
 # -- reference implementations -------------------------------------------------
 

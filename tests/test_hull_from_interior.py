@@ -12,6 +12,7 @@ equality, and takes the nullspace of the EQ and implicit normals.
 `ref_segment_bounds` (the segment endpoints in `rendering`).
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -34,7 +35,15 @@ from tropica.polyhedra import (
 from tropica.polynomials import LAURENT, POLY
 from tropica.rendering import render_svg
 from tropica.sampling import random_polynomial
-from tropica.varieties import affine_prevariety, complex_from_json, hypersurface, prevariety
+from tropica.varieties import (
+    Cell,
+    PolyComplex,
+    affine_prevariety,
+    complex_from_json,
+    complex_to_json,
+    hypersurface,
+    prevariety,
+)
 
 
 def ref_affine_hull_directions(poly):
@@ -137,6 +146,38 @@ def test_hull_of_every_cell_matches_the_probing_oracle(builder):
     assert cells >= 300
 
 
+@pytest.mark.parametrize("builder", ["prevariety", "affine_prevariety"])
+def test_every_cell_round_trips_and_its_boundary_points_do_not(builder):
+    """JSON keeps every built cell; a hull direction clipped to its end leaves the interior.
+
+    `complex_from_json` requires as many hull directions at the interior
+    point as the cell's dimension, which holds exactly on the relative
+    interior: the end of a clipped line is on the boundary and is rejected.
+    """
+    rng = random.Random(301)
+    cells = moved = 0
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        mode = POLY if builder == "affine_prevariety" else rng.choice([LAURENT, POLY])
+        gens = [random_polynomial(rng, n, mode, 4, 2, 2) for _ in range(rng.randint(1, 2))]
+        x = prevariety(gens) if builder == "prevariety" else affine_prevariety(gens)
+        data = json.loads(json.dumps(complex_to_json(x)))
+        assert complex_from_json(data) == x, gens
+        for cell, entry in zip(x.cells, data["cells"]):
+            cells += 1
+            point = cell.interior_point
+            for direction in affine_hull_directions(cell.polyhedron, point):
+                _, hi = line_bounds(cell.polyhedron, point, direction)
+                if hi is None:
+                    continue
+                moved += 1
+                edge = tuple(p + hi * d for p, d in zip(point, direction))
+                entry["interior_point"] = [str(v) for v in edge]
+                with pytest.raises(ValueError, match="on the boundary of the cell"):
+                    complex_from_json({**data, "cells": [entry]})
+    assert cells >= 250 and moved >= 120
+
+
 def test_line_bounds_match_the_former_loops():
     rng = random.Random(41)
     checked = 0
@@ -155,8 +196,13 @@ def test_line_bounds_match_the_former_loops():
 
 
 def test_witness_rejects_a_boundary_interior_point():
-    # a ray read from JSON with its apex as interior point: the directions
-    # read off a boundary point are too few, which the witness must not hide
+    # a ray with its apex as interior point: the directions read off a
+    # boundary point are too few, which the witness must not hide
+    ray = make_polyhedron([((1, 0), 0, EQ), ((0, 1), 0, LE)], 2)
+    x = PolyComplex(2, LAURENT, (Cell(ray, 1, (Fraction(0), Fraction(0))),))
+    with pytest.raises(ValueError, match="not strictly inside the cell"):
+        witness_prime(x, [])
+    # JSON cannot carry such a cell: complex_from_json rejects the apex
     ray = {
         "stratum": [],
         "normals": [["1", "0"], ["0", "1"]],
@@ -165,9 +211,8 @@ def test_witness_rejects_a_boundary_interior_point():
         "dim": 1,
         "interior_point": ["0", "0"],
     }
-    x = complex_from_json({"ambient": 2, "mode": "laurent", "cells": [ray]})
-    with pytest.raises(ValueError, match="not strictly inside the cell"):
-        witness_prime(x, [])
+    with pytest.raises(ValueError, match="on the boundary of the cell"):
+        complex_from_json({"ambient": 2, "mode": "laurent", "cells": [ray]})
     ray["interior_point"] = ["0", "-1"]
     x = complex_from_json({"ambient": 2, "mode": "laurent", "cells": [ray]})
     assert witness_prime(x, []).rank == 2

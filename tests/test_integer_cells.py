@@ -1,24 +1,28 @@
 """The integer cell layer against the Fraction cell layer it replaced.
 
-`varieties` scales each polynomial once to integers (term k becomes
-(L e_k, L c_k), L the lcm of its coefficient denominators) and hands
-Fourier-Motzkin integer rows: tie cells, their intersections and the
-strict-dominance systems of `vanishes_on_complex`.  The former code is kept
-below as the oracle: `ref_make_cell` solves the Fraction polyhedron of each
-candidate, finds its interior point with `ref_int_interior_point` (probe
-every LE row tight at the feasible point, then solve the strict system) and
-compares `Fraction` term values there, `ref_prevariety` builds the full
-product of the generators' non-empty tie cells, and
+`varieties` scales polynomials once to integers (term k becomes
+(L e_k, L c_k); a prevariety shares one L, the lcm of all its generators'
+coefficient denominators) and hands Fourier-Motzkin integer rows: tie
+cells, their intersections and the strict-dominance systems of
+`vanishes_on_complex`.  A cell's Fraction polyhedron is read off its rows.
+The former code is kept below as the oracle: `tie_cell` is the former
+`varieties.tie_cell`, the Fraction polyhedron of a tie cell, `ref_make_cell`
+solves the Fraction polyhedron of each candidate, finds its interior point
+with `ref_int_interior_point` (probe every LE row tight at the feasible
+point, then solve the strict system) and compares `Fraction` term values
+there, `ref_prevariety` builds the full product of the generators'
+non-empty tie cells, and
 `ref_vanishes_on_complex` (Fraction rows) and `ref_int_vanishes_on_complex`
 (integer rows) refine each cell into the regions where one term dominates.
 On seeded inputs (mixed denominators, so L > 1; generators of different
-scales; poly and Laurent mode; affine strata; complexes read back from
-JSON) the JSON bytes and the booleans must agree.  The solves agree too, up
-to the schedule, which each test states exactly: `prevariety` intersects
-one generator at a time and drops empty partial intersections, a candidate
-whose feasible point meets every LE row strictly needs no interior solve
-(`ref_partials` counts both on the oracle), and vanishing makes one
-strict-dominance solve per term read (`dominance_solves`).
+scales, so the shared L is no generator's own; poly and Laurent mode;
+affine strata; complexes read back from JSON) the JSON bytes and the
+booleans must agree.  The solves agree too, up to the schedule, which each
+test states exactly: `prevariety` intersects one generator at a time and
+drops empty partial intersections, a candidate whose feasible point meets
+every LE row strictly needs no interior solve (`ref_partials` counts both
+on the oracle), and vanishing makes one strict-dominance solve per term
+read (`dominance_solves`).
 """
 
 import functools
@@ -26,7 +30,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
 
@@ -36,6 +40,8 @@ from tropica.polyhedra import (
     EQ,
     LE,
     LT,
+    HalfSpace,
+    Polyhedron,
     _feasible_point,
     _fractions,
     _int_point,
@@ -47,7 +53,7 @@ from tropica.polyhedra import (
     make_polyhedron,
     relative_interior_point,
 )
-from tropica.polynomials import LAURENT, POLY, Polynomial
+from tropica.polynomials import LAURENT, POLY, Exponents, Polynomial
 from tropica.varieties import (
     Cell,
     PolyComplex,
@@ -56,11 +62,25 @@ from tropica.varieties import (
     complex_to_json,
     hypersurface,
     prevariety,
-    tie_cell,
     vanishes_on_complex,
 )
 
 # -- oracles: the former Fraction cell layer --------------------------------------
+
+
+def tie_cell(f: Polynomial, i: Exponents, j: Exponents) -> Polyhedron:
+    """{x : term_i(x) = term_j(x) >= term_k(x) for all k}."""
+    ci = f.coefficient(i)
+    cons = [HalfSpace(tuple(Fraction(a - b) for a, b in zip(i, j)), f.coefficient(j) - ci, EQ)]
+    for k, ck in f.terms():
+        if k != i and k != j:
+            cons.append(HalfSpace(tuple(Fraction(a - b) for a, b in zip(k, i)), ci - ck, LE))
+    return Polyhedron(tuple(cons), f.n)
+
+
+def own_scale(f):
+    """The lcm of f's coefficient denominators: the L of f scaled on its own."""
+    return lcm(*(c.denominator for _, c in f.terms()))
 
 
 def ref_int_interior_point(rows, n, point):
@@ -254,7 +274,7 @@ def ref_int_vanishes_on_complex(f, x):
             return False  # the zero polynomial vanishes nowhere on R^n
         if restricted.is_monomial():
             return False
-        terms = varieties._scaled_terms(restricted)
+        terms = varieties._scaled_terms(restricted, own_scale(restricted))
         base = int_rows(cell.polyhedron)
         ncoords = cell.polyhedron.n
         for i in range(len(terms)):
@@ -402,6 +422,38 @@ def test_pruned_prevarieties_match_product_oracle(solves):
         assert new_solves == ref_solves - products + solved - shortcuts
         empty += dropped
     assert empty >= 2000
+
+
+def denominated_polynomial(rng, n, mode, den):
+    """A random generator whose coefficient denominators have lcm exactly den."""
+    values = [Fraction(k, den) for k in range(-2 * den, 2 * den + 1)]
+    while True:
+        f = random_polynomial(rng, n, mode, rng.randint(2, 4), values)
+        if own_scale(f) == den:
+            return f
+
+
+def test_shared_scale_matches_fraction_oracle(solves):
+    """Generators of coprime denominators: the shared L is no generator's own L.
+
+    Each generator's rows are scaled by the shared L, a proper multiple of
+    its own; by the scaling lemma the solves and the output are unchanged.
+    """
+    rng = random.Random(96)
+    cells = 0
+    for mode in (LAURENT, POLY):
+        for _ in range(25):
+            n = rng.choice([2, 2, 3])
+            dens = rng.sample([2, 3, 5, 7], 2 if n == 3 else rng.choice([2, 3]))
+            gens = [denominated_polynomial(rng, n, mode, den) for den in dens]
+            shared = lcm(*(own_scale(g) for g in gens))
+            assert all(own_scale(g) < shared for g in gens)
+            got, expected, new_solves, ref_solves = same(solves, prevariety, ref_prevariety, gens)
+            assert as_bytes(got) == as_bytes(expected), gens
+            assert new_solves == ref_solves + schedule_offset(gens)
+            assert as_bytes(read_back(got)) == as_bytes(got)
+            cells += len(got.cells)
+    assert cells >= 60
 
 
 def test_affine_prevarieties_match_fraction_oracle(solves):

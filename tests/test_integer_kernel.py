@@ -346,11 +346,11 @@ def test_make_cell_solves_each_candidate_once(monkeypatch):
     made = []
     original = varieties._make_cell
 
-    def make_cell(candidate, scaled, n):
-        rows, found, _ = candidate
+    def make_cell(candidate, scaled, scale, n):
+        rows, found = candidate
         made.append(list(rows))
         assert found == solve(rows, n)
-        return original(candidate, scaled, n)
+        return original(candidate, scaled, scale, n)
 
     solved = []
     solve = polyhedra._int_feasible_point

@@ -5,12 +5,17 @@
 the former two-pass reading of `--poly` texts without `--nvars`.
 `ref_random_member_polynomial` and `ref_point_members` are the former
 `Fraction` sampling loop, which built a polynomial for every draw, repeats
-and rejects included.  They are kept here only as oracles.
+and rejects included.  `ref_prime_members` is the former integer-key loop
+of `prime_members`, which built a polynomial for every accepted draw and
+three per partner, and dropped repeats by hashing them.  They are kept here
+only as oracles.
 """
 
+import functools
 import json
 import random
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -19,9 +24,11 @@ from tropica import parsing, traces
 from tropica.matrices import dot, to_fraction
 from tropica.parsing import ParseError, parse_polynomial, parse_polynomials
 from tropica.polynomials import LAURENT, POLY, Polynomial
-from tropica.primes import geometric_prime_of_point, variety_of_prime
+from tropica.primes import check_admissible, geometric_prime_of_point, variety_of_prime
 from tropica.sampling import (
     point_members,
+    prime_members,
+    random_admissible,
     random_exponents,
     random_fraction,
     random_member_polynomial,
@@ -85,6 +92,43 @@ def ref_point_members(rng, point, window, count):
         if poly.degree() <= window.degree:
             members[poly] = None
     return MembershipSample(tuple(members), prime)
+
+
+def ref_prime_members(rng, matrix, window, count):
+    if window.n != matrix.n:
+        raise ValueError(f"the window has {window.n} variables, the prime {matrix.n}")
+    if len(window) < 2:
+        raise ValueError(f"the window holds {len(window)} monomial; a member needs two terms")
+    weights = [row[0] for row in matrix.int_rows]
+    lifted = {
+        expo: [sum(map(mul, row[1:], expo)) for row in matrix.int_rows]
+        for expo in window.monomials
+    }
+
+    @functools.cache
+    def key(coeff: int, expo) -> tuple[int, ...]:
+        return tuple(coeff * w + x for w, x in zip(weights, lifted[expo]))
+
+    members: dict[Polynomial, None] = {}
+    attempts = 0
+    while len(members) < count and attempts < count * 200:
+        attempts += 1
+        drawn = rng.sample(window.monomials, k=min(3, len(window)))
+        coeffs = {expo: rng.randint(-2, 2) for expo in drawn}
+        keys = {expo: key(c, expo) for expo, c in coeffs.items()}
+        top = max(keys.values())
+        if list(keys.values()).count(top) < 2:
+            continue
+        poly = Polynomial(coeffs, window.n, window.mode)
+        members[poly] = None
+        low = [e for e in poly.support() if keys[e] != top]
+        if low:
+            moved = rng.choice(low)
+            target = rng.choice(window.monomials)
+            if target not in coeffs and key(coeffs[moved], target) <= top:
+                term = Polynomial({target: coeffs[moved]}, window.n, window.mode)
+                members[poly.delete_term(moved) + term] = None
+    return MembershipSample(tuple(members), matrix)
 
 
 def outcome(call, *args):
@@ -255,6 +299,50 @@ def test_point_members_count_zero_draws_nothing():
     assert rng.getstate() == state
 
 
+# -- the prime sampler ------------------------------------------------------------
+
+
+def _prime_case(seed):
+    """(matrix, window, count) for one seed: every mode, row count and first entry."""
+    rng = random.Random(20_000 + seed)
+    n = 1 + seed % 3
+    mode = POLY if seed % 2 else LAURENT
+    degree = 1 if (n == 3 and mode == LAURENT) else rng.randint(1, 2)
+    first = ("any", "zero", "positive")[seed // 3 % 3]
+    matrix = random_admissible(rng, n, rng.randint(1, n + 1), mode, first)
+    return matrix, monomial_window(n, mode, degree), rng.randint(1, 10)
+
+
+def test_prime_members_match_key_loop():
+    over = short = 0  # a partner passed count; the draws ran out first
+    for seed in range(300):
+        matrix, window, count = _prime_case(seed)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        sample = prime_members(ours, matrix, window, count)
+        expected = ref_prime_members(theirs, matrix, window, count)
+        assert sample.samples == expected.samples, seed
+        assert [f.terms() for f in sample.samples] == [f.terms() for f in expected.samples]
+        assert ours.getstate() == theirs.getstate(), seed
+        assert sample.prime == matrix
+        over += len(sample.samples) > count
+        short += len(sample.samples) < count
+    assert over >= 10 and short >= 100
+
+
+@pytest.mark.parametrize(
+    "matrix, window",
+    [
+        ([[0, 1, 1]], monomial_window(2, POLY, 0)),  # one monomial
+        ([[0, 1]], monomial_window(2, POLY, 1)),  # another ring
+    ],
+)
+def test_prime_members_errors_kept(matrix, window):
+    matrix = check_admissible(matrix, len(matrix[0]) - 1, window.mode)
+    got = outcome(prime_members, random.Random(0), matrix, window, 5)
+    assert got[0] == "ValueError"
+    assert got == outcome(ref_prime_members, random.Random(0), matrix, window, 5)
+
+
 # -- construction counts ------------------------------------------------------------
 
 
@@ -287,6 +375,18 @@ def test_point_members_build_one_polynomial_per_member(constructions):
     constructions[0] = 0
     sample = point_members(random.Random(2), (Fraction(1, 2), Fraction(-1)), monomial_window(2, POLY, 2), 25)
     assert constructions[0] == len(sample.samples) == 25
+
+
+def test_prime_members_build_one_polynomial_per_member(constructions):
+    # [[0, 1, 1]] at degree 2: few members exist, so most accepted draws repeat
+    matrix = check_admissible([[0, 1, 1]], 2, LAURENT)
+    sample = prime_members(random.Random(3), matrix, monomial_window(2, LAURENT, 2), 200)
+    assert constructions[0] == len(sample.samples) == len(set(sample.samples))
+    for seed in range(20):
+        matrix, window, count = _prime_case(seed)
+        constructions[0] = 0
+        sample = prime_members(random.Random(seed), matrix, window, count)
+        assert constructions[0] == len(sample.samples) == len(set(sample.samples))
 
 
 def test_trace_reader_parses_each_distinct_text_once(monkeypatch):

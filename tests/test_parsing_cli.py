@@ -633,6 +633,11 @@ def _point_complex(**cell_changes):
             "cells": [{"normals": [[1, 0]], "rhs": ["0"], "relations": ["eq"], "dim": 2,
                        "interior_point": ["0", "7"]}],
         },
+        # the ray x = 0, y <= 0 with its apex as interior point: used to load
+        _point_complex(rhs=["0", "0"], relations=["eq", "le"], dim=1, interior_point=["0", "0"]),
+        # the segment x = 0, -1 <= y <= 0 with an end as interior point: used to load
+        _point_complex(normals=[["1", "0"], ["0", "1"], ["0", "-1"]], rhs=["0", "0", "1"],
+                       relations=["eq", "le", "le"], dim=1, interior_point=["0", "-1"]),
     ],
 )
 def test_cli_plot_rejects_malformed_complex(capsys, data):
