@@ -5,15 +5,16 @@ must stay exact, so nothing here rounds, and every entry is read through
 ``to_fraction`` (integers, ``Fraction``s and "p/q" strings only).  ``rank``
 clears each row of denominators and runs Bareiss fraction-free elimination
 on integers (``int_rank``, which callers with integer rows use directly);
-``row_echelon`` and ``nullspace`` return ``Fraction`` rows, because their
-entries reach the JSON output.
+``int_nullspace`` gives the kernel of an integer matrix as primitive integer
+vectors.  ``row_echelon`` and ``nullspace`` return ``Fraction`` rows,
+because their entries reach the JSON output.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 Row = tuple[Fraction, ...]
 
@@ -101,6 +102,49 @@ def int_rank(rows) -> int:
         previous = p
         r += 1
     return r
+
+
+def int_nullspace(rows, ncols: int) -> list[tuple[int, ...]]:
+    """Basis of {x : A x = 0} for an integer matrix, as primitive integer vectors.
+
+    Exact: Gauss-Jordan elimination on integers, where each combined row
+    p * row - f * pivot_row is divided by its content, so no entry is ever
+    rounded.  Afterwards row k has its pivot a_k at column c_k and zeros at
+    the other pivot columns.  For each free column j, x_j = L (the lcm of
+    the a_k with a non-zero entry at j) and x_{c_k} = -row_k[j] * L / a_k,
+    divided by its content.  That is the ``nullspace`` vector of column j
+    (1 at j, 0 at the other free columns) times the lcm of its denominators,
+    and the vectors come in the same order.
+    """
+    mat = [list(row) for row in rows if any(row)]
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        top = mat[r]
+        p = top[col]
+        for i, row in enumerate(mat):
+            f = row[col]
+            if i != r and f:
+                combined = [p * a - f * b for a, b in zip(row, top)]
+                content = gcd(*combined)
+                mat[i] = [a // content for a in combined] if content else combined
+        pivots.append(col)
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        scale = lcm(*(abs(mat[k][c]) for k, c in enumerate(pivots) if mat[k][j]))
+        vec = [0] * ncols
+        vec[j] = scale
+        for k, c in enumerate(pivots):
+            vec[c] = -mat[k][j] * scale // mat[k][c]
+        content = gcd(*vec)
+        basis.append(tuple(a // content for a in vec))
+    return basis
 
 
 def nullspace(rows, ncols: int) -> list[Row]:

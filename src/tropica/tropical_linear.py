@@ -12,9 +12,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable
 
-from .matrices import clear_denominators, dot, int_rank, row_echelon, to_fraction
+from .matrices import clear_denominators, dot, int_nullspace, row_echelon, to_fraction
 from .polynomials import Exponents, LAURENT, POLY, Polynomial
 from .primes import (
     GEOMETRIC,
@@ -24,7 +25,7 @@ from .primes import (
     classify_prime,
     variety_of_prime,
 )
-from .scalars import BOTTOM, TropScalar, is_bottom, trop_add, trop_mul
+from .scalars import BOTTOM, ONE, TropScalar, is_bottom, trop_add, trop_mul
 
 MAX_WINDOW_MONOMIALS = 20  # desk-scale cap for circuit enumeration
 MAX_WINDOW_SIZE = 10_000  # the largest window monomial_window builds
@@ -351,6 +352,28 @@ def _shift(expo: Exponents, by: Exponents) -> Exponents:
     return tuple(a + b for a, b in zip(expo, by))
 
 
+def _parallel_representatives(int_basis, m: int) -> list[int]:
+    """The first column of each parallel class of non-zero columns, in order.
+
+    Two non-zero columns are parallel when one is a rational multiple of the
+    other; dividing a column by its content, signed like its first non-zero
+    entry, gives one key per class.  Zero columns (loops) are left out.
+    """
+    seen: set[tuple[int, ...]] = set()
+    reps = []
+    for j in range(m):
+        column = [row[j] for row in int_basis]
+        lead = next((a for a in column if a), 0)
+        if not lead:
+            continue
+        content = gcd(*column) if lead > 0 else -gcd(*column)
+        key = tuple(a // content for a in column)
+        if key not in seen:
+            seen.add(key)
+            reps.append(j)
+    return reps
+
+
 def truncated_tropicalization(rational_gens: list[dict], n: int, degree: int) -> CircuitSet:
     """Circuits of the degree-truncated tropicalization of a rational ideal.
 
@@ -361,15 +384,29 @@ def truncated_tropicalization(rational_gens: list[dict], n: int, degree: int) ->
     under the trivial valuation its vectors are Boolean, so the circuits are
     exactly the support-minimal non-zero row-space vectors.
 
-    Subsets S of the window are scanned by size, skipping supersets of
-    circuits found.  Let b_1..b_r be the reduced row echelon basis with
-    pivot columns p_1..p_r.  Every row-space vector is v = sum_k v[p_k] b_k,
-    because b_k is 1 at p_k and 0 at the other pivots.  If v vanishes
-    outside S, then v[p_k] = 0 for each pivot outside S, so v combines only
-    the live rows (pivot in S), and it vanishes on the pivots outside S.
-    Hence a non-zero v supported in S exists iff the live rows, restricted
-    to the free columns outside S, are dependent: rank < number of live
-    rows.  A subset without a pivot has no live row and holds no circuit.
+    Lemma (Oxley, *Matroid Theory*, Prop. 2.1.6).  Let B be the reduced row
+    echelon basis (r x m) and M the matroid of its columns on the window E.
+    The support-minimal row-space vectors are the cocircuits of M, and the
+    cocircuits are exactly the complements E - H of the hyperplanes H (the
+    flats of rank r - 1).  For a set T of columns, the row-space vectors
+    vanishing on T form a space of dimension r - rank(T), and their common
+    zero set is the closure cl(T).  Every v in the row space is
+    sum_k v[p_k] b_k, where p_1..p_r are the pivot columns, so v vanishes on
+    T iff it combines only the live rows (pivot outside T) and vanishes on
+    the free columns of T: the left null space of the live rows restricted
+    to those columns (``int_nullspace`` of the transpose).
+
+    The hyperplanes are found by walking the (r - 1)-subsets T of one
+    representative per parallel class of non-zero columns, in lex order
+    (loops and parallel columns lie in the same flats as the rest of their
+    class).  A T inside a flat already recorded is skipped: then cl(T) lies
+    in that flat, so T is dependent or spans a hyperplane already found.
+    Otherwise one null-space solve gives cl(T), which is recorded; nullity 1
+    means a new hyperplane, whose complement (the support of the one null
+    vector) is a circuit, and a larger nullity records a smaller flat.
+    Every hyperplane H is found: its lex-first independent (r - 1)-subset of
+    representatives is either solved, giving H, or lies in a recorded flat
+    of rank >= r - 1, which can only be H itself.
     """
     _require_window_size(n, POLY, degree, MAX_WINDOW_MONOMIALS, "for circuit enumeration")
     window = monomial_window(n, POLY, degree)
@@ -379,7 +416,7 @@ def truncated_tropicalization(rational_gens: list[dict], n: int, degree: int) ->
         clean = {e: c for e, c in coeffs.items() if c != 0}
         if not clean:
             continue
-        if any(len(e) != n or min(e) < 0 for e in clean):
+        if any(len(e) != n or any(a < 0 for a in e) for e in clean):
             raise ValueError("generators must be polynomials in n non-negative exponents")
         gdeg = max(sum(e) for e in clean)
         if gdeg > degree:
@@ -397,30 +434,34 @@ def truncated_tropicalization(rational_gens: list[dict], n: int, degree: int) ->
             for expo, coeff in clean.items():
                 row[columns[_shift(expo, shift)]] = coeff
             rows.append(row)
-    basis = [row for row in row_echelon(rows) if any(v != 0 for v in row)]
-    r = len(basis)
-    if r == 0:
+    basis = [clear_denominators(row) for row in row_echelon(rows) if any(v != 0 for v in row)]
+    if not basis:
         return CircuitSet(window, ())
-    circuits: list[frozenset[int]] = []
-    max_size = len(window) - r + 1
-    indices = range(len(window))
-    pivots = [next(j for j, v in enumerate(row) if v != 0) for row in basis]
-    free = [j for j in indices if j not in pivots]
-    int_basis = [clear_denominators(row) for row in basis]
-    for size in range(1, max_size + 1):
-        for combo in itertools.combinations(indices, size):
-            combo_set = set(combo)
-            if any(c <= combo_set for c in circuits):
-                continue
-            live = [row for row, p in zip(int_basis, pivots) if p in combo_set]
-            if not live:
-                continue
-            outside = [j for j in free if j not in combo_set]
-            if int_rank([[row[j] for j in outside] for row in live]) < len(live):
-                circuits.append(frozenset(combo))
+    m = len(window)
+    pivots = [next(j for j, v in enumerate(row) if v) for row in basis]
+    # each recorded flat is kept as the bitmask of the columns outside it
+    outsides: list[int] = []
+    circuits: list[int] = []
+    for subset in itertools.combinations(_parallel_representatives(basis, m), len(basis) - 1):
+        mask = sum(1 << j for j in subset)
+        if not all(mask & recorded for recorded in outsides):
+            continue  # T lies in a recorded flat
+        live = [row for row, p in zip(basis, pivots) if not mask >> p & 1]
+        restricted = [[row[j] for row in live] for j in subset if j not in pivots]
+        null = int_nullspace(restricted, len(live))
+        outside = 0
+        for ys in null:
+            vector = [0] * m
+            for y, row in zip(ys, live):
+                if y:
+                    vector = [a + y * b for a, b in zip(vector, row)]
+            outside |= sum(1 << j for j, value in enumerate(vector) if value)
+        outsides.append(outside)
+        if len(null) == 1:
+            circuits.append(outside)
+    supports = sorted([j for j in range(m) if c >> j & 1] for c in circuits)
     vectors = tuple(
-        Polynomial({window.monomials[i]: 0 for i in c}, n, POLY)
-        for c in sorted(circuits, key=lambda c: sorted(c))
+        Polynomial({window.monomials[j]: ONE for j in c}, n, POLY) for c in supports
     )
-    trivial = frozenset([columns[(0,) * n]]) in circuits
+    trivial = [columns[(0,) * n]] in supports
     return CircuitSet(window, vectors, trivial)

@@ -320,3 +320,17 @@ def test_criterion_11_oracle_equivalences():
             f = random_nonzero_polynomial(rng, n, max_terms=4)
             pairwise = all(pair_in_prime(matrix, q.left, q.right) for q in f.bend_pairs())
             assert bend_ideal_member(matrix, f) == pairwise
+
+
+def test_criterion_12_circuits_at_the_window_cap():
+    """The two 20-monomial inputs (n = 3, d = 3) within 1 s each; the subset scan took 1.9 s and 5.0 s."""
+    cases = [
+        ("x - y", [{(1, 0, 0): 1, (0, 1, 0): -1}], 15),
+        ("x^2 - y*z", [{(2, 0, 0): 1, (0, 1, 1): -1}], 4),
+    ]
+    for text, gens, count in cases:
+        with budget(12, 1.0, f"circuits of {text} on the 20-monomial window"):
+            circuits = truncated_tropicalization(gens, 3, 3)
+            assert len(circuits.window) == 20
+            assert len(circuits.circuits) == count and not circuits.trivial
+            assert all(len(c.support()) == 2 for c in circuits.circuits)

@@ -6,6 +6,7 @@ and the first counterexample found is pinned for every mode, degree and seed.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +77,15 @@ CORPUS = (
             ["tideal-trop", "--gens", "x^2 - y*z", "--nvars", "3", "--degree", "2"],
             {"circuits": [["x^2", "y*z"]], "degree": 2, "mode": "poly", "nvars": 3, "trivial": False},
         ),
+        # a constant with no --nvars: no variables, and the window is {1}
+        (
+            ["tideal-trop", "--gens", "1", "--degree", "2"],
+            {"circuits": [["1"]], "degree": 2, "mode": "poly", "nvars": 0, "trivial": True},
+        ),
+        (
+            ["tideal-trop", "--gens", "2", "--degree", "0"],
+            {"circuits": [["1"]], "degree": 0, "mode": "poly", "nvars": 0, "trivial": True},
+        ),
     ]
 )
 
@@ -86,3 +96,25 @@ def test_tideal_stdout_pinned(capsys, argv, expected):
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     assert captured.out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+PINS = Path(__file__).resolve().parent / "pins"
+
+# 20-monomial windows (the cap): the pinned text was written once by the
+# subset scan that enumerated circuits before the hyperplane walk, and is
+# compared byte for byte.
+CAP_PINS = [
+    (["tideal-trop", "--gens", "x - y", "--nvars", "3", "--degree", "3"], "tideal_trop_x-y_n3_d3.json", 15),
+    (["tideal-trop", "--gens", "x^2 - y*z", "--nvars", "3", "--degree", "3"], "tideal_trop_x2-yz_n3_d3.json", 4),
+]
+
+
+@pytest.mark.parametrize("argv, pin, count", CAP_PINS, ids=[" ".join(argv) for argv, _, _ in CAP_PINS])
+def test_tideal_trop_at_the_window_cap_pinned(capsys, argv, pin, count):
+    """Stdout of the two cap inputs equals the subset scan's output, kept in tests/pins."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    expected = (PINS / pin).read_text()
+    assert captured.out == expected
+    assert len(json.loads(expected)["circuits"]) == count
