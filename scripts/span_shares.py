@@ -8,14 +8,17 @@ start_ns,end_ns``); the root span of each query has layer ``bench`` and
 the query kind as its name.  For each kind the script prints the number of
 queries, their total time in ms, that time as a share of all query time,
 and the median query time in ms, slowest kinds first.  It only reads the
-span file.
+span file.  A reader that stops early (``| head``) ends the output quietly,
+with exit code 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import statistics
+import sys
 from collections import defaultdict
 
 
@@ -45,4 +48,11 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; send the rest, and the flush at exit, nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    raise SystemExit(code)

@@ -15,18 +15,28 @@ Nullstellensatz for tropical polynomials, Selecta Math. 2018).  So each
 matrix caches its rows cleared of denominators (``int_rows``), and the terms
 of one query are scaled by their common denominator D > 0, which again
 keeps every sign.  A term's key is then the integer tuple U_int @ (D c, D u),
-and terms compare as their keys compare lexicographically.
+and terms compare as their keys compare lexicographically.  Polynomial
+exponents are integers, so for a polynomial D is the lcm of its coefficient
+denominators alone.
+
+Every query asks only for the top class, which ``_top_class`` finds by
+lexicographic refinement: row 0 is computed for every term and only the
+terms attaining its maximum are kept, then row 1 for those survivors, and so
+on.  Lemma: under a lexicographic order a term that is below the maximum on
+row k is below the top whatever its later entries, and the survivors of
+rows 0..k-1 agree on those rows.  So the survivors after the last row are
+exactly the terms whose key equals max(keys), and the row maxima are that
+key.  Only the terms still tied get a row's entry computed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from operator import mul
 
-from .matrices import clear_denominators, rank, to_fraction
+from .matrices import clear_denominators, int_rank, to_fraction
 from .polynomials import Exponents, LAURENT, Polynomial, _check_mode
 from .scalars import is_bottom
 
@@ -53,20 +63,21 @@ class AdmissibilityError(ValueError):
 
 @dataclass(frozen=True)
 class AdmissibleMatrix:
-    """Validated defining matrix of a prime congruence."""
+    """Validated defining matrix of a prime congruence.
+
+    ``int_rows`` holds each row times the lcm of its denominators: the same
+    order, on integer entries.  ``check_admissible`` fills it with the rows
+    it cleared for its rank test, so it is computed once, not on first use.
+    """
 
     rows: tuple[tuple[Fraction, ...], ...]
     n: int
     mode: str = LAURENT
+    int_rows: tuple[tuple[int, ...], ...] = field(kw_only=True, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    @cached_property
-    def int_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Each row times the lcm of its denominators: same order, integer entries."""
-        return tuple(map(clear_denominators, self.rows))
 
     def to_json(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.rows]
@@ -74,33 +85,42 @@ class AdmissibleMatrix:
 
 def admissibility_violations(rows, n: int) -> list[str]:
     """Report every violated admissibility condition (empty list = valid)."""
-    problems = []
     rows = [[to_fraction(x) for x in r] for r in rows]
     if not rows:
         return ["matrix must have at least one row"]
     if any(len(r) != n + 1 for r in rows):
         return [f"every row must have {n + 1} entries (coefficient column plus {n} exponent columns)"]
+    return _violations(rows, [clear_denominators(r) for r in rows], n)
+
+
+def _violations(rows, int_rows, n: int) -> list[str]:
+    """The conditions on a non-empty matrix of n + 1 columns, given also cleared of denominators."""
+    problems = []
     if len(rows) > n + 1:
         problems.append(f"at most {n + 1} rows allowed, got {len(rows)}")
-    if rank(rows) != len(rows):
+    if int_rank(int_rows) != len(rows):
         problems.append("rows are linearly dependent")
-    col0 = [r[0] for r in rows]
-    first_nonzero = next((x for x in col0 if x != 0), None)
+    first_nonzero = next((r[0] for r in rows if r[0] != 0), None)
     if first_nonzero is not None and first_nonzero < 0:
         problems.append("first non-zero entry of column 0 must be positive")
     return problems
 
 
 def check_admissible(rows, n: int, mode: str = LAURENT) -> AdmissibleMatrix:
-    """Validate and freeze a defining matrix; raises AdmissibilityError."""
+    """Validate and freeze a defining matrix; raises AdmissibilityError.
+
+    Each row is read once as ``Fraction``s and cleared of denominators once;
+    the integer rows serve the rank test and become the matrix's ``int_rows``.
+    """
     _check_mode(mode)
     frozen = tuple(tuple(to_fraction(x) for x in row) for row in rows)
     if any(len(r) != n + 1 for r in frozen) or not frozen:
         raise AdmissibilityError([f"matrix must be non-empty with {n + 1} columns"])
-    problems = admissibility_violations(frozen, n)
+    int_rows = tuple(map(clear_denominators, frozen))
+    problems = _violations(frozen, int_rows, n)
     if problems:
         raise AdmissibilityError(problems)
-    return AdmissibleMatrix(frozen, n, mode)
+    return AdmissibleMatrix(frozen, n, mode, int_rows=int_rows)
 
 
 def _term_vector(term: Term, n: int) -> tuple[Fraction, tuple[Fraction, ...]]:
@@ -112,43 +132,68 @@ def _term_vector(term: Term, n: int) -> tuple[Fraction, tuple[Fraction, ...]]:
     return to_fraction(coeff), tuple(to_fraction(e) for e in expo)
 
 
-def _keys(matrix: AdmissibleMatrix, vectors) -> tuple[list[tuple[int, ...]], int]:
-    """Integer keys U_int @ (D c, D u) of (c, u) vectors, and their common denominator D."""
+def _scaled(vectors) -> tuple[list[tuple[int, ...]], int]:
+    """(c, u) vectors times their common denominator D, as integer tuples (D c, D u), and D."""
     den = 1
     for coeff, expo in vectors:
         den = lcm(den, coeff.denominator, *(e.denominator for e in expo))
+    scaled = [
+        tuple(x.numerator * (den // x.denominator) for x in (coeff, *expo)) for coeff, expo in vectors
+    ]
+    return scaled, den
+
+
+def _keys(matrix: AdmissibleMatrix, vectors) -> tuple[list[tuple[int, ...]], int]:
+    """Full integer keys U_int @ (D c, D u) of (c, u) vectors, and their common denominator D."""
+    scaled, den = _scaled(vectors)
     rows = matrix.int_rows
-    keys = []
-    for coeff, expo in vectors:
-        scaled = [coeff.numerator * (den // coeff.denominator)]
-        scaled.extend(e.numerator * (den // e.denominator) for e in expo)
-        keys.append(tuple(sum(map(mul, row, scaled)) for row in rows))
-    return keys, den
+    return [tuple(sum(map(mul, row, v)) for row in rows) for v in scaled], den
 
 
-def _polynomial_keys(matrix: AdmissibleMatrix, f: Polynomial):
+def _top_class(matrix: AdmissibleMatrix, vectors) -> tuple[list[int], tuple[int, ...]]:
+    """Indices of the integer vectors whose key U_int @ v is the largest, and that key.
+
+    Lexicographic refinement (module docstring): each row is computed only
+    for the vectors that attained the maximum of every earlier row.
+    """
+    tied = range(len(vectors))
+    key = []
+    for row in matrix.int_rows:
+        values = [sum(map(mul, row, vectors[i])) for i in tied]
+        top = max(values)
+        key.append(top)
+        tied = [i for i, value in zip(tied, values) if value == top]
+    return tied, tuple(key)
+
+
+def _polynomial_top(matrix: AdmissibleMatrix, f: Polynomial) -> tuple[list[int], tuple[int, ...], int]:
+    """The top class of a non-zero f as indices into ``f.terms()``, its key, and D."""
     if f.n != matrix.n:
         raise ValueError(f"polynomial has {f.n} variables, expected {matrix.n}")
-    return _keys(matrix, [(coeff, expo) for expo, coeff in f.terms()])
+    terms = f.terms()
+    den = lcm(*(coeff.denominator for _, coeff in terms))
+    vectors = [
+        (coeff.numerator * (den // coeff.denominator), *(den * e for e in expo)) for expo, coeff in terms
+    ]
+    return *_top_class(matrix, vectors), den
 
 
 def compare_terms(matrix: AdmissibleMatrix, t1: Term, t2: Term) -> str:
     """Sign of the first non-zero entry of U @ (t1 - t2)."""
-    (k1, k2), _ = _keys(matrix, [_term_vector(t1, matrix.n), _term_vector(t2, matrix.n)])
-    if k1 > k2:
-        return GREATER
-    if k1 < k2:
-        return LESS
-    return EQUAL
+    scaled, _ = _scaled([_term_vector(t1, matrix.n), _term_vector(t2, matrix.n)])
+    tied, _ = _top_class(matrix, scaled)
+    if len(tied) == 2:
+        return EQUAL
+    return GREATER if tied[0] == 0 else LESS
 
 
 def leading_class(matrix: AdmissibleMatrix, f: Polynomial) -> tuple[Exponents, ...]:
     """Support elements of f that are maximal (mutually equal) under the order."""
     if f.is_zero():
         raise ValueError("the zero polynomial has no leading class")
-    keys, _ = _polynomial_keys(matrix, f)
-    top = max(keys)
-    return tuple(expo for (expo, _), key in zip(f.terms(), keys) if key == top)
+    tied, _, _ = _polynomial_top(matrix, f)
+    terms = f.terms()
+    return tuple(terms[i][0] for i in tied)
 
 
 def pair_in_prime(matrix: AdmissibleMatrix, f: Polynomial, g: Polynomial) -> bool:
@@ -162,9 +207,9 @@ def pair_in_prime(matrix: AdmissibleMatrix, f: Polynomial, g: Polynomial) -> boo
     f._require_compatible(g)
     if f.is_zero() or g.is_zero():
         return f.is_zero() and g.is_zero()
-    keys_f, den_f = _polynomial_keys(matrix, f)
-    keys_g, den_g = _polynomial_keys(matrix, g)
-    return [x * den_g for x in max(keys_f)] == [x * den_f for x in max(keys_g)]
+    _, top_f, den_f = _polynomial_top(matrix, f)
+    _, top_g, den_g = _polynomial_top(matrix, g)
+    return [x * den_g for x in top_f] == [x * den_f for x in top_g]
 
 
 def bend_ideal_member(matrix: AdmissibleMatrix, f: Polynomial) -> bool:
@@ -179,8 +224,8 @@ def bend_ideal_member(matrix: AdmissibleMatrix, f: Polynomial) -> bool:
         return True
     if f.is_monomial():
         return False
-    keys, _ = _polynomial_keys(matrix, f)
-    return keys.count(max(keys)) >= 2
+    tied, _, _ = _polynomial_top(matrix, f)
+    return len(tied) >= 2
 
 
 def classify_prime(matrix: AdmissibleMatrix) -> tuple[str, int]:

@@ -179,6 +179,32 @@ def point_members(rng: random.Random, point, window: MonomialWindow, count: int)
     return MembershipSample(tuple(members.values()), prime)
 
 
+def window_admits_member(matrix: AdmissibleMatrix, window: MonomialWindow) -> bool:
+    """Whether the bend ideal of ``matrix`` has a member with support in ``window``.
+
+    One exists iff two distinct window monomials e1, e2 tie for some
+    coefficients (a member's top class holds two terms, and two tied terms
+    form a member): U_int @ (c1 - c2, e1 - e2) = 0, that is, v = U_int[:, 1:]
+    @ (e1 - e2) is a rational multiple of the column w = U_int[:, 0] (zero
+    included).  With w_p its first non-zero entry, v is such a multiple iff
+    w_p v - v_p w = 0, a linear map of v; with w = 0, iff v = 0.  So a member
+    exists iff that map takes two window monomials to the same vector, which
+    one pass over the window decides, with no draw.
+    """
+    weights = [row[0] for row in matrix.int_rows]
+    pivot = next((i for i, w in enumerate(weights) if w), None)
+    seen = set()
+    for expo in window.monomials:
+        lifted = [sum(map(mul, row[1:], expo)) for row in matrix.int_rows]
+        if pivot is not None:
+            lifted = [weights[pivot] * x - lifted[pivot] * w for x, w in zip(lifted, weights)]
+        image = tuple(lifted)
+        if image in seen:
+            return True
+        seen.add(image)
+    return False
+
+
 def prime_members(
     rng: random.Random, matrix: AdmissibleMatrix, window: MonomialWindow, count: int
 ) -> MembershipSample:

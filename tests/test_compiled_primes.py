@@ -6,20 +6,23 @@ the first non-zero entry) and the former pairwise `leading_class` loop, with
 `pair_in_prime` and `bend_ideal_member` rebuilt on them.  The former
 `sampling.random_admissible` loop, which checked the rank itself before
 `check_admissible` checked it again, is kept to show that the draws did not
-change.  They are kept here only as oracles.
+change.  `ref_admissibility_violations` is the former check, which read the
+rows as `Fraction`s and ranked them through `matrices.rank`.  They are kept
+here only as oracles.
 """
 
 import random
 from fractions import Fraction
 from math import lcm
 
-from tropica.matrices import dot, nullspace, rank
+from tropica.matrices import clear_denominators, dot, nullspace, rank, to_fraction
 from tropica.polynomials import LAURENT, Polynomial
 from tropica.primes import (
     EQUAL,
     GREATER,
     LESS,
     AdmissibilityError,
+    admissibility_violations,
     bend_ideal_member,
     check_admissible,
     compare_terms,
@@ -71,6 +74,24 @@ def ref_bend_ideal_member(matrix, f):
     if f.is_monomial():
         return False
     return len(ref_leading_class(matrix, f)) >= 2
+
+
+def ref_admissibility_violations(rows, n):
+    problems = []
+    rows = [[to_fraction(x) for x in r] for r in rows]
+    if not rows:
+        return ["matrix must have at least one row"]
+    if any(len(r) != n + 1 for r in rows):
+        return [f"every row must have {n + 1} entries (coefficient column plus {n} exponent columns)"]
+    if len(rows) > n + 1:
+        problems.append(f"at most {n + 1} rows allowed, got {len(rows)}")
+    if rank(rows) != len(rows):
+        problems.append("rows are linearly dependent")
+    col0 = [r[0] for r in rows]
+    first_nonzero = next((x for x in col0 if x != 0), None)
+    if first_nonzero is not None and first_nonzero < 0:
+        problems.append("first non-zero entry of column 0 must be positive")
+    return problems
 
 
 def ref_random_admissible(rng, n, nrows, mode=LAURENT, first_entry="any"):
@@ -223,3 +244,38 @@ def test_random_admissible_draws_unchanged():
             old, n, nrows, first_entry=first
         )
         assert new.getstate() == old.getstate()
+
+
+def test_check_admissible_clears_rows_once():
+    # row sets with the flaws of the benchmark's falsify queries: the integer rows that
+    # ranked the matrix become its int_rows, and the violations are those of the former check
+    rng = random.Random(83)
+    seen = {"dependent": 0, "sign": 0, "extra": 0, None: 0}
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        nrows = rng.randint(1, n + 1)
+        rows = [[_fraction(rng, rng.choice((1, 2, 5, 12))) for _ in range(n + 1)] for _ in range(nrows)]
+        flaw = rng.choice(tuple(seen))
+        pivot = next((r for r in rows if r[0] != 0), None)
+        if pivot is not None and (pivot[0] < 0) != (flaw == "sign"):
+            rows[rows.index(pivot)] = [-x for x in pivot]
+        if flaw == "dependent":
+            factor = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            rows.append([factor * x for x in rows[0]])
+        elif flaw == "extra":
+            rows += [[_fraction(rng, 3) for _ in range(n + 1)] for _ in range(n + 2 - len(rows))]
+        if rng.random() < 0.3:
+            rows = [[str(x) for x in row] for row in rows]
+        expected = ref_admissibility_violations(rows, n)
+        assert admissibility_violations(rows, n) == expected
+        try:
+            matrix = check_admissible(rows, n)
+        except AdmissibilityError as exc:
+            assert exc.violations == expected, rows
+        else:
+            assert expected == []
+            frozen_rows = tuple(tuple(map(to_fraction, row)) for row in rows)
+            assert matrix.rows == frozen_rows
+            assert matrix.int_rows == tuple(map(clear_denominators, frozen_rows))
+        seen[flaw] += bool(expected) == (flaw is not None)
+    assert min(seen.values()) >= 40, seen

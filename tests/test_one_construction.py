@@ -12,6 +12,7 @@ only as oracles.
 """
 
 import functools
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -21,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from tropica import parsing, traces
-from tropica.matrices import dot, to_fraction
+from tropica.matrices import dot, rank, to_fraction
 from tropica.parsing import ParseError, parse_polynomial, parse_polynomials
 from tropica.polynomials import LAURENT, POLY, Polynomial
 from tropica.primes import check_admissible, geometric_prime_of_point, variety_of_prime
@@ -33,6 +34,7 @@ from tropica.sampling import (
     random_fraction,
     random_member_polynomial,
     random_point,
+    window_admits_member,
 )
 from tropica.tropical_linear import MembershipSample, monomial_window
 
@@ -341,6 +343,28 @@ def test_prime_members_errors_kept(matrix, window):
     got = outcome(prime_members, random.Random(0), matrix, window, 5)
     assert got[0] == "ValueError"
     assert got == outcome(ref_prime_members, random.Random(0), matrix, window, 5)
+
+
+def test_window_admits_member_matches_pairwise_ties():
+    # two monomials tie for some coefficients iff U[:, 1:] (e1 - e2) is a multiple of U[:, 0]
+    rng = random.Random(16)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        mode = rng.choice((LAURENT, POLY))
+        matrix = random_admissible(rng, n, rng.randint(1, n + 1), mode, rng.choice(("any", "zero")))
+        window = monomial_window(n, mode, rng.randint(1, 4 - n))
+        column = [row[0] for row in matrix.rows]
+        expected = any(
+            rank([column, [dot(row[1:], [a - b for a, b in zip(e1, e2)]) for row in matrix.rows]])
+            == rank([column])
+            for e1, e2 in itertools.combinations(window.monomials, 2)
+        )
+        assert window_admits_member(matrix, window) is expected
+        if not expected:
+            assert prime_members(random.Random(0), matrix, window, 2).samples == ()
+        seen[expected] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 # -- construction counts ------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -396,6 +397,34 @@ def test_cli_tideal_check_matrix_one_monomial_window(capsys, matrix, degree):
     assert code == 1 and out == ""
     error = json.loads(err)
     assert error == {"error": "domain", "message": "the window holds 1 monomial; a member needs two terms"}
+
+
+@pytest.mark.parametrize(
+    "matrix,mode,degree",
+    [("[[0,1]]", "poly", "1"), ("[[0,1]]", "laurent", "2"), ("[[0,1],[1,0]]", "poly", "1")],
+)
+def test_cli_tideal_check_matrix_window_without_member(capsys, matrix, mode, degree):
+    # no two window monomials tie, so no member exists: this made 200,000 draws (1.7 s),
+    # then printed {"passed": true} from 0 members
+    args = ["tideal-check", "--matrix", matrix, "--mode", mode, "--degree", degree, "--trials", "1000"]
+    start = time.perf_counter()
+    code, out, err = run_cli(args, capsys)
+    assert time.perf_counter() - start < 0.1
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    assert error == {
+        "error": "domain",
+        "message": "the window holds no member: no two of its monomials can tie under the prime",
+    }
+
+
+@pytest.mark.parametrize("matrix", ["[[1,0]]", "[[1,2]]"])
+def test_cli_tideal_check_matrix_window_with_member(capsys, matrix):
+    # the window of the test above, under primes that tie its monomials
+    args = ["tideal-check", "--matrix", matrix, "--mode", "poly", "--degree", "1", "--trials", "1000"]
+    code, out, err = run_cli(args, capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"passed": True}
 
 
 @pytest.mark.parametrize(
