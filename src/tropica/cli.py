@@ -40,7 +40,7 @@ from .primes import (
     variety_of_prime,
 )
 from .rendering import render_svg
-from .sampling import point_members, prime_members, window_admits_member
+from .sampling import point_members, prime_members
 from .scalars import scalar_str
 from .traces import load_trace, verify_trace
 from .tropical_linear import check_tropical_axiom, monomial_window, truncated_tropicalization
@@ -224,10 +224,6 @@ def _cmd_tideal_check(args):
     elif args.matrix:
         matrix = _matrix(args)
         window = monomial_window(matrix.n, args.mode, args.degree)
-        if len(window) > 1 and not window_admits_member(matrix, window):
-            raise ValueError(
-                "the window holds no member: no two of its monomials can tie under the prime"
-            )
         description = prime_members(random.Random(_seed(args)), matrix, window, args.trials)
     else:
         raise ValueError("one of --circuits, --point or --matrix is required")

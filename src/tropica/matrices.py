@@ -4,10 +4,11 @@ Everything in this package that touches matrix rank, kernels or affine hulls
 must stay exact, so nothing here rounds, and every entry is read through
 ``to_fraction`` (integers, ``Fraction``s and "p/q" strings only).  ``rank``
 clears each row of denominators and runs Bareiss fraction-free elimination
-on integers (``int_rank``, which callers with integer rows use directly);
-``int_nullspace`` gives the kernel of an integer matrix as primitive integer
-vectors.  ``row_echelon`` and ``nullspace`` return ``Fraction`` rows,
-because their entries reach the JSON output.
+on integers (``int_rank``, which callers with integer rows use directly).
+Kernels and bases come from one integer Gauss-Jordan elimination,
+``int_echelon``: ``int_nullspace`` reads the kernel of an integer matrix off
+it as primitive integer vectors, and ``nullspace`` is its ``Fraction`` front
+end, whose vectors reach the JSON output.
 """
 
 from __future__ import annotations
@@ -51,30 +52,6 @@ def clear_denominators(row) -> tuple[int, ...]:
     return tuple(x.numerator * (scale // x.denominator) for x in row)
 
 
-def row_echelon(rows) -> list[list[Fraction]]:
-    """Reduced row echelon form of a copy of the rows."""
-    mat = [[to_fraction(x) for x in r] for r in rows]
-    if not mat:
-        return mat
-    ncols = len(mat[0])
-    pivot_row = 0
-    for col in range(ncols):
-        if pivot_row >= len(mat):
-            break
-        pivot = next((r for r in range(pivot_row, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[pivot_row], mat[pivot] = mat[pivot], mat[pivot_row]
-        inv = Fraction(1) / mat[pivot_row][col]
-        mat[pivot_row] = [v * inv for v in mat[pivot_row]]
-        for r in range(len(mat)):
-            if r != pivot_row and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[pivot_row])]
-        pivot_row += 1
-    return mat
-
-
 def rank(rows) -> int:
     """Rank of a rational matrix: ``int_rank`` of its rows cleared of denominators."""
     return int_rank([clear_denominators([to_fraction(x) for x in r]) for r in rows])
@@ -104,22 +81,20 @@ def int_rank(rows) -> int:
     return r
 
 
-def int_nullspace(rows, ncols: int) -> list[tuple[int, ...]]:
-    """Basis of {x : A x = 0} for an integer matrix, as primitive integer vectors.
+def int_echelon(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan elimination of an integer matrix: (rows, pivots).
 
-    Exact: Gauss-Jordan elimination on integers, where each combined row
-    p * row - f * pivot_row is divided by its content, so no entry is ever
-    rounded.  Afterwards row k has its pivot a_k at column c_k and zeros at
-    the other pivot columns.  For each free column j, x_j = L (the lcm of
-    the a_k with a non-zero entry at j) and x_{c_k} = -row_k[j] * L / a_k,
-    divided by its content.  That is the ``nullspace`` vector of column j
-    (1 at j, 0 at the other free columns) times the lcm of its denominators,
-    and the vectors come in the same order.
+    Exact: each combined row p * row - f * pivot_row is divided by its
+    content.  Row k has its pivot a_k at column c_k = pivots[k] and zeros at
+    the other pivot columns, so row k / a_k is row k of the reduced row
+    echelon form; zero rows are dropped.
     """
     mat = [list(row) for row in rows if any(row)]
     pivots: list[int] = []
     for col in range(ncols):
         r = len(pivots)
+        if r == len(mat):
+            break
         pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
         if pivot is None:
             continue
@@ -133,35 +108,46 @@ def int_nullspace(rows, ncols: int) -> list[tuple[int, ...]]:
                 content = gcd(*combined)
                 mat[i] = [a // content for a in combined] if content else combined
         pivots.append(col)
+    return mat[: len(pivots)], pivots
+
+
+def int_nullspace(rows, ncols: int) -> list[tuple[int, ...]]:
+    """Basis of {x : A x = 0} for an integer matrix, as primitive integer vectors.
+
+    Read off ``int_echelon``: for each free column j, x_j = L (the lcm of
+    the a_k with a non-zero entry at j) and x_{c_k} = -row_k[j] * L / a_k,
+    divided by its content.  That is the ``nullspace`` vector of column j
+    (1 at j, 0 at the other free columns) times the lcm of its denominators,
+    and the vectors come in the same order.
+    """
+    mat, pivots = int_echelon(rows, ncols)
     basis = []
     for j in range(ncols):
         if j in pivots:
             continue
-        scale = lcm(*(abs(mat[k][c]) for k, c in enumerate(pivots) if mat[k][j]))
+        scale = lcm(*(abs(row[c]) for row, c in zip(mat, pivots) if row[j]))
         vec = [0] * ncols
         vec[j] = scale
-        for k, c in enumerate(pivots):
-            vec[c] = -mat[k][j] * scale // mat[k][c]
+        for row, c in zip(mat, pivots):
+            vec[c] = -row[j] * scale // row[c]
         content = gcd(*vec)
         basis.append(tuple(a // content for a in vec))
     return basis
 
 
 def nullspace(rows, ncols: int) -> list[Row]:
-    """Basis of {x : A x = 0} for the matrix with the given rows."""
-    mat = row_echelon(rows)
-    mat = [row for row in mat if any(v != 0 for v in row)]
-    pivot_cols = []
-    for row in mat:
-        pivot_cols.append(next(i for i, v in enumerate(row) if v != 0))
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    """Basis of {x : A x = 0} for a rational matrix: ``int_nullspace`` in ``Fraction``s.
+
+    Each row is cleared of denominators, and each integer kernel vector is
+    divided by its entry at its free column j.  That is its last non-zero
+    entry: row k of the echelon form is zero before its pivot, so x_{c_k},
+    a multiple of row_k[j], is non-zero only when c_k < j.  The vector is
+    then 1 at j, 0 at the other free columns and -row_k[j] / a_k at c_k.
+    """
     basis = []
-    for free in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row, pcol in zip(mat, pivot_cols):
-            vec[pcol] = -row[free]
-        basis.append(tuple(vec))
+    for vec in int_nullspace([clear_denominators([to_fraction(x) for x in r]) for r in rows], ncols):
+        free = next(a for a in reversed(vec) if a)
+        basis.append(tuple(Fraction(a, free) for a in vec))
     return basis
 
 

@@ -300,6 +300,8 @@ def parse_circuits_json(data) -> CircuitSet:
     for support in data["circuits"]:
         if not isinstance(support, list) or not all(isinstance(e, list) for e in support):
             raise ValueError("a circuit must be an array of exponent vectors")
+        if not support:
+            raise ValueError("a circuit must hold at least one monomial")
         expos = [tuple(_json_int(e, "an exponent") for e in expo) for expo in support]
         for expo in expos:
             if expo not in inside:

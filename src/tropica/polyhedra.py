@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .matrices import clear_denominators, nullspace, rank, to_fraction
+from .matrices import clear_denominators, int_rank, nullspace, to_fraction
 
 LE, EQ, LT = "le", "eq", "lt"
 
@@ -341,13 +341,13 @@ def implicit_equality_indices(poly: Polyhedron, point=None) -> list[int]:
 
 
 def dimension(poly: Polyhedron) -> int:
-    """Dimension of the affine hull; -1 for the empty set."""
-    point = feasible_point(poly)
+    """Dimension of the affine hull, read off one set of integer rows; -1 for the empty set."""
+    rows = int_rows(poly)
+    point = _int_feasible_point(rows, poly.n)
     if point is None:
         return -1
-    implicit = set(implicit_equality_indices(poly, point))
-    normals = [h.normal for i, h in enumerate(poly.constraints) if h.relation == EQ or i in implicit]
-    return poly.n - rank(normals)
+    implicit = set(_int_implicit_equalities(rows, poly.n, point))
+    return poly.n - int_rank([a for i, (a, _, rel) in enumerate(rows) if rel == EQ or i in implicit])
 
 
 def affine_hull_directions(poly: Polyhedron, point) -> list[tuple[Fraction, ...]]:

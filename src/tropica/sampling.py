@@ -213,8 +213,9 @@ def prime_members(
     Each drawn member comes with a partner that keeps its leading terms and
     moves one low term, the shape on which the elimination axiom can fail.
     Stops at ``count`` members (a partner may add one more) or ``count * 200``
-    draws.  A window of fewer than two monomials holds no member, and is an
-    error.
+    draws.  A window with no member (``window_admits_member``) is an error
+    before any draw; draws that end with no member (coefficients lie in
+    -2..2, so a tie that needs a larger gap is never drawn) are one after.
 
     Draws are tested on integer keys: coefficients and exponents are
     integers, so a term's key is ``U_int @ (c, e)`` with no denominator, and
@@ -230,6 +231,8 @@ def prime_members(
         raise ValueError(f"the window has {window.n} variables, the prime {matrix.n}")
     if len(window) < 2:
         raise ValueError(f"the window holds {len(window)} monomial; a member needs two terms")
+    if not window_admits_member(matrix, window):
+        raise ValueError("the window holds no member: no two of its monomials can tie under the prime")
     weights = [row[0] for row in matrix.int_rows]
     lifted = {
         expo: [sum(map(mul, row[1:], expo)) for row in matrix.int_rows]
@@ -259,5 +262,7 @@ def prime_members(
                 partner = {e: c for e, c in coeffs.items() if e != moved}
                 partner[target] = coeffs[moved]
                 members.setdefault(frozenset(partner.items()), partner)
+    if not members:
+        raise ValueError(f"no member in {attempts} draws with coefficients in -2..2")
     polys = (Polynomial(c, window.n, window.mode) for c in members.values())
     return MembershipSample(tuple(polys), matrix)

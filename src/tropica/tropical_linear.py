@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable
 
-from .matrices import clear_denominators, dot, int_nullspace, row_echelon, to_fraction
+from .matrices import clear_denominators, dot, int_echelon, int_nullspace, to_fraction
 from .polynomials import Exponents, LAURENT, POLY, Polynomial
 from .primes import (
     GEOMETRIC,
@@ -57,6 +57,8 @@ def window_size(n: int, mode: str, degree: int, limit: int) -> int:
     (2d + 1)^n in Laurent mode, one variable at a time until the count
     passes ``limit``.
     """
+    if n < 0:
+        raise ValueError("window variable count must be non-negative")
     if degree < 0:
         raise ValueError("window degree must be non-negative")
     if mode not in (POLY, LAURENT):
@@ -384,17 +386,23 @@ def truncated_tropicalization(rational_gens: list[dict], n: int, degree: int) ->
     under the trivial valuation its vectors are Boolean, so the circuits are
     exactly the support-minimal non-zero row-space vectors.
 
-    Lemma (Oxley, *Matroid Theory*, Prop. 2.1.6).  Let B be the reduced row
-    echelon basis (r x m) and M the matroid of its columns on the window E.
-    The support-minimal row-space vectors are the cocircuits of M, and the
-    cocircuits are exactly the complements E - H of the hyperplanes H (the
-    flats of rank r - 1).  For a set T of columns, the row-space vectors
-    vanishing on T form a space of dimension r - rank(T), and their common
-    zero set is the closure cl(T).  Every v in the row space is
-    sum_k v[p_k] b_k, where p_1..p_r are the pivot columns, so v vanishes on
-    T iff it combines only the live rows (pivot outside T) and vanishes on
-    the free columns of T: the left null space of the live rows restricted
-    to those columns (``int_nullspace`` of the transpose).
+    The generators are cleared of denominators, and ``int_echelon`` of
+    their shift rows gives the basis B (r x m) with pivot columns p_1..p_r.
+    Row k of B is D_k != 0 times row k of the reduced row echelon form R.
+    Scaling the rows by D = diag(D_k) maps column c to D c, so B has the
+    parallel classes of R, and its row space, so every null-vector support.
+
+    Lemma (Oxley, *Matroid Theory*, Prop. 2.1.6).  Let M be the matroid of
+    the columns of B on the window E.  The support-minimal row-space vectors
+    are the cocircuits of M, and the cocircuits are exactly the complements
+    E - H of the hyperplanes H (the flats of rank r - 1).  For a set T of
+    columns, the row-space vectors vanishing on T form a space of dimension
+    r - rank(T), and their common zero set is the closure cl(T).  Every v in
+    the row space is sum_k (v[p_k] / D_k) b_k, since b_k is zero at the
+    other pivots, so v vanishes on T iff it combines only the live rows
+    (pivot outside T) and vanishes on the free columns of T: the left null
+    space of the live rows restricted to those columns (``int_nullspace`` of
+    the transpose).
 
     The hyperplanes are found by walking the (r - 1)-subsets T of one
     representative per parallel class of non-zero columns, in lex order
@@ -421,24 +429,21 @@ def truncated_tropicalization(rational_gens: list[dict], n: int, degree: int) ->
         gdeg = max(sum(e) for e in clean)
         if gdeg > degree:
             raise ValueError(f"generator degree {gdeg} exceeds the window degree {degree}")
-        gen_maps.append((clean, gdeg))
-    if not gen_maps:
-        return CircuitSet(window, ())
+        gen_maps.append((dict(zip(clean, clear_denominators(clean.values()))), gdeg))
+    m = len(window)
     columns = {expo: i for i, expo in enumerate(window.monomials)}
     rows = []
-    for clean, gdeg in gen_maps:
+    for terms, gdeg in gen_maps:
         for shift in window.monomials:
             if sum(shift) > degree - gdeg:
                 continue
-            row = [Fraction(0)] * len(window)
-            for expo, coeff in clean.items():
+            row = [0] * m
+            for expo, coeff in terms.items():
                 row[columns[_shift(expo, shift)]] = coeff
             rows.append(row)
-    basis = [clear_denominators(row) for row in row_echelon(rows) if any(v != 0 for v in row)]
+    basis, pivots = int_echelon(rows, m)
     if not basis:
         return CircuitSet(window, ())
-    m = len(window)
-    pivots = [next(j for j, v in enumerate(row) if v) for row in basis]
     # each recorded flat is kept as the bitmask of the columns outside it
     outsides: list[int] = []
     circuits: list[int] = []

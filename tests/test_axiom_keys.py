@@ -6,7 +6,8 @@ which tries up to 2^ties candidate polynomials against a membership oracle
 and, at a geometric prime, the tie-level candidates at its point.  Point
 samples use the former oracle "zero or vanishes at the point".
 `ref_prime_members` is the former `sampling.prime_members` loop, which
-built a polynomial for every draw and asked `bend_ideal_member`.  Both are
+built a polynomial for every draw and asked `bend_ideal_member`; where it
+drew no member, `prime_members` now raises instead.  Both are
 kept here only as oracles.
 """
 
@@ -40,6 +41,8 @@ from tropica.tropical_linear import (
     monomial_window,
     window_order,
 )
+
+from test_one_construction import assert_no_member_error
 
 FIRST_ENTRIES = ("any", "zero", "positive")
 
@@ -144,7 +147,12 @@ def _description(seed):
     else:
         matrix = random_admissible(rng, n, rank, window.mode, first)
     if kind == 1:
-        return "prime", prime_members(rng, matrix, window, rng.randint(2, 6)), None
+        try:
+            sample = prime_members(rng, matrix, window, rng.randint(2, 6))
+        except ValueError as exc:  # the former loop returned an empty sample here
+            assert "no member" in str(exc)
+            sample = MembershipSample((), matrix)
+        return "prime", sample, None
     if kind == 2:
         polys = [
             random_polynomial(rng, n, window.mode, max_terms=5, max_deg=window.degree, min_terms=2)
@@ -207,6 +215,7 @@ def test_axiom_on_keys_rejects_samples_of_another_ring():
 
 
 def test_prime_members_match_former_loop():
+    none = {True: 0, False: 0}  # no member drawn, by whether the window holds one
     for seed in range(300):
         rng = random.Random(10_000 + seed)
         n = 1 + seed % 3
@@ -215,8 +224,12 @@ def test_prime_members_match_former_loop():
         count = rng.randint(1, 5)
         old, new = random.Random(seed), random.Random(seed)
         expected = ref_prime_members(old, matrix, window, count)
+        if not expected:
+            none[assert_no_member_error(new, matrix, window, count, old.getstate())] += 1
+            continue
         sample = prime_members(new, matrix, window, count)
         assert sample.samples == expected, seed
         assert [str(f.terms()) for f in sample.samples] == [str(f.terms()) for f in expected]
         assert new.getstate() == old.getstate(), seed
         assert sample.prime == matrix
+    assert min(none.values()) >= 5, none

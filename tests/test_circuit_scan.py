@@ -1,24 +1,32 @@
-"""`truncated_tropicalization` (hyperplane walk) against two subset-scan oracles.
+"""`truncated_tropicalization` (hyperplane walk) against three former implementations.
 
 `truncated_tropicalization` finds each circuit as the complement of a
 hyperplane of the basis's column matroid, with one integer null-space solve
 per (r - 1)-subset of column representatives that no recorded flat holds.
-Two former implementations are kept below as oracles:
+Its basis is the integer echelon basis of `matrices.int_echelon`.  Three
+former implementations are kept below as oracles, each on the `Fraction`
+reduced row echelon basis (`ref_row_echelon`, the former
+`matrices.row_echelon`):
 
 - `_full_rank_scan` ranks the whole basis restricted to the columns outside
   each subset S (verbatim apart from names);
 - `_pivot_row_scan` is the subset scan that the hyperplane walk replaced,
   moved here verbatim apart from its name: it ranks only the live rows
-  (pivot column in S) on the free columns outside S.
+  (pivot column in S) on the free columns outside S;
+- `_fraction_basis_walk` is the hyperplane walk itself on that basis, the
+  former `truncated_tropicalization`.
 
 On seeded ideals (n = 1-3, 1-3 generators, windows of at most 15 monomials)
 and on coloops, the unit ideal, several generators, the n = 0 constant,
 monomial, zero and duplicate generators and fractional coefficients, all
-three must give the same circuits in the same order and the same `trivial`
-flag.  The autouse `solves` fixture records the nullity of every null-space
-solve of the walk: each is at least 1 (|T| = r - 1 < r), and the solves of
-nullity 1 are exactly one per circuit.  `int_nullspace` itself is checked
-against the `Fraction` `nullspace` on seeded integer matrices.
+four must give the same circuits in the same order and the same `trivial`
+flag; 600 more seeded ideals, most with non-integer coefficients, are
+checked against `_fraction_basis_walk` alone.  The autouse `solves`
+fixture records the nullity of every null-space solve of the walk: each is
+at least 1 (|T| = r - 1 < r), and the solves of nullity 1 are exactly one
+per circuit.  `int_nullspace` itself is checked
+against the former `Fraction` `nullspace` (`ref_nullspace`) on seeded
+integer matrices.
 """
 
 import itertools
@@ -28,25 +36,21 @@ from fractions import Fraction
 import pytest
 
 from tropica import tropical_linear
-from tropica.matrices import (
-    clear_denominators,
-    int_nullspace,
-    int_rank,
-    nullspace,
-    rank,
-    row_echelon,
-    to_fraction,
-)
+from tropica.matrices import clear_denominators, int_nullspace, int_rank, rank, to_fraction
 from tropica.polynomials import POLY, Polynomial
+from tropica.scalars import ONE
 from tropica.tropical_linear import (
     MAX_WINDOW_MONOMIALS,
     CircuitSet,
+    _parallel_representatives,
     _require_window_size,
     _shift,
     monomial_window,
     truncated_tropicalization,
     window_size,
 )
+
+from test_integer_kernel import ref_nullspace, ref_row_echelon
 
 
 def _full_rank_scan(rational_gens: list[dict], n: int, degree: int) -> CircuitSet:
@@ -71,7 +75,7 @@ def _full_rank_scan(rational_gens: list[dict], n: int, degree: int) -> CircuitSe
             for expo, coeff in clean.items():
                 row[columns[_shift(expo, shift)]] = coeff
             rows.append(row)
-    basis = [row for row in row_echelon(rows) if any(v != 0 for v in row)]
+    basis = [row for row in ref_row_echelon(rows) if any(v != 0 for v in row)]
     r = len(basis)
     if r == 0:
         return CircuitSet(window, ())
@@ -141,7 +145,7 @@ def _pivot_row_scan(rational_gens: list[dict], n: int, degree: int) -> CircuitSe
             for expo, coeff in clean.items():
                 row[columns[_shift(expo, shift)]] = coeff
             rows.append(row)
-    basis = [row for row in row_echelon(rows) if any(v != 0 for v in row)]
+    basis = [row for row in ref_row_echelon(rows) if any(v != 0 for v in row)]
     r = len(basis)
     if r == 0:
         return CircuitSet(window, ())
@@ -170,6 +174,72 @@ def _pivot_row_scan(rational_gens: list[dict], n: int, degree: int) -> CircuitSe
     return CircuitSet(window, vectors, trivial)
 
 
+def _fraction_basis_walk(rational_gens: list[dict], n: int, degree: int) -> CircuitSet:
+    """The hyperplane walk on the reduced row echelon basis of `Fraction` rows.
+
+    The former `truncated_tropicalization`, verbatim apart from its name and
+    this docstring: the basis came from the `Fraction` elimination and was
+    then cleared of denominators row by row, and the pivots were re-scanned.
+    """
+    _require_window_size(n, POLY, degree, MAX_WINDOW_MONOMIALS, "for circuit enumeration")
+    window = monomial_window(n, POLY, degree)
+    gen_maps = []
+    for g in rational_gens:
+        coeffs = {tuple(e): to_fraction(c) for e, c in g.items()}
+        clean = {e: c for e, c in coeffs.items() if c != 0}
+        if not clean:
+            continue
+        if any(len(e) != n or any(a < 0 for a in e) for e in clean):
+            raise ValueError("generators must be polynomials in n non-negative exponents")
+        gdeg = max(sum(e) for e in clean)
+        if gdeg > degree:
+            raise ValueError(f"generator degree {gdeg} exceeds the window degree {degree}")
+        gen_maps.append((clean, gdeg))
+    if not gen_maps:
+        return CircuitSet(window, ())
+    columns = {expo: i for i, expo in enumerate(window.monomials)}
+    rows = []
+    for clean, gdeg in gen_maps:
+        for shift in window.monomials:
+            if sum(shift) > degree - gdeg:
+                continue
+            row = [Fraction(0)] * len(window)
+            for expo, coeff in clean.items():
+                row[columns[_shift(expo, shift)]] = coeff
+            rows.append(row)
+    basis = [clear_denominators(row) for row in ref_row_echelon(rows) if any(v != 0 for v in row)]
+    if not basis:
+        return CircuitSet(window, ())
+    m = len(window)
+    pivots = [next(j for j, v in enumerate(row) if v) for row in basis]
+    # each recorded flat is kept as the bitmask of the columns outside it
+    outsides: list[int] = []
+    circuits: list[int] = []
+    for subset in itertools.combinations(_parallel_representatives(basis, m), len(basis) - 1):
+        mask = sum(1 << j for j in subset)
+        if not all(mask & recorded for recorded in outsides):
+            continue  # T lies in a recorded flat
+        live = [row for row, p in zip(basis, pivots) if not mask >> p & 1]
+        restricted = [[row[j] for row in live] for j in subset if j not in pivots]
+        null = int_nullspace(restricted, len(live))
+        outside = 0
+        for ys in null:
+            vector = [0] * m
+            for y, row in zip(ys, live):
+                if y:
+                    vector = [a + y * b for a, b in zip(vector, row)]
+            outside |= sum(1 << j for j, value in enumerate(vector) if value)
+        outsides.append(outside)
+        if len(null) == 1:
+            circuits.append(outside)
+    supports = sorted([j for j in range(m) if c >> j & 1] for c in circuits)
+    vectors = tuple(
+        Polynomial({window.monomials[j]: ONE for j in c}, n, POLY) for c in supports
+    )
+    trivial = [columns[(0,) * n]] in supports
+    return CircuitSet(window, vectors, trivial)
+
+
 @pytest.fixture(autouse=True)
 def solves(monkeypatch):
     """The nullity of every null-space solve the hyperplane walk makes."""
@@ -189,7 +259,7 @@ def _assert_same(gens, n, degree, solves):
     solves.clear()
     got = truncated_tropicalization(gens, n, degree)
     assert solves.count(1) == len(got.circuits), (gens, n, degree)  # one solve per hyperplane
-    for oracle in (_full_rank_scan, _pivot_row_scan):
+    for oracle in (_full_rank_scan, _pivot_row_scan, _fraction_basis_walk):
         want = oracle(gens, n, degree)
         assert got.circuits == want.circuits, (oracle.__name__, gens, n, degree)
         assert got.trivial == want.trivial, (oracle.__name__, gens, n, degree)
@@ -261,7 +331,11 @@ def _random_coefficient(rng):
     return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
 
 
-def _random_ideal(rng):
+def _non_integer_coefficient(rng):
+    return Fraction(rng.choice([-7, -3, -2, -1, 1, 2, 5, 9]), rng.choice([1, 2, 3, 4, 6, 7, 12]))
+
+
+def _random_ideal(rng, coefficient=_random_coefficient):
     n = rng.randint(1, 3)
     degree = rng.choice([d for d in range(1, 15) if window_size(n, POLY, d, 15) <= 15])
     window = monomial_window(n, POLY, degree).monomials
@@ -274,7 +348,7 @@ def _random_ideal(rng):
             gens.append(dict(gens[-1]))  # a duplicate
         else:
             terms = rng.sample(window, k=min(len(window), rng.randint(1, 4)))
-            gens.append({e: _random_coefficient(rng) for e in terms})
+            gens.append({e: coefficient(rng) for e in terms})
     return gens, n, degree
 
 
@@ -289,6 +363,21 @@ def test_hyperplanes_match_both_scans_on_seeded_ideals(solves):
         seen_multi += len(result.circuits) > 1
     # the seeded inputs reach every kind of answer
     assert seen_coloop and seen_trivial and seen_multi
+
+
+def test_integer_basis_matches_fraction_basis_on_seeded_ideals(solves):
+    # the integer echelon rows are non-zero multiples of the Fraction ones
+    rng = random.Random(20261019)
+    fractional = 0
+    for _ in range(600):
+        gens, n, degree = _random_ideal(rng, _non_integer_coefficient)
+        solves.clear()
+        got = truncated_tropicalization(gens, n, degree)
+        assert solves.count(1) == len(got.circuits), (gens, n, degree)
+        want = _fraction_basis_walk(gens, n, degree)
+        assert (got.circuits, got.trivial) == (want.circuits, want.trivial), (gens, n, degree)
+        fractional += any(Fraction(c).denominator > 1 for g in gens for c in g.values())
+    assert fractional >= 500
 
 
 def _random_int_matrix(rng):
@@ -310,7 +399,7 @@ def test_int_nullspace_matches_fraction_nullspace_on_seeded_matrices():
     for _ in range(400):
         rows, ncols = _random_int_matrix(rng)
         got = int_nullspace(rows, ncols)
-        assert got == [clear_denominators(v) for v in nullspace(rows, ncols)], rows
+        assert got == [clear_denominators(v) for v in ref_nullspace(rows, ncols)], rows
         r = int_rank(rows)
         assert len(got) == ncols - r
         deficient += r < min(len(rows), ncols)

@@ -1,12 +1,17 @@
 """The integer kernel against the Fraction code it replaced.
 
-`polyhedra._feasible_point` runs Fourier-Motzkin on integer rows and
-`matrices.rank` runs Bareiss elimination on integer rows.  The Fraction
-versions they replaced are kept below, verbatim apart from names, as
-oracles: on seeded systems and matrices (empty and unbounded systems, zero
-columns and rows, dependent rows, `int` and `Fraction` input) the new code
-must give the same point, or also report the system empty, and the same
-rank.
+`polyhedra._feasible_point` runs Fourier-Motzkin on integer rows,
+`matrices.rank` runs Bareiss elimination on integer rows, and
+`matrices.nullspace` reads its basis off the integer Gauss-Jordan
+elimination `matrices.int_echelon`.  The Fraction versions they replaced
+are kept below, verbatim apart from names, as oracles (`ref_row_echelon` is
+the former `matrices.row_echelon`, `ref_nullspace` the former `nullspace`):
+on seeded systems and matrices (empty and unbounded systems, zero columns
+and rows, dependent, duplicate and parallel rows, no rows, `int`,
+`Fraction` and "p/q" input) the new code must give the same point, or also
+report the system empty, the same rank and the same kernel basis.  The rows
+of `int_echelon` must be non-zero multiples of the reduced row echelon rows,
+with the same pivots.
 """
 
 import random
@@ -15,7 +20,7 @@ from fractions import Fraction
 import pytest
 
 from tropica import polyhedra, varieties
-from tropica.matrices import nullspace, rank, row_echelon
+from tropica.matrices import clear_denominators, int_echelon, nullspace, rank, to_fraction
 from tropica.parsing import parse_polynomial
 from tropica.polyhedra import (
     EQ,
@@ -150,7 +155,8 @@ def ref_feasible_point(cons, n):
 
 
 def ref_row_echelon(rows):
-    mat = [list(r) for r in rows]
+    """Reduced row echelon form of a copy of the rows."""
+    mat = [[to_fraction(x) for x in r] for r in rows]
     if not mat:
         return mat
     ncols = len(mat[0])
@@ -170,6 +176,24 @@ def ref_row_echelon(rows):
                 mat[r] = [a - factor * b for a, b in zip(mat[r], mat[pivot_row])]
         pivot_row += 1
     return mat
+
+
+def ref_nullspace(rows, ncols: int):
+    """Basis of {x : A x = 0} for the matrix with the given rows."""
+    mat = ref_row_echelon(rows)
+    mat = [row for row in mat if any(v != 0 for v in row)]
+    pivot_cols = []
+    for row in mat:
+        pivot_cols.append(next(i for i, v in enumerate(row) if v != 0))
+    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    basis = []
+    for free in free_cols:
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, pcol in zip(mat, pivot_cols):
+            vec[pcol] = -row[free]
+        basis.append(tuple(vec))
+    return basis
 
 
 def ref_rank(rows):
@@ -277,6 +301,62 @@ def test_rank_of_large_entries_and_tall_matrices():
         assert rank(rows) == ref_rank(rows)
 
 
+def _kernel_matrix(rng):
+    """(rows, ncols): rational rows with zero, duplicate, parallel and combined rows.
+
+    About one matrix in seven has no rows, and some rows are "p/q" strings.
+    """
+    ncols = rng.randint(1, 6)
+    rows = []
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.random()
+        if rows and kind < 0.15:
+            rows.append(list(rng.choice(rows)))  # a duplicate
+        elif rows and kind < 0.3:
+            k = Fraction(rng.choice([-3, -2, -1, 2, 3]), rng.choice([1, 2, 5]))
+            rows.append([k * x for x in rng.choice(rows)])  # a parallel row
+        elif rows and kind < 0.45:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = _entry(rng, False), _entry(rng, False)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        elif kind < 0.55:
+            rows.append([0] * ncols)
+        else:
+            rows.append([_entry(rng, rng.random() < 0.3) for _ in range(ncols)])
+    return [[str(x) for x in row] if rng.random() < 0.1 else row for row in rows], ncols
+
+
+def test_nullspace_matches_fraction_oracle():
+    rng = random.Random(20261019)
+    seen = {"no rows": 0, "dependent rows": 0, "zero kernel": 0, "kernel": 0}
+    for _ in range(1500):
+        rows, ncols = _kernel_matrix(rng)
+        expected = ref_nullspace(rows, ncols)
+        got = nullspace(rows, ncols)
+        assert got == expected, rows
+        assert all(type(x) is Fraction for vec in got for x in vec)
+        seen["no rows"] += not rows
+        seen["dependent rows"] += len(rows) > ncols - len(expected)
+        seen["zero kernel" if not expected else "kernel"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_int_echelon_rows_are_multiples_of_rref_rows():
+    rng = random.Random(20261020)
+    signs = {1: 0, -1: 0}
+    for _ in range(1000):
+        rows, ncols = _kernel_matrix(rng)
+        rref = [row for row in ref_row_echelon(rows) if any(row)]
+        got, pivots = int_echelon([clear_denominators([to_fraction(x) for x in r]) for r in rows], ncols)
+        assert pivots == [next(j for j, v in enumerate(row) if v) for row in rref], rows
+        assert len(got) == len(rref)
+        for row, ref, c in zip(got, rref, pivots):
+            assert all(type(a) is int for a in row)
+            assert row[c] != 0 and row == [row[c] * b for b in ref], rows
+            signs[1 if row[c] > 0 else -1] += 1
+    assert min(signs.values()) >= 100, signs
+
+
 # -- exact input -------------------------------------------------------------------
 
 
@@ -287,9 +367,9 @@ def test_rank_of_large_entries_and_tall_matrices():
         lambda: rank([["1.5", 1]]),
         lambda: rank([[True, 1]]),
         lambda: nullspace([[0.5, 1]], 2),
-        lambda: row_echelon([[1, "1e2"]]),
+        lambda: nullspace([[1, "1e2"]], 2),
     ],
-    ids=["rank-float", "rank-decimal-string", "rank-bool", "nullspace-float", "row-echelon-exponent-string"],
+    ids=["rank-float", "rank-decimal-string", "rank-bool", "nullspace-float", "nullspace-exponent-string"],
 )
 def test_matrices_reject_inexact_entries(call):
     with pytest.raises(ValueError):

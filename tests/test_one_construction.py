@@ -8,7 +8,8 @@ the former two-pass reading of `--poly` texts without `--nvars`.
 and rejects included.  `ref_prime_members` is the former integer-key loop
 of `prime_members`, which built a polynomial for every accepted draw and
 three per partner, and dropped repeats by hashing them.  They are kept here
-only as oracles.
+only as oracles.  Where `ref_prime_members` draws no member, `prime_members`
+raises instead (`assert_no_member_error`).
 """
 
 import functools
@@ -315,20 +316,40 @@ def _prime_case(seed):
     return matrix, monomial_window(n, mode, degree), rng.randint(1, 10)
 
 
+def assert_no_member_error(rng, matrix, window, count, drawn):
+    """Where the former loop drew no member, ``prime_members`` raises instead.
+
+    A window that holds no member fails before any draw, so ``rng`` is left
+    as it was; otherwise the error comes after the former loop's draws,
+    which left the generator at ``drawn``.
+    """
+    before = rng.getstate()
+    admits = window_admits_member(matrix, window)
+    message = "no member in" if admits else "the window holds no member"
+    with pytest.raises(ValueError, match=message):
+        prime_members(rng, matrix, window, count)
+    assert rng.getstate() == (drawn if admits else before)
+    return admits
+
+
 def test_prime_members_match_key_loop():
     over = short = 0  # a partner passed count; the draws ran out first
+    none = {True: 0, False: 0}  # no member drawn, by whether the window holds one
     for seed in range(300):
         matrix, window, count = _prime_case(seed)
         ours, theirs = random.Random(seed), random.Random(seed)
-        sample = prime_members(ours, matrix, window, count)
         expected = ref_prime_members(theirs, matrix, window, count)
+        if not expected.samples:
+            none[assert_no_member_error(ours, matrix, window, count, theirs.getstate())] += 1
+            continue
+        sample = prime_members(ours, matrix, window, count)
         assert sample.samples == expected.samples, seed
         assert [f.terms() for f in sample.samples] == [f.terms() for f in expected.samples]
         assert ours.getstate() == theirs.getstate(), seed
         assert sample.prime == matrix
         over += len(sample.samples) > count
         short += len(sample.samples) < count
-    assert over >= 10 and short >= 100
+    assert over >= 10 and short >= 5 and min(none.values()) >= 20, (over, short, none)
 
 
 @pytest.mark.parametrize(
@@ -362,7 +383,10 @@ def test_window_admits_member_matches_pairwise_ties():
         )
         assert window_admits_member(matrix, window) is expected
         if not expected:
-            assert prime_members(random.Random(0), matrix, window, 2).samples == ()
+            draws = random.Random(0)
+            with pytest.raises(ValueError, match="the window holds no member"):
+                prime_members(draws, matrix, window, 2)
+            assert draws.getstate() == random.Random(0).getstate()  # raised before any draw
         seen[expected] += 1
     assert min(seen.values()) >= 50, seen
 
@@ -406,11 +430,15 @@ def test_prime_members_build_one_polynomial_per_member(constructions):
     matrix = check_admissible([[0, 1, 1]], 2, LAURENT)
     sample = prime_members(random.Random(3), matrix, monomial_window(2, LAURENT, 2), 200)
     assert constructions[0] == len(sample.samples) == len(set(sample.samples))
+    sampled = 0
     for seed in range(20):
         matrix, window, count = _prime_case(seed)
         constructions[0] = 0
-        sample = prime_members(random.Random(seed), matrix, window, count)
-        assert constructions[0] == len(sample.samples) == len(set(sample.samples))
+        got = outcome(prime_members, random.Random(seed), matrix, window, count)
+        built = got[1].samples if got[0] == "ok" else ()  # no member drawn: an error, nothing built
+        assert constructions[0] == len(built) == len(set(built))
+        sampled += bool(built)
+    assert sampled >= 3, sampled
 
 
 def test_trace_reader_parses_each_distinct_text_once(monkeypatch):

@@ -418,6 +418,20 @@ def test_cli_tideal_check_matrix_window_without_member(capsys, matrix, mode, deg
     }
 
 
+@pytest.mark.parametrize("trials", ["1", "10"])
+def test_cli_tideal_check_matrix_no_member_drawn(capsys, trials):
+    # 1 and x tie only at a coefficient gap of 7, outside the draws' -2..2:
+    # --trials 1000 made 200,000 draws and printed {"passed": true} from 0 members
+    args = ["tideal-check", "--matrix", "[[1,7]]", "--mode", "poly", "--degree", "1", "--trials", trials]
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    draws = int(trials) * 200
+    assert json.loads(err) == {
+        "error": "domain",
+        "message": f"no member in {draws} draws with coefficients in -2..2",
+    }
+
+
 @pytest.mark.parametrize("matrix", ["[[1,0]]", "[[1,2]]"])
 def test_cli_tideal_check_matrix_window_with_member(capsys, matrix):
     # the window of the test above, under primes that tie its monomials
@@ -467,12 +481,29 @@ def test_cli_tideal_check_point_small_window(capsys):
         {"nvars": 2, "degree": 1, "circuits": [5]},
         {"nvars": 2, "degree": 1, "circuits": [[[1, 0, 0]]]},
         {"nvars": 2, "degree": 1, "circuits": [[[2, 0]]]},  # outside the window
+        {"nvars": -1, "degree": 1, "circuits": []},  # leaked an itertools message
+        {"nvars": 1, "degree": 1, "circuits": [[]]},  # printed {"passed": true}
     ],
 )
 def test_cli_tideal_check_rejects_malformed_circuits(capsys, data):
     code, out, err = run_cli(["tideal-check", "--circuits", json.dumps(data)], capsys)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "domain"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"nvars": -1, "degree": 1, "circuits": []}, "window variable count must be non-negative"),
+        ({"nvars": -1, "degree": 0, "circuits": []}, "window variable count must be non-negative"),
+        ({"nvars": 1, "degree": 1, "circuits": [[]]}, "a circuit must hold at least one monomial"),
+        ({"nvars": 1, "degree": 1, "circuits": [[[1]], []]}, "a circuit must hold at least one monomial"),
+    ],
+)
+def test_cli_tideal_check_circuit_errors_are_named(capsys, data, message):
+    code, out, err = run_cli(["tideal-check", "--circuits", json.dumps(data)], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "domain", "message": message}
 
 
 def test_cli_exit_codes(capsys):
