@@ -249,10 +249,7 @@ def _cmd_tideal_trop(args):
         "degree": args.degree,
         "mode": POLY,
         "trivial": circuits.trivial,
-        "circuits": [
-            sorted([format_monomial(e, n) or "1" for e in c.support()])
-            for c in circuits.circuits
-        ],
+        "circuits": [sorted([format_monomial(e, n) or "1" for e in c]) for c in circuits.circuits],
     }
     _emit(payload, args)
 

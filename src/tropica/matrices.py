@@ -2,9 +2,8 @@
 
 Everything in this package that touches matrix rank, kernels or affine hulls
 must stay exact, so nothing here rounds, and every entry is read through
-``to_fraction`` (integers, ``Fraction``s and "p/q" strings only).  ``rank``
-clears each row of denominators and runs Bareiss fraction-free elimination
-on integers (``int_rank``, which callers with integer rows use directly).
+``to_fraction`` (integers, ``Fraction``s and "p/q" strings only).  Rank
+comes from Bareiss fraction-free elimination on integer rows (``int_rank``).
 Kernels and bases come from one integer Gauss-Jordan elimination,
 ``int_echelon``: ``int_nullspace`` reads the kernel of an integer matrix off
 it as primitive integer vectors, and ``nullspace`` is its ``Fraction`` front
@@ -50,11 +49,6 @@ def clear_denominators(row) -> tuple[int, ...]:
     """The row of rationals times the lcm of its denominators."""
     scale = lcm(*(x.denominator for x in row))
     return tuple(x.numerator * (scale // x.denominator) for x in row)
-
-
-def rank(rows) -> int:
-    """Rank of a rational matrix: ``int_rank`` of its rows cleared of denominators."""
-    return int_rank([clear_denominators([to_fraction(x) for x in r]) for r in rows])
 
 
 def int_rank(rows) -> int:

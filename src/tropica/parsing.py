@@ -306,5 +306,5 @@ def parse_circuits_json(data) -> CircuitSet:
         for expo in expos:
             if expo not in inside:
                 raise ValueError(f"monomial {expo} is outside the window")
-        circuits.append(Polynomial(dict.fromkeys(expos, 0), n, window.mode))
+        circuits.append(frozenset(expos))
     return CircuitSet(window, tuple(circuits))

@@ -5,7 +5,7 @@ and deduplication of parallel rows; no LP solver and no floating point.
 Elimination runs on integer rows a.x rel b, and there is one implementation
 of each solve: ``_int_feasible_point`` (a point as integers (nums, den), the
 point nums / den), ``_int_implicit_equalities`` and ``_int_interior_point``.
-The ``Fraction`` entry points (``feasible_point``, ``implicit_equality_indices``,
+The ``Fraction`` entry points (``feasible_point``, ``dimension``,
 ``relative_interior_point``) clear each constraint of denominators once and
 call them; only back-substitution builds rational coordinates.
 
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .matrices import clear_denominators, int_rank, nullspace, to_fraction
+from .matrices import clear_denominators, dot, int_rank, nullspace, to_fraction
 
 LE, EQ, LT = "le", "eq", "lt"
 
@@ -163,10 +163,6 @@ def _eliminate_last(rows: list[IntRow], n: int) -> list[IntRow] | None:
             a = tuple(lo_w * x + up_w * y for x, y in zip(la[:j], ua))
             kept.append((a, lo_w * lb + up_w * ub, LT if LT in (lr, ur) else LE))
     return _normalize(kept)
-
-
-def _value(coeffs, point) -> Fraction:
-    return sum((a * x for a, x in zip(coeffs, point)), Fraction(0))
 
 
 def _coordinate(rows: list[IntRow], nums: list[int], den: int) -> Fraction | None:
@@ -318,26 +314,12 @@ def is_empty(poly: Polyhedron) -> bool:
 def contains_point(poly: Polyhedron, point) -> bool:
     pt = tuple(to_fraction(x) for x in point)
     for h in poly.constraints:
-        value = _value(h.normal, pt)
+        value = dot(h.normal, pt)
         if h.relation == EQ and value != h.rhs:
             return False
         if h.relation == LE and value > h.rhs:
             return False
     return True
-
-
-def implicit_equality_indices(poly: Polyhedron, point=None) -> list[int]:
-    """Indices of LE constraints that hold with equality on the whole set.
-
-    ``point`` is a feasible point already known (any one gives the same
-    answer); without it one is computed.  On the empty set every LE index is
-    returned.
-    """
-    rows = int_rows(poly)
-    found = _int_feasible_point(rows, poly.n) if point is None else _int_point(point)
-    if found is None:
-        return [i for i, h in enumerate(poly.constraints) if h.relation == LE]
-    return _int_implicit_equalities(rows, poly.n, found)
 
 
 def dimension(poly: Polyhedron) -> int:
@@ -361,7 +343,7 @@ def affine_hull_directions(poly: Polyhedron, point) -> list[tuple[Fraction, ...]
     reduced row echelon form of a row space is unique, so any point with the
     same tight rows gives the same directions.
     """
-    return nullspace([h.normal for h in poly.constraints if _value(h.normal, point) == h.rhs], poly.n)
+    return nullspace([h.normal for h in poly.constraints if dot(h.normal, point) == h.rhs], poly.n)
 
 
 def line_bounds(poly: Polyhedron, point, direction) -> tuple[Fraction | None, Fraction | None]:
@@ -373,10 +355,10 @@ def line_bounds(poly: Polyhedron, point, direction) -> tuple[Fraction | None, Fr
     """
     lo = hi = None
     for h in poly.constraints:
-        slope = _value(h.normal, direction)
+        slope = dot(h.normal, direction)
         if h.relation == EQ or slope == 0:
             continue
-        bound = (h.rhs - _value(h.normal, point)) / slope
+        bound = (h.rhs - dot(h.normal, point)) / slope
         if slope > 0:
             hi = bound if hi is None or bound < hi else hi
         else:

@@ -27,6 +27,8 @@ from .primes import (
 )
 from .tropical_linear import MembershipSample, MonomialWindow
 
+DRAWN_GAPS = range(-4, 5)  # c1 - c2 for two coefficients drawn in -2..2
+
 
 def random_fraction(rng: random.Random, lo: int = -4, hi: int = 4, max_den: int = 3) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
@@ -180,28 +182,33 @@ def point_members(rng: random.Random, point, window: MonomialWindow, count: int)
 
 
 def window_admits_member(matrix: AdmissibleMatrix, window: MonomialWindow) -> bool:
-    """Whether the bend ideal of ``matrix`` has a member with support in ``window``.
+    """Whether two distinct window monomials tie under ``matrix`` at a gap draws can hit.
 
-    One exists iff two distinct window monomials e1, e2 tie for some
-    coefficients (a member's top class holds two terms, and two tied terms
-    form a member): U_int @ (c1 - c2, e1 - e2) = 0, that is, v = U_int[:, 1:]
-    @ (e1 - e2) is a rational multiple of the column w = U_int[:, 0] (zero
-    included).  With w_p its first non-zero entry, v is such a multiple iff
-    w_p v - v_p w = 0, a linear map of v; with w = 0, iff v = 0.  So a member
-    exists iff that map takes two window monomials to the same vector, which
-    one pass over the window decides, with no draw.
+    ``prime_members`` draws coefficients in -2..2, so two drawn terms can
+    tie only at an integer coefficient gap c1 - c2 in -4..4, and a draw is a
+    member only when two of its terms tie.  Two monomials tie at the gap
+    c1 - c2 iff U_int @ (c1 - c2, e1 - e2) = 0, that is, v = U_int[:, 1:] @
+    (e1 - e2) = -(c1 - c2) w for the column w = U_int[:, 0].  With w_p its
+    first non-zero entry, v is a multiple of w iff w_p v - v_p w = 0, a
+    linear map of v, and then the gap is -v_p / w_p; with w = 0, iff v = 0,
+    at every gap.  So one pass over the window groups the monomials by the
+    image of that map, and decides whether one group holds two monomials
+    whose levels v_p differ by k w_p for an integer k in -4..4.
     """
     weights = [row[0] for row in matrix.int_rows]
     pivot = next((i for i, w in enumerate(weights) if w), None)
-    seen = set()
+    step = 0 if pivot is None else weights[pivot]
+    seen: dict[tuple[int, ...], set[int]] = {}
     for expo in window.monomials:
         lifted = [sum(map(mul, row[1:], expo)) for row in matrix.int_rows]
+        level = 0
         if pivot is not None:
-            lifted = [weights[pivot] * x - lifted[pivot] * w for x, w in zip(lifted, weights)]
-        image = tuple(lifted)
-        if image in seen:
+            level = lifted[pivot]
+            lifted = [step * x - level * w for x, w in zip(lifted, weights)]
+        levels = seen.setdefault(tuple(lifted), set())
+        if any(level - k * step in levels for k in DRAWN_GAPS):
             return True
-        seen.add(image)
+        levels.add(level)
     return False
 
 
@@ -213,9 +220,9 @@ def prime_members(
     Each drawn member comes with a partner that keeps its leading terms and
     moves one low term, the shape on which the elimination axiom can fail.
     Stops at ``count`` members (a partner may add one more) or ``count * 200``
-    draws.  A window with no member (``window_admits_member``) is an error
-    before any draw; draws that end with no member (coefficients lie in
-    -2..2, so a tie that needs a larger gap is never drawn) are one after.
+    draws.  A window where no two monomials tie at a gap that draws can hit
+    (``window_admits_member``) is an error before any draw, and draws that
+    end with no member are one after them.
 
     Draws are tested on integer keys: coefficients and exponents are
     integers, so a term's key is ``U_int @ (c, e)`` with no denominator, and
@@ -232,7 +239,10 @@ def prime_members(
     if len(window) < 2:
         raise ValueError(f"the window holds {len(window)} monomial; a member needs two terms")
     if not window_admits_member(matrix, window):
-        raise ValueError("the window holds no member: no two of its monomials can tie under the prime")
+        raise ValueError(
+            "no member can be drawn: no two window monomials tie under the prime "
+            "at a coefficient gap in -4..4"
+        )
     weights = [row[0] for row in matrix.int_rows]
     lifted = {
         expo: [sum(map(mul, row[1:], expo)) for row in matrix.int_rows]

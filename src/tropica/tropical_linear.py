@@ -4,26 +4,25 @@ Vectors are ``Polynomial``s whose support lies in a fixed monomial window
 (all monomials of total degree <= d in poly mode, or all exponents in
 [-d, d]^n in Laurent mode).  The module provides span membership by max-plus
 residuation, the monomial elimination axiom checked pairwise, and circuits
-of tropicalized rational ideals under the trivial valuation.
+of tropicalized rational ideals under the trivial valuation.  There every
+non-bottom coordinate is the unit, so a circuit, a witness candidate and a
+membership test are plain sets of monomials (frozensets of exponent tuples).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Callable
 
-from .matrices import clear_denominators, dot, int_echelon, int_nullspace, to_fraction
+from .matrices import clear_denominators, int_echelon, int_nullspace, to_fraction
 from .polynomials import Exponents, LAURENT, POLY, Polynomial
 from .primes import (
     GEOMETRIC,
     AdmissibleMatrix,
     _keys,
-    bend_ideal_member,
     classify_prime,
-    variety_of_prime,
 )
 from .scalars import BOTTOM, ONE, TropScalar, is_bottom, trop_add, trop_mul
 
@@ -142,58 +141,31 @@ def _require_few_ties(count: int) -> None:
 
 
 def elimination_witness(
-    f: Polynomial,
-    g: Polynomial,
+    f: frozenset[Exponents],
+    g: frozenset[Exponents],
     u: Exponents,
-    oracle: Callable[[Polynomial], bool],
-    point: tuple[Fraction, ...] | None = None,
-) -> Polynomial | None:
-    """Search for the elimination-axiom witness for the shared monomial u.
+    oracle: Callable[[frozenset[Exponents]], bool],
+) -> frozenset[Exponents] | None:
+    """Search for the elimination-axiom witness of two circuits at a shared monomial u.
 
-    The witness h must drop u, equal max(f_v, g_v) wherever f and g differ,
-    and stay <= the common value on ties.  Candidates vary the tie positions
-    over {common value, bottom}.  When the oracle comes from a geometric
-    ``point``, where a tie sometimes has to drop to a lower level, each tie
-    is then also tried alone at the top forced level at the point, when that
-    level is <= its common value.  Returns the first candidate the oracle
-    accepts, else None.
+    Under the trivial valuation a vector is its support.  The witness h must
+    drop u, hold every monomial of F = f xor g (where max(f_v, g_v) is the
+    unit) and may hold any tie of T = (f & g) - {u} (values <= the unit).
+    Candidates are F | S for S a subset of T: all of T first, then with one
+    tie dropped, two, and so on, ties in window order.  Returns the first
+    candidate the oracle accepts, else None.
     """
     u = tuple(u)
-    fu, gu = f.coefficient(u), g.coefficient(u)
-    if is_bottom(fu) or fu != gu:
-        raise ValueError("u must carry the same non-bottom coefficient in f and g")
-    _require_same_ring([f, g])
-    forced: dict[Exponents, Fraction] = {}
-    ties: list[tuple[Exponents, Fraction]] = []
-    for expo in sorted({*f.support(), *g.support()}, key=window_order):
-        if expo == u:
-            continue
-        fv, gv = f.coefficient(expo), g.coefficient(expo)
-        if fv == gv:
-            ties.append((expo, fv))
-        else:
-            forced[expo] = trop_add(fv, gv)
+    if u not in f or u not in g:
+        raise ValueError("u must lie in the supports of both f and g")
+    ties = sorted((f & g) - {u}, key=window_order)
     _require_few_ties(len(ties))
-
-    def candidates():
-        for dropped in range(len(ties) + 1):
-            for subset in itertools.combinations(range(len(ties)), dropped):
-                values = dict(forced)
-                for idx, (expo, common) in enumerate(ties):
-                    if idx not in subset:
-                        values[expo] = common
-                yield values
-        if point is not None and forced:
-            top = max(value + dot(expo, point) for expo, value in forced.items())
-            for expo, common in ties:
-                level = top - dot(expo, point)
-                if level <= common:
-                    yield {**forced, expo: level}
-
-    for values in candidates():
-        h = Polynomial(values, f.n, f.mode)
-        if oracle(h):
-            return h
+    everything = (f | g) - {u}  # F with every tie kept
+    for dropped in range(len(ties) + 1):
+        for subset in itertools.combinations(ties, dropped):
+            h = everything.difference(subset)
+            if oracle(h):
+                return h
     return None
 
 
@@ -205,71 +177,66 @@ class AxiomResult:
 
 @dataclass(frozen=True)
 class MembershipSample:
-    """Sampled members of the bend ideal of a prime, with the prime itself.
-
-    The membership test (``oracle``) and the point of a geometric prime
-    (``point``, None for other primes) are read off the prime.
-    """
+    """Sampled members of the bend ideal of a prime, with the prime itself."""
 
     samples: tuple[Polynomial, ...]
     prime: AdmissibleMatrix
-
-    def oracle(self, h: Polynomial) -> bool:
-        return bend_ideal_member(self.prime, h)
 
     @property
     def geometric(self) -> bool:
         return classify_prime(self.prime)[0] == GEOMETRIC
 
-    @property
-    def point(self) -> tuple[Fraction, ...] | None:
-        return variety_of_prime(self.prime) if self.geometric else None
-
 
 @dataclass(frozen=True)
 class CircuitSet:
-    """Support-minimal vectors of a tropicalized ideal slice (trivial valuation:
-    every non-bottom coordinate is the unit)."""
+    """Support-minimal vectors of a tropicalized ideal slice, as monomial sets.
+
+    Under the trivial valuation every non-bottom coordinate is the unit, so
+    a vector is its support: each circuit is a frozenset of exponent tuples.
+    """
 
     window: MonomialWindow
-    circuits: tuple[Polynomial, ...]
-    trivial: bool = False  # the constant monomial is a circuit: the slice holds 1
+    circuits: tuple[frozenset[Exponents], ...]
 
-    def supports(self) -> tuple[frozenset[Exponents], ...]:
-        return tuple(frozenset(c.support()) for c in self.circuits)
+    @property
+    def trivial(self) -> bool:
+        """The constant monomial alone is a circuit: the slice holds 1."""
+        return frozenset({(0,) * self.window.n}) in self.circuits
+
+    def covers(self, support: frozenset[Exponents]) -> bool:
+        """Whether ``support`` is a union of circuits (the empty set is the empty union)."""
+        covered = set()
+        for circuit in self.circuits:
+            if circuit <= support:
+                covered |= circuit
+        return covered == support
 
     def member(self, v: Polynomial) -> bool:
-        """Support is a union of circuit supports (with unit values)."""
-        if v.is_zero():
-            return True
+        """Unit values on a support that is a union of circuits."""
         if any(value != 0 for _, value in v.terms()):
             return False
-        supp = frozenset(v.support())
-        covered = set()
-        for cs in self.supports():
-            if cs <= supp:
-                covered |= cs
-        return covered == supp
+        return self.covers(frozenset(v.support()))
 
 
 def check_tropical_axiom(description) -> AxiomResult:
     """Run the monomial elimination axiom over all applicable pairs.
 
-    ``description`` is either a CircuitSet (all circuit pairs are tested
-    against support membership by the witness search) or a MembershipSample
-    (all sample pairs are decided on the prime's term keys, see
-    ``_witness_exists``).  Pairs come in sample order, each pair's shared
-    monomials in window order, and the first failing triple is returned.
+    ``description`` is either a CircuitSet (all circuit pairs, each shared
+    monomial decided by the witness search against ``covers``) or a
+    MembershipSample (all sample pairs, decided on the prime's term keys,
+    see ``_witness_exists``).  Pairs come in sample order, each pair's shared
+    monomials in window order, and the first failing triple is returned;
+    a failing circuit pair is returned as unit-coefficient polynomials.
     """
     if isinstance(description, MembershipSample):
         return _check_on_keys(description)
     if not isinstance(description, CircuitSet):
         raise TypeError("description must be a CircuitSet or MembershipSample")
+    window = description.window
     for f, g in itertools.combinations_with_replacement(description.circuits, 2):
-        for u in sorted(set(f.support()).intersection(g.support()), key=window_order):
-            if f.coefficient(u) != g.coefficient(u):
-                continue
-            if elimination_witness(f, g, u, description.member) is None:
+        for u in sorted(f & g, key=window_order):
+            if elimination_witness(f, g, u, description.covers) is None:
+                f, g = (Polynomial(dict.fromkeys(c, ONE), window.n, window.mode) for c in (f, g))
                 return AxiomResult(False, (f, g, u))
     return AxiomResult(True)
 
@@ -315,7 +282,8 @@ def _check_on_keys(sample: MembershipSample) -> AxiomResult:
 
     One ``_keys`` call gives every term of every sample its key at one
     common denominator, so keys of different samples compare directly.  The
-    triples, their order and the tie cap are those of the witness search.
+    triples and their order are those of the circuit search; each triple
+    costs O(ties), so no tie cap applies.
     """
     prime, samples = sample.prime, sample.samples
     if any(f.n != prime.n for f in samples):
@@ -338,8 +306,6 @@ def _check_on_keys(sample: MembershipSample) -> AxiomResult:
                 forced.append(max(key, other[1]))
             else:
                 ties.append((expo, key))
-        if ties:
-            _require_few_ties(len(ties) - 1)
         for u, _ in ties:
             others = [key for expo, key in ties if expo != u]
             if not _witness_exists(forced, others, geometric):
@@ -465,8 +431,4 @@ def truncated_tropicalization(rational_gens: list[dict], n: int, degree: int) ->
         if len(null) == 1:
             circuits.append(outside)
     supports = sorted([j for j in range(m) if c >> j & 1] for c in circuits)
-    vectors = tuple(
-        Polynomial({window.monomials[j]: ONE for j in c}, n, POLY) for c in supports
-    )
-    trivial = [columns[(0,) * n]] in supports
-    return CircuitSet(window, vectors, trivial)
+    return CircuitSet(window, tuple(frozenset(window.monomials[j] for j in c) for c in supports))

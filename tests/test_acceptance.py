@@ -333,4 +333,22 @@ def test_criterion_12_circuits_at_the_window_cap():
             circuits = truncated_tropicalization(gens, 3, 3)
             assert len(circuits.window) == 20
             assert len(circuits.circuits) == count and not circuits.trivial
-            assert all(len(c.support()) == 2 for c in circuits.circuits)
+            assert all(len(c) == 2 for c in circuits.circuits)
+
+
+def test_criterion_13_axiom_on_many_circuits(capsys):
+    """`tideal-check --circuits` on the 82 circuits of x + y - 2 (d = 3) within 1 s; it took 3.2 s."""
+    from tropica.cli import main
+
+    circuits = truncated_tropicalization([{(1, 0): 1, (0, 1): 1, (0, 0): -2}], 2, 3)
+    assert len(circuits.circuits) == 82
+    data = {
+        "nvars": 2,
+        "degree": 3,
+        "mode": "poly",
+        "circuits": [sorted(map(list, c)) for c in circuits.circuits],
+    }
+    with budget(13, 1.0, "elimination axiom over the 82 circuits of x + y - 2"):
+        code = main(["tideal-check", "--circuits", json.dumps(data)])
+        captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, '{\n  "passed": true\n}\n', "")

@@ -2,9 +2,12 @@
 
 The reference functions below are the former `varieties._cell_subset` /
 `_dedup_maximal` pair (cell inclusion by Fourier-Motzkin feasibility probes)
-and the former `polyhedra.implicit_equality_indices`, which probed every LE
+and the first `polyhedra.implicit_equality_indices`, which probed every LE
 constraint.  They are kept here only as oracles.  Tie cells come from the
-`Fraction` oracle `tie_cell` of `test_integer_cells`.
+`Fraction` oracle `tie_cell` of `test_integer_cells`; `rank` and the later
+`implicit_equality_indices` are the shared copies of `test_integer_kernel`.
+The implicit equalities of a non-empty set are checked on
+`polyhedra._int_implicit_equalities` over `int_rows`.
 """
 
 import itertools
@@ -15,7 +18,6 @@ from fractions import Fraction
 import pytest
 
 from tropica import varieties
-from tropica.matrices import rank
 from tropica.polyhedra import (
     EQ,
     LE,
@@ -23,13 +25,16 @@ from tropica.polyhedra import (
     HalfSpace,
     Polyhedron,
     _feasible_point,
-    implicit_equality_indices,
+    _int_feasible_point,
+    _int_implicit_equalities,
+    int_rows,
     is_empty,
 )
 from tropica.polynomials import LAURENT, POLY, Polynomial
 from tropica.varieties import Cell, complex_to_json
 
 from test_integer_cells import tie_cell
+from test_integer_kernel import implicit_equality_indices, rank
 
 # -- reference implementations -------------------------------------------------
 
@@ -212,9 +217,14 @@ def test_implicit_equalities_match_probe_every_constraint():
     for _ in range(400):
         p = random_polyhedron(rng)
         expected = ref_implicit_equality_indices(p)
-        assert implicit_equality_indices(p) == expected
-        empty += is_empty(p)
-        implicit += bool(expected) and not is_empty(p)
+        rows = int_rows(p)
+        point = _int_feasible_point(rows, p.n)
+        if point is None:  # empty: every LE row probes infeasible
+            assert expected == [i for i, h in enumerate(p.constraints) if h.relation == LE]
+            empty += 1
+        else:
+            assert _int_implicit_equalities(rows, p.n, point) == expected
+            implicit += bool(expected)
     assert empty >= 20 and implicit >= 20
 
 

@@ -1,10 +1,13 @@
 """The elimination axiom decided on prime keys, against the searches it replaced.
 
 `ref_check_axiom` is the former `check_tropical_axiom` loop over a
-MembershipSample: every triple (f, g, u) goes to `elimination_witness`,
-which tries up to 2^ties candidate polynomials against a membership oracle
-and, at a geometric prime, the tie-level candidates at its point.  Point
-samples use the former oracle "zero or vanishes at the point".
+MembershipSample: every triple (f, g, u) goes to `ref_elimination_witness`,
+the former `tropical_linear.elimination_witness` on polynomials, moved here
+verbatim apart from its name.  It tries up to 2^ties candidate polynomials
+against a membership oracle (by default `bend_ideal_member` of the prime)
+and, at a geometric prime, the tie-level candidates at its point
+(`variety_of_prime`).  Point samples use the former oracle "zero or
+vanishes at the point".
 `ref_prime_members` is the former `sampling.prime_members` loop, which
 built a polynomial for every draw and asked `bend_ideal_member`; where it
 drew no member, `prime_members` now raises instead.  Both are
@@ -14,16 +17,19 @@ kept here only as oracles.
 import itertools
 import random
 from fractions import Fraction
+from typing import Callable
 
 import pytest
 
-from tropica.polynomials import LAURENT, POLY, Polynomial
+from tropica import tropical_linear
+from tropica.matrices import dot
+from tropica.polynomials import LAURENT, POLY, Exponents, Polynomial
 from tropica.primes import (
-    AdmissibilityError,
     bend_ideal_member,
     check_admissible,
     geometric_prime_of_point,
     leading_class,
+    variety_of_prime,
 )
 from tropica.sampling import (
     point_members,
@@ -33,29 +39,88 @@ from tropica.sampling import (
     random_point,
     random_polynomial,
 )
+from tropica.scalars import is_bottom, trop_add
 from tropica.tropical_linear import (
     AxiomResult,
     MembershipSample,
+    _require_few_ties,
+    _require_same_ring,
     check_tropical_axiom,
-    elimination_witness,
     monomial_window,
     window_order,
 )
 
-from test_one_construction import assert_no_member_error
+from test_one_construction import assert_no_member_error, tied_prime
 
 FIRST_ENTRIES = ("any", "zero", "positive")
 
 # -- reference implementations -------------------------------------------------
 
 
+def ref_elimination_witness(
+    f: Polynomial,
+    g: Polynomial,
+    u: Exponents,
+    oracle: Callable[[Polynomial], bool],
+    point: tuple[Fraction, ...] | None = None,
+) -> Polynomial | None:
+    """Search for the elimination-axiom witness for the shared monomial u.
+
+    The witness h must drop u, equal max(f_v, g_v) wherever f and g differ,
+    and stay <= the common value on ties.  Candidates vary the tie positions
+    over {common value, bottom}.  When the oracle comes from a geometric
+    ``point``, where a tie sometimes has to drop to a lower level, each tie
+    is then also tried alone at the top forced level at the point, when that
+    level is <= its common value.  Returns the first candidate the oracle
+    accepts, else None.
+    """
+    u = tuple(u)
+    fu, gu = f.coefficient(u), g.coefficient(u)
+    if is_bottom(fu) or fu != gu:
+        raise ValueError("u must carry the same non-bottom coefficient in f and g")
+    _require_same_ring([f, g])
+    forced: dict[Exponents, Fraction] = {}
+    ties: list[tuple[Exponents, Fraction]] = []
+    for expo in sorted({*f.support(), *g.support()}, key=window_order):
+        if expo == u:
+            continue
+        fv, gv = f.coefficient(expo), g.coefficient(expo)
+        if fv == gv:
+            ties.append((expo, fv))
+        else:
+            forced[expo] = trop_add(fv, gv)
+    _require_few_ties(len(ties))
+
+    def candidates():
+        for dropped in range(len(ties) + 1):
+            for subset in itertools.combinations(range(len(ties)), dropped):
+                values = dict(forced)
+                for idx, (expo, common) in enumerate(ties):
+                    if idx not in subset:
+                        values[expo] = common
+                yield values
+        if point is not None and forced:
+            top = max(value + dot(expo, point) for expo, value in forced.items())
+            for expo, common in ties:
+                level = top - dot(expo, point)
+                if level <= common:
+                    yield {**forced, expo: level}
+
+    for values in candidates():
+        h = Polynomial(values, f.n, f.mode)
+        if oracle(h):
+            return h
+    return None
+
+
 def ref_check_axiom(sample: MembershipSample, oracle=None) -> AxiomResult:
-    oracle = oracle or sample.oracle
+    oracle = oracle or (lambda h: bend_ideal_member(sample.prime, h))
+    point = variety_of_prime(sample.prime) if sample.geometric else None
     for f, g in itertools.combinations_with_replacement(sample.samples, 2):
         for u in sorted(set(f.support()).intersection(g.support()), key=window_order):
             if f.coefficient(u) != g.coefficient(u):
                 continue
-            if elimination_witness(f, g, u, oracle, sample.point) is None:
+            if ref_elimination_witness(f, g, u, oracle, point) is None:
                 return AxiomResult(False, (f, g, u))
     return AxiomResult(True)
 
@@ -114,16 +179,6 @@ def _variants(rng, polys, window):
     return out
 
 
-def _tied_prime(rng, n, rank, mode):
-    """An admissible matrix of 0/1 entries: many terms share a key."""
-    while True:
-        rows = [[rng.randint(0, 1) for _ in range(n + 1)] for _ in range(rank)]
-        try:
-            return check_admissible(rows, n, mode)
-        except AdmissibilityError:
-            continue
-
-
 def _description(seed):
     """(label, sample, oracle of the former search) for one seed.
 
@@ -143,7 +198,7 @@ def _description(seed):
         sample = point_members(rng, point, window, rng.randint(2, 7))
         return "point", sample, lambda h: h.is_zero() or h.vanishes_at(point)
     if kind == 3:
-        matrix = _tied_prime(rng, n, rank, window.mode)
+        matrix = tied_prime(rng, n, rank, window.mode)
     else:
         matrix = random_admissible(rng, n, rank, window.mode, first)
     if kind == 1:
@@ -186,26 +241,29 @@ def test_axiom_on_keys_matches_witness_search():
     assert failed >= 30
 
 
-def test_axiom_on_keys_same_pair_and_tie_cap():
+def test_axiom_on_keys_same_pair_and_many_ties(monkeypatch):
+    # the keys decider has no tie cap: 17 ties are decided, and the reference
+    # search agrees once its cap of 16 is lifted to 17
     window = monomial_window(2, LAURENT, 2)
     prime = check_admissible([[0, 1, 1]], 2)
     big = Polynomial({expo: 0 for expo in window.monomials[:18]}, 2)  # 17 ties with itself
-    edge = Polynomial({expo: 0 for expo in window.monomials[:17]}, 2)  # 16 ties: still searched
+    edge = Polynomial({expo: 0 for expo in window.monomials[:17]}, 2)  # 16 ties
     f = Polynomial({(1, 0): 0, (0, 1): 0, (-1, 0): 0}, 2)
     g = Polynomial({(1, 0): 0, (0, 1): 0, (-2, 0): 0}, 2)
     cases = [
         MembershipSample((f,), prime),  # the pair (f, f) alone: h = 0 is a witness
         MembershipSample((f, g, big), prime),  # (f, g) fails before (f, big) is reached
-        MembershipSample((big, f, g), prime),  # (big, big) raises first
+        MembershipSample((big, f, g), prime),  # (big, big) and (big, f) pass, then (f, g) fails
         MembershipSample((edge,), prime),
         MembershipSample((edge, big), geometric_prime_of_point((0, 0))),
     ]
     outcomes = [_outcome(lambda: check_tropical_axiom(s)) for s in cases]
+    assert outcomes[0] == outcomes[3] == outcomes[4] == AxiomResult(True)
+    assert outcomes[1] == outcomes[2] == AxiomResult(False, (f, g, (0, 1)))
+    capped = [_outcome(lambda: ref_check_axiom(s)) for s in cases]
+    assert capped[2] == capped[4] == ("ValueError", "too many tie positions for exhaustive search")
+    monkeypatch.setattr(tropical_linear, "MAX_TIES", 17)
     assert outcomes == [_outcome(lambda: ref_check_axiom(s)) for s in cases]
-    assert outcomes[0] == AxiomResult(True)
-    assert outcomes[1] == AxiomResult(False, (f, g, (0, 1)))
-    assert outcomes[2] == outcomes[4] == ("ValueError", "too many tie positions for exhaustive search")
-    assert outcomes[3] == AxiomResult(True)
 
 
 def test_axiom_on_keys_rejects_samples_of_another_ring():
@@ -215,7 +273,7 @@ def test_axiom_on_keys_rejects_samples_of_another_ring():
 
 
 def test_prime_members_match_former_loop():
-    none = {True: 0, False: 0}  # no member drawn, by whether the window holds one
+    none = {True: 0, False: 0}  # no member drawn, by whether a drawable tie exists
     for seed in range(300):
         rng = random.Random(10_000 + seed)
         n = 1 + seed % 3

@@ -16,6 +16,9 @@ reduced row echelon basis (`ref_row_echelon`, the former
 - `_fraction_basis_walk` is the hyperplane walk itself on that basis, the
   former `truncated_tropicalization`.
 
+All three build their circuits as monomial sets, as `CircuitSet` holds
+them, and read no `trivial` flag: it is a property of the circuits.
+
 On seeded ideals (n = 1-3, 1-3 generators, windows of at most 15 monomials)
 and on coloops, the unit ideal, several generators, the n = 0 constant,
 monomial, zero and duplicate generators and fractional coefficients, all
@@ -36,9 +39,8 @@ from fractions import Fraction
 import pytest
 
 from tropica import tropical_linear
-from tropica.matrices import clear_denominators, int_nullspace, int_rank, rank, to_fraction
-from tropica.polynomials import POLY, Polynomial
-from tropica.scalars import ONE
+from tropica.matrices import clear_denominators, int_nullspace, int_rank, to_fraction
+from tropica.polynomials import POLY
 from tropica.tropical_linear import (
     MAX_WINDOW_MONOMIALS,
     CircuitSet,
@@ -50,7 +52,7 @@ from tropica.tropical_linear import (
     window_size,
 )
 
-from test_integer_kernel import ref_nullspace, ref_row_echelon
+from test_integer_kernel import rank, ref_nullspace, ref_row_echelon
 
 
 def _full_rank_scan(rational_gens: list[dict], n: int, degree: int) -> CircuitSet:
@@ -91,12 +93,8 @@ def _full_rank_scan(rational_gens: list[dict], n: int, degree: int) -> CircuitSe
             submatrix = [[row[i] for i in outside] for row in basis]
             if rank(submatrix) < r:
                 circuits.append(frozenset(combo))
-    vectors = tuple(
-        Polynomial({window.monomials[i]: 0 for i in c}, n, POLY)
-        for c in sorted(circuits, key=lambda c: sorted(c))
-    )
-    trivial = frozenset([columns[(0,) * n]]) in circuits
-    return CircuitSet(window, vectors, trivial)
+    supports = sorted(circuits, key=lambda c: sorted(c))
+    return CircuitSet(window, tuple(frozenset(window.monomials[i] for i in c) for c in supports))
 
 
 def _pivot_row_scan(rational_gens: list[dict], n: int, degree: int) -> CircuitSet:
@@ -166,20 +164,17 @@ def _pivot_row_scan(rational_gens: list[dict], n: int, degree: int) -> CircuitSe
             outside = [j for j in free if j not in combo_set]
             if int_rank([[row[j] for j in outside] for row in live]) < len(live):
                 circuits.append(frozenset(combo))
-    vectors = tuple(
-        Polynomial({window.monomials[i]: 0 for i in c}, n, POLY)
-        for c in sorted(circuits, key=lambda c: sorted(c))
-    )
-    trivial = frozenset([columns[(0,) * n]]) in circuits
-    return CircuitSet(window, vectors, trivial)
+    supports = sorted(circuits, key=lambda c: sorted(c))
+    return CircuitSet(window, tuple(frozenset(window.monomials[i] for i in c) for c in supports))
 
 
 def _fraction_basis_walk(rational_gens: list[dict], n: int, degree: int) -> CircuitSet:
     """The hyperplane walk on the reduced row echelon basis of `Fraction` rows.
 
-    The former `truncated_tropicalization`, verbatim apart from its name and
-    this docstring: the basis came from the `Fraction` elimination and was
-    then cleared of denominators row by row, and the pivots were re-scanned.
+    The former `truncated_tropicalization`, verbatim apart from its name,
+    this docstring and its circuits, built as monomial sets: the basis came
+    from the `Fraction` elimination and was then cleared of denominators row
+    by row, and the pivots were re-scanned.
     """
     _require_window_size(n, POLY, degree, MAX_WINDOW_MONOMIALS, "for circuit enumeration")
     window = monomial_window(n, POLY, degree)
@@ -233,11 +228,7 @@ def _fraction_basis_walk(rational_gens: list[dict], n: int, degree: int) -> Circ
         if len(null) == 1:
             circuits.append(outside)
     supports = sorted([j for j in range(m) if c >> j & 1] for c in circuits)
-    vectors = tuple(
-        Polynomial({window.monomials[j]: ONE for j in c}, n, POLY) for c in supports
-    )
-    trivial = [columns[(0,) * n]] in supports
-    return CircuitSet(window, vectors, trivial)
+    return CircuitSet(window, tuple(frozenset(window.monomials[j] for j in c) for c in supports))
 
 
 @pytest.fixture(autouse=True)
@@ -302,12 +293,12 @@ def test_special_ideals_cover_the_named_cases(solves):
     assert _assert_same([{(0, 0, 0): 5}], 3, 1, solves).trivial
     assert _assert_same([{(1, 0): 1, (0, 0): -1}, {(1, 0): 1, (0, 0): -2}], 2, 3, solves).trivial
     unit = _assert_same([{(0, 0): 1}], 2, 4, solves)
-    assert [len(c.support()) for c in unit.circuits] == [1] * 15  # every monomial a coloop
+    assert [len(c) for c in unit.circuits] == [1] * 15  # every monomial a coloop
     monomial = _assert_same([{X: 1}], 3, 2, solves)
     assert not monomial.trivial
-    assert {(1, 0, 0)} in [set(c.support()) for c in monomial.circuits]
+    assert frozenset({(1, 0, 0)}) in monomial.circuits
     mixed = _assert_same([{(1, 0): 1, (0, 1): -1}, {(2, 0): 1}], 2, 3, solves)
-    sizes = sorted(len(c.support()) for c in mixed.circuits)
+    sizes = sorted(len(c) for c in mixed.circuits)
     assert sizes[0] == 1 and sizes[-1] == 2  # coloops beside the circuit {x, y}
     assert _assert_same([{(1, 0): 0}, {}], 2, 2, solves).circuits == ()
 
@@ -322,7 +313,7 @@ def test_constant_in_no_variables_is_the_unit_ideal(coeff, degree, solves):
     """
     got = truncated_tropicalization([{(): coeff}], 0, degree)
     assert got.circuits == _full_rank_scan([{(): coeff}], 0, degree).circuits
-    assert got.circuits == (Polynomial({(): 0}, 0, POLY),) and got.trivial
+    assert got.circuits == (frozenset({()}),) and got.trivial
     assert solves == [1]
     assert truncated_tropicalization([{(): 0}], 0, degree).circuits == ()
 
@@ -358,7 +349,7 @@ def test_hyperplanes_match_both_scans_on_seeded_ideals(solves):
     for _ in range(80):
         gens, n, degree = _random_ideal(rng)
         result = _assert_same(gens, n, degree, solves)
-        seen_coloop += any(len(c.support()) == 1 for c in result.circuits)
+        seen_coloop += any(len(c) == 1 for c in result.circuits)
         seen_trivial += result.trivial
         seen_multi += len(result.circuits) > 1
     # the seeded inputs reach every kind of answer

@@ -7,15 +7,15 @@ the first non-zero entry) and the former pairwise `leading_class` loop, with
 `sampling.random_admissible` loop, which checked the rank itself before
 `check_admissible` checked it again, is kept to show that the draws did not
 change.  `ref_admissibility_violations` is the former check, which read the
-rows as `Fraction`s and ranked them through `matrices.rank`.  They are kept
-here only as oracles.
+rows as `Fraction`s and ranked them through the former `matrices.rank`
+(`test_integer_kernel.rank`).  They are kept here only as oracles.
 """
 
 import random
 from fractions import Fraction
 from math import lcm
 
-from tropica.matrices import clear_denominators, dot, nullspace, rank, to_fraction
+from tropica.matrices import clear_denominators, dot, nullspace, to_fraction
 from tropica.polynomials import LAURENT, Polynomial
 from tropica.primes import (
     EQUAL,
@@ -30,6 +30,8 @@ from tropica.primes import (
     pair_in_prime,
 )
 from tropica.sampling import random_admissible, random_fraction, random_member_polynomial
+
+from test_integer_kernel import rank
 
 # -- reference implementations -------------------------------------------------
 

@@ -26,7 +26,6 @@ from tropica.polyhedra import (
     EQ,
     LE,
     affine_hull_directions,
-    implicit_equality_indices,
     is_empty,
     line_bounds,
     make_polyhedron,
@@ -44,6 +43,8 @@ from tropica.varieties import (
     hypersurface,
     prevariety,
 )
+
+from test_integer_kernel import implicit_equality_indices
 
 
 def ref_affine_hull_directions(poly):

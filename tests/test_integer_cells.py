@@ -35,7 +35,7 @@ from math import lcm, prod
 import pytest
 
 from tropica import polyhedra, varieties
-from tropica.matrices import dot, rank
+from tropica.matrices import dot
 from tropica.polyhedra import (
     EQ,
     LE,
@@ -64,6 +64,8 @@ from tropica.varieties import (
     prevariety,
     vanishes_on_complex,
 )
+
+from test_integer_kernel import rank
 
 # -- oracles: the former Fraction cell layer --------------------------------------
 

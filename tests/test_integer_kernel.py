@@ -1,7 +1,7 @@
 """The integer kernel against the Fraction code it replaced.
 
 `polyhedra._feasible_point` runs Fourier-Motzkin on integer rows,
-`matrices.rank` runs Bareiss elimination on integer rows, and
+`matrices.int_rank` runs Bareiss elimination on integer rows, and
 `matrices.nullspace` reads its basis off the integer Gauss-Jordan
 elimination `matrices.int_echelon`.  The Fraction versions they replaced
 are kept below, verbatim apart from names, as oracles (`ref_row_echelon` is
@@ -12,6 +12,12 @@ and rows, dependent, duplicate and parallel rows, no rows, `int`,
 report the system empty, the same rank and the same kernel basis.  The rows
 of `int_echelon` must be non-zero multiples of the reduced row echelon rows,
 with the same pivots.
+
+`rank` and `implicit_equality_indices` are the former `matrices.rank` and
+`polyhedra.implicit_equality_indices`, `Fraction` front ends of
+`int_rank` and `_int_implicit_equalities` that no code in the package
+calls; they are kept here, moved verbatim, as the one copy the other test
+files import.
 """
 
 import random
@@ -20,15 +26,19 @@ from fractions import Fraction
 import pytest
 
 from tropica import polyhedra, varieties
-from tropica.matrices import clear_denominators, int_echelon, nullspace, rank, to_fraction
+from tropica.matrices import clear_denominators, int_echelon, int_rank, nullspace, to_fraction
 from tropica.parsing import parse_polynomial
 from tropica.polyhedra import (
     EQ,
     LE,
     LT,
+    Polyhedron,
     _feasible_point,
+    _int_feasible_point,
+    _int_implicit_equalities,
+    _int_point,
     feasible_point,
-    implicit_equality_indices,
+    int_rows,
     is_empty,
     make_polyhedron,
 )
@@ -176,6 +186,25 @@ def ref_row_echelon(rows):
                 mat[r] = [a - factor * b for a, b in zip(mat[r], mat[pivot_row])]
         pivot_row += 1
     return mat
+
+
+def rank(rows) -> int:
+    """Rank of a rational matrix: ``int_rank`` of its rows cleared of denominators."""
+    return int_rank([clear_denominators([to_fraction(x) for x in r]) for r in rows])
+
+
+def implicit_equality_indices(poly: Polyhedron, point=None) -> list[int]:
+    """Indices of LE constraints that hold with equality on the whole set.
+
+    ``point`` is a feasible point already known (any one gives the same
+    answer); without it one is computed.  On the empty set every LE index is
+    returned.
+    """
+    rows = int_rows(poly)
+    found = _int_feasible_point(rows, poly.n) if point is None else _int_point(point)
+    if found is None:
+        return [i for i, h in enumerate(poly.constraints) if h.relation == LE]
+    return _int_implicit_equalities(rows, poly.n, found)
 
 
 def ref_nullspace(rows, ncols: int):
@@ -403,7 +432,9 @@ def test_given_point_gives_the_same_answers():
         if point is None:
             continue
         checked += 1
-        assert implicit_equality_indices(p, point) == implicit_equality_indices(p)
+        rows = int_rows(p)
+        given = _int_implicit_equalities(rows, p.n, _int_point(point))
+        assert given == _int_implicit_equalities(rows, p.n, _int_feasible_point(rows, p.n))
 
 
 def test_make_cell_solves_each_candidate_once(monkeypatch):

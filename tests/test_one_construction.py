@@ -23,10 +23,10 @@ from pathlib import Path
 import pytest
 
 from tropica import parsing, traces
-from tropica.matrices import dot, rank, to_fraction
+from tropica.matrices import dot, to_fraction
 from tropica.parsing import ParseError, parse_polynomial, parse_polynomials
 from tropica.polynomials import LAURENT, POLY, Polynomial
-from tropica.primes import check_admissible, geometric_prime_of_point, variety_of_prime
+from tropica.primes import AdmissibilityError, check_admissible, geometric_prime_of_point, variety_of_prime
 from tropica.sampling import (
     point_members,
     prime_members,
@@ -38,6 +38,8 @@ from tropica.sampling import (
     window_admits_member,
 )
 from tropica.tropical_linear import MembershipSample, monomial_window
+
+from test_integer_kernel import rank
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -305,27 +307,57 @@ def test_point_members_count_zero_draws_nothing():
 # -- the prime sampler ------------------------------------------------------------
 
 
+def tied_prime(rng, n, rank, mode):
+    """An admissible matrix of 0/1 entries: many terms share a key."""
+    while True:
+        rows = [[rng.randint(0, 1) for _ in range(n + 1)] for _ in range(rank)]
+        try:
+            return check_admissible(rows, n, mode)
+        except AdmissibilityError:
+            continue
+
+
 def _prime_case(seed):
-    """(matrix, window, count) for one seed: every mode, row count and first entry."""
+    """(matrix, window, count) for one seed: every mode and row count.
+
+    Blocks of nine seeds cycle through three kinds of prime.  Seven blocks
+    in ten draw a 0/1 prime of rank <= n (``tied_prime``), whose windows
+    mostly hold members.  One draws ``random_admissible`` of any rank, with
+    ``first_entry`` cycling through its three values: a full-rank prime
+    lets no two monomials tie.  Two draw a prime whose only ties raise e_n
+    by one at the coefficient gap 4 (a pair drawn at exactly 2 and -2), with
+    count 1: its 200 draws often hit no member.
+    """
     rng = random.Random(20_000 + seed)
     n = 1 + seed % 3
     mode = POLY if seed % 2 else LAURENT
     degree = 1 if (n == 3 and mode == LAURENT) else rng.randint(1, 2)
     first = ("any", "zero", "positive")[seed // 3 % 3]
-    matrix = random_admissible(rng, n, rng.randint(1, n + 1), mode, first)
+    kind = seed // 9 % 10
+    if kind < 7:
+        matrix = tied_prime(rng, n, rng.randint(1, n), mode)
+    elif kind == 7:
+        matrix = random_admissible(rng, n, rng.randint(1, n + 1), mode, first)
+    else:
+        rows = [[0] * (n + 1) for _ in range(n)]
+        for i in range(1, n):
+            rows[i - 1][i] = 1
+        rows[n - 1][0], rows[n - 1][n] = 1, rng.choice((4, -4))
+        return check_admissible(rows, n, mode), monomial_window(n, mode, 2 if n < 3 else 1), 1
     return matrix, monomial_window(n, mode, degree), rng.randint(1, 10)
 
 
 def assert_no_member_error(rng, matrix, window, count, drawn):
     """Where the former loop drew no member, ``prime_members`` raises instead.
 
-    A window that holds no member fails before any draw, so ``rng`` is left
-    as it was; otherwise the error comes after the former loop's draws,
-    which left the generator at ``drawn``.
+    A window where no two monomials tie at a coefficient gap in -4..4 (the
+    gaps of draws in -2..2) fails before any draw, so ``rng`` is left as it
+    was; otherwise the error comes after the former loop's draws, which left
+    the generator at ``drawn``.  Returns whether such a tie exists.
     """
     before = rng.getstate()
     admits = window_admits_member(matrix, window)
-    message = "no member in" if admits else "the window holds no member"
+    message = "no member in" if admits else "no member can be drawn"
     with pytest.raises(ValueError, match=message):
         prime_members(rng, matrix, window, count)
     assert rng.getstate() == (drawn if admits else before)
@@ -333,8 +365,8 @@ def assert_no_member_error(rng, matrix, window, count, drawn):
 
 
 def test_prime_members_match_key_loop():
-    over = short = 0  # a partner passed count; the draws ran out first
-    none = {True: 0, False: 0}  # no member drawn, by whether the window holds one
+    over = short = compared = 0  # a partner passed count; the draws ran out first
+    none = {True: 0, False: 0}  # no member drawn, by whether a drawable tie exists
     for seed in range(300):
         matrix, window, count = _prime_case(seed)
         ours, theirs = random.Random(seed), random.Random(seed)
@@ -347,9 +379,11 @@ def test_prime_members_match_key_loop():
         assert [f.terms() for f in sample.samples] == [f.terms() for f in expected.samples]
         assert ours.getstate() == theirs.getstate(), seed
         assert sample.prime == matrix
+        compared += 1
         over += len(sample.samples) > count
         short += len(sample.samples) < count
-    assert over >= 10 and short >= 5 and min(none.values()) >= 20, (over, short, none)
+    assert compared >= 200 and over >= 10 and short >= 5, (compared, over, short)
+    assert min(none.values()) >= 20, none
 
 
 @pytest.mark.parametrize(
@@ -366,29 +400,51 @@ def test_prime_members_errors_kept(matrix, window):
     assert got == outcome(ref_prime_members, random.Random(0), matrix, window, 5)
 
 
+def _small_prime(rng, n, nrows, mode):
+    """An admissible matrix of integers in -6..6, column 0 signed as admissibility asks."""
+    while True:
+        rows = [[rng.randint(-6, 6) for _ in range(n + 1)] for _ in range(nrows)]
+        pivot = next((row for row in rows if row[0]), None)
+        if pivot is not None and pivot[0] < 0:
+            pivot[:] = [-a for a in pivot]
+        try:
+            return check_admissible(rows, n, mode)
+        except AdmissibilityError:
+            continue
+
+
 def test_window_admits_member_matches_pairwise_ties():
-    # two monomials tie for some coefficients iff U[:, 1:] (e1 - e2) is a multiple of U[:, 0]
-    rng = random.Random(16)
+    # draws have coefficients in -2..2: a pair ties at an integer gap in -4..4
+    # iff U (gap, e1 - e2) = 0 for one of those gaps.  A pair ties at some
+    # rational gap iff U[:, 1:] (e1 - e2) is a multiple of U[:, 0]: windows
+    # with only such ties are counted too
+    rng = random.Random(18)
     seen = {True: 0, False: 0}
-    for _ in range(300):
+    some_tie = 0  # windows with a tie, none of them at a drawable gap
+    for _ in range(400):
         n = rng.randint(1, 3)
         mode = rng.choice((LAURENT, POLY))
-        matrix = random_admissible(rng, n, rng.randint(1, n + 1), mode, rng.choice(("any", "zero")))
+        matrix = _small_prime(rng, n, rng.randint(1, n), mode)
         window = monomial_window(n, mode, rng.randint(1, 4 - n))
-        column = [row[0] for row in matrix.rows]
         expected = any(
-            rank([column, [dot(row[1:], [a - b for a, b in zip(e1, e2)]) for row in matrix.rows]])
-            == rank([column])
+            all(dot(row, (gap, *(a - b for a, b in zip(e1, e2)))) == 0 for row in matrix.rows)
             for e1, e2 in itertools.combinations(window.monomials, 2)
+            for gap in range(-4, 5)
         )
         assert window_admits_member(matrix, window) is expected
         if not expected:
+            column = [row[0] for row in matrix.rows]
+            some_tie += any(
+                rank([column, [dot(row[1:], [a - b for a, b in zip(e1, e2)]) for row in matrix.rows]])
+                == rank([column])
+                for e1, e2 in itertools.combinations(window.monomials, 2)
+            )
             draws = random.Random(0)
-            with pytest.raises(ValueError, match="the window holds no member"):
+            with pytest.raises(ValueError, match="no member can be drawn"):
                 prime_members(draws, matrix, window, 2)
             assert draws.getstate() == random.Random(0).getstate()  # raised before any draw
         seen[expected] += 1
-    assert min(seen.values()) >= 50, seen
+    assert min(seen.values()) >= 50 and some_tie >= 50, (seen, some_tie)
 
 
 # -- construction counts ------------------------------------------------------------

@@ -401,11 +401,19 @@ def test_cli_tideal_check_matrix_one_monomial_window(capsys, matrix, degree):
 
 @pytest.mark.parametrize(
     "matrix,mode,degree",
-    [("[[0,1]]", "poly", "1"), ("[[0,1]]", "laurent", "2"), ("[[0,1],[1,0]]", "poly", "1")],
+    [
+        ("[[0,1]]", "poly", "1"),
+        ("[[0,1]]", "laurent", "2"),
+        ("[[0,1],[1,0]]", "poly", "1"),
+        ("[[1,7]]", "poly", "1"),
+    ],
 )
-def test_cli_tideal_check_matrix_window_without_member(capsys, matrix, mode, degree):
-    # no two window monomials tie, so no member exists: this made 200,000 draws (1.7 s),
-    # then printed {"passed": true} from 0 members
+def test_cli_tideal_check_matrix_window_without_drawable_member(capsys, matrix, mode, degree):
+    # no two window monomials tie at a coefficient gap in -4..4, the gaps of draws
+    # in -2..2, so no draw is a member.  Under [[0,1]] and [[0,1],[1,0]] no two tie
+    # at all: this made 200,000 draws (1.7 s), then printed {"passed": true} from 0
+    # members.  Under [[1,7]], 1 and x tie only at the gap 7: the same 200,000 draws
+    # came before the error
     args = ["tideal-check", "--matrix", matrix, "--mode", mode, "--degree", degree, "--trials", "1000"]
     start = time.perf_counter()
     code, out, err = run_cli(args, capsys)
@@ -414,21 +422,21 @@ def test_cli_tideal_check_matrix_window_without_member(capsys, matrix, mode, deg
     error = json.loads(err)
     assert error == {
         "error": "domain",
-        "message": "the window holds no member: no two of its monomials can tie under the prime",
+        "message": "no member can be drawn: no two window monomials tie under the prime "
+        "at a coefficient gap in -4..4",
     }
 
 
-@pytest.mark.parametrize("trials", ["1", "10"])
-def test_cli_tideal_check_matrix_no_member_drawn(capsys, trials):
-    # 1 and x tie only at a coefficient gap of 7, outside the draws' -2..2:
-    # --trials 1000 made 200,000 draws and printed {"passed": true} from 0 members
-    args = ["tideal-check", "--matrix", "[[1,7]]", "--mode", "poly", "--degree", "1", "--trials", trials]
+def test_cli_tideal_check_matrix_no_member_drawn(capsys):
+    # two monomials tie only when their x-exponents agree and their y-exponents
+    # differ by one, at the coefficient gap 4 (drawn only as 2 and -2), and the
+    # pair must also beat the third drawn term: seed 0 draws no member in 200
+    args = ["tideal-check", "--matrix", "[[0,1,0],[1,0,4]]", "--degree", "2", "--trials", "1"]
     code, out, err = run_cli(args, capsys)
     assert code == 1 and out == ""
-    draws = int(trials) * 200
     assert json.loads(err) == {
         "error": "domain",
-        "message": f"no member in {draws} draws with coefficients in -2..2",
+        "message": "no member in 200 draws with coefficients in -2..2",
     }
 
 

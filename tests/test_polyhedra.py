@@ -6,18 +6,20 @@ from fractions import Fraction
 
 import pytest
 
-from tropica.matrices import dot, rank
+from tropica.matrices import dot
 from tropica.polyhedra import (
     EQ,
     LE,
     HalfSpace,
     Polyhedron,
+    _int_feasible_point,
+    _int_implicit_equalities,
     affine_hull_directions,
     contains_point,
     dimension,
     fm_eliminate,
     full_space,
-    implicit_equality_indices,
+    int_rows,
     intersect,
     is_empty,
     make_polyhedron,
@@ -27,6 +29,12 @@ from tropica.polyhedra import (
 
 def poly(rows, n):
     return make_polyhedron(rows, n)
+
+
+def _implicit(p):
+    """The implicit equalities of a non-empty polyhedron, on its integer rows."""
+    rows = int_rows(p)
+    return _int_implicit_equalities(rows, p.n, _int_feasible_point(rows, p.n))
 
 
 # -- emptiness ----------------------------------------------------------------
@@ -59,7 +67,7 @@ def test_dimension_examples():
 
 def test_dimension_detects_implicit_equalities():
     squeezed = poly([((1, 1), 1, LE), ((-1, -1), -1, LE), ((1, 0), 5, LE)], 2)
-    assert implicit_equality_indices(squeezed) == [0, 1]
+    assert _implicit(squeezed) == [0, 1]
     assert dimension(squeezed) == 1
 
 
@@ -124,7 +132,7 @@ def test_relative_interior_is_strict_on_non_implied_constraints():
             continue
         done += 1
         point = relative_interior_point(p)
-        implied = set(implicit_equality_indices(p))
+        implied = set(_implicit(p))
         for i, h in enumerate(p.constraints):
             value = dot(h.normal, point)
             if i in implied:

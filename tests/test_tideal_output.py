@@ -3,6 +3,7 @@
 Geometric primes (a point, or the matrix [[1,1,-1]] of the point (1,-1))
 pass the monomial elimination axiom; the degree prime [[0,1,1]] fails it,
 and the first counterexample found is pinned for every mode, degree and seed.
+Circuit sets are pinned too, one that passes and six that fail.
 """
 
 import json
@@ -46,6 +47,37 @@ def _failed(f, g, monomial):
     return {"counterexample": {"f": f, "g": g, "monomial": monomial}, "passed": False}
 
 
+# circuit sets that fail the axiom, with the first counterexample: subsets
+# of the 82 circuits of x + y - 2 and of the 10 circuits of x - y (d = 3),
+# and two Laurent-mode sets
+FAILING_CIRCUITS = [
+    (
+        '{"nvars":2,"degree":3,"mode":"poly","circuits":[[[3,0],[2,1],[1,2],[0,1],[0,0]],'
+        '[[3,0],[0,3],[1,1],[0,0]],[[3,0],[0,3],[2,0],[0,2],[0,1]]]}',
+        ("x^3 + x^2*y + x*y^2 + y + 0", "x^3 + y^3 + x*y + 0", "1"),
+    ),
+    (
+        '{"nvars":2,"degree":3,"mode":"poly","circuits":[[[1,2],[0,3],[1,1],[1,0],[0,0]],'
+        '[[3,0],[2,1],[1,1],[0,2],[0,0]],[[3,0],[1,2],[2,0],[0,2],[0,0]],'
+        '[[3,0],[1,2],[2,0],[0,2],[0,1]],[[3,0],[0,3],[2,0],[1,1],[0,1]]]}',
+        ("x*y^2 + y^3 + x*y + x + 0", "x^3 + x^2*y + x*y + y^2 + 0", "1"),
+    ),
+    (
+        '{"nvars":2,"degree":3,"mode":"poly","circuits":[[[1,1],[0,2]],[[1,2],[0,3]],[[2,1],[0,3]]]}',
+        ("x*y^2 + y^3", "x^2*y + y^3", "y^3"),
+    ),
+    (
+        '{"nvars":2,"degree":3,"mode":"poly","circuits":[[[1,1],[0,2]],[[2,0],[0,2]],[[2,0],[1,1]],'
+        '[[3,0],[0,3]],[[2,1],[1,2]],[[3,0],[2,1]]]}',
+        ("x^3 + y^3", "x^3 + x^2*y", "x^3"),
+    ),
+    (
+        '{"nvars":2,"degree":1,"mode":"laurent","circuits":[[[1,0],[0,1]],[[0,1],[-1,0]],[[1,0],[0,-1]]]}',
+        ("x + y", "y + x^-1", "y"),
+    ),
+    ('{"nvars":1,"degree":1,"mode":"laurent","circuits":[[[-1],[0]],[[0],[1]]]}', ("0 + x^-1", "x + 0", "1")),
+]
+
 CORPUS = (
     [(["tideal-check", "--point", "1/2,-1", *_options(*key)], PASSED) for key in GRID]
     + [(["tideal-check", "--matrix", "[[1,1,-1]]", *_options(*key)], PASSED) for key in GRID]
@@ -59,6 +91,9 @@ CORPUS = (
             ["tideal-check", "--circuits", '{"nvars": 2, "degree": 1, "mode": "poly", "circuits": [[[1, 0], [0, 1]]]}'],
             PASSED,
         ),
+    ]
+    + [(["tideal-check", "--circuits", circuits], _failed(*pin)) for circuits, pin in FAILING_CIRCUITS]
+    + [
         (
             ["tideal-trop", "--gens", "x - y", "--degree", "3"],
             {

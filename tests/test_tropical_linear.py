@@ -8,7 +8,7 @@ import pytest
 
 from tropica.parsing import format_polynomial, parse_polynomial
 from tropica.polynomials import LAURENT, POLY, Polynomial
-from tropica.primes import bend_ideal_member, check_admissible, geometric_prime_of_point
+from tropica.primes import bend_ideal_member, check_admissible, geometric_prime_of_point, variety_of_prime
 from tropica.sampling import point_members, prime_members, random_member_polynomial, random_point
 from tropica.scalars import BOTTOM, is_bottom, trop_add, trop_mul
 from tropica import tropical_linear
@@ -24,6 +24,8 @@ from tropica.tropical_linear import (
     truncated_tropicalization,
 )
 from tropica.varieties import affine_prevariety, prevariety
+
+from test_axiom_keys import ref_elimination_witness
 
 
 def P(text, n=None, mode=POLY):
@@ -132,17 +134,25 @@ def test_residuation_vs_grid_brute_force():
 
 
 # -- elimination witness ------------------------------------------------------------------
+#
+# The valued search, with its tie-level candidates at a geometric point, is
+# `ref_elimination_witness`, the oracle of the keys decider; the search in
+# `tropical_linear` runs on circuits, which are monomial sets.
+
+
+def _point_oracle(point):
+    prime = geometric_prime_of_point(point, POLY)
+    return lambda h: bend_ideal_member(prime, h)
 
 
 def test_elimination_low_term_example():
     # members of the bend ideal at the origin; eliminating x keeps y plus the
     # low data, with the tie dropped to the second level
-    w = monomial_window(2, POLY, 2)
     point = (Fraction(0), Fraction(0))
     f = P("x + y + -1", 2)
     g = P("x + y + -2", 2)
-    oracle = point_members(random.Random(0), point, w, 0).oracle
-    h = elimination_witness(f, g, (1, 0), oracle, point)
+    oracle = _point_oracle(point)
+    h = ref_elimination_witness(f, g, (1, 0), oracle, point)
     assert h is not None
     assert h.coefficient((1, 0)) is not None and is_bottom(h.coefficient((1, 0)))
     assert oracle(h)
@@ -155,23 +165,58 @@ def test_elimination_counterexample_for_degree_prime():
     f = P("x + y + x^-1", 2, LAURENT)
     g = P("x + y + x^-2", 2, LAURENT)
     assert oracle(f) and oracle(g)
-    assert elimination_witness(f, g, (1, 0), oracle) is None
+    assert ref_elimination_witness(f, g, (1, 0), oracle) is None
 
 
 def test_elimination_identical_inputs():
-    w = monomial_window(2, POLY, 2)
     point = (Fraction(0), Fraction(0))
     f = P("x + y + 0", 2)
-    h = elimination_witness(f, f, (1, 0), point_members(random.Random(0), point, w, 0).oracle)
+    h = ref_elimination_witness(f, f, (1, 0), _point_oracle(point))
     # first candidate: delete x from f, which still vanishes at the origin
     assert h is not None and h.coeffs == {(0, 0): Fraction(0), (0, 1): Fraction(0)}
 
 
+X, Y, ONE_MONO = (1, 0), (0, 1), (0, 0)
+
+
+def test_circuit_witness_candidates_in_order():
+    # f = {x, y, 1}, g = {x, y}: F = {1}, T = {y} at u = x; the candidates are
+    # {1, y} (all ties kept), then {1}
+    f, g = frozenset({X, Y, ONE_MONO}), frozenset({X, Y})
+    asked = []
+
+    def oracle(h):
+        asked.append(h)
+        return False
+
+    assert elimination_witness(f, g, X, oracle) is None
+    assert asked == [frozenset({ONE_MONO, Y}), frozenset({ONE_MONO})]
+    assert elimination_witness(f, g, X, lambda h: len(h) == 1) == frozenset({ONE_MONO})
+    # a circuit with itself: F is empty, so the last candidate is the empty
+    # set (h = 0); ties go in window order, x before y^2 (lex order differs)
+    c = frozenset({X, (0, 2), (1, 1)})
+    asked.clear()
+    assert elimination_witness(c, c, (1, 1), oracle) is None
+    assert asked == [frozenset({X, (0, 2)}), frozenset({(0, 2)}), frozenset({X}), frozenset()]
+
+
+def test_circuit_witness_tie_cap():
+    window = monomial_window(2, LAURENT, 2)
+    edge = frozenset(window.monomials[:17])  # 16 ties with itself at any u
+    big = frozenset(window.monomials[:18])  # 17
+    u = window.monomials[0]
+    assert elimination_witness(edge, edge, u, lambda h: True) == edge - {u}
+    with pytest.raises(ValueError, match="too many tie positions"):
+        elimination_witness(big, big, u, lambda h: True)
+
+
 def test_elimination_precondition():
-    f = P("x + y", 2)
-    g = P("y + 0", 2)
+    f = frozenset({X, Y})
+    g = frozenset({Y, ONE_MONO})
     with pytest.raises(ValueError):
-        elimination_witness(f, g, (1, 0), lambda h: True)
+        elimination_witness(f, g, X, lambda h: True)
+    with pytest.raises(ValueError):
+        ref_elimination_witness(P("x + y", 2), P("y + 0", 2), X, lambda h: True)
 
 
 # -- the axiom check ------------------------------------------------------------------------
@@ -195,7 +240,8 @@ def test_point_members_pinned():
         "-3/2*x*y + y^2", "-5*x^2 + -3", "-3/2*x + y", "3*y^2 + 1*x",
     ]
     assert rng.random() == 0.19459095568233187
-    assert sample.point == point and all(sample.oracle(v) for v in sample.samples)
+    assert variety_of_prime(sample.prime) == point
+    assert all(bend_ideal_member(sample.prime, v) for v in sample.samples)
     # x + c at the origin: few members, so draws repeat and only distinct ones count
     small = point_members(random.Random(1), (Fraction(0),), monomial_window(1, POLY, 1), 12)
     assert len(set(small.samples)) == 12
@@ -208,7 +254,7 @@ def test_member_samplers_reject_float_points():
     with pytest.raises(ValueError):
         point_members(random.Random(0), (0.1,), monomial_window(1, POLY, 2), 3)
     sample = point_members(random.Random(0), ("1/10",), monomial_window(1, POLY, 2), 3)
-    assert sample.point == (Fraction(1, 10),)
+    assert variety_of_prime(sample.prime) == (Fraction(1, 10),)
 
 
 def test_prime_members_pinned():
@@ -221,9 +267,10 @@ def test_prime_members_pinned():
         "-2*y^2 + 2*y + 1", "-2*x + 2*y + 1",
     ]
     assert rng.random() == 0.07000430092833387
-    assert sample.point == (1, -1) and all(sample.oracle(v) for v in sample.samples)
+    assert sample.geometric and variety_of_prime(sample.prime) == (1, -1)
+    assert all(bend_ideal_member(sample.prime, v) for v in sample.samples)
     degree_prime = check_admissible([[0, 1, 1]], 2)
-    assert prime_members(rng, degree_prime, monomial_window(2, LAURENT, 1), 2).point is None
+    assert not prime_members(rng, degree_prime, monomial_window(2, LAURENT, 1), 2).geometric
 
 
 def test_axiom_fails_for_degree_prime():
@@ -248,7 +295,7 @@ def test_axiom_passes_for_realized_circuits():
 
 def test_single_circuit_at_degree_one():
     circuits = truncated_tropicalization([{(1, 0): 1, (0, 1): -1}], 2, 1)
-    assert [sorted(s) for s in circuits.supports()] == [[(0, 1), (1, 0)]]
+    assert circuits.circuits == (frozenset({(0, 1), (1, 0)}),)
 
 
 def _realization_supports(degree):
@@ -282,7 +329,7 @@ def _realization_supports(degree):
 def test_degree_two_circuits_match_realization_oracle():
     expected = _realization_supports(2)
     circuits = truncated_tropicalization([{(1, 0): 1, (0, 1): -1}], 2, 2)
-    assert set(circuits.supports()) == expected
+    assert set(circuits.circuits) == expected
     assert set(map(tuple, map(sorted, expected))) == {
         ((0, 1), (1, 0)),
         ((1, 1), (2, 0)),
@@ -294,7 +341,7 @@ def test_degree_two_circuits_match_realization_oracle():
 def test_unit_ideal_flagged_trivial():
     circuits = truncated_tropicalization([{(0, 0): 1}], 2, 1)
     assert circuits.trivial
-    assert all(len(s) == 1 for s in circuits.supports())
+    assert all(len(s) == 1 for s in circuits.circuits)
 
 
 def test_tropicalization_rejects_float_coefficients():
