@@ -7,31 +7,41 @@ of each solve: ``_int_feasible_point`` (a point as integers (nums, den), the
 point nums / den), ``_int_implicit_equalities`` and ``_int_interior_point``.
 The ``Fraction`` entry points (``feasible_point``, ``dimension``,
 ``relative_interior_point``) clear each constraint of denominators once and
-call them; only back-substitution builds rational coordinates.
+call them, and only they turn the point into rational coordinates.
 
-Scaling lemma: ``_normalize`` divides every row by the gcd of its entries
-before anything else, so any positive multiple of a row gives the same
-primitive row, and a system given by any positive multiples of its rows
-gives the same eliminations and the same point.  Callers that hold integer
-rows already (the cell layer in ``varieties``) pass them in directly.
-Strict inequalities are supported internally so that implicit equalities
-and relative interior points are exact.  Desk scale: a handful of
-dimensions and a few dozen constraints.
+Representation lemma: the solve fixes x_k from the fibre of the projection
+onto x_1..x_k over the coordinates already fixed.  It takes the forced
+value, the midpoint of a bounded interval, a bound moved by one into a
+half-line, or 0 on a line.  Fourier-Motzkin's level-k rows describe that
+projection exactly (Schrijver, *Theory of Linear and Integer Programming*,
+12.2), and the fixed coordinates lie in the projection onto x_1..x_(k-1),
+so the fibre is not empty and its ends are the tightest bounds of those
+rows.  The point, and whether there is one, therefore depend only on the
+polyhedron, not on how its rows are written: not on row order, positive
+row scaling, duplicate or parallel rows, the choice of equality pivot, or
+content reduction.  So the kernel does only work that changes its answer.
+Rows are deduplicated and divided by their content (``_normalize``) only
+right before a pairing step, where they multiply; pivot and truncate-only
+levels pass their rows through; constant rows are checked once, on the
+constant level; and back-substitution stays on integers.  Callers that
+hold integer rows already (the cell layer in ``varieties``) pass them in
+directly.  Strict inequalities are supported internally so that implicit
+equalities and relative interior points are exact.  Desk scale: a handful
+of dimensions and a few dozen constraints.
 
-Strictness lemma: let R be EQ/LE rows and R' the same rows with every LE
-row made strict.  Strictness changes only the relation of a row:
-elimination builds the same (a, b) rows from R and from R' at every level,
-``_normalize`` keeps the same primitive row of a parallel pair, and
-``_coordinate`` ignores strictness.  R' can therefore fail where R does not
-only on a derived constant row 0 < 0.  That row combines the input rows
-with positive weight on some LE row, so at a point meeting every LE row
-strictly its left side is below its right side, which 0 < 0 forbids.  So
-R' is feasible exactly when no LE row is tight at the point P that
-``_int_feasible_point`` returns for R, and then its solve returns P too
-(``_coordinate`` picks interior values, so P meets strict rows strictly).
-``_int_interior_point`` uses this: when no LE row is tight at P, P is the
-interior point, with no further solve; only otherwise are the tight rows
-probed and the strict system solved.
+Strictness lemma: let R be EQ/LE rows, P the point ``_int_feasible_point``
+returns for R, and R' the same rows with every LE row made strict.  When
+no LE row is tight at P, P lies in R'.  Conversely, when R' is not empty no
+LE row is an implicit equality of R, so R' is the relative interior of R.
+Its projections are then the relative interiors of those of R, and over a
+base point in one of them the fibre of R' is the relative interior of the
+fibre of R (Rockafellar, *Convex Analysis*, Thms. 6.6 and 6.8): the two
+fibres have the same ends.  By the representation lemma the solve of R'
+fixes every coordinate as the solve of R does, and returns P.  So R' is
+feasible exactly when no LE row is tight at P, and then its solve returns
+P.  ``_int_interior_point`` uses this: when no LE row is tight at P, P is
+the interior point, with no further solve; only otherwise are the tight
+rows probed and the strict system solved.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .matrices import clear_denominators, dot, int_rank, nullspace, to_fraction
 
@@ -67,10 +78,16 @@ class Polyhedron:
 
 
 def make_polyhedron(rows, n: int) -> Polyhedron:
-    """rows: iterables (normal, rhs, relation); coerces entries to Fraction."""
+    """rows: iterables (normal, rhs, relation); coerces entries to Fraction.
+
+    Every normal must have n entries; a ValueError names the first that does not.
+    """
     cons = []
-    for normal, rhs, rel in rows:
-        cons.append(HalfSpace(tuple(to_fraction(x) for x in normal), to_fraction(rhs), rel))
+    for i, (normal, rhs, rel) in enumerate(rows):
+        normal = tuple(to_fraction(x) for x in normal)
+        if len(normal) != n:
+            raise ValueError(f"row {i}: normal has {len(normal)} entries, expected n = {n}")
+        cons.append(HalfSpace(normal, to_fraction(rhs), rel))
     return Polyhedron(tuple(cons), n)
 
 
@@ -91,10 +108,13 @@ def _int_row(coeffs, rhs, rel) -> IntRow:
 def _normalize(rows: list[IntRow]) -> list[IntRow] | None:
     """Drop trivial rows and dedupe; None when a constant row is violated.
 
-    Rows are deduplicated on their primitive normal a / gcd(a); of two
-    inequalities the one with the smaller b / gcd(a) is kept (the strict one
-    on a tie), and two equalities, signed by their first non-zero entry,
-    must agree.  Each kept row is divided by the gcd of its entries.
+    The solve calls it right before a pairing step, on the rows that
+    multiply there, and once on the constant level; ``fm_eliminate`` calls
+    it on the rows it returns.  Rows are deduplicated on their primitive
+    normal a / gcd(a); of two inequalities the one with the smaller
+    b / gcd(a) is kept (the strict one on a tie), and two equalities, signed
+    by their first non-zero entry, must agree.  Each kept row is divided by
+    the gcd of its entries.
     """
     eqs: dict[tuple[int, ...], tuple[IntRow, int]] = {}
     best: dict[tuple[int, ...], tuple[IntRow, int]] = {}
@@ -124,13 +144,16 @@ def _normalize(rows: list[IntRow]) -> list[IntRow] | None:
     return [row for row, _ in eqs.values()] + [row for row, _ in best.values()]
 
 
-def _eliminate_last(rows: list[IntRow], n: int) -> list[IntRow] | None:
-    """Project onto the first n-1 coordinates; None when infeasibility is evident.
+def _eliminate_last(rows: list[IntRow], n: int) -> tuple[list[IntRow], list[IntRow]]:
+    """Project onto the first n-1 coordinates: (projected rows, rows bounding x_n).
 
-    With an equality pivot p every other row is replaced by
-    |p_j| * row - sgn(p_j) * row_j * p; otherwise each row with a negative
-    last entry is paired with each row with a positive one.  Both combine
-    rows with integer weights, positive on every inequality.
+    Rows with last entry 0 are kept, cut to n-1 entries.  With an equality
+    pivot p every other row is replaced by |p_j| * row - sgn(p_j) * row_j * p,
+    and p alone fixes x_n.  Otherwise, when x_n is bounded on both sides,
+    the rows bounding it are normalized and each lower bound is paired with
+    each upper bound.  Both combine rows with integer weights, positive on
+    every inequality.  Only a pairing step multiplies rows, so only there
+    are they reduced; a pivot or truncate-only level passes them through.
     """
     j = n - 1
     kept: list[IntRow] = []
@@ -138,9 +161,10 @@ def _eliminate_last(rows: list[IntRow], n: int) -> list[IntRow] | None:
     lowers: list[IntRow] = []
     uppers: list[IntRow] = []
     for row in rows:
-        c = row[0][j]
+        a = row[0]
+        c = a[j]
         if c == 0:
-            kept.append((row[0][:j], row[1], row[2]))
+            kept.append((a[:j], row[1], row[2]))
         elif row[2] == EQ and pivot is None:
             pivot = row
         elif c < 0:
@@ -153,84 +177,80 @@ def _eliminate_last(rows: list[IntRow], n: int) -> list[IntRow] | None:
         pa = pa[:j]
         for a, b, rel in lowers + uppers:
             f = sign * a[j]
-            combined = tuple(weight * x - f * p for x, p in zip(a, pa))
+            combined = tuple([weight * x - f * p for x, p in zip(a, pa)])
             kept.append((combined, weight * b - f * pb, rel))
-        return _normalize(kept)
-    for la, lb, lr in lowers:
-        up_w = -la[j]
-        for ua, ub, ur in uppers:
-            lo_w = ua[j]
-            a = tuple(lo_w * x + up_w * y for x, y in zip(la[:j], ua))
-            kept.append((a, lo_w * lb + up_w * ub, LT if LT in (lr, ur) else LE))
-    return _normalize(kept)
+        return kept, [pivot]
+    if lowers and uppers:
+        # inequalities only, none constant: _normalize dedupes and never fails here
+        lowers, uppers = _normalize(lowers), _normalize(uppers)
+        for la, lb, lr in lowers:
+            up_w = -la[j]
+            for ua, ub, ur in uppers:
+                lo_w = ua[j]
+                a = tuple([lo_w * x + up_w * y for x, y in zip(la[:j], ua)])
+                kept.append((a, lo_w * lb + up_w * ub, LT if LT in (lr, ur) else LE))
+    return kept, lowers + uppers
 
 
-def _coordinate(rows: list[IntRow], nums: list[int], den: int) -> Fraction | None:
-    """The chosen value of the last coordinate over the base point nums / den.
+def _coordinate(rows: list[IntRow], nums: list[int], den: int) -> tuple[int, int]:
+    """The chosen value t / q (q > 0) of the next coordinate over the base point nums / den.
 
-    A row a.x rel b bounds it by t / (a_j den) with t = b den - a[:j].nums;
-    bounds are compared by cross-multiplication, and only the chosen value
-    is a Fraction: the forced value, the midpoint of a bounded interval, a
-    bound moved by one into a half-line, or 0 on the whole line.
+    ``rows`` bound the coordinate x_j, j = len(nums): each has a_j != 0 and
+    bounds it by s / (a_j den) with s = b den - a[:j].nums.  Bounds are
+    compared by cross-multiplication.  The value is the forced one of an
+    equality, the midpoint of a bounded interval, a bound moved by one into
+    a half-line, or 0 on the whole line.  The base point lies in the
+    projection, so the interval is not empty and strictness never matters.
     """
     j = len(nums)
-    forced = lower = upper = None  # bounds (t, q) meaning t / q, with q > 0
+    lower = upper = None  # bounds (s, c) meaning s / (c den), with c > 0
     for a, b, rel in rows:
         c = a[j]
-        if c == 0:
-            continue
-        t, q = b * den - sum(x * y for x, y in zip(a, nums)), c * den
-        if q < 0:
-            t, q = -t, -q
+        s = b * den - sum(map(mul, a, nums))
         if rel == EQ:
-            if forced is None:
-                forced = (t, q)
-            elif t * forced[1] != forced[0] * q:
-                return None
-        elif c > 0:
-            if upper is None or t * upper[1] < upper[0] * q:
-                upper = (t, q)
-        elif lower is None or t * lower[1] > lower[0] * q:
-            lower = (t, q)
-    if forced is not None:
-        return Fraction(*forced)
-    if lower is None and upper is None:
-        return Fraction(0)
+            return (s, c * den) if c > 0 else (-s, -c * den)
+        if c > 0:
+            if upper is None or s * upper[1] < upper[0] * c:
+                upper = (s, c)
+        elif lower is None or s * lower[1] < lower[0] * c:  # -s / -c is above the lower bound
+            lower = (-s, -c)
     if lower is None:
-        return Fraction(upper[0] - upper[1], upper[1])
+        if upper is None:
+            return 0, 1
+        s, c = upper
+        return s - c * den, c * den
     if upper is None:
-        return Fraction(lower[0] + lower[1], lower[1])
-    # elimination guarantees lower <= upper, and equality only when both are non-strict
-    return Fraction(lower[0] * upper[1] + upper[0] * lower[1], 2 * lower[1] * upper[1])
+        s, c = lower
+        return s + c * den, c * den
+    (ls, lc), (us, uc) = lower, upper
+    return ls * uc + us * lc, 2 * lc * uc * den
 
 
 def _int_feasible_point(rows: list[IntRow], n: int) -> IntPoint | None:
     """A point (nums, den) of the integer system, or None when it is empty.
 
-    This is the one Fourier-Motzkin solve: the rows are normalized, then
-    eliminated down to the constant level; the coordinates are then fixed
-    first to last, each in its interval over the ones before, with the point
-    kept over a common denominator den > 0.
+    This is the one Fourier-Motzkin solve: the rows are eliminated down to
+    the constant level, whose rows alone decide emptiness; the coordinates
+    are then fixed first to last, each from the rows that bound it, with the
+    point kept over den > 0, the lcm of the coordinates' denominators.
     """
-    rows = _normalize(rows)
-    levels = []
+    bounding = []
     for k in range(n, 0, -1):
-        if rows is None:
-            return None
-        levels.append(rows)
-        rows = _eliminate_last(rows, k)
-    if rows is None:
+        rows, bounds = _eliminate_last(rows, k)
+        bounding.append(bounds)
+    if _normalize(rows) is None:
         return None
     nums: list[int] = []
     den = 1
-    for rows in reversed(levels):
-        value = _coordinate(rows, nums, den)
-        if value is None:
-            return None
-        scale = value.denominator // gcd(den, value.denominator)
-        nums = [x * scale for x in nums]
-        den *= scale
-        nums.append(value.numerator * (den // value.denominator))
+    for bounds in reversed(bounding):
+        t, q = _coordinate(bounds, nums, den)
+        g = gcd(t, q)
+        t, q = t // g, q // g
+        scale = q // gcd(den, q)
+        if scale > 1:
+            nums = [x * scale for x in nums]
+            den *= scale
+        nums.append(t * (den // q))
     return tuple(nums), den
 
 
@@ -384,7 +404,11 @@ def intersect(p: Polyhedron, q: Polyhedron) -> Polyhedron:
 def fm_eliminate(poly: Polyhedron, index: int) -> Polyhedron:
     """Exact projection dropping the given coordinate (ambient shrinks by one).
 
-    A point lies in the output exactly when it lifts to the input.
+    A point lies in the output exactly when it lifts to the input.  The rows
+    come back normalized: primitive, with no trivial rows and no parallel
+    duplicates, equalities first, each where its direction first arises
+    among the combinations.  Deduplicating the rows before they multiply
+    changes neither the set nor this order.
     """
     if not 0 <= index < poly.n:
         raise ValueError(f"coordinate index {index} out of range for n={poly.n}")
@@ -393,7 +417,7 @@ def fm_eliminate(poly: Polyhedron, index: int) -> Polyhedron:
     rows = []
     for h in poly.constraints:
         rows.append(_int_row(tuple(h.normal[i] for i in order), h.rhs, h.relation))
-    reduced = _eliminate_last(rows, poly.n)
+    reduced = _normalize(_eliminate_last(rows, poly.n)[0])
     if reduced is None:
         # projection of an (evidently) empty set: encode a constant contradiction
         zero = tuple([Fraction(0)] * (poly.n - 1))

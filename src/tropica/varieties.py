@@ -14,12 +14,12 @@ Integer rows: a prevariety scales all its generators by one L, the lcm of
 their coefficient denominators, so term k becomes (L e_k, L c_k), the affine
 function L (c_k + e_k . x).  Tie-cell rows, their intersections and the
 strict-dominance systems go to Fourier-Motzkin as integer rows, each L times
-the Fraction constraint it stands for; by the scaling lemma of ``polyhedra``
-they give the same eliminations and points.  Argmax sets are compared as
-integers L den times the term values at the point nums / den; L den > 0
-keeps their order.  So the candidates and the output are those of the
-Fraction constraints.  A tie cell is built once, as rows; a cell's Fraction
-polyhedron (output data) is its rows divided by L.
+the Fraction constraint it stands for; they describe the same polyhedra, so
+by the representation lemma of ``polyhedra`` they give the same points.
+Argmax sets are compared as integers L den times the term values at the
+point nums / den; L den > 0 keeps their order.  So the candidates and the
+output are those of the Fraction constraints.  A tie cell is built once, as
+rows; a cell's Fraction polyhedron (output data) is its rows divided by L.
 
 Conventions: monomials never vanish and the zero polynomial vanishes nowhere
 on R^n, so both contribute empty hypersurfaces.  On a bottom stratum of the

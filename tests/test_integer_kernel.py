@@ -13,6 +13,16 @@ report the system empty, the same rank and the same kernel basis.  The rows
 of `int_echelon` must be non-zero multiples of the reduced row echelon rows,
 with the same pivots.
 
+The integer Fourier-Motzkin kernel that normalized every level and built a
+`Fraction` per coordinate is kept too, verbatim apart from names:
+`ref_int_normalize`, `ref_int_eliminate_last`, `ref_int_coordinate`,
+`ref_int_feasible_point` and `ref_fm_eliminate`.  The kernel that replaced
+it reduces rows only before a pairing step and relies on the representation
+lemma of `polyhedra`: on seeded integer systems it must give the same point
+or also `None`, the point must not change with how the rows are written,
+`_normalize` must run only before pairing steps and on the constant level,
+and `fm_eliminate` must return the same rows in the same order.
+
 `rank` and `implicit_equality_indices` are the former `matrices.rank` and
 `polyhedra.implicit_equality_indices`, `Fraction` front ends of
 `int_rank` and `_int_implicit_equalities` that no code in the package
@@ -20,8 +30,10 @@ calls; they are kept here, moved verbatim, as the one copy the other test
 files import.
 """
 
+import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -32,12 +44,17 @@ from tropica.polyhedra import (
     EQ,
     LE,
     LT,
+    HalfSpace,
+    IntPoint,
+    IntRow,
     Polyhedron,
     _feasible_point,
     _int_feasible_point,
     _int_implicit_equalities,
     _int_point,
+    _int_row,
     feasible_point,
+    fm_eliminate,
     int_rows,
     is_empty,
     make_polyhedron,
@@ -230,6 +247,178 @@ def ref_rank(rows):
     return sum(1 for row in mat if any(v != 0 for v in row))
 
 
+# -- oracles: the former integer Fourier-Motzkin kernel --------------------------
+
+
+def ref_int_normalize(rows: list[IntRow]) -> list[IntRow] | None:
+    """Drop trivial rows and dedupe; None when a constant row is violated.
+
+    Rows are deduplicated on their primitive normal a / gcd(a); of two
+    inequalities the one with the smaller b / gcd(a) is kept (the strict one
+    on a tie), and two equalities, signed by their first non-zero entry,
+    must agree.  Each kept row is divided by the gcd of its entries.
+    """
+    eqs: dict[tuple[int, ...], tuple[IntRow, int]] = {}
+    best: dict[tuple[int, ...], tuple[IntRow, int]] = {}
+    for a, b, rel in rows:
+        g = gcd(*a)
+        if g == 0:
+            if b < 0 or (b == 0 and rel == LT) or (b != 0 and rel == EQ):
+                return None
+            continue
+        if rel == EQ and next(x for x in a if x) < 0:
+            a, b = tuple(-x for x in a), -b
+        content = gcd(g, b)
+        if content > 1:
+            a, b, g = tuple(x // content for x in a), b // content, g // content
+        key = a if g == 1 else tuple(x // g for x in a)
+        table = eqs if rel == EQ else best
+        old = table.get(key)
+        if old is None:
+            table[key] = ((a, b, rel), g)
+            continue
+        (_, old_b, _), old_g = old
+        if rel == EQ:
+            if b * old_g != old_b * g:
+                return None
+        elif b * old_g < old_b * g or (b * old_g == old_b * g and rel == LT):
+            table[key] = ((a, b, rel), g)
+    return [row for row, _ in eqs.values()] + [row for row, _ in best.values()]
+
+
+def ref_int_eliminate_last(rows: list[IntRow], n: int) -> list[IntRow] | None:
+    """Project onto the first n-1 coordinates; None when infeasibility is evident.
+
+    With an equality pivot p every other row is replaced by
+    |p_j| * row - sgn(p_j) * row_j * p; otherwise each row with a negative
+    last entry is paired with each row with a positive one.  Both combine
+    rows with integer weights, positive on every inequality.
+    """
+    j = n - 1
+    kept: list[IntRow] = []
+    pivot: IntRow | None = None
+    lowers: list[IntRow] = []
+    uppers: list[IntRow] = []
+    for row in rows:
+        c = row[0][j]
+        if c == 0:
+            kept.append((row[0][:j], row[1], row[2]))
+        elif row[2] == EQ and pivot is None:
+            pivot = row
+        elif c < 0:
+            lowers.append(row)
+        else:
+            uppers.append(row)
+    if pivot is not None:
+        pa, pb, _ = pivot
+        weight, sign = abs(pa[j]), 1 if pa[j] > 0 else -1
+        pa = pa[:j]
+        for a, b, rel in lowers + uppers:
+            f = sign * a[j]
+            combined = tuple(weight * x - f * p for x, p in zip(a, pa))
+            kept.append((combined, weight * b - f * pb, rel))
+        return ref_int_normalize(kept)
+    for la, lb, lr in lowers:
+        up_w = -la[j]
+        for ua, ub, ur in uppers:
+            lo_w = ua[j]
+            a = tuple(lo_w * x + up_w * y for x, y in zip(la[:j], ua))
+            kept.append((a, lo_w * lb + up_w * ub, LT if LT in (lr, ur) else LE))
+    return ref_int_normalize(kept)
+
+
+def ref_int_coordinate(rows: list[IntRow], nums: list[int], den: int) -> Fraction | None:
+    """The chosen value of the last coordinate over the base point nums / den.
+
+    A row a.x rel b bounds it by t / (a_j den) with t = b den - a[:j].nums;
+    bounds are compared by cross-multiplication, and only the chosen value
+    is a Fraction: the forced value, the midpoint of a bounded interval, a
+    bound moved by one into a half-line, or 0 on the whole line.
+    """
+    j = len(nums)
+    forced = lower = upper = None  # bounds (t, q) meaning t / q, with q > 0
+    for a, b, rel in rows:
+        c = a[j]
+        if c == 0:
+            continue
+        t, q = b * den - sum(x * y for x, y in zip(a, nums)), c * den
+        if q < 0:
+            t, q = -t, -q
+        if rel == EQ:
+            if forced is None:
+                forced = (t, q)
+            elif t * forced[1] != forced[0] * q:
+                return None
+        elif c > 0:
+            if upper is None or t * upper[1] < upper[0] * q:
+                upper = (t, q)
+        elif lower is None or t * lower[1] > lower[0] * q:
+            lower = (t, q)
+    if forced is not None:
+        return Fraction(*forced)
+    if lower is None and upper is None:
+        return Fraction(0)
+    if lower is None:
+        return Fraction(upper[0] - upper[1], upper[1])
+    if upper is None:
+        return Fraction(lower[0] + lower[1], lower[1])
+    # elimination guarantees lower <= upper, and equality only when both are non-strict
+    return Fraction(lower[0] * upper[1] + upper[0] * lower[1], 2 * lower[1] * upper[1])
+
+
+def ref_int_feasible_point(rows: list[IntRow], n: int) -> IntPoint | None:
+    """A point (nums, den) of the integer system, or None when it is empty.
+
+    This is the one Fourier-Motzkin solve: the rows are normalized, then
+    eliminated down to the constant level; the coordinates are then fixed
+    first to last, each in its interval over the ones before, with the point
+    kept over a common denominator den > 0.
+    """
+    rows = ref_int_normalize(rows)
+    levels = []
+    for k in range(n, 0, -1):
+        if rows is None:
+            return None
+        levels.append(rows)
+        rows = ref_int_eliminate_last(rows, k)
+    if rows is None:
+        return None
+    nums: list[int] = []
+    den = 1
+    for rows in reversed(levels):
+        value = ref_int_coordinate(rows, nums, den)
+        if value is None:
+            return None
+        scale = value.denominator // gcd(den, value.denominator)
+        nums = [x * scale for x in nums]
+        den *= scale
+        nums.append(value.numerator * (den // value.denominator))
+    return tuple(nums), den
+
+
+def ref_fm_eliminate(poly: Polyhedron, index: int) -> Polyhedron:
+    """Exact projection dropping the given coordinate (ambient shrinks by one).
+
+    A point lies in the output exactly when it lifts to the input.
+    """
+    if not 0 <= index < poly.n:
+        raise ValueError(f"coordinate index {index} out of range for n={poly.n}")
+    # move the coordinate to the end, then eliminate it
+    order = [i for i in range(poly.n) if i != index] + [index]
+    rows = []
+    for h in poly.constraints:
+        rows.append(_int_row(tuple(h.normal[i] for i in order), h.rhs, h.relation))
+    reduced = ref_int_eliminate_last(rows, poly.n)
+    if reduced is None:
+        # projection of an (evidently) empty set: encode a constant contradiction
+        zero = tuple([Fraction(0)] * (poly.n - 1))
+        return Polyhedron((HalfSpace(zero, Fraction(-1), LE),), poly.n - 1)
+    out = []
+    for a, b, rel in reduced:
+        out.append(HalfSpace(tuple(map(Fraction, a)), Fraction(b), LE if rel == LT else rel))
+    return Polyhedron(tuple(out), poly.n - 1)
+
+
 # -- seeded inputs ----------------------------------------------------------------
 
 
@@ -289,6 +478,186 @@ def test_feasible_point_matches_fraction_oracle():
         else:
             outcomes["bounded or not seen"] += 1
     assert min(outcomes.values()) > 1000, outcomes
+
+
+def _int_system(rng):
+    """(rows, n): integer EQ/LE/LT rows, n = 0..5, with the awkward cases drawn on purpose."""
+    n = rng.randint(0, 5)
+    zero_cols = {j for j in range(n) if rng.random() < 0.15}
+    rows = []
+    for _ in range(rng.randint(0, 8)):
+        kind = rng.random()
+        if rows and kind < 0.1:
+            rows.append(rng.choice(rows))  # a duplicate
+        elif rows and kind < 0.2:
+            # a positive multiple of an earlier row, often with a shifted bound: a parallel row
+            a, b, rel = rng.choice(rows)
+            k = rng.randint(2, 4)
+            rows.append((tuple(k * x for x in a), k * b + rng.choice([0, 0, -1, 1]), rel))
+        elif rows and kind < 0.3:
+            # the opposite side of an earlier row, often making the set empty or flat
+            a, b, _ = rng.choice(rows)
+            rows.append((tuple(-x for x in a), -b + rng.choice([0, 0, -1, 1]), rng.choice([EQ, LE, LT])))
+        elif kind < 0.35:
+            rows.append(((0,) * n, rng.randint(-2, 2), rng.choice([EQ, LE, LT])))  # a constant row
+        else:
+            a = tuple(0 if j in zero_cols else rng.randint(-3, 3) for j in range(n))
+            rows.append((a, rng.randint(-4, 4), rng.choices([EQ, LE, LT], weights=[2, 5, 3])[0]))
+    return rows, n
+
+
+def _disagreeing_equalities(rows) -> bool:
+    """Two parallel EQ rows with different right-hand sides."""
+    eqs = [(a, b) for a, b, rel in rows if rel == EQ and any(a)]
+    for (a, b), (c, d) in itertools.combinations(eqs, 2):
+        i = next(k for k, x in enumerate(a) if x)
+        if all(x * c[i] == y * a[i] for x, y in zip(a, c)) and b * c[i] != d * a[i]:
+            return True
+    return False
+
+
+def _turns_constant(rows, n) -> bool:
+    """True when elimination makes a row constant above the constant level."""
+    before = sum(not any(a) for a, _, _ in rows)
+    for k in range(n, 1, -1):
+        rows = polyhedra._eliminate_last(rows, k)[0]
+        after = sum(not any(a) for a, _, _ in rows)
+        if after > before:
+            return True
+        before = after
+    return False
+
+
+def test_int_feasible_point_matches_former_kernel():
+    rng = random.Random(20261101)
+    seen = {f"n={n}": 0 for n in range(6)}
+    seen.update({"empty": 0, "unbounded": 0, "duplicate": 0, "parallel": 0,
+                 "disagreeing equalities": 0, "turns constant": 0, "EQ": 0, "LE": 0, "LT": 0})
+    for _ in range(3000):
+        rows, n = _int_system(rng)
+        expected = ref_int_feasible_point(rows, n)
+        assert _int_feasible_point(rows, n) == expected, (rows, n)
+        seen[f"n={n}"] += 1
+        seen["empty"] += expected is None
+        seen["unbounded"] += expected is not None and _has_ray_along_an_axis(rows, n)
+        seen["duplicate"] += len(set(rows)) < len(rows)
+        primitive = [tuple(x // gcd(*a) for x in a) for a, _, _ in rows if any(a)]
+        seen["parallel"] += len(set(primitive)) < len(primitive)
+        seen["disagreeing equalities"] += _disagreeing_equalities(rows)
+        seen["turns constant"] += _turns_constant(rows, n)
+        for rel in (EQ, LE, LT):
+            seen[rel.upper()] += any(r == rel for _, _, r in rows)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_point_ignores_how_the_rows_are_written():
+    """Representation lemma: the point depends only on the polyhedron.
+
+    Shuffling the rows, scaling each by a positive integer (an equality by
+    any non-zero one) and repeating some of them leaves the point unchanged.
+    """
+    rng = random.Random(20261102)
+    points = 0
+    for _ in range(2000):
+        rows, n = _int_system(rng)
+        expected = _int_feasible_point(rows, n)
+        points += expected is not None
+        written = []
+        for a, b, rel in rows + rng.sample(rows, rng.randint(0, len(rows))):
+            k = rng.choice([1, 2, 3, 5]) * (rng.choice([1, -1]) if rel == EQ else 1)
+            written.append((tuple(k * x for x in a), k * b, rel))
+        rng.shuffle(written)
+        assert _int_feasible_point(written, n) == expected, (rows, written, n)
+    assert points >= 500
+
+
+def test_normalize_runs_only_before_pairing_and_on_the_constant_level(monkeypatch):
+    """Each solve normalizes the lowers and the uppers of each pairing step, then the constant rows.
+
+    A pairing step is a level with no equality pivot and rows bounding the
+    coordinate from both sides; every other level passes its rows through.
+    Fewer rows go through ``_normalize`` than through the former kernel's,
+    which normalized every level.
+    """
+    events = []
+    normalize, eliminate, former = polyhedra._normalize, polyhedra._eliminate_last, ref_int_normalize
+    counts = {"rows": 0, "former rows": 0}
+
+    def spy_normalize(rows):
+        events.append(("normalize", list(rows)))
+        counts["rows"] += len(rows)
+        return normalize(rows)
+
+    def spy_eliminate(rows, n):
+        j = n - 1
+        pivot = any(rel == EQ and a[j] for a, _, rel in rows)
+        signs = {a[j] > 0 for a, _, _ in rows if a[j]}
+        events.append(("eliminate", j, not pivot and len(signs) == 2))
+        return eliminate(rows, n)
+
+    def former_normalize(rows):
+        counts["former rows"] += len(rows)
+        return former(rows)
+
+    monkeypatch.setattr(polyhedra, "_normalize", spy_normalize)
+    monkeypatch.setattr(polyhedra, "_eliminate_last", spy_eliminate)
+    monkeypatch.setitem(globals(), "ref_int_normalize", former_normalize)
+    rng = random.Random(20261103)
+    steps = {"pairing": 0, "passed through": 0}
+    for _ in range(2000):
+        rows, n = _int_system(rng)
+        events.clear()
+        _int_feasible_point(rows, n)
+        ref_int_feasible_point(rows, n)
+        *levels, (kind, constants) = events
+        assert kind == "normalize" and all(len(a) == 0 for a, _, _ in constants), events
+        i = 0
+        for _ in range(n):
+            kind, j, pairing = levels[i]
+            assert kind == "eliminate", events
+            i += 1
+            if not pairing:
+                steps["passed through"] += 1
+                continue
+            steps["pairing"] += 1
+            (lo_kind, lowers), (up_kind, uppers) = levels[i : i + 2]
+            assert lo_kind == up_kind == "normalize", events
+            assert lowers and all(a[j] < 0 and rel != EQ for a, _, rel in lowers), events
+            assert uppers and all(a[j] > 0 and rel != EQ for a, _, rel in uppers), events
+            i += 2
+        assert i == len(levels), events
+    assert min(steps.values()) >= 500, steps
+    assert counts["rows"] < counts["former rows"], counts
+
+
+def test_fm_eliminate_rows_match_former_kernel():
+    """The projection's rows are the former kernel's, in the same order.
+
+    They are normalized and no two are parallel; the eliminated rows were
+    deduplicated before they multiplied, and that changes neither the set
+    nor the order.
+    """
+    rng = random.Random(20261104)
+    seen = {"empty": 0, "equalities": 0, "parallel input": 0}
+    for _ in range(1500):
+        n = rng.randint(1, 4)
+        rows = []
+        for _ in range(rng.randint(0, 7)):
+            normal = tuple(Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3])) for _ in range(n))
+            if rows and rng.random() < 0.25:
+                k = Fraction(rng.choice([1, 2, 3]), rng.choice([1, 2]))
+                normal = tuple(k * x for x in rng.choice(rows)[0])  # a parallel row
+                seen["parallel input"] += 1
+            rhs = Fraction(rng.randint(-4, 4), rng.choice([1, 2]))
+            rows.append((normal, rhs, EQ if rng.random() < 0.25 else LE))
+        p = make_polyhedron(rows, n)
+        index = rng.randrange(n)
+        got = fm_eliminate(p, index)
+        assert got == ref_fm_eliminate(p, index), (rows, index)
+        assert len(set(got.constraints)) == len(got.constraints), rows
+        seen["empty"] += is_empty(p)
+        seen["equalities"] += any(h.relation == EQ for h in got.constraints)
+    assert min(seen.values()) >= 100, seen
 
 
 def _matrix(rng):

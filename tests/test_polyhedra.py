@@ -50,6 +50,21 @@ def test_contradictory_equalities():
     assert is_empty(poly([((1, 1), 0, EQ), ((2, 2), 1, EQ)], 2))
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([((1,), 1, LE)], "row 0: normal has 1 entries, expected n = 2"),
+        ([((0, 0, 1), -1, LE)], "row 0: normal has 3 entries, expected n = 2"),
+        ([((1, 0), 1, LE), ((0, 0, 1), -1, LE)], "row 1: normal has 3 entries, expected n = 2"),
+    ],
+    ids=["short", "long", "second-row"],
+)
+def test_make_polyhedron_rejects_normals_of_the_wrong_length(rows, message):
+    """A short normal used to build and then raise IndexError; a long one read as the empty set."""
+    with pytest.raises(ValueError, match=message):
+        make_polyhedron(rows, 2)
+
+
 def test_empty_constraint_list_is_full_space():
     assert not is_empty(full_space(3))
     assert dimension(full_space(3)) == 3
