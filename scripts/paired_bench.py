@@ -14,8 +14,9 @@ the raw runs.  ``--trace-seed`` adds one ``--trace 1`` run per side and
 workload for the per-layer counts.  Each run's ``correct`` and ``failed``
 are printed, and the script exits 1 after writing the file when any run
 has ``correct: false`` or ``failed > 0``: a wrong answer's speed is no win.
-Only ``perfbench/run.py`` is called; nothing under ``perfbench/`` is
-written.
+Only ``perfbench/run.py`` is called.  Its ``--trace 1`` runs write
+``perfbench/out/spans-<workload>-<seed>.csv`` in each checkout (a
+git-ignored folder); the ``--trace 0`` runs write nothing there.
 """
 
 from __future__ import annotations

@@ -84,7 +84,7 @@ def _as_text(data, indent: str = "") -> str:
 
 def _load_json_arg(text: str):
     candidate = Path(text)
-    if not text.lstrip().startswith(("[", "{")) and candidate.exists():
+    if not text.lstrip().startswith(("[", "{")) and candidate.is_file():
         return json.loads(candidate.read_text())
     return json.loads(text)
 
@@ -215,13 +215,13 @@ def _cmd_tideal_check(args):
     if len(given) > 1:
         got = " and ".join(given)
         raise ValueError(f"tideal-check takes one of --circuits, --point or --matrix, got {got}")
-    if args.circuits:
+    if args.circuits is not None:
         description = parse_circuits_json(_load_json_arg(args.circuits))
-    elif args.point:
+    elif args.point is not None:
         point = parse_point(args.point)
         window = monomial_window(len(point), args.mode, args.degree)
         description = point_members(random.Random(_seed(args)), point, window, args.trials)
-    elif args.matrix:
+    elif args.matrix is not None:
         matrix = _matrix(args)
         window = monomial_window(matrix.n, args.mode, args.degree)
         description = prime_members(random.Random(_seed(args)), matrix, window, args.trials)
@@ -255,8 +255,8 @@ def _cmd_tideal_trop(args):
 
 
 def _cmd_plot(args):
-    if args.complex:
-        if args.poly or args.file:
+    if args.complex is not None:
+        if args.poly or args.file is not None:
             raise ValueError("plot takes --complex or --poly/--file, not both")
         x = complex_from_json(_load_json_arg(args.complex))
     else:

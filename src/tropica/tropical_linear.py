@@ -5,8 +5,11 @@ Vectors are ``Polynomial``s whose support lies in a fixed monomial window
 [-d, d]^n in Laurent mode).  The module provides span membership by max-plus
 residuation, the monomial elimination axiom checked pairwise, and circuits
 of tropicalized rational ideals under the trivial valuation.  There every
-non-bottom coordinate is the unit, so a circuit, a witness candidate and a
-membership test are plain sets of monomials (frozensets of exponent tuples).
+non-bottom coordinate is the unit, so a circuit, a witness and a membership
+test are plain sets of monomials (frozensets of exponent tuples).  Each
+triple of the axiom is decided in closed form: on circuits by one union of
+the circuits inside a set (``elimination_witness``), on sampled members of
+a prime by its term keys (``_witness_exists``).
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .scalars import BOTTOM, ONE, TropScalar, is_bottom, trop_add, trop_mul
 
 MAX_WINDOW_MONOMIALS = 20  # desk-scale cap for circuit enumeration
 MAX_WINDOW_SIZE = 10_000  # the largest window monomial_window builds
-MAX_TIES = 16  # tie positions per elimination triple (2^ties witness candidates)
 
 
 @dataclass(frozen=True)
@@ -135,38 +137,34 @@ def span_membership(v: Polynomial, gens: list[Polynomial]) -> list[TropScalar] |
     return None
 
 
-def _require_few_ties(count: int) -> None:
-    if count > MAX_TIES:
-        raise ValueError("too many tie positions for exhaustive search")
-
-
 def elimination_witness(
     f: frozenset[Exponents],
     g: frozenset[Exponents],
     u: Exponents,
-    oracle: Callable[[frozenset[Exponents]], bool],
+    span: Callable[[frozenset[Exponents]], frozenset[Exponents]],
 ) -> frozenset[Exponents] | None:
-    """Search for the elimination-axiom witness of two circuits at a shared monomial u.
+    """The largest elimination-axiom witness of two circuits at a shared monomial u.
 
-    Under the trivial valuation a vector is its support.  The witness h must
+    Under the trivial valuation a vector is its support.  A witness h must
     drop u, hold every monomial of F = f xor g (where max(f_v, g_v) is the
-    unit) and may hold any tie of T = (f & g) - {u} (values <= the unit).
-    Candidates are F | S for S a subset of T: all of T first, then with one
-    tie dropped, two, and so on, ties in window order.  Returns the first
-    candidate the oracle accepts, else None.
+    unit), may hold any tie of T = (f & g) - {u}, and must be a member: a
+    union of circuits.  ``span(S)`` is the union of the circuits inside S.
+
+    Lemma.  Let S = (f | g) - {u} = F | T and U = span(S).  A witness exists
+    iff F <= U, and U is then the largest one.  Every witness is a union of
+    circuits inside S, so it lies in U.  Conversely, when F <= U, U is
+    F | (U & T), which has the witness shape, and it is a union of circuits.
+    Witnesses are closed under union, so U is the unique largest witness,
+    the first one a search over F | R (R <= T, most ties first) finds.
+    When F is empty and no circuit lies in T, U is empty: h = 0.
+
+    Returns U, or None when no witness exists.
     """
     u = tuple(u)
     if u not in f or u not in g:
         raise ValueError("u must lie in the supports of both f and g")
-    ties = sorted((f & g) - {u}, key=window_order)
-    _require_few_ties(len(ties))
-    everything = (f | g) - {u}  # F with every tie kept
-    for dropped in range(len(ties) + 1):
-        for subset in itertools.combinations(ties, dropped):
-            h = everything.difference(subset)
-            if oracle(h):
-                return h
-    return None
+    union = span((f | g) - {u})
+    return union if f ^ g <= union else None
 
 
 @dataclass(frozen=True)
@@ -203,13 +201,13 @@ class CircuitSet:
         """The constant monomial alone is a circuit: the slice holds 1."""
         return frozenset({(0,) * self.window.n}) in self.circuits
 
+    def span(self, support: frozenset[Exponents]) -> frozenset[Exponents]:
+        """The union of the circuits inside ``support``."""
+        return frozenset().union(*(c for c in self.circuits if c <= support))
+
     def covers(self, support: frozenset[Exponents]) -> bool:
         """Whether ``support`` is a union of circuits (the empty set is the empty union)."""
-        covered = set()
-        for circuit in self.circuits:
-            if circuit <= support:
-                covered |= circuit
-        return covered == support
+        return self.span(support) == support
 
     def member(self, v: Polynomial) -> bool:
         """Unit values on a support that is a union of circuits."""
@@ -222,7 +220,7 @@ def check_tropical_axiom(description) -> AxiomResult:
     """Run the monomial elimination axiom over all applicable pairs.
 
     ``description`` is either a CircuitSet (all circuit pairs, each shared
-    monomial decided by the witness search against ``covers``) or a
+    monomial decided by ``elimination_witness`` on ``span``) or a
     MembershipSample (all sample pairs, decided on the prime's term keys,
     see ``_witness_exists``).  Pairs come in sample order, each pair's shared
     monomials in window order, and the first failing triple is returned;
@@ -235,7 +233,7 @@ def check_tropical_axiom(description) -> AxiomResult:
     window = description.window
     for f, g in itertools.combinations_with_replacement(description.circuits, 2):
         for u in sorted(f & g, key=window_order):
-            if elimination_witness(f, g, u, description.covers) is None:
+            if elimination_witness(f, g, u, description.span) is None:
                 f, g = (Polynomial(dict.fromkeys(c, ONE), window.n, window.mode) for c in (f, g))
                 return AxiomResult(False, (f, g, u))
     return AxiomResult(True)
@@ -282,8 +280,8 @@ def _check_on_keys(sample: MembershipSample) -> AxiomResult:
 
     One ``_keys`` call gives every term of every sample its key at one
     common denominator, so keys of different samples compare directly.  The
-    triples and their order are those of the circuit search; each triple
-    costs O(ties), so no tie cap applies.
+    triples and their order are those of the circuit check; each triple
+    costs O(ties).
     """
     prime, samples = sample.prime, sample.samples
     if any(f.n != prime.n for f in samples):

@@ -7,7 +7,9 @@ verbatim apart from its name.  It tries up to 2^ties candidate polynomials
 against a membership oracle (by default `bend_ideal_member` of the prime)
 and, at a geometric prime, the tie-level candidates at its point
 (`variety_of_prime`).  Point samples use the former oracle "zero or
-vanishes at the point".
+vanishes at the point".  Its tie cap, `MAX_TIES` and `_require_few_ties`,
+moved here from `tropical_linear` with the last search there;
+`test_circuit_supports.ref_set_witness` shares it.
 `ref_prime_members` is the former `sampling.prime_members` loop, which
 built a polynomial for every draw and asked `bend_ideal_member`; where it
 drew no member, `prime_members` now raises instead.  Both are
@@ -16,12 +18,12 @@ kept here only as oracles.
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 from typing import Callable
 
 import pytest
 
-from tropica import tropical_linear
 from tropica.matrices import dot
 from tropica.polynomials import LAURENT, POLY, Exponents, Polynomial
 from tropica.primes import (
@@ -43,7 +45,6 @@ from tropica.scalars import is_bottom, trop_add
 from tropica.tropical_linear import (
     AxiomResult,
     MembershipSample,
-    _require_few_ties,
     _require_same_ring,
     check_tropical_axiom,
     monomial_window,
@@ -53,8 +54,14 @@ from tropica.tropical_linear import (
 from test_one_construction import assert_no_member_error, tied_prime
 
 FIRST_ENTRIES = ("any", "zero", "positive")
+MAX_TIES = 16  # tie positions per triple the reference searches try (2^ties candidates)
 
 # -- reference implementations -------------------------------------------------
+
+
+def _require_few_ties(count: int) -> None:
+    if count > MAX_TIES:
+        raise ValueError("too many tie positions for exhaustive search")
 
 
 def ref_elimination_witness(
@@ -262,7 +269,7 @@ def test_axiom_on_keys_same_pair_and_many_ties(monkeypatch):
     assert outcomes[1] == outcomes[2] == AxiomResult(False, (f, g, (0, 1)))
     capped = [_outcome(lambda: ref_check_axiom(s)) for s in cases]
     assert capped[2] == capped[4] == ("ValueError", "too many tie positions for exhaustive search")
-    monkeypatch.setattr(tropical_linear, "MAX_TIES", 17)
+    monkeypatch.setattr(sys.modules[__name__], "MAX_TIES", 17)
     assert outcomes == [_outcome(lambda: ref_check_axiom(s)) for s in cases]
 
 

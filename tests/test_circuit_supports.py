@@ -1,22 +1,28 @@
-"""Circuits as monomial sets against the `Polynomial` search they replaced.
+"""Circuits as monomial sets against the searches they replaced.
 
 Under the trivial valuation a circuit is its support, so `CircuitSet` holds
-frozensets of exponent tuples and `elimination_witness` searches monomial
-sets.  `ref_check_circuits` is the former `check_tropical_axiom` loop over a
+frozensets of exponent tuples, and `elimination_witness` decides a triple in
+closed form: the union of the circuits inside (f | g) - {u}.
+`ref_set_witness` is the former `elimination_witness`, which searched the
+2^ties candidate sets with `covers` as its oracle, moved here verbatim apart
+from its name; it shares the tie cap of `test_axiom_keys`.
+`ref_check_circuits` is the former `check_tropical_axiom` loop over a
 CircuitSet of unit-coefficient `Polynomial`s: every triple goes to
 `ref_elimination_witness` (the former search on polynomials, kept in
 `test_axiom_keys`) with `ref_member`, the former `CircuitSet.member`, as its
-oracle.  On seeded circuit sets both must pass or fail together, with the
-same first counterexample, the same witness for every triple tried before
-it, and the same tie-cap error.  They are kept here only as oracles.
+oracle.  On seeded circuit sets the closed form and both searches must pass
+or fail together, with the same first counterexample and the same witness
+for every triple tried before it.  The searches are kept here only as
+oracles.
 """
 
 import itertools
 import random
 import sys
 from pathlib import Path
+from typing import Callable
 
-from tropica.polynomials import LAURENT, POLY, Polynomial
+from tropica.polynomials import LAURENT, POLY, Exponents, Polynomial
 from tropica.sampling import random_polynomial
 from tropica.tropical_linear import (
     AxiomResult,
@@ -28,12 +34,42 @@ from tropica.tropical_linear import (
     window_order,
 )
 
-from test_axiom_keys import _outcome, ref_elimination_witness
+import test_axiom_keys
+from test_axiom_keys import _outcome, _require_few_ties, ref_elimination_witness
 from test_circuit_scan import _random_ideal
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # -- reference implementations -------------------------------------------------
+
+
+def ref_set_witness(
+    f: frozenset[Exponents],
+    g: frozenset[Exponents],
+    u: Exponents,
+    oracle: Callable[[frozenset[Exponents]], bool],
+) -> frozenset[Exponents] | None:
+    """Search for the elimination-axiom witness of two circuits at a shared monomial u.
+
+    Under the trivial valuation a vector is its support.  The witness h must
+    drop u, hold every monomial of F = f xor g (where max(f_v, g_v) is the
+    unit) and may hold any tie of T = (f & g) - {u} (values <= the unit).
+    Candidates are F | S for S a subset of T: all of T first, then with one
+    tie dropped, two, and so on, ties in window order.  Returns the first
+    candidate the oracle accepts, else None.
+    """
+    u = tuple(u)
+    if u not in f or u not in g:
+        raise ValueError("u must lie in the supports of both f and g")
+    ties = sorted((f & g) - {u}, key=window_order)
+    _require_few_ties(len(ties))
+    everything = (f | g) - {u}  # F with every tie kept
+    for dropped in range(len(ties) + 1):
+        for subset in itertools.combinations(ties, dropped):
+            h = everything.difference(subset)
+            if oracle(h):
+                return h
+    return None
 
 
 def ref_member(circuits, v: Polynomial) -> bool:
@@ -100,29 +136,35 @@ def _circuit_set(seed):
     return "random " + mode, CircuitSet(window, tuple(sets))
 
 
+def _triples(circuit_set: CircuitSet):
+    """The triples (f, g, u) of the axiom check, in its order."""
+    for f, g in itertools.combinations_with_replacement(circuit_set.circuits, 2):
+        for u in sorted(f & g, key=window_order):
+            yield f, g, u
+
+
 def _witnesses_until_failure(circuit_set: CircuitSet) -> None:
     """Both searches ask the same candidates, in the same order, on every
     triple up to the first failure, and return the same witness."""
     polys = _polynomials(circuit_set)
     index = dict(zip(circuit_set.circuits, polys))
-    for f, g in itertools.combinations_with_replacement(circuit_set.circuits, 2):
-        for u in sorted(f & g, key=window_order):
-            asked, former = [], []
+    for f, g, u in _triples(circuit_set):
+        asked, former = [], []
 
-            def oracle(h):
-                asked.append(h)
-                return circuit_set.covers(h)
+        def oracle(h):
+            asked.append(h)
+            return circuit_set.covers(h)
 
-            def former_oracle(h):
-                former.append(frozenset(h.support()))
-                return ref_member(polys, h)
+        def former_oracle(h):
+            former.append(frozenset(h.support()))
+            return ref_member(polys, h)
 
-            got = elimination_witness(f, g, u, oracle)
-            want = ref_elimination_witness(index[f], index[g], u, former_oracle)
-            assert got == (None if want is None else frozenset(want.support()))
-            assert asked == former
-            if got is None:
-                return
+        got = ref_set_witness(f, g, u, oracle)
+        want = ref_elimination_witness(index[f], index[g], u, former_oracle)
+        assert got == (None if want is None else frozenset(want.support()))
+        assert asked == former
+        if got is None:
+            return
 
 
 def test_set_search_matches_polynomial_search():
@@ -140,17 +182,67 @@ def test_set_search_matches_polynomial_search():
     assert failed >= 50, failed
 
 
-def test_set_search_keeps_the_tie_cap():
-    # one circuit of `size` monomials, and each monomial a circuit: every
-    # candidate is a union of circuits, so the first is the witness
+def _many_ties(ties: int) -> list[CircuitSet]:
+    """Three circuit sets with triples of ``ties`` ties, B the first ties + 1
+    monomials of a window.
+
+    With B and every monomial of B as circuits, the first candidate is the
+    witness.  Without the singleton of B's last monomial, the first triple's
+    last tie, the search drops one tie after another until that one goes.
+    The third set holds f = B | {a}, g = B | {b} and the singletons of
+    B | {a}: the self-pairs of f (ties + 1 ties) pass at their first
+    candidate, and (f, g) fails after all 2^ties candidates, since no
+    circuit inside (f | g) - {u} holds b.
+    """
     window = monomial_window(2, LAURENT, 2)
-    for size, message in ((17, None), (18, "too many tie positions for exhaustive search")):
+    big = window.monomials[: ties + 1]
+    a, b = window.monomials[ties + 1 : ties + 3]
+    singletons = [frozenset({e}) for e in big]
+    f, g = frozenset({*big, a}), frozenset({*big, b})
+    return [
+        CircuitSet(window, (frozenset(big), *singletons)),
+        CircuitSet(window, (frozenset(big), *singletons[:-1])),
+        CircuitSet(window, (f, g, *singletons, frozenset({a}))),
+    ]
+
+
+def test_closed_form_matches_set_search(monkeypatch):
+    """On every triple up to the first failure, the closed form returns the
+    witness of the set search, beyond the search's tie cap too."""
+    monkeypatch.setattr(test_axiom_keys, "MAX_TIES", 19)
+    cases = [_circuit_set(seed)[1] for seed in range(360)] + _many_ties(17) + _many_ties(18)
+    triples, self_pairs, zero, failed = 0, 0, 0, 0
+    ties = set()
+    for circuit_set in cases:
+        for f, g, u in _triples(circuit_set):
+            want = ref_set_witness(f, g, u, circuit_set.covers)
+            assert elimination_witness(f, g, u, circuit_set.span) == want, (circuit_set.circuits, f, g, u)
+            triples += 1
+            self_pairs += f == g
+            zero += want == frozenset()
+            ties.add(len(f & g) - 1)
+            if want is None:
+                failed += 1
+                break
+    assert triples >= 3_500 and self_pairs >= 1_800 and zero >= 1_500 and failed >= 100
+    assert {17, 18} <= ties
+
+
+def test_circuit_check_has_no_tie_cap(monkeypatch):
+    # one circuit of `size` monomials, and each monomial a circuit: it has
+    # 16 and 17 ties with itself.  Both are decided; the search it replaced
+    # raised on 17 ties, and agrees once its cap is lifted
+    window = monomial_window(2, LAURENT, 2)
+    too_many = ("ValueError", "too many tie positions for exhaustive search")
+    for size, capped in ((17, AxiomResult(True)), (18, too_many)):
         monomials = window.monomials[:size]
         circuits = (frozenset(monomials), *(frozenset({e}) for e in monomials))
         circuit_set = CircuitSet(window, circuits)
-        expected = _outcome(lambda: ref_check_circuits(_polynomials(circuit_set)))
-        assert _outcome(lambda: check_tropical_axiom(circuit_set)) == expected
-        assert expected == (AxiomResult(True) if message is None else ("ValueError", message))
+        assert _outcome(lambda: check_tropical_axiom(circuit_set)) == AxiomResult(True)
+        assert _outcome(lambda: ref_check_circuits(_polynomials(circuit_set))) == capped
+        with monkeypatch.context() as lifted:
+            lifted.setattr(test_axiom_keys, "MAX_TIES", 17)
+            assert ref_check_circuits(_polynomials(circuit_set)) == AxiomResult(True)
 
 
 def test_member_matches_former_member():

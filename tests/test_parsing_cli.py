@@ -818,6 +818,36 @@ def test_cli_tideal_check_takes_one_description(capsys, args, given):
     }
 
 
+@pytest.mark.parametrize(
+    "args, code, error",
+    [
+        (
+            ["tideal-check", "--point", "", "--degree", "1", "--trials", "2"],
+            2,
+            {"error": "parse", "message": "empty point (at position 0)"},
+        ),
+        (
+            ["plot", "--complex", "", "--poly", "x + y + 0"],
+            1,
+            {"error": "domain", "message": "plot takes --complex or --poly/--file, not both"},
+        ),
+        (
+            ["prime-check", "--matrix", ""],
+            1,
+            {"error": "domain", "message": "Expecting value: line 1 column 1 (char 0)"},
+        ),
+    ],
+    ids=["tideal-check-point", "plot-complex", "prime-check-matrix"],
+)
+def test_cli_empty_option_values(capsys, args, code, error):
+    # an empty value was taken as absent ("one of --circuits, --point or
+    # --matrix is required", or the polynomial was plotted), and an empty
+    # matrix was read from the directory Path("") names: "Is a directory: '.'"
+    rc, out, err = run_cli(args, capsys)
+    assert rc == code and out == ""
+    assert json.loads(err) == error
+
+
 @pytest.mark.parametrize("bbox", [(-5, -5, 5.5, 5), (-5, -5, "0.5", 5)])
 def test_render_svg_rejects_inexact_bbox(bbox):
     # Fraction(v) read the float 5.5 and the decimal "0.5" as exact bounds

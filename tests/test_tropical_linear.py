@@ -26,6 +26,7 @@ from tropica.tropical_linear import (
 from tropica.varieties import affine_prevariety, prevariety
 
 from test_axiom_keys import ref_elimination_witness
+from test_circuit_supports import ref_set_witness
 
 
 def P(text, n=None, mode=POLY):
@@ -136,8 +137,9 @@ def test_residuation_vs_grid_brute_force():
 # -- elimination witness ------------------------------------------------------------------
 #
 # The valued search, with its tie-level candidates at a geometric point, is
-# `ref_elimination_witness`, the oracle of the keys decider; the search in
-# `tropical_linear` runs on circuits, which are monomial sets.
+# `ref_elimination_witness`, the oracle of the keys decider.  On circuits,
+# which are monomial sets, `tropical_linear` decides each triple in closed
+# form; the set search it replaced is `ref_set_witness`, its oracle.
 
 
 def _point_oracle(point):
@@ -189,25 +191,45 @@ def test_circuit_witness_candidates_in_order():
         asked.append(h)
         return False
 
-    assert elimination_witness(f, g, X, oracle) is None
+    assert ref_set_witness(f, g, X, oracle) is None
     assert asked == [frozenset({ONE_MONO, Y}), frozenset({ONE_MONO})]
-    assert elimination_witness(f, g, X, lambda h: len(h) == 1) == frozenset({ONE_MONO})
+    assert ref_set_witness(f, g, X, lambda h: len(h) == 1) == frozenset({ONE_MONO})
     # a circuit with itself: F is empty, so the last candidate is the empty
     # set (h = 0); ties go in window order, x before y^2 (lex order differs)
     c = frozenset({X, (0, 2), (1, 1)})
     asked.clear()
-    assert elimination_witness(c, c, (1, 1), oracle) is None
+    assert ref_set_witness(c, c, (1, 1), oracle) is None
     assert asked == [frozenset({X, (0, 2)}), frozenset({(0, 2)}), frozenset({X}), frozenset()]
 
 
+def test_circuit_witness_closed_form():
+    # the witness is the union of the circuits inside (f | g) - {u}, when
+    # that union holds F = f xor g
+    window = monomial_window(2, POLY, 2)
+    f, g = frozenset({X, Y, ONE_MONO}), frozenset({X, Y})
+    assert CircuitSet(window, (f, g)).span(frozenset({ONE_MONO, Y})) == frozenset()
+    assert elimination_witness(f, g, X, CircuitSet(window, (f, g)).span) is None
+    one = frozenset({ONE_MONO})
+    assert elimination_witness(f, g, X, CircuitSet(window, (f, g, one)).span) == one
+    # with every monomial a circuit, all ties are kept, as the search's first candidate
+    singles = tuple(frozenset({e}) for e in f)
+    assert elimination_witness(f, g, X, CircuitSet(window, (f, g, *singles)).span) == f - {X}
+    # a circuit with itself and no circuit inside the rest: h = 0
+    c = frozenset({X, (0, 2), (1, 1)})
+    assert elimination_witness(c, c, (1, 1), CircuitSet(window, (c,)).span) == frozenset()
+
+
 def test_circuit_witness_tie_cap():
+    # the set search keeps its cap; the closed form has none
     window = monomial_window(2, LAURENT, 2)
     edge = frozenset(window.monomials[:17])  # 16 ties with itself at any u
     big = frozenset(window.monomials[:18])  # 17
     u = window.monomials[0]
-    assert elimination_witness(edge, edge, u, lambda h: True) == edge - {u}
+    assert ref_set_witness(edge, edge, u, lambda h: True) == edge - {u}
     with pytest.raises(ValueError, match="too many tie positions"):
-        elimination_witness(big, big, u, lambda h: True)
+        ref_set_witness(big, big, u, lambda h: True)
+    singles = CircuitSet(window, tuple(frozenset({e}) for e in big))
+    assert elimination_witness(big, big, u, singles.span) == big - {u}
 
 
 def test_elimination_precondition():
