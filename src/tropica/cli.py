@@ -89,12 +89,20 @@ def _load_json_arg(text: str):
     return json.loads(text)
 
 
+def _file_name(value: str | None, option: str) -> str | None:
+    """An option's file name; an empty one is a domain error, not the directory '.'."""
+    if value == "":
+        raise ValueError(f"{option} is empty: it needs a file name")
+    return value
+
+
 def _polynomials(args) -> list[Polynomial]:
     texts = list(args.poly or [])
-    if getattr(args, "file", None):
+    file = _file_name(getattr(args, "file", None), "--file")
+    if file is not None:
         texts.extend(
             line.strip()
-            for line in Path(args.file).read_text().splitlines()
+            for line in Path(file).read_text().splitlines()
             if line.strip() and not line.strip().startswith("#")
         )
     if not texts:
@@ -255,6 +263,7 @@ def _cmd_tideal_trop(args):
 
 
 def _cmd_plot(args):
+    output = _file_name(args.output, "--output")
     if args.complex is not None:
         if args.poly or args.file is not None:
             raise ValueError("plot takes --complex or --poly/--file, not both")
@@ -265,8 +274,8 @@ def _cmd_plot(args):
     if len(bbox) != 4:
         raise ValueError("--bbox expects xmin,ymin,xmax,ymax")
     svg = render_svg(x, bbox)
-    if args.output:
-        Path(args.output).write_text(svg)
+    if output is not None:
+        Path(output).write_text(svg)
     else:
         sys.stdout.write(svg)
 

@@ -61,7 +61,7 @@ def contains_bends(matrix: AdmissibleMatrix, gens: list[Polynomial]) -> bool:
 def _interior_shift(cell: Cell, direction) -> tuple[Fraction, ...]:
     """omega + t * direction staying inside the cell, with t > 0 rational."""
     omega = cell.interior_point
-    _, t_max = line_bounds(cell.polyhedron, omega, direction)
+    _, t_max = line_bounds(cell.rows, omega, direction)
     t = Fraction(1) if t_max is None else t_max / 2
     if t <= 0:
         raise ValueError("interior point is not strictly inside the cell")
@@ -79,7 +79,7 @@ def witness_prime(x: PolyComplex, gens: list[Polynomial]) -> AdmissibleMatrix:
     maximal cells are broken by the canonical cell serialization, so the
     witness is deterministic.
     """
-    if x.is_empty():
+    if not x.cells:
         raise EmptyVarietyError("cannot build a witness over an empty complex")
     if any(cell.stratum for cell in x.cells):
         raise ValueError("witness construction expects an R^n complex")
@@ -88,7 +88,7 @@ def witness_prime(x: PolyComplex, gens: list[Polynomial]) -> AdmissibleMatrix:
     cell = candidates[0]
     omega = cell.interior_point
     rows = [[Fraction(1), *omega]]
-    directions = affine_hull_directions(cell.polyhedron, omega)
+    directions = affine_hull_directions(cell.rows, x.ambient, omega)
     if len(directions) != d:  # a boundary point has more tight rows
         raise ValueError("interior point is not strictly inside the cell")
     for direction in directions:
@@ -107,7 +107,7 @@ def coordinate_dimension(gens: list[Polynomial]) -> DimensionReport:
     the prevariety-based value (see the caveat field).
     """
     x = prevariety(gens)
-    if x.is_empty():
+    if not x.cells:
         raise EmptyVarietyError(
             "the generators have an empty vanishing locus; no dimension claim is made"
         )

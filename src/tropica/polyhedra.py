@@ -1,13 +1,15 @@
-"""Exact rational polyhedra: feasibility, dimension, interior points, projection.
+"""Exact rational polyhedra: feasibility, dimension, interior points.
 
-Everything is decided by Fourier-Motzkin elimination with equality pivoting
-and deduplication of parallel rows; no LP solver and no floating point.
-Elimination runs on integer rows a.x rel b, and there is one implementation
-of each solve: ``_int_feasible_point`` (a point as integers (nums, den), the
-point nums / den), ``_int_implicit_equalities`` and ``_int_interior_point``.
-The ``Fraction`` entry points (``feasible_point``, ``dimension``,
-``relative_interior_point``) clear each constraint of denominators once and
-call them, and only they turn the point into rational coordinates.
+A polyhedron is a list of integer rows a.x rel b (``IntRow``); that is the
+only representation in the package.  Everything is decided by
+Fourier-Motzkin elimination with equality pivoting and deduplication of
+parallel rows; no LP solver and no floating point.  There is one
+implementation of each solve: ``_int_feasible_point`` (a point as integers
+(nums, den), the point nums / den), ``_int_implicit_equalities`` and
+``_int_interior_point``.  ``_fractions`` and ``_int_point`` turn a point
+into rational coordinates and back; ``dimension``, ``contains_point``,
+``affine_hull_directions`` and ``line_bounds`` read integer rows too.
+Rational constraints are cleared of denominators once, by ``_int_row``.
 
 Representation lemma: the solve fixes x_k from the fibre of the projection
 onto x_1..x_k over the coordinates already fixed.  It takes the forced
@@ -23,11 +25,10 @@ content reduction.  So the kernel does only work that changes its answer.
 Rows are deduplicated and divided by their content (``_normalize``) only
 right before a pairing step, where they multiply; pivot and truncate-only
 levels pass their rows through; constant rows are checked once, on the
-constant level; and back-substitution stays on integers.  Callers that
-hold integer rows already (the cell layer in ``varieties``) pass them in
-directly.  Strict inequalities are supported internally so that implicit
-equalities and relative interior points are exact.  Desk scale: a handful
-of dimensions and a few dozen constraints.
+constant level; and back-substitution stays on integers.  Strict
+inequalities are supported internally so that implicit equalities and
+relative interior points are exact.  Desk scale: a handful of dimensions
+and a few dozen constraints.
 
 Strictness lemma: let R be EQ/LE rows, P the point ``_int_feasible_point``
 returns for R, and R' the same rows with every LE row made strict.  When
@@ -46,7 +47,6 @@ rows probed and the strict system solved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -55,48 +55,8 @@ from .matrices import clear_denominators, dot, int_rank, nullspace, to_fraction
 
 LE, EQ, LT = "le", "eq", "lt"
 
-Constraint = tuple[tuple[Fraction, ...], Fraction, str]
 IntRow = tuple[tuple[int, ...], int, str]  # a.x rel b with integer a and b
 IntPoint = tuple[tuple[int, ...], int]  # the point nums / den, with den > 0
-
-
-@dataclass(frozen=True)
-class HalfSpace:
-    normal: tuple[Fraction, ...]
-    rhs: Fraction
-    relation: str = LE
-
-    def __post_init__(self):
-        if self.relation not in (LE, EQ):
-            raise ValueError(f"relation must be {LE!r} or {EQ!r}")
-
-
-@dataclass(frozen=True)
-class Polyhedron:
-    constraints: tuple[HalfSpace, ...]
-    n: int
-
-
-def make_polyhedron(rows, n: int) -> Polyhedron:
-    """rows: iterables (normal, rhs, relation); coerces entries to Fraction.
-
-    Every normal must have n entries; a ValueError names the first that does not.
-    """
-    cons = []
-    for i, (normal, rhs, rel) in enumerate(rows):
-        normal = tuple(to_fraction(x) for x in normal)
-        if len(normal) != n:
-            raise ValueError(f"row {i}: normal has {len(normal)} entries, expected n = {n}")
-        cons.append(HalfSpace(normal, to_fraction(rhs), rel))
-    return Polyhedron(tuple(cons), n)
-
-
-def full_space(n: int) -> Polyhedron:
-    return Polyhedron((), n)
-
-
-def _as_constraints(poly: Polyhedron) -> list[Constraint]:
-    return [(h.normal, h.rhs, h.relation) for h in poly.constraints]
 
 
 def _int_row(coeffs, rhs, rel) -> IntRow:
@@ -109,12 +69,11 @@ def _normalize(rows: list[IntRow]) -> list[IntRow] | None:
     """Drop trivial rows and dedupe; None when a constant row is violated.
 
     The solve calls it right before a pairing step, on the rows that
-    multiply there, and once on the constant level; ``fm_eliminate`` calls
-    it on the rows it returns.  Rows are deduplicated on their primitive
-    normal a / gcd(a); of two inequalities the one with the smaller
-    b / gcd(a) is kept (the strict one on a tie), and two equalities, signed
-    by their first non-zero entry, must agree.  Each kept row is divided by
-    the gcd of its entries.
+    multiply there, and once on the constant level.  Rows are deduplicated
+    on their primitive normal a / gcd(a); of two inequalities the one with
+    the smaller b / gcd(a) is kept (the strict one on a tie), and two
+    equalities, signed by their first non-zero entry, must agree.  Each kept
+    row is divided by the gcd of its entries.
     """
     eqs: dict[tuple[int, ...], tuple[IntRow, int]] = {}
     best: dict[tuple[int, ...], tuple[IntRow, int]] = {}
@@ -299,6 +258,8 @@ def _int_interior_point(rows: list[IntRow], n: int, point: IntPoint) -> IntPoint
     return found
 
 
+
+
 def _fractions(point: IntPoint) -> tuple[Fraction, ...]:
     nums, den = point
     return tuple(Fraction(x, den) for x in nums)
@@ -311,118 +272,56 @@ def _int_point(point) -> IntPoint:
     return tuple(x.numerator * (den // x.denominator) for x in point), den
 
 
-def int_rows(poly: Polyhedron) -> list[IntRow]:
-    """The constraints cleared of denominators, in order."""
-    return [_int_row(h.normal, h.rhs, h.relation) for h in poly.constraints]
-
-
-def _feasible_point(cons: list[Constraint], n: int) -> tuple[Fraction, ...] | None:
-    """A point of the system (normal, rhs, relation), or None when it is empty."""
-    found = _int_feasible_point([_int_row(*c) for c in cons], n)
-    return None if found is None else _fractions(found)
-
-
-def feasible_point(poly: Polyhedron) -> tuple[Fraction, ...] | None:
-    """Some point of the polyhedron, or None when it is empty."""
-    return _feasible_point(_as_constraints(poly), poly.n)
-
-
-def is_empty(poly: Polyhedron) -> bool:
-    return feasible_point(poly) is None
-
-
-def contains_point(poly: Polyhedron, point) -> bool:
-    pt = tuple(to_fraction(x) for x in point)
-    for h in poly.constraints:
-        value = dot(h.normal, pt)
-        if h.relation == EQ and value != h.rhs:
-            return False
-        if h.relation == LE and value > h.rhs:
+def contains_point(rows: list[IntRow], point) -> bool:
+    """Whether the rational point satisfies every EQ and LE row."""
+    nums, den = _int_point(point)
+    for a, b, rel in rows:
+        value, bound = sum(map(mul, a, nums)), b * den
+        if value > bound or (rel == EQ and value != bound):
             return False
     return True
 
 
-def dimension(poly: Polyhedron) -> int:
-    """Dimension of the affine hull, read off one set of integer rows; -1 for the empty set."""
-    rows = int_rows(poly)
-    point = _int_feasible_point(rows, poly.n)
+def dimension(rows: list[IntRow], n: int) -> int:
+    """Dimension of the affine hull of the rows in R^n; -1 for the empty set."""
+    point = _int_feasible_point(rows, n)
     if point is None:
         return -1
-    implicit = set(_int_implicit_equalities(rows, poly.n, point))
-    return poly.n - int_rank([a for i, (a, _, rel) in enumerate(rows) if rel == EQ or i in implicit])
+    implicit = set(_int_implicit_equalities(rows, n, point))
+    return n - int_rank([a for i, (a, _, rel) in enumerate(rows) if rel == EQ or i in implicit])
 
 
-def affine_hull_directions(poly: Polyhedron, point) -> list[tuple[Fraction, ...]]:
+def affine_hull_directions(rows: list[IntRow], n: int, point) -> list[tuple[Fraction, ...]]:
     """Rational basis of the direction space of the affine hull, read off ``point``.
 
-    ``point`` must be a relative interior point (``relative_interior_point``).
+    ``point`` must be a relative interior point (``_int_interior_point``).
     Tight-row lemma: at such a point the rows that hold with equality are
     exactly the EQ rows and the implicit equalities (Schrijver, *Theory of
     Linear and Integer Programming*, 8.2), so the hull is the nullspace of
     their normals, with no solve.  The basis is that of ``nullspace``: the
     reduced row echelon form of a row space is unique, so any point with the
-    same tight rows gives the same directions.
+    same tight rows, and any positive scaling of the rows, gives the same
+    directions.
     """
-    return nullspace([h.normal for h in poly.constraints if dot(h.normal, point) == h.rhs], poly.n)
+    nums, den = _int_point(point)
+    return nullspace([a for a, b, _ in rows if sum(map(mul, a, nums)) == b * den], n)
 
 
-def line_bounds(poly: Polyhedron, point, direction) -> tuple[Fraction | None, Fraction | None]:
-    """The interval (lo, hi) of t with point + t * direction in the polyhedron.
+def line_bounds(rows: list[IntRow], point, direction) -> tuple[Fraction | None, Fraction | None]:
+    """The interval (lo, hi) of t with point + t * direction satisfying the rows.
 
-    ``point`` lies in the polyhedron and ``direction`` in its affine hull,
+    ``point`` satisfies the rows and ``direction`` lies in their affine hull,
     so EQ rows hold along the whole line and are skipped, as are rows
     parallel to it.  A side with no bound reads None.
     """
     lo = hi = None
-    for h in poly.constraints:
-        slope = dot(h.normal, direction)
-        if h.relation == EQ or slope == 0:
+    for a, b, rel in rows:
+        slope = dot(a, direction)
+        if rel == EQ or slope == 0:
             continue
-        bound = (h.rhs - dot(h.normal, point)) / slope
+        bound = (b - dot(a, point)) / slope
         if slope > 0:
             hi = bound if hi is None or bound < hi else hi
         else:
             lo = bound if lo is None or bound > lo else lo
     return lo, hi
-
-
-def relative_interior_point(poly: Polyhedron) -> tuple[Fraction, ...]:
-    """A rational point satisfying every non-implied inequality strictly."""
-    rows = int_rows(poly)
-    found = _int_feasible_point(rows, poly.n)
-    if found is None:
-        raise ValueError("polyhedron is empty")
-    return _fractions(_int_interior_point(rows, poly.n, found))
-
-
-def intersect(p: Polyhedron, q: Polyhedron) -> Polyhedron:
-    if p.n != q.n:
-        raise ValueError(f"ambient dimension mismatch: {p.n} vs {q.n}")
-    return Polyhedron(p.constraints + q.constraints, p.n)
-
-
-def fm_eliminate(poly: Polyhedron, index: int) -> Polyhedron:
-    """Exact projection dropping the given coordinate (ambient shrinks by one).
-
-    A point lies in the output exactly when it lifts to the input.  The rows
-    come back normalized: primitive, with no trivial rows and no parallel
-    duplicates, equalities first, each where its direction first arises
-    among the combinations.  Deduplicating the rows before they multiply
-    changes neither the set nor this order.
-    """
-    if not 0 <= index < poly.n:
-        raise ValueError(f"coordinate index {index} out of range for n={poly.n}")
-    # move the coordinate to the end, then eliminate it
-    order = [i for i in range(poly.n) if i != index] + [index]
-    rows = []
-    for h in poly.constraints:
-        rows.append(_int_row(tuple(h.normal[i] for i in order), h.rhs, h.relation))
-    reduced = _normalize(_eliminate_last(rows, poly.n)[0])
-    if reduced is None:
-        # projection of an (evidently) empty set: encode a constant contradiction
-        zero = tuple([Fraction(0)] * (poly.n - 1))
-        return Polyhedron((HalfSpace(zero, Fraction(-1), LE),), poly.n - 1)
-    out = []
-    for a, b, rel in reduced:
-        out.append(HalfSpace(tuple(map(Fraction, a)), Fraction(b), LE if rel == LT else rel))
-    return Polyhedron(tuple(out), poly.n - 1)

@@ -12,12 +12,12 @@ Queries run on integers.  Multiplying a row by a positive number leaves the
 sign of each entry of U @ (t1 - t2) unchanged, hence the order too (Joó and
 Mincheva, Prime congruences of additively idempotent semirings and a
 Nullstellensatz for tropical polynomials, Selecta Math. 2018).  So each
-matrix caches its rows cleared of denominators (``int_rows``), and the terms
-of one query are scaled by their common denominator D > 0, which again
-keeps every sign.  A term's key is then the integer tuple U_int @ (D c, D u),
-and terms compare as their keys compare lexicographically.  Polynomial
-exponents are integers, so for a polynomial D is the lcm of its coefficient
-denominators alone.
+matrix caches its rows cleared of denominators (``cleared_rows``), and the
+terms of one query are scaled by their common denominator D > 0, which
+again keeps every sign.  A term's key is then the integer tuple
+U_int @ (D c, D u), and terms compare as their keys compare
+lexicographically.  Polynomial exponents are integers, so for a polynomial
+D is the lcm of its coefficient denominators alone.
 
 Every query asks only for the top class, which ``_top_class`` finds by
 lexicographic refinement: row 0 is computed for every term and only the
@@ -65,7 +65,7 @@ class AdmissibilityError(ValueError):
 class AdmissibleMatrix:
     """Validated defining matrix of a prime congruence.
 
-    ``int_rows`` holds each row times the lcm of its denominators: the same
+    ``cleared_rows`` holds each row times the lcm of its denominators: the same
     order, on integer entries.  ``check_admissible`` fills it with the rows
     it cleared for its rank test, so it is computed once, not on first use.
     """
@@ -73,7 +73,7 @@ class AdmissibleMatrix:
     rows: tuple[tuple[Fraction, ...], ...]
     n: int
     mode: str = LAURENT
-    int_rows: tuple[tuple[int, ...], ...] = field(kw_only=True, repr=False, compare=False)
+    cleared_rows: tuple[tuple[int, ...], ...] = field(kw_only=True, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -93,12 +93,12 @@ def admissibility_violations(rows, n: int) -> list[str]:
     return _violations(rows, [clear_denominators(r) for r in rows], n)
 
 
-def _violations(rows, int_rows, n: int) -> list[str]:
+def _violations(rows, cleared, n: int) -> list[str]:
     """The conditions on a non-empty matrix of n + 1 columns, given also cleared of denominators."""
     problems = []
     if len(rows) > n + 1:
         problems.append(f"at most {n + 1} rows allowed, got {len(rows)}")
-    if int_rank(int_rows) != len(rows):
+    if int_rank(cleared) != len(rows):
         problems.append("rows are linearly dependent")
     first_nonzero = next((r[0] for r in rows if r[0] != 0), None)
     if first_nonzero is not None and first_nonzero < 0:
@@ -110,17 +110,17 @@ def check_admissible(rows, n: int, mode: str = LAURENT) -> AdmissibleMatrix:
     """Validate and freeze a defining matrix; raises AdmissibilityError.
 
     Each row is read once as ``Fraction``s and cleared of denominators once;
-    the integer rows serve the rank test and become the matrix's ``int_rows``.
+    the integer rows serve the rank test and become its ``cleared_rows``.
     """
     _check_mode(mode)
     frozen = tuple(tuple(to_fraction(x) for x in row) for row in rows)
     if any(len(r) != n + 1 for r in frozen) or not frozen:
         raise AdmissibilityError([f"matrix must be non-empty with {n + 1} columns"])
-    int_rows = tuple(map(clear_denominators, frozen))
-    problems = _violations(frozen, int_rows, n)
+    cleared = tuple(map(clear_denominators, frozen))
+    problems = _violations(frozen, cleared, n)
     if problems:
         raise AdmissibilityError(problems)
-    return AdmissibleMatrix(frozen, n, mode, int_rows=int_rows)
+    return AdmissibleMatrix(frozen, n, mode, cleared_rows=cleared)
 
 
 def _term_vector(term: Term, n: int) -> tuple[Fraction, tuple[Fraction, ...]]:
@@ -146,7 +146,7 @@ def _scaled(vectors) -> tuple[list[tuple[int, ...]], int]:
 def _keys(matrix: AdmissibleMatrix, vectors) -> tuple[list[tuple[int, ...]], int]:
     """Full integer keys U_int @ (D c, D u) of (c, u) vectors, and their common denominator D."""
     scaled, den = _scaled(vectors)
-    rows = matrix.int_rows
+    rows = matrix.cleared_rows
     return [tuple(sum(map(mul, row, v)) for row in rows) for v in scaled], den
 
 
@@ -158,7 +158,7 @@ def _top_class(matrix: AdmissibleMatrix, vectors) -> tuple[list[int], tuple[int,
     """
     tied = range(len(vectors))
     key = []
-    for row in matrix.int_rows:
+    for row in matrix.cleared_rows:
         values = [sum(map(mul, row, vectors[i])) for i in tied]
         top = max(values)
         key.append(top)

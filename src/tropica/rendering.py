@@ -7,27 +7,23 @@ inputs produce byte-identical documents.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .matrices import to_fraction
-from .polyhedra import EQ, LE, HalfSpace, Polyhedron, affine_hull_directions, intersect, is_empty
-from .polyhedra import line_bounds, relative_interior_point
+from .polyhedra import EQ, LE, IntRow, _fractions, _int_feasible_point, _int_interior_point
+from .polyhedra import _int_row, affine_hull_directions, line_bounds
 from .varieties import PolyComplex
 
 _SIZE = 400
 
+# the axes x = 0 and y = 0
+_AXES = ([((1, 0), 0, EQ)], [((0, 1), 0, EQ)])
 
-def _bbox_polyhedron(bbox) -> Polyhedron:
+
+def _bbox_rows(bbox) -> list[IntRow]:
     xmin, ymin, xmax, ymax = bbox
     if xmin >= xmax or ymin >= ymax:
         raise ValueError("bounding box must have positive extent")
-    cons = (
-        HalfSpace((Fraction(-1), Fraction(0)), -xmin, LE),
-        HalfSpace((Fraction(1), Fraction(0)), xmax, LE),
-        HalfSpace((Fraction(0), Fraction(-1)), -ymin, LE),
-        HalfSpace((Fraction(0), Fraction(1)), ymax, LE),
-    )
-    return Polyhedron(cons, 2)
+    sides = [((-1, 0), -xmin), ((1, 0), xmax), ((0, -1), -ymin), ((0, 1), ymax)]
+    return [_int_row(a, b, LE) for a, b in sides]
 
 
 def _fmt(x: float) -> str:
@@ -44,9 +40,9 @@ class _Mapper:
         return float(x), float(y)
 
 
-def _segment_endpoints(poly: Polyhedron, q, direction):
+def _segment_endpoints(rows: list[IntRow], q, direction):
     """Endpoints of a bounded 1-dimensional polyhedron, with q in its relative interior."""
-    t_lo, t_hi = line_bounds(poly, q, direction)
+    t_lo, t_hi = line_bounds(rows, q, direction)
     if t_lo is None or t_hi is None:
         raise ValueError("cell is unbounded inside the box")
     a = tuple(qi + t_lo * d for qi, d in zip(q, direction))
@@ -63,21 +59,18 @@ def render_svg(x: PolyComplex, bbox) -> str:
     if x.ambient != 2:
         raise ValueError("SVG rendering requires an ambient dimension of 2")
     bbox = tuple(to_fraction(v) for v in bbox)
-    box = _bbox_polyhedron(bbox)
+    box = _bbox_rows(bbox)
     mapper = _Mapper(bbox)
     shapes: list[str] = []
-    axes = (
-        Polyhedron((HalfSpace((Fraction(1), Fraction(0)), Fraction(0), EQ),), 2),
-        Polyhedron((HalfSpace((Fraction(0), Fraction(1)), Fraction(0), EQ),), 2),
-    )
-    pieces = [(axis, 'stroke="#bbbbbb" stroke-width="1"') for axis in axes]
-    pieces += [(c.polyhedron, 'stroke="#1f6fb2" stroke-width="2"') for c in x.cells if not c.stratum]
-    for poly, style in pieces:
-        clipped = intersect(poly, box)
-        if is_empty(clipped):
+    pieces = [(axis, 'stroke="#bbbbbb" stroke-width="1"') for axis in _AXES]
+    pieces += [(c.rows, 'stroke="#1f6fb2" stroke-width="2"') for c in x.cells if not c.stratum]
+    for rows, style in pieces:
+        clipped = [*rows, *box]
+        found = _int_feasible_point(clipped, 2)
+        if found is None:
             continue
-        q = relative_interior_point(clipped)
-        directions = affine_hull_directions(clipped, q)
+        q = _fractions(_int_interior_point(clipped, 2, found))
+        directions = affine_hull_directions(clipped, 2, q)
         if len(directions) >= 2:
             raise ValueError("2-dimensional cells are not supported by the renderer")
         if directions:

@@ -195,12 +195,12 @@ def window_admits_member(matrix: AdmissibleMatrix, window: MonomialWindow) -> bo
     image of that map, and decides whether one group holds two monomials
     whose levels v_p differ by k w_p for an integer k in -4..4.
     """
-    weights = [row[0] for row in matrix.int_rows]
+    weights = [row[0] for row in matrix.cleared_rows]
     pivot = next((i for i, w in enumerate(weights) if w), None)
     step = 0 if pivot is None else weights[pivot]
     seen: dict[tuple[int, ...], set[int]] = {}
     for expo in window.monomials:
-        lifted = [sum(map(mul, row[1:], expo)) for row in matrix.int_rows]
+        lifted = [sum(map(mul, row[1:], expo)) for row in matrix.cleared_rows]
         level = 0
         if pivot is not None:
             level = lifted[pivot]
@@ -243,9 +243,9 @@ def prime_members(
             "no member can be drawn: no two window monomials tie under the prime "
             "at a coefficient gap in -4..4"
         )
-    weights = [row[0] for row in matrix.int_rows]
+    weights = [row[0] for row in matrix.cleared_rows]
     lifted = {
-        expo: [sum(map(mul, row[1:], expo)) for row in matrix.int_rows]
+        expo: [sum(map(mul, row[1:], expo)) for row in matrix.cleared_rows]
         for expo in window.monomials
     }
 

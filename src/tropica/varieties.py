@@ -14,12 +14,13 @@ Integer rows: a prevariety scales all its generators by one L, the lcm of
 their coefficient denominators, so term k becomes (L e_k, L c_k), the affine
 function L (c_k + e_k . x).  Tie-cell rows, their intersections and the
 strict-dominance systems go to Fourier-Motzkin as integer rows, each L times
-the Fraction constraint it stands for; they describe the same polyhedra, so
+the rational constraint it stands for; they describe the same polyhedra, so
 by the representation lemma of ``polyhedra`` they give the same points.
 Argmax sets are compared as integers L den times the term values at the
-point nums / den; L den > 0 keeps their order.  So the candidates and the
-output are those of the Fraction constraints.  A tie cell is built once, as
-rows; a cell's Fraction polyhedron (output data) is its rows divided by L.
+point nums / den; L den > 0 keeps their order.  A tie cell is built once, as
+rows, and a cell keeps integer rows with a canonical scale (see ``Cell``).
+Rational text ("p/q") appears only where a complex is written to or read
+from JSON (``complex_to_json``, ``complex_from_json``), and in the SVG.
 
 Conventions: monomials never vanish and the zero polynomial vanishes nowhere
 on R^n, so both contribute empty hypersurfaces.  On a bottom stratum of the
@@ -32,48 +33,62 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .matrices import int_rank, to_fraction
 from .polyhedra import (
     EQ,
     LE,
     LT,
-    HalfSpace,
     IntPoint,
     IntRow,
-    Polyhedron,
     _fractions,
     _int_feasible_point,
     _int_interior_point,
     affine_hull_directions,
     contains_point,
     dimension,
-    full_space,
-    int_rows,
 )
 from .polynomials import LAURENT, POLY, Exponents, Polynomial
 
 
 @dataclass(frozen=True)
 class Cell:
-    """A polyhedron with cached dimension, interior point and stratum label.
+    """A polyhedron as integer rows, with dimension, interior point and stratum label.
 
-    ``stratum`` lists the variables pinned to bottom; the polyhedron lives in
-    the space of the remaining coordinates (in increasing variable order).
+    Row (a, b, rel) stands for the constraint (a / scale) . x rel b / scale.
+    The scale is canonical: the lcm of the denominators of those rational
+    entries, so the gcd of the scale and all entries of the rows is 1.  Two
+    cells with the same constraints are then equal however they were made:
+    computed, or read back from JSON.  ``stratum`` lists the variables pinned
+    to bottom; the rows live in the space of the remaining coordinates (in
+    increasing variable order), as many as the interior point has.
     """
 
-    polyhedron: Polyhedron
+    rows: tuple[IntRow, ...]
+    scale: int
     dim: int
     interior_point: tuple[Fraction, ...]
     stratum: tuple[int, ...] = ()
 
     def key(self):
-        cons = sorted(
-            (h.relation, tuple(str(x) for x in h.normal), str(h.rhs))
-            for h in self.polyhedron.constraints
-        )
+        """Stratum, then larger dimension, then the sorted constraints in their JSON text."""
+        s = self.scale
+        cons = sorted((rel, tuple(_text(x, s) for x in a), _text(b, s)) for a, b, rel in self.rows)
         return (self.stratum, -self.dim, tuple(cons))
+
+
+def _text(x: int, scale: int) -> str:
+    """The entry x / scale as JSON text: an integer or "p/q"."""
+    return str(Fraction(x, scale))
+
+
+def _canonical(rows: list[IntRow], scale: int) -> tuple[tuple[IntRow, ...], int]:
+    """Rows standing for row / scale, and their scale, both divided by the gcd of all entries."""
+    g = gcd(scale, *(x for a, b, _ in rows for x in (*a, b)))
+    if g > 1:
+        rows = [(tuple(x // g for x in a), b // g, rel) for a, b, rel in rows]
+    return tuple(rows), scale // g
 
 
 @dataclass(frozen=True)
@@ -81,9 +96,6 @@ class PolyComplex:
     ambient: int
     mode: str
     cells: tuple[Cell, ...]
-
-    def is_empty(self) -> bool:
-        return not self.cells
 
 
 ScaledTerm = tuple[Exponents, tuple[int, ...], int]
@@ -132,18 +144,16 @@ def _make_cell(
     """The cell of a non-empty candidate, with its argmax signature.
 
     A candidate is (rows, found): its constraints, each L = scale times the
-    Fraction constraint it stands for, and a point of them.  The cell's
-    polyhedron (output data) is read off the rows, each divided by L.
-    Near its relative interior point the cell is cut out by the ties within
-    each argmax set: its dimension is n minus the rank of those differences.
+    rational constraint it stands for, and a point of them.  The cell keeps
+    the rows over their canonical scale.  Near its relative interior point
+    the cell is cut out by the ties within each argmax set: its dimension is
+    n minus the rank of those differences.
     """
     rows, found = candidate
-    cons = [(tuple(Fraction(x // scale) for x in a), Fraction(b, scale), rel) for a, b, rel in rows]
-    poly = Polyhedron(tuple(HalfSpace(*c) for c in cons), n)
     at = _int_interior_point(rows, n, found)
     signature = tuple(_argmax(terms, at) for terms in scaled)
     ties = [tuple(a - b for a, b in zip(e, min(terms))) for terms in signature for e in terms]
-    return signature, Cell(poly, n - int_rank(ties), _fractions(at))
+    return signature, Cell(*_canonical(rows, scale), n - int_rank(ties), _fractions(at))
 
 
 def _maximal_cells(made) -> tuple[Cell, ...]:
@@ -237,7 +247,7 @@ def affine_prevariety(gens: list[Polynomial]) -> PolyComplex:
             live = [r for r in restricted if not r.is_zero()]
             if not live:
                 ambient = n - len(dead)
-                cells.append(Cell(full_space(ambient), ambient, (Fraction(0),) * ambient, dead))
+                cells.append(Cell((), 1, ambient, (Fraction(0),) * ambient, dead))
                 continue
             cells.extend(replace(cell, stratum=dead) for cell in prevariety(live).cells)
     return PolyComplex(n, POLY, tuple(sorted(cells, key=Cell.key)))
@@ -251,9 +261,7 @@ def complex_dim(x: PolyComplex) -> int:
 
 def complex_contains_point(x: PolyComplex, point) -> bool:
     """Point membership in the R^n part of the complex."""
-    return any(
-        cell.stratum == () and contains_point(cell.polyhedron, point) for cell in x.cells
-    )
+    return any(cell.stratum == () and contains_point(cell.rows, point) for cell in x.cells)
 
 
 def vanishes_on_complex(f: Polynomial, x: PolyComplex) -> bool:
@@ -276,10 +284,10 @@ def vanishes_on_complex(f: Polynomial, x: PolyComplex) -> bool:
         if restricted.is_monomial():
             return False
         terms = _scaled_terms(restricted, lcm(*(c.denominator for _, c in restricted.terms())))
-        base = int_rows(cell.polyhedron)
-        ncoords = cell.polyhedron.n
+        ncoords = len(cell.interior_point)
         for i in range(len(terms)):
-            dominant = base + [_difference(terms, k, i, LT) for k in range(len(terms)) if k != i]
+            others = (_difference(terms, k, i, LT) for k in range(len(terms)) if k != i)
+            dominant = [*cell.rows, *others]
             if _int_feasible_point(dominant, ncoords) is not None:
                 return False
     return True
@@ -288,12 +296,13 @@ def vanishes_on_complex(f: Polynomial, x: PolyComplex) -> bool:
 def complex_to_json(x: PolyComplex) -> dict:
     cells = []
     for cell in x.cells:
+        s = cell.scale
         cells.append(
             {
                 "stratum": list(cell.stratum),
-                "normals": [[str(v) for v in h.normal] for h in cell.polyhedron.constraints],
-                "rhs": [str(h.rhs) for h in cell.polyhedron.constraints],
-                "relations": [h.relation for h in cell.polyhedron.constraints],
+                "normals": [[_text(v, s) for v in a] for a, _, _ in cell.rows],
+                "rhs": [_text(b, s) for _, b, _ in cell.rows],
+                "relations": [rel for _, _, rel in cell.rows],
                 "dim": cell.dim,
                 "interior_point": [str(v) for v in cell.interior_point],
             }
@@ -318,9 +327,11 @@ def _rationals(values, length: int, what: str) -> tuple[Fraction, ...]:
 def complex_from_json(data) -> PolyComplex:
     """Read the output of complex_to_json; malformed input raises ValueError.
 
-    A cell whose dim is not its polyhedron's dimension, or whose
-    interior_point is off its relative interior (where fewer than dim hull
-    directions remain), is malformed too.
+    Each cell's rational constraints become integer rows over the lcm of
+    their denominators, which is the canonical scale of ``Cell``.  A cell
+    whose dim is not its polyhedron's dimension, or whose interior_point is
+    off its relative interior (where fewer than dim hull directions remain),
+    is malformed too.
     """
     _require(isinstance(data, dict), "a complex must be a JSON object")
     ambient, mode, cells = data.get("ambient"), data.get("mode"), data.get("cells")
@@ -339,18 +350,20 @@ def complex_from_json(data) -> PolyComplex:
             all(isinstance(v, list) and len(v) == len(normals) for v in (normals, rhs, relations)),
             "normals, rhs and relations must be lists of equal length",
         )
-        cons = tuple(
-            HalfSpace(_rationals(a, ncoords, "a normal"), to_fraction(b), rel)
-            for a, b, rel in zip(normals, rhs, relations)
+        _require(all(rel in (LE, EQ) for rel in relations), f"relations must be {LE!r} or {EQ!r}")
+        cons = [(_rationals(a, ncoords, "a normal"), to_fraction(b)) for a, b in zip(normals, rhs)]
+        scale = lcm(*(x.denominator for a, b in cons for x in (*a, b)))
+        rows = tuple(
+            (tuple(int(x * scale) for x in a), int(b * scale), rel)
+            for (a, b), rel in zip(cons, relations)
         )
         dim = c.get("dim")
         _require(_is_int(dim) and 0 <= dim <= ncoords, f"dim must be an integer in 0..{ncoords}")
         point = _rationals(c.get("interior_point"), ncoords, "interior_point")
-        poly = Polyhedron(cons, ncoords)
-        _require(contains_point(poly, point), "interior_point violates the cell's constraints")
-        actual = dimension(poly)
+        _require(contains_point(rows, point), "interior_point violates the cell's constraints")
+        actual = dimension(rows, ncoords)
         _require(dim == actual, f"dim is {dim} but the cell has dimension {actual}")
-        interior = len(affine_hull_directions(poly, point)) == dim
+        interior = len(affine_hull_directions(rows, ncoords, point)) == dim
         _require(interior, "interior_point lies on the boundary of the cell")
-        out.append(Cell(poly, dim, point, tuple(stratum)))
+        out.append(Cell(rows, scale, dim, point, tuple(stratum)))
     return PolyComplex(ambient, mode, tuple(out))

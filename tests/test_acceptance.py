@@ -18,7 +18,7 @@ from tropica.corpus import SHIPPED_TRACES
 from tropica.krull import contains_bends, coordinate_dimension
 from tropica.matrices import dot
 from tropica.parsing import parse_polynomial
-from tropica.polyhedra import EQ, LE, contains_point, fm_eliminate, make_polyhedron
+from tropica.polyhedra import EQ, LE
 from tropica.polynomials import LAURENT, POLY, Pair, Polynomial, twisted_mul
 from tropica.primes import (
     bend_ideal_member,
@@ -41,6 +41,8 @@ from tropica.tropical_linear import (
     span_membership,
     truncated_tropicalization,
 )
+
+from fraction_polyhedra import contains_point, fm_eliminate, make_polyhedron
 
 TRACE_DIR = Path(__file__).resolve().parent.parent / "traces"
 

@@ -7,7 +7,9 @@ constraint.  They are kept here only as oracles.  Tie cells come from the
 `Fraction` oracle `tie_cell` of `test_integer_cells`; `rank` and the later
 `implicit_equality_indices` are the shared copies of `test_integer_kernel`.
 The implicit equalities of a non-empty set are checked on
-`polyhedra._int_implicit_equalities` over `int_rows`.
+`polyhedra._int_implicit_equalities` over `int_rows`.  The `Fraction`
+polyhedra and their conversions to and from cells are those of
+`fraction_polyhedra`.
 """
 
 import itertools
@@ -18,21 +20,19 @@ from fractions import Fraction
 import pytest
 
 from tropica import varieties
-from tropica.polyhedra import (
-    EQ,
-    LE,
-    LT,
-    HalfSpace,
-    Polyhedron,
-    _feasible_point,
-    _int_feasible_point,
-    _int_implicit_equalities,
-    int_rows,
-    is_empty,
-)
+from tropica.polyhedra import EQ, LE, LT, _int_feasible_point, _int_implicit_equalities
 from tropica.polynomials import LAURENT, POLY, Polynomial
 from tropica.varieties import Cell, complex_to_json
 
+from fraction_polyhedra import (
+    HalfSpace,
+    Polyhedron,
+    _feasible_point,
+    cell_polyhedron,
+    fraction_cell,
+    int_rows,
+    is_empty,
+)
 from test_integer_cells import tie_cell
 from test_integer_kernel import implicit_equality_indices, rank
 
@@ -72,16 +72,17 @@ def ref_dimension(poly):
 def ref_make_cell(poly):
     if is_empty(poly):
         return None
-    return Cell(poly, ref_dimension(poly), ref_relative_interior_point(poly))
+    return fraction_cell(poly, ref_dimension(poly), ref_relative_interior_point(poly))
 
 
 def ref_cell_subset(a, b):
     """Exact inclusion test: a is contained in b."""
     if a.stratum != b.stratum:
         return False
-    base = [(h.normal, h.rhs, h.relation) for h in a.polyhedron.constraints]
-    n = a.polyhedron.n
-    for h in b.polyhedron.constraints:
+    a, b = cell_polyhedron(a), cell_polyhedron(b)
+    base = [(h.normal, h.rhs, h.relation) for h in a.constraints]
+    n = a.n
+    for h in b.constraints:
         neg = tuple(-x for x in h.normal)
         if _feasible_point(base + [(neg, -h.rhs, LT)], n) is not None:
             return False

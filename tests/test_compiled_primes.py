@@ -250,7 +250,7 @@ def test_random_admissible_draws_unchanged():
 
 def test_check_admissible_clears_rows_once():
     # row sets with the flaws of the benchmark's falsify queries: the integer rows that
-    # ranked the matrix become its int_rows, and the violations are those of the former check
+    # ranked the matrix become its cleared_rows, and the violations are those of the former check
     rng = random.Random(83)
     seen = {"dependent": 0, "sign": 0, "extra": 0, None: 0}
     for _ in range(400):
@@ -278,6 +278,6 @@ def test_check_admissible_clears_rows_once():
             assert expected == []
             frozen_rows = tuple(tuple(map(to_fraction, row)) for row in rows)
             assert matrix.rows == frozen_rows
-            assert matrix.int_rows == tuple(map(clear_denominators, frozen_rows))
+            assert matrix.cleared_rows == tuple(map(clear_denominators, frozen_rows))
         seen[flaw] += bool(expected) == (flaw is not None)
     assert min(seen.values()) >= 40, seen

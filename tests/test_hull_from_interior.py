@@ -1,6 +1,6 @@
 """The affine hull read off a relative interior point, and one line-clipping loop.
 
-`affine_hull_directions(poly, point)` takes the nullspace of the normals of
+`affine_hull_directions(rows, n, point)` takes the nullspace of the normals of
 the rows tight at a relative interior point.  Tight-row lemma: there the
 tight rows are exactly the EQ rows and the implicit equalities, so the row
 space, and with it the reduced echelon basis, is that of the former code.
@@ -9,7 +9,9 @@ for a feasible point, probes every LE row tight there for an implicit
 equality, and takes the nullspace of the EQ and implicit normals.
 `line_bounds` replaces two clipping loops, kept below as
 `ref_interior_shift_bound` (the witness shift in `krull`) and
-`ref_segment_bounds` (the segment endpoints in `rendering`).
+`ref_segment_bounds` (the segment endpoints in `rendering`).  Seeded
+polyhedra are stated as `Fraction` constraints through `fraction_polyhedra`;
+cells are read on their integer rows directly.
 """
 
 import json
@@ -18,19 +20,11 @@ from fractions import Fraction
 
 import pytest
 
-from tropica import polyhedra, varieties
+from tropica import polyhedra, rendering, varieties
 from tropica.krull import coordinate_dimension, witness_prime
 from tropica.matrices import dot, nullspace
 from tropica.parsing import parse_polynomials
-from tropica.polyhedra import (
-    EQ,
-    LE,
-    affine_hull_directions,
-    is_empty,
-    line_bounds,
-    make_polyhedron,
-    relative_interior_point,
-)
+from tropica.polyhedra import EQ, LE
 from tropica.polynomials import LAURENT, POLY
 from tropica.rendering import render_svg
 from tropica.sampling import random_polynomial
@@ -44,6 +38,14 @@ from tropica.varieties import (
     prevariety,
 )
 
+from fraction_polyhedra import (
+    affine_hull_directions,
+    cell_polyhedron,
+    is_empty,
+    line_bounds,
+    make_polyhedron,
+    relative_interior_point,
+)
 from test_integer_kernel import implicit_equality_indices
 
 
@@ -141,8 +143,9 @@ def test_hull_of_every_cell_matches_the_probing_oracle(builder):
             x = affine_prevariety(gens)
         for cell in x.cells:
             cells += 1
-            directions = affine_hull_directions(cell.polyhedron, cell.interior_point)
-            assert directions == ref_affine_hull_directions(cell.polyhedron), gens
+            point = cell.interior_point
+            directions = polyhedra.affine_hull_directions(cell.rows, len(point), point)
+            assert directions == ref_affine_hull_directions(cell_polyhedron(cell)), gens
             assert len(directions) == cell.dim
     assert cells >= 300
 
@@ -167,8 +170,8 @@ def test_every_cell_round_trips_and_its_boundary_points_do_not(builder):
         for cell, entry in zip(x.cells, data["cells"]):
             cells += 1
             point = cell.interior_point
-            for direction in affine_hull_directions(cell.polyhedron, point):
-                _, hi = line_bounds(cell.polyhedron, point, direction)
+            for direction in polyhedra.affine_hull_directions(cell.rows, len(point), point):
+                _, hi = polyhedra.line_bounds(cell.rows, point, direction)
                 if hi is None:
                     continue
                 moved += 1
@@ -199,8 +202,8 @@ def test_line_bounds_match_the_former_loops():
 def test_witness_rejects_a_boundary_interior_point():
     # a ray with its apex as interior point: the directions read off a
     # boundary point are too few, which the witness must not hide
-    ray = make_polyhedron([((1, 0), 0, EQ), ((0, 1), 0, LE)], 2)
-    x = PolyComplex(2, LAURENT, (Cell(ray, 1, (Fraction(0), Fraction(0))),))
+    ray = (((1, 0), 0, EQ), ((0, 1), 0, LE))
+    x = PolyComplex(2, LAURENT, (Cell(ray, 1, 1, (Fraction(0), Fraction(0))),))
     with pytest.raises(ValueError, match="not strictly inside the cell"):
         witness_prime(x, [])
     # JSON cannot carry such a cell: complex_from_json rejects the apex
@@ -221,7 +224,7 @@ def test_witness_rejects_a_boundary_interior_point():
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Counts Fourier-Motzkin solves, from `polyhedra` and from `varieties`."""
+    """Counts Fourier-Motzkin solves, from `polyhedra`, `varieties` and `rendering`."""
     count = [0]
     solve = polyhedra._int_feasible_point
 
@@ -231,6 +234,7 @@ def solves(monkeypatch):
 
     monkeypatch.setattr(polyhedra, "_int_feasible_point", counted)
     monkeypatch.setattr(varieties, "_int_feasible_point", counted)
+    monkeypatch.setattr(rendering, "_int_feasible_point", counted)
     return count
 
 
@@ -242,10 +246,11 @@ def test_dimension_report_makes_no_hull_solve(solves):
     assert solves[0] == 3
 
 
-def test_plot_of_a_line_makes_two_solves_per_clipped_cell(solves):
-    # two axes and three rays: a feasibility check and an interior point each (was 18)
+def test_plot_of_a_line_makes_one_solve_per_clipped_cell(solves):
+    # two axes and three rays: one feasibility check each, whose point is the
+    # interior point when no row is tight there (was 10, and 18 before that)
     (f,) = parse_polynomials(["x + y + 0"], LAURENT, None)
     x = hypersurface(f)
     solves[0] = 0
     render_svg(x, (-5, -5, 5, 5))
-    assert solves[0] == 10
+    assert solves[0] == 5

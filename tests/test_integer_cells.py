@@ -4,8 +4,10 @@
 (L e_k, L c_k); a prevariety shares one L, the lcm of all its generators'
 coefficient denominators) and hands Fourier-Motzkin integer rows: tie
 cells, their intersections and the strict-dominance systems of
-`vanishes_on_complex`.  A cell's Fraction polyhedron is read off its rows.
-The former code is kept below as the oracle: `tie_cell` is the former
+`vanishes_on_complex`.  A cell keeps its rows over a canonical scale; the
+oracle reads its `Fraction` constraints with `fraction_polyhedra.cell_polyhedron`
+and builds its cells with `fraction_cell`.  The former code is kept below as
+the oracle: `tie_cell` is the former
 `varieties.tie_cell`, the Fraction polyhedron of a tie cell, `ref_make_cell`
 solves the Fraction polyhedron of each candidate, finds its interior point
 with `ref_int_interior_point` (probe every LE row tight at the feasible
@@ -29,6 +31,7 @@ import functools
 import itertools
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm, prod
 
@@ -36,23 +39,7 @@ import pytest
 
 from tropica import polyhedra, varieties
 from tropica.matrices import dot
-from tropica.polyhedra import (
-    EQ,
-    LE,
-    LT,
-    HalfSpace,
-    Polyhedron,
-    _feasible_point,
-    _fractions,
-    _int_point,
-    feasible_point,
-    full_space,
-    int_rows,
-    intersect,
-    is_empty,
-    make_polyhedron,
-    relative_interior_point,
-)
+from tropica.polyhedra import EQ, LE, LT, _fractions, _int_point
 from tropica.polynomials import LAURENT, POLY, Exponents, Polynomial
 from tropica.varieties import (
     Cell,
@@ -65,6 +52,20 @@ from tropica.varieties import (
     vanishes_on_complex,
 )
 
+from fraction_polyhedra import (
+    HalfSpace,
+    Polyhedron,
+    _feasible_point,
+    cell_polyhedron,
+    feasible_point,
+    fraction_cell,
+    full_space,
+    int_rows,
+    intersect,
+    is_empty,
+    make_polyhedron,
+    relative_interior_point,
+)
 from test_integer_kernel import rank
 
 # -- oracles: the former Fraction cell layer --------------------------------------
@@ -117,7 +118,7 @@ def ref_make_cell(poly, gens):
     point = _fractions(ref_int_interior_point(int_rows(poly), poly.n, _int_point(point)))
     signature = tuple(ref_argmax(g, point) for g in gens)
     ties = [tuple(a - b for a, b in zip(e, min(terms))) for terms in signature for e in terms]
-    return signature, Cell(poly, poly.n - rank(ties), point)
+    return signature, fraction_cell(poly, poly.n - rank(ties), point)
 
 
 def ref_maximal_cells(polys, gens):
@@ -163,10 +164,11 @@ def ref_affine_prevariety(gens):
             live = [r for r in restricted if not r.is_zero()]
             if not live:
                 ambient = n - len(dead)
-                cells.append(Cell(full_space(ambient), ambient, (Fraction(0),) * ambient, dead))
+                point = (Fraction(0),) * ambient
+                cells.append(fraction_cell(full_space(ambient), ambient, point, dead))
                 continue
             for cell in ref_prevariety(live).cells:
-                cells.append(Cell(cell.polyhedron, cell.dim, cell.interior_point, dead))
+                cells.append(replace(cell, stratum=dead))
     return PolyComplex(n, POLY, tuple(sorted(cells, key=Cell.key)))
 
 
@@ -231,8 +233,9 @@ def ref_uncovered(restricted, cell, i):
     this holds exactly when term i strictly dominates somewhere on the cell.
     """
     support = restricted.support()
-    base = [(h.normal, h.rhs, h.relation) for h in cell.polyhedron.constraints]
-    ncoords = cell.polyhedron.n
+    poly = cell_polyhedron(cell)
+    base = [(h.normal, h.rhs, h.relation) for h in poly.constraints]
+    ncoords = poly.n
     gi, ci = ref_term_affine(restricted, i)
     region = list(base)
     for k in support:
@@ -277,8 +280,9 @@ def ref_int_vanishes_on_complex(f, x):
         if restricted.is_monomial():
             return False
         terms = varieties._scaled_terms(restricted, own_scale(restricted))
-        base = int_rows(cell.polyhedron)
-        ncoords = cell.polyhedron.n
+        poly = cell_polyhedron(cell)
+        base = int_rows(poly)
+        ncoords = poly.n
         for i in range(len(terms)):
             others = [k for k in range(len(terms)) if k != i]
             region = base + [varieties._difference(terms, k, i, LE) for k in others]

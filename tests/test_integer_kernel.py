@@ -1,6 +1,7 @@
 """The integer kernel against the Fraction code it replaced.
 
-`polyhedra._feasible_point` runs Fourier-Motzkin on integer rows,
+`_feasible_point` (the `Fraction` front end kept in `fraction_polyhedra`)
+clears its constraints and runs Fourier-Motzkin on integer rows,
 `matrices.int_rank` runs Bareiss elimination on integer rows, and
 `matrices.nullspace` reads its basis off the integer Gauss-Jordan
 elimination `matrices.int_echelon`.  The Fraction versions they replaced
@@ -21,7 +22,8 @@ it reduces rows only before a pairing step and relies on the representation
 lemma of `polyhedra`: on seeded integer systems it must give the same point
 or also `None`, the point must not change with how the rows are written,
 `_normalize` must run only before pairing steps and on the constant level,
-and `fm_eliminate` must return the same rows in the same order.
+and `fm_eliminate` (on the library's `_eliminate_last` and `_normalize`)
+must return the same rows in the same order.
 
 `rank` and `implicit_equality_indices` are the former `matrices.rank` and
 `polyhedra.implicit_equality_indices`, `Fraction` front ends of
@@ -44,15 +46,18 @@ from tropica.polyhedra import (
     EQ,
     LE,
     LT,
-    HalfSpace,
     IntPoint,
     IntRow,
-    Polyhedron,
-    _feasible_point,
     _int_feasible_point,
     _int_implicit_equalities,
     _int_point,
     _int_row,
+)
+
+from fraction_polyhedra import (
+    HalfSpace,
+    Polyhedron,
+    _feasible_point,
     feasible_point,
     fm_eliminate,
     int_rows,

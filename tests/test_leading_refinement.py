@@ -94,7 +94,7 @@ def tied_terms(rng, matrix, k, count):
     """Up to ``count`` terms that tie with one base term on rows 0..k-1."""
     n = matrix.n
     base_c, base_e = fraction(rng), tuple(rng.randint(-3, 3) for _ in range(n))
-    kernel = int_nullspace(matrix.int_rows[:k], n + 1)
+    kernel = int_nullspace(matrix.cleared_rows[:k], n + 1)
     terms = {base_e: base_c}
     for _ in range(3 * count):
         if len(terms) >= count or not kernel:
@@ -220,7 +220,7 @@ def test_compare_terms_matches_full_keys():
                 t2 = t1
             elif pick == 1:
                 # tied on the first k rows, all of them when k = r: a fractional kernel shift
-                kernel = int_nullspace(matrix.int_rows[: rng.randint(1, matrix.rank)], n + 1)
+                kernel = int_nullspace(matrix.cleared_rows[: rng.randint(1, matrix.rank)], n + 1)
                 vec = rng.choice(kernel) if kernel else [0] * (n + 1)
                 a = fraction(rng, -3, 3, 5)
                 t2 = (t1[0] + a * vec[0], tuple(e + a * v for e, v in zip(t1[1], vec[1:])))

@@ -104,9 +104,9 @@ def ref_prime_members(rng, matrix, window, count):
         raise ValueError(f"the window has {window.n} variables, the prime {matrix.n}")
     if len(window) < 2:
         raise ValueError(f"the window holds {len(window)} monomial; a member needs two terms")
-    weights = [row[0] for row in matrix.int_rows]
+    weights = [row[0] for row in matrix.cleared_rows]
     lifted = {
-        expo: [sum(map(mul, row[1:], expo)) for row in matrix.int_rows]
+        expo: [sum(map(mul, row[1:], expo)) for row in matrix.cleared_rows]
         for expo in window.monomials
     }
 

@@ -685,6 +685,8 @@ def _point_complex(**cell_changes):
         _point_complex(normals=[["1", "0", "0"], ["0", "1"]]),  # wrong normal length
         _point_complex(normals=[["1", None], ["0", "1"]]),
         _point_complex(relations=["eq", "ge"]),
+        # the segment x = 1, y < 3 would load and plot: "lt" is the solver's, not a cell's
+        _point_complex(rhs=["1", "3"], relations=["eq", "lt"], dim=1),
         _point_complex(stratum=[5]),
         _point_complex(interior_point=["1"]),
         _point_complex(interior_point=["1", "3"]),  # outside the cell: used to load
@@ -836,13 +838,25 @@ def test_cli_tideal_check_takes_one_description(capsys, args, given):
             1,
             {"error": "domain", "message": "Expecting value: line 1 column 1 (char 0)"},
         ),
+        (
+            ["eval", "--poly", "x + 0", "--point", "1", "--file", ""],
+            1,
+            {"error": "domain", "message": "--file is empty: it needs a file name"},
+        ),
+        (
+            ["plot", "--poly", "x + y + 0", "--output", ""],
+            1,
+            {"error": "domain", "message": "--output is empty: it needs a file name"},
+        ),
     ],
-    ids=["tideal-check-point", "plot-complex", "prime-check-matrix"],
+    ids=["tideal-check-point", "plot-complex", "prime-check-matrix", "eval-file", "plot-output"],
 )
 def test_cli_empty_option_values(capsys, args, code, error):
     # an empty value was taken as absent ("one of --circuits, --point or
-    # --matrix is required", or the polynomial was plotted), and an empty
-    # matrix was read from the directory Path("") names: "Is a directory: '.'"
+    # --matrix is required", the polynomial was plotted, --file was skipped
+    # with exit 0, and the SVG went to stdout instead of --output), and an
+    # empty matrix was read from the directory Path("") names: "Is a
+    # directory: '.'"
     rc, out, err = run_cli(args, capsys)
     assert rc == code and out == ""
     assert json.loads(err) == error

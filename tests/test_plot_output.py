@@ -16,7 +16,7 @@ import pytest
 
 from tropica.parsing import parse_point, parse_polynomials
 from tropica.rendering import render_svg
-from tropica.varieties import complex_from_json, prevariety
+from tropica.varieties import complex_from_json, complex_to_json, hypersurface, prevariety
 
 WIDE = "-5,-5,5,5"
 
@@ -109,4 +109,12 @@ def test_render_svg_bytes(mode, texts, bbox, digest):
 @pytest.mark.parametrize("bbox,digest", POINT_CORPUS)
 def test_render_svg_point_complex_bytes(bbox, digest):
     x = complex_from_json(POINT_COMPLEX)
+    assert _digest(render_svg(x, parse_point(bbox))) == digest
+
+
+@pytest.mark.parametrize("mode,texts,bbox,digest", [case for case in CORPUS if len(case[1]) == 1])
+def test_render_svg_of_a_read_back_hypersurface_bytes(mode, texts, bbox, digest):
+    # the JSON text of each cell gives back its rows and scale, so the same document
+    (f,) = parse_polynomials(texts, mode, 2)
+    x = complex_from_json(complex_to_json(hypersurface(f)))
     assert _digest(render_svg(x, parse_point(bbox))) == digest

@@ -1,4 +1,10 @@
-"""Exact polyhedra: feasibility, dimension, interior points, projection."""
+"""Exact polyhedra: feasibility, dimension, interior points, projection.
+
+Most tests state their polyhedra as `Fraction` constraints, through the
+front end kept in `fraction_polyhedra`, which clears each constraint and
+calls the library's integer functions.  The last section calls those
+functions on integer rows directly.
+"""
 
 import itertools
 import random
@@ -6,14 +12,12 @@ from fractions import Fraction
 
 import pytest
 
+from tropica import polyhedra
 from tropica.matrices import dot
-from tropica.polyhedra import (
-    EQ,
-    LE,
-    HalfSpace,
+from tropica.polyhedra import EQ, LE, _int_feasible_point, _int_implicit_equalities
+
+from fraction_polyhedra import (
     Polyhedron,
-    _int_feasible_point,
-    _int_implicit_equalities,
     affine_hull_directions,
     contains_point,
     dimension,
@@ -261,3 +265,17 @@ def test_projection_preserves_emptiness():
         p = poly(rows, n)
         proj = fm_eliminate(p, rng.randrange(n))
         assert is_empty(p) == is_empty(proj)
+
+
+# -- integer rows --------------------------------------------------------------------
+
+
+def test_integer_row_functions_give_exact_answers_on_integer_input():
+    """Integer rows, points and directions: the answers are Fractions, never floats."""
+    seg = [((2,), 3, LE), ((-2,), 0, LE)]  # 0 <= x <= 3/2
+    assert polyhedra.line_bounds(seg, (0,), (1,)) == (0, Fraction(3, 2))
+    assert all(type(t) is Fraction for t in polyhedra.line_bounds(seg, (1,), (2,)))
+    assert polyhedra.dimension(seg, 1) == 1
+    assert polyhedra.affine_hull_directions(seg, 1, (Fraction(3, 4),)) == [(Fraction(1),)]
+    assert polyhedra.affine_hull_directions(seg, 1, (0,)) == []  # a boundary point
+    assert polyhedra.contains_point(seg, ("3/2",)) and not polyhedra.contains_point(seg, (2,))
