@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 on domain errors, 2 on parse/syntax errors
 (argument errors included).  Errors are emitted as JSON objects on stderr.
-The environment variable TROPICA_SEED overrides any --seed value.  The
+Each subcommand accepts only the options its handler reads.  The
 argument parser is built once per process and reused by every ``main``
 call; each call parses into a fresh namespace.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import random
 import sys
 from pathlib import Path
@@ -56,7 +55,7 @@ MAX_TRIALS = 1_000  # tideal-check members; sampling stops after 200 draws per t
 
 
 def _emit(data, args) -> None:
-    if getattr(args, "format", "json") == "text":
+    if args.format == "text":
         print(_as_text(data))
     else:
         print(json.dumps(data, indent=2, sort_keys=True))
@@ -96,9 +95,10 @@ def _file_name(value: str | None, option: str) -> str | None:
     return value
 
 
-def _polynomials(args) -> list[Polynomial]:
+def _polynomials(args, mode: str, nvars: int | None) -> list[Polynomial]:
+    """The --poly and --file texts, read in ``mode`` over ``nvars`` variables (None: inferred)."""
     texts = list(args.poly or [])
-    file = _file_name(getattr(args, "file", None), "--file")
+    file = _file_name(args.file, "--file")
     if file is not None:
         texts.extend(
             line.strip()
@@ -107,61 +107,53 @@ def _polynomials(args) -> list[Polynomial]:
         )
     if not texts:
         raise ValueError("no polynomials given (use --poly or --file)")
-    return parse_polynomials(texts, args.mode, args.nvars)
+    return parse_polynomials(texts, mode, nvars)
 
 
-def _polynomial(args) -> Polynomial:
+def _polynomial(args, mode: str, nvars: int | None) -> Polynomial:
     """The polynomial of a command that takes exactly one."""
-    polys = _polynomials(args)
+    polys = _polynomials(args, mode, nvars)
     if len(polys) != 1:
         raise ValueError(f"{args.command} takes one polynomial, got {len(polys)}")
     return polys[0]
 
 
-def _matrix(args):
-    rows = parse_matrix_json(_load_json_arg(args.matrix))
+def _matrix(text: str, mode: str = LAURENT):
+    rows = parse_matrix_json(_load_json_arg(text))
     n = len(rows[0]) - 1
-    return check_admissible(rows, n, args.mode)
-
-
-def _seed(args) -> int:
-    env = os.environ.get("TROPICA_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
+    return check_admissible(rows, n, mode)
 
 
 # -- subcommand implementations ----------------------------------------------
 
 
 def _cmd_eval(args):
-    f = _polynomial(args)
+    f = _polynomial(args, args.mode, args.nvars)
     point = parse_point(args.point)
     _emit({"value": scalar_str(f.evaluate(point)), "vanishes": f.vanishes_at(point)}, args)
 
 
 def _cmd_bend(args):
-    f = _polynomial(args)
+    f = _polynomial(args, args.mode, args.nvars)
     pairs = [[format_polynomial(p.left), format_polynomial(p.right)] for p in f.bend_pairs()]
     _emit({"pairs": pairs}, args)
 
 
 def _cmd_hypersurface(args):
-    f = _polynomial(args)
+    f = _polynomial(args, args.mode, args.nvars)
     _emit(complex_to_json(hypersurface(f)), args)
 
 
 def _cmd_prevariety(args):
-    _emit(complex_to_json(prevariety(_polynomials(args))), args)
+    _emit(complex_to_json(prevariety(_polynomials(args, args.mode, args.nvars))), args)
 
 
 def _cmd_affine_prevariety(args):
-    args.mode = POLY
-    _emit(complex_to_json(affine_prevariety(_polynomials(args))), args)
+    _emit(complex_to_json(affine_prevariety(_polynomials(args, POLY, args.nvars))), args)
 
 
 def _cmd_dim(args):
-    report = coordinate_dimension(_polynomials(args))
+    report = coordinate_dimension(_polynomials(args, args.mode, args.nvars))
     _emit(report.to_json(), args)
 
 
@@ -172,8 +164,7 @@ def _cmd_prime_check(args):
     if problems:
         _emit({"admissible": False, "violations": problems}, args)
         return
-    matrix = check_admissible(rows, n, args.mode)
-    kind, r = classify_prime(matrix)
+    kind, r = classify_prime(check_admissible(rows, n))
     _emit({"admissible": True, "rank": r, "kind": kind}, args)
 
 
@@ -186,22 +177,21 @@ def _term(text: str, mode: str, nvars: int):
 
 
 def _cmd_prime_compare(args):
-    matrix = _matrix(args)
+    matrix = _matrix(args.matrix, args.mode)
     t1 = _term(args.term1, args.mode, matrix.n)
     t2 = _term(args.term2, args.mode, matrix.n)
     _emit({"order": compare_terms(matrix, t1, t2)}, args)
 
 
 def _cmd_prime_variety(args):
-    matrix = _matrix(args)
+    matrix = _matrix(args.matrix)
     point = variety_of_prime(matrix)
     _emit({"point": None if point is None else [str(x) for x in point]}, args)
 
 
 def _cmd_prime_member(args):
-    matrix = _matrix(args)
-    args.nvars = matrix.n
-    f = _polynomial(args)
+    matrix = _matrix(args.matrix, args.mode)
+    f = _polynomial(args, args.mode, matrix.n)
     _emit({"member": bend_ideal_member(matrix, f)}, args)
 
 
@@ -228,11 +218,11 @@ def _cmd_tideal_check(args):
     elif args.point is not None:
         point = parse_point(args.point)
         window = monomial_window(len(point), args.mode, args.degree)
-        description = point_members(random.Random(_seed(args)), point, window, args.trials)
+        description = point_members(random.Random(args.seed), point, window, args.trials)
     elif args.matrix is not None:
-        matrix = _matrix(args)
+        matrix = _matrix(args.matrix, args.mode)
         window = monomial_window(matrix.n, args.mode, args.degree)
-        description = prime_members(random.Random(_seed(args)), matrix, window, args.trials)
+        description = prime_members(random.Random(args.seed), matrix, window, args.trials)
     else:
         raise ValueError("one of --circuits, --point or --matrix is required")
     result = check_tropical_axiom(description)
@@ -269,7 +259,7 @@ def _cmd_plot(args):
             raise ValueError("plot takes --complex or --poly/--file, not both")
         x = complex_from_json(_load_json_arg(args.complex))
     else:
-        x = hypersurface(_polynomial(args))
+        x = hypersurface(_polynomial(args, args.mode, args.nvars))
     bbox = parse_point(args.bbox)
     if len(bbox) != 4:
         raise ValueError("--bbox expects xmin,ymin,xmax,ymax")
@@ -291,14 +281,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(sub, poly_inputs: bool = True):
-    sub.add_argument("--mode", choices=[LAURENT, POLY], default=LAURENT)
-    sub.add_argument("--format", choices=["json", "text"], default="json")
-    sub.add_argument("--seed", type=int, default=0)
-    if poly_inputs:
-        sub.add_argument("--poly", action="append", help="polynomial text (repeatable)")
-        sub.add_argument("--file", help="file with one polynomial per line")
-        sub.add_argument("--nvars", type=int, default=None)
+def _count(text: str) -> int:
+    """A variable count: a non-negative integer, else an argument error naming the option."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"invalid non-negative int value: {text!r}")
+    return value
+
+
+def _add_polys(sub, nvars: bool = True):
+    sub.add_argument("--poly", action="append", help="polynomial text (repeatable)")
+    sub.add_argument("--file", help="file with one polynomial per line")
+    if nvars:
+        sub.add_argument("--nvars", type=_count, default=None)
 
 
 @functools.cache
@@ -306,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later call.
 
     ``parse_args`` keeps no state between calls, so sharing it is safe as
-    long as no caller adds to it.
+    long as no caller adds to it.  Each subcommand declares only the options
+    its handler reads; any other is an argument error.
     """
     parser = _Parser(
         prog="tropica",
@@ -314,80 +313,64 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="evaluate a polynomial at a rational point")
-    _add_common(p)
+    def command(name, func, summary, mode: bool = True, emits_json: bool = True):
+        """A subparser with --mode unless ``mode`` is false, and --format if it prints JSON."""
+        p = sub.add_parser(name, help=summary)
+        if mode:
+            p.add_argument("--mode", choices=[LAURENT, POLY], default=LAURENT)
+        if emits_json:
+            p.add_argument("--format", choices=["json", "text"], default="json")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("eval", _cmd_eval, "evaluate a polynomial at a rational point")
+    _add_polys(p)
     p.add_argument("--point", required=True)
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("bend", help="bend pairs of a polynomial")
-    _add_common(p)
-    p.set_defaults(func=_cmd_bend)
+    _add_polys(command("bend", _cmd_bend, "bend pairs of a polynomial"))
+    _add_polys(command("hypersurface", _cmd_hypersurface, "tropical hypersurface as a cell complex"))
+    _add_polys(command("prevariety", _cmd_prevariety, "intersection of hypersurfaces over R^n"))
+    _add_polys(
+        command("affine-prevariety", _cmd_affine_prevariety, "stratified prevariety over T^n", mode=False)
+    )
+    _add_polys(command("dim", _cmd_dim, "dimension report for the coordinate semiring"))
 
-    p = sub.add_parser("hypersurface", help="tropical hypersurface as a cell complex")
-    _add_common(p)
-    p.set_defaults(func=_cmd_hypersurface)
-
-    p = sub.add_parser("prevariety", help="intersection of hypersurfaces over R^n")
-    _add_common(p)
-    p.set_defaults(func=_cmd_prevariety)
-
-    p = sub.add_parser("affine-prevariety", help="stratified prevariety over T^n")
-    _add_common(p)
-    p.set_defaults(func=_cmd_affine_prevariety)
-
-    p = sub.add_parser("dim", help="dimension report for the coordinate semiring")
-    _add_common(p)
-    p.set_defaults(func=_cmd_dim)
-
-    p = sub.add_parser("prime-check", help="validate an admissible matrix")
-    _add_common(p, poly_inputs=False)
+    p = command("prime-check", _cmd_prime_check, "validate an admissible matrix", mode=False)
     p.add_argument("--matrix", required=True, help="JSON array of rows (or a file path)")
-    p.set_defaults(func=_cmd_prime_check)
 
-    p = sub.add_parser("prime-compare", help="order two terms under a prime")
-    _add_common(p, poly_inputs=False)
+    p = command("prime-compare", _cmd_prime_compare, "order two terms under a prime")
     p.add_argument("--matrix", required=True)
     p.add_argument("--term1", required=True)
     p.add_argument("--term2", required=True)
-    p.set_defaults(func=_cmd_prime_compare)
 
-    p = sub.add_parser("prime-variety", help="the at-most-one point of a prime")
-    _add_common(p, poly_inputs=False)
+    p = command("prime-variety", _cmd_prime_variety, "the at-most-one point of a prime", mode=False)
     p.add_argument("--matrix", required=True)
-    p.set_defaults(func=_cmd_prime_variety)
 
-    p = sub.add_parser("prime-member", help="do all bend pairs of f lie in the prime?")
-    _add_common(p)
+    p = command("prime-member", _cmd_prime_member, "do all bend pairs of f lie in the prime?")
+    _add_polys(p, nvars=False)  # the matrix fixes the variable count
     p.add_argument("--matrix", required=True)
-    p.set_defaults(func=_cmd_prime_member)
 
-    p = sub.add_parser("trace-verify", help="verify a derivation trace file")
-    _add_common(p, poly_inputs=False)
+    p = command("trace-verify", _cmd_trace_verify, "verify a derivation trace file", mode=False)
     p.add_argument("--trace", required=True)
-    p.set_defaults(func=_cmd_trace_verify)
 
-    p = sub.add_parser("tideal-check", help="monomial elimination axiom check")
-    _add_common(p, poly_inputs=False)
+    p = command("tideal-check", _cmd_tideal_check, "monomial elimination axiom check")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--circuits", help="circuit JSON (or file path)")
     p.add_argument("--point", help="geometric point, e.g. 0,0")
     p.add_argument("--matrix", help="admissible matrix JSON")
     p.add_argument("--degree", type=int, default=2)
     p.add_argument("--trials", type=int, default=15)
-    p.set_defaults(func=_cmd_tideal_check)
 
-    p = sub.add_parser("tideal-trop", help="circuits of a tropicalized rational ideal")
-    _add_common(p, poly_inputs=False)
+    p = command("tideal-trop", _cmd_tideal_trop, "circuits of a tropicalized rational ideal", mode=False)
     p.add_argument("--gens", action="append", required=True, help="classical polynomial, e.g. 'x - y'")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--nvars", type=int, default=None)
-    p.set_defaults(func=_cmd_tideal_trop)
+    p.add_argument("--nvars", type=_count, default=None)
 
-    p = sub.add_parser("plot", help="render a planar complex to SVG")
-    _add_common(p)
+    p = command("plot", _cmd_plot, "render a planar complex to SVG", emits_json=False)
+    _add_polys(p)
     p.add_argument("--complex", help="complex JSON (or file path)")
     p.add_argument("--bbox", default="-5,-5,5,5")
     p.add_argument("--output", help="output file (default: stdout)")
-    p.set_defaults(func=_cmd_plot)
 
     return parser
 

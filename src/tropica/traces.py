@@ -250,6 +250,8 @@ def trace_from_json(data: dict) -> DerivationTrace:
         raise ValueError("trace JSON must be an object")
     mode = data.get("mode", LAURENT)
     n = _json_int(data["nvars"], "nvars")
+    if n < 0:
+        raise ValueError(f"nvars must be non-negative, got {n}")
     parsed: dict[str, Polynomial] = {}
 
     def parse(text) -> Polynomial:

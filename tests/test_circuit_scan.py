@@ -47,6 +47,7 @@ from tropica.tropical_linear import (
     _parallel_representatives,
     _require_window_size,
     _shift,
+    check_tropical_axiom,
     monomial_window,
     truncated_tropicalization,
     window_size,
@@ -398,3 +399,22 @@ def test_int_nullspace_matches_fraction_nullspace_on_seeded_matrices():
             assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
             assert all(isinstance(x, int) for x in vec)
     assert deficient > 50
+
+
+def test_tideal_trop_circuits_satisfy_the_elimination_axiom():
+    # The circuits of a slice are those of a matroid, and under the trivial
+    # valuation the axiom on two distinct circuits sharing u is strong circuit
+    # elimination (Oxley, Matroid Theory, Prop. 1.4.12): an oracle for
+    # check_tropical_axiom that needs no second implementation.
+    rng = random.Random(20261019)
+    checked = shared = 0
+    for _ in range(300):
+        gens, n, degree = _random_ideal(rng)
+        found = truncated_tropicalization(gens, n, degree)
+        if len(found.circuits) > 60:  # the triples grow as pairs x shared monomials
+            continue
+        result = check_tropical_axiom(found)
+        assert result.passed, (gens, n, degree, result.counterexample)
+        checked += 1
+        shared += sum(1 for f, g in itertools.combinations(found.circuits, 2) if f & g)
+    assert (checked, shared) == (294, 4704)

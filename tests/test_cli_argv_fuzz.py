@@ -25,14 +25,14 @@ ERRORS = {1: "domain", 2: "parse"}
 
 BASES = {
     "eval": ["--poly", "x + y + 0", "--point", "1,2", "--nvars", "2"],
-    "bend": ["--poly", "x + 1/2*y", "--seed", "3"],
+    "bend": ["--poly", "x + 1/2*y", "--mode", "poly"],
     "hypersurface": ["--poly", "x + y + 0", "--mode", "poly"],
     "prevariety": ["--poly", "x + 1", "--poly", "y + 2", "--nvars", "2"],
     "affine-prevariety": ["--poly", "x + y", "--format", "text"],
     "dim": ["--poly", "x + y + 0", "--nvars", "2"],
     "prime-check": ["--matrix", "[[1,0],[2,0]]"],
     "prime-compare": ["--matrix", "[[1,2]]", "--term1", "3*x", "--term2", "0*x^2"],
-    "prime-variety": ["--matrix", "[[1,1,2]]", "--mode", "laurent"],
+    "prime-variety": ["--matrix", "[[1,1,2]]", "--format", "text"],
     "prime-member": ["--matrix", "[[1,0,0]]", "--poly", "x + y"],
     "trace-verify": ["--trace", TRACE],
     "tideal-check": ["--point", "0,0", "--degree", "1", "--trials", "4", "--seed", "0"],
@@ -123,14 +123,12 @@ def _assert_contract(argv, capsys):
 
 def test_base_command_lines_succeed(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("TROPICA_SEED", raising=False)
     for command, rest in list(BASES.items()) + EXTRA:
         assert _assert_contract([command, *rest], capsys) == 0
 
 
 def test_mutated_argv_keeps_the_error_contract(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # plot writes line.svg (or a swapped name) here
-    monkeypatch.delenv("TROPICA_SEED", raising=False)
     codes = [_assert_contract(argv, capsys) for argv in _cases(20261018, 25)]
     # the mutations reach all three outcomes
     assert {0, 1, 2} <= set(codes)

@@ -1,0 +1,97 @@
+"""Each subcommand accepts exactly the options its handler reads.
+
+The README's option table must equal the parser's option set, subcommand by
+subcommand.  An option that a subcommand once accepted and ignored (`--seed`
+outside `tideal-check`, `--mode` where no polynomial is read in a chosen
+mode, `--format` on `plot`, `--nvars` on `prime-member`) is an argument
+error: exit 2, a JSON parse error on stderr, nothing on stdout.  A negative
+variable count is rejected as such, on the command line and in trace JSON.
+"""
+
+import argparse
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from test_cli_argv_fuzz import BASES
+from tropica.cli import build_parser, main
+
+REPO = Path(__file__).resolve().parent.parent
+HELP = {"-h", "--help"}
+
+# (subcommand, option, a value the option would take where it is read)
+REMOVED = (
+    [
+        (command, "--seed", "0")
+        for command in (
+            "eval", "bend", "hypersurface", "prevariety", "affine-prevariety", "dim",
+            "prime-check", "prime-compare", "prime-variety", "prime-member", "trace-verify",
+            "tideal-trop", "plot",
+        )
+    ]
+    + [
+        (command, "--mode", "laurent")
+        for command in ("affine-prevariety", "prime-check", "prime-variety", "trace-verify", "tideal-trop")
+    ]
+    + [("plot", "--format", "json"), ("prime-member", "--nvars", "2")]
+)
+
+
+def _run(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _parser_options() -> dict[str, set[str]]:
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {option for action in sub._actions for option in action.option_strings} - HELP
+        for name, sub in subparsers.choices.items()
+    }
+
+
+def _readme_options() -> dict[str, set[str]]:
+    readme = (REPO / "README.md").read_text()
+    section = re.search(r"## Command line\n(.*?)\n## ", readme, re.DOTALL).group(1)
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", section, re.MULTILINE)
+    return {command: set(re.findall(r"`(--[a-z0-9]+)`", options)) for command, options in rows}
+
+
+def test_readme_table_is_the_parser_option_set():
+    table = _readme_options()
+    assert table == _parser_options()
+    assert sum(map(len, table.values())) == 65
+    assert len(REMOVED) == 20 and not any(option in table[c] for c, option, _ in REMOVED)
+
+
+@pytest.mark.parametrize("command, option, value", REMOVED, ids=lambda x: str(x))
+def test_removed_options_are_argument_errors(capsys, tmp_path, monkeypatch, command, option, value):
+    monkeypatch.chdir(tmp_path)  # the plot base line writes line.svg here
+    assert _run([command, *BASES[command]], capsys)[0] == 0
+    code, out, err = _run([command, *BASES[command], option, value], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "parse", "message": f"unrecognized arguments: {option} {value}"}
+
+
+@pytest.mark.parametrize("command", sorted(c for c, opts in _parser_options().items() if "--nvars" in opts))
+def test_negative_nvars_is_an_argument_error(capsys, tmp_path, monkeypatch, command):
+    # this was a parse error of the polynomial text: "expression uses 1 variables but nvars=-1"
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run([command, *BASES[command], "--nvars", "-1"], capsys)
+    assert (code, out) == (2, "")
+    message = "argument --nvars: invalid non-negative int value: '-1'"
+    assert json.loads(err) == {"error": "parse", "message": message}
+
+
+def test_negative_nvars_in_trace_json_is_a_domain_error(capsys, tmp_path):
+    # this was a parse error (exit 2): "expression uses 0 variables but nvars=-1"
+    data = json.loads((REPO / "traces" / "factor_swap.json").read_text())
+    data["nvars"] = -1
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps(data))
+    code, out, err = _run(["trace-verify", "--trace", str(trace)], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "domain", "message": "nvars must be non-negative, got -1"}

@@ -3,9 +3,11 @@
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
+from tropica.matrices import int_rank
 from tropica.parsing import parse_polynomial
 from tropica.polynomials import LAURENT, Pair, Polynomial, twisted_mul
 from tropica.primes import (
@@ -223,20 +225,62 @@ def test_full_rank_member_always_false():
         assert not bend_ideal_member(m, f)
 
 
+def _sixth(rng):
+    """6 times a draw of ``random_fraction(rng)``: the same RNG calls, on integers."""
+    return 6 * rng.randint(-4, 4) // rng.randint(1, 3)
+
+
+def _int_admissible(rng, n, nrows):
+    """The rows of ``random_admissible(rng, n, nrows)`` times 6, from the same RNG calls."""
+    while True:
+        rows = [[_sixth(rng) for _ in range(n + 1)] for _ in range(nrows)]
+        pivot = next((i for i, row in enumerate(rows) if row[0]), None)
+        if pivot is not None and rows[pivot][0] < 0:
+            rows[pivot] = [-x for x in rows[pivot]]
+        if int_rank(rows) == nrows:
+            return rows
+
+
+def _int_polynomial(rng, n):
+    """The terms of ``random_polynomial(rng, n)``, coefficients times 6, from the same RNG calls.
+
+    The coefficient is drawn before the exponents: an assignment evaluates
+    its value before its subscript.
+    """
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        coeff = _sixth(rng)
+        terms[tuple(rng.randint(-3, 3) for _ in range(n))] = coeff
+    return terms
+
+
+def _int_member(rows, terms):
+    """``bend_ideal_member`` on the integer keys rows @ (6 c, 6 e): a top key attained twice."""
+    keys = [tuple(row[0] * c + 6 * sum(map(mul, row[1:], e)) for row in rows) for e, c in terms.items()]
+    return len(keys) > 1 and keys.count(max(keys)) > 1
+
+
 def test_member_set_is_an_ideal():
+    # draws on integers; a Polynomial and a matrix are built only for a hit
     rng = random.Random(53)
-    hits = 0
+    hits = draws = 0
     while hits < 100:
+        draws += 1
         n = rng.randint(1, 2)
-        m = random_admissible(rng, n, rng.randint(1, n))
-        f = random_polynomial(rng, n)
-        g = random_polynomial(rng, n)
-        if not (bend_ideal_member(m, f) and bend_ideal_member(m, g)):
+        rows = _int_admissible(rng, n, rng.randint(1, n))
+        f = _int_polynomial(rng, n)
+        g = _int_polynomial(rng, n)
+        if not (_int_member(rows, f) and _int_member(rows, g)):
             continue
         hits += 1
+        m = check_admissible([[Fraction(x, 6) for x in row] for row in rows], n)
+        f, g = (Polynomial({e: Fraction(c, 6) for e, c in t.items()}, n) for t in (f, g))
+        assert bend_ideal_member(m, f) and bend_ideal_member(m, g)
         assert bend_ideal_member(m, f + g)
         h = random_polynomial(rng, n)
         assert bend_ideal_member(m, f * h)
+    # the draws of the former loop on random_admissible and random_polynomial
+    assert (draws, hits) == (168_724, 100)
 
 
 def test_member_set_is_prime():
