@@ -95,6 +95,13 @@ def _file_name(value: str | None, option: str) -> str | None:
     return value
 
 
+def _unread(args, source: str, names) -> None:
+    """A domain error naming the options in ``names`` given beside ``source``, which reads none."""
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise ValueError(f"{args.command} {source} does not read {', '.join(given)}")
+
+
 def _polynomials(args, mode: str, nvars: int | None) -> list[Polynomial]:
     """The --poly and --file texts, read in ``mode`` over ``nvars`` variables (None: inferred)."""
     texts = list(args.poly or [])
@@ -205,11 +212,17 @@ def _cmd_trace_verify(args):
 
 
 def _cmd_tideal_check(args):
-    if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    if args.trials > MAX_TRIALS:
-        raise ValueError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
     given = [f"--{k}" for k in ("circuits", "point", "matrix") if getattr(args, k) is not None]
+    if given == ["--circuits"]:  # it reads none of the four options below
+        _unread(args, "--circuits", ("mode", "seed", "degree", "trials"))
+    # their defaults, for --point and --matrix
+    mode, seed = args.mode or LAURENT, args.seed or 0
+    degree = 2 if args.degree is None else args.degree
+    trials = 15 if args.trials is None else args.trials
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"--trials must be at most {MAX_TRIALS}, got {trials}")
     if len(given) > 1:
         got = " and ".join(given)
         raise ValueError(f"tideal-check takes one of --circuits, --point or --matrix, got {got}")
@@ -217,12 +230,12 @@ def _cmd_tideal_check(args):
         description = parse_circuits_json(_load_json_arg(args.circuits))
     elif args.point is not None:
         point = parse_point(args.point)
-        window = monomial_window(len(point), args.mode, args.degree)
-        description = point_members(random.Random(args.seed), point, window, args.trials)
+        window = monomial_window(len(point), mode, degree)
+        description = point_members(random.Random(seed), point, window, trials)
     elif args.matrix is not None:
-        matrix = _matrix(args.matrix, args.mode)
-        window = monomial_window(matrix.n, args.mode, args.degree)
-        description = prime_members(random.Random(args.seed), matrix, window, args.trials)
+        matrix = _matrix(args.matrix, mode)
+        window = monomial_window(matrix.n, mode, degree)
+        description = prime_members(random.Random(seed), matrix, window, trials)
     else:
         raise ValueError("one of --circuits, --point or --matrix is required")
     result = check_tropical_axiom(description)
@@ -257,9 +270,10 @@ def _cmd_plot(args):
     if args.complex is not None:
         if args.poly or args.file is not None:
             raise ValueError("plot takes --complex or --poly/--file, not both")
+        _unread(args, "--complex", ("mode", "nvars"))
         x = complex_from_json(_load_json_arg(args.complex))
     else:
-        x = hypersurface(_polynomial(args, args.mode, args.nvars))
+        x = hypersurface(_polynomial(args, args.mode or LAURENT, args.nvars))
     bbox = parse_point(args.bbox)
     if len(bbox) != 4:
         raise ValueError("--bbox expects xmin,ymin,xmax,ymax")
@@ -354,12 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True)
 
     p = command("tideal-check", _cmd_tideal_check, "monomial elimination axiom check")
-    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(mode=None)  # unset, like --seed, --degree and --trials: --circuits reads none
+    p.add_argument("--seed", type=int)
     p.add_argument("--circuits", help="circuit JSON (or file path)")
     p.add_argument("--point", help="geometric point, e.g. 0,0")
     p.add_argument("--matrix", help="admissible matrix JSON")
-    p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--trials", type=int, default=15)
+    p.add_argument("--degree", type=int)
+    p.add_argument("--trials", type=int)
 
     p = command("tideal-trop", _cmd_tideal_trop, "circuits of a tropicalized rational ideal", mode=False)
     p.add_argument("--gens", action="append", required=True, help="classical polynomial, e.g. 'x - y'")
@@ -367,6 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nvars", type=_count, default=None)
 
     p = command("plot", _cmd_plot, "render a planar complex to SVG", emits_json=False)
+    p.set_defaults(mode=None)  # --complex reads no --mode
     _add_polys(p)
     p.add_argument("--complex", help="complex JSON (or file path)")
     p.add_argument("--bbox", default="-5,-5,5,5")

@@ -10,8 +10,8 @@ generators span (the gap between ideals and congruences).
 from __future__ import annotations
 
 from .parsing import parse_polynomial
-from .polynomials import LAURENT, Pair, Polynomial
-from .traces import ADD, GEN, MUL, REFL, SYM, TRANS, DerivationStep, DerivationTrace
+from .polynomials import LAURENT, Polynomial
+from .traces import ADD, GEN, MUL, REFL, SYM, TRANS, DerivationTrace, build_trace
 
 
 def _p(text: str, n: int) -> Polynomial:
@@ -21,100 +21,59 @@ def _p(text: str, n: int) -> Polynomial:
 def monomial_bridge_trace() -> DerivationTrace:
     """(x, x*y) from {x + 0, x*y + 0}: transitivity through the shared unit."""
     n = 2
-    g0, g1 = _p("x + 0", n), _p("x*y + 0", n)
-    x, xy, one = _p("x", n), _p("x*y", n), _p("0", n)
-    steps = (
-        DerivationStep(GEN, (0, (1, 0)), Pair(g0, one)),
-        DerivationStep(GEN, (0, (0, 0)), Pair(g0, x)),
-        DerivationStep(SYM, (1,), Pair(x, g0)),
-        DerivationStep(TRANS, (2, 0), Pair(x, one)),
-        DerivationStep(GEN, (1, (1, 1)), Pair(g1, one)),
-        DerivationStep(GEN, (1, (0, 0)), Pair(g1, xy)),
-        DerivationStep(SYM, (4,), Pair(one, g1)),
-        DerivationStep(TRANS, (6, 5), Pair(one, xy)),
-        DerivationStep(TRANS, (3, 7), Pair(x, xy)),
+    moves = (
+        (GEN, 0, (1, 0)), (GEN, 0, (0, 0)), (SYM, 1), (TRANS, 2, 0),  # (x, 0)
+        (GEN, 1, (1, 1)), (GEN, 1, (0, 0)), (SYM, 4), (TRANS, 6, 5),  # (0, x*y)
+        (TRANS, 3, 7),  # (x, x*y)
     )
-    return DerivationTrace((g0, g1), steps, Pair(x, xy))
+    return build_trace((_p("x + 0", n), _p("x*y + 0", n)), moves)
 
 
-def _variable_chain(n: int):
-    """Shared prefix deriving (y, z) from {x + y, x + z}."""
-    g0, g1 = _p("x + y", n), _p("x + z", n)
-    x, y, z = (_p(v, n) for v in "xyz")
-    steps = [
-        DerivationStep(GEN, (0, (0, 1, 0)), Pair(g0, x)),
-        DerivationStep(GEN, (0, (1, 0, 0)), Pair(g0, y)),
-        DerivationStep(GEN, (1, (0, 0, 1)), Pair(g1, x)),
-        DerivationStep(GEN, (1, (1, 0, 0)), Pair(g1, z)),
-        DerivationStep(SYM, (1,), Pair(y, g0)),
-        DerivationStep(TRANS, (4, 0), Pair(y, x)),
-        DerivationStep(SYM, (2,), Pair(x, g1)),
-        DerivationStep(TRANS, (6, 3), Pair(x, z)),
-        DerivationStep(TRANS, (5, 7), Pair(y, z)),
-    ]
-    return (g0, g1), steps, (x, y, z)
+def _variable_chain(*moves) -> DerivationTrace:
+    """``moves`` after the shared prefix deriving (y, z) from {x + y, x + z}."""
+    n = 3
+    prefix = (
+        (GEN, 0, (0, 1, 0)), (GEN, 0, (1, 0, 0)), (GEN, 1, (0, 0, 1)), (GEN, 1, (1, 0, 0)),
+        (SYM, 1), (TRANS, 4, 0),  # (y, x)
+        (SYM, 2), (TRANS, 6, 3),  # (x, z)
+        (TRANS, 5, 7),  # (y, z)
+    )
+    return build_trace((_p("x + y", n), _p("x + z", n)), prefix + moves)
 
 
 def sum_bend_right_trace() -> DerivationTrace:
     """(y + z, z) from {x + y, x + z}: one of the two bends of y + z."""
-    gens, steps, (_, y, z) = _variable_chain(3)
-    steps.append(DerivationStep(REFL, (z,), Pair(z, z)))
-    steps.append(DerivationStep(ADD, (8, 9), Pair(y + z, z)))
-    return DerivationTrace(gens, tuple(steps), Pair(y + z, z))
+    return _variable_chain((REFL, _p("z", 3)), (ADD, 8, 9))
 
 
 def sum_bend_left_trace() -> DerivationTrace:
     """(y + z, y) from {x + y, x + z}: the other bend of y + z."""
-    gens, steps, (_, y, z) = _variable_chain(3)
-    steps.append(DerivationStep(SYM, (8,), Pair(z, y)))
-    steps.append(DerivationStep(REFL, (y,), Pair(y, y)))
-    steps.append(DerivationStep(ADD, (10, 9), Pair(y + z, y)))
-    return DerivationTrace(gens, tuple(steps), Pair(y + z, y))
+    return _variable_chain((SYM, 8), (REFL, _p("y", 3)), (ADD, 10, 9))
 
 
 def variable_identification_trace() -> DerivationTrace:
     """(x, y) from {x + y, x + y^2}."""
     n = 2
-    g0 = _p("x + y", n)
-    x, y = _p("x", n), _p("y", n)
-    steps = (
-        DerivationStep(GEN, (0, (0, 1)), Pair(g0, x)),
-        DerivationStep(GEN, (0, (1, 0)), Pair(g0, y)),
-        DerivationStep(SYM, (0,), Pair(x, g0)),
-        DerivationStep(TRANS, (2, 1), Pair(x, y)),
-    )
-    return DerivationTrace((g0, _p("x + y^2", n)), steps, Pair(x, y))
+    moves = ((GEN, 0, (0, 1)), (GEN, 0, (1, 0)), (SYM, 0), (TRANS, 2, 1))
+    return build_trace((_p("x + y", n), _p("x + y^2", n)), moves)
 
 
 def unit_identification_trace() -> DerivationTrace:
     """(y, 0) from {x + y, x + y^2}: divides (y, y^2) by the invertible y."""
     n = 2
-    g0, g1 = _p("x + y", n), _p("x + y^2", n)
-    x, y, y2, one = _p("x", n), _p("y", n), _p("y^2", n), _p("0", n)
-    y_inv = _p("y^-1", n)
-    steps = (
-        DerivationStep(GEN, (0, (0, 1)), Pair(g0, x)),
-        DerivationStep(GEN, (0, (1, 0)), Pair(g0, y)),
-        DerivationStep(SYM, (1,), Pair(y, g0)),
-        DerivationStep(TRANS, (2, 0), Pair(y, x)),
-        DerivationStep(GEN, (1, (0, 2)), Pair(g1, x)),
-        DerivationStep(GEN, (1, (1, 0)), Pair(g1, y2)),
-        DerivationStep(SYM, (4,), Pair(x, g1)),
-        DerivationStep(TRANS, (6, 5), Pair(x, y2)),
-        DerivationStep(TRANS, (3, 7), Pair(y, y2)),
-        DerivationStep(REFL, (y_inv,), Pair(y_inv, y_inv)),
-        DerivationStep(MUL, (8, 9), Pair(one, y)),
-        DerivationStep(SYM, (10,), Pair(y, one)),
+    moves = (
+        (GEN, 0, (0, 1)), (GEN, 0, (1, 0)), (SYM, 1), (TRANS, 2, 0),  # (y, x)
+        (GEN, 1, (0, 2)), (GEN, 1, (1, 0)), (SYM, 4), (TRANS, 6, 5),  # (x, y^2)
+        (TRANS, 3, 7),  # (y, y^2)
+        (REFL, _p("y^-1", n)), (MUL, 8, 9), (SYM, 10),  # (y, 0)
     )
-    return DerivationTrace((g0, g1), steps, Pair(y, one))
+    return build_trace((_p("x + y", n), _p("x + y^2", n)), moves)
 
 
 def factor_swap_trace() -> DerivationTrace:
     """((0+x+x^2)*y, (0+x+x^2)*z) from six generators that cycle z against
     the terms of (0+x+x^2)*y and vice versa."""
     n = 3
-    a = _p("y + x*y + x^2*y", n)
-    bz = _p("z + x*z + x^2*z", n)
     gens = (
         _p("y + x*y + x^2*y + z", n),
         _p("y + x*y + x^2*y + x*z", n),
@@ -123,21 +82,15 @@ def factor_swap_trace() -> DerivationTrace:
         _p("z + x*z + x^2*z + x*y", n),
         _p("z + x*z + x^2*z + x^2*y", n),
     )
-    steps = (
-        DerivationStep(GEN, (0, (0, 0, 1)), Pair(gens[0], a)),
-        DerivationStep(GEN, (1, (1, 0, 1)), Pair(gens[1], a)),
-        DerivationStep(GEN, (2, (2, 0, 1)), Pair(gens[2], a)),
-        DerivationStep(ADD, (0, 1), Pair(gens[0] + gens[1], a)),
-        DerivationStep(ADD, (3, 2), Pair(a + bz, a)),
-        DerivationStep(GEN, (3, (0, 1, 0)), Pair(gens[3], bz)),
-        DerivationStep(GEN, (4, (1, 1, 0)), Pair(gens[4], bz)),
-        DerivationStep(GEN, (5, (2, 1, 0)), Pair(gens[5], bz)),
-        DerivationStep(ADD, (5, 6), Pair(gens[3] + gens[4], bz)),
-        DerivationStep(ADD, (8, 7), Pair(a + bz, bz)),
-        DerivationStep(SYM, (4,), Pair(a, a + bz)),
-        DerivationStep(TRANS, (10, 9), Pair(a, bz)),
+    # a = (0+x+x^2)*y and b = (0+x+x^2)*z
+    moves = (
+        (GEN, 0, (0, 0, 1)), (GEN, 1, (1, 0, 1)), (GEN, 2, (2, 0, 1)),
+        (ADD, 0, 1), (ADD, 3, 2),  # (a + b, a)
+        (GEN, 3, (0, 1, 0)), (GEN, 4, (1, 1, 0)), (GEN, 5, (2, 1, 0)),
+        (ADD, 5, 6), (ADD, 8, 7),  # (a + b, b)
+        (SYM, 4), (TRANS, 10, 9),  # (a, b)
     )
-    return DerivationTrace(gens, steps, Pair(a, bz))
+    return build_trace(gens, moves)
 
 
 SHIPPED_TRACES = {

@@ -24,7 +24,6 @@ monomial has coefficient 1 and like terms add as rationals.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 
@@ -275,9 +274,7 @@ def parse_point(text: str) -> tuple[Fraction, ...]:
 
 
 def parse_matrix_json(data) -> list[list[Fraction]]:
-    """Matrix as a JSON array of arrays of rationals ("p/q" strings or ints)."""
-    if isinstance(data, str):
-        data = json.loads(data)
+    """Matrix as decoded JSON: an array of arrays of rationals ("p/q" strings or ints)."""
     if not isinstance(data, list) or not data or not all(isinstance(r, list) and r for r in data):
         raise ValueError("matrix JSON must be a non-empty array of non-empty arrays")
     return [[to_fraction(x) for x in row] for row in data]

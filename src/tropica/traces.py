@@ -3,7 +3,7 @@
 Membership of a pair in the congruence generated by the bend relations of a
 finite polynomial list is not known to be decidable, so the library never
 searches: callers supply an explicit derivation and the verifier replays it.
-Each step names a rule, its premises and its claimed conclusion; a step is
+Each step names a rule, its arguments and its claimed conclusion; a step is
 accepted only when the conclusion is forced by the rule (formal polynomial
 equality, after the idempotent normalization built into Polynomial).
 
@@ -17,6 +17,15 @@ Rules:
 * ``MUL(s, t)``      -- component-wise product of two earlier conclusions.
 * ``TWIST(s, beta)`` -- twisted product of an earlier conclusion with an
   arbitrary pair (congruences absorb twisted products).
+
+``_RULES`` describes each rule once: its arguments in order, each as a JSON
+field and a kind (premise step, generator index, deleted monomial,
+polynomial, pair), and the function that computes the conclusion the rule
+forces.  The verifier resolves and checks arguments through it, the JSON
+reader and writer loop over its fields, and ``build_trace`` applies
+``(rule, *args)`` moves through the same functions, so a trace built in code
+states no conclusion by hand.  A step with the wrong number or kind of
+arguments is rejected at its index like any other failed step.
 """
 
 from __future__ import annotations
@@ -25,12 +34,15 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .parsing import _json_int, format_polynomial, parse_polynomial
+from .parsing import _json_int, format_monomial, format_polynomial, parse_polynomial
 from .polynomials import Exponents, LAURENT, Pair, Polynomial
 
 GEN, REFL, SYM, TRANS, ADD, MUL, TWIST = "GEN", "REFL", "SYM", "TRANS", "ADD", "MUL", "TWIST"
 
-_RULES = {GEN, REFL, SYM, TRANS, ADD, MUL, TWIST}
+# argument kinds, named as the rejection reasons name them
+_STEP, _GENERATOR, _MONOMIAL, _POLYNOMIAL, _PAIR = (
+    "premise step", "generator index", "deleted monomial", "polynomial", "pair"
+)
 
 
 @dataclass(frozen=True)
@@ -63,76 +75,103 @@ def instantiate_bend_generators(gens: list[Polynomial]) -> list[tuple[int, Expon
     return out
 
 
+class _Rejected(ValueError):
+    """A step that its rule does not force; the message is the reason."""
+
+
+def _gen(generator: tuple[int, Polynomial], expo: Exponents) -> Pair:
+    g_index, g = generator
+    if expo not in g.coeffs:
+        raise _Rejected(f"monomial {expo} is not in the support of generator {g_index}")
+    return Pair(g, g.delete_term(expo))
+
+
+def _trans(left: Pair, right: Pair) -> Pair:
+    if left.right != right.left:
+        raise _Rejected(
+            "TRANS premises do not chain: "
+            f"{format_polynomial(left.right)!r} != {format_polynomial(right.left)!r}"
+        )
+    return Pair(left.left, right.right)
+
+
+# rule -> ((JSON field, kind) per argument, conclusion from the resolved arguments);
+# Pair methods are looked up at each call, so that wrapping them on the class takes effect
+_RULES = {
+    GEN: ((("generator", _GENERATOR), ("delete", _MONOMIAL)), _gen),
+    REFL: ((("poly", _POLYNOMIAL),), lambda poly: Pair(poly, poly)),
+    SYM: ((("step", _STEP),), lambda pair: pair.swap()),
+    TRANS: ((("left", _STEP), ("right", _STEP)), _trans),
+    ADD: ((("left", _STEP), ("right", _STEP)), lambda left, right: left.add(right)),
+    MUL: ((("left", _STEP), ("right", _STEP)), lambda left, right: left.mul(right)),
+    TWIST: ((("step", _STEP), ("pair", _PAIR)), lambda pair, beta: pair.twisted(beta)),
+}
+
+
+def _rule(rule):
+    """The table entry of ``rule``; a name that is not a rule, of any type, is a rejection."""
+    entry = _RULES.get(rule) if isinstance(rule, str) else None
+    if entry is None:
+        raise _Rejected(f"unknown rule {rule!r}")
+    return entry
+
+
+def _conclusion(rule, args: tuple, generators, steps, index: int) -> Pair:
+    """The conclusion ``rule`` forces from ``args`` at step ``index``; raises _Rejected."""
+    fields, conclude = _rule(rule)
+    if len(args) != len(fields):
+        raise _Rejected(f"{rule} expects ({', '.join(kind for _, kind in fields)})")
+    values = []
+    for (_, kind), arg in zip(fields, args):
+        # indices are exact ints: a JSON boolean is an int in Python, not an index
+        if kind == _STEP:
+            if type(arg) is not int or not 0 <= arg < index:
+                raise _Rejected(f"premise index {arg!r} must reference an earlier step")
+            arg = steps[arg].conclusion
+        elif kind == _GENERATOR:
+            if type(arg) is not int or not 0 <= arg < len(generators):
+                raise _Rejected(f"generator index {arg!r} out of range")
+            arg = arg, generators[arg]
+        elif kind == _MONOMIAL and isinstance(arg, (tuple, list)) and all(type(e) is int for e in arg):
+            arg = tuple(arg)
+        elif kind == _MONOMIAL or not isinstance(arg, Polynomial if kind == _POLYNOMIAL else Pair):
+            raise _Rejected(f"{rule} expects a {kind} argument")
+        values.append(arg)
+    return conclude(*values)
+
+
 def _check_step(step: DerivationStep, trace: DerivationTrace, index: int) -> str | None:
     """None when the step is forced by its rule; otherwise the reason."""
-
-    # indices are exact ints: a JSON boolean is an int in Python, not an index
-    def premise(arg) -> DerivationStep | str:
-        if type(arg) is not int or not 0 <= arg < index:
-            return f"premise index {arg!r} must reference an earlier step"
-        return trace.steps[arg]
-
-    rule = step.rule
-    if rule not in _RULES:
-        return f"unknown rule {rule!r}"
-    if rule == GEN:
-        if len(step.args) != 2:
-            return "GEN expects (generator index, deleted monomial)"
-        g_index, expo = step.args
-        if type(g_index) is not int or not 0 <= g_index < len(trace.generators):
-            return f"generator index {g_index!r} out of range"
-        g = trace.generators[g_index]
-        if tuple(expo) not in g.coeffs:
-            return f"monomial {tuple(expo)} is not in the support of generator {g_index}"
-        expected = Pair(g, g.delete_term(tuple(expo)))
-    elif rule == REFL:
-        (poly,) = step.args
-        if not isinstance(poly, Polynomial):
-            return "REFL expects a polynomial argument"
-        expected = Pair(poly, poly)
-    elif rule == SYM:
-        (arg,) = step.args
-        prem = premise(arg)
-        if isinstance(prem, str):
-            return prem
-        expected = prem.conclusion.swap()
-    elif rule == TRANS:
-        left, right = (premise(a) for a in step.args)
-        if isinstance(left, str):
-            return left
-        if isinstance(right, str):
-            return right
-        if left.conclusion.right != right.conclusion.left:
-            return (
-                "TRANS premises do not chain: "
-                f"{format_polynomial(left.conclusion.right)!r} != "
-                f"{format_polynomial(right.conclusion.left)!r}"
-            )
-        expected = Pair(left.conclusion.left, right.conclusion.right)
-    elif rule in (ADD, MUL):
-        left, right = (premise(a) for a in step.args)
-        if isinstance(left, str):
-            return left
-        if isinstance(right, str):
-            return right
-        if rule == ADD:
-            expected = left.conclusion.add(right.conclusion)
-        else:
-            expected = left.conclusion.mul(right.conclusion)
-    else:  # TWIST
-        arg, pair = step.args
-        prem = premise(arg)
-        if isinstance(prem, str):
-            return prem
-        if not isinstance(pair, Pair):
-            return "TWIST expects a pair argument"
-        expected = prem.conclusion.twisted(pair)
+    try:
+        expected = _conclusion(step.rule, step.args, trace.generators, trace.steps, index)
+    except _Rejected as exc:
+        return str(exc)
     if expected != step.conclusion:
         return (
-            f"conclusion mismatch: rule {rule} forces "
+            f"conclusion mismatch: rule {step.rule} forces "
             f"({format_polynomial(expected.left)!r}, {format_polynomial(expected.right)!r})"
         )
     return None
+
+
+def build_trace(generators, moves) -> DerivationTrace:
+    """The trace of ``moves``, each ``(rule, *args)``, whose goal is its last conclusion.
+
+    Each step's conclusion is the one its rule forces, so the trace verifies
+    by construction; a move that the verifier would reject raises ValueError
+    naming its step.
+    """
+    generators = tuple(generators)
+    steps: list[DerivationStep] = []
+    for index, (rule, *args) in enumerate(moves):
+        try:
+            conclusion = _conclusion(rule, tuple(args), generators, steps, index)
+        except _Rejected as exc:
+            raise ValueError(f"step {index}: {exc}") from None
+        steps.append(DerivationStep(rule, tuple(args), conclusion))
+    if not steps:
+        raise ValueError("trace has no steps")
+    return DerivationTrace(generators, tuple(steps), steps[-1].conclusion)
 
 
 def verify_trace(trace: DerivationTrace) -> TraceResult:
@@ -180,17 +219,12 @@ def pair_recovery_trace(m1: Polynomial, m2: Polynomial, a: Polynomial, b: Polyno
     a_expo = a.support()[0]
     a_coeff = a.coefficient(a_expo)
     a_inv = Polynomial.term(-a_coeff, tuple(-e for e in a_expo), a.n, a.mode)
-    steps = (
-        DerivationStep(GEN, (0, bm1_expo), Pair(g1, am1 + am2)),
-        DerivationStep(GEN, (0, am2_expo), Pair(g1, am1 + bm1)),
-        DerivationStep(SYM, (0,), Pair(am1 + am2, g1)),
-        DerivationStep(TRANS, (2, 1), Pair(am1 + am2, am1 + bm1)),
-        DerivationStep(GEN, (1, bm1_expo), Pair(g2, am1)),
-        DerivationStep(TRANS, (3, 4), Pair(am1 + am2, am1)),
-        DerivationStep(REFL, (a_inv,), Pair(a_inv, a_inv)),
-        DerivationStep(MUL, (5, 6), Pair((am1 + am2) * a_inv, am1 * a_inv)),
+    moves = (
+        (GEN, 0, bm1_expo), (GEN, 0, am2_expo), (SYM, 0), (TRANS, 2, 1),  # (am1 + am2, am1 + bm1)
+        (GEN, 1, bm1_expo), (TRANS, 3, 4),  # (am1 + am2, am1)
+        (REFL, a_inv), (MUL, 5, 6),  # (m1 + m2, m1)
     )
-    return DerivationTrace((g1, g2), steps, Pair(m1 + m2, m1))
+    return build_trace((g1, g2), moves)
 
 
 # -- JSON serialization -------------------------------------------------------
@@ -200,27 +234,24 @@ def _pair_to_json(pair: Pair) -> list[str]:
     return [format_polynomial(pair.left), format_polynomial(pair.right)]
 
 
+def _arg_to_json(kind: str, arg, n: int):
+    if kind == _MONOMIAL:
+        return format_monomial(arg, n) or "1"
+    if kind == _POLYNOMIAL:
+        return format_polynomial(arg)
+    if kind == _PAIR:
+        return _pair_to_json(arg)
+    return arg  # an index
+
+
 def trace_to_json(trace: DerivationTrace) -> dict:
     n = trace.generators[0].n if trace.generators else trace.goal.left.n
     mode = trace.generators[0].mode if trace.generators else trace.goal.left.mode
     steps = []
     for step in trace.steps:
         entry: dict = {"rule": step.rule, "conclusion": _pair_to_json(step.conclusion)}
-        if step.rule == GEN:
-            from .parsing import format_monomial
-
-            entry["generator"] = step.args[0]
-            expo = step.args[1]
-            entry["delete"] = format_monomial(expo, n) or "1"
-        elif step.rule == REFL:
-            entry["poly"] = format_polynomial(step.args[0])
-        elif step.rule == SYM:
-            entry["step"] = step.args[0]
-        elif step.rule in (TRANS, ADD, MUL):
-            entry["left"], entry["right"] = step.args
-        else:
-            entry["step"] = step.args[0]
-            entry["pair"] = _pair_to_json(step.args[1])
+        for (field, kind), arg in zip(_rule(step.rule)[0], step.args):
+            entry[field] = _arg_to_json(kind, arg, n)
         steps.append(entry)
     return {
         "mode": mode,
@@ -270,22 +301,20 @@ def trace_from_json(data: dict) -> DerivationTrace:
     for entry in data["steps"]:
         rule = entry["rule"]
         conclusion = _parse_pair(entry["conclusion"], parse)
-        if rule == GEN:
-            mono = parse(entry["delete"])
-            if not mono.is_monomial():
-                raise ValueError(f"GEN delete field {entry['delete']!r} is not a monomial")
-            args = (entry["generator"], mono.support()[0])
-        elif rule == REFL:
-            args = (parse(entry["poly"]),)
-        elif rule == SYM:
-            args = (entry["step"],)
-        elif rule in (TRANS, ADD, MUL):
-            args = (entry["left"], entry["right"])
-        elif rule == TWIST:
-            args = (entry["step"], _parse_pair(entry["pair"], parse))
-        else:
-            raise ValueError(f"unknown rule {rule!r}")
-        steps.append(DerivationStep(rule, args, conclusion))
+        args = []
+        for field, kind in _rule(rule)[0]:
+            value = entry[field]  # an index stays as it is: the verifier checks it
+            if kind == _MONOMIAL:
+                mono = parse(value)
+                if not mono.is_monomial():
+                    raise ValueError(f"{rule} {field} field {value!r} is not a monomial")
+                value = mono.support()[0]
+            elif kind == _POLYNOMIAL:
+                value = parse(value)
+            elif kind == _PAIR:
+                value = _parse_pair(value, parse)
+            args.append(value)
+        steps.append(DerivationStep(rule, tuple(args), conclusion))
     return DerivationTrace(gens, tuple(steps), _parse_pair(data["goal"], parse))
 
 

@@ -6,6 +6,9 @@ outside `tideal-check`, `--mode` where no polynomial is read in a chosen
 mode, `--format` on `plot`, `--nvars` on `prime-member`) is an argument
 error: exit 2, a JSON parse error on stderr, nothing on stdout.  A negative
 variable count is rejected as such, on the command line and in trace JSON.
+An option that one input of a subcommand does not read (`--mode`, `--seed`,
+`--degree` and `--trials` beside `tideal-check --circuits`, `--mode` and
+`--nvars` beside `plot --complex`) is a domain error that names it.
 """
 
 import argparse
@@ -17,6 +20,8 @@ import pytest
 
 from test_cli_argv_fuzz import BASES
 from tropica.cli import build_parser, main
+from tropica.parsing import parse_polynomial
+from tropica.varieties import complex_to_json, hypersurface
 
 REPO = Path(__file__).resolve().parent.parent
 HELP = {"-h", "--help"}
@@ -37,6 +42,22 @@ REMOVED = (
     ]
     + [("plot", "--format", "json"), ("prime-member", "--nvars", "2")]
 )
+
+# an input of a subcommand, the options given beside it that it does not read, and their names
+CIRCUITS = ["tideal-check", "--circuits", '{"nvars": 1, "degree": 1, "circuits": [[[0], [1]]]}']
+COMPLEX = ["plot", "--complex", json.dumps(complex_to_json(hypersurface(parse_polynomial("x + y + 0"))))]
+UNREAD = [
+    (CIRCUITS, ["--degree", "7"], "--degree"),
+    (CIRCUITS, ["--trials", "0"], "--trials"),
+    (CIRCUITS, ["--trials", "1001"], "--trials"),
+    (CIRCUITS, ["--seed", "9"], "--seed"),
+    (CIRCUITS, ["--mode", "laurent"], "--mode"),
+    (CIRCUITS, ["--trials", "15", "--degree", "2", "--seed", "0", "--mode", "laurent"],
+     "--mode, --seed, --degree, --trials"),
+    (COMPLEX, ["--mode", "poly"], "--mode"),
+    (COMPLEX, ["--nvars", "5"], "--nvars"),
+    (COMPLEX, ["--nvars", "2", "--mode", "laurent"], "--mode, --nvars"),
+]
 
 
 def _run(argv, capsys):
@@ -95,3 +116,32 @@ def test_negative_nvars_in_trace_json_is_a_domain_error(capsys, tmp_path):
     code, out, err = _run(["trace-verify", "--trace", str(trace)], capsys)
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": "domain", "message": "nvars must be non-negative, got -1"}
+
+
+@pytest.mark.parametrize("base, extra, named", UNREAD, ids=[" ".join([b[1], *x]) for b, x, _ in UNREAD])
+def test_options_an_input_does_not_read_are_domain_errors(capsys, base, extra, named):
+    # these exited 0 and dropped the options; only --trials 0 failed, on its value
+    assert _run(base, capsys)[0] == 0
+    code, out, err = _run([*base, *extra], capsys)
+    assert (code, out) == (1, "")
+    message = f"{base[0]} {base[1]} does not read {named}"
+    assert json.loads(err) == {"error": "domain", "message": message}
+
+
+SAMPLING_DEFAULTS = ["--mode", "laurent", "--seed", "0", "--degree", "2", "--trials", "15"]
+
+
+@pytest.mark.parametrize(
+    "argv, defaults",
+    [
+        (["tideal-check", "--point", "0,0"], SAMPLING_DEFAULTS),
+        (["tideal-check", "--matrix", "[[0,1,1]]"], SAMPLING_DEFAULTS),
+        (["plot", "--poly", "x + y + 0"], ["--mode", "laurent"]),
+    ],
+    ids=["point", "matrix", "poly"],
+)
+def test_defaults_apply_where_the_options_are_read(capsys, argv, defaults):
+    # the options default to None so that --circuits and --complex can reject them
+    first = _run(argv, capsys)
+    assert first[0] == 0
+    assert _run([*argv, *defaults], capsys) == first

@@ -96,14 +96,14 @@ def test_round_trip_random():
 
 
 def test_matrix_json():
-    rows = parse_matrix_json('[["1", "1/2"], [0, "-2"]]')
+    rows = parse_matrix_json([["1", "1/2"], [0, "-2"]])
     assert rows == [[Fraction(1), Fraction(1, 2)], [Fraction(0), Fraction(-2)]]
     with pytest.raises(ValueError):
-        parse_matrix_json("[[1.5, 2]]")  # floats are not rationals
+        parse_matrix_json([[1.5, 2]])  # floats are not rationals
     with pytest.raises(ValueError):
-        parse_matrix_json("[]")
+        parse_matrix_json([])
     with pytest.raises(ValueError):
-        parse_matrix_json("[[1, 2], []]")
+        parse_matrix_json([[1, 2], []])
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -544,22 +544,33 @@ def test_cli_help_keeps_text_and_exit_code(capsys):
     assert capsys.readouterr().out.startswith("usage: tropica eval")
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["prime-check"],
-        ["prime-variety"],
-        ["prime-compare", "--term1", "x", "--term2", "1"],
-        ["prime-member", "--poly", "x + 1"],
-        ["tideal-check", "--degree", "1"],
-    ],
-)
+# the commands that read --matrix, each with the rest of a line that runs on a 1-variable prime
+MATRIX_READERS = [
+    ["prime-check"],
+    ["prime-variety"],
+    ["prime-compare", "--term1", "x", "--term2", "1"],
+    ["prime-member", "--poly", "x + 1"],
+    ["tideal-check", "--degree", "1"],
+]
+
+
+@pytest.mark.parametrize("args", MATRIX_READERS)
 @pytest.mark.parametrize("matrix", ["[[]]", "[[1, 0], []]"])
 def test_cli_matrix_with_an_empty_row_is_domain_error(capsys, args, matrix):
     # an empty row used to end in an IndexError traceback
     code, out, err = run_cli([*args, "--matrix", matrix], capsys)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "domain"
+
+
+@pytest.mark.parametrize("args", MATRIX_READERS)
+def test_cli_matrix_json_string_is_domain_error(capsys, args):
+    # the string was decoded a second time, so '"[[1,1]]"' was read as [[1,1]] (exit 0)
+    assert run_cli([*args, "--matrix", "[[1,1]]"], capsys)[0] == 0
+    code, out, err = run_cli([*args, "--matrix", '"[[1,1]]"'], capsys)
+    assert (code, out) == (1, "")
+    message = "matrix JSON must be a non-empty array of non-empty arrays"
+    assert json.loads(err) == {"error": "domain", "message": message}
 
 
 @pytest.mark.parametrize(
@@ -595,7 +606,10 @@ def test_cli_tideal_check_trials_above_cap_is_domain_error(capsys, monkeypatch, 
     monkeypatch.setattr(cli, "prime_members", no_draws)
     code, out, err = run_cli(["tideal-check", *args, "--trials", str(cli.MAX_TRIALS + 1)], capsys)
     assert code == 1 and out == ""
-    assert json.loads(err) == {"error": "domain", "message": "--trials must be at most 1000, got 1001"}
+    message = "--trials must be at most 1000, got 1001"
+    if "--circuits" in args:  # --circuits reads no --trials, whatever its value
+        message = "tideal-check --circuits does not read --trials"
+    assert json.loads(err) == {"error": "domain", "message": message}
 
 
 def test_cli_tideal_check_trials_at_cap(capsys):

@@ -12,6 +12,7 @@ from tropica.parsing import parse_polynomial
 from tropica.polynomials import LAURENT, Pair, Polynomial
 from tropica.primes import bend_ideal_member, pair_in_prime
 from tropica.sampling import random_admissible, random_fraction
+from test_parsing_cli import _readme_trace_json
 from tropica.traces import (
     ADD,
     GEN,
@@ -22,6 +23,8 @@ from tropica.traces import (
     TWIST,
     DerivationStep,
     DerivationTrace,
+    TraceResult,
+    build_trace,
     instantiate_bend_generators,
     load_trace,
     pair_recovery_trace,
@@ -142,6 +145,111 @@ def test_goal_mismatch_rejected():
 def test_empty_trace_rejected():
     g = P("x + y")
     assert not verify_trace(DerivationTrace((g,), (), Pair(g, g))).accepted
+
+
+# -- the rule table ---------------------------------------------------------------------
+
+# the reason for a step of each rule with the wrong number of arguments
+ARITY = {
+    GEN: "GEN expects (generator index, deleted monomial)",
+    REFL: "REFL expects (polynomial)",
+    SYM: "SYM expects (premise step)",
+    TRANS: "TRANS expects (premise step, premise step)",
+    ADD: "ADD expects (premise step, premise step)",
+    MUL: "MUL expects (premise step, premise step)",
+    TWIST: "TWIST expects (premise step, pair)",
+}
+
+
+def _readme_trace() -> DerivationTrace:
+    """The README's trace JSON, which uses each of the seven rules once."""
+    return trace_from_json(_readme_trace_json())
+
+
+def _replaced(trace: DerivationTrace, index: int, rule, args) -> DerivationTrace:
+    """``trace`` with step ``index`` given ``rule`` and ``args``, its conclusion kept."""
+    steps = list(trace.steps)
+    steps[index] = DerivationStep(rule, args, steps[index].conclusion)
+    return DerivationTrace(trace.generators, tuple(steps), trace.goal)
+
+
+def test_readme_trace_uses_every_rule_once():
+    assert sorted(step.rule for step in _readme_trace().steps) == sorted(ARITY)
+
+
+@pytest.mark.parametrize("count", ["fewer", "more"])
+@pytest.mark.parametrize("rule", sorted(ARITY))
+def test_wrong_argument_count_rejected_at_its_index(rule, count):
+    # these raised ValueError while unpacking the arguments, GEN's excepted
+    trace = _readme_trace()
+    index = next(i for i, step in enumerate(trace.steps) if step.rule == rule)
+    args = trace.steps[index].args
+    args = args[:-1] if count == "fewer" else args + (0,)
+    result = verify_trace(_replaced(trace, index, rule, args))
+    assert result == TraceResult(False, index, ARITY[rule])
+
+
+@pytest.mark.parametrize("monomial", [5, None, "y", ([1], 0, 0), (0, True, 0), (0, 1.0, 0)], ids=repr)
+def test_gen_monomial_that_is_no_integer_sequence_rejected(monomial):
+    # 5 and None raised TypeError, and so did a list entry, as an unhashable key;
+    # True and 1.0 hash as 1, so (0, True, 0) and (0, 1.0, 0) deleted y
+    trace = _readme_trace()
+    result = verify_trace(_replaced(trace, 0, GEN, (0, monomial)))
+    assert result == TraceResult(False, 0, "GEN expects a deleted monomial argument")
+
+
+@pytest.mark.parametrize("rule", [["GEN"], None, 0])
+def test_rule_that_is_no_rule_name_rejected(rule):
+    # a list raised TypeError as an unhashable set member
+    trace = _readme_trace()
+    result = verify_trace(_replaced(trace, 3, rule, trace.steps[3].args))
+    assert result == TraceResult(False, 3, f"unknown rule {rule!r}")
+    data = _readme_trace_json()
+    data["steps"][3]["rule"] = rule
+    with pytest.raises(ValueError, match="unknown rule"):
+        trace_from_json(data)
+
+
+def test_readme_trace_round_trips_both_ways():
+    data = _readme_trace_json()
+    trace = trace_from_json(data)
+    assert trace_to_json(trace) == data
+    assert trace_from_json(trace_to_json(trace)) == trace
+
+
+def _moves(trace: DerivationTrace) -> list[tuple]:
+    return [(step.rule, *step.args) for step in trace.steps]
+
+
+@pytest.mark.parametrize("name", ["README", *sorted(SHIPPED_TRACES)])
+def test_build_trace_forces_the_stated_conclusions(name):
+    # the README conclusions are written by hand; build_trace computes them
+    trace = _readme_trace() if name == "README" else load_trace(TRACE_DIR / f"{name}.json")
+    assert build_trace(trace.generators, _moves(trace)) == trace
+
+
+@pytest.mark.parametrize(
+    "index, move, reason",
+    [
+        (0, ("BEND", 0), "unknown rule 'BEND'"),
+        (1, (SYM,), "SYM expects (premise step)"),
+        (2, (SYM, 2), "premise index 2 must reference an earlier step"),
+        (3, (GEN, 2, (1, 0, 0)), "generator index 2 out of range"),
+        (4, (GEN, 0, (0, 0, 1)), "monomial (0, 0, 1) is not in the support of generator 0"),
+        (5, (TRANS, 0, 0), "TRANS premises do not chain: 'x' != 'x + y'"),
+        (6, (TWIST, 0, "x"), "TWIST expects a pair argument"),
+    ],
+)
+def test_build_trace_names_the_step_of_a_bad_move(index, move, reason):
+    moves = _moves(_readme_trace())[:index] + [move]
+    with pytest.raises(ValueError) as info:
+        build_trace(_readme_trace().generators, moves)
+    assert str(info.value) == f"step {index}: {reason}"
+
+
+def test_build_trace_needs_a_move():
+    with pytest.raises(ValueError, match="trace has no steps"):
+        build_trace([P("x + y")], [])
 
 
 # -- systematic mutations ---------------------------------------------------------------
