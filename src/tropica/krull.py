@@ -84,8 +84,7 @@ def witness_prime(x: PolyComplex, gens: list[Polynomial]) -> AdmissibleMatrix:
     if any(cell.stratum for cell in x.cells):
         raise ValueError("witness construction expects an R^n complex")
     d = complex_dim(x)
-    candidates = sorted((c for c in x.cells if c.dim == d), key=Cell.key)
-    cell = candidates[0]
+    cell = min((c for c in x.cells if c.dim == d), key=Cell.key)
     omega = cell.interior_point
     rows = [[Fraction(1), *omega]]
     directions = affine_hull_directions(cell.rows, x.ambient, omega)

@@ -25,7 +25,9 @@ forces.  The verifier resolves and checks arguments through it, the JSON
 reader and writer loop over its fields, and ``build_trace`` applies
 ``(rule, *args)`` moves through the same functions, so a trace built in code
 states no conclusion by hand.  A step with the wrong number or kind of
-arguments is rejected at its index like any other failed step.
+arguments, or with a generator, polynomial or pair of another variable
+count or mode than the trace (``_shape``), is rejected at its index like
+any other failed step.
 """
 
 from __future__ import annotations
@@ -116,11 +118,23 @@ def _rule(rule):
     return entry
 
 
+def _shape(generators, steps, index: int) -> tuple[int, str] | None:
+    """The trace's (n, mode): its first generator's, else its first step's; None before either."""
+    first = generators[0] if generators else steps[0].conclusion.left if index else None
+    return None if first is None else (first.n, first.mode)
+
+
 def _conclusion(rule, args: tuple, generators, steps, index: int) -> Pair:
-    """The conclusion ``rule`` forces from ``args`` at step ``index``; raises _Rejected."""
+    """The conclusion ``rule`` forces from ``args`` at step ``index``; raises _Rejected.
+
+    A generator, polynomial or pair argument must have the trace's variable
+    count and mode (``_shape``); the rules would otherwise combine
+    polynomials of two rings.
+    """
     fields, conclude = _rule(rule)
     if len(args) != len(fields):
         raise _Rejected(f"{rule} expects ({', '.join(kind for _, kind in fields)})")
+    shape = _shape(generators, steps, index)
     values = []
     for (_, kind), arg in zip(fields, args):
         # indices are exact ints: a JSON boolean is an int in Python, not an index
@@ -136,6 +150,14 @@ def _conclusion(rule, args: tuple, generators, steps, index: int) -> Pair:
             arg = tuple(arg)
         elif kind == _MONOMIAL or not isinstance(arg, Polynomial if kind == _POLYNOMIAL else Pair):
             raise _Rejected(f"{rule} expects a {kind} argument")
+        if kind in (_GENERATOR, _POLYNOMIAL, _PAIR) and shape is not None:
+            poly = arg[1] if kind == _GENERATOR else arg if kind == _POLYNOMIAL else arg.left
+            if (poly.n, poly.mode) != shape:
+                what = f"generator {arg[0]}" if kind == _GENERATOR else kind
+                raise _Rejected(
+                    f"{rule} {what} has {poly.n} variables in {poly.mode} mode, "
+                    f"the trace {shape[0]} in {shape[1]} mode"
+                )
         values.append(arg)
     return conclude(*values)
 

@@ -10,6 +10,21 @@ Maximality and cell dimension come from argmax signatures, not from
 polyhedral probing: the set of terms of each generator that attain the
 maximum at a cell's relative interior point (see ``_maximal_cells``).
 
+Untight-signature lemma: a candidate carries, per generator, the pair
+(i, j) of its tie cell, and the point its solve found.  When no LE row is
+tight at that point, it is the relative interior point (strictness lemma of
+``polyhedra``), and there term i equals term j and every other term of the
+generator lies strictly below them.  So each argmax set is exactly
+{e_i, e_j}, with no evaluation, and the cell's dimension is n minus the
+rank of the differences e_j - e_i: n - 1 for a hypersurface, with no rank
+computed.  Only a candidate with a tight row takes the interior solve and
+evaluates its terms.
+
+Difference table: the rows of a polynomial are the differences
+term_k - term_i, built once per polynomial (``_differences``).  A tie cell
+picks its EQ row and its LE rows from the table, and
+``vanishes_on_complex`` reads its strict rows off one table per stratum.
+
 Integer rows: a prevariety scales all its generators by one L, the lcm of
 their coefficient denominators, so term k becomes (L e_k, L c_k), the affine
 function L (c_k + e_k . x).  Tie-cell rows, their intersections and the
@@ -17,10 +32,12 @@ strict-dominance systems go to Fourier-Motzkin as integer rows, each L times
 the rational constraint it stands for; they describe the same polyhedra, so
 by the representation lemma of ``polyhedra`` they give the same points.
 Argmax sets are compared as integers L den times the term values at the
-point nums / den; L den > 0 keeps their order.  A tie cell is built once, as
-rows, and a cell keeps integer rows with a canonical scale (see ``Cell``).
-Rational text ("p/q") appears only where a complex is written to or read
-from JSON (``complex_to_json``, ``complex_from_json``), and in the SVG.
+point nums / den; L den > 0 keeps their order.  A tie cell picks its rows
+from the difference table, and a cell keeps integer rows with a canonical
+scale (see ``Cell``).  Rational text ("p/q") appears only where a complex
+is written to or read from JSON (``complex_to_json``,
+``complex_from_json``), in the SVG, and in the sort key of a cell, which
+writes it from the integers (``_text``).
 
 Conventions: monomials never vanish and the zero polynomial vanishes nowhere
 on R^n, so both contribute empty hypersurfaces.  On a bottom stratum of the
@@ -45,6 +62,7 @@ from .polyhedra import (
     _fractions,
     _int_feasible_point,
     _int_interior_point,
+    _tight_rows,
     affine_hull_directions,
     contains_point,
     dimension,
@@ -79,8 +97,15 @@ class Cell:
 
 
 def _text(x: int, scale: int) -> str:
-    """The entry x / scale as JSON text: an integer or "p/q"."""
-    return str(Fraction(x, scale))
+    """The entry x / scale as JSON text: an integer or "p/q".
+
+    It equals ``str(Fraction(x, scale))``: the scale is positive, so the
+    sign stays on the reduced numerator.
+    """
+    if scale == 1:
+        return str(x)
+    g = gcd(x, scale)
+    return str(x // g) if g == scale else f"{x // g}/{scale // g}"
 
 
 def _canonical(rows: list[IntRow], scale: int) -> tuple[tuple[IntRow, ...], int]:
@@ -120,10 +145,24 @@ def _difference(terms: list[ScaledTerm], k: int, i: int, rel: str) -> IntRow:
     return tuple(a - b for a, b in zip(gk, gi)), ci - ck, rel
 
 
-def _tie_rows(terms: list[ScaledTerm], i: int, j: int) -> list[IntRow]:
-    """The tie cell {x : term_i(x) = term_j(x) >= term_k(x) for all k}, each row times L."""
-    rows = [_difference(terms, i, j, EQ)]
-    rows.extend(_difference(terms, k, i, LE) for k in range(len(terms)) if k != i and k != j)
+Differences = list[list[IntRow]]
+
+
+def _differences(terms: list[ScaledTerm]) -> Differences:
+    """The difference table of a polynomial: entry [i][k] is the row term_k <= term_i."""
+    indices = range(len(terms))
+    return [[_difference(terms, k, i, LE) for k in indices] for i in indices]
+
+
+def _tie_rows(table: Differences, i: int, j: int) -> list[IntRow]:
+    """The tie cell {x : term_i(x) = term_j(x) >= term_k(x) for all k}, each row times L.
+
+    Its EQ row term_i = term_j is entry [j][i] of the table, and its LE rows
+    are the entries [i][k] for k other than i and j.
+    """
+    a, b, _ = table[j][i]
+    rows = [(a, b, EQ)]
+    rows.extend(row for k, row in enumerate(table[i]) if k != i and k != j)
     return rows
 
 
@@ -143,17 +182,29 @@ def _make_cell(
 ) -> tuple[Signature, Cell]:
     """The cell of a non-empty candidate, with its argmax signature.
 
-    A candidate is (rows, found): its constraints, each L = scale times the
-    rational constraint it stands for, and a point of them.  The cell keeps
-    the rows over their canonical scale.  Near its relative interior point
-    the cell is cut out by the ties within each argmax set: its dimension is
-    n minus the rank of those differences.
+    A candidate is (rows, found, pairs): its constraints, each L = scale
+    times the rational constraint it stands for, the point its solve found,
+    and the tie pair (i, j) of each generator.  The cell keeps the rows over
+    their canonical scale.  Near its relative interior point the cell is cut
+    out by the ties within each argmax set: its dimension is n minus the
+    rank of those differences.  With no tight row the signature is read off
+    the pairs (untight-signature lemma above).
     """
-    rows, found = candidate
-    at = _int_interior_point(rows, n, found)
-    signature = tuple(_argmax(terms, at) for terms in scaled)
-    ties = [tuple(a - b for a, b in zip(e, min(terms))) for terms in signature for e in terms]
-    return signature, Cell(*_canonical(rows, scale), n - int_rank(ties), _fractions(at))
+    rows, found, pairs = candidate
+    if _tight_rows(rows, found):
+        at = _int_interior_point(rows, n, found)
+        signature = tuple(_argmax(terms, at) for terms in scaled)
+        ties = [tuple(a - b for a, b in zip(e, min(terms))) for terms in signature for e in terms]
+        dim = n - int_rank(ties)
+    else:
+        at = found
+        tied = [(terms[i][0], terms[j][0]) for terms, (i, j) in zip(scaled, pairs)]
+        signature = tuple(frozenset(pair) for pair in tied)
+        if len(tied) == 1:
+            dim = n - 1  # e_i != e_j
+        else:
+            dim = n - int_rank([tuple(a - b for a, b in zip(ei, ej)) for ei, ej in tied])
+    return signature, Cell(*_canonical(rows, scale), dim, _fractions(at))
 
 
 def _maximal_cells(made) -> tuple[Cell, ...]:
@@ -177,12 +228,12 @@ def _maximal_cells(made) -> tuple[Cell, ...]:
 
 def _extend(candidates, ties, n: int):
     """Each candidate intersected with each tie cell, in product order; empty ones are dropped."""
-    for rows, _ in candidates:
-        for more, _ in ties:
+    for rows, _, pairs in candidates:
+        for more, _, pair in ties:
             joined = rows + more
             found = _int_feasible_point(joined, n)
             if found is not None:
-                yield joined, found
+                yield joined, found, pairs + pair
 
 
 def hypersurface(f: Polynomial) -> PolyComplex:
@@ -210,12 +261,13 @@ def prevariety(gens: list[Polynomial]) -> PolyComplex:
     scaled = [_scaled_terms(g, scale) for g in gens]
     candidates = None
     for terms in scaled:
+        table = _differences(terms)
         ties = []
         for i, j in itertools.combinations(range(len(terms)), 2):
-            rows = _tie_rows(terms, i, j)
+            rows = _tie_rows(table, i, j)
             found = _int_feasible_point(rows, n)
             if found is not None:
-                ties.append((rows, found))
+                ties.append((rows, found, ((i, j),)))
         if not ties:
             return PolyComplex(n, mode, ())
         candidates = ties if candidates is None else _extend(candidates, ties, n)
@@ -275,22 +327,32 @@ def vanishes_on_complex(f: Polynomial, x: PolyComplex) -> bool:
     """
     if f.n != x.ambient:
         raise ValueError(f"ambient mismatch: {f.n} vs {x.ambient}")
+    strata: dict[tuple[int, ...], tuple[Polynomial, list[list[IntRow]]]] = {}
     for cell in x.cells:
-        restricted = f.restrict_to_stratum(cell.stratum) if cell.stratum else f
+        if cell.stratum not in strata:
+            restricted = f.restrict_to_stratum(cell.stratum) if cell.stratum else f
+            strata[cell.stratum] = restricted, _strict_rows(restricted)
+        restricted, strict = strata[cell.stratum]
         if restricted.is_zero():
             if cell.stratum:
                 continue  # value is bottom on the whole stratum
             return False  # the zero polynomial vanishes nowhere on R^n
         if restricted.is_monomial():
             return False
-        terms = _scaled_terms(restricted, lcm(*(c.denominator for _, c in restricted.terms())))
         ncoords = len(cell.interior_point)
-        for i in range(len(terms)):
-            others = (_difference(terms, k, i, LT) for k in range(len(terms)) if k != i)
-            dominant = [*cell.rows, *others]
-            if _int_feasible_point(dominant, ncoords) is not None:
+        for others in strict:
+            if _int_feasible_point([*cell.rows, *others], ncoords) is not None:
                 return False
     return True
+
+
+def _strict_rows(f: Polynomial) -> list[list[IntRow]]:
+    """Per term i of f, the rows term_k < term_i (k != i), read off one difference table."""
+    terms = _scaled_terms(f, lcm(*(c.denominator for _, c in f.terms())))
+    return [
+        [(a, b, LT) for k, (a, b, _) in enumerate(row) if k != i]
+        for i, row in enumerate(_differences(terms))
+    ]
 
 
 def complex_to_json(x: PolyComplex) -> dict:

@@ -815,26 +815,36 @@ def test_make_cell_solves_each_candidate_once(monkeypatch):
     """The unmodified system of a candidate is solved once, not once per query.
 
     Each candidate costs one feasibility solve; a non-empty one reaches
-    `_make_cell` with the point found.  When no LE row is tight at that
-    point it is the interior point and nothing more is solved; otherwise
-    the candidate adds one probe per tight LE row and one interior solve.
+    `_make_cell` with the point found and its tie pair.  When no LE row is
+    tight at that point it is the interior point and nothing more is
+    solved; otherwise the candidate adds one probe per tight LE row and one
+    interior solve.  Tie rows are picked from the polynomial's difference
+    table, and are the rows `_difference` writes.
     """
     f = parse_polynomial("x^2 + 1*x*y + y^2 + x + -1*y + 2*x*z + z^2 + 0", "poly", 3)
+    terms = varieties._scaled_terms(f, 1)
     candidates = []
+    pairs = {}
     tie_rows = varieties._tie_rows
 
-    def recorded_tie_rows(terms, i, j):
-        rows = tie_rows(terms, i, j)
+    def recorded_tie_rows(table, i, j):
+        rows = tie_rows(table, i, j)
+        assert table == varieties._differences(terms)
+        assert rows == [varieties._difference(terms, i, j, EQ)] + [
+            varieties._difference(terms, k, i, LE) for k in range(len(terms)) if k not in (i, j)
+        ]
         candidates.append(list(rows))
+        pairs[tuple(rows)] = ((i, j),)
         return rows
 
     made = []
     original = varieties._make_cell
 
     def make_cell(candidate, scaled, scale, n):
-        rows, found = candidate
+        rows, found, pair = candidate
         made.append(list(rows))
         assert found == solve(rows, n)
+        assert pair == pairs[tuple(rows)]
         return original(candidate, scaled, scale, n)
 
     solved = []

@@ -247,6 +247,47 @@ def test_build_trace_names_the_step_of_a_bad_move(index, move, reason):
     assert str(info.value) == f"step {index}: {reason}"
 
 
+# an argument of another variable count or mode raised "dimension/mode mismatch"
+# in the ADD step that combined it with the trace's polynomials
+Z3 = P("z", 3)
+POLY_PAIR = Pair(parse_polynomial("x", "poly", 2), parse_polynomial("y", "poly", 2))
+OTHER_RING = {
+    REFL: ((Z3,), Pair(Z3, Z3), "REFL polynomial has 3 variables in laurent mode"),
+    TWIST: ((0, POLY_PAIR), POLY_PAIR, "TWIST pair has 2 variables in poly mode"),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(OTHER_RING))
+def test_argument_of_another_ring_rejected_at_its_index(rule):
+    args, conclusion, reason = OTHER_RING[rule]
+    reason += ", the trace 2 in laurent mode"
+    g = P("x + y")
+    with pytest.raises(ValueError) as info:
+        build_trace([g], [(GEN, 0, (1, 0)), (rule, *args), (ADD, 0, 1)])
+    assert str(info.value) == f"step 1: {reason}"
+    bend = Pair(g, P("y", 2))
+    steps = (
+        DerivationStep(GEN, (0, (1, 0)), bend),
+        DerivationStep(rule, args, conclusion),
+        DerivationStep(ADD, (0, 1), bend),
+    )
+    assert verify_trace(DerivationTrace((g,), steps, bend)) == TraceResult(False, 1, reason)
+
+
+def test_generator_of_another_ring_rejected_at_its_index():
+    gens = (P("x + y"), P("x + y + z"))
+    moves = [(GEN, 0, (1, 0)), (GEN, 1, (1, 0, 0)), (ADD, 0, 1)]
+    with pytest.raises(ValueError, match="step 1: GEN generator 1 has 3 variables in laurent mode, the trace 2 in laurent mode"):
+        build_trace(gens, moves)
+
+
+def test_trace_without_generators_takes_the_ring_of_its_first_step():
+    x, z = P("x", 2), P("z", 3)
+    with pytest.raises(ValueError, match="step 1: REFL polynomial has 3 variables"):
+        build_trace([], [(REFL, x), (REFL, z), (ADD, 0, 1)])
+    assert verify_trace(build_trace([], [(REFL, z), (REFL, z), (ADD, 0, 1)])).accepted
+
+
 def test_build_trace_needs_a_move():
     with pytest.raises(ValueError, match="trace has no steps"):
         build_trace([P("x + y")], [])
