@@ -31,7 +31,6 @@ from .parsing import (
 from .polynomials import LAURENT, POLY, Polynomial
 from .primes import (
     AdmissibilityError,
-    admissibility_violations,
     bend_ideal_member,
     check_admissible,
     classify_prime,
@@ -127,8 +126,7 @@ def _polynomial(args, mode: str, nvars: int | None) -> Polynomial:
 
 def _matrix(text: str, mode: str = LAURENT):
     rows = parse_matrix_json(_load_json_arg(text))
-    n = len(rows[0]) - 1
-    return check_admissible(rows, n, mode)
+    return check_admissible(rows, len(rows[0]) - 1, mode)
 
 
 # -- subcommand implementations ----------------------------------------------
@@ -165,13 +163,12 @@ def _cmd_dim(args):
 
 
 def _cmd_prime_check(args):
-    rows = parse_matrix_json(_load_json_arg(args.matrix))
-    n = len(rows[0]) - 1
-    problems = admissibility_violations(rows, n)
-    if problems:
-        _emit({"admissible": False, "violations": problems}, args)
+    try:
+        matrix = _matrix(args.matrix)
+    except AdmissibilityError as exc:
+        _emit({"admissible": False, "violations": exc.violations}, args)
         return
-    kind, r = classify_prime(check_admissible(rows, n))
+    kind, r = classify_prime(matrix)
     _emit({"admissible": True, "rank": r, "kind": kind}, args)
 
 

@@ -1,13 +1,15 @@
 """Exact linear algebra over the rationals.
 
 Everything in this package that touches matrix rank, kernels or affine hulls
-must stay exact, so nothing here rounds, and every entry is read through
-``to_fraction`` (integers, ``Fraction``s and "p/q" strings only).  Rank
-comes from Bareiss fraction-free elimination on integer rows (``int_rank``).
-Kernels and bases come from one integer Gauss-Jordan elimination,
-``int_echelon``: ``int_nullspace`` reads the kernel of an integer matrix off
-it as primitive integer vectors, and ``nullspace`` is its ``Fraction`` front
-end, whose vectors reach the JSON output.
+must stay exact, so nothing here rounds.  Input is read by two readers:
+rationals by ``to_fraction`` (integers, ``Fraction``s and "p/q" strings
+only), and variable counts, degrees and exponents by ``to_int`` (integers
+and integral ``Fraction``s only).  Rank comes from Bareiss fraction-free
+elimination on integer rows (``int_rank``).  Kernels and bases come from
+one integer Gauss-Jordan elimination, ``int_echelon``: ``int_nullspace``
+reads the kernel of an integer matrix off it as primitive integer vectors,
+and ``nullspace`` is its ``Fraction`` front end, whose vectors reach the
+JSON output.
 """
 
 from __future__ import annotations
@@ -43,6 +45,15 @@ def to_fraction(x) -> Fraction:
     if not isinstance(x, (int, Fraction)):
         raise ValueError(f"expected an integer or a 'p/q' string, got {x!r}")
     return Fraction(x)
+
+
+def to_int(x, what: str) -> int:
+    """An int that is not a bool, or an integral Fraction, as an int; ValueError otherwise."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    raise ValueError(f"{what} must be an integer, got {x!r}")
 
 
 def clear_denominators(row) -> tuple[int, ...]:

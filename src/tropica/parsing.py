@@ -13,9 +13,9 @@ sum, "*" the tropical product.  A bare monomial carries the unit coefficient
 largest coefficient.  Variables are x, y, z, w or x1..xn; the two styles
 cannot be mixed in one expression.
 
-``parse_polynomial`` folds the terms into one coefficient map and builds a
-single ``Polynomial``; ``parse_polynomials`` reads each of several texts
-once and pads their exponents to a common variable count.
+``parse_polynomials`` reads each of several texts once and pads their
+exponents to a common variable count; ``parse_polynomial`` is its one-text
+case.
 
 Classical polynomials over Q (``parse_classical``) share the monomials and
 the term grammar, but "-" is an operator (coefficients are unsigned), a bare
@@ -28,7 +28,7 @@ import re
 from fractions import Fraction
 
 from .polynomials import LAURENT, POLY, Exponents, Polynomial
-from .matrices import to_fraction
+from .matrices import to_fraction, to_int
 from .scalars import BOTTOM, TropScalar, trop_add
 from .tropical_linear import CircuitSet, monomial_window
 
@@ -172,21 +172,10 @@ def _read_terms(text: str, nvars: int | None, classical: bool):
     for _, _, expos in terms:
         for idx in expos:
             inferred = max(inferred, idx + 1)
-    n = inferred if nvars is None else int(nvars)
+    n = inferred if nvars is None else to_int(nvars, "nvars")
     if n < inferred:
         raise ParseError(f"expression uses {inferred} variables but nvars={n}", 0)
     return [(neg, c, tuple(e.get(i, 0) for i in range(n))) for neg, c, e in terms], n
-
-
-def _fold_terms(text: str, mode: str, nvars: int | None) -> tuple[dict[Exponents, TropScalar], int]:
-    """The coefficient map of ``text`` (a repeated monomial keeps the max) and n."""
-    terms, n = _read_terms(text, nvars, classical=False)
-    coeffs: dict[Exponents, TropScalar] = {}
-    for _, coeff, key in terms:
-        if mode == POLY and any(e < 0 for e in key):
-            raise ParseError("negative exponents are not allowed in poly mode", 0)
-        coeffs[key] = trop_add(coeffs.get(key, BOTTOM), coeff)
-    return coeffs, n
 
 
 def parse_polynomial(text: str, mode: str = LAURENT, nvars: int | None = None) -> Polynomial:
@@ -194,20 +183,26 @@ def parse_polynomial(text: str, mode: str = LAURENT, nvars: int | None = None) -
 
     ``nvars`` fixes the ambient variable count; otherwise it is inferred from
     the variables that appear (letters count up to the furthest letter used).
-    The terms are folded into one map first, so one ``Polynomial`` is built.
     """
-    coeffs, n = _fold_terms(text, mode, nvars)
-    return Polynomial(coeffs, n, mode)
+    return parse_polynomials([text], mode, nvars)[0]
 
 
 def parse_polynomials(texts, mode: str = LAURENT, nvars: int | None = None) -> list[Polynomial]:
     """Each text parsed once, all over ``nvars`` variables or else the most any text uses.
 
-    The first text that does not parse raises as in ``parse_polynomial``.
-    An inferred count pads each text's exponents with zeros, which is what
+    The first text that does not parse raises its ``ParseError``.  An
+    inferred count pads each text's exponents with zeros, which is what
     parsing the text again with that count would give.
     """
-    folded = [_fold_terms(text, mode, nvars) for text in texts]
+    folded = []
+    for text in texts:
+        terms, k = _read_terms(text, nvars, classical=False)
+        coeffs: dict[Exponents, TropScalar] = {}
+        for _, coeff, key in terms:
+            if mode == POLY and any(e < 0 for e in key):
+                raise ParseError("negative exponents are not allowed in poly mode", 0)
+            coeffs[key] = trop_add(coeffs.get(key, BOTTOM), coeff)
+        folded.append((coeffs, k))
     n = max((k for _, k in folded), default=0)
     return [
         Polynomial({key + (0,) * (n - k): c for key, c in coeffs.items()}, n, mode)
@@ -280,18 +275,12 @@ def parse_matrix_json(data) -> list[list[Fraction]]:
     return [[to_fraction(x) for x in row] for row in data]
 
 
-def _json_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def parse_circuits_json(data) -> CircuitSet:
     """Circuit JSON (README) as a CircuitSet; counts and exponents must be JSON integers."""
     if not isinstance(data, dict) or not isinstance(data.get("circuits"), list):
         raise ValueError('circuit JSON must be an object with a "circuits" array')
-    n = _json_int(data["nvars"], "nvars")
-    window = monomial_window(n, data.get("mode", POLY), _json_int(data["degree"], "degree"))
+    n = to_int(data["nvars"], "nvars")
+    window = monomial_window(n, data.get("mode", POLY), to_int(data["degree"], "degree"))
     inside = set(window.monomials)
     circuits = []
     for support in data["circuits"]:
@@ -299,7 +288,7 @@ def parse_circuits_json(data) -> CircuitSet:
             raise ValueError("a circuit must be an array of exponent vectors")
         if not support:
             raise ValueError("a circuit must hold at least one monomial")
-        expos = [tuple(_json_int(e, "an exponent") for e in expo) for expo in support]
+        expos = [tuple(to_int(e, "an exponent") for e in expo) for expo in support]
         for expo in expos:
             if expo not in inside:
                 raise ValueError(f"monomial {expo} is outside the window")

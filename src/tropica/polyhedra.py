@@ -258,8 +258,6 @@ def _int_interior_point(rows: list[IntRow], n: int, point: IntPoint) -> IntPoint
     return found
 
 
-
-
 def _fractions(point: IntPoint) -> tuple[Fraction, ...]:
     nums, den = point
     return tuple(Fraction(x, den) for x in nums)

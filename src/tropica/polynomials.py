@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .matrices import to_fraction
+from .matrices import to_fraction, to_int
 from .scalars import BOTTOM, ONE, TropScalar, is_bottom, scalar, trop_add, trop_mul
 
 LAURENT = "laurent"
@@ -26,6 +26,18 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
+def to_exponents(expo, n: int, mode: str) -> Exponents:
+    """``expo`` as a tuple of n integers (``to_int``), none negative in poly mode."""
+    key = tuple(expo)
+    if not {int}.issuperset(map(type, key)):  # type(True) is bool, not int
+        key = tuple(to_int(e, "an exponent") for e in key)
+    if len(key) != n:
+        raise ValueError(f"exponent vector {key} has length {len(key)}, expected {n}")
+    if mode == POLY and key and min(key) < 0:
+        raise ValueError(f"negative exponent {key} not allowed in poly mode")
+    return key
+
+
 def term_key(expo: Exponents):
     """Canonical display order: graded-lex, highest first."""
     return (-sum(expo), tuple(-e for e in expo))
@@ -37,23 +49,16 @@ class Polynomial:
     __slots__ = ("n", "mode", "_coeffs", "_items", "_hash")
 
     def __init__(self, coeffs: Mapping[Exponents, object], n: int, mode: str = LAURENT):
-        self.n = int(n)
+        self.n = n = n if type(n) is int else to_int(n, "variable count")
         self.mode = _check_mode(mode)
-        if self.n < 0:
+        if n < 0:
             raise ValueError("variable count must be non-negative")
         clean: dict[Exponents, Fraction] = {}
         for expo, c in coeffs.items():
             value = scalar(c)
-            if is_bottom(value):
-                continue
-            key = tuple(map(int, expo))
-            if key != tuple(expo):
-                raise ValueError(f"exponents must be integers, got {tuple(expo)}")
-            if len(key) != self.n:
-                raise ValueError(f"exponent vector {key} has length {len(key)}, expected {self.n}")
-            if self.mode == POLY and any(e < 0 for e in key):
-                raise ValueError(f"negative exponent {key} not allowed in poly mode")
-            clean[key] = trop_add(clean.get(key, BOTTOM), value)
+            if not is_bottom(value):
+                # distinct keys of one mapping read as distinct integer tuples
+                clean[to_exponents(expo, n, mode)] = value
         self._coeffs = clean
         self._items = tuple(sorted(clean.items(), key=lambda kv: term_key(kv[0])))
         self._hash = hash((self.n, self.mode, self._items))

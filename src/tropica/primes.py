@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .matrices import clear_denominators, int_rank, to_fraction
+from .matrices import clear_denominators, int_rank, to_fraction, to_int
 from .polynomials import Exponents, LAURENT, Polynomial, _check_mode
 from .scalars import is_bottom
 
@@ -83,44 +83,41 @@ class AdmissibleMatrix:
         return [[str(x) for x in row] for row in self.rows]
 
 
-def admissibility_violations(rows, n: int) -> list[str]:
-    """Report every violated admissibility condition (empty list = valid)."""
-    rows = [[to_fraction(x) for x in r] for r in rows]
-    if not rows:
-        return ["matrix must have at least one row"]
-    if any(len(r) != n + 1 for r in rows):
-        return [f"every row must have {n + 1} entries (coefficient column plus {n} exponent columns)"]
-    return _violations(rows, [clear_denominators(r) for r in rows], n)
-
-
-def _violations(rows, cleared, n: int) -> list[str]:
-    """The conditions on a non-empty matrix of n + 1 columns, given also cleared of denominators."""
-    problems = []
-    if len(rows) > n + 1:
-        problems.append(f"at most {n + 1} rows allowed, got {len(rows)}")
-    if int_rank(cleared) != len(rows):
-        problems.append("rows are linearly dependent")
-    first_nonzero = next((r[0] for r in rows if r[0] != 0), None)
-    if first_nonzero is not None and first_nonzero < 0:
-        problems.append("first non-zero entry of column 0 must be positive")
-    return problems
-
-
 def check_admissible(rows, n: int, mode: str = LAURENT) -> AdmissibleMatrix:
-    """Validate and freeze a defining matrix; raises AdmissibilityError.
+    """Validate and freeze a defining matrix; raises AdmissibilityError with every violation.
 
     Each row is read once as ``Fraction``s and cleared of denominators once;
     the integer rows serve the rank test and become its ``cleared_rows``.
     """
+    n = to_int(n, "variable count")
     _check_mode(mode)
     frozen = tuple(tuple(to_fraction(x) for x in row) for row in rows)
-    if any(len(r) != n + 1 for r in frozen) or not frozen:
-        raise AdmissibilityError([f"matrix must be non-empty with {n + 1} columns"])
+    if not frozen:
+        raise AdmissibilityError(["matrix must have at least one row"])
+    if any(len(r) != n + 1 for r in frozen):
+        columns = f"{n + 1} entries (coefficient column plus {n} exponent columns)"
+        raise AdmissibilityError([f"every row must have {columns}"])
     cleared = tuple(map(clear_denominators, frozen))
-    problems = _violations(frozen, cleared, n)
+    problems = []
+    if len(frozen) > n + 1:
+        problems.append(f"at most {n + 1} rows allowed, got {len(frozen)}")
+    if int_rank(cleared) != len(frozen):
+        problems.append("rows are linearly dependent")
+    first_nonzero = next((r[0] for r in frozen if r[0] != 0), None)
+    if first_nonzero is not None and first_nonzero < 0:
+        problems.append("first non-zero entry of column 0 must be positive")
     if problems:
         raise AdmissibilityError(problems)
     return AdmissibleMatrix(frozen, n, mode, cleared_rows=cleared)
+
+
+def admissibility_violations(rows, n: int) -> list[str]:
+    """The violations ``check_admissible`` raises, or [] for an admissible matrix."""
+    try:
+        check_admissible(rows, n)
+    except AdmissibilityError as exc:
+        return exc.violations
+    return []
 
 
 def _term_vector(term: Term, n: int) -> tuple[Fraction, tuple[Fraction, ...]]:
@@ -259,5 +256,5 @@ def variety_of_prime(matrix: AdmissibleMatrix) -> tuple[Fraction, ...] | None:
 
 def geometric_prime_of_point(point, mode: str = LAURENT) -> AdmissibleMatrix:
     """Single-row matrix (1, p) of the prime that evaluates terms at p."""
-    p = [to_fraction(x) for x in point]
-    return check_admissible([[Fraction(1)] + p], len(p), mode)
+    row = [1, *point]
+    return check_admissible([row], len(row) - 1, mode)

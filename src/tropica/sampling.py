@@ -23,7 +23,6 @@ from .primes import (
     AdmissibleMatrix,
     check_admissible,
     geometric_prime_of_point,
-    variety_of_prime,
 )
 from .tropical_linear import MembershipSample, MonomialWindow
 
@@ -168,7 +167,7 @@ def point_members(rng: random.Random, point, window: MonomialWindow, count: int)
     ``Polynomial`` is built per member returned.
     """
     prime = geometric_prime_of_point(point, window.mode)
-    draws = _member_draws(rng, variety_of_prime(prime), window.mode, 3, window.degree, window.degree)
+    draws = _member_draws(rng, point, window.mode, 3, window.degree, window.degree)
     members: dict[frozenset, Polynomial] = {}
     attempts = 0
     while len(members) < count and attempts < count * 200:

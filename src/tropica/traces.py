@@ -36,7 +36,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .parsing import _json_int, format_monomial, format_polynomial, parse_polynomial
+from .matrices import to_int
+from .parsing import format_monomial, format_polynomial, parse_polynomial
 from .polynomials import Exponents, LAURENT, Pair, Polynomial
 
 GEN, REFL, SYM, TRANS, ADD, MUL, TWIST = "GEN", "REFL", "SYM", "TRANS", "ADD", "MUL", "TWIST"
@@ -302,7 +303,7 @@ def trace_from_json(data: dict) -> DerivationTrace:
     if not isinstance(data, dict):
         raise ValueError("trace JSON must be an object")
     mode = data.get("mode", LAURENT)
-    n = _json_int(data["nvars"], "nvars")
+    n = to_int(data["nvars"], "nvars")
     if n < 0:
         raise ValueError(f"nvars must be non-negative, got {n}")
     parsed: dict[str, Polynomial] = {}

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable
 
-from .matrices import clear_denominators, int_echelon, int_nullspace, to_fraction
-from .polynomials import Exponents, LAURENT, POLY, Polynomial
+from .matrices import clear_denominators, int_echelon, int_nullspace, to_fraction, to_int
+from .polynomials import Exponents, POLY, Polynomial, _check_mode, to_exponents
 from .primes import (
     GEOMETRIC,
     AdmissibleMatrix,
@@ -51,6 +51,10 @@ def window_order(expo: Exponents):
     return (sum(expo), expo)
 
 
+def _window_ints(n, degree) -> tuple[int, int]:
+    return to_int(n, "window variable count"), to_int(degree, "window degree")
+
+
 def window_size(n: int, mode: str, degree: int, limit: int) -> int:
     """The number of monomials in the window, or limit + 1 when it holds more.
 
@@ -58,12 +62,12 @@ def window_size(n: int, mode: str, degree: int, limit: int) -> int:
     (2d + 1)^n in Laurent mode, one variable at a time until the count
     passes ``limit``.
     """
+    n, degree = _window_ints(n, degree)
     if n < 0:
         raise ValueError("window variable count must be non-negative")
     if degree < 0:
         raise ValueError("window degree must be non-negative")
-    if mode not in (POLY, LAURENT):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_mode(mode)
     if degree == 0:
         return 1  # the constant monomial alone, whatever n is
     size = 1
@@ -87,6 +91,7 @@ def _require_window_size(n: int, mode: str, degree: int, cap: int, what: str) ->
 def monomial_window(n: int, mode: str, degree: int) -> MonomialWindow:
     """The window, after checking that it holds at most MAX_WINDOW_SIZE monomials."""
     _require_window_size(n, mode, degree, MAX_WINDOW_SIZE, "on monomial windows")
+    n, degree = _window_ints(n, degree)
     if mode == POLY:
         monos = [
             expo
@@ -382,14 +387,13 @@ def truncated_tropicalization(rational_gens: list[dict], n: int, degree: int) ->
     """
     _require_window_size(n, POLY, degree, MAX_WINDOW_MONOMIALS, "for circuit enumeration")
     window = monomial_window(n, POLY, degree)
+    n, degree = window.n, window.degree
     gen_maps = []
     for g in rational_gens:
-        coeffs = {tuple(e): to_fraction(c) for e, c in g.items()}
+        coeffs = {to_exponents(e, n, POLY): to_fraction(c) for e, c in g.items()}
         clean = {e: c for e, c in coeffs.items() if c != 0}
         if not clean:
             continue
-        if any(len(e) != n or any(a < 0 for a in e) for e in clean):
-            raise ValueError("generators must be polynomials in n non-negative exponents")
         gdeg = max(sum(e) for e in clean)
         if gdeg > degree:
             raise ValueError(f"generator degree {gdeg} exceeds the window degree {degree}")

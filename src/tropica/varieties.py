@@ -52,7 +52,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 
-from .matrices import int_rank, to_fraction
+from .matrices import int_rank, to_fraction, to_int
 from .polyhedra import (
     EQ,
     LE,
@@ -268,8 +268,6 @@ def prevariety(gens: list[Polynomial]) -> PolyComplex:
             found = _int_feasible_point(rows, n)
             if found is not None:
                 ties.append((rows, found, ((i, j),)))
-        if not ties:
-            return PolyComplex(n, mode, ())
         candidates = ties if candidates is None else _extend(candidates, ties, n)
     made = (_make_cell(c, scaled, scale, n) for c in candidates)
     return PolyComplex(n, mode, _maximal_cells(made))
@@ -377,10 +375,6 @@ def _require(ok: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _rationals(values, length: int, what: str) -> tuple[Fraction, ...]:
     _require(isinstance(values, list) and len(values) == length, f"{what} needs {length} entries")
     return tuple(to_fraction(v) for v in values)
@@ -396,16 +390,20 @@ def complex_from_json(data) -> PolyComplex:
     is malformed too.
     """
     _require(isinstance(data, dict), "a complex must be a JSON object")
-    ambient, mode, cells = data.get("ambient"), data.get("mode"), data.get("cells")
-    _require(_is_int(ambient) and ambient >= 0, "ambient must be a non-negative integer")
+    ambient = to_int(data.get("ambient"), "ambient")
+    mode, cells = data.get("mode"), data.get("cells")
+    _require(ambient >= 0, "ambient must be a non-negative integer")
     _require(mode in (LAURENT, POLY), f"mode must be {LAURENT!r} or {POLY!r}")
     _require(isinstance(cells, list), "cells must be a list")
     out = []
     for c in cells:
         _require(isinstance(c, dict), "each cell must be a JSON object")
         stratum = c.get("stratum", [])
-        ok = isinstance(stratum, list) and all(_is_int(v) and 0 <= v < ambient for v in stratum)
-        _require(ok and stratum == sorted(set(stratum)), "stratum must list increasing variables")
+        _require(isinstance(stratum, list), "stratum must list increasing variables")
+        stratum = [to_int(v, "a stratum variable") for v in stratum]
+        ok = all(0 <= v < ambient for v in stratum) and stratum == sorted(set(stratum))
+        _require(ok, "stratum must list increasing variables")
+        _require(mode == POLY or not stratum, "bottom strata exist only in poly mode")
         ncoords = ambient - len(stratum)
         normals, rhs, relations = (c.get(k) for k in ("normals", "rhs", "relations"))
         _require(
@@ -419,8 +417,8 @@ def complex_from_json(data) -> PolyComplex:
             (tuple(int(x * scale) for x in a), int(b * scale), rel)
             for (a, b), rel in zip(cons, relations)
         )
-        dim = c.get("dim")
-        _require(_is_int(dim) and 0 <= dim <= ncoords, f"dim must be an integer in 0..{ncoords}")
+        dim = to_int(c.get("dim"), "dim")
+        _require(0 <= dim <= ncoords, f"dim must be an integer in 0..{ncoords}")
         point = _rationals(c.get("interior_point"), ncoords, "interior_point")
         _require(contains_point(rows, point), "interior_point violates the cell's constraints")
         actual = dimension(rows, ncoords)

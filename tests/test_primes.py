@@ -67,8 +67,9 @@ def test_admissibility_error_lists_violations():
     assert str(caught.value) == "rows are linearly dependent; first non-zero entry of column 0 must be positive"
     with pytest.raises(AdmissibilityError) as caught:
         check_admissible([[1, 2, 3]], 1)
-    assert caught.value.violations == ["matrix must be non-empty with 2 columns"]
-    assert str(caught.value) == "matrix must be non-empty with 2 columns"
+    message = "every row must have 2 entries (coefficient column plus 1 exponent columns)"
+    assert caught.value.violations == [message]
+    assert str(caught.value) == message
 
 
 def test_admissibility_violations_rejects_floats():
