@@ -30,6 +30,7 @@ from .parsing import (
 )
 from .polynomials import LAURENT, POLY, Polynomial
 from .primes import (
+    GEOMETRIC,
     AdmissibilityError,
     bend_ideal_member,
     check_admissible,
@@ -38,10 +39,15 @@ from .primes import (
     variety_of_prime,
 )
 from .rendering import render_svg
-from .sampling import point_members, prime_members
+from .sampling import prime_member_draws, prime_members, require_member_degree
 from .scalars import scalar_str
 from .traces import load_trace, verify_trace
-from .tropical_linear import check_tropical_axiom, monomial_window, truncated_tropicalization
+from .tropical_linear import (
+    AxiomResult,
+    check_tropical_axiom,
+    monomial_window,
+    truncated_tropicalization,
+)
 from .varieties import (
     affine_prevariety,
     complex_from_json,
@@ -209,6 +215,30 @@ def _cmd_trace_verify(args):
 
 
 def _cmd_tideal_check(args):
+    """The monomial elimination axiom on circuits, or on members of a prime's bend ideal.
+
+    A geometric prime (rank 1, non-zero (1,1) entry, such as the prime of a
+    point) is decided without a sample check, by lemma (a): on a geometric
+    prime the axiom holds for every triple (f, g, u) of members.
+
+    Proof, with F, T, M and the cases of ``_witness_exists``.  Let K be the
+    larger top key of f and g, and S the positions v != u where max(f_v,
+    g_v) has key K.  Every key is at most K, and the polynomial with top key
+    K has two top terms, so S is not empty.  If F is empty, case 1 holds.
+    If M < K, S lies in T, and a tie above M gives case 4.  If M = K and S
+    is one position v, then v is in F; two terms with one exponent and one
+    key have one coefficient (column 0 is not zero), so exactly one of f_v,
+    g_v has key K, say h_v.  h's second top term is u, so the other
+    polynomial, equal to h at u, has key K at u and a top term w != u at K;
+    w != v, which contradicts S = {v}.  So M = K is attained twice in F and
+    T, case 2.
+
+    So ``--point`` passes once its window and degree are valid, with no
+    draw, and a geometric ``--matrix`` passes once the draws of
+    ``prime_member_draws`` find one member: it stops there, with the same
+    RNG calls and errors as the full sample.  A non-geometric ``--matrix``
+    checks the full sample of ``prime_members``.
+    """
     given = [f"--{k}" for k in ("circuits", "point", "matrix") if getattr(args, k) is not None]
     if given == ["--circuits"]:  # it reads none of the four options below
         _unread(args, "--circuits", ("mode", "seed", "degree", "trials"))
@@ -224,18 +254,23 @@ def _cmd_tideal_check(args):
         got = " and ".join(given)
         raise ValueError(f"tideal-check takes one of --circuits, --point or --matrix, got {got}")
     if args.circuits is not None:
-        description = parse_circuits_json(_load_json_arg(args.circuits))
+        result = check_tropical_axiom(parse_circuits_json(_load_json_arg(args.circuits)))
     elif args.point is not None:
         point = parse_point(args.point)
-        window = monomial_window(len(point), mode, degree)
-        description = point_members(random.Random(seed), point, window, trials)
+        monomial_window(len(point), mode, degree)  # the window cap
+        require_member_degree(degree)
+        result = AxiomResult(True)  # lemma (a)
     elif args.matrix is not None:
         matrix = _matrix(args.matrix, mode)
         window = monomial_window(matrix.n, mode, degree)
-        description = prime_members(random.Random(seed), matrix, window, trials)
+        if classify_prime(matrix)[0] == GEOMETRIC:
+            next(prime_member_draws(random.Random(seed), matrix, window, trials * 200))
+            result = AxiomResult(True)  # lemma (a)
+        else:
+            sample = prime_members(random.Random(seed), matrix, window, trials)
+            result = check_tropical_axiom(sample)
     else:
         raise ValueError("one of --circuits, --point or --matrix is required")
-    result = check_tropical_axiom(description)
     payload = {"passed": result.passed}
     if result.counterexample:
         f, g, u = result.counterexample

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .polyhedra import affine_hull_directions, line_bounds
 from .polynomials import Polynomial
-from .primes import AdmissibleMatrix, admissibility_violations, bend_ideal_member, check_admissible
+from .primes import AdmissibleMatrix, bend_ideal_member, check_admissible
 from .varieties import Cell, PolyComplex, complex_dim, prevariety
 
 
@@ -113,7 +113,7 @@ def coordinate_dimension(gens: list[Polynomial]) -> DimensionReport:
     d = complex_dim(x)
     witness = witness_prime(x, gens)
     checks = WitnessChecks(
-        admissible=not admissibility_violations(witness.rows, witness.n),
+        admissible=True,  # witness_prime built it through check_admissible, which raises otherwise
         rank=witness.rank,
         contains_bends=contains_bends(witness, gens),
     )

@@ -268,11 +268,15 @@ def parse_point(text: str) -> tuple[Fraction, ...]:
     return tuple(point)
 
 
-def parse_matrix_json(data) -> list[list[Fraction]]:
-    """Matrix as decoded JSON: an array of arrays of rationals ("p/q" strings or ints)."""
+def parse_matrix_json(data) -> list[list]:
+    """Matrix as decoded JSON: a non-empty array of non-empty arrays, returned as given.
+
+    Only the shape is checked here; ``check_admissible`` reads each entry
+    once, as a rational ("p/q" string or int).
+    """
     if not isinstance(data, list) or not data or not all(isinstance(r, list) and r for r in data):
         raise ValueError("matrix JSON must be a non-empty array of non-empty arrays")
-    return [[to_fraction(x) for x in row] for row in data]
+    return data
 
 
 def parse_circuits_json(data) -> CircuitSet:

@@ -4,9 +4,11 @@ Used by the property suites, the CLI axiom checker and the experiment
 scripts.  Everything draws from a caller-supplied random.Random so runs are
 reproducible.
 
-The member samplers of the CLI axiom checker (``point_members``,
-``prime_members``) draw on integers: a draw is accepted or rejected on
-integer data, before any ``Polynomial`` is built.
+The member samplers (``point_members``, ``prime_members``) draw on
+integers: a draw is accepted or rejected on integer data, before any
+``Polynomial`` is built.  ``prime_member_draws`` is the one draw loop of
+``prime_members``; the CLI axiom checker reads it up to its first member on
+a geometric prime, where one member fixes the answer.
 """
 
 from __future__ import annotations
@@ -95,6 +97,12 @@ def random_admissible(
             continue
 
 
+def require_member_degree(max_deg: int) -> None:
+    """A member has two distinct exponents, so its degree bound must be at least 1."""
+    if max_deg < 1:
+        raise ValueError("member polynomials need max_deg >= 1 (two distinct exponents)")
+
+
 def _member_draws(
     rng: random.Random, point, mode: str, max_extra: int, max_deg: int, max_total: int | None = None
 ):
@@ -113,8 +121,7 @@ def _member_draws(
     terms.  With ``max_total``, a draw whose total degree exceeds it yields
     ``terms`` None, before any arithmetic.
     """
-    if max_deg < 1:
-        raise ValueError("member polynomials need max_deg >= 1 (two distinct exponents)")
+    require_member_degree(max_deg)
     nums, den = _int_point(point)
     n, scale = len(nums), 6 * den
     while True:
@@ -211,17 +218,16 @@ def window_admits_member(matrix: AdmissibleMatrix, window: MonomialWindow) -> bo
     return False
 
 
-def prime_members(
-    rng: random.Random, matrix: AdmissibleMatrix, window: MonomialWindow, count: int
-) -> MembershipSample:
-    """Distinct members of the bend ideal of ``matrix`` inside ``window``.
+def prime_member_draws(rng: random.Random, matrix: AdmissibleMatrix, window: MonomialWindow, draws: int):
+    """The members of the bend ideal of ``matrix`` in ``window`` that ``draws`` draws find.
 
-    Each drawn member comes with a partner that keeps its leading terms and
-    moves one low term, the shape on which the elimination axiom can fail.
-    Stops at ``count`` members (a partner may add one more) or ``count * 200``
-    draws.  A window where no two monomials tie at a gap that draws can hit
-    (``window_admits_member``) is an error before any draw, and draws that
-    end with no member are one after them.
+    Yields, for each draw that finds a member not seen before, a tuple of
+    the new coefficient maps: the drawn member, then its partner, which
+    keeps the leading terms and moves one low term, the shape on which the
+    elimination axiom can fail.  A consumer that stops after a yield leaves
+    ``rng`` just after that draw.  A window where no two monomials tie at a
+    gap that draws can hit (``window_admits_member``) is an error before any
+    draw, and draws that end with no member are one after them.
 
     Draws are tested on integer keys: coefficients and exponents are
     integers, so a term's key is ``U_int @ (c, e)`` with no denominator, and
@@ -229,9 +235,8 @@ def prime_members(
     member when its top key is attained twice; a partner keeps the top class
     (the moved term is below it), so it is a member when its new term's key
     is at most the top.  Repeats are found on the integer coefficient maps,
-    and a partner is a map edit, so one ``Polynomial`` is built per member
-    returned.  The low terms are listed in display order (``term_key``), the
-    order the partner's RNG choice reads them in.
+    and a partner is a map edit.  The low terms are listed in display order
+    (``term_key``), the order the partner's RNG choice reads them in.
     """
     if window.n != matrix.n:
         raise ValueError(f"the window has {window.n} variables, the prime {matrix.n}")
@@ -252,17 +257,15 @@ def prime_members(
     def key(coeff: int, expo) -> tuple[int, ...]:
         return tuple(coeff * w + x for w, x in zip(weights, lifted[expo]))
 
-    members: dict[frozenset, dict] = {}
-    attempts = 0
-    while len(members) < count and attempts < count * 200:
-        attempts += 1
+    seen: set[frozenset] = set()
+    for _ in range(draws):
         drawn = rng.sample(window.monomials, k=min(3, len(window)))
         coeffs = {expo: rng.randint(-2, 2) for expo in drawn}
         keys = {expo: key(c, expo) for expo, c in coeffs.items()}
         top = max(keys.values())
         if list(keys.values()).count(top) < 2:
             continue
-        members.setdefault(frozenset(coeffs.items()), coeffs)
+        partner = None
         low = sorted((e for e in coeffs if keys[e] != top), key=term_key)
         if low:
             moved = rng.choice(low)
@@ -270,8 +273,32 @@ def prime_members(
             if target not in coeffs and key(coeffs[moved], target) <= top:
                 partner = {e: c for e, c in coeffs.items() if e != moved}
                 partner[target] = coeffs[moved]
-                members.setdefault(frozenset(partner.items()), partner)
-    if not members:
-        raise ValueError(f"no member in {attempts} draws with coefficients in -2..2")
-    polys = (Polynomial(c, window.n, window.mode) for c in members.values())
+        found = []
+        for member in filter(None, (coeffs, partner)):
+            items = frozenset(member.items())
+            if items not in seen:
+                seen.add(items)
+                found.append(member)
+        if found:
+            yield tuple(found)
+    if not seen:
+        raise ValueError(f"no member in {max(draws, 0)} draws with coefficients in -2..2")
+
+
+def prime_members(
+    rng: random.Random, matrix: AdmissibleMatrix, window: MonomialWindow, count: int
+) -> MembershipSample:
+    """Distinct members of the bend ideal of ``matrix`` inside ``window``.
+
+    The members ``prime_member_draws`` yields, up to ``count`` of them (a
+    partner may add one more) or ``count * 200`` draws; its errors are
+    those of this function.  One ``Polynomial`` is built per member
+    returned.
+    """
+    members: list[dict] = []
+    for found in prime_member_draws(rng, matrix, window, count * 200):
+        members += found
+        if len(members) >= count:
+            break
+    polys = (Polynomial(c, window.n, window.mode) for c in members)
     return MembershipSample(tuple(polys), matrix)

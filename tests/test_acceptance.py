@@ -354,3 +354,18 @@ def test_criterion_13_axiom_on_many_circuits(capsys):
         code = main(["tideal-check", "--circuits", json.dumps(data)])
         captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (0, '{\n  "passed": true\n}\n', "")
+
+
+def test_criterion_14_rare_member_window(capsys):
+    """`tideal-check --matrix '[[1,"1/3","2/3"]]' --mode poly --degree 3 --trials 1000` within 0.5 s; it took 3.75 s.
+
+    The prime is geometric, so one member decides it; before, the full
+    sample of 1000 members took up to 200,000 draws.
+    """
+    from tropica.cli import main
+
+    argv = ["tideal-check", "--matrix", '[[1,"1/3","2/3"]]', "--mode", "poly", "--degree", "3"]
+    with budget(14, 0.5, "geometric tideal-check on a rare-member window, --trials 1000"):
+        code = main([*argv, "--trials", "1000"])
+        captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, '{\n  "passed": true\n}\n', "")

@@ -1,0 +1,318 @@
+"""`tideal-check` on geometric primes, decided by lemma (a) with no sample check.
+
+`ref_cmd_tideal_check` is the former handler of `tideal-check`: it draws the
+full sample of `point_members` or `prime_members` and runs
+`check_tropical_axiom` on it, for every prime.  It is kept here only as an
+oracle: the oracle test runs it through `cli.main`'s error handling and
+compares stdout, stderr and exit code byte for byte with the handler that
+decides geometric primes by lemma (a) (the `cli._cmd_tideal_check`
+docstring).  The lemma test runs the full check on geometric samples of
+both samplers.
+"""
+
+import json
+import random
+from fractions import Fraction
+from types import SimpleNamespace
+
+import pytest
+
+from tropica import cli, sampling
+from tropica.cli import build_parser
+from tropica.parsing import format_monomial, format_polynomial, parse_circuits_json, parse_point
+from tropica.polynomials import LAURENT, POLY
+from tropica.primes import GEOMETRIC, check_admissible, classify_prime
+from tropica.sampling import point_members, prime_members, random_admissible, random_point
+from tropica.tropical_linear import check_tropical_axiom, monomial_window
+
+from test_one_construction import tied_prime
+from test_parsing_cli import run_cli
+
+RARE = ["tideal-check", "--matrix", '[[1,"1/3","2/3"]]', "--mode", "poly", "--degree", "3"]
+RARE_WINDOWS = [
+    ('[[1,"1/3","2/3"]]', POLY, 3),
+    ('[[1,"7/4","-4/3","-8/5"]]', POLY, 3),
+    ('[[1,"-4/3","2/5","7/4"]]', LAURENT, 2),
+    ('[[1,"5/4","-4/5"]]', LAURENT, 3),
+    ('[[1,"-2/5","-3/2","5/3"]]', LAURENT, 2),
+]
+
+
+def ref_cmd_tideal_check(args):
+    """The former handler: the full sample and its check, for every prime."""
+    given = [f"--{k}" for k in ("circuits", "point", "matrix") if getattr(args, k) is not None]
+    if given == ["--circuits"]:
+        cli._unread(args, "--circuits", ("mode", "seed", "degree", "trials"))
+    mode, seed = args.mode or LAURENT, args.seed or 0
+    degree = 2 if args.degree is None else args.degree
+    trials = 15 if args.trials is None else args.trials
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
+    if trials > cli.MAX_TRIALS:
+        raise ValueError(f"--trials must be at most {cli.MAX_TRIALS}, got {trials}")
+    if len(given) > 1:
+        got = " and ".join(given)
+        raise ValueError(f"tideal-check takes one of --circuits, --point or --matrix, got {got}")
+    if args.circuits is not None:
+        description = parse_circuits_json(cli._load_json_arg(args.circuits))
+    elif args.point is not None:
+        point = parse_point(args.point)
+        window = monomial_window(len(point), mode, degree)
+        description = point_members(random.Random(seed), point, window, trials)
+    elif args.matrix is not None:
+        matrix = cli._matrix(args.matrix, mode)
+        window = monomial_window(matrix.n, mode, degree)
+        description = prime_members(random.Random(seed), matrix, window, trials)
+    else:
+        raise ValueError("one of --circuits, --point or --matrix is required")
+    result = check_tropical_axiom(description)
+    payload = {"passed": result.passed}
+    if result.counterexample:
+        f, g, u = result.counterexample
+        payload["counterexample"] = {
+            "f": format_polynomial(f),
+            "g": format_polynomial(g),
+            "monomial": format_monomial(u, f.n) or "1",
+        }
+    cli._emit(payload, args)
+
+
+class _RefParser:
+    """The CLI's parser, with the former handler in place of the tideal-check one."""
+
+    def parse_args(self, argv):
+        args = build_parser().parse_args(argv)
+        if args.func is cli._cmd_tideal_check:
+            args.func = ref_cmd_tideal_check
+        return args
+
+
+def ref_run_cli(argv, capsys, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_parser", _RefParser)
+        return run_cli(argv, capsys)
+
+
+# -- seeded argv --------------------------------------------------------------------
+
+
+def _rational(rng, lo=-3, hi=3, max_den=3) -> str:
+    q = Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
+    return str(q)
+
+
+def _json_entry(text: str):
+    return int(text) if "/" not in text else text
+
+
+def _matrix(rng, n):
+    """Matrix rows of one kind, the kind's name first."""
+    kind = rng.choice(("geometric", "geometric", "rare", "rare", "degree", "tied", "any", "bad"))
+    if kind == "geometric":
+        first = str(Fraction(rng.randint(1, 3), rng.randint(1, 3)))
+        return kind, [[_json_entry(first), *(_json_entry(_rational(rng)) for _ in range(n))]]
+    if kind == "rare":  # a tie needs a drawable gap from entries with denominators 2..5
+        entries = (str(Fraction(rng.randint(-8, 8), rng.randint(2, 5))) for _ in range(n))
+        return kind, [[1, *map(_json_entry, entries)]]
+    if kind == "degree":  # column 0 is zero: never geometric
+        row = [0, *(rng.randint(-1, 1) for _ in range(n))]
+        row[rng.randint(1, n)] = 1
+        return kind, [row]
+    if kind == "tied":
+        rows = tied_prime(rng, n, rng.randint(1, n + 1), LAURENT).rows
+        return kind, [[_json_entry(str(x)) for x in row] for row in rows]
+    if kind == "any":  # dependent rows and a negative column 0 are errors
+        return kind, [[rng.randint(-2, 2) for _ in range(n + 1)] for _ in range(rng.randint(1, n + 1))]
+    bad = rng.choice((1.5, True, "1.5", "1/0", None))
+    rows = [[1, *(0 for _ in range(n))]]
+    rows[0][rng.randint(0, n)] = bad
+    if rng.random() < 0.3:
+        rows.append([1])  # ragged
+    return kind, rows
+
+
+def _argv(rng):
+    """One seeded tideal-check command line for --point or --matrix, and its input kind."""
+    n = rng.randint(1, 3)
+    if rng.random() < 0.4:
+        kind = "point"
+        source = ["--point=" + ",".join(_rational(rng) for _ in range(n))]
+        if rng.random() < 0.03:
+            source = ["--point=" + rng.choice(("1,,2", "x", "1.5", "2,"))]
+    else:
+        kind, rows = _matrix(rng, n)
+        source = ["--matrix", json.dumps(rows, separators=(",", ":"))]
+    argv = ["tideal-check", *source]
+    mode = rng.choice((None, POLY, LAURENT))
+    if mode:
+        argv += ["--mode", mode]
+    degree = rng.choice((None, -1, 0, 1, 1, 2, 2, 3, 3, 40))
+    trials = rng.choice((None, -1, 0, 1001, 1000, *range(1, 21)))
+    if kind == "rare" and trials in range(1, 21):  # few draws: often no member
+        trials = rng.randint(1, 3)
+    if trials == 1000:  # the former handler would draw for seconds: an error before any draw
+        degree = rng.choice((-1, 0))
+    if degree == 40 and n < 3:  # past the window cap only at n = 3
+        degree = 3
+    if degree is not None:
+        argv += ["--degree", str(degree)]
+    if trials is not None:
+        argv += ["--trials", str(trials)]
+    if rng.random() < 0.7:
+        argv += ["--seed", str(rng.randint(0, 10**6))]
+    if rng.random() < 0.2:
+        argv += ["--format", rng.choice(("text", "json"))]
+    if rng.random() < 0.02:
+        argv += ["--point", "0"] if kind != "point" else ["--matrix", "[[1,0]]"]
+    return kind, argv
+
+
+def _outcome(code, out, err):
+    if code == 0:
+        return "counterexample" if "counterexample" in out else "passed"
+    for reason in (
+        "no member in", "no member can be drawn", "max_deg >= 1", "--trials must",
+        "monomials; the cap", "monomial; a member", "takes one of",
+    ):
+        if reason in err:
+            return reason
+    return f"exit {code}"
+
+
+def test_cli_matches_the_former_handler(capsys, monkeypatch):
+    rng = random.Random(2026)
+    seen: dict[str, int] = {}
+    kinds: dict[tuple[str, str], int] = {}
+    text = 0  # --format text lines that printed a verdict
+    for _ in range(1200):
+        kind, argv = _argv(rng)
+        expected = ref_run_cli(argv, capsys, monkeypatch)
+        assert run_cli(argv, capsys) == expected, argv
+        outcome = _outcome(*expected)
+        seen[outcome] = seen.get(outcome, 0) + 1
+        kinds[kind, outcome] = kinds.get((kind, outcome), 0) + 1
+        text += "text" in argv and expected[0] == 0
+    assert seen["passed"] >= 150 and seen["counterexample"] >= 30, seen
+    for reason in ("no member can be drawn", "monomial; a member", "max_deg >= 1", "--trials must"):
+        assert seen.get(reason, 0) >= 20, (reason, seen)
+    for reason in ("monomials; the cap", "takes one of", "exit 1", "exit 2"):
+        assert seen.get(reason, 0) >= 5, (reason, seen)
+    assert seen.get("no member in", 0) >= 1, seen  # mostly left to the rare-window test
+    for kind in ("point", "geometric", "rare"):
+        assert kinds.get((kind, "passed"), 0) >= 50, kinds
+    assert text >= 20, text
+
+
+def test_rare_member_windows_match_the_former_handler(capsys, monkeypatch):
+    # geometric windows where one draw in tens to hundreds finds a member, so
+    # --trials 1..3 gives a member on some seeds and "no member in" on others
+    seen: dict[str, int] = {}
+    for matrix, mode, degree in RARE_WINDOWS:
+        for trials in (1, 2, 3):
+            for seed in range(8):
+                argv = ["tideal-check", "--matrix", matrix, "--mode", mode, "--degree", str(degree),
+                        "--trials", str(trials), "--seed", str(seed)]
+                expected = ref_run_cli(argv, capsys, monkeypatch)
+                assert run_cli(argv, capsys) == expected, argv
+                outcome = _outcome(*expected)
+                seen[outcome] = seen.get(outcome, 0) + 1
+    assert seen.get("passed", 0) >= 20 and seen.get("no member in", 0) >= 20, seen
+
+
+# -- no draws beyond the answer --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--point", "0,0", "--degree", "2"],
+        ["--point", "1/2,-3,2", "--mode", "poly", "--degree", "3", "--seed", "7"],
+        ["--point", "5", "--mode", "laurent", "--degree", "40", "--format", "text"],
+    ],
+)
+def test_point_makes_no_draw(capsys, monkeypatch, args):
+    def no_draws(*_):
+        raise AssertionError("drew a member for --point")
+
+    monkeypatch.setattr(sampling, "_member_draws", no_draws)
+    monkeypatch.setattr(sampling, "prime_member_draws", no_draws)
+    monkeypatch.setattr(cli, "prime_member_draws", no_draws)
+    monkeypatch.setattr(cli, "random", SimpleNamespace(Random=no_draws))
+    code, out, err = run_cli(["tideal-check", *args, "--trials", "1000"], capsys)
+    assert (code, err) == (0, "")
+    assert out == ("passed: True\n" if "text" in args else '{\n  "passed": true\n}\n')
+
+
+def test_point_degree_zero_is_still_an_error(capsys):
+    code, out, err = run_cli(["tideal-check", "--point", "0", "--degree", "0"], capsys)
+    assert (code, out) == (1, "")
+    assert "member polynomials need max_deg >= 1 (two distinct exponents)" in err
+
+
+def test_geometric_matrix_stops_at_its_first_member(capsys, monkeypatch):
+    taken = []
+    draws = sampling.prime_member_draws
+
+    def counted(*args):
+        for found in draws(*args):
+            taken.append(found)
+            yield found
+
+    monkeypatch.setattr(cli, "prime_member_draws", counted)
+    assert run_cli([*RARE, "--trials", "1000"], capsys) == (0, '{\n  "passed": true\n}\n', "")
+    assert len(taken) == 1
+    # a non-geometric prime still draws its full sample
+    taken.clear()
+    monkeypatch.setattr(sampling, "prime_member_draws", counted)
+    code, out, _ = run_cli(["tideal-check", "--matrix", "[[0,1,1]]", "--degree", "2"], capsys)
+    assert code == 0 and '"passed": false' in out and len(taken) >= 2
+
+
+def test_geometric_matrix_keeps_the_no_member_error(capsys):
+    # [[1,1/3,2/3]] in poly degree 1: x and y tie at no coefficient gap draws can hit
+    code, out, err = run_cli(
+        ["tideal-check", "--matrix", '[[1,"1/3","2/3"]]', "--mode", "poly", "--degree", "1"], capsys
+    )
+    assert (code, out) == (1, "")
+    assert "no member can be drawn" in err
+    # a member exists at degree 3, but one draw rarely finds it
+    matrix = check_admissible([[1, Fraction(1, 3), Fraction(2, 3)]], 2, POLY)
+    window = monomial_window(2, POLY, 3)
+    misses = 0
+    for seed in range(200):
+        draws = sampling.prime_member_draws(random.Random(seed), matrix, window, 1)
+        try:
+            next(draws)
+        except ValueError as exc:
+            assert str(exc) == "no member in 1 draws with coefficients in -2..2"
+            misses += 1
+    assert 100 <= misses < 200, misses
+
+
+# -- lemma (a) through the full check ------------------------------------------------
+
+
+def test_lemma_a_geometric_samples_pass_the_full_check():
+    rng = random.Random(412)
+    checked = {"point": 0, "matrix": 0}
+    while min(checked.values()) < 500:
+        n = rng.randint(1, 3)
+        mode = rng.choice((POLY, LAURENT))
+        window = monomial_window(n, mode, rng.randint(1, 3 if n < 3 or mode == POLY else 2))
+        if checked["point"] <= checked["matrix"]:
+            sample = point_members(rng, random_point(rng, n, -3, 3, 3), window, rng.randint(2, 8))
+            kind = "point"
+        else:
+            matrix = random_admissible(rng, n, 1, mode, "positive")
+            if rng.random() < 0.5:  # integer points: many ties
+                matrix = check_admissible([[1, *(rng.randint(-1, 1) for _ in range(n))]], n, mode)
+            try:
+                sample = prime_members(rng, matrix, window, rng.randint(2, 8))
+            except ValueError as exc:
+                assert "no member" in str(exc)
+                continue
+            kind = "matrix"
+        assert sample.geometric and classify_prime(sample.prime)[0] == GEOMETRIC
+        result = check_tropical_axiom(sample)
+        assert result.passed, (kind, result.counterexample)
+        checked[kind] += 1

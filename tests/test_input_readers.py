@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from test_parsing_cli import MATRIX_READERS, run_cli
-from tropica import primes
+from tropica import parsing, primes
 from tropica.krull import EmptyVarietyError, witness_prime
 from tropica.matrices import to_int
 from tropica.parsing import parse_circuits_json, parse_polynomial
@@ -216,14 +216,35 @@ def test_matrix_readers_give_one_shape_message(capsys, args):
         assert json.loads(err) == {"error": "domain", "message": ROW_LENGTH}
 
 
+@pytest.mark.parametrize("args", MATRIX_READERS)
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ("[[1.5, 0]]", "floating point values are not allowed; use rationals"),
+        ("[[1, true]]", "booleans are not rational numbers"),
+        ('[["1.5", 0]]', "expected an integer or a 'p/q' string, got '1.5'"),
+        ('[[1, "1/0"]]', "zero denominator in '1/0'"),
+        ("[[1, null]]", "expected an integer or a 'p/q' string, got None"),
+        ("[[1, 0], [2.5]]", "floating point values are not allowed; use rationals"),  # ragged too
+    ],
+)
+def test_matrix_entries_are_read_by_check_admissible(capsys, args, matrix, message):
+    # the entry errors parse_matrix_json raised, now raised by the one reader
+    code, out, err = run_cli([*args, "--matrix", matrix], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "domain", "message": message}
+
+
 @pytest.mark.parametrize("matrix", ["[[1,2]]", "[[1,0],[2,0]]", "[[1,2],[3]]"])
 def test_prime_check_builds_its_matrix_once(capsys, monkeypatch, matrix):
+    # parse_matrix_json read every entry too, before check_admissible read it again
     reads, ranks = [], []
     to_fraction, int_rank = primes.to_fraction, primes.int_rank
-    monkeypatch.setattr(primes, "to_fraction", lambda x: reads.append(x) or to_fraction(x))
+    for module in (parsing, primes):
+        monkeypatch.setattr(module, "to_fraction", lambda x: reads.append(x) or to_fraction(x))
     monkeypatch.setattr(primes, "int_rank", lambda rows: ranks.append(rows) or int_rank(rows))
     assert run_cli(["prime-check", "--matrix", matrix], capsys)[0] == 0
-    assert len(reads) == sum(map(len, json.loads(matrix)))
+    assert reads == [x for row in json.loads(matrix) for x in row]  # each entry once, in order
     assert len(ranks) == (matrix != "[[1,2],[3]]")
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from tropica import krull, primes
 from tropica.krull import (
     DimensionReport,
     EmptyVarietyError,
@@ -109,6 +110,26 @@ def test_witness_validity_randomized():
         report = coordinate_dimension([f])
         _assert_witness_valid(report, [f])
         assert report.variety_dim == complex_dim(x)
+
+
+@pytest.mark.parametrize(
+    "texts, n", [(["x + y + 0"], 2), (["x + 1", "y + 2"], 2), (["x + y + z + 0"], 3)]
+)
+def test_coordinate_dimension_checks_its_witness_once(monkeypatch, texts, n):
+    # the report read admissibility off a second check_admissible run
+    calls = []
+    check = primes.check_admissible
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(primes, "check_admissible", counted)
+    monkeypatch.setattr(krull, "check_admissible", counted)
+    report = coordinate_dimension([P(text, n) for text in texts])
+    assert len(calls) == 1
+    assert report.witness_checks.admissible
+    assert admissibility_violations(report.witness.rows, report.witness.n) == []
 
 
 def test_higher_rank_falsification_small():

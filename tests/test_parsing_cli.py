@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tropica import cli
+from tropica import cli, sampling
 from tropica.cli import main
 from tropica.parsing import (
     ParseError,
@@ -20,6 +20,7 @@ from tropica.parsing import (
     parse_polynomial,
 )
 from tropica.polynomials import LAURENT, POLY, Polynomial
+from tropica.primes import check_admissible
 from tropica.rendering import render_svg
 from tropica.sampling import random_polynomial
 from tropica.varieties import hypersurface
@@ -96,10 +97,13 @@ def test_round_trip_random():
 
 
 def test_matrix_json():
-    rows = parse_matrix_json([["1", "1/2"], [0, "-2"]])
-    assert rows == [[Fraction(1), Fraction(1, 2)], [Fraction(0), Fraction(-2)]]
+    # parse_matrix_json checks the shape; check_admissible reads the entries
+    data = [["1", "1/2"], [0, "-2"]]
+    assert parse_matrix_json(data) is data
+    rows = check_admissible(parse_matrix_json(data), 1).rows
+    assert rows == ((Fraction(1), Fraction(1, 2)), (Fraction(0), Fraction(-2)))
     with pytest.raises(ValueError):
-        parse_matrix_json([[1.5, 2]])  # floats are not rationals
+        check_admissible(parse_matrix_json([[1.5, 2]]), 1)  # floats are not rationals
     with pytest.raises(ValueError):
         parse_matrix_json([])
     with pytest.raises(ValueError):
@@ -602,8 +606,10 @@ def test_cli_tideal_check_trials_above_cap_is_domain_error(capsys, monkeypatch, 
     def no_draws(*_):
         raise AssertionError("sampled although --trials is over the cap")
 
-    monkeypatch.setattr(cli, "point_members", no_draws)
-    monkeypatch.setattr(cli, "prime_members", no_draws)
+    # the two draw loops of sampling, and the one the CLI imports by name
+    monkeypatch.setattr(sampling, "_member_draws", no_draws)
+    monkeypatch.setattr(sampling, "prime_member_draws", no_draws)
+    monkeypatch.setattr(cli, "prime_member_draws", no_draws)
     code, out, err = run_cli(["tideal-check", *args, "--trials", str(cli.MAX_TRIALS + 1)], capsys)
     assert code == 1 and out == ""
     message = "--trials must be at most 1000, got 1001"

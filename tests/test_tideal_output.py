@@ -153,3 +153,20 @@ def test_tideal_trop_at_the_window_cap_pinned(capsys, argv, pin, count):
     expected = (PINS / pin).read_text()
     assert captured.out == expected
     assert len(json.loads(expected)["circuits"]) == count
+
+
+# The README's two tideal-check examples; CI diffs the installed console
+# script's stdout against the same files.
+README_PINS = [
+    (["tideal-check", "--point", "0,0", "--degree", "2", "--trials", "15", "--seed", "0"],
+     "tideal_check_point_0_0_d2.json"),
+    (["tideal-check", "--matrix", "[[0,1,1]]", "--degree", "2"], "tideal_check_matrix_0_1_1_d2.json"),
+]
+
+
+@pytest.mark.parametrize("argv, pin", README_PINS, ids=[pin for _, pin in README_PINS])
+def test_readme_tideal_check_examples_pinned(capsys, argv, pin):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out == (PINS / pin).read_text()
