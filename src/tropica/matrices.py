@@ -57,30 +57,36 @@ def to_int(x, what: str) -> int:
 
 
 def clear_denominators(row) -> tuple[int, ...]:
-    """The row of rationals times the lcm of its denominators."""
-    scale = lcm(*(x.denominator for x in row))
-    return tuple(x.numerator * (scale // x.denominator) for x in row)
+    """The row of rationals times the lcm of its denominators, each denominator read once."""
+    dens = [x.denominator for x in row]
+    scale = lcm(*dens)
+    return tuple([x.numerator * (scale // d) for x, d in zip(row, dens)])
 
 
 def int_rank(rows) -> int:
     """Rank of an integer matrix by Bareiss elimination (Math. Comp. 1968).
 
     After k pivots every remaining entry is a (k+1)-minor of the input, so
-    the division by the previous pivot is exact.
+    the division by the previous pivot is exact.  The scan stops as soon as
+    every non-zero row has a pivot: after r = m pivots on m rows no row is
+    left to eliminate, so no later column can add one, and the rank is m.
     """
     mat = [row for row in rows if any(row)]
+    m = len(mat)
     r, previous = 0, 1
     for col in range(len(mat[0]) if mat else 0):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if r == m:
+            break
+        pivot = next((i for i in range(r, m) if mat[i][col]), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
         top = mat[r]
         p = top[col]
-        for i in range(r + 1, len(mat)):
+        for i in range(r + 1, m):
             row = mat[i]
             f = row[col]
-            mat[i] = tuple((p * a - f * b) // previous for a, b in zip(row, top))
+            mat[i] = [(p * a - f * b) // previous for a, b in zip(row, top)]
         previous = p
         r += 1
     return r

@@ -268,6 +268,17 @@ def parse_point(text: str) -> tuple[Fraction, ...]:
     return tuple(point)
 
 
+def json_field(data: dict, key: str, where: str):
+    """``data[key]`` of a decoded JSON object; a missing key is a ValueError naming it and ``where``.
+
+    ``where`` names the object, e.g. "circuit JSON" or "trace JSON: steps[0]".
+    """
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f'{where} has no "{key}"') from None
+
+
 def parse_matrix_json(data) -> list[list]:
     """Matrix as decoded JSON: a non-empty array of non-empty arrays, returned as given.
 
@@ -283,8 +294,9 @@ def parse_circuits_json(data) -> CircuitSet:
     """Circuit JSON (README) as a CircuitSet; counts and exponents must be JSON integers."""
     if not isinstance(data, dict) or not isinstance(data.get("circuits"), list):
         raise ValueError('circuit JSON must be an object with a "circuits" array')
-    n = to_int(data["nvars"], "nvars")
-    window = monomial_window(n, data.get("mode", POLY), to_int(data["degree"], "degree"))
+    n = to_int(json_field(data, "nvars", "circuit JSON"), "nvars")
+    degree = to_int(json_field(data, "degree", "circuit JSON"), "degree")
+    window = monomial_window(n, data.get("mode", POLY), degree)
     inside = set(window.monomials)
     circuits = []
     for support in data["circuits"]:

@@ -27,6 +27,14 @@ row k is below the top whatever its later entries, and the survivors of
 rows 0..k-1 agree on those rows.  So the survivors after the last row are
 exactly the terms whose key equals max(keys), and the row maxima are that
 key.  Only the terms still tied get a row's entry computed.
+
+For a polynomial the entry of row k = (c0, rest) is read off each term
+(c, u) as c0 (D c) + D (rest . u), with no scaled vector built per term.
+Lemma: on a row with c0 = 0 the entry is D (rest . u), and D > 0 is the
+same for every term of one polynomial, so comparing rest . u ranks the
+terms as the entries do; only the row maximum is multiplied by D, and the
+key stays U_int @ (D c, D u).  The coefficients are scaled by D only once a
+row with c0 != 0 is reached.
 """
 
 from __future__ import annotations
@@ -86,12 +94,16 @@ class AdmissibleMatrix:
 def check_admissible(rows, n: int, mode: str = LAURENT) -> AdmissibleMatrix:
     """Validate and freeze a defining matrix; raises AdmissibilityError with every violation.
 
-    Each row is read once as ``Fraction``s and cleared of denominators once;
-    the integer rows serve the rank test and become its ``cleared_rows``.
+    Each entry is read once (a ``Fraction`` is taken as is) and each row is
+    cleared of denominators once; the integer rows serve the rank and sign
+    tests and become its ``cleared_rows``.  Clearing multiplies a row by a
+    positive lcm, so the first non-zero column-0 entry keeps its sign.  More
+    than n+1 rows of n+1 entries have rank at most n+1, fewer than the rows,
+    so they are linearly dependent without a rank computation.
     """
     n = to_int(n, "variable count")
     _check_mode(mode)
-    frozen = tuple(tuple(to_fraction(x) for x in row) for row in rows)
+    frozen = tuple([tuple([x if type(x) is Fraction else to_fraction(x) for x in row]) for row in rows])
     if not frozen:
         raise AdmissibilityError(["matrix must have at least one row"])
     if any(len(r) != n + 1 for r in frozen):
@@ -100,11 +112,10 @@ def check_admissible(rows, n: int, mode: str = LAURENT) -> AdmissibleMatrix:
     cleared = tuple(map(clear_denominators, frozen))
     problems = []
     if len(frozen) > n + 1:
-        problems.append(f"at most {n + 1} rows allowed, got {len(frozen)}")
-    if int_rank(cleared) != len(frozen):
+        problems += [f"at most {n + 1} rows allowed, got {len(frozen)}", "rows are linearly dependent"]
+    elif int_rank(cleared) != len(frozen):
         problems.append("rows are linearly dependent")
-    first_nonzero = next((r[0] for r in frozen if r[0] != 0), None)
-    if first_nonzero is not None and first_nonzero < 0:
+    if next((r[0] for r in cleared if r[0]), 0) < 0:
         problems.append("first non-zero entry of column 0 must be positive")
     if problems:
         raise AdmissibilityError(problems)
@@ -126,7 +137,8 @@ def _term_vector(term: Term, n: int) -> tuple[Fraction, tuple[Fraction, ...]]:
         raise ValueError("terms must have a non-bottom coefficient")
     if len(expo) != n:
         raise ValueError(f"exponent vector has length {len(expo)}, expected {n}")
-    return to_fraction(coeff), tuple(to_fraction(e) for e in expo)
+    coeff = coeff if type(coeff) is Fraction else to_fraction(coeff)
+    return coeff, tuple([e if type(e) is Fraction else to_fraction(e) for e in expo])
 
 
 def _scaled(vectors) -> tuple[list[tuple[int, ...]], int]:
@@ -164,15 +176,30 @@ def _top_class(matrix: AdmissibleMatrix, vectors) -> tuple[list[int], tuple[int,
 
 
 def _polynomial_top(matrix: AdmissibleMatrix, f: Polynomial) -> tuple[list[int], tuple[int, ...], int]:
-    """The top class of a non-zero f as indices into ``f.terms()``, its key, and D."""
+    """The top class of a non-zero f as indices into ``f.terms()``, its key, and D.
+
+    The ``_top_class`` refinement, with each row's entries read off the
+    terms as the module docstring states.
+    """
     if f.n != matrix.n:
         raise ValueError(f"polynomial has {f.n} variables, expected {matrix.n}")
     terms = f.terms()
-    den = lcm(*(coeff.denominator for _, coeff in terms))
-    vectors = [
-        (coeff.numerator * (den // coeff.denominator), *(den * e for e in expo)) for expo, coeff in terms
-    ]
-    return *_top_class(matrix, vectors), den
+    den = lcm(*[coeff.denominator for _, coeff in terms])
+    coeffs = None
+    tied = range(len(terms))
+    key = []
+    for row in matrix.cleared_rows:
+        c0, rest = row[0], row[1:]
+        if c0:
+            if coeffs is None:
+                coeffs = [coeff.numerator * (den // coeff.denominator) for _, coeff in terms]
+            values = [c0 * coeffs[i] + den * sum(map(mul, rest, terms[i][0])) for i in tied]
+        else:
+            values = [sum(map(mul, rest, terms[i][0])) for i in tied]
+        top = max(values)
+        key.append(top if c0 else den * top)
+        tied = [i for i, value in zip(tied, values) if value == top]
+    return tied, tuple(key), den
 
 
 def compare_terms(matrix: AdmissibleMatrix, t1: Term, t2: Term) -> str:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .matrices import to_int
-from .parsing import format_monomial, format_polynomial, parse_polynomial
+from .parsing import format_monomial, format_polynomial, json_field, parse_polynomial
 from .polynomials import Exponents, LAURENT, Pair, Polynomial
 
 GEN, REFL, SYM, TRANS, ADD, MUL, TWIST = "GEN", "REFL", "SYM", "TRANS", "ADD", "MUL", "TWIST"
@@ -298,12 +298,13 @@ def trace_from_json(data: dict) -> DerivationTrace:
     A trace repeats its texts (a conclusion is usually a later premise), so
     the parsed polynomials are kept in a dict local to this call and shared:
     polynomials are immutable.  An entry that is not a string goes straight
-    to ``parse_polynomial``, which rejects it.
+    to ``parse_polynomial``, which rejects it.  A missing key is a
+    ValueError that names it and its object (``json_field``).
     """
     if not isinstance(data, dict):
         raise ValueError("trace JSON must be an object")
     mode = data.get("mode", LAURENT)
-    n = to_int(data["nvars"], "nvars")
+    n = to_int(json_field(data, "nvars", "trace JSON"), "nvars")
     if n < 0:
         raise ValueError(f"nvars must be non-negative, got {n}")
     parsed: dict[str, Polynomial] = {}
@@ -315,18 +316,21 @@ def trace_from_json(data: dict) -> DerivationTrace:
             parsed[text] = parse_polynomial(text, mode, n)
         return parsed[text]
 
-    if not isinstance(data["generators"], list):
+    generators = json_field(data, "generators", "trace JSON")
+    if not isinstance(generators, list):
         raise ValueError("generators must be an array of polynomials")
-    gens = tuple(parse(text) for text in data["generators"])
-    if not isinstance(data["steps"], list) or not all(isinstance(e, dict) for e in data["steps"]):
+    gens = tuple(parse(text) for text in generators)
+    entries = json_field(data, "steps", "trace JSON")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ValueError("steps must be an array of objects")
     steps = []
-    for entry in data["steps"]:
-        rule = entry["rule"]
-        conclusion = _parse_pair(entry["conclusion"], parse)
+    for index, entry in enumerate(entries):
+        where = f"trace JSON: steps[{index}]"
+        rule = json_field(entry, "rule", where)
+        conclusion = _parse_pair(json_field(entry, "conclusion", where), parse)
         args = []
         for field, kind in _rule(rule)[0]:
-            value = entry[field]  # an index stays as it is: the verifier checks it
+            value = json_field(entry, field, where)  # an index stays as it is: the verifier checks it
             if kind == _MONOMIAL:
                 mono = parse(value)
                 if not mono.is_monomial():
@@ -338,7 +342,7 @@ def trace_from_json(data: dict) -> DerivationTrace:
                 value = _parse_pair(value, parse)
             args.append(value)
         steps.append(DerivationStep(rule, tuple(args), conclusion))
-    return DerivationTrace(gens, tuple(steps), _parse_pair(data["goal"], parse))
+    return DerivationTrace(gens, tuple(steps), _parse_pair(json_field(data, "goal", "trace JSON"), parse))
 
 
 def load_trace(path) -> DerivationTrace:

@@ -15,6 +15,9 @@ import random
 from fractions import Fraction
 from math import lcm
 
+import pytest
+
+from tropica import primes
 from tropica.matrices import clear_denominators, dot, nullspace, to_fraction
 from tropica.polynomials import LAURENT, Polynomial
 from tropica.primes import (
@@ -250,10 +253,13 @@ def test_random_admissible_draws_unchanged():
 
 def test_check_admissible_clears_rows_once():
     # row sets with the flaws of the benchmark's falsify queries: the integer rows that
-    # ranked the matrix become its cleared_rows, and the violations are those of the former check
+    # ranked the matrix become its cleared_rows, and the violations are those of the former check.
+    # "zero" inserts a zero row; "extra" gives n+2 to n+4 rows, the rank never computed,
+    # sometimes with a zero row among them and with either sign
     rng = random.Random(83)
-    seen = {"dependent": 0, "sign": 0, "extra": 0, None: 0}
-    for _ in range(400):
+    seen = {"dependent": 0, "zero": 0, "sign": 0, "extra": 0, None: 0}
+    signs = {"extra": 0, "extra and sign": 0}
+    for _ in range(500):
         n = rng.randint(1, 4)
         nrows = rng.randint(1, n + 1)
         rows = [[_fraction(rng, rng.choice((1, 2, 5, 12))) for _ in range(n + 1)] for _ in range(nrows)]
@@ -264,8 +270,16 @@ def test_check_admissible_clears_rows_once():
         if flaw == "dependent":
             factor = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
             rows.append([factor * x for x in rows[0]])
+        elif flaw == "zero":
+            rows.insert(rng.randint(0, len(rows)), [Fraction(0)] * (n + 1))
         elif flaw == "extra":
-            rows += [[_fraction(rng, 3) for _ in range(n + 1)] for _ in range(n + 2 - len(rows))]
+            extra = n + 2 + rng.randint(0, 2) - len(rows)
+            rows += [[_fraction(rng, 3) for _ in range(n + 1)] for _ in range(extra)]
+            if rng.random() < 0.3:
+                rows.insert(rng.randint(0, len(rows)), [0] * (n + 1))
+            pivot = next((r for r in rows if r[0] != 0), None)
+            if pivot is not None and rng.random() < 0.5:
+                rows[rows.index(pivot)] = [-x for x in pivot]
         if rng.random() < 0.3:
             rows = [[str(x) for x in row] for row in rows]
         expected = ref_admissibility_violations(rows, n)
@@ -280,4 +294,26 @@ def test_check_admissible_clears_rows_once():
             assert matrix.rows == frozen_rows
             assert matrix.cleared_rows == tuple(map(clear_denominators, frozen_rows))
         seen[flaw] += bool(expected) == (flaw is not None)
+        if flaw == "extra":
+            signs["extra and sign" if len(expected) == 3 else "extra"] += 1
     assert min(seen.values()) >= 40, seen
+    assert min(signs.values()) >= 20, signs
+
+
+def test_rank_is_not_computed_beyond_n_plus_1_rows(monkeypatch):
+    # more than n+1 rows are linearly dependent: both violations, in order, with no rank computed
+    ranks = []
+    int_rank = primes.int_rank
+    monkeypatch.setattr(primes, "int_rank", lambda rows: ranks.append(rows) or int_rank(rows))
+    cases = [
+        ([[1, 0], [0, 1], [1, 1]], []),
+        ([[0, 1], ["-1/2", 0], [0, 0], [3, 4]], ["first non-zero entry of column 0 must be positive"]),
+    ]
+    for rows, sign in cases:
+        with pytest.raises(AdmissibilityError) as caught:
+            check_admissible(rows, 1)
+        extra = [f"at most 2 rows allowed, got {len(rows)}", "rows are linearly dependent"]
+        assert caught.value.violations == extra + sign == ref_admissibility_violations(rows, 1)
+    assert ranks == []
+    check_admissible([[1, 0], [0, 1]], 1)  # n+1 rows: ranked
+    assert ranks == [((1, 0), (0, 1))]

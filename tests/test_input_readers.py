@@ -9,6 +9,7 @@ input paths of the command line that no other test runs.
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -337,3 +338,48 @@ def test_witness_prime_needs_a_non_empty_complex_over_r_n():
     stratified = affine_prevariety([P("x + y + 0", mode=POLY)])
     with pytest.raises(ValueError, match="witness construction expects an R\\^n complex"):
         witness_prime(stratified, [P("x + y + 0", mode=POLY)])
+
+
+# -- a missing JSON key is named, with the object it is missing from -------------
+
+TRACE_FILES = sorted((Path(__file__).parent.parent / "traces").glob("*.json"))
+# the circuit JSON of the README: nvars, degree, mode (optional) and circuits
+CIRCUIT_FILE = {"nvars": 2, "degree": 1, "mode": "poly", "circuits": [[[0, 0], [1, 0], [0, 1]]]}
+
+
+def _deletions(trace):
+    """(trace without one key, the key, the object it is missing from), for every key but mode."""
+    for key in trace:
+        if key != "mode":
+            yield {k: v for k, v in trace.items() if k != key}, key, "trace JSON"
+    for index, step in enumerate(trace["steps"]):
+        for key in step:
+            steps = list(trace["steps"])
+            steps[index] = {k: v for k, v in step.items() if k != key}
+            yield {**trace, "steps": steps}, key, f"trace JSON: steps[{index}]"
+
+
+@pytest.mark.parametrize("path", TRACE_FILES, ids=lambda p: p.stem)
+def test_trace_missing_key_is_named(capsys, tmp_path, path):
+    # the message was only the quoted key, e.g. "'nvars'"
+    keys = set()
+    for data, key, where in _deletions(json.loads(path.read_text())):
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps(data))
+        code, out, err = run_cli(["trace-verify", "--trace", str(trace)], capsys)
+        assert (code, out) == (1, ""), (key, where)
+        assert json.loads(err) == {"error": "domain", "message": f'{where} has no "{key}"'}
+        keys.add(key)
+    assert {"nvars", "generators", "steps", "goal", "rule", "conclusion"} <= keys, keys
+
+
+@pytest.mark.parametrize("key", ["nvars", "degree", "circuits"])
+def test_circuit_missing_key_is_named(capsys, key):
+    assert run_cli(["tideal-check", "--circuits", json.dumps(CIRCUIT_FILE)], capsys)[0] == 0
+    data = {k: v for k, v in CIRCUIT_FILE.items() if k != key}
+    code, out, err = run_cli(["tideal-check", "--circuits", json.dumps(data)], capsys)
+    assert (code, out) == (1, "")
+    message = json.loads(err)["message"]
+    assert json.loads(err)["error"] == "domain" and f'"{key}"' in message
+    if key != "circuits":
+        assert message == f'circuit JSON has no "{key}"'

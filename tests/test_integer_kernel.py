@@ -704,6 +704,28 @@ def test_rank_of_large_entries_and_tall_matrices():
         assert rank(rows) == ref_rank(rows)
 
 
+def test_int_rank_stops_at_full_row_rank():
+    # integer rows of full row rank m < ncols, so the scan stops before the last
+    # column, among zero rows; a third have their last row a combination of others
+    rng = random.Random(20261020)
+    early = dependent = 0
+    for _ in range(3000):
+        ncols = rng.randint(2, 7)
+        m = rng.randint(1, ncols - 1)
+        rows = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(m)]
+        if m > 1 and rng.random() < 0.3:
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rng.choice(rows[:-1]))]
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            rows.insert(rng.randint(0, len(rows)), [0] * ncols)
+        expected = ref_rank(rows)
+        assert int_rank(rows) == expected, rows
+        _, pivots = int_echelon(rows, ncols)
+        early += expected == m and pivots[-1] < ncols - 1
+        dependent += expected < m
+    assert early > 1500 and dependent > 500, (early, dependent)
+
+
 def _kernel_matrix(rng):
     """(rows, ncols): rational rows with zero, duplicate, parallel and combined rows.
 

@@ -23,6 +23,7 @@ from tropica.primes import (
     LESS,
     AdmissibilityError,
     _keys,
+    _polynomial_top,
     bend_ideal_member,
     check_admissible,
     compare_terms,
@@ -145,6 +146,30 @@ def cases(seed, per_shape=8):
             polys = [tied_polynomial(rng, matrix, k) for k in range(r + 1) for _ in range(2)]
             polys += [random_polynomial(rng, n) for _ in range(4)]
             yield matrix, polys
+
+
+def test_cases_mix_rows_with_and_without_coefficient_column():
+    # _polynomial_top scales the coefficients on a row with c0 != 0 and only the
+    # maximum of a row with c0 = 0: the cases have either kind of row first, the
+    # other later, under denominators D > 1
+    mixes = {"c0 = 0, then c0 != 0": 0, "c0 != 0, then c0 = 0": 0}
+    for matrix, polys in cases(2):
+        col0 = [row[0] != 0 for row in matrix.cleared_rows]
+        scaled = sum(ref_keys(matrix, f)[1] > 1 for f in polys)
+        if not col0[0] and any(col0[1:]):
+            mixes["c0 = 0, then c0 != 0"] += scaled
+        if col0[0] and not all(col0[1:]):
+            mixes["c0 != 0, then c0 = 0"] += scaled
+    assert min(mixes.values()) >= 50, mixes
+
+
+def test_top_key_is_the_largest_full_key():
+    # the key rows read off the terms are U_int @ (D c, D u), the scale D and the tied terms too
+    for matrix, polys in cases(2):
+        for f in polys:
+            keys, den = ref_keys(matrix, f)
+            top = max(keys)
+            assert _polynomial_top(matrix, f) == ([i for i, key in enumerate(keys) if key == top], top, den)
 
 
 # -- the four queries -------------------------------------------------------------

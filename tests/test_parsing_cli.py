@@ -541,6 +541,16 @@ def test_cli_argument_errors_are_json_parse_errors(capsys, args):
     assert error["error"] == "parse" and error["message"]
 
 
+def test_cli_negative_first_coordinate_needs_the_equals_form(capsys):
+    # argparse reads "-1/2,2" after a space as an option, not as the value of --point
+    code, out, err = run_cli(["eval", "--poly", "x + y + 0", "--point", "-1/2,2"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "parse", "message": "argument --point: expected one argument"}
+    code, out, err = run_cli(["eval", "--poly", "x + y + 0", "--point=-1/2,2"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"value": "2", "vanishes": False}
+
+
 def test_cli_help_keeps_text_and_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--help"])
