@@ -23,9 +23,10 @@ polyhedron, not on how its rows are written: not on row order, positive
 row scaling, duplicate or parallel rows, the choice of equality pivot, or
 content reduction.  So the kernel does only work that changes its answer.
 Rows are deduplicated and divided by their content (``_normalize``) only
-right before a pairing step, where they multiply; pivot and truncate-only
-levels pass their rows through; constant rows are checked once, on the
-constant level; and back-substitution stays on integers.  Strict
+right before a pairing step above the last level, where they multiply;
+pivot and truncate-only levels pass their rows through; the last level
+reads two bounds (last-level lemma below); constant rows are checked once,
+on the constant level; and back-substitution stays on integers.  Strict
 inequalities are supported internally so that implicit equalities and
 relative interior points are exact.  Desk scale: a handful of dimensions
 and a few dozen constraints.
@@ -43,6 +44,16 @@ feasible exactly when no LE row is tight at P, and then its solve returns
 P.  ``_int_interior_point`` uses this: when no LE row is tight at P, P is
 the interior point, with no further solve; only otherwise are the tight
 rows probed and the strict system solved.
+
+Last-level lemma: on the last level one variable x_1 is left, and with no
+equality pivot each row bounding it is a lower bound x_1 >= v or an upper
+bound x_1 <= w, strict or not.  The pairwise constant rows all hold exactly
+when every v is at most every w, strictly where either row is strict.  That
+holds exactly when the largest v is at most the smallest w, strictly when
+either of the two is strict, where of tied bounds a strict one is taken.
+So ``_eliminate_last`` keeps only those two rows and emits their one
+constant row.  ``_coordinate`` picks the same tightest bounds from all the
+rows, so by the representation lemma the point does not change.
 """
 
 from __future__ import annotations
@@ -113,6 +124,8 @@ def _eliminate_last(rows: list[IntRow], n: int) -> tuple[list[IntRow], list[IntR
     each upper bound.  Both combine rows with integer weights, positive on
     every inequality.  Only a pairing step multiplies rows, so only there
     are they reduced; a pivot or truncate-only level passes them through.
+    On the last level (n = 1) the pairing reads only the tightest lower and
+    upper bound, which are the rows returned (last-level lemma above).
     """
     j = n - 1
     kept: list[IntRow] = []
@@ -140,6 +153,11 @@ def _eliminate_last(rows: list[IntRow], n: int) -> tuple[list[IntRow], list[IntR
             kept.append((combined, weight * b - f * pb, rel))
         return kept, [pivot]
     if lowers and uppers:
+        if j == 0:
+            lower, upper = _tightest(lowers, -1), _tightest(uppers, 1)
+            (la, lb, lr), (ua, ub, ur) = lower, upper
+            kept.append(((), ua[0] * lb - la[0] * ub, LT if LT in (lr, ur) else LE))
+            return kept, [lower, upper]
         # inequalities only, none constant: _normalize dedupes and never fails here
         lowers, uppers = _normalize(lowers), _normalize(uppers)
         for la, lb, lr in lowers:
@@ -149,6 +167,20 @@ def _eliminate_last(rows: list[IntRow], n: int) -> tuple[list[IntRow], list[IntR
                 a = tuple([lo_w * x + up_w * y for x, y in zip(la[:j], ua)])
                 kept.append((a, lo_w * lb + up_w * ub, LT if LT in (lr, ur) else LE))
     return kept, lowers + uppers
+
+
+def _tightest(rows: list[IntRow], sign: int) -> IntRow:
+    """The row c x_1 rel b giving the tightest bound b / c: a lower one for sign -1, else upper.
+
+    Bounds are compared by cross-multiplication (the rows' c share a sign);
+    of tied bounds a strict one is kept.
+    """
+    best = rows[0]
+    for row in rows[1:]:
+        d = sign * (best[1] * row[0][0] - row[1] * best[0][0])
+        if d > 0 or (d == 0 and row[2] == LT):
+            best = row
+    return best
 
 
 def _coordinate(rows: list[IntRow], nums: list[int], den: int) -> tuple[int, int]:
@@ -219,7 +251,7 @@ def _tight_rows(rows: list[IntRow], point: IntPoint) -> list[int]:
     return [
         i
         for i, (a, b, rel) in enumerate(rows)
-        if rel == LE and sum(x * y for x, y in zip(a, nums)) == b * den
+        if rel == LE and sum(map(mul, a, nums)) == b * den
     ]
 
 

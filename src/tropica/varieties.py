@@ -10,6 +10,13 @@ Maximality and cell dimension come from argmax signatures, not from
 polyhedral probing: the set of terms of each generator that attain the
 maximum at a cell's relative interior point (see ``_maximal_cells``).
 
+Size lemma: when cell A is a proper face of cell B, each argmax set of A
+contains B's and at least one strictly, so the size of A's signature (the
+sum of its set sizes) is strictly larger than B's.  So a signature is only
+tested against signatures of strictly smaller size, and one of the least
+size in its complex is maximal with no test: every untight hypersurface
+cell, whose signature is one pair.
+
 Untight-signature lemma: a candidate carries, per generator, the pair
 (i, j) of its tie cell, and the point its solve found.  When no LE row is
 tight at that point, it is the relative interior point (strictness lemma of
@@ -51,6 +58,7 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 
 from .matrices import int_rank, to_fraction, to_int
 from .polyhedra import (
@@ -92,7 +100,12 @@ class Cell:
     def key(self):
         """Stratum, then larger dimension, then the sorted constraints in their JSON text."""
         s = self.scale
-        cons = sorted((rel, tuple(_text(x, s) for x in a), _text(b, s)) for a, b, rel in self.rows)
+        if s == 1:
+            cons = sorted((rel, tuple(map(str, a)), str(b)) for a, b, rel in self.rows)
+        else:
+            cons = sorted(
+                (rel, tuple([_text(x, s) for x in a]), _text(b, s)) for a, b, rel in self.rows
+            )
         return (self.stratum, -self.dim, tuple(cons))
 
 
@@ -109,10 +122,16 @@ def _text(x: int, scale: int) -> str:
 
 
 def _canonical(rows: list[IntRow], scale: int) -> tuple[tuple[IntRow, ...], int]:
-    """Rows standing for row / scale, and their scale, both divided by the gcd of all entries."""
-    g = gcd(scale, *(x for a, b, _ in rows for x in (*a, b)))
-    if g > 1:
-        rows = [(tuple(x // g for x in a), b // g, rel) for a, b, rel in rows]
+    """Rows standing for row / scale, and their scale, both divided by the gcd of all entries.
+
+    The gcd is taken row by row and stops once it reaches 1.
+    """
+    g = scale
+    for a, b, _ in rows:
+        g = gcd(g, b, *a)
+        if g == 1:
+            return tuple(rows), scale
+    rows = [(tuple(x // g for x in a), b // g, rel) for a, b, rel in rows]
     return tuple(rows), scale // g
 
 
@@ -138,20 +157,18 @@ def _scaled_terms(f: Polynomial, scale: int) -> list[ScaledTerm]:
     ]
 
 
-def _difference(terms: list[ScaledTerm], k: int, i: int, rel: str) -> IntRow:
-    """The row term_k rel term_i, as a.x rel b with integer a and b."""
-    _, gk, ck = terms[k]
-    _, gi, ci = terms[i]
-    return tuple(a - b for a, b in zip(gk, gi)), ci - ck, rel
-
-
 Differences = list[list[IntRow]]
 
 
 def _differences(terms: list[ScaledTerm]) -> Differences:
-    """The difference table of a polynomial: entry [i][k] is the row term_k <= term_i."""
-    indices = range(len(terms))
-    return [[_difference(terms, k, i, LE) for k in indices] for i in indices]
+    """The difference table of a polynomial: entry [i][k] is the row term_k <= term_i.
+
+    That row is (L e_k - L e_i) . x <= L c_i - L c_k, with integer entries.
+    """
+    return [
+        [(tuple([x - y for x, y in zip(gk, gi)]), ci - ck, LE) for _, gk, ck in terms]
+        for _, gi, ci in terms
+    ]
 
 
 def _tie_rows(table: Differences, i: int, j: int) -> list[IntRow]:
@@ -207,6 +224,11 @@ def _make_cell(
     return signature, Cell(*_canonical(rows, scale), dim, _fractions(at))
 
 
+def _contains_any(sig: Signature, smaller: list[Signature]) -> bool:
+    """Whether each argmax set of sig contains the matching set of some smaller signature."""
+    return any(all(b <= a for a, b in zip(sig, other)) for other in smaller)
+
+
 def _maximal_cells(made) -> tuple[Cell, ...]:
     """The inclusion-maximal cells among the made ones, one per set, in key order.
 
@@ -214,16 +236,33 @@ def _maximal_cells(made) -> tuple[Cell, ...]:
     Cell A lies in cell B exactly when each of B's argmax sets is contained
     in A's, so equal cells share a signature (the key-smallest represents
     them) and a signature strictly containing another marks a proper face.
+    Each cell's key is computed once, for both choices and the sort.
+
+    Size lemma: a proper face's signature contains the other's sets, one of
+    them strictly, so its size (the sum of its set sizes) is strictly
+    larger.  A signature is therefore compared only with those of strictly
+    smaller size, layer by layer, and the signatures of the least size,
+    which include every untight hypersurface cell's pair, are never faces
+    and are not compared at all.
     """
-    groups: dict[Signature, Cell] = {}
+    groups: dict[Signature, tuple[tuple, Cell]] = {}
     for signature, cell in made:
-        if signature not in groups or cell.key() < groups[signature].key():
-            groups[signature] = cell
-
-    def is_face(sig: Signature) -> bool:
-        return any(other != sig and all(b <= a for a, b in zip(sig, other)) for other in groups)
-
-    return tuple(sorted((c for s, c in groups.items() if not is_face(s)), key=Cell.key))
+        key = cell.key()
+        old = groups.get(signature)
+        if old is None or key < old[0]:
+            groups[signature] = key, cell
+    layers: dict[int, list[Signature]] = {}
+    for sig in groups:
+        layers.setdefault(sum(map(len, sig)), []).append(sig)
+    sizes = sorted(layers)
+    faces: set[Signature] = set()
+    smaller = layers[sizes[0]] if sizes else []  # the least size: no face
+    for size in sizes[1:]:
+        layer = layers[size]
+        faces.update(sig for sig in layer if _contains_any(sig, smaller))
+        smaller = smaller + layer
+    kept = sorted((v for sig, v in groups.items() if sig not in faces), key=itemgetter(0))
+    return tuple(cell for _, cell in kept)
 
 
 def _extend(candidates, ties, n: int):

@@ -10,8 +10,10 @@ seeded hypersurfaces and prevarieties with mostly zero coefficients (so that
 many terms tie), in poly and Laurent mode, every candidate must give the same
 signature and cell both ways, and the complex built on the oracle must have
 the same JSON.  `_text` must equal `str(Fraction)`, which it replaced, and
-the tie rows and strict-dominance rows read off the difference table must be
-the rows `_difference` writes.
+the table `_differences` builds in one comprehension, and the tie rows and
+strict-dominance rows read off it, must be the rows `ref_difference` writes:
+the former per-entry `varieties._difference`, kept here as the one copy the
+other test files import.
 """
 
 import itertools
@@ -28,7 +30,14 @@ from tropica.polyhedra import EQ, LE, LT, _fractions, _int_interior_point, _tigh
 from tropica.polynomials import LAURENT, POLY, Polynomial
 from tropica.varieties import Cell, complex_to_json, prevariety
 
-# -- oracle: the former _make_cell -----------------------------------------------------
+# -- oracles: the former _difference and _make_cell ------------------------------------
+
+
+def ref_difference(terms, k, i, rel):
+    """The former `varieties._difference`: the row term_k rel term_i, as a.x rel b."""
+    _, gk, ck = terms[k]
+    _, gi, ci = terms[i]
+    return tuple(a - b for a, b in zip(gk, gi)), ci - ck, rel
 
 
 def ref_make_cell(candidate, scaled, scale, n):
@@ -145,11 +154,11 @@ def test_rows_read_off_the_table_are_the_written_rows(seed):
     table = varieties._differences(terms)
     m = len(terms)
     for i, k in itertools.product(range(m), repeat=2):
-        assert table[i][k] == varieties._difference(terms, k, i, LE)
+        assert table[i][k] == ref_difference(terms, k, i, LE)
     for i, j in itertools.combinations(range(m), 2):
-        others = [varieties._difference(terms, k, i, LE) for k in range(m) if k not in (i, j)]
-        expected = [varieties._difference(terms, i, j, EQ), *others]
+        others = [ref_difference(terms, k, i, LE) for k in range(m) if k not in (i, j)]
+        expected = [ref_difference(terms, i, j, EQ), *others]
         assert varieties._tie_rows(table, i, j) == expected
     own = varieties._scaled_terms(f, lcm(*(c.denominator for _, c in f.terms())))
-    strict = [[varieties._difference(own, k, i, LT) for k in range(m) if k != i] for i in range(m)]
+    strict = [[ref_difference(own, k, i, LT) for k in range(m) if k != i] for i in range(m)]
     assert varieties._strict_rows(f) == strict

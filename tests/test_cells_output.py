@@ -12,6 +12,7 @@ chosen point would show here.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -119,3 +120,18 @@ def test_cells_stdout_pinned(capsys, argv, digest):
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+# files under tests/pins/ that CI diffs against the installed console script's stdout
+PINS = {
+    "hypersurface_cubic_n2_10_terms.json": 16,
+    "hypersurface_quadric_n4_5_terms.json": 12,
+}
+
+
+@pytest.mark.parametrize("name, index", PINS.items())
+def test_console_script_pins_are_corpus_outputs(name, index):
+    """Each pin holds the stdout whose digest the corpus pins, so the two cannot drift apart."""
+    pin = Path(__file__).parent / "pins" / name
+    assert CORPUS[index][0][0] == "hypersurface"
+    assert hashlib.sha256(pin.read_bytes()).hexdigest() == CORPUS[index][1]

@@ -124,9 +124,17 @@ def _fraction(rng, max_den):
     return Fraction(rng.randint(-4, 4), rng.randint(1, max_den))
 
 
+MAX_DRAWS = 100
+
+
 def mixed_matrix(rng, n, nrows):
-    """Admissible matrix whose entries have denominators up to 12."""
-    while True:
+    """Admissible matrix whose entries have denominators up to 12.
+
+    Inadmissible draws are drawn again, at most MAX_DRAWS times (the seeds
+    here need 1), so that a defect making every draw inadmissible fails the
+    test instead of hanging it.
+    """
+    for _ in range(MAX_DRAWS):
         rows = [
             [_fraction(rng, rng.choice((1, 2, 5, 12))) for _ in range(n + 1)] for _ in range(nrows)
         ]
@@ -137,6 +145,18 @@ def mixed_matrix(rng, n, nrows):
             return check_admissible(rows, n)
         except AdmissibilityError:
             continue
+    raise AssertionError(
+        f"mixed_matrix: no admissible matrix in {MAX_DRAWS} draws (n={n}, {nrows} rows)"
+    )
+
+
+def test_mixed_matrix_fails_after_its_draw_cap(monkeypatch):
+    def reject(rows, n):
+        raise AdmissibilityError(["rows are linearly dependent"])
+
+    monkeypatch.setitem(globals(), "check_admissible", reject)
+    with pytest.raises(AssertionError, match=r"mixed_matrix: .* 100 draws \(n=1, 2 rows\)"):
+        mixed_matrix(random.Random(0), 1, 2)
 
 
 def kernel_direction(matrix):

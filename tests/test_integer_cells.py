@@ -66,6 +66,7 @@ from fraction_polyhedra import (
     make_polyhedron,
     relative_interior_point,
 )
+from test_cell_signatures import ref_difference
 from test_integer_kernel import rank
 
 # -- oracles: the former Fraction cell layer --------------------------------------
@@ -285,13 +286,13 @@ def ref_int_vanishes_on_complex(f, x):
         ncoords = poly.n
         for i in range(len(terms)):
             others = [k for k in range(len(terms)) if k != i]
-            region = base + [varieties._difference(terms, k, i, LE) for k in others]
+            region = base + [ref_difference(terms, k, i, LE) for k in others]
             if polyhedra._int_feasible_point(region, ncoords) is None:
                 continue
             # covered when term_j < term_i nowhere on the region, for some j
             if not any(
                 polyhedra._int_feasible_point(
-                    region + [varieties._difference(terms, j, i, LT)], ncoords
+                    region + [ref_difference(terms, j, i, LT)], ncoords
                 )
                 is None
                 for j in others

@@ -21,9 +21,12 @@ The integer Fourier-Motzkin kernel that normalized every level and built a
 it reduces rows only before a pairing step and relies on the representation
 lemma of `polyhedra`: on seeded integer systems it must give the same point
 or also `None`, the point must not change with how the rows are written,
-`_normalize` must run only before pairing steps and on the constant level,
-and `fm_eliminate` (on the library's `_eliminate_last` and `_normalize`)
-must return the same rows in the same order.
+`_normalize` must run only before pairing steps above the last level and on
+the constant level, the last level must keep only its tightest lower and
+upper bound (last-level lemma of `polyhedra`, also on one-variable systems
+whose tied bounds differ only in strictness), and `fm_eliminate` (on the
+library's `_eliminate_last` and `_normalize`) must return the same rows in
+the same order.
 
 `rank` and `implicit_equality_indices` are the former `matrices.rank` and
 `polyhedra.implicit_equality_indices`, `Fraction` front ends of
@@ -64,6 +67,7 @@ from fraction_polyhedra import (
     is_empty,
     make_polyhedron,
 )
+from test_cell_signatures import ref_difference
 
 # -- oracles: the former Fraction implementations --------------------------------
 
@@ -577,12 +581,16 @@ def test_point_ignores_how_the_rows_are_written():
 
 
 def test_normalize_runs_only_before_pairing_and_on_the_constant_level(monkeypatch):
-    """Each solve normalizes the lowers and the uppers of each pairing step, then the constant rows.
+    """Each solve normalizes the lowers and uppers of each pairing step above the last level.
 
     A pairing step is a level with no equality pivot and rows bounding the
     coordinate from both sides; every other level passes its rows through.
-    Fewer rows go through ``_normalize`` than through the former kernel's,
-    which normalized every level.
+    On the last level a pairing step normalizes nothing: it keeps one lower
+    and one upper bound row, from the rows bounding x_1, and turns them into
+    exactly one constant row (last-level lemma of ``polyhedra``).  The
+    constant rows are normalized once, at the end.  Fewer rows go through
+    ``_normalize`` than through the former kernel's, which normalized every
+    level.
     """
     events = []
     normalize, eliminate, former = polyhedra._normalize, polyhedra._eliminate_last, ref_int_normalize
@@ -598,7 +606,9 @@ def test_normalize_runs_only_before_pairing_and_on_the_constant_level(monkeypatc
         pivot = any(rel == EQ and a[j] for a, _, rel in rows)
         signs = {a[j] > 0 for a, _, _ in rows if a[j]}
         events.append(("eliminate", j, not pivot and len(signs) == 2))
-        return eliminate(rows, n)
+        kept, bounds = eliminate(rows, n)
+        events.append(("eliminated", list(rows), kept, bounds))
+        return kept, bounds
 
     def former_normalize(rows):
         counts["former rows"] += len(rows)
@@ -609,6 +619,7 @@ def test_normalize_runs_only_before_pairing_and_on_the_constant_level(monkeypatc
     monkeypatch.setitem(globals(), "ref_int_normalize", former_normalize)
     rng = random.Random(20261103)
     steps = {"pairing": 0, "passed through": 0}
+    last_level = 0
     for _ in range(2000):
         rows, n = _int_system(rng)
         events.clear()
@@ -621,18 +632,88 @@ def test_normalize_runs_only_before_pairing_and_on_the_constant_level(monkeypatc
             kind, j, pairing = levels[i]
             assert kind == "eliminate", events
             i += 1
-            if not pairing:
-                steps["passed through"] += 1
-                continue
-            steps["pairing"] += 1
-            (lo_kind, lowers), (up_kind, uppers) = levels[i : i + 2]
-            assert lo_kind == up_kind == "normalize", events
-            assert lowers and all(a[j] < 0 and rel != EQ for a, _, rel in lowers), events
-            assert uppers and all(a[j] > 0 and rel != EQ for a, _, rel in uppers), events
-            i += 2
+            if pairing and j > 0:
+                (lo_kind, lowers), (up_kind, uppers) = levels[i : i + 2]
+                assert lo_kind == up_kind == "normalize", events
+                assert lowers and all(a[j] < 0 and rel != EQ for a, _, rel in lowers), events
+                assert uppers and all(a[j] > 0 and rel != EQ for a, _, rel in uppers), events
+                i += 2
+            kind, given, kept, bounds = levels[i]
+            assert kind == "eliminated", events
+            i += 1
+            steps["pairing" if pairing else "passed through"] += 1
+            if pairing and j == 0:
+                last_level += 1
+                lower, upper = bounds
+                assert lower in given and lower[0][0] < 0, events
+                assert upper in given and upper[0][0] > 0, events
+                passed = [(a[:0], b, rel) for a, b, rel in given if a[0] == 0]
+                assert kept[:-1] == passed and len(kept[-1][0]) == 0, events
         assert i == len(levels), events
-    assert min(steps.values()) >= 500, steps
+    assert min(steps.values()) >= 500 and last_level >= 150, (steps, last_level)
     assert counts["rows"] < counts["former rows"], counts
+
+
+def _tied_last_level(rng):
+    """(rows, 1): several lower and upper bounds on x_1 that tie, only one tied row strict.
+
+    The tightest lower bound v and the tightest upper bound w are drawn
+    equal most of the time.  The tied rows are scaled copies of one bound,
+    one of them strict (on either side, or on neither); looser bounds and
+    constant rows are mixed in, and the rows are shuffled.
+    """
+    v = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))
+    w = v if rng.random() < 0.7 else v + Fraction(rng.randint(-2, 2), rng.choice([1, 2]))
+    strict_side = rng.choice(["lower", "upper", "neither"])
+    rows = []
+    for side, bound, sign in (("lower", v, -1), ("upper", w, 1)):
+        tied = rng.randint(2, 4)
+        strict = rng.randrange(tied) if side == strict_side else None
+        for k in range(tied):
+            scale = rng.randint(1, 4) * bound.denominator
+            rel = LT if k == strict else LE
+            rows.append(((sign * scale,), sign * scale * bound, rel))
+        for _ in range(rng.randint(0, 3)):
+            looser = bound + sign * Fraction(rng.randint(1, 4), rng.choice([1, 2]))
+            scale = rng.randint(1, 3) * looser.denominator
+            rows.append(((sign * scale,), sign * scale * looser, rng.choice([LE, LT])))
+    for _ in range(rng.randint(0, 2)):
+        rows.append(((0,), rng.randint(0, 2), LE))
+    rows = [(a, int(b), rel) for a, b, rel in rows]
+    rng.shuffle(rows)
+    return rows, 1
+
+
+def test_last_level_reads_the_tightest_bounds():
+    """On the last level the point, and whether there is one, are the former kernel's.
+
+    The systems are one-variable ones where several lower and several upper
+    bounds tie, only one of the tied rows is strict, and the tightest lower
+    bound mostly equals the tightest upper bound: the set is then one point
+    or empty, decided by the one strict row.  The two bound rows returned
+    are the tightest ones, the strict one on a tie.
+    """
+    rng = random.Random(20261105)
+    seen = {"point": 0, "empty": 0, "interval": 0, "strict lower": 0, "strict upper": 0}
+    for _ in range(3000):
+        rows, n = _tied_last_level(rng)
+        expected = ref_int_feasible_point(rows, n)
+        assert _int_feasible_point(rows, n) == expected, rows
+        kept, (lower, upper) = polyhedra._eliminate_last(rows, n)
+        v = max(Fraction(b, a[0]) for a, b, _ in rows if a[0] < 0)
+        w = min(Fraction(b, a[0]) for a, b, _ in rows if a[0] > 0)
+        lower_strict = any(rel == LT and Fraction(b, a[0]) == v for a, b, rel in rows if a[0] < 0)
+        upper_strict = any(rel == LT and Fraction(b, a[0]) == w for a, b, rel in rows if a[0] > 0)
+        assert Fraction(lower[1], lower[0][0]) == v and (lower[2] == LT) == lower_strict, rows
+        assert Fraction(upper[1], upper[0][0]) == w and (upper[2] == LT) == upper_strict, rows
+        assert len(kept) == sum(a[0] == 0 for a, _, _ in rows) + 1, rows
+        if v == w:
+            seen["empty" if expected is None else "point"] += 1
+        else:
+            seen["interval"] += 1
+        seen["strict lower"] += lower_strict and v == w
+        seen["strict upper"] += upper_strict and v == w
+    assert min(seen.values()) >= 300, seen
 
 
 def test_fm_eliminate_rows_match_former_kernel():
@@ -841,7 +922,7 @@ def test_make_cell_solves_each_candidate_once(monkeypatch):
     tight at that point it is the interior point and nothing more is
     solved; otherwise the candidate adds one probe per tight LE row and one
     interior solve.  Tie rows are picked from the polynomial's difference
-    table, and are the rows `_difference` writes.
+    table, and are the rows `ref_difference` writes.
     """
     f = parse_polynomial("x^2 + 1*x*y + y^2 + x + -1*y + 2*x*z + z^2 + 0", "poly", 3)
     terms = varieties._scaled_terms(f, 1)
@@ -852,8 +933,8 @@ def test_make_cell_solves_each_candidate_once(monkeypatch):
     def recorded_tie_rows(table, i, j):
         rows = tie_rows(table, i, j)
         assert table == varieties._differences(terms)
-        assert rows == [varieties._difference(terms, i, j, EQ)] + [
-            varieties._difference(terms, k, i, LE) for k in range(len(terms)) if k not in (i, j)
+        assert rows == [ref_difference(terms, i, j, EQ)] + [
+            ref_difference(terms, k, i, LE) for k in range(len(terms)) if k not in (i, j)
         ]
         candidates.append(list(rows))
         pairs[tuple(rows)] = ((i, j),)

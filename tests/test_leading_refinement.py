@@ -15,6 +15,8 @@ along the integer kernel of those rows, so the refinement reaches every row.
 import random
 from fractions import Fraction
 
+import pytest
+
 from tropica.matrices import int_nullspace
 from tropica.polynomials import LAURENT, Polynomial
 from tropica.primes import (
@@ -76,9 +78,17 @@ def fraction(rng, lo=-6, hi=6, max_den=MAX_DEN):
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
 
 
+MAX_DRAWS = 100
+
+
 def random_matrix(rng, n, r):
-    """An admissible matrix of rank r with entries over denominators up to 12."""
-    while True:
+    """An admissible matrix of rank r with entries over denominators up to 12.
+
+    Dependent rows are drawn again, at most MAX_DRAWS times (the seeds here
+    need at most 2), so that a defect making every draw inadmissible fails
+    the test instead of hanging it.
+    """
+    for _ in range(MAX_DRAWS):
         rows = [[fraction(rng) for _ in range(n + 1)] for _ in range(r)]
         if rng.random() < 0.3:
             rows[0][0] = Fraction(0)
@@ -89,6 +99,18 @@ def random_matrix(rng, n, r):
             return check_admissible(rows, n)
         except AdmissibilityError:  # dependent rows: draw again
             continue
+    raise AssertionError(
+        f"random_matrix: no admissible matrix in {MAX_DRAWS} draws (n={n}, {r} rows)"
+    )
+
+
+def test_random_matrix_fails_after_its_draw_cap(monkeypatch):
+    def reject(rows, n):
+        raise AdmissibilityError(["rows are linearly dependent"])
+
+    monkeypatch.setitem(globals(), "check_admissible", reject)
+    with pytest.raises(AssertionError, match=r"random_matrix: .* 100 draws \(n=2, 3 rows\)"):
+        random_matrix(random.Random(0), 2, 3)
 
 
 def tied_terms(rng, matrix, k, count):
