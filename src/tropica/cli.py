@@ -19,32 +19,32 @@ from pathlib import Path
 from .krull import EmptyVarietyError, coordinate_dimension
 from .parsing import (
     ParseError,
-    format_monomial,
     format_polynomial,
-    parse_circuits_json,
+    monomial_text,
     parse_classical,
-    parse_matrix_json,
     parse_point,
-    parse_polynomial,
     parse_polynomials,
+    parse_term,
 )
 from .polynomials import LAURENT, POLY, Polynomial
 from .primes import (
     GEOMETRIC,
     AdmissibilityError,
     bend_ideal_member,
-    check_admissible,
     classify_prime,
     compare_terms,
+    matrix_from_json,
     variety_of_prime,
 )
 from .rendering import render_svg
-from .sampling import prime_member_draws, prime_members, require_member_degree
+from .sampling import prime_members, require_member_degree, require_member_window
 from .scalars import scalar_str
 from .traces import load_trace, verify_trace
 from .tropical_linear import (
     AxiomResult,
     check_tropical_axiom,
+    circuits_from_json,
+    circuits_to_json,
     monomial_window,
     truncated_tropicalization,
 )
@@ -130,11 +130,6 @@ def _polynomial(args, mode: str, nvars: int | None) -> Polynomial:
     return polys[0]
 
 
-def _matrix(text: str, mode: str = LAURENT):
-    rows = parse_matrix_json(_load_json_arg(text))
-    return check_admissible(rows, len(rows[0]) - 1, mode)
-
-
 # -- subcommand implementations ----------------------------------------------
 
 
@@ -170,7 +165,7 @@ def _cmd_dim(args):
 
 def _cmd_prime_check(args):
     try:
-        matrix = _matrix(args.matrix)
+        matrix = matrix_from_json(_load_json_arg(args.matrix))
     except AdmissibilityError as exc:
         _emit({"admissible": False, "violations": exc.violations}, args)
         return
@@ -178,29 +173,21 @@ def _cmd_prime_check(args):
     _emit({"admissible": True, "rank": r, "kind": kind}, args)
 
 
-def _term(text: str, mode: str, nvars: int):
-    poly = parse_polynomial(text, mode, nvars)
-    if not poly.is_monomial():
-        raise ValueError(f"{text!r} is not a single term")
-    expo = poly.support()[0]
-    return poly.coefficient(expo), expo
-
-
 def _cmd_prime_compare(args):
-    matrix = _matrix(args.matrix, args.mode)
-    t1 = _term(args.term1, args.mode, matrix.n)
-    t2 = _term(args.term2, args.mode, matrix.n)
+    matrix = matrix_from_json(_load_json_arg(args.matrix), args.mode)
+    t1 = parse_term(args.term1, args.mode, matrix.n)
+    t2 = parse_term(args.term2, args.mode, matrix.n)
     _emit({"order": compare_terms(matrix, t1, t2)}, args)
 
 
 def _cmd_prime_variety(args):
-    matrix = _matrix(args.matrix)
+    matrix = matrix_from_json(_load_json_arg(args.matrix))
     point = variety_of_prime(matrix)
     _emit({"point": None if point is None else [str(x) for x in point]}, args)
 
 
 def _cmd_prime_member(args):
-    matrix = _matrix(args.matrix, args.mode)
+    matrix = matrix_from_json(_load_json_arg(args.matrix), args.mode)
     f = _polynomial(args, args.mode, matrix.n)
     _emit({"member": bend_ideal_member(matrix, f)}, args)
 
@@ -233,11 +220,10 @@ def _cmd_tideal_check(args):
     w != v, which contradicts S = {v}.  So M = K is attained twice in F and
     T, case 2.
 
-    So ``--point`` passes once its window and degree are valid, with no
-    draw, and a geometric ``--matrix`` passes once the draws of
-    ``prime_member_draws`` find one member: it stops there, with the same
-    RNG calls and errors as the full sample.  A non-geometric ``--matrix``
-    checks the full sample of ``prime_members``.
+    So ``--point``, which presents the geometric prime [[1, p]] of its point
+    p, and a geometric ``--matrix`` pass with no draw once the window and
+    degree are valid, even where draws would find no member.  A
+    non-geometric ``--matrix`` checks the full sample of ``prime_members``.
     """
     given = [f"--{k}" for k in ("circuits", "point", "matrix") if getattr(args, k) is not None]
     if given == ["--circuits"]:  # it reads none of the four options below
@@ -254,30 +240,29 @@ def _cmd_tideal_check(args):
         got = " and ".join(given)
         raise ValueError(f"tideal-check takes one of --circuits, --point or --matrix, got {got}")
     if args.circuits is not None:
-        result = check_tropical_axiom(parse_circuits_json(_load_json_arg(args.circuits)))
-    elif args.point is not None:
-        point = parse_point(args.point)
-        monomial_window(len(point), mode, degree)  # the window cap
-        require_member_degree(degree)
-        result = AxiomResult(True)  # lemma (a)
-    elif args.matrix is not None:
-        matrix = _matrix(args.matrix, mode)
-        window = monomial_window(matrix.n, mode, degree)
-        if classify_prime(matrix)[0] == GEOMETRIC:
-            next(prime_member_draws(random.Random(seed), matrix, window, trials * 200))
+        result = check_tropical_axiom(circuits_from_json(_load_json_arg(args.circuits)))
+    else:
+        if args.point is not None:  # the geometric prime [[1, p]] of its point p
+            n, prime = len(parse_point(args.point)), None
+        elif args.matrix is not None:
+            prime = matrix_from_json(_load_json_arg(args.matrix), mode)
+            n = prime.n
+        else:
+            raise ValueError("one of --circuits, --point or --matrix is required")
+        window = monomial_window(n, mode, degree)  # the window cap
+        if prime is None or classify_prime(prime)[0] == GEOMETRIC:
+            require_member_degree(degree)
+            require_member_window(window)
             result = AxiomResult(True)  # lemma (a)
         else:
-            sample = prime_members(random.Random(seed), matrix, window, trials)
-            result = check_tropical_axiom(sample)
-    else:
-        raise ValueError("one of --circuits, --point or --matrix is required")
+            result = check_tropical_axiom(prime_members(random.Random(seed), prime, window, trials))
     payload = {"passed": result.passed}
     if result.counterexample:
         f, g, u = result.counterexample
         payload["counterexample"] = {
             "f": format_polynomial(f),
             "g": format_polynomial(g),
-            "monomial": format_monomial(u, f.n) or "1",
+            "monomial": monomial_text(u, f.n),
         }
     _emit(payload, args)
 
@@ -286,15 +271,7 @@ def _cmd_tideal_trop(args):
     parsed = [parse_classical(text, args.nvars) for text in args.gens]
     n = max(gn for _, gn in parsed)
     gens = [{e + (0,) * (n - len(e)): c for e, c in coeffs.items()} for coeffs, _ in parsed]
-    circuits = truncated_tropicalization(gens, n, args.degree)
-    payload = {
-        "nvars": n,
-        "degree": args.degree,
-        "mode": POLY,
-        "trivial": circuits.trivial,
-        "circuits": [sorted([format_monomial(e, n) or "1" for e in c]) for c in circuits.circuits],
-    }
-    _emit(payload, args)
+    _emit(circuits_to_json(truncated_tropicalization(gens, n, args.degree)), args)
 
 
 def _cmd_plot(args):

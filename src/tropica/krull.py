@@ -10,7 +10,7 @@ generator's bend relations lie in the prime it defines).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .polyhedra import affine_hull_directions, line_bounds
@@ -44,11 +44,7 @@ class DimensionReport:
             "variety_dim": self.variety_dim,
             "coordinate_dim": self.coordinate_dim,
             "witness": self.witness.to_json(),
-            "witness_checks": {
-                "admissible": self.witness_checks.admissible,
-                "rank": self.witness_checks.rank,
-                "contains_bends": self.witness_checks.contains_bends,
-            },
+            "witness_checks": asdict(self.witness_checks),
             "caveat": self.caveat,
         }
 

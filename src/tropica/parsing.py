@@ -1,4 +1,4 @@
-"""Text grammar for tropical polynomials, plus rational/matrix parsing.
+"""Text grammar for tropical polynomials and monomials, plus rational and JSON field reading.
 
 Grammar::
 
@@ -20,6 +20,9 @@ case.
 Classical polynomials over Q (``parse_classical``) share the monomials and
 the term grammar, but "-" is an operator (coefficients are unsigned), a bare
 monomial has coefficient 1 and like terms add as rationals.
+
+The JSON formats read terms and monomials here (``parse_term``,
+``parse_monomial``) and write monomials with ``monomial_text``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from fractions import Fraction
 from .polynomials import LAURENT, POLY, Exponents, Polynomial
 from .matrices import to_fraction, to_int
 from .scalars import BOTTOM, TropScalar, trop_add
-from .tropical_linear import CircuitSet, monomial_window
 
 _LETTER_VARS = {"x": 0, "y": 1, "z": 2, "w": 3}
 
@@ -227,14 +229,15 @@ def _var_name(i: int, n: int) -> str:
     return f"x{i + 1}"
 
 
-def format_monomial(expo, n: int) -> str:
+def monomial_text(expo, n: int) -> str:
+    """The monomial ``expo`` in n variables as text, such as "x^2*y^-1"; the constant is "1"."""
     parts = []
     for i, e in enumerate(expo):
         if e == 0:
             continue
         name = _var_name(i, n)
         parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
+    return "*".join(parts) or "1"
 
 
 def format_polynomial(f: Polynomial) -> str:
@@ -242,14 +245,34 @@ def format_polynomial(f: Polynomial) -> str:
         return "-inf"
     parts = []
     for expo, c in f.terms():
-        monom = format_monomial(expo, f.n)
-        if not monom:
+        if not any(expo):
             parts.append(str(c))
         elif c == 0:
-            parts.append(monom)
+            parts.append(monomial_text(expo, f.n))
         else:
-            parts.append(f"{c}*{monom}")
+            parts.append(f"{c}*{monomial_text(expo, f.n)}")
     return " + ".join(parts)
+
+
+def parse_term(text: str, mode: str, n: int, read=parse_polynomial, where: str = ""):
+    """(coefficient, exponents) of one term such as "3*x"; more terms: a ValueError led by ``where``."""
+    poly = read(text, mode, n)
+    if not poly.is_monomial():
+        raise ValueError(f"{where}{text!r} is not a single term")
+    ((expo, coeff),) = poly.terms()
+    return coeff, expo
+
+
+def parse_monomial(text: str, mode: str, n: int, where: str, read=parse_polynomial) -> Exponents:
+    """The exponents of monomial text as ``monomial_text`` writes it: "1", "x", "x^2*y^-1".
+
+    One term with the unit coefficient 0, written or not, or "1"; another
+    coefficient is a ValueError that begins with ``where``.
+    """
+    coeff, expo = parse_term(text, mode, n, read, f"{where} ")
+    if coeff != 0 and (coeff != 1 or any(expo)):
+        raise ValueError(f"{where} {text!r} carries the coefficient {coeff}")
+    return expo
 
 
 def parse_point(text: str) -> tuple[Fraction, ...]:
@@ -277,36 +300,3 @@ def json_field(data: dict, key: str, where: str):
         return data[key]
     except KeyError:
         raise ValueError(f'{where} has no "{key}"') from None
-
-
-def parse_matrix_json(data) -> list[list]:
-    """Matrix as decoded JSON: a non-empty array of non-empty arrays, returned as given.
-
-    Only the shape is checked here; ``check_admissible`` reads each entry
-    once, as a rational ("p/q" string or int).
-    """
-    if not isinstance(data, list) or not data or not all(isinstance(r, list) and r for r in data):
-        raise ValueError("matrix JSON must be a non-empty array of non-empty arrays")
-    return data
-
-
-def parse_circuits_json(data) -> CircuitSet:
-    """Circuit JSON (README) as a CircuitSet; counts and exponents must be JSON integers."""
-    if not isinstance(data, dict) or not isinstance(data.get("circuits"), list):
-        raise ValueError('circuit JSON must be an object with a "circuits" array')
-    n = to_int(json_field(data, "nvars", "circuit JSON"), "nvars")
-    degree = to_int(json_field(data, "degree", "circuit JSON"), "degree")
-    window = monomial_window(n, data.get("mode", POLY), degree)
-    inside = set(window.monomials)
-    circuits = []
-    for support in data["circuits"]:
-        if not isinstance(support, list) or not all(isinstance(e, list) for e in support):
-            raise ValueError("a circuit must be an array of exponent vectors")
-        if not support:
-            raise ValueError("a circuit must hold at least one monomial")
-        expos = [tuple(to_int(e, "an exponent") for e in expo) for expo in support]
-        for expo in expos:
-            if expo not in inside:
-                raise ValueError(f"monomial {expo} is outside the window")
-        circuits.append(frozenset(expos))
-    return CircuitSet(window, tuple(circuits))

@@ -185,15 +185,15 @@ class Polynomial:
 
     # -- evaluation ------------------------------------------------------------
 
-    def evaluate(self, point) -> TropScalar:
+    def _values(self, point) -> list[Fraction]:
+        """Each term's value at ``point``, whose coordinates are read exactly."""
         pt = tuple(to_fraction(x) for x in point)
         if len(pt) != self.n:
             raise ValueError(f"point has length {len(pt)}, expected {self.n}")
-        best: TropScalar = BOTTOM
-        for expo, c in self._coeffs.items():
-            value = c + sum((e * x for e, x in zip(expo, pt)), Fraction(0))
-            best = trop_add(best, value)
-        return best
+        return [c + sum((e * x for e, x in zip(expo, pt)), Fraction(0)) for expo, c in self._items]
+
+    def evaluate(self, point) -> TropScalar:
+        return max(self._values(point), default=BOTTOM)
 
     def vanishes_at(self, point) -> bool:
         """True when at least two terms attain the maximum at the point.
@@ -201,20 +201,8 @@ class Polynomial:
         Monomials never vanish, and by convention neither does the zero
         polynomial.
         """
-        pt = tuple(to_fraction(x) for x in point)
-        if len(pt) != self.n:
-            raise ValueError(f"point has length {len(pt)}, expected {self.n}")
-        if len(self._coeffs) < 2:
-            return False
-        best = None
-        count = 0
-        for expo, c in self._coeffs.items():
-            value = c + sum((e * x for e, x in zip(expo, pt)), Fraction(0))
-            if best is None or value > best:
-                best, count = value, 1
-            elif value == best:
-                count += 1
-        return count >= 2
+        values = self._values(point)
+        return len(values) >= 2 and values.count(max(values)) >= 2
 
     def collapse_coefficients(self) -> "Polynomial":
         """Send every coefficient to the unit (image in the Boolean subsemifield)."""

@@ -91,6 +91,16 @@ class AdmissibleMatrix:
         return [[str(x) for x in row] for row in self.rows]
 
 
+def matrix_from_json(data, mode: str = LAURENT) -> AdmissibleMatrix:
+    """Matrix JSON, as ``to_json`` writes it: a non-empty array of non-empty rows.
+
+    The first row fixes n + 1 columns, and ``check_admissible`` reads each entry once.
+    """
+    if not isinstance(data, list) or not data or not all(isinstance(r, list) and r for r in data):
+        raise ValueError("matrix JSON must be a non-empty array of non-empty arrays")
+    return check_admissible(data, len(data[0]) - 1, mode)
+
+
 def check_admissible(rows, n: int, mode: str = LAURENT) -> AdmissibleMatrix:
     """Validate and freeze a defining matrix; raises AdmissibilityError with every violation.
 

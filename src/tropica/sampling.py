@@ -6,9 +6,8 @@ reproducible.
 
 The member samplers (``point_members``, ``prime_members``) draw on
 integers: a draw is accepted or rejected on integer data, before any
-``Polynomial`` is built.  ``prime_member_draws`` is the one draw loop of
-``prime_members``; the CLI axiom checker reads it up to its first member on
-a geometric prime, where one member fixes the answer.
+``Polynomial`` is built.  The CLI axiom checker samples only non-geometric
+primes; on a geometric prime the axiom holds for every member.
 """
 
 from __future__ import annotations
@@ -101,6 +100,12 @@ def require_member_degree(max_deg: int) -> None:
     """A member has two distinct exponents, so its degree bound must be at least 1."""
     if max_deg < 1:
         raise ValueError("member polynomials need max_deg >= 1 (two distinct exponents)")
+
+
+def require_member_window(window: MonomialWindow) -> None:
+    """A member has two terms, so its window must hold two monomials."""
+    if len(window) < 2:
+        raise ValueError(f"the window holds {len(window)} monomial; a member needs two terms")
 
 
 def _member_draws(
@@ -218,16 +223,17 @@ def window_admits_member(matrix: AdmissibleMatrix, window: MonomialWindow) -> bo
     return False
 
 
-def prime_member_draws(rng: random.Random, matrix: AdmissibleMatrix, window: MonomialWindow, draws: int):
-    """The members of the bend ideal of ``matrix`` in ``window`` that ``draws`` draws find.
+def prime_members(
+    rng: random.Random, matrix: AdmissibleMatrix, window: MonomialWindow, count: int
+) -> MembershipSample:
+    """Distinct members of the bend ideal of ``matrix`` inside ``window``.
 
-    Yields, for each draw that finds a member not seen before, a tuple of
-    the new coefficient maps: the drawn member, then its partner, which
-    keeps the leading terms and moves one low term, the shape on which the
-    elimination axiom can fail.  A consumer that stops after a yield leaves
-    ``rng`` just after that draw.  A window where no two monomials tie at a
-    gap that draws can hit (``window_admits_member``) is an error before any
-    draw, and draws that end with no member are one after them.
+    Draws stop at ``count`` members (a partner may add one more) or after
+    ``count * 200`` draws.  A draw that is a member brings its partner,
+    which keeps the leading terms and moves one low term, the shape on
+    which the elimination axiom can fail.  A window where no two monomials
+    tie at a gap that draws can hit (``window_admits_member``) is an error
+    before any draw, and draws that end with no member are one after them.
 
     Draws are tested on integer keys: coefficients and exponents are
     integers, so a term's key is ``U_int @ (c, e)`` with no denominator, and
@@ -236,12 +242,12 @@ def prime_member_draws(rng: random.Random, matrix: AdmissibleMatrix, window: Mon
     (the moved term is below it), so it is a member when its new term's key
     is at most the top.  Repeats are found on the integer coefficient maps,
     and a partner is a map edit.  The low terms are listed in display order
-    (``term_key``), the order the partner's RNG choice reads them in.
+    (``term_key``), the order the partner's RNG choice reads them in.  One
+    ``Polynomial`` is built per member returned.
     """
     if window.n != matrix.n:
         raise ValueError(f"the window has {window.n} variables, the prime {matrix.n}")
-    if len(window) < 2:
-        raise ValueError(f"the window holds {len(window)} monomial; a member needs two terms")
+    require_member_window(window)
     if not window_admits_member(matrix, window):
         raise ValueError(
             "no member can be drawn: no two window monomials tie under the prime "
@@ -257,8 +263,8 @@ def prime_member_draws(rng: random.Random, matrix: AdmissibleMatrix, window: Mon
     def key(coeff: int, expo) -> tuple[int, ...]:
         return tuple(coeff * w + x for w, x in zip(weights, lifted[expo]))
 
-    seen: set[frozenset] = set()
-    for _ in range(draws):
+    members: dict[frozenset, dict] = {}
+    for _ in range(count * 200):
         drawn = rng.sample(window.monomials, k=min(3, len(window)))
         coeffs = {expo: rng.randint(-2, 2) for expo in drawn}
         keys = {expo: key(c, expo) for expo, c in coeffs.items()}
@@ -273,32 +279,11 @@ def prime_member_draws(rng: random.Random, matrix: AdmissibleMatrix, window: Mon
             if target not in coeffs and key(coeffs[moved], target) <= top:
                 partner = {e: c for e, c in coeffs.items() if e != moved}
                 partner[target] = coeffs[moved]
-        found = []
         for member in filter(None, (coeffs, partner)):
-            items = frozenset(member.items())
-            if items not in seen:
-                seen.add(items)
-                found.append(member)
-        if found:
-            yield tuple(found)
-    if not seen:
-        raise ValueError(f"no member in {max(draws, 0)} draws with coefficients in -2..2")
-
-
-def prime_members(
-    rng: random.Random, matrix: AdmissibleMatrix, window: MonomialWindow, count: int
-) -> MembershipSample:
-    """Distinct members of the bend ideal of ``matrix`` inside ``window``.
-
-    The members ``prime_member_draws`` yields, up to ``count`` of them (a
-    partner may add one more) or ``count * 200`` draws; its errors are
-    those of this function.  One ``Polynomial`` is built per member
-    returned.
-    """
-    members: list[dict] = []
-    for found in prime_member_draws(rng, matrix, window, count * 200):
-        members += found
+            members.setdefault(frozenset(member.items()), member)
         if len(members) >= count:
             break
-    polys = (Polynomial(c, window.n, window.mode) for c in members)
+    if not members:
+        raise ValueError(f"no member in {max(count * 200, 0)} draws with coefficients in -2..2")
+    polys = (Polynomial(c, window.n, window.mode) for c in members.values())
     return MembershipSample(tuple(polys), matrix)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .matrices import to_int
-from .parsing import format_monomial, format_polynomial, json_field, parse_polynomial
+from .parsing import format_polynomial, json_field, monomial_text, parse_monomial, parse_polynomial
 from .polynomials import Exponents, LAURENT, Pair, Polynomial
 
 GEN, REFL, SYM, TRANS, ADD, MUL, TWIST = "GEN", "REFL", "SYM", "TRANS", "ADD", "MUL", "TWIST"
@@ -259,7 +259,7 @@ def _pair_to_json(pair: Pair) -> list[str]:
 
 def _arg_to_json(kind: str, arg, n: int):
     if kind == _MONOMIAL:
-        return format_monomial(arg, n) or "1"
+        return monomial_text(arg, n)
     if kind == _POLYNOMIAL:
         return format_polynomial(arg)
     if kind == _PAIR:
@@ -297,9 +297,10 @@ def trace_from_json(data: dict) -> DerivationTrace:
 
     A trace repeats its texts (a conclusion is usually a later premise), so
     the parsed polynomials are kept in a dict local to this call and shared:
-    polynomials are immutable.  An entry that is not a string goes straight
-    to ``parse_polynomial``, which rejects it.  A missing key is a
-    ValueError that names it and its object (``json_field``).
+    polynomials are immutable.  Monomial fields go through that dict too
+    (``parse_monomial``).  An entry that is not a string goes straight to
+    ``parse_polynomial``, which rejects it.  A missing key is a ValueError
+    that names it and its object (``json_field``).
     """
     if not isinstance(data, dict):
         raise ValueError("trace JSON must be an object")
@@ -309,7 +310,7 @@ def trace_from_json(data: dict) -> DerivationTrace:
         raise ValueError(f"nvars must be non-negative, got {n}")
     parsed: dict[str, Polynomial] = {}
 
-    def parse(text) -> Polynomial:
+    def parse(text, *_) -> Polynomial:  # *_: the trace's mode and n, from parse_monomial
         if not isinstance(text, str):
             return parse_polynomial(text, mode, n)
         if text not in parsed:
@@ -332,10 +333,7 @@ def trace_from_json(data: dict) -> DerivationTrace:
         for field, kind in _rule(rule)[0]:
             value = json_field(entry, field, where)  # an index stays as it is: the verifier checks it
             if kind == _MONOMIAL:
-                mono = parse(value)
-                if not mono.is_monomial():
-                    raise ValueError(f"{rule} {field} field {value!r} is not a monomial")
-                value = mono.support()[0]
+                value = parse_monomial(value, mode, n, f"{rule} {field} field", parse)
             elif kind == _POLYNOMIAL:
                 value = parse(value)
             elif kind == _PAIR:

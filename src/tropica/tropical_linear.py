@@ -20,7 +20,8 @@ from math import gcd
 from typing import Callable
 
 from .matrices import clear_denominators, int_echelon, int_nullspace, to_fraction, to_int
-from .polynomials import Exponents, POLY, Polynomial, _check_mode, to_exponents
+from .parsing import json_field, monomial_text, parse_monomial
+from .polynomials import Exponents, LAURENT, POLY, Polynomial, _check_mode, to_exponents
 from .primes import (
     GEOMETRIC,
     AdmissibleMatrix,
@@ -219,6 +220,53 @@ class CircuitSet:
         if any(value != 0 for _, value in v.terms()):
             return False
         return self.covers(frozenset(v.support()))
+
+
+def circuits_to_json(circuits: CircuitSet) -> dict:
+    """Circuit JSON: each circuit as its sorted monomial texts, and whether the slice holds 1."""
+    window = circuits.window
+    return {
+        "nvars": window.n,
+        "degree": window.degree,
+        "mode": window.mode,
+        "trivial": circuits.trivial,
+        "circuits": [sorted(monomial_text(e, window.n) for e in c) for c in circuits.circuits],
+    }
+
+
+def circuits_from_json(data) -> CircuitSet:
+    """Circuit JSON as a CircuitSet: monomials as ``circuits_to_json`` writes them, or exponents.
+
+    ``mode`` defaults to poly, and ``trivial`` is not read: the circuits fix it.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("circuit JSON must be an object")
+    n = to_int(json_field(data, "nvars", "circuit JSON"), "nvars")
+    degree = to_int(json_field(data, "degree", "circuit JSON"), "degree")
+    window = monomial_window(n, data.get("mode", POLY), degree)
+    supports = json_field(data, "circuits", "circuit JSON")
+    if not isinstance(supports, list) or not all(isinstance(c, list) for c in supports):
+        raise ValueError('"circuits" must be an array of circuits, each an array of monomials')
+    inside = set(window.monomials)
+
+    def monomial(entry, where: str) -> Exponents:  # either form, in the window
+        if isinstance(entry, str):
+            expo = parse_monomial(entry, LAURENT, n, where)
+        elif isinstance(entry, list):
+            expo = tuple(to_int(e, "an exponent") for e in entry)
+        else:
+            raise ValueError(f"{where} {entry!r} is neither monomial text nor an exponent vector")
+        if expo not in inside:
+            raise ValueError(f"monomial {expo} is outside the window")
+        return expo
+
+    circuits = []
+    for index, support in enumerate(supports):
+        if not support:
+            raise ValueError("a circuit must hold at least one monomial")
+        where = f"circuit JSON: circuits[{index}] monomial"
+        circuits.append(frozenset(monomial(entry, where) for entry in support))
+    return CircuitSet(window, tuple(circuits))
 
 
 def check_tropical_axiom(description) -> AxiomResult:

@@ -75,6 +75,7 @@ from .polyhedra import (
     contains_point,
     dimension,
 )
+from .parsing import json_field
 from .polynomials import LAURENT, POLY, Exponents, Polynomial
 
 
@@ -319,6 +320,9 @@ def affine_prevariety(gens: list[Polynomial]) -> PolyComplex:
     touching S die); a generator restricting to zero vanishes identically on
     the stratum, a non-zero monomial restriction kills the stratum, and the
     rest cut out an R^(n-|S|) prevariety labelled by S.
+
+    A cell's key begins with its stratum and ``prevariety`` returns cells in
+    key order, so sorted strata give the complex in key order, keyed once.
     """
     if not gens:
         raise ValueError("at least one generator is required")
@@ -328,18 +332,18 @@ def affine_prevariety(gens: list[Polynomial]) -> PolyComplex:
     for g in gens[1:]:
         gens[0]._require_compatible(g)
     cells: list[Cell] = []
-    for size in range(n + 1):
-        for dead in itertools.combinations(range(n), size):
-            restricted = [g.restrict_to_stratum(dead) for g in gens]
-            if any(r.is_monomial() for r in restricted):
-                continue
-            live = [r for r in restricted if not r.is_zero()]
-            if not live:
-                ambient = n - len(dead)
-                cells.append(Cell((), 1, ambient, (Fraction(0),) * ambient, dead))
-                continue
-            cells.extend(replace(cell, stratum=dead) for cell in prevariety(live).cells)
-    return PolyComplex(n, POLY, tuple(sorted(cells, key=Cell.key)))
+    strata = (subset for size in range(n + 1) for subset in itertools.combinations(range(n), size))
+    for dead in sorted(strata):
+        restricted = [g.restrict_to_stratum(dead) for g in gens]
+        if any(r.is_monomial() for r in restricted):
+            continue
+        live = [r for r in restricted if not r.is_zero()]
+        if not live:
+            ambient = n - len(dead)
+            cells.append(Cell((), 1, ambient, (Fraction(0),) * ambient, dead))
+            continue
+        cells.extend(replace(cell, stratum=dead) for cell in prevariety(live).cells)
+    return PolyComplex(n, POLY, tuple(cells))
 
 
 def complex_dim(x: PolyComplex) -> int:
@@ -422,21 +426,23 @@ def _rationals(values, length: int, what: str) -> tuple[Fraction, ...]:
 def complex_from_json(data) -> PolyComplex:
     """Read the output of complex_to_json; malformed input raises ValueError.
 
-    Each cell's rational constraints become integer rows over the lcm of
-    their denominators, which is the canonical scale of ``Cell``.  A cell
-    whose dim is not its polyhedron's dimension, or whose interior_point is
-    off its relative interior (where fewer than dim hull directions remain),
-    is malformed too.
+    Every key but a cell's ``stratum`` (default []) is required.  Each
+    cell's rational constraints become integer rows over the lcm of their
+    denominators, which is the canonical scale of ``Cell``.  A cell whose
+    dim is not its polyhedron's dimension, or whose interior_point is off
+    its relative interior (where fewer than dim hull directions remain), is
+    malformed too.
     """
     _require(isinstance(data, dict), "a complex must be a JSON object")
-    ambient = to_int(data.get("ambient"), "ambient")
-    mode, cells = data.get("mode"), data.get("cells")
+    ambient = to_int(json_field(data, "ambient", "complex JSON"), "ambient")
+    mode, cells = (json_field(data, key, "complex JSON") for key in ("mode", "cells"))
     _require(ambient >= 0, "ambient must be a non-negative integer")
     _require(mode in (LAURENT, POLY), f"mode must be {LAURENT!r} or {POLY!r}")
     _require(isinstance(cells, list), "cells must be a list")
     out = []
-    for c in cells:
+    for index, c in enumerate(cells):
         _require(isinstance(c, dict), "each cell must be a JSON object")
+        where = f"complex JSON: cells[{index}]"
         stratum = c.get("stratum", [])
         _require(isinstance(stratum, list), "stratum must list increasing variables")
         stratum = [to_int(v, "a stratum variable") for v in stratum]
@@ -444,7 +450,7 @@ def complex_from_json(data) -> PolyComplex:
         _require(ok, "stratum must list increasing variables")
         _require(mode == POLY or not stratum, "bottom strata exist only in poly mode")
         ncoords = ambient - len(stratum)
-        normals, rhs, relations = (c.get(k) for k in ("normals", "rhs", "relations"))
+        normals, rhs, relations = (json_field(c, k, where) for k in ("normals", "rhs", "relations"))
         _require(
             all(isinstance(v, list) and len(v) == len(normals) for v in (normals, rhs, relations)),
             "normals, rhs and relations must be lists of equal length",
@@ -456,9 +462,9 @@ def complex_from_json(data) -> PolyComplex:
             (tuple(int(x * scale) for x in a), int(b * scale), rel)
             for (a, b), rel in zip(cons, relations)
         )
-        dim = to_int(c.get("dim"), "dim")
+        dim = to_int(json_field(c, "dim", where), "dim")
         _require(0 <= dim <= ncoords, f"dim must be an integer in 0..{ncoords}")
-        point = _rationals(c.get("interior_point"), ncoords, "interior_point")
+        point = _rationals(json_field(c, "interior_point", where), ncoords, "interior_point")
         _require(contains_point(rows, point), "interior_point violates the cell's constraints")
         actual = dimension(rows, ncoords)
         _require(dim == actual, f"dim is {dim} but the cell has dimension {actual}")

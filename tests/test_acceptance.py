@@ -359,8 +359,8 @@ def test_criterion_13_axiom_on_many_circuits(capsys):
 def test_criterion_14_rare_member_window(capsys):
     """`tideal-check --matrix '[[1,"1/3","2/3"]]' --mode poly --degree 3 --trials 1000` within 0.5 s; it took 3.75 s.
 
-    The prime is geometric, so one member decides it; before, the full
-    sample of 1000 members took up to 200,000 draws.
+    The prime is geometric, so lemma (a) decides it with no draw; before,
+    the full sample of 1000 members took up to 200,000 draws.
     """
     from tropica.cli import main
 

@@ -6,8 +6,10 @@ full sample of `point_members` or `prime_members` and runs
 oracle: the oracle test runs it through `cli.main`'s error handling and
 compares stdout, stderr and exit code byte for byte with the handler that
 decides geometric primes by lemma (a) (the `cli._cmd_tideal_check`
-docstring).  The lemma test runs the full check on geometric samples of
-both samplers.
+docstring).  On a geometric `--matrix` the two differ only where the
+former draws found no member, which now passes, and at degree 0, which now
+gives the `--point` message (`expected_answer`).  The lemma test runs the
+full check on geometric samples of both samplers.
 """
 
 import json
@@ -19,11 +21,11 @@ import pytest
 
 from tropica import cli, sampling
 from tropica.cli import build_parser
-from tropica.parsing import format_monomial, format_polynomial, parse_circuits_json, parse_point
+from tropica.parsing import format_polynomial, monomial_text, parse_point
 from tropica.polynomials import LAURENT, POLY
-from tropica.primes import GEOMETRIC, check_admissible, classify_prime
+from tropica.primes import GEOMETRIC, check_admissible, classify_prime, matrix_from_json
 from tropica.sampling import point_members, prime_members, random_admissible, random_point
-from tropica.tropical_linear import check_tropical_axiom, monomial_window
+from tropica.tropical_linear import check_tropical_axiom, circuits_from_json, monomial_window
 
 from test_one_construction import tied_prime
 from test_parsing_cli import run_cli
@@ -54,13 +56,13 @@ def ref_cmd_tideal_check(args):
         got = " and ".join(given)
         raise ValueError(f"tideal-check takes one of --circuits, --point or --matrix, got {got}")
     if args.circuits is not None:
-        description = parse_circuits_json(cli._load_json_arg(args.circuits))
+        description = circuits_from_json(cli._load_json_arg(args.circuits))
     elif args.point is not None:
         point = parse_point(args.point)
         window = monomial_window(len(point), mode, degree)
         description = point_members(random.Random(seed), point, window, trials)
     elif args.matrix is not None:
-        matrix = cli._matrix(args.matrix, mode)
+        matrix = matrix_from_json(cli._load_json_arg(args.matrix), mode)
         window = monomial_window(matrix.n, mode, degree)
         description = prime_members(random.Random(seed), matrix, window, trials)
     else:
@@ -72,7 +74,7 @@ def ref_cmd_tideal_check(args):
         payload["counterexample"] = {
             "f": format_polynomial(f),
             "g": format_polynomial(g),
-            "monomial": format_monomial(u, f.n) or "1",
+            "monomial": monomial_text(u, f.n),
         }
     cli._emit(payload, args)
 
@@ -91,6 +93,41 @@ def ref_run_cli(argv, capsys, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(cli, "build_parser", _RefParser)
         return run_cli(argv, capsys)
+
+
+PASSED = '{\n  "passed": true\n}\n'
+DEGREE_ERROR = (
+    '{"error": "domain", "message": "member polynomials need max_deg >= 1 (two distinct exponents)"}\n'
+)
+
+
+def _geometric(argv) -> bool:
+    """Whether the --matrix of ``argv`` is an admissible geometric prime."""
+    if "--matrix" not in argv:
+        return False
+    mode = argv[argv.index("--mode") + 1] if "--mode" in argv else LAURENT
+    try:
+        matrix = matrix_from_json(json.loads(argv[argv.index("--matrix") + 1]), mode)
+    except ValueError:
+        return False
+    return classify_prime(matrix)[0] == GEOMETRIC
+
+
+def expected_answer(argv, former):
+    """The former handler's (code, stdout, stderr), as lemma (a) changes it on a geometric --matrix.
+
+    Where its draws found no member ("no member in", "no member can be
+    drawn") the prime passes, and a degree-0 window gives the --point
+    message; every other answer is the former one.
+    """
+    if not _geometric(argv):
+        return former
+    outcome = _outcome(*former)
+    if outcome in ("no member in", "no member can be drawn"):
+        return 0, "passed: True\n" if "text" in argv else PASSED, ""
+    if outcome == "monomial; a member":
+        return 1, "", DEGREE_ERROR
+    return former
 
 
 # -- seeded argv --------------------------------------------------------------------
@@ -184,11 +221,14 @@ def test_cli_matches_the_former_handler(capsys, monkeypatch):
     seen: dict[str, int] = {}
     kinds: dict[tuple[str, str], int] = {}
     text = 0  # --format text lines that printed a verdict
+    changed = 0  # geometric answers that lemma (a) changes
     for _ in range(1200):
         kind, argv = _argv(rng)
-        expected = ref_run_cli(argv, capsys, monkeypatch)
+        former = ref_run_cli(argv, capsys, monkeypatch)
+        expected = expected_answer(argv, former)
         assert run_cli(argv, capsys) == expected, argv
-        outcome = _outcome(*expected)
+        changed += expected != former
+        outcome = _outcome(*former)
         seen[outcome] = seen.get(outcome, 0) + 1
         kinds[kind, outcome] = kinds.get((kind, outcome), 0) + 1
         text += "text" in argv and expected[0] == 0
@@ -201,6 +241,7 @@ def test_cli_matches_the_former_handler(capsys, monkeypatch):
     for kind in ("point", "geometric", "rare"):
         assert kinds.get((kind, "passed"), 0) >= 50, kinds
     assert text >= 20, text
+    assert changed >= 20, changed
 
 
 def test_rare_member_windows_match_the_former_handler(capsys, monkeypatch):
@@ -212,14 +253,26 @@ def test_rare_member_windows_match_the_former_handler(capsys, monkeypatch):
             for seed in range(8):
                 argv = ["tideal-check", "--matrix", matrix, "--mode", mode, "--degree", str(degree),
                         "--trials", str(trials), "--seed", str(seed)]
-                expected = ref_run_cli(argv, capsys, monkeypatch)
-                assert run_cli(argv, capsys) == expected, argv
-                outcome = _outcome(*expected)
+                former = ref_run_cli(argv, capsys, monkeypatch)
+                assert run_cli(argv, capsys) == expected_answer(argv, former) == (0, PASSED, ""), argv
+                outcome = _outcome(*former)
                 seen[outcome] = seen.get(outcome, 0) + 1
     assert seen.get("passed", 0) >= 20 and seen.get("no member in", 0) >= 20, seen
 
 
 # -- no draws beyond the answer --------------------------------------------------------
+
+
+def _no_draws(monkeypatch, what):
+    """Every draw loop, and the RNG the CLI seeds, fail the test naming ``what``."""
+
+    def no_draws(*_):
+        raise AssertionError(f"drew a member for {what}")
+
+    monkeypatch.setattr(sampling, "_member_draws", no_draws)
+    monkeypatch.setattr(sampling, "prime_members", no_draws)
+    monkeypatch.setattr(cli, "prime_members", no_draws)
+    monkeypatch.setattr(cli, "random", SimpleNamespace(Random=no_draws))
 
 
 @pytest.mark.parametrize(
@@ -231,62 +284,75 @@ def test_rare_member_windows_match_the_former_handler(capsys, monkeypatch):
     ],
 )
 def test_point_makes_no_draw(capsys, monkeypatch, args):
-    def no_draws(*_):
-        raise AssertionError("drew a member for --point")
-
-    monkeypatch.setattr(sampling, "_member_draws", no_draws)
-    monkeypatch.setattr(sampling, "prime_member_draws", no_draws)
-    monkeypatch.setattr(cli, "prime_member_draws", no_draws)
-    monkeypatch.setattr(cli, "random", SimpleNamespace(Random=no_draws))
+    _no_draws(monkeypatch, "--point")
     code, out, err = run_cli(["tideal-check", *args, "--trials", "1000"], capsys)
     assert (code, err) == (0, "")
     assert out == ("passed: True\n" if "text" in args else '{\n  "passed": true\n}\n')
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--mode", "poly", "--degree", "3"],
+        ["--mode", "poly", "--degree", "1"],  # no member that draws can hit
+        ["--mode", "laurent", "--degree", "2", "--seed", "5", "--format", "text"],
+    ],
+)
+def test_geometric_matrix_makes_no_draw(capsys, monkeypatch, args):
+    _no_draws(monkeypatch, "a geometric --matrix")
+    code, out, err = run_cli([*RARE[:3], *args, "--trials", "1000"], capsys)
+    assert (code, err) == (0, "")
+    assert out == ("passed: True\n" if "text" in args else PASSED)
+
+
 def test_point_degree_zero_is_still_an_error(capsys):
     code, out, err = run_cli(["tideal-check", "--point", "0", "--degree", "0"], capsys)
-    assert (code, out) == (1, "")
+    assert code == 1 and out == ""
     assert "member polynomials need max_deg >= 1 (two distinct exponents)" in err
 
 
-def test_geometric_matrix_stops_at_its_first_member(capsys, monkeypatch):
-    taken = []
-    draws = sampling.prime_member_draws
+@pytest.mark.parametrize("matrix", ["[[1,0]]", '[["1/2",3,4]]'])
+def test_geometric_matrix_degree_zero_gives_the_point_message(capsys, matrix):
+    # the draws said "the window holds 1 monomial; a member needs two terms"
+    code, out, err = run_cli(["tideal-check", "--matrix", matrix, "--degree", "0"], capsys)
+    assert (code, out, err) == (1, "", DEGREE_ERROR)
 
-    def counted(*args):
-        for found in draws(*args):
-            taken.append(found)
-            yield found
 
-    monkeypatch.setattr(cli, "prime_member_draws", counted)
-    assert run_cli([*RARE, "--trials", "1000"], capsys) == (0, '{\n  "passed": true\n}\n', "")
-    assert len(taken) == 1
-    # a non-geometric prime still draws its full sample
-    taken.clear()
-    monkeypatch.setattr(sampling, "prime_member_draws", counted)
+def test_non_geometric_matrix_draws_its_full_sample(capsys, monkeypatch):
+    samples = []
+
+    def kept(*args):
+        samples.append(prime_members(*args))
+        return samples[-1]
+
+    monkeypatch.setattr(cli, "prime_members", kept)
     code, out, _ = run_cli(["tideal-check", "--matrix", "[[0,1,1]]", "--degree", "2"], capsys)
-    assert code == 0 and '"passed": false' in out and len(taken) >= 2
+    assert code == 0 and '"passed": false' in out
+    assert len(samples) == 1 and len(samples[0].samples) >= 2
 
 
-def test_geometric_matrix_keeps_the_no_member_error(capsys):
-    # [[1,1/3,2/3]] in poly degree 1: x and y tie at no coefficient gap draws can hit
-    code, out, err = run_cli(
-        ["tideal-check", "--matrix", '[[1,"1/3","2/3"]]', "--mode", "poly", "--degree", "1"], capsys
-    )
-    assert (code, out) == (1, "")
-    assert "no member can be drawn" in err
-    # a member exists at degree 3, but one draw rarely finds it
-    matrix = check_admissible([[1, Fraction(1, 3), Fraction(2, 3)]], 2, POLY)
-    window = monomial_window(2, POLY, 3)
-    misses = 0
-    for seed in range(200):
-        draws = sampling.prime_member_draws(random.Random(seed), matrix, window, 1)
+def test_geometric_matrix_passes_where_draws_find_no_member(capsys):
+    # [[1,1/3,2/3]] in poly degree 1: x and y tie at no coefficient gap draws can hit,
+    # which was the error "no member can be drawn"
+    argv = ["tideal-check", "--matrix", '[[1,"1/3","2/3"]]', "--mode", "poly", "--degree", "1"]
+    assert run_cli(argv, capsys) == (0, PASSED, "")
+    # under [[1,5/4,-4/5]] in Laurent degree 3, 200 draws find a member on some
+    # seeds and not on others, which was "no member in 200 draws"; the prime
+    # passes on every seed
+    matrix, mode, degree = RARE_WINDOWS[3]
+    window = monomial_window(2, mode, degree)
+    prime = check_admissible([[1, Fraction(5, 4), Fraction(-4, 5)]], 2, mode)
+    misses = []
+    for seed in range(40):
         try:
-            next(draws)
+            prime_members(random.Random(seed), prime, window, 1)
         except ValueError as exc:
-            assert str(exc) == "no member in 1 draws with coefficients in -2..2"
-            misses += 1
-    assert 100 <= misses < 200, misses
+            assert str(exc) == "no member in 200 draws with coefficients in -2..2"
+            misses.append(seed)
+        argv = ["tideal-check", "--matrix", matrix, "--mode", mode, "--degree", str(degree),
+                "--trials", "1", "--seed", str(seed)]
+        assert run_cli(argv, capsys) == (0, PASSED, ""), argv
+    assert 10 <= len(misses) <= 30, misses
 
 
 # -- lemma (a) through the full check ------------------------------------------------

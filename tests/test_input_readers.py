@@ -17,11 +17,16 @@ from test_parsing_cli import MATRIX_READERS, run_cli
 from tropica import parsing, primes
 from tropica.krull import EmptyVarietyError, witness_prime
 from tropica.matrices import to_int
-from tropica.parsing import parse_circuits_json, parse_polynomial
+from tropica.parsing import parse_polynomial
 from tropica.polynomials import LAURENT, POLY, Polynomial, to_exponents
 from tropica.primes import admissibility_violations, check_admissible
 from tropica.traces import trace_from_json
-from tropica.tropical_linear import monomial_window, truncated_tropicalization, window_size
+from tropica.tropical_linear import (
+    circuits_from_json,
+    monomial_window,
+    truncated_tropicalization,
+    window_size,
+)
 from tropica.varieties import (
     affine_prevariety,
     complex_from_json,
@@ -75,16 +80,16 @@ READERS = {
         lambda v: monomial_window(1, POLY, v),
         lambda w: w.degree == 2 and type(w.degree) is int and w.monomials == ((0,), (1,), (2,)),
     ),
-    "parse_circuits_json nvars": (
-        lambda v: parse_circuits_json({"nvars": v, "degree": 1, "circuits": []}),
+    "circuits_from_json nvars": (
+        lambda v: circuits_from_json({"nvars": v, "degree": 1, "circuits": []}),
         lambda c: c.window.n == 2,
     ),
-    "parse_circuits_json degree": (
-        lambda v: parse_circuits_json({"nvars": 1, "degree": v, "circuits": []}),
+    "circuits_from_json degree": (
+        lambda v: circuits_from_json({"nvars": 1, "degree": v, "circuits": []}),
         lambda c: c.window.degree == 2,
     ),
-    "parse_circuits_json exponent": (
-        lambda v: parse_circuits_json({"nvars": 1, "degree": 2, "circuits": [[[v]]]}),
+    "circuits_from_json exponent": (
+        lambda v: circuits_from_json({"nvars": 1, "degree": 2, "circuits": [[[v]]]}),
         lambda c: c.circuits == (frozenset({(2,)}),),
     ),
     "parse_polynomial nvars": (lambda v: parse_polynomial("x", nvars=v), lambda p: p.n == 2),

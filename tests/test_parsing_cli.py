@@ -16,11 +16,10 @@ from tropica.parsing import (
     ParseError,
     format_polynomial,
     parse_classical,
-    parse_matrix_json,
     parse_polynomial,
 )
 from tropica.polynomials import LAURENT, POLY, Polynomial
-from tropica.primes import check_admissible
+from tropica.primes import matrix_from_json
 from tropica.rendering import render_svg
 from tropica.sampling import random_polynomial
 from tropica.varieties import hypersurface
@@ -97,17 +96,18 @@ def test_round_trip_random():
 
 
 def test_matrix_json():
-    # parse_matrix_json checks the shape; check_admissible reads the entries
+    # matrix_from_json checks the shape; check_admissible reads the entries
     data = [["1", "1/2"], [0, "-2"]]
-    assert parse_matrix_json(data) is data
-    rows = check_admissible(parse_matrix_json(data), 1).rows
+    matrix = matrix_from_json(data)
+    assert matrix.n == 1 and matrix.to_json() == [["1", "1/2"], ["0", "-2"]]
+    rows = matrix.rows
     assert rows == ((Fraction(1), Fraction(1, 2)), (Fraction(0), Fraction(-2)))
     with pytest.raises(ValueError):
-        check_admissible(parse_matrix_json([[1.5, 2]]), 1)  # floats are not rationals
+        matrix_from_json([[1.5, 2]])  # floats are not rationals
     with pytest.raises(ValueError):
-        parse_matrix_json([])
+        matrix_from_json([])
     with pytest.raises(ValueError):
-        parse_matrix_json([[1, 2], []])
+        matrix_from_json([[1, 2], []])
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -385,17 +385,28 @@ def test_cli_tideal_check_point_degree_zero(capsys):
     assert json.loads(err)["error"] == "domain"
 
 
+ONE_MONOMIAL = "the window holds 1 monomial; a member needs two terms"
+DEGREE_ZERO = "member polynomials need max_deg >= 1 (two distinct exponents)"
+
+
 @pytest.mark.parametrize(
-    "matrix,degree",
-    [("[[1,0]]", "0"), ("[[1,0,0]]", "0"), ("[[1]]", "2")],
+    "matrix,degree,message",
+    [
+        # geometric: the --point checks, degree first
+        ("[[1,0]]", "0", DEGREE_ZERO),
+        ("[[1,0,0]]", "0", DEGREE_ZERO),
+        ("[[1]]", "2", ONE_MONOMIAL),
+        ("[[0,1]]", "0", ONE_MONOMIAL),  # not geometric: the draws' check
+        ("[[0,1,0],[0,0,1]]", "0", ONE_MONOMIAL),
+    ],
 )
-def test_cli_tideal_check_matrix_one_monomial_window(capsys, matrix, degree):
+def test_cli_tideal_check_matrix_one_monomial_window(capsys, matrix, degree, message):
     # a one-monomial window holds no member: this printed {"passed": true} after 0 draws
     args = ["tideal-check", "--matrix", matrix, "--degree", degree]
     code, out, err = run_cli(args, capsys)
     assert code == 1 and out == ""
     error = json.loads(err)
-    assert error == {"error": "domain", "message": "the window holds 1 monomial; a member needs two terms"}
+    assert error == {"error": "domain", "message": message}
 
 
 @pytest.mark.parametrize(
@@ -404,15 +415,16 @@ def test_cli_tideal_check_matrix_one_monomial_window(capsys, matrix, degree):
         ("[[0,1]]", "poly", "1"),
         ("[[0,1]]", "laurent", "2"),
         ("[[0,1],[1,0]]", "poly", "1"),
-        ("[[1,7]]", "poly", "1"),
+        ("[[1,0,7],[0,1,0]]", "poly", "1"),
     ],
 )
 def test_cli_tideal_check_matrix_window_without_drawable_member(capsys, matrix, mode, degree):
     # no two window monomials tie at a coefficient gap in -4..4, the gaps of draws
     # in -2..2, so no draw is a member.  Under [[0,1]] and [[0,1],[1,0]] no two tie
     # at all: this made 200,000 draws (1.7 s), then printed {"passed": true} from 0
-    # members.  Under [[1,7]], 1 and x tie only at the gap 7: the same 200,000 draws
-    # came before the error
+    # members.  Under the rank-2 prime [[1,0,7],[0,1,0]], 1 and y tie only at
+    # the gap 7.  (Under the geometric [[1,7]], 1 and x tie only at the gap 7:
+    # lemma (a) passes it, see the test below.)
     args = ["tideal-check", "--matrix", matrix, "--mode", mode, "--degree", degree, "--trials", "1000"]
     start = time.perf_counter()
     code, out, err = run_cli(args, capsys)
@@ -439,9 +451,10 @@ def test_cli_tideal_check_matrix_no_member_drawn(capsys):
     }
 
 
-@pytest.mark.parametrize("matrix", ["[[1,0]]", "[[1,2]]"])
+@pytest.mark.parametrize("matrix", ["[[1,0]]", "[[1,2]]", "[[1,7]]"])
 def test_cli_tideal_check_matrix_window_with_member(capsys, matrix):
-    # the window of the test above, under primes that tie its monomials
+    # the window of the test above, under geometric primes, which pass by lemma (a)
+    # with no draw; [[1,7]] ties 1 and x only at a gap that no draw hits
     args = ["tideal-check", "--matrix", matrix, "--mode", "poly", "--degree", "1", "--trials", "1000"]
     code, out, err = run_cli(args, capsys)
     assert (code, err) == (0, "")
@@ -616,10 +629,10 @@ def test_cli_tideal_check_trials_above_cap_is_domain_error(capsys, monkeypatch, 
     def no_draws(*_):
         raise AssertionError("sampled although --trials is over the cap")
 
-    # the two draw loops of sampling, and the one the CLI imports by name
+    # the draw loop of point_members, and the sampler the CLI imports by name
     monkeypatch.setattr(sampling, "_member_draws", no_draws)
-    monkeypatch.setattr(sampling, "prime_member_draws", no_draws)
-    monkeypatch.setattr(cli, "prime_member_draws", no_draws)
+    monkeypatch.setattr(sampling, "prime_members", no_draws)
+    monkeypatch.setattr(cli, "prime_members", no_draws)
     code, out, err = run_cli(["tideal-check", *args, "--trials", str(cli.MAX_TRIALS + 1)], capsys)
     assert code == 1 and out == ""
     message = "--trials must be at most 1000, got 1001"
