@@ -238,6 +238,8 @@ def circuits_from_json(data) -> CircuitSet:
     """Circuit JSON as a CircuitSet: monomials as ``circuits_to_json`` writes them, or exponents.
 
     ``mode`` defaults to poly, and ``trivial`` is not read: the circuits fix it.
+    A circuit is a set, so a monomial written twice in one circuit, in either
+    form, is malformed input.
     """
     if not isinstance(data, dict):
         raise ValueError("circuit JSON must be an object")
@@ -264,8 +266,11 @@ def circuits_from_json(data) -> CircuitSet:
     for index, support in enumerate(supports):
         if not support:
             raise ValueError("a circuit must hold at least one monomial")
-        where = f"circuit JSON: circuits[{index}] monomial"
-        circuits.append(frozenset(monomial(entry, where) for entry in support))
+        where = f"circuit JSON: circuits[{index}]"
+        circuit = frozenset(monomial(entry, f"{where} monomial") for entry in support)
+        if len(circuit) < len(support):
+            raise ValueError(f"{where} repeats a monomial")
+        circuits.append(circuit)
     return CircuitSet(window, tuple(circuits))
 
 

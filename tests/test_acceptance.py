@@ -16,10 +16,8 @@ import pytest
 
 from tropica.corpus import SHIPPED_TRACES
 from tropica.krull import contains_bends, coordinate_dimension
-from tropica.matrices import dot
-from tropica.parsing import parse_polynomial
 from tropica.polyhedra import EQ, LE
-from tropica.polynomials import LAURENT, POLY, Pair, Polynomial, twisted_mul
+from tropica.polynomials import POLY, Pair, Polynomial, twisted_mul
 from tropica.primes import (
     bend_ideal_member,
     check_admissible,
@@ -32,7 +30,7 @@ from tropica.sampling import (
     random_nonzero_polynomial,
     random_point,
 )
-from tropica.scalars import BOTTOM, is_bottom, trop_add, trop_mul
+from tropica.scalars import is_bottom
 from tropica.traces import load_trace, verify_trace
 from tropica.tropical_linear import (
     MembershipSample,
@@ -42,13 +40,12 @@ from tropica.tropical_linear import (
     truncated_tropicalization,
 )
 
-from fraction_polyhedra import contains_point, fm_eliminate, make_polyhedron
+from oracles.parsing import P
+from oracles.polyhedra import contains_point, fm_eliminate, make_polyhedron, ref_lift_exists
+from oracles.tropical_linear import combine, grid_scalars
+from oracles.cli import run_cli
 
 TRACE_DIR = Path(__file__).resolve().parent.parent / "traces"
-
-
-def P(text, n=None, mode=LAURENT):
-    return parse_polynomial(text, mode, n)
 
 
 class budget:
@@ -229,45 +226,6 @@ def test_criterion_10_realizable_non_primeness():
         assert not circuits.member(P("x + y + x*y", 2, POLY).collapse_coefficients())
 
 
-def _grid_scalars():
-    return [BOTTOM] + [Fraction(v) for v in range(-4, 5)]
-
-
-def _combine(lams, gens):
-    out = {}
-    for lam, g in zip(lams, gens):
-        if is_bottom(lam):
-            continue
-        for expo, value in g.terms():
-            out[expo] = trop_add(out.get(expo, BOTTOM), trop_mul(lam, value))
-    return {k: v for k, v in out.items() if not is_bottom(v)}
-
-
-def _lift_exists(p, index, base):
-    lo, hi = None, None
-    for h in p.constraints:
-        cj = h.normal[index]
-        others = [v for k, v in enumerate(h.normal) if k != index]
-        rest = dot(others, base)
-        if cj == 0:
-            if h.relation == EQ and rest != h.rhs:
-                return False
-            if h.relation == LE and rest > h.rhs:
-                return False
-            continue
-        bound = (h.rhs - rest) / cj
-        if h.relation == EQ:
-            lo = bound if lo is None or bound > lo else lo
-            hi = bound if hi is None or bound < hi else hi
-        elif cj > 0:
-            hi = bound if hi is None or bound < hi else hi
-        else:
-            lo = bound if lo is None or bound > lo else lo
-    if lo is None or hi is None:
-        return True
-    return lo <= hi
-
-
 def test_criterion_11_oracle_equivalences():
     rng = random.Random(131)
     with budget(11, 60.0, "residuation, projection and membership against oracles"):
@@ -287,12 +245,12 @@ def test_criterion_11_oracle_equivalences():
             if rng.random() < 0.5:
                 entries = {c: Fraction(rng.randint(-2, 2)) for c in coords if rng.random() < 0.7}
             else:
-                entries = _combine([rng.choice(_grid_scalars()) for _ in range(k)], gens)
+                entries = combine([rng.choice(grid_scalars()) for _ in range(k)], gens)
             v = Polynomial(entries, 5, POLY)
             fast = span_membership(v, gens)
             slow = any(
-                _combine(lams, gens) == v.coeffs
-                for lams in itertools.product(_grid_scalars(), repeat=k)
+                combine(lams, gens) == v.coeffs
+                for lams in itertools.product(grid_scalars(), repeat=k)
             )
             assert (fast is not None) == slow
 
@@ -313,7 +271,7 @@ def test_criterion_11_oracle_equivalences():
             index = rng.randrange(n)
             proj = fm_eliminate(p, index)
             base = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 2)) for _ in range(n - 1))
-            assert contains_point(proj, base) == _lift_exists(p, index, base)
+            assert contains_point(proj, base) == ref_lift_exists(p, index, base)
 
         # bend-ideal membership vs pairwise congruence membership of the bends
         for _ in range(500):
@@ -340,8 +298,6 @@ def test_criterion_12_circuits_at_the_window_cap():
 
 def test_criterion_13_axiom_on_many_circuits(capsys):
     """`tideal-check --circuits` on the 82 circuits of x + y - 2 (d = 3) within 1 s; it took 3.2 s."""
-    from tropica.cli import main
-
     circuits = truncated_tropicalization([{(1, 0): 1, (0, 1): 1, (0, 0): -2}], 2, 3)
     assert len(circuits.circuits) == 82
     data = {
@@ -351,9 +307,8 @@ def test_criterion_13_axiom_on_many_circuits(capsys):
         "circuits": [sorted(map(list, c)) for c in circuits.circuits],
     }
     with budget(13, 1.0, "elimination axiom over the 82 circuits of x + y - 2"):
-        code = main(["tideal-check", "--circuits", json.dumps(data)])
-        captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (0, '{\n  "passed": true\n}\n', "")
+        code, out, err = run_cli(["tideal-check", "--circuits", json.dumps(data)], capsys)
+    assert (code, out, err) == (0, '{\n  "passed": true\n}\n', "")
 
 
 def test_criterion_14_rare_member_window(capsys):
@@ -362,10 +317,7 @@ def test_criterion_14_rare_member_window(capsys):
     The prime is geometric, so lemma (a) decides it with no draw; before,
     the full sample of 1000 members took up to 200,000 draws.
     """
-    from tropica.cli import main
-
     argv = ["tideal-check", "--matrix", '[[1,"1/3","2/3"]]', "--mode", "poly", "--degree", "3"]
     with budget(14, 0.5, "geometric tideal-check on a rare-member window, --trials 1000"):
-        code = main([*argv, "--trials", "1000"])
-        captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (0, '{\n  "passed": true\n}\n', "")
+        code, out, err = run_cli([*argv, "--trials", "1000"], capsys)
+    assert (code, out, err) == (0, '{\n  "passed": true\n}\n', "")

@@ -2,45 +2,25 @@
 
 A cell's key begins with its stratum, and `prevariety` returns each
 stratum's cells in key order, so taking the strata in sorted order (`()`,
-`(0,)`, `(0, 1)`, `(1,)`, ...) puts the whole complex in key order.
-`ref_affine_prevariety` is the former function, which took the strata by
-size and sorted all cells by `Cell.key` at the end; it is kept as the
-oracle.  A spy on `Cell.key` shows that every key is computed inside
-`_maximal_cells`.
+`(0,)`, `(0, 1)`, `(1,)`, ...) puts the whole complex in key order.  The
+oracle is `ref_affine_prevariety` of `oracles.varieties`, which takes the
+strata by size, builds each stratum's cells with the `Fraction` cell layer
+and sorts all cells by `Cell.key` at the end.  A spy on `Cell.key` shows
+that every key is computed inside `_maximal_cells`.
 """
 
-import itertools
 import random
 import sys
-from dataclasses import replace
-from fractions import Fraction
 
-from test_face_sizes import random_polynomial
 from tropica.polynomials import POLY
-from tropica.varieties import Cell, PolyComplex, affine_prevariety, complex_to_json, prevariety
+from tropica.varieties import Cell, affine_prevariety, complex_to_json
 
-
-def ref_affine_prevariety(gens):
-    """The former `varieties.affine_prevariety`: strata by size, then one sort by key."""
-    n = gens[0].n
-    cells = []
-    for size in range(n + 1):
-        for dead in itertools.combinations(range(n), size):
-            restricted = [g.restrict_to_stratum(dead) for g in gens]
-            if any(r.is_monomial() for r in restricted):
-                continue
-            live = [r for r in restricted if not r.is_zero()]
-            if not live:
-                ambient = n - len(dead)
-                cells.append(Cell((), 1, ambient, (Fraction(0),) * ambient, dead))
-                continue
-            cells.extend(replace(cell, stratum=dead) for cell in prevariety(live).cells)
-    return PolyComplex(n, POLY, tuple(sorted(cells, key=Cell.key)))
+from oracles.varieties import collinear_or_random_polynomial, ref_affine_prevariety
 
 
 def _generators(rng):
     n = rng.randint(1, 4)
-    return [random_polynomial(rng, n, POLY) for _ in range(rng.randint(1, 2))]
+    return [collinear_or_random_polynomial(rng, n, POLY) for _ in range(rng.randint(1, 2))]
 
 
 def test_affine_prevariety_matches_the_sorted_oracle():

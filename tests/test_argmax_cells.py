@@ -1,159 +1,60 @@
-"""Argmax-signature cells against the LP-probing implementation they replaced.
+"""Argmax-signature cells against cells kept maximal by Fourier-Motzkin containment probes.
 
-The reference functions below are the former `varieties._cell_subset` /
-`_dedup_maximal` pair (cell inclusion by Fourier-Motzkin feasibility probes)
-and the first `polyhedra.implicit_equality_indices`, which probed every LE
-constraint.  They are kept here only as oracles.  Tie cells come from the
-`Fraction` oracle `tie_cell` of `test_integer_cells`; `rank` and the later
-`implicit_equality_indices` are the shared copies of `test_integer_kernel`.
-The implicit equalities of a non-empty set are checked on
-`polyhedra._int_implicit_equalities` over `int_rows`.  The `Fraction`
-polyhedra and their conversions to and from cells are those of
-`fraction_polyhedra`.
+`varieties` keeps a cell unless its argmax signature strictly contains
+another's.  `ref_maximal_by_containment` of `oracles.varieties` asks the
+definition instead: a cell goes when probes show it inside another cell
+(the former `_cell_subset`/`_dedup_maximal` pair).  On seeded
+hypersurfaces, prevarieties and affine prevarieties with many tied terms
+both must give the same complex, byte for byte.  The implicit equalities of
+a polyhedron are checked against `ref_implicit_equality_indices`, which
+makes each LE row strict in turn and solves with the `Fraction`
+Fourier-Motzkin oracle: on a non-empty set against
+`polyhedra._int_implicit_equalities` over `int_rows`, and on the empty set
+it names every LE row.
 """
 
 import itertools
-import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from tropica import varieties
-from tropica.polyhedra import EQ, LE, LT, _int_feasible_point, _int_implicit_equalities
+from tropica.polyhedra import EQ, LE, _int_feasible_point, _int_implicit_equalities
 from tropica.polynomials import LAURENT, POLY, Polynomial
-from tropica.varieties import Cell, complex_to_json
 
-from fraction_polyhedra import (
+from oracles.polyhedra import (
     HalfSpace,
     Polyhedron,
-    _feasible_point,
-    cell_polyhedron,
-    fraction_cell,
+    implicit_equality_indices,
     int_rows,
     is_empty,
+    ref_implicit_equality_indices,
 )
-from test_integer_cells import tie_cell
-from test_integer_kernel import implicit_equality_indices, rank
-
-# -- reference implementations -------------------------------------------------
-
-
-def ref_implicit_equality_indices(poly):
-    cons = [(h.normal, h.rhs, h.relation) for h in poly.constraints]
-    out = []
-    for i, (coeffs, rhs, rel) in enumerate(cons):
-        if rel != LE:
-            continue
-        probe = list(cons)
-        probe[i] = (coeffs, rhs, LT)
-        if _feasible_point(probe, poly.n) is None:
-            out.append(i)
-    return out
+from oracles.varieties import (
+    as_bytes,
+    fan_polynomial,
+    ref_hypersurface,
+    ref_maximal_by_containment,
+    ref_prevariety,
+    tie_cell,
+)
 
 
-def ref_relative_interior_point(poly):
-    implicit = set(ref_implicit_equality_indices(poly))
-    probe = [
-        (h.normal, h.rhs, EQ if h.relation == EQ or i in implicit else LT)
-        for i, h in enumerate(poly.constraints)
-    ]
-    return _feasible_point(probe, poly.n)
+def lp_hypersurface(f):
+    return ref_hypersurface(f, ref_maximal_by_containment)
 
 
-def ref_dimension(poly):
-    implicit = set(ref_implicit_equality_indices(poly))
-    normals = [
-        h.normal for i, h in enumerate(poly.constraints) if h.relation == EQ or i in implicit
-    ]
-    return poly.n - rank(normals) if normals else poly.n
-
-
-def ref_make_cell(poly):
-    if is_empty(poly):
-        return None
-    return fraction_cell(poly, ref_dimension(poly), ref_relative_interior_point(poly))
-
-
-def ref_cell_subset(a, b):
-    """Exact inclusion test: a is contained in b."""
-    if a.stratum != b.stratum:
-        return False
-    a, b = cell_polyhedron(a), cell_polyhedron(b)
-    base = [(h.normal, h.rhs, h.relation) for h in a.constraints]
-    n = a.n
-    for h in b.constraints:
-        neg = tuple(-x for x in h.normal)
-        if _feasible_point(base + [(neg, -h.rhs, LT)], n) is not None:
-            return False
-        if h.relation == EQ and _feasible_point(base + [(h.normal, h.rhs, LT)], n) is not None:
-            return False
-    return True
-
-
-def ref_dedup_maximal(cells):
-    """Drop cells contained in another cell; among equal sets keep one."""
-    kept = []
-    for cell in sorted(cells, key=Cell.key):
-        if any(ref_cell_subset(cell, other) for other in kept):
-            continue
-        kept = [k for k in kept if not ref_cell_subset(k, cell)]
-        kept.append(cell)
-    return sorted(kept, key=Cell.key)
-
-
-def ref_hypersurface(f):
-    cells = [ref_make_cell(tie_cell(f, i, j)) for i, j in itertools.combinations(f.support(), 2)]
-    cells = [c for c in cells if c is not None]
-    return varieties.PolyComplex(f.n, f.mode, tuple(ref_dedup_maximal(cells)))
-
-
-def ref_prevariety(gens):
-    n, mode = gens[0].n, gens[0].mode
-    if any(len(g) < 2 for g in gens):
-        return varieties.PolyComplex(n, mode, ())
-    per_gen = []
-    for g in gens:
-        polys = [tie_cell(g, i, j) for i, j in itertools.combinations(g.support(), 2)]
-        per_gen.append([p for p in polys if not is_empty(p)])
-    cells = []
-    for combo in itertools.product(*per_gen):
-        poly = Polyhedron(tuple(h for p in combo for h in p.constraints), n)
-        cell = ref_make_cell(poly)
-        if cell is not None:
-            cells.append(cell)
-    return varieties.PolyComplex(n, mode, tuple(ref_dedup_maximal(cells)))
-
-
-# -- random inputs -------------------------------------------------------------
-
-
-def tied_polynomial(rng, n, mode, max_terms=6):
-    """Small exponents and coefficients, so that cells are often non-generic.
-
-    Half the polynomials have all coefficients 0: their hypersurfaces are fans
-    on which many terms tie at the origin.
-    """
-    low = 0 if mode == POLY else -1
-    values = rng.choice([[0], [0, 0, 1, -1, Fraction(1, 2)]])
-    coeffs = {}
-    target = rng.randint(2, max_terms)
-    while len(coeffs) < target:
-        expo = tuple(rng.randint(low, 2) for _ in range(n))
-        coeffs[expo] = rng.choice(values)
-    return Polynomial(coeffs, n, mode)
-
-
-def as_bytes(x):
-    return json.dumps(complex_to_json(x), indent=2, sort_keys=True)
+def lp_prevariety(gens):
+    return ref_prevariety(gens, ref_maximal_by_containment)
 
 
 def test_complexes_match_lp_reference(monkeypatch):
     rng = random.Random(20250130)
     cases = merged = 0
     for _ in range(40):
-        f = tied_polynomial(rng, rng.choice([2, 3]), LAURENT)
-        expected = ref_hypersurface(f)
+        f = fan_polynomial(rng, rng.choice([2, 3]), LAURENT)
+        expected = lp_hypersurface(f)
         assert as_bytes(varieties.hypersurface(f)) == as_bytes(expected)
         pairs = itertools.combinations(f.support(), 2)
         candidates = sum(not is_empty(tie_cell(f, i, j)) for i, j in pairs)
@@ -163,15 +64,15 @@ def test_complexes_match_lp_reference(monkeypatch):
         # the reference's pairwise probes grow fast with n, so n = 3 keeps 2 x 4 terms
         n = rng.choice([2, 3])
         count, max_terms = (rng.choice([2, 2, 3]), 6) if n == 2 else (2, 4)
-        gens = [tied_polynomial(rng, n, LAURENT, max_terms) for _ in range(count)]
-        assert as_bytes(varieties.prevariety(gens)) == as_bytes(ref_prevariety(gens))
+        gens = [fan_polynomial(rng, n, LAURENT, max_terms) for _ in range(count)]
+        assert as_bytes(varieties.prevariety(gens)) == as_bytes(lp_prevariety(gens))
         cases += 1
     affine = []
     for _ in range(10):
         n = rng.choice([2, 3])
-        gens = [tied_polynomial(rng, n, POLY, 4) for _ in range(rng.choice([1, 2]))]
+        gens = [fan_polynomial(rng, n, POLY, 4) for _ in range(rng.choice([1, 2]))]
         affine.append((gens, as_bytes(varieties.affine_prevariety(gens))))
-    monkeypatch.setattr(varieties, "prevariety", ref_prevariety)
+    monkeypatch.setattr(varieties, "prevariety", lp_prevariety)
     for gens, new in affine:
         assert new == as_bytes(varieties.affine_prevariety(gens))
         cases += 1
@@ -182,11 +83,11 @@ def test_complexes_match_lp_reference(monkeypatch):
 def test_tied_generators_give_non_generic_cells():
     # three lines through the origin: the cells meet in a point where all terms tie
     f = Polynomial({(1, 0): 0, (0, 1): 0, (0, 0): 0, (1, 1): -5}, 2)
-    assert as_bytes(varieties.hypersurface(f)) == as_bytes(ref_hypersurface(f))
+    assert as_bytes(varieties.hypersurface(f)) == as_bytes(lp_hypersurface(f))
     g = Polynomial({(1, 0): 0, (0, 1): 0}, 2)
     h = Polynomial({(1, 0): 0, (0, 0): 0}, 2)
     x = varieties.prevariety([g, h, g])
-    assert as_bytes(x) == as_bytes(ref_prevariety([g, h, g]))
+    assert as_bytes(x) == as_bytes(lp_prevariety([g, h, g]))
     assert [c.dim for c in x.cells] == [0]
 
 

@@ -1,38 +1,24 @@
 """The elimination axiom decided on prime keys, against the searches it replaced.
 
-`ref_check_axiom` is the former `check_tropical_axiom` loop over a
-MembershipSample: every triple (f, g, u) goes to `ref_elimination_witness`,
-the former `tropical_linear.elimination_witness` on polynomials, moved here
-verbatim apart from its name.  It tries up to 2^ties candidate polynomials
+The oracles are those of `oracles.tropical_linear`: `ref_check_axiom` runs
+every triple (f, g, u) of a MembershipSample through
+`ref_elimination_witness`, which tries up to 2^ties candidate polynomials
 against a membership oracle (by default `bend_ideal_member` of the prime)
 and, at a geometric prime, the tie-level candidates at its point
-(`variety_of_prime`).  Point samples use the former oracle "zero or
-vanishes at the point".  Its tie cap, `MAX_TIES` and `_require_few_ties`,
-moved here from `tropical_linear` with the last search there;
-`test_circuit_supports.ref_set_witness` shares it.
-`ref_prime_members` is the former `sampling.prime_members` loop, which
-built a polynomial for every draw and asked `bend_ideal_member`; where it
-drew no member, `prime_members` now raises instead.  Both are
-kept here only as oracles.
+(`variety_of_prime`).  Point samples use the oracle "zero or vanishes at
+the point".  The searches stop at `MAX_TIES` ties, which a test lifts by
+patching that module.  `ref_prime_members` (`oracles.sampling`) decides
+each draw by the top key of its terms; where it drew no member,
+`prime_members` raises instead.
 """
 
 import itertools
 import random
-import sys
-from fractions import Fraction
-from typing import Callable
 
 import pytest
 
-from tropica.matrices import dot
-from tropica.polynomials import LAURENT, POLY, Exponents, Polynomial
-from tropica.primes import (
-    bend_ideal_member,
-    check_admissible,
-    geometric_prime_of_point,
-    leading_class,
-    variety_of_prime,
-)
+from tropica.polynomials import LAURENT, POLY, Polynomial
+from tropica.primes import check_admissible, geometric_prime_of_point
 from tropica.sampling import (
     point_members,
     prime_members,
@@ -41,129 +27,20 @@ from tropica.sampling import (
     random_point,
     random_polynomial,
 )
-from tropica.scalars import is_bottom, trop_add
 from tropica.tropical_linear import (
     AxiomResult,
     MembershipSample,
-    _require_same_ring,
     check_tropical_axiom,
     monomial_window,
-    window_order,
 )
 
-from test_one_construction import assert_no_member_error, tied_prime
+import oracles.tropical_linear
+from oracles.sampling import assert_no_member_error, ref_prime_members, tied_prime
+from oracles.tropical_linear import axiom_outcome, ref_check_axiom
 
 FIRST_ENTRIES = ("any", "zero", "positive")
-MAX_TIES = 16  # tie positions per triple the reference searches try (2^ties candidates)
-
-# -- reference implementations -------------------------------------------------
-
-
-def _require_few_ties(count: int) -> None:
-    if count > MAX_TIES:
-        raise ValueError("too many tie positions for exhaustive search")
-
-
-def ref_elimination_witness(
-    f: Polynomial,
-    g: Polynomial,
-    u: Exponents,
-    oracle: Callable[[Polynomial], bool],
-    point: tuple[Fraction, ...] | None = None,
-) -> Polynomial | None:
-    """Search for the elimination-axiom witness for the shared monomial u.
-
-    The witness h must drop u, equal max(f_v, g_v) wherever f and g differ,
-    and stay <= the common value on ties.  Candidates vary the tie positions
-    over {common value, bottom}.  When the oracle comes from a geometric
-    ``point``, where a tie sometimes has to drop to a lower level, each tie
-    is then also tried alone at the top forced level at the point, when that
-    level is <= its common value.  Returns the first candidate the oracle
-    accepts, else None.
-    """
-    u = tuple(u)
-    fu, gu = f.coefficient(u), g.coefficient(u)
-    if is_bottom(fu) or fu != gu:
-        raise ValueError("u must carry the same non-bottom coefficient in f and g")
-    _require_same_ring([f, g])
-    forced: dict[Exponents, Fraction] = {}
-    ties: list[tuple[Exponents, Fraction]] = []
-    for expo in sorted({*f.support(), *g.support()}, key=window_order):
-        if expo == u:
-            continue
-        fv, gv = f.coefficient(expo), g.coefficient(expo)
-        if fv == gv:
-            ties.append((expo, fv))
-        else:
-            forced[expo] = trop_add(fv, gv)
-    _require_few_ties(len(ties))
-
-    def candidates():
-        for dropped in range(len(ties) + 1):
-            for subset in itertools.combinations(range(len(ties)), dropped):
-                values = dict(forced)
-                for idx, (expo, common) in enumerate(ties):
-                    if idx not in subset:
-                        values[expo] = common
-                yield values
-        if point is not None and forced:
-            top = max(value + dot(expo, point) for expo, value in forced.items())
-            for expo, common in ties:
-                level = top - dot(expo, point)
-                if level <= common:
-                    yield {**forced, expo: level}
-
-    for values in candidates():
-        h = Polynomial(values, f.n, f.mode)
-        if oracle(h):
-            return h
-    return None
-
-
-def ref_check_axiom(sample: MembershipSample, oracle=None) -> AxiomResult:
-    oracle = oracle or (lambda h: bend_ideal_member(sample.prime, h))
-    point = variety_of_prime(sample.prime) if sample.geometric else None
-    for f, g in itertools.combinations_with_replacement(sample.samples, 2):
-        for u in sorted(set(f.support()).intersection(g.support()), key=window_order):
-            if f.coefficient(u) != g.coefficient(u):
-                continue
-            if ref_elimination_witness(f, g, u, oracle, point) is None:
-                return AxiomResult(False, (f, g, u))
-    return AxiomResult(True)
-
-
-def ref_prime_members(rng, matrix, window, count):
-    members = {}
-    attempts = 0
-    while len(members) < count and attempts < count * 200:
-        attempts += 1
-        drawn = rng.sample(window.monomials, k=min(3, len(window)))
-        coeffs = {expo: Fraction(rng.randint(-2, 2)) for expo in drawn}
-        poly = Polynomial(coeffs, window.n, window.mode)
-        if not bend_ideal_member(matrix, poly):
-            continue
-        members[poly] = None
-        leaders = leading_class(matrix, poly)
-        low = [e for e in poly.support() if e not in leaders]
-        if low:
-            moved = rng.choice(low)
-            target = rng.choice(window.monomials)
-            if target not in poly.support():
-                term = Polynomial({target: poly.coefficient(moved)}, window.n, window.mode)
-                partner = poly.delete_term(moved) + term
-                if bend_ideal_member(matrix, partner):
-                    members[partner] = None
-    return tuple(members)
-
 
 # -- seeded descriptions -----------------------------------------------------------
-
-
-def _outcome(run):
-    try:
-        return run()
-    except ValueError as exc:
-        return ("ValueError", str(exc))
 
 
 def _window(rng, n):
@@ -237,8 +114,8 @@ def test_axiom_on_keys_matches_witness_search():
         label, sample, oracle = _description(seed)
         pairs = itertools.combinations(sample.samples, 2)
         for part in [sample, *(MembershipSample(pair, sample.prime) for pair in pairs)]:
-            expected = _outcome(lambda: ref_check_axiom(part, oracle))
-            got = _outcome(lambda: check_tropical_axiom(part))
+            expected = axiom_outcome(lambda: ref_check_axiom(part, oracle))
+            got = axiom_outcome(lambda: check_tropical_axiom(part))
             assert got == expected, (seed, label, part.samples)
         labels.add((label, sample.prime.mode))
         ranks.add((sample.prime.n, sample.prime.rank, sample.geometric))
@@ -264,13 +141,13 @@ def test_axiom_on_keys_same_pair_and_many_ties(monkeypatch):
         MembershipSample((edge,), prime),
         MembershipSample((edge, big), geometric_prime_of_point((0, 0))),
     ]
-    outcomes = [_outcome(lambda: check_tropical_axiom(s)) for s in cases]
+    outcomes = [axiom_outcome(lambda: check_tropical_axiom(s)) for s in cases]
     assert outcomes[0] == outcomes[3] == outcomes[4] == AxiomResult(True)
     assert outcomes[1] == outcomes[2] == AxiomResult(False, (f, g, (0, 1)))
-    capped = [_outcome(lambda: ref_check_axiom(s)) for s in cases]
+    capped = [axiom_outcome(lambda: ref_check_axiom(s)) for s in cases]
     assert capped[2] == capped[4] == ("ValueError", "too many tie positions for exhaustive search")
-    monkeypatch.setattr(sys.modules[__name__], "MAX_TIES", 17)
-    assert outcomes == [_outcome(lambda: ref_check_axiom(s)) for s in cases]
+    monkeypatch.setattr(oracles.tropical_linear, "MAX_TIES", 17)
+    assert outcomes == [axiom_outcome(lambda: ref_check_axiom(s)) for s in cases]
 
 
 def test_axiom_on_keys_rejects_samples_of_another_ring():
@@ -279,7 +156,7 @@ def test_axiom_on_keys_rejects_samples_of_another_ring():
         check_tropical_axiom(sample)
 
 
-def test_prime_members_match_former_loop():
+def test_prime_members_on_random_primes_match_key_oracle():
     none = {True: 0, False: 0}  # no member drawn, by whether a drawable tie exists
     for seed in range(300):
         rng = random.Random(10_000 + seed)
@@ -288,7 +165,7 @@ def test_prime_members_match_former_loop():
         matrix = random_admissible(rng, n, 1 + (seed // 3) % (n + 1), window.mode, FIRST_ENTRIES[seed % 3])
         count = rng.randint(1, 5)
         old, new = random.Random(seed), random.Random(seed)
-        expected = ref_prime_members(old, matrix, window, count)
+        expected = ref_prime_members(old, matrix, window, count).samples
         if not expected:
             none[assert_no_member_error(new, matrix, window, count, old.getstate())] += 1
             continue

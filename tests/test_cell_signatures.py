@@ -3,17 +3,16 @@
 `varieties._make_cell` reads the argmax signature of a candidate with no LE
 row tight at its found point off the candidate's tie pairs (the
 untight-signature lemma of `varieties`), and gives a hypersurface cell the
-dimension n - 1 with no rank.  `ref_make_cell` is the former `_make_cell`,
-kept verbatim apart from names as the oracle: it finds the interior point,
-evaluates every term there with `varieties._argmax` and ranks the ties.  On
-seeded hypersurfaces and prevarieties with mostly zero coefficients (so that
-many terms tie), in poly and Laurent mode, every candidate must give the same
-signature and cell both ways, and the complex built on the oracle must have
-the same JSON.  `_text` must equal `str(Fraction)`, which it replaced, and
-the table `_differences` builds in one comprehension, and the tie rows and
-strict-dominance rows read off it, must be the rows `ref_difference` writes:
-the former per-entry `varieties._difference`, kept here as the one copy the
-other test files import.
+dimension n - 1 with no rank.  The oracle is `ref_make_cell` of
+`oracles.varieties`, on the candidate's rows as a `Fraction` polyhedron: it
+finds the interior point, evaluates every term there and ranks the ties.
+On seeded hypersurfaces and prevarieties with mostly zero coefficients (so
+that many terms tie), in poly and Laurent mode, every candidate must give
+the same signature and cell both ways, and the complex must have the JSON
+of `ref_prevariety`.  `_text` must equal `str(Fraction)`, which it
+replaced, and the table `_differences` builds in one comprehension, and the
+tie rows and strict-dominance rows read off it, must be the rows
+`ref_difference` writes: the former per-entry `varieties._difference`.
 """
 
 import itertools
@@ -25,42 +24,21 @@ from math import lcm
 import pytest
 
 from tropica import varieties
-from tropica.matrices import int_rank
-from tropica.polyhedra import EQ, LE, LT, _fractions, _int_interior_point, _tight_rows
-from tropica.polynomials import LAURENT, POLY, Polynomial
-from tropica.varieties import Cell, complex_to_json, prevariety
+from tropica.polyhedra import EQ, LE, LT, _fractions, _tight_rows
+from tropica.polynomials import LAURENT, POLY
+from tropica.varieties import complex_to_json, prevariety
 
-# -- oracles: the former _difference and _make_cell ------------------------------------
-
-
-def ref_difference(terms, k, i, rel):
-    """The former `varieties._difference`: the row term_k rel term_i, as a.x rel b."""
-    _, gk, ck = terms[k]
-    _, gi, ci = terms[i]
-    return tuple(a - b for a, b in zip(gk, gi)), ci - ck, rel
+from oracles.polyhedra import make_polyhedron
+from oracles.varieties import random_polynomial, ref_difference, ref_make_cell, ref_prevariety
 
 
-def ref_make_cell(candidate, scaled, scale, n):
-    """The former `varieties._make_cell`: interior point, term values, rank of the ties."""
-    rows, found, _ = candidate
-    at = _int_interior_point(rows, n, found)
-    signature = tuple(varieties._argmax(terms, at) for terms in scaled)
-    ties = [tuple(a - b for a, b in zip(e, min(terms))) for terms in signature for e in terms]
-    return signature, Cell(*varieties._canonical(rows, scale), n - int_rank(ties), _fractions(at))
-
-
-# -- seeded inputs -----------------------------------------------------------------------
-
-# mostly zero, so that many terms tie; one half, so that L is sometimes 2
-VALUES = [0, 0, 0, 0, 1, -1, Fraction(1, 2)]
-
-
-def random_polynomial(rng, n, mode):
-    low = 0 if mode == POLY else -1
-    coeffs = {}
-    for _ in range(rng.randint(2, 6)):
-        coeffs[tuple(rng.randint(low, 2) for _ in range(n))] = rng.choice(VALUES)
-    return Polynomial(coeffs, n, mode)
+def candidate_cell(candidate, scale, n, gens):
+    """`ref_make_cell` of a candidate's rows, each divided by the scale: a Fraction polyhedron."""
+    rows, _, _ = candidate
+    poly = make_polyhedron(
+        [(tuple(Fraction(x, scale) for x in a), Fraction(b, scale), rel) for a, b, rel in rows], n
+    )
+    return ref_make_cell(poly, gens)
 
 
 def random_generators(rng):
@@ -87,7 +65,7 @@ def made_candidates(monkeypatch, gens):
     return calls
 
 
-def test_signatures_read_off_tie_pairs_match_the_former_cells(monkeypatch):
+def test_signatures_read_off_tie_pairs_match_the_fraction_cells(monkeypatch):
     rng = random.Random(24)
     untight = tight = untight_prevariety = dependent = 0
     for _ in range(150):
@@ -95,7 +73,7 @@ def test_signatures_read_off_tie_pairs_match_the_former_cells(monkeypatch):
         for candidate, scaled, scale, n in made_candidates(monkeypatch, gens):
             rows, found, pairs = candidate
             assert len(pairs) == len(gens)
-            expected = ref_make_cell(candidate, scaled, scale, n)
+            expected = candidate_cell(candidate, scale, n, gens)
             assert varieties._make_cell(candidate, scaled, scale, n) == expected
             if _tight_rows(rows, found):
                 tight += 1
@@ -116,15 +94,13 @@ def test_signatures_read_off_tie_pairs_match_the_former_cells(monkeypatch):
     assert untight_prevariety > dependent > 0
 
 
-def test_complexes_built_on_the_former_cells_have_the_same_json(monkeypatch):
+def test_complexes_of_tied_generators_match_the_fraction_oracle():
     rng = random.Random(2024)
     nonempty = 0
     for _ in range(100):
         gens = random_generators(rng)
         got = json.dumps(complex_to_json(prevariety(gens)))
-        with monkeypatch.context() as m:
-            m.setattr(varieties, "_make_cell", ref_make_cell)
-            assert json.dumps(complex_to_json(prevariety(gens))) == got
+        assert json.dumps(complex_to_json(ref_prevariety(gens))) == got
         nonempty += got.count('"dim"') > 0
     assert nonempty > 50
 

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from tropica.cli import main
+from oracles.cli import run_cli
+
 
 CORPUS = [
     (["hypersurface", "--mode", "poly", "--nvars", "2", "--poly", "4*y^2 + -1 + 0*x + 4*x^2"],
@@ -116,10 +117,9 @@ CORPUS = [
 
 @pytest.mark.parametrize("argv, digest", CORPUS, ids=[f"{i}-{argv[0]}" for i, (argv, _) in enumerate(CORPUS)])
 def test_cells_stdout_pinned(capsys, argv, digest):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    assert (code, captured.err) == (0, "")
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+    code, out, err = run_cli(list(argv), capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # files under tests/pins/ that CI diffs against the installed console script's stdout

@@ -1,35 +1,31 @@
-"""`truncated_tropicalization` (hyperplane walk) against three former implementations.
+"""`truncated_tropicalization` (hyperplane walk) against the circuits by definition.
 
 `truncated_tropicalization` finds each circuit as the complement of a
 hyperplane of the basis's column matroid, with one integer null-space solve
 per (r - 1)-subset of column representatives that no recorded flat holds.
-Its basis is the integer echelon basis of `matrices.int_echelon`.  Three
-former implementations are kept below as oracles, each on the `Fraction`
-reduced row echelon basis (`ref_row_echelon`, the former
-`matrices.row_echelon`):
+Its basis is the integer echelon basis of `matrices.int_echelon`.  The
+oracles of `oracles.tropical_linear` work on the `Fraction` reduced row
+echelon basis (`ref_row_echelon`, the former `matrices.row_echelon`):
 
-- `_full_rank_scan` ranks the whole basis restricted to the columns outside
-  each subset S (verbatim apart from names);
-- `_pivot_row_scan` is the subset scan that the hyperplane walk replaced,
-  moved here verbatim apart from its name: it ranks only the live rows
-  (pivot column in S) on the free columns outside S;
-- `_fraction_basis_walk` is the hyperplane walk itself on that basis, the
-  former `truncated_tropicalization`.
+- `ref_full_rank_scan` reads the circuits off their definition, the
+  support-minimal non-zero vectors of the row space: it ranks the whole
+  basis restricted to the columns outside each subset S;
+- `ref_fraction_basis_walk` is the hyperplane walk itself on that basis,
+  the former `truncated_tropicalization`.
 
-All three build their circuits as monomial sets, as `CircuitSet` holds
-them, and read no `trivial` flag: it is a property of the circuits.
+Both build their circuits as monomial sets, as `CircuitSet` holds them, and
+read no `trivial` flag: it is a property of the circuits.
 
 On seeded ideals (n = 1-3, 1-3 generators, windows of at most 15 monomials)
 and on coloops, the unit ideal, several generators, the n = 0 constant,
 monomial, zero and duplicate generators and fractional coefficients, all
-four must give the same circuits in the same order and the same `trivial`
+three must give the same circuits in the same order and the same `trivial`
 flag; 600 more seeded ideals, most with non-integer coefficients, are
-checked against `_fraction_basis_walk` alone.  The autouse `solves`
+checked against `ref_fraction_basis_walk` alone.  The autouse `nullities`
 fixture records the nullity of every null-space solve of the walk: each is
 at least 1 (|T| = r - 1 < r), and the solves of nullity 1 are exactly one
-per circuit.  `int_nullspace` itself is checked
-against the former `Fraction` `nullspace` (`ref_nullspace`) on seeded
-integer matrices.
+per circuit.  `int_nullspace` itself is checked against the `Fraction`
+`ref_nullspace` on seeded integer matrices.
 """
 
 import itertools
@@ -39,201 +35,20 @@ from fractions import Fraction
 import pytest
 
 from tropica import tropical_linear
-from tropica.matrices import clear_denominators, int_nullspace, int_rank, to_fraction
-from tropica.polynomials import POLY
-from tropica.tropical_linear import (
-    MAX_WINDOW_MONOMIALS,
-    CircuitSet,
-    _parallel_representatives,
-    _require_window_size,
-    _shift,
-    check_tropical_axiom,
-    monomial_window,
-    truncated_tropicalization,
-    window_size,
+from tropica.matrices import clear_denominators, int_nullspace, int_rank
+from tropica.tropical_linear import check_tropical_axiom, truncated_tropicalization
+
+from oracles.matrices import ref_nullspace
+from oracles.tropical_linear import (
+    non_integer_coefficient,
+    random_ideal,
+    ref_fraction_basis_walk,
+    ref_full_rank_scan,
 )
-
-from test_integer_kernel import rank, ref_nullspace, ref_row_echelon
-
-
-def _full_rank_scan(rational_gens: list[dict], n: int, degree: int) -> CircuitSet:
-    window = monomial_window(n, POLY, degree)
-    gen_maps = []
-    for g in rational_gens:
-        coeffs = {tuple(e): to_fraction(c) for e, c in g.items()}
-        clean = {e: c for e, c in coeffs.items() if c != 0}
-        if not clean:
-            continue
-        gdeg = max(sum(e) for e in clean)
-        gen_maps.append((clean, gdeg))
-    if not gen_maps:
-        return CircuitSet(window, ())
-    columns = {expo: i for i, expo in enumerate(window.monomials)}
-    rows = []
-    for clean, gdeg in gen_maps:
-        for shift in window.monomials:
-            if sum(shift) > degree - gdeg:
-                continue
-            row = [Fraction(0)] * len(window)
-            for expo, coeff in clean.items():
-                row[columns[_shift(expo, shift)]] = coeff
-            rows.append(row)
-    basis = [row for row in ref_row_echelon(rows) if any(v != 0 for v in row)]
-    r = len(basis)
-    if r == 0:
-        return CircuitSet(window, ())
-    circuits: list[frozenset] = []
-    max_size = len(window) - r + 1
-    indices = range(len(window))
-    for size in range(1, max_size + 1):
-        for combo in itertools.combinations(indices, size):
-            combo_set = set(combo)
-            if any(c <= combo_set for c in circuits):
-                continue
-            outside = [i for i in indices if i not in combo_set]
-            submatrix = [[row[i] for i in outside] for row in basis]
-            if rank(submatrix) < r:
-                circuits.append(frozenset(combo))
-    supports = sorted(circuits, key=lambda c: sorted(c))
-    return CircuitSet(window, tuple(frozenset(window.monomials[i] for i in c) for c in supports))
-
-
-def _pivot_row_scan(rational_gens: list[dict], n: int, degree: int) -> CircuitSet:
-    """Circuits of the degree-truncated tropicalization of a rational ideal.
-
-    ``rational_gens`` are classical polynomials over Q given as maps from
-    exponent tuples to non-zero rational coefficients.  The degree-<= d slice
-    of the ideal is the row space of the multiplication matrix (each
-    generator shifted by every monomial that keeps it inside the window);
-    under the trivial valuation its vectors are Boolean, so the circuits are
-    exactly the support-minimal non-zero row-space vectors.
-
-    Subsets S of the window are scanned by size, skipping supersets of
-    circuits found.  Let b_1..b_r be the reduced row echelon basis with
-    pivot columns p_1..p_r.  Every row-space vector is v = sum_k v[p_k] b_k,
-    because b_k is 1 at p_k and 0 at the other pivots.  If v vanishes
-    outside S, then v[p_k] = 0 for each pivot outside S, so v combines only
-    the live rows (pivot in S), and it vanishes on the pivots outside S.
-    Hence a non-zero v supported in S exists iff the live rows, restricted
-    to the free columns outside S, are dependent: rank < number of live
-    rows.  A subset without a pivot has no live row and holds no circuit.
-    """
-    _require_window_size(n, POLY, degree, MAX_WINDOW_MONOMIALS, "for circuit enumeration")
-    window = monomial_window(n, POLY, degree)
-    gen_maps = []
-    for g in rational_gens:
-        coeffs = {tuple(e): to_fraction(c) for e, c in g.items()}
-        clean = {e: c for e, c in coeffs.items() if c != 0}
-        if not clean:
-            continue
-        if any(len(e) != n or min(e) < 0 for e in clean):
-            raise ValueError("generators must be polynomials in n non-negative exponents")
-        gdeg = max(sum(e) for e in clean)
-        if gdeg > degree:
-            raise ValueError(f"generator degree {gdeg} exceeds the window degree {degree}")
-        gen_maps.append((clean, gdeg))
-    if not gen_maps:
-        return CircuitSet(window, ())
-    columns = {expo: i for i, expo in enumerate(window.monomials)}
-    rows = []
-    for clean, gdeg in gen_maps:
-        for shift in window.monomials:
-            if sum(shift) > degree - gdeg:
-                continue
-            row = [Fraction(0)] * len(window)
-            for expo, coeff in clean.items():
-                row[columns[_shift(expo, shift)]] = coeff
-            rows.append(row)
-    basis = [row for row in ref_row_echelon(rows) if any(v != 0 for v in row)]
-    r = len(basis)
-    if r == 0:
-        return CircuitSet(window, ())
-    circuits: list[frozenset[int]] = []
-    max_size = len(window) - r + 1
-    indices = range(len(window))
-    pivots = [next(j for j, v in enumerate(row) if v != 0) for row in basis]
-    free = [j for j in indices if j not in pivots]
-    int_basis = [clear_denominators(row) for row in basis]
-    for size in range(1, max_size + 1):
-        for combo in itertools.combinations(indices, size):
-            combo_set = set(combo)
-            if any(c <= combo_set for c in circuits):
-                continue
-            live = [row for row, p in zip(int_basis, pivots) if p in combo_set]
-            if not live:
-                continue
-            outside = [j for j in free if j not in combo_set]
-            if int_rank([[row[j] for j in outside] for row in live]) < len(live):
-                circuits.append(frozenset(combo))
-    supports = sorted(circuits, key=lambda c: sorted(c))
-    return CircuitSet(window, tuple(frozenset(window.monomials[i] for i in c) for c in supports))
-
-
-def _fraction_basis_walk(rational_gens: list[dict], n: int, degree: int) -> CircuitSet:
-    """The hyperplane walk on the reduced row echelon basis of `Fraction` rows.
-
-    The former `truncated_tropicalization`, verbatim apart from its name,
-    this docstring and its circuits, built as monomial sets: the basis came
-    from the `Fraction` elimination and was then cleared of denominators row
-    by row, and the pivots were re-scanned.
-    """
-    _require_window_size(n, POLY, degree, MAX_WINDOW_MONOMIALS, "for circuit enumeration")
-    window = monomial_window(n, POLY, degree)
-    gen_maps = []
-    for g in rational_gens:
-        coeffs = {tuple(e): to_fraction(c) for e, c in g.items()}
-        clean = {e: c for e, c in coeffs.items() if c != 0}
-        if not clean:
-            continue
-        if any(len(e) != n or any(a < 0 for a in e) for e in clean):
-            raise ValueError("generators must be polynomials in n non-negative exponents")
-        gdeg = max(sum(e) for e in clean)
-        if gdeg > degree:
-            raise ValueError(f"generator degree {gdeg} exceeds the window degree {degree}")
-        gen_maps.append((clean, gdeg))
-    if not gen_maps:
-        return CircuitSet(window, ())
-    columns = {expo: i for i, expo in enumerate(window.monomials)}
-    rows = []
-    for clean, gdeg in gen_maps:
-        for shift in window.monomials:
-            if sum(shift) > degree - gdeg:
-                continue
-            row = [Fraction(0)] * len(window)
-            for expo, coeff in clean.items():
-                row[columns[_shift(expo, shift)]] = coeff
-            rows.append(row)
-    basis = [clear_denominators(row) for row in ref_row_echelon(rows) if any(v != 0 for v in row)]
-    if not basis:
-        return CircuitSet(window, ())
-    m = len(window)
-    pivots = [next(j for j, v in enumerate(row) if v) for row in basis]
-    # each recorded flat is kept as the bitmask of the columns outside it
-    outsides: list[int] = []
-    circuits: list[int] = []
-    for subset in itertools.combinations(_parallel_representatives(basis, m), len(basis) - 1):
-        mask = sum(1 << j for j in subset)
-        if not all(mask & recorded for recorded in outsides):
-            continue  # T lies in a recorded flat
-        live = [row for row, p in zip(basis, pivots) if not mask >> p & 1]
-        restricted = [[row[j] for row in live] for j in subset if j not in pivots]
-        null = int_nullspace(restricted, len(live))
-        outside = 0
-        for ys in null:
-            vector = [0] * m
-            for y, row in zip(ys, live):
-                if y:
-                    vector = [a + y * b for a, b in zip(vector, row)]
-            outside |= sum(1 << j for j, value in enumerate(vector) if value)
-        outsides.append(outside)
-        if len(null) == 1:
-            circuits.append(outside)
-    supports = sorted([j for j in range(m) if c >> j & 1] for c in circuits)
-    return CircuitSet(window, tuple(frozenset(window.monomials[j] for j in c) for c in supports))
 
 
 @pytest.fixture(autouse=True)
-def solves(monkeypatch):
+def nullities(monkeypatch):
     """The nullity of every null-space solve the hyperplane walk makes."""
     nullities = []
 
@@ -247,11 +62,11 @@ def solves(monkeypatch):
     assert 0 not in nullities  # an (r - 1)-subset never spans the whole row space
 
 
-def _assert_same(gens, n, degree, solves):
-    solves.clear()
+def _assert_same(gens, n, degree, nullities):
+    nullities.clear()
     got = truncated_tropicalization(gens, n, degree)
-    assert solves.count(1) == len(got.circuits), (gens, n, degree)  # one solve per hyperplane
-    for oracle in (_full_rank_scan, _pivot_row_scan, _fraction_basis_walk):
+    assert nullities.count(1) == len(got.circuits), (gens, n, degree)  # one solve per hyperplane
+    for oracle in (ref_full_rank_scan, ref_fraction_basis_walk):
         want = oracle(gens, n, degree)
         assert got.circuits == want.circuits, (oracle.__name__, gens, n, degree)
         assert got.trivial == want.trivial, (oracle.__name__, gens, n, degree)
@@ -286,70 +101,40 @@ SPECIAL = [
 
 
 @pytest.mark.parametrize("gens, n, degree", SPECIAL)
-def test_hyperplanes_match_both_scans_on_special_ideals(gens, n, degree, solves):
-    _assert_same(gens, n, degree, solves)
+def test_hyperplanes_match_the_oracles_on_special_ideals(gens, n, degree, nullities):
+    _assert_same(gens, n, degree, nullities)
 
 
-def test_special_ideals_cover_the_named_cases(solves):
-    assert _assert_same([{(0, 0, 0): 5}], 3, 1, solves).trivial
-    assert _assert_same([{(1, 0): 1, (0, 0): -1}, {(1, 0): 1, (0, 0): -2}], 2, 3, solves).trivial
-    unit = _assert_same([{(0, 0): 1}], 2, 4, solves)
+def test_special_ideals_cover_the_named_cases(nullities):
+    assert _assert_same([{(0, 0, 0): 5}], 3, 1, nullities).trivial
+    assert _assert_same([{(1, 0): 1, (0, 0): -1}, {(1, 0): 1, (0, 0): -2}], 2, 3, nullities).trivial
+    unit = _assert_same([{(0, 0): 1}], 2, 4, nullities)
     assert [len(c) for c in unit.circuits] == [1] * 15  # every monomial a coloop
-    monomial = _assert_same([{X: 1}], 3, 2, solves)
+    monomial = _assert_same([{X: 1}], 3, 2, nullities)
     assert not monomial.trivial
     assert frozenset({(1, 0, 0)}) in monomial.circuits
-    mixed = _assert_same([{(1, 0): 1, (0, 1): -1}, {(2, 0): 1}], 2, 3, solves)
+    mixed = _assert_same([{(1, 0): 1, (0, 1): -1}, {(2, 0): 1}], 2, 3, nullities)
     sizes = sorted(len(c) for c in mixed.circuits)
     assert sizes[0] == 1 and sizes[-1] == 2  # coloops beside the circuit {x, y}
-    assert _assert_same([{(1, 0): 0}, {}], 2, 2, solves).circuits == ()
+    assert _assert_same([{(1, 0): 0}, {}], 2, 2, nullities).circuits == ()
 
 
 @pytest.mark.parametrize("coeff, degree", [(3, 2), (Fraction(1, 2), 0), (-1, 5)])
-def test_constant_in_no_variables_is_the_unit_ideal(coeff, degree, solves):
-    """With n = 0 the window is the constant monomial alone.
-
-    `_pivot_row_scan` cannot take this input (its exponent check calls
-    `min` on the empty exponent tuple), so only `_full_rank_scan` is the
-    oracle here.
-    """
+def test_constant_in_no_variables_is_the_unit_ideal(coeff, degree, nullities):
+    """With n = 0 the window is the constant monomial alone."""
     got = truncated_tropicalization([{(): coeff}], 0, degree)
-    assert got.circuits == _full_rank_scan([{(): coeff}], 0, degree).circuits
+    assert got.circuits == ref_full_rank_scan([{(): coeff}], 0, degree).circuits
     assert got.circuits == (frozenset({()}),) and got.trivial
-    assert solves == [1]
+    assert nullities == [1]
     assert truncated_tropicalization([{(): 0}], 0, degree).circuits == ()
 
 
-def _random_coefficient(rng):
-    return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
-
-
-def _non_integer_coefficient(rng):
-    return Fraction(rng.choice([-7, -3, -2, -1, 1, 2, 5, 9]), rng.choice([1, 2, 3, 4, 6, 7, 12]))
-
-
-def _random_ideal(rng, coefficient=_random_coefficient):
-    n = rng.randint(1, 3)
-    degree = rng.choice([d for d in range(1, 15) if window_size(n, POLY, d, 15) <= 15])
-    window = monomial_window(n, POLY, degree).monomials
-    gens = []
-    for _ in range(rng.randint(1, 3)):
-        kind = rng.random()
-        if kind < 0.1:
-            gens.append({rng.choice(window): 0})  # the zero generator
-        elif kind < 0.2 and gens:
-            gens.append(dict(gens[-1]))  # a duplicate
-        else:
-            terms = rng.sample(window, k=min(len(window), rng.randint(1, 4)))
-            gens.append({e: coefficient(rng) for e in terms})
-    return gens, n, degree
-
-
-def test_hyperplanes_match_both_scans_on_seeded_ideals(solves):
+def test_hyperplanes_match_the_oracles_on_seeded_ideals(nullities):
     rng = random.Random(20261018)
     seen_coloop = seen_trivial = seen_multi = 0
     for _ in range(80):
-        gens, n, degree = _random_ideal(rng)
-        result = _assert_same(gens, n, degree, solves)
+        gens, n, degree = random_ideal(rng)
+        result = _assert_same(gens, n, degree, nullities)
         seen_coloop += any(len(c) == 1 for c in result.circuits)
         seen_trivial += result.trivial
         seen_multi += len(result.circuits) > 1
@@ -357,16 +142,16 @@ def test_hyperplanes_match_both_scans_on_seeded_ideals(solves):
     assert seen_coloop and seen_trivial and seen_multi
 
 
-def test_integer_basis_matches_fraction_basis_on_seeded_ideals(solves):
+def test_integer_basis_matches_fraction_basis_on_seeded_ideals(nullities):
     # the integer echelon rows are non-zero multiples of the Fraction ones
     rng = random.Random(20261019)
     fractional = 0
     for _ in range(600):
-        gens, n, degree = _random_ideal(rng, _non_integer_coefficient)
-        solves.clear()
+        gens, n, degree = random_ideal(rng, non_integer_coefficient)
+        nullities.clear()
         got = truncated_tropicalization(gens, n, degree)
-        assert solves.count(1) == len(got.circuits), (gens, n, degree)
-        want = _fraction_basis_walk(gens, n, degree)
+        assert nullities.count(1) == len(got.circuits), (gens, n, degree)
+        want = ref_fraction_basis_walk(gens, n, degree)
         assert (got.circuits, got.trivial) == (want.circuits, want.trivial), (gens, n, degree)
         fractional += any(Fraction(c).denominator > 1 for g in gens for c in g.values())
     assert fractional >= 500
@@ -409,7 +194,7 @@ def test_tideal_trop_circuits_satisfy_the_elimination_axiom():
     rng = random.Random(20261019)
     checked = shared = 0
     for _ in range(300):
-        gens, n, degree = _random_ideal(rng)
+        gens, n, degree = random_ideal(rng)
         found = truncated_tropicalization(gens, n, degree)
         if len(found.circuits) > 60:  # the triples grow as pairs x shared monomials
             continue

@@ -2,27 +2,23 @@
 
 Under the trivial valuation a circuit is its support, so `CircuitSet` holds
 frozensets of exponent tuples, and `elimination_witness` decides a triple in
-closed form: the union of the circuits inside (f | g) - {u}.
-`ref_set_witness` is the former `elimination_witness`, which searched the
-2^ties candidate sets with `covers` as its oracle, moved here verbatim apart
-from its name; it shares the tie cap of `test_axiom_keys`.
-`ref_check_circuits` is the former `check_tropical_axiom` loop over a
-CircuitSet of unit-coefficient `Polynomial`s: every triple goes to
-`ref_elimination_witness` (the former search on polynomials, kept in
-`test_axiom_keys`) with `ref_member`, the former `CircuitSet.member`, as its
-oracle.  On seeded circuit sets the closed form and both searches must pass
-or fail together, with the same first counterexample and the same witness
-for every triple tried before it.  The searches are kept here only as
-oracles.
+closed form: the union of the circuits inside (f | g) - {u}.  The oracles
+are those of `oracles.tropical_linear`: `ref_set_witness` searches the
+2^ties candidate sets with `covers` as its oracle, and `ref_check_circuits`
+runs every triple of a CircuitSet of unit-coefficient `Polynomial`s through
+`ref_elimination_witness` (the search on polynomials) with `ref_member`
+(a support is a union of circuit supports) as its oracle.  Both searches
+stop at the tie cap `MAX_TIES` of that module.  On seeded circuit sets the
+closed form and both searches must pass or fail together, with the same
+first counterexample and the same witness for every triple tried before it.
 """
 
 import itertools
 import random
 import sys
 from pathlib import Path
-from typing import Callable
 
-from tropica.polynomials import LAURENT, POLY, Exponents, Polynomial
+from tropica.polynomials import LAURENT, POLY, Polynomial
 from tropica.sampling import random_polynomial
 from tropica.tropical_linear import (
     AxiomResult,
@@ -34,66 +30,17 @@ from tropica.tropical_linear import (
     window_order,
 )
 
-import test_axiom_keys
-from test_axiom_keys import _outcome, _require_few_ties, ref_elimination_witness
-from test_circuit_scan import _random_ideal
+import oracles.tropical_linear
+from oracles.tropical_linear import (
+    axiom_outcome,
+    random_ideal,
+    ref_check_circuits,
+    ref_elimination_witness,
+    ref_member,
+    ref_set_witness,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-# -- reference implementations -------------------------------------------------
-
-
-def ref_set_witness(
-    f: frozenset[Exponents],
-    g: frozenset[Exponents],
-    u: Exponents,
-    oracle: Callable[[frozenset[Exponents]], bool],
-) -> frozenset[Exponents] | None:
-    """Search for the elimination-axiom witness of two circuits at a shared monomial u.
-
-    Under the trivial valuation a vector is its support.  The witness h must
-    drop u, hold every monomial of F = f xor g (where max(f_v, g_v) is the
-    unit) and may hold any tie of T = (f & g) - {u} (values <= the unit).
-    Candidates are F | S for S a subset of T: all of T first, then with one
-    tie dropped, two, and so on, ties in window order.  Returns the first
-    candidate the oracle accepts, else None.
-    """
-    u = tuple(u)
-    if u not in f or u not in g:
-        raise ValueError("u must lie in the supports of both f and g")
-    ties = sorted((f & g) - {u}, key=window_order)
-    _require_few_ties(len(ties))
-    everything = (f | g) - {u}  # F with every tie kept
-    for dropped in range(len(ties) + 1):
-        for subset in itertools.combinations(ties, dropped):
-            h = everything.difference(subset)
-            if oracle(h):
-                return h
-    return None
-
-
-def ref_member(circuits, v: Polynomial) -> bool:
-    """Support is a union of circuit supports (with unit values)."""
-    if v.is_zero():
-        return True
-    if any(value != 0 for _, value in v.terms()):
-        return False
-    supp = frozenset(v.support())
-    covered = set()
-    for cs in tuple(frozenset(c.support()) for c in circuits):
-        if cs <= supp:
-            covered |= cs
-    return covered == supp
-
-
-def ref_check_circuits(circuits) -> AxiomResult:
-    for f, g in itertools.combinations_with_replacement(circuits, 2):
-        for u in sorted(set(f.support()).intersection(g.support()), key=window_order):
-            if f.coefficient(u) != g.coefficient(u):
-                continue
-            if ref_elimination_witness(f, g, u, lambda h: ref_member(circuits, h)) is None:
-                return AxiomResult(False, (f, g, u))
-    return AxiomResult(True)
 
 
 def _polynomials(circuit_set: CircuitSet):
@@ -108,7 +55,7 @@ def _circuit_set(seed):
     """(label, CircuitSet) for one seed.
 
     Two seeds in three take circuits of a seeded rational ideal
-    (`test_circuit_scan._random_ideal`): all of them, or a random subset,
+    (`oracles.tropical_linear.random_ideal`): all of them, or a random subset,
     which often breaks the axiom.  An ideal with more than 40 circuits (one
     has 862) gives a subset too, so that both searches stay quick.  The
     third draws arbitrary monomial sets in a poly or Laurent window, now and
@@ -116,7 +63,7 @@ def _circuit_set(seed):
     """
     rng = random.Random(30_000 + seed)
     if seed % 3 < 2:
-        gens, n, degree = _random_ideal(rng)
+        gens, n, degree = random_ideal(rng)
         found = truncated_tropicalization(gens, n, degree)
         circuits = list(found.circuits)
         label = "ideal"
@@ -171,8 +118,8 @@ def test_set_search_matches_polynomial_search():
     labels, failed = set(), 0
     for seed in range(360):
         label, circuit_set = _circuit_set(seed)
-        expected = _outcome(lambda: ref_check_circuits(_polynomials(circuit_set)))
-        got = _outcome(lambda: check_tropical_axiom(circuit_set))
+        expected = axiom_outcome(lambda: ref_check_circuits(_polynomials(circuit_set)))
+        got = axiom_outcome(lambda: check_tropical_axiom(circuit_set))
         assert got == expected, (seed, circuit_set.circuits)
         if isinstance(got, AxiomResult):
             _witnesses_until_failure(circuit_set)
@@ -209,7 +156,7 @@ def _many_ties(ties: int) -> list[CircuitSet]:
 def test_closed_form_matches_set_search(monkeypatch):
     """On every triple up to the first failure, the closed form returns the
     witness of the set search, beyond the search's tie cap too."""
-    monkeypatch.setattr(test_axiom_keys, "MAX_TIES", 19)
+    monkeypatch.setattr(oracles.tropical_linear, "MAX_TIES", 19)
     cases = [_circuit_set(seed)[1] for seed in range(360)] + _many_ties(17) + _many_ties(18)
     triples, self_pairs, zero, failed = 0, 0, 0, 0
     ties = set()
@@ -238,10 +185,10 @@ def test_circuit_check_has_no_tie_cap(monkeypatch):
         monomials = window.monomials[:size]
         circuits = (frozenset(monomials), *(frozenset({e}) for e in monomials))
         circuit_set = CircuitSet(window, circuits)
-        assert _outcome(lambda: check_tropical_axiom(circuit_set)) == AxiomResult(True)
-        assert _outcome(lambda: ref_check_circuits(_polynomials(circuit_set))) == capped
+        assert axiom_outcome(lambda: check_tropical_axiom(circuit_set)) == AxiomResult(True)
+        assert axiom_outcome(lambda: ref_check_circuits(_polynomials(circuit_set))) == capped
         with monkeypatch.context() as lifted:
-            lifted.setattr(test_axiom_keys, "MAX_TIES", 17)
+            lifted.setattr(oracles.tropical_linear, "MAX_TIES", 17)
             assert ref_check_circuits(_polynomials(circuit_set)) == AxiomResult(True)
 
 

@@ -12,33 +12,17 @@ escapes `main`.
 import json
 import random
 import re
-from pathlib import Path
 
 import pytest
 
 from tropica.cli import main
 
-TRACE = str(Path(__file__).resolve().parent.parent / "traces" / "factor_swap.json")
+from oracles.cli import BASES
+
 INT_OPTIONS = {"--nvars", "--seed", "--degree", "--trials"}
 MATRIX_OPTIONS = {"--matrix"}
 ERRORS = {1: "domain", 2: "parse"}
 
-BASES = {
-    "eval": ["--poly", "x + y + 0", "--point", "1,2", "--nvars", "2"],
-    "bend": ["--poly", "x + 1/2*y", "--mode", "poly"],
-    "hypersurface": ["--poly", "x + y + 0", "--mode", "poly"],
-    "prevariety": ["--poly", "x + 1", "--poly", "y + 2", "--nvars", "2"],
-    "affine-prevariety": ["--poly", "x + y", "--format", "text"],
-    "dim": ["--poly", "x + y + 0", "--nvars", "2"],
-    "prime-check": ["--matrix", "[[1,0],[2,0]]"],
-    "prime-compare": ["--matrix", "[[1,2]]", "--term1", "3*x", "--term2", "0*x^2"],
-    "prime-variety": ["--matrix", "[[1,1,2]]", "--format", "text"],
-    "prime-member": ["--matrix", "[[1,0,0]]", "--poly", "x + y"],
-    "trace-verify": ["--trace", TRACE],
-    "tideal-check": ["--point", "0,0", "--degree", "1", "--trials", "4", "--seed", "0"],
-    "tideal-trop": ["--gens", "x - 2/3*y", "--nvars", "2", "--degree", "2"],
-    "plot": ["--poly", "x + y + 0", "--bbox=-5,-5,5,5", "--output", "line.svg"],
-}
 # the matrix form of tideal-check takes its own path through the samplers
 EXTRA = [("tideal-check", ["--matrix", "[[0,1,1]]", "--degree", "1", "--trials", "3"])]
 

@@ -18,10 +18,11 @@ from pathlib import Path
 
 import pytest
 
-from test_cli_argv_fuzz import BASES
-from tropica.cli import build_parser, main
+from tropica.cli import build_parser
 from tropica.parsing import parse_polynomial
 from tropica.varieties import complex_to_json, hypersurface
+
+from oracles.cli import BASES, run_cli
 
 REPO = Path(__file__).resolve().parent.parent
 HELP = {"-h", "--help"}
@@ -60,12 +61,6 @@ UNREAD = [
 ]
 
 
-def _run(argv, capsys):
-    code = main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 def _parser_options() -> dict[str, set[str]]:
     subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return {
@@ -91,8 +86,8 @@ def test_readme_table_is_the_parser_option_set():
 @pytest.mark.parametrize("command, option, value", REMOVED, ids=lambda x: str(x))
 def test_removed_options_are_argument_errors(capsys, tmp_path, monkeypatch, command, option, value):
     monkeypatch.chdir(tmp_path)  # the plot base line writes line.svg here
-    assert _run([command, *BASES[command]], capsys)[0] == 0
-    code, out, err = _run([command, *BASES[command], option, value], capsys)
+    assert run_cli([command, *BASES[command]], capsys)[0] == 0
+    code, out, err = run_cli([command, *BASES[command], option, value], capsys)
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "parse", "message": f"unrecognized arguments: {option} {value}"}
 
@@ -101,7 +96,7 @@ def test_removed_options_are_argument_errors(capsys, tmp_path, monkeypatch, comm
 def test_negative_nvars_is_an_argument_error(capsys, tmp_path, monkeypatch, command):
     # this was a parse error of the polynomial text: "expression uses 1 variables but nvars=-1"
     monkeypatch.chdir(tmp_path)
-    code, out, err = _run([command, *BASES[command], "--nvars", "-1"], capsys)
+    code, out, err = run_cli([command, *BASES[command], "--nvars", "-1"], capsys)
     assert (code, out) == (2, "")
     message = "argument --nvars: invalid non-negative int value: '-1'"
     assert json.loads(err) == {"error": "parse", "message": message}
@@ -113,7 +108,7 @@ def test_negative_nvars_in_trace_json_is_a_domain_error(capsys, tmp_path):
     data["nvars"] = -1
     trace = tmp_path / "trace.json"
     trace.write_text(json.dumps(data))
-    code, out, err = _run(["trace-verify", "--trace", str(trace)], capsys)
+    code, out, err = run_cli(["trace-verify", "--trace", str(trace)], capsys)
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": "domain", "message": "nvars must be non-negative, got -1"}
 
@@ -121,8 +116,8 @@ def test_negative_nvars_in_trace_json_is_a_domain_error(capsys, tmp_path):
 @pytest.mark.parametrize("base, extra, named", UNREAD, ids=[" ".join([b[1], *x]) for b, x, _ in UNREAD])
 def test_options_an_input_does_not_read_are_domain_errors(capsys, base, extra, named):
     # these exited 0 and dropped the options; only --trials 0 failed, on its value
-    assert _run(base, capsys)[0] == 0
-    code, out, err = _run([*base, *extra], capsys)
+    assert run_cli(base, capsys)[0] == 0
+    code, out, err = run_cli([*base, *extra], capsys)
     assert (code, out) == (1, "")
     message = f"{base[0]} {base[1]} does not read {named}"
     assert json.loads(err) == {"error": "domain", "message": message}
@@ -142,6 +137,6 @@ SAMPLING_DEFAULTS = ["--mode", "laurent", "--seed", "0", "--degree", "2", "--tri
 )
 def test_defaults_apply_where_the_options_are_read(capsys, argv, defaults):
     # the options default to None so that --circuits and --complex can reject them
-    first = _run(argv, capsys)
+    first = run_cli(argv, capsys)
     assert first[0] == 0
-    assert _run([*argv, *defaults], capsys) == first
+    assert run_cli([*argv, *defaults], capsys) == first

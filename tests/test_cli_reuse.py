@@ -19,8 +19,9 @@ from pathlib import Path
 
 import pytest
 
-from test_parsing_cli import SEED_5_ARGV, SEED_5_STDOUT
-from tropica.cli import build_parser, main
+from tropica.cli import build_parser
+
+from oracles.cli import SEED_5_ARGV, SEED_5_STDOUT, run_cli
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -52,12 +53,6 @@ def _fresh(argv, env_seed=None):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def _in_process(argv, capsys):
-    code = main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 @pytest.fixture
 def repo_cwd(monkeypatch):
     monkeypatch.chdir(REPO)  # the README names traces/ relative to the repository
@@ -73,7 +68,7 @@ def test_readme_commands_match_fresh_processes(repo_cwd, capsys, tmp_path):
     (tmp_path / "fresh").mkdir()
     (tmp_path / "reused").mkdir()
     for argv in commands:
-        reused = _in_process(_with_output(argv, tmp_path / "reused"), capsys)
+        reused = run_cli(_with_output(argv, tmp_path / "reused"), capsys)
         fresh = _fresh(_with_output(argv, tmp_path / "fresh"))
         assert reused == fresh and reused[0] == 0, argv
     svg = (tmp_path / "reused" / "line.svg").read_text()
@@ -107,8 +102,8 @@ SEQUENCES = [
 
 @pytest.mark.parametrize("first, probe", SEQUENCES, ids=["poly-twice", "poly-list", "mode", "nvars", "usage"])
 def test_no_state_leaks_between_calls(repo_cwd, capsys, first, probe):
-    _in_process(first, capsys)
-    reused = _in_process(probe, capsys)
+    run_cli(first, capsys)
+    reused = run_cli(probe, capsys)
     assert reused == _fresh(probe)
     assert reused[0] == 0
 
@@ -116,14 +111,14 @@ def test_no_state_leaks_between_calls(repo_cwd, capsys, first, probe):
 def test_file_lines_do_not_leak_into_later_calls(repo_cwd, capsys, tmp_path):
     # --file lines join the --poly list; they must not stay in it for the next call
     (tmp_path / "f.txt").write_text("x + 1\n")
-    _in_process(["eval", "--file", str(tmp_path / "f.txt"), "--point", "1"], capsys)
+    run_cli(["eval", "--file", str(tmp_path / "f.txt"), "--point", "1"], capsys)
     probe = ["eval", "--poly", "x + 2", "--point", "3"]
-    reused = _in_process(probe, capsys)
+    reused = run_cli(probe, capsys)
     assert reused == _fresh(probe) and reused[0] == 0
 
 
 def test_seed_environment_changes_nothing(repo_cwd, capsys, monkeypatch):
     # TROPICA_SEED once overrode --seed; --seed 5 alone now picks the counterexample
     monkeypatch.setenv("TROPICA_SEED", "0")
-    assert _in_process(SEED_5_ARGV, capsys) == (0, SEED_5_STDOUT, "")
+    assert run_cli(SEED_5_ARGV, capsys) == (0, SEED_5_STDOUT, "")
     assert _fresh(SEED_5_ARGV, env_seed="0") == (0, SEED_5_STDOUT, "")

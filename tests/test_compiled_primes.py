@@ -1,28 +1,27 @@
-"""Integer-key prime queries against the Fraction implementation they replaced.
+"""Integer-key prime queries against the `Fraction` matrix products of `oracles.primes`.
 
-The reference functions below are the former `primes.compare_terms` (the
-difference vector multiplied by the stored Fraction rows, then the sign of
-the first non-zero entry) and the former pairwise `leading_class` loop, with
-`pair_in_prime` and `bend_ideal_member` rebuilt on them.  The former
+The oracles multiply the stored `Fraction` rows: `ref_compare_terms` takes
+the sign of the first non-zero entry of U (c1 - c2, u1 - u2),
+`ref_leading_class` is the pairwise loop over the terms on it, and
+`ref_pair_in_prime` and `ref_bend_ideal_member` are built on those two.
+`ref_admissibility_violations` is the former check, which read the rows as
+`Fraction`s and ranked them through `oracles.matrices.rank`, and
+`ref_random_admissible` (`oracles.sampling`) the former
 `sampling.random_admissible` loop, which checked the rank itself before
-`check_admissible` checked it again, is kept to show that the draws did not
-change.  `ref_admissibility_violations` is the former check, which read the
-rows as `Fraction`s and ranked them through the former `matrices.rank`
-(`test_integer_kernel.rank`).  They are kept here only as oracles.
+`check_admissible` checked it again: it shows that the draws did not
+change.
 """
 
 import random
 from fractions import Fraction
-from math import lcm
 
 import pytest
 
 from tropica import primes
-from tropica.matrices import clear_denominators, dot, nullspace, to_fraction
-from tropica.polynomials import LAURENT, Polynomial
+from tropica.matrices import clear_denominators, to_fraction
+from tropica.polynomials import Polynomial
 from tropica.primes import (
     EQUAL,
-    GREATER,
     LESS,
     AdmissibilityError,
     admissibility_violations,
@@ -32,168 +31,32 @@ from tropica.primes import (
     leading_class,
     pair_in_prime,
 )
-from tropica.sampling import random_admissible, random_fraction, random_member_polynomial
+from tropica.sampling import random_admissible
 
-from test_integer_kernel import rank
-
-# -- reference implementations -------------------------------------------------
-
-
-def ref_compare_terms(matrix, t1, t2):
-    v1 = [Fraction(t1[0])] + [Fraction(e) for e in t1[1]]
-    v2 = [Fraction(t2[0])] + [Fraction(e) for e in t2[1]]
-    delta = [a - b for a, b in zip(v1, v2)]
-    for value in [dot(row, delta) for row in matrix.rows]:
-        if value > 0:
-            return GREATER
-        if value < 0:
-            return LESS
-    return EQUAL
-
-
-def ref_leading_class(matrix, f):
-    best = []
-    for expo, coeff in f.terms():
-        if not best:
-            best = [(expo, coeff)]
-            continue
-        cmp = ref_compare_terms(matrix, (coeff, expo), (best[0][1], best[0][0]))
-        if cmp == GREATER:
-            best = [(expo, coeff)]
-        elif cmp == EQUAL:
-            best.append((expo, coeff))
-    return tuple(expo for expo, _ in best)
-
-
-def ref_pair_in_prime(matrix, f, g):
-    if f.is_zero() or g.is_zero():
-        return f.is_zero() and g.is_zero()
-    lf = ref_leading_class(matrix, f)[0]
-    lg = ref_leading_class(matrix, g)[0]
-    return ref_compare_terms(matrix, (f.coefficient(lf), lf), (g.coefficient(lg), lg)) == EQUAL
-
-
-def ref_bend_ideal_member(matrix, f):
-    if f.is_zero():
-        return True
-    if f.is_monomial():
-        return False
-    return len(ref_leading_class(matrix, f)) >= 2
-
-
-def ref_admissibility_violations(rows, n):
-    problems = []
-    rows = [[to_fraction(x) for x in r] for r in rows]
-    if not rows:
-        return ["matrix must have at least one row"]
-    if any(len(r) != n + 1 for r in rows):
-        return [f"every row must have {n + 1} entries (coefficient column plus {n} exponent columns)"]
-    if len(rows) > n + 1:
-        problems.append(f"at most {n + 1} rows allowed, got {len(rows)}")
-    if rank(rows) != len(rows):
-        problems.append("rows are linearly dependent")
-    col0 = [r[0] for r in rows]
-    first_nonzero = next((x for x in col0 if x != 0), None)
-    if first_nonzero is not None and first_nonzero < 0:
-        problems.append("first non-zero entry of column 0 must be positive")
-    return problems
-
-
-def ref_random_admissible(rng, n, nrows, mode=LAURENT, first_entry="any"):
-    while True:
-        rows = [[random_fraction(rng) for _ in range(n + 1)] for _ in range(nrows)]
-        if first_entry == "zero":
-            rows[0][0] = Fraction(0)
-        elif first_entry == "positive":
-            rows[0][0] = Fraction(abs(rng.randint(1, 4)), rng.randint(1, 3))
-        if rank(rows) != nrows:
-            continue
-        col0 = [r[0] for r in rows]
-        pivot = next((i for i, x in enumerate(col0) if x != 0), None)
-        if pivot is not None and col0[pivot] < 0:
-            rows[pivot] = [-x for x in rows[pivot]]
-        return check_admissible(rows, n, mode)
-
-
-# -- seeded inputs ---------------------------------------------------------------
-
-SHAPES = [(n, r) for n in range(1, 5) for r in range(1, n + 2)]
-
-
-def _fraction(rng, max_den):
-    return Fraction(rng.randint(-4, 4), rng.randint(1, max_den))
-
-
-MAX_DRAWS = 100
-
-
-def mixed_matrix(rng, n, nrows):
-    """Admissible matrix whose entries have denominators up to 12.
-
-    Inadmissible draws are drawn again, at most MAX_DRAWS times (the seeds
-    here need 1), so that a defect making every draw inadmissible fails the
-    test instead of hanging it.
-    """
-    for _ in range(MAX_DRAWS):
-        rows = [
-            [_fraction(rng, rng.choice((1, 2, 5, 12))) for _ in range(n + 1)] for _ in range(nrows)
-        ]
-        pivot = next((r for r in rows if r[0] != 0), None)
-        if pivot is not None and pivot[0] < 0:
-            rows[rows.index(pivot)] = [-x for x in pivot]
-        try:
-            return check_admissible(rows, n)
-        except AdmissibilityError:
-            continue
-    raise AssertionError(
-        f"mixed_matrix: no admissible matrix in {MAX_DRAWS} draws (n={n}, {nrows} rows)"
-    )
+import oracles.primes
+from oracles.primes import (
+    kernel_direction,
+    matrices,
+    member_polynomial,
+    mixed_matrix,
+    ref_admissibility_violations,
+    ref_bend_ideal_member,
+    ref_compare_terms,
+    ref_leading_class,
+    ref_pair_in_prime,
+    shifted_polynomial,
+    small_fraction,
+)
+from oracles.sampling import ref_random_admissible
 
 
 def test_mixed_matrix_fails_after_its_draw_cap(monkeypatch):
     def reject(rows, n):
         raise AdmissibilityError(["rows are linearly dependent"])
 
-    monkeypatch.setitem(globals(), "check_admissible", reject)
+    monkeypatch.setattr(oracles.primes, "check_admissible", reject)
     with pytest.raises(AssertionError, match=r"mixed_matrix: .* 100 draws \(n=1, 2 rows\)"):
         mixed_matrix(random.Random(0), 1, 2)
-
-
-def kernel_direction(matrix):
-    """(dc, du) with U @ (dc, du) = 0 and du a non-zero integer vector, or None."""
-    for vec in nullspace(matrix.rows, matrix.n + 1):
-        if any(vec[1:]):
-            scale = lcm(*(x.denominator for x in vec[1:]))
-            return vec[0] * scale, tuple(int(x * scale) for x in vec[1:])
-    return None
-
-
-def tied_polynomial(rng, matrix):
-    """Random terms, each followed by copies shifted along the kernel direction."""
-    n = matrix.n
-    direction = kernel_direction(matrix)
-    coeffs = {}
-    for _ in range(rng.randint(1, 4)):
-        expo = tuple(rng.randint(-3, 3) for _ in range(n))
-        c = _fraction(rng, rng.choice((1, 3, 4, 7)))
-        coeffs[expo] = c
-        if direction is not None:
-            dc, du = direction
-            for k in range(1, rng.randint(1, 3) + 1):
-                coeffs[tuple(e - k * d for e, d in zip(expo, du))] = c - k * dc
-    return Polynomial(coeffs, n)
-
-
-def member_polynomial(rng, matrix):
-    point = tuple(_fraction(rng, 5) for _ in range(matrix.n))
-    return random_member_polynomial(rng, point, max_deg=3)
-
-
-def matrices(seed, per_shape):
-    rng = random.Random(seed)
-    for n, r in SHAPES:
-        for i in range(per_shape):
-            yield rng, (mixed_matrix(rng, n, r) if i % 2 else random_admissible(rng, n, r))
 
 
 # -- tests -----------------------------------------------------------------------
@@ -203,7 +66,7 @@ def test_leading_class_and_membership_match_reference():
     ties = 0
     for rng, matrix in matrices(71, 12):
         for i in range(8):
-            f = member_polynomial(rng, matrix) if i % 2 else tied_polynomial(rng, matrix)
+            f = member_polynomial(rng, matrix) if i % 2 else shifted_polynomial(rng, matrix)
             expected = ref_leading_class(matrix, f)
             assert leading_class(matrix, f) == expected, (matrix, f)
             assert bend_ideal_member(matrix, f) == ref_bend_ideal_member(matrix, f)
@@ -217,14 +80,15 @@ def test_compare_terms_matches_reference():
         n = matrix.n
         direction = kernel_direction(matrix)
         for i in range(10):
-            t1 = (_fraction(rng, 7), tuple(_fraction(rng, rng.choice((1, 3))) for _ in range(n)))
+            coeff = small_fraction(rng, 7)
+            t1 = (coeff, tuple(small_fraction(rng, rng.choice((1, 3))) for _ in range(n)))
             if i % 3 == 0:
                 t2 = t1
             elif i % 3 == 1 and direction is not None:
                 dc, du = direction
                 t2 = (t1[0] - dc, tuple(a - b for a, b in zip(t1[1], du)))
             else:
-                t2 = (_fraction(rng, 5), tuple(rng.randint(-3, 3) for _ in range(n)))
+                t2 = (small_fraction(rng, 5), tuple(rng.randint(-3, 3) for _ in range(n)))
             expected = ref_compare_terms(matrix, t1, t2)
             assert compare_terms(matrix, t1, t2) == expected, (matrix, t1, t2)
             assert compare_terms(matrix, t2, t1) == ref_compare_terms(matrix, t2, t1)
@@ -232,14 +96,14 @@ def test_compare_terms_matches_reference():
     assert equal > 200
 
 
-def test_pair_in_prime_across_denominators():
+def test_pair_in_prime_across_denominators_of_lower_terms():
     # g keeps f's leading term and adds lower terms over other denominators,
     # so the two polynomials are cleared by different common denominators
     congruent = 0
     for rng, matrix in matrices(79, 8):
         n = matrix.n
         for i in range(8):
-            f = member_polynomial(rng, matrix) if i % 2 else tied_polynomial(rng, matrix)
+            f = member_polynomial(rng, matrix) if i % 2 else shifted_polynomial(rng, matrix)
             lead = ref_leading_class(matrix, f)[0]
             top = (f.coefficient(lead), lead)
             coeffs = {lead: top[0]}
@@ -282,7 +146,10 @@ def test_check_admissible_clears_rows_once():
     for _ in range(500):
         n = rng.randint(1, 4)
         nrows = rng.randint(1, n + 1)
-        rows = [[_fraction(rng, rng.choice((1, 2, 5, 12))) for _ in range(n + 1)] for _ in range(nrows)]
+        rows = [
+            [small_fraction(rng, rng.choice((1, 2, 5, 12))) for _ in range(n + 1)]
+            for _ in range(nrows)
+        ]
         flaw = rng.choice(tuple(seen))
         pivot = next((r for r in rows if r[0] != 0), None)
         if pivot is not None and (pivot[0] < 0) != (flaw == "sign"):
@@ -294,7 +161,7 @@ def test_check_admissible_clears_rows_once():
             rows.insert(rng.randint(0, len(rows)), [Fraction(0)] * (n + 1))
         elif flaw == "extra":
             extra = n + 2 + rng.randint(0, 2) - len(rows)
-            rows += [[_fraction(rng, 3) for _ in range(n + 1)] for _ in range(extra)]
+            rows += [[small_fraction(rng, 3) for _ in range(n + 1)] for _ in range(extra)]
             if rng.random() < 0.3:
                 rows.insert(rng.randint(0, len(rows)), [0] * (n + 1))
             pivot = next((r for r in rows if r[0] != 0), None)

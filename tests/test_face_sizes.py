@@ -3,10 +3,10 @@
 `varieties._maximal_cells` tests a signature for being a proper face only
 against signatures of strictly smaller size (the sum of its argmax set
 sizes; size lemma of `varieties`), layer by layer, and does not test the
-signatures of the least size at all.  `ref_maximal_cells` is the former
-`_maximal_cells`, kept verbatim apart from its name as the oracle: it
-compares every signature with every other and sorts on keys computed again
-per comparison.  On seeded hypersurfaces, prevarieties and
+signatures of the least size at all.  The oracle is `ref_maximal_cells` of
+`oracles.varieties`, the former `_maximal_cells`: it compares every
+signature with every other and sorts on keys computed again per
+comparison.  On seeded hypersurfaces, prevarieties and
 `affine_prevariety` complexes, in poly and Laurent mode, with collinear
 exponents (equal signatures from different tie pairs) and many tied
 coefficients (candidates with a tight row, whose signatures are larger than
@@ -15,55 +15,12 @@ pairs), both must keep the same cells in the same order.  A spy on
 """
 
 import random
-from fractions import Fraction
 
 from tropica import varieties
-from tropica.polynomials import LAURENT, POLY, Polynomial
-from tropica.varieties import Cell, Signature, affine_prevariety, hypersurface, prevariety
+from tropica.polynomials import LAURENT, POLY
+from tropica.varieties import Signature, affine_prevariety, hypersurface, prevariety
 
-# -- oracle: the former _maximal_cells ---------------------------------------------------
-
-
-def ref_maximal_cells(made) -> tuple[Cell, ...]:
-    """The former `varieties._maximal_cells`: every signature against every other."""
-    groups: dict[Signature, Cell] = {}
-    for signature, cell in made:
-        if signature not in groups or cell.key() < groups[signature].key():
-            groups[signature] = cell
-
-    def is_face(sig: Signature) -> bool:
-        return any(other != sig and all(b <= a for a, b in zip(sig, other)) for other in groups)
-
-    return tuple(sorted((c for s, c in groups.items() if not is_face(s)), key=Cell.key))
-
-
-# -- seeded inputs -----------------------------------------------------------------------
-
-# mostly zero, so that many terms tie; one half, so that the scale is sometimes 2
-VALUES = [0, 0, 0, 0, 1, -1, Fraction(1, 2)]
-
-
-def collinear_polynomial(rng, n, mode):
-    """Terms on one lattice line, with a few off it: several tie pairs share one signature."""
-    low = 0 if mode == POLY else -1
-    base = tuple(rng.randint(low, 1) for _ in range(n))
-    step = tuple(rng.randint(0, 1) for _ in range(n))
-    if not any(step):
-        step = (1,) + step[1:]
-    coeffs = {tuple(b + t * s for b, s in zip(base, step)): rng.choice(VALUES) for t in range(3)}
-    for _ in range(rng.randint(0, 2)):
-        coeffs[tuple(rng.randint(low, 2) for _ in range(n))] = rng.choice(VALUES)
-    return Polynomial(coeffs, n, mode)
-
-
-def random_polynomial(rng, n, mode):
-    if rng.random() < 0.4:
-        return collinear_polynomial(rng, n, mode)
-    low = 0 if mode == POLY else -1
-    coeffs = {}
-    for _ in range(rng.randint(2, 6)):
-        coeffs[tuple(rng.randint(low, 2) for _ in range(n))] = rng.choice(VALUES)
-    return Polynomial(coeffs, n, mode)
+from oracles.varieties import collinear_or_random_polynomial, ref_maximal_cells
 
 
 def size(sig: Signature) -> int:
@@ -95,7 +52,8 @@ def test_maximal_cells_match_the_all_pairs_oracle(monkeypatch):
         n = rng.randint(1, 3)
         kind = rng.choice(["hypersurface", "prevariety", "affine"])
         mode = POLY if kind == "affine" else rng.choice([POLY, LAURENT])
-        gens = [random_polynomial(rng, n, mode) for _ in range(1 if kind == "hypersurface" else 2)]
+        count = 1 if kind == "hypersurface" else 2
+        gens = [collinear_or_random_polynomial(rng, n, mode) for _ in range(count)]
         if kind == "hypersurface":
             hypersurface(gens[0])
         elif kind == "prevariety":
@@ -138,6 +96,6 @@ def test_signatures_are_compared_only_with_smaller_ones(monkeypatch):
     for _ in range(600):
         n = rng.randint(1, 3)
         mode = rng.choice([POLY, LAURENT])
-        gens = [random_polynomial(rng, n, mode) for _ in range(rng.choice([1, 2]))]
+        gens = [collinear_or_random_polynomial(rng, n, mode) for _ in range(rng.choice([1, 2]))]
         prevariety(gens)
     assert counts["tested"] >= 150 and counts["least skipped"] >= 1500, counts

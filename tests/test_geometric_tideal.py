@@ -1,9 +1,9 @@
 """`tideal-check` on geometric primes, decided by lemma (a) with no sample check.
 
-`ref_cmd_tideal_check` is the former handler of `tideal-check`: it draws the
-full sample of `point_members` or `prime_members` and runs
-`check_tropical_axiom` on it, for every prime.  It is kept here only as an
-oracle: the oracle test runs it through `cli.main`'s error handling and
+`ref_cmd_tideal_check` (`oracles.cli`) is the former handler of
+`tideal-check`: it draws the full sample of `point_members` or
+`prime_members` and runs `check_tropical_axiom` on it, for every prime.
+The oracle test runs it through `cli.main`'s error handling and
 compares stdout, stderr and exit code byte for byte with the handler that
 decides geometric primes by lemma (a) (the `cli._cmd_tideal_check`
 docstring).  On a geometric `--matrix` the two differ only where the
@@ -20,15 +20,13 @@ from types import SimpleNamespace
 import pytest
 
 from tropica import cli, sampling
-from tropica.cli import build_parser
-from tropica.parsing import format_polynomial, monomial_text, parse_point
 from tropica.polynomials import LAURENT, POLY
 from tropica.primes import GEOMETRIC, check_admissible, classify_prime, matrix_from_json
 from tropica.sampling import point_members, prime_members, random_admissible, random_point
-from tropica.tropical_linear import check_tropical_axiom, circuits_from_json, monomial_window
+from tropica.tropical_linear import check_tropical_axiom, monomial_window
 
-from test_one_construction import tied_prime
-from test_parsing_cli import run_cli
+from oracles.cli import ref_run_cli, run_cli
+from oracles.sampling import tied_prime
 
 RARE = ["tideal-check", "--matrix", '[[1,"1/3","2/3"]]', "--mode", "poly", "--degree", "3"]
 RARE_WINDOWS = [
@@ -38,62 +36,6 @@ RARE_WINDOWS = [
     ('[[1,"5/4","-4/5"]]', LAURENT, 3),
     ('[[1,"-2/5","-3/2","5/3"]]', LAURENT, 2),
 ]
-
-
-def ref_cmd_tideal_check(args):
-    """The former handler: the full sample and its check, for every prime."""
-    given = [f"--{k}" for k in ("circuits", "point", "matrix") if getattr(args, k) is not None]
-    if given == ["--circuits"]:
-        cli._unread(args, "--circuits", ("mode", "seed", "degree", "trials"))
-    mode, seed = args.mode or LAURENT, args.seed or 0
-    degree = 2 if args.degree is None else args.degree
-    trials = 15 if args.trials is None else args.trials
-    if trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {trials}")
-    if trials > cli.MAX_TRIALS:
-        raise ValueError(f"--trials must be at most {cli.MAX_TRIALS}, got {trials}")
-    if len(given) > 1:
-        got = " and ".join(given)
-        raise ValueError(f"tideal-check takes one of --circuits, --point or --matrix, got {got}")
-    if args.circuits is not None:
-        description = circuits_from_json(cli._load_json_arg(args.circuits))
-    elif args.point is not None:
-        point = parse_point(args.point)
-        window = monomial_window(len(point), mode, degree)
-        description = point_members(random.Random(seed), point, window, trials)
-    elif args.matrix is not None:
-        matrix = matrix_from_json(cli._load_json_arg(args.matrix), mode)
-        window = monomial_window(matrix.n, mode, degree)
-        description = prime_members(random.Random(seed), matrix, window, trials)
-    else:
-        raise ValueError("one of --circuits, --point or --matrix is required")
-    result = check_tropical_axiom(description)
-    payload = {"passed": result.passed}
-    if result.counterexample:
-        f, g, u = result.counterexample
-        payload["counterexample"] = {
-            "f": format_polynomial(f),
-            "g": format_polynomial(g),
-            "monomial": monomial_text(u, f.n),
-        }
-    cli._emit(payload, args)
-
-
-class _RefParser:
-    """The CLI's parser, with the former handler in place of the tideal-check one."""
-
-    def parse_args(self, argv):
-        args = build_parser().parse_args(argv)
-        if args.func is cli._cmd_tideal_check:
-            args.func = ref_cmd_tideal_check
-        return args
-
-
-def ref_run_cli(argv, capsys, monkeypatch):
-    with monkeypatch.context() as patch:
-        patch.setattr(cli, "build_parser", _RefParser)
-        return run_cli(argv, capsys)
-
 
 PASSED = '{\n  "passed": true\n}\n'
 DEGREE_ERROR = (

@@ -3,15 +3,15 @@
 `affine_hull_directions(rows, n, point)` takes the nullspace of the normals of
 the rows tight at a relative interior point.  Tight-row lemma: there the
 tight rows are exactly the EQ rows and the implicit equalities, so the row
-space, and with it the reduced echelon basis, is that of the former code.
-That code is kept below as the oracle: `ref_affine_hull_directions` solves
-for a feasible point, probes every LE row tight there for an implicit
-equality, and takes the nullspace of the EQ and implicit normals.
-`line_bounds` replaces two clipping loops, kept below as
-`ref_interior_shift_bound` (the witness shift in `krull`) and
-`ref_segment_bounds` (the segment endpoints in `rendering`).  Seeded
-polyhedra are stated as `Fraction` constraints through `fraction_polyhedra`;
-cells are read on their integer rows directly.
+space, and with it the reduced echelon basis, is that of the definition.
+The oracle `ref_affine_hull_directions` of `oracles.polyhedra` finds the
+implicit equalities by probing with the `Fraction` Fourier-Motzkin oracle
+and takes the nullspace of the EQ and implicit normals.  `line_bounds`
+replaces two clipping loops, kept as `ref_interior_shift_bound` (the
+witness shift in `krull`) and `ref_segment_bounds` (the segment endpoints
+in `rendering`).  Seeded polyhedra are stated as `Fraction` constraints
+through the front end of `oracles.polyhedra`; cells are read on their
+integer rows directly.
 """
 
 import json
@@ -20,9 +20,8 @@ from fractions import Fraction
 
 import pytest
 
-from tropica import polyhedra, rendering, varieties
+from tropica import polyhedra
 from tropica.krull import coordinate_dimension, witness_prime
-from tropica.matrices import dot, nullspace
 from tropica.parsing import parse_polynomials
 from tropica.polyhedra import EQ, LE
 from tropica.polynomials import LAURENT, POLY
@@ -38,55 +37,19 @@ from tropica.varieties import (
     prevariety,
 )
 
-from fraction_polyhedra import (
+from oracles.polyhedra import (
     affine_hull_directions,
     cell_polyhedron,
+    implicit_equality_indices,
     is_empty,
     line_bounds,
     make_polyhedron,
+    ref_affine_hull_directions,
+    ref_interior_shift_bound,
+    ref_segment_bounds,
     relative_interior_point,
 )
-from test_integer_kernel import implicit_equality_indices
-
-
-def ref_affine_hull_directions(poly):
-    """The former hull: a fresh feasibility solve, then probe for implicit equalities."""
-    normals = [h.normal for h in poly.constraints if h.relation == EQ]
-    implicit = set(implicit_equality_indices(poly))
-    normals.extend(h.normal for i, h in enumerate(poly.constraints) if i in implicit)
-    if not normals:
-        return [tuple(Fraction(int(i == k)) for i in range(poly.n)) for k in range(poly.n)]
-    return nullspace(normals, poly.n)
-
-
-def ref_interior_shift_bound(poly, omega, direction):
-    """The former loop of `krull._interior_shift`: the upper end of the line only."""
-    t_max = None
-    for h in poly.constraints:
-        if h.relation == EQ:
-            continue
-        slope = dot(h.normal, direction)
-        if slope > 0:
-            bound = (h.rhs - dot(h.normal, omega)) / slope
-            t_max = bound if t_max is None or bound < t_max else t_max
-    return t_max
-
-
-def ref_segment_bounds(poly, q, direction):
-    """The former loop of `rendering._segment_endpoints`: both ends of the line."""
-    t_lo = t_hi = None
-    for h in poly.constraints:
-        slope = dot(h.normal, direction)
-        if slope == 0:
-            continue
-        bound = (h.rhs - dot(h.normal, q)) / slope
-        if h.relation == EQ:
-            continue
-        if slope > 0:
-            t_hi = bound if t_hi is None or bound < t_hi else t_hi
-        else:
-            t_lo = bound if t_lo is None or bound > t_lo else t_lo
-    return t_lo, t_hi
+from oracles.varieties import solves
 
 
 def random_rows(rng):
@@ -220,22 +183,6 @@ def test_witness_rejects_a_boundary_interior_point():
     ray["interior_point"] = ["0", "-1"]
     x = complex_from_json({"ambient": 2, "mode": "laurent", "cells": [ray]})
     assert witness_prime(x, []).rank == 2
-
-
-@pytest.fixture
-def solves(monkeypatch):
-    """Counts Fourier-Motzkin solves, from `polyhedra`, `varieties` and `rendering`."""
-    count = [0]
-    solve = polyhedra._int_feasible_point
-
-    def counted(rows, n):
-        count[0] += 1
-        return solve(rows, n)
-
-    monkeypatch.setattr(polyhedra, "_int_feasible_point", counted)
-    monkeypatch.setattr(varieties, "_int_feasible_point", counted)
-    monkeypatch.setattr(rendering, "_int_feasible_point", counted)
-    return count
 
 
 def test_dimension_report_makes_no_hull_solve(solves):

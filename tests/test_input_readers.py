@@ -13,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-from test_parsing_cli import MATRIX_READERS, run_cli
 from tropica import parsing, primes
 from tropica.krull import EmptyVarietyError, witness_prime
 from tropica.matrices import to_int
@@ -35,9 +34,8 @@ from tropica.varieties import (
     vanishes_on_complex,
 )
 
-
-def P(text, n=None, mode=LAURENT):
-    return parse_polynomial(text, mode, n)
+from oracles.cli import MATRIX_READERS, run_cli
+from oracles.parsing import P
 
 
 def _complex(ambient, stratum, dim):

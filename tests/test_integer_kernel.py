@@ -1,38 +1,30 @@
-"""The integer kernel against the Fraction code it replaced.
+"""The integer kernel against the Fraction definitions, and the rows of the former kernel.
 
-`_feasible_point` (the `Fraction` front end kept in `fraction_polyhedra`)
-clears its constraints and runs Fourier-Motzkin on integer rows,
-`matrices.int_rank` runs Bareiss elimination on integer rows, and
-`matrices.nullspace` reads its basis off the integer Gauss-Jordan
-elimination `matrices.int_echelon`.  The Fraction versions they replaced
-are kept below, verbatim apart from names, as oracles (`ref_row_echelon` is
-the former `matrices.row_echelon`, `ref_nullspace` the former `nullspace`):
-on seeded systems and matrices (empty and unbounded systems, zero columns
-and rows, dependent, duplicate and parallel rows, no rows, `int`,
-`Fraction` and "p/q" input) the new code must give the same point, or also
-report the system empty, the same rank and the same kernel basis.  The rows
-of `int_echelon` must be non-zero multiples of the reduced row echelon rows,
+`system_point` (the `Fraction` front end of `oracles.polyhedra`) clears its
+constraints and runs Fourier-Motzkin on integer rows, `matrices.int_rank`
+runs Bareiss elimination on integer rows, and `matrices.nullspace` reads
+its basis off the integer Gauss-Jordan elimination `matrices.int_echelon`.
+Their oracles are the `Fraction` versions of `oracles.polyhedra`
+(`ref_feasible_point`) and `oracles.matrices` (`ref_row_echelon`, the
+former `matrices.row_echelon`, `ref_nullspace` and `ref_rank`): on seeded
+systems and matrices (empty and unbounded systems, zero columns and rows,
+dependent, duplicate and parallel rows, no rows, `int`, `Fraction` and
+"p/q" input) the new code must give the same point, or also report the
+system empty, the same rank and the same kernel basis.  The rows of
+`int_echelon` must be non-zero multiples of the reduced row echelon rows,
 with the same pivots.
 
-The integer Fourier-Motzkin kernel that normalized every level and built a
-`Fraction` per coordinate is kept too, verbatim apart from names:
-`ref_int_normalize`, `ref_int_eliminate_last`, `ref_int_coordinate`,
-`ref_int_feasible_point` and `ref_fm_eliminate`.  The kernel that replaced
-it reduces rows only before a pairing step and relies on the representation
-lemma of `polyhedra`: on seeded integer systems it must give the same point
-or also `None`, the point must not change with how the rows are written,
-`_normalize` must run only before pairing steps above the last level and on
-the constant level, the last level must keep only its tightest lower and
-upper bound (last-level lemma of `polyhedra`, also on one-variable systems
-whose tied bounds differ only in strictness), and `fm_eliminate` (on the
-library's `_eliminate_last` and `_normalize`) must return the same rows in
-the same order.
-
-`rank` and `implicit_equality_indices` are the former `matrices.rank` and
-`polyhedra.implicit_equality_indices`, `Fraction` front ends of
-`int_rank` and `_int_implicit_equalities` that no code in the package
-calls; they are kept here, moved verbatim, as the one copy the other test
-files import.
+The integer kernel reduces rows only before a pairing step and relies on
+the representation lemma of `polyhedra`: on seeded integer systems it must
+give the `Fraction` oracle's point or also `None`, the point must not
+change with how the rows are written, `_normalize` must run only before
+pairing steps above the last level and on the constant level (on fewer
+rows than the former integer step, which normalized every level), the
+last level must keep only its tightest lower and upper bound (last-level
+lemma of `polyhedra`, also on one-variable systems whose tied bounds differ
+only in strictness), and `fm_eliminate` (on the library's `_eliminate_last`
+and `_normalize`) must return the rows of the former integer step
+(`ref_fm_eliminate`), in the same order.
 """
 
 import itertools
@@ -45,387 +37,22 @@ import pytest
 from tropica import polyhedra, varieties
 from tropica.matrices import clear_denominators, int_echelon, int_rank, nullspace, to_fraction
 from tropica.parsing import parse_polynomial
-from tropica.polyhedra import (
-    EQ,
-    LE,
-    LT,
-    IntPoint,
-    IntRow,
-    _int_feasible_point,
-    _int_implicit_equalities,
-    _int_point,
-    _int_row,
-)
+from tropica.polyhedra import EQ, LE, LT, _int_feasible_point, _int_implicit_equalities, _int_point
 
-from fraction_polyhedra import (
-    HalfSpace,
-    Polyhedron,
-    _feasible_point,
+import oracles.polyhedra
+from oracles.matrices import rank, ref_nullspace, ref_rank, ref_row_echelon
+from oracles.polyhedra import (
     feasible_point,
     fm_eliminate,
     int_rows,
     is_empty,
     make_polyhedron,
+    ref_feasible_point,
+    ref_fm_eliminate,
+    ref_point_pair,
+    system_point,
 )
-from test_cell_signatures import ref_difference
-
-# -- oracles: the former Fraction implementations --------------------------------
-
-
-def ref_normalize(cons):
-    best = {}
-    eqs = {}
-    for coeffs, rhs, rel in cons:
-        pivot = next((c for c in coeffs if c != 0), None)
-        if pivot is None:
-            if rel == EQ and rhs != 0:
-                return None
-            if rel == LE and rhs < 0:
-                return None
-            if rel == LT and rhs <= 0:
-                return None
-            continue
-        if rel == EQ:
-            scale = Fraction(1) / abs(pivot) * (1 if pivot > 0 else -1)
-            key = tuple(c * scale for c in coeffs)
-            value = rhs * scale
-            if key in eqs and eqs[key] != value:
-                return None
-            eqs[key] = value
-            continue
-        scale = Fraction(1) / abs(pivot)
-        key = tuple(c * scale for c in coeffs)
-        value = rhs * scale
-        if key in best:
-            old_rhs, old_rel = best[key]
-            if value < old_rhs or (value == old_rhs and rel == LT):
-                best[key] = (value, rel)
-        else:
-            best[key] = (value, rel)
-    out = [(k, v, EQ) for k, v in sorted(eqs.items())]
-    out.extend((k, v, r) for k, (v, r) in sorted(best.items()))
-    return out
-
-
-def ref_eliminate_last(cons, n):
-    j = n - 1
-    kept = []
-    eq_pivot = None
-    with_var = []
-    for coeffs, rhs, rel in cons:
-        if coeffs[j] == 0:
-            kept.append((coeffs[:j], rhs, rel))
-        elif rel == EQ and eq_pivot is None:
-            eq_pivot = (coeffs, rhs, rel)
-        else:
-            with_var.append((coeffs, rhs, rel))
-    if eq_pivot is not None:
-        pc, pb, _ = eq_pivot
-        for coeffs, rhs, rel in with_var:
-            factor = coeffs[j] / pc[j]
-            new_coeffs = tuple(a - factor * p for a, p in zip(coeffs[:j], pc[:j]))
-            kept.append((new_coeffs, rhs - factor * pb, rel))
-        return ref_normalize(kept)
-    lowers = [(c, b, r) for c, b, r in with_var if c[j] < 0]
-    uppers = [(c, b, r) for c, b, r in with_var if c[j] > 0]
-    for lc, lb, lr in lowers:
-        for uc, ub, ur in uppers:
-            lo_w, up_w = uc[j], -lc[j]
-            coeffs = tuple(lo_w * a + up_w * b for a, b in zip(lc[:j], uc[:j]))
-            rhs = lo_w * lb + up_w * ub
-            rel = LT if LT in (lr, ur) else LE
-            kept.append((coeffs, rhs, rel))
-    return ref_normalize(kept)
-
-
-def ref_value(coeffs, point):
-    return sum((a * x for a, x in zip(coeffs, point)), Fraction(0))
-
-
-def ref_feasible_point(cons, n):
-    cons = ref_normalize(cons)
-    if cons is None:
-        return None
-    if n == 0:
-        return ()
-    reduced = ref_eliminate_last(cons, n)
-    if reduced is None:
-        return None
-    base = ref_feasible_point(reduced, n - 1)
-    if base is None:
-        return None
-    j = n - 1
-    forced = None
-    lower = None
-    upper = None
-    for coeffs, rhs, rel in cons:
-        cj = coeffs[j]
-        if cj == 0:
-            continue
-        bound = (rhs - ref_value(coeffs[:j], base)) / cj
-        if rel == EQ:
-            forced = bound if forced is None else forced
-            if forced != bound:
-                return None
-        elif cj > 0:
-            strict = rel == LT
-            if upper is None or bound < upper[0] or (bound == upper[0] and strict):
-                upper = (bound, strict)
-        else:
-            strict = rel == LT
-            if lower is None or bound > lower[0] or (bound == lower[0] and strict):
-                lower = (bound, strict)
-    if forced is not None:
-        value = forced
-    elif lower is None and upper is None:
-        value = Fraction(0)
-    elif lower is None:
-        value = upper[0] - 1
-    elif upper is None:
-        value = lower[0] + 1
-    elif lower[0] < upper[0]:
-        value = (lower[0] + upper[0]) / 2
-    else:
-        value = lower[0]
-    return base + (value,)
-
-
-def ref_row_echelon(rows):
-    """Reduced row echelon form of a copy of the rows."""
-    mat = [[to_fraction(x) for x in r] for r in rows]
-    if not mat:
-        return mat
-    ncols = len(mat[0])
-    pivot_row = 0
-    for col in range(ncols):
-        if pivot_row >= len(mat):
-            break
-        pivot = next((r for r in range(pivot_row, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[pivot_row], mat[pivot] = mat[pivot], mat[pivot_row]
-        inv = Fraction(1) / mat[pivot_row][col]
-        mat[pivot_row] = [v * inv for v in mat[pivot_row]]
-        for r in range(len(mat)):
-            if r != pivot_row and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[pivot_row])]
-        pivot_row += 1
-    return mat
-
-
-def rank(rows) -> int:
-    """Rank of a rational matrix: ``int_rank`` of its rows cleared of denominators."""
-    return int_rank([clear_denominators([to_fraction(x) for x in r]) for r in rows])
-
-
-def implicit_equality_indices(poly: Polyhedron, point=None) -> list[int]:
-    """Indices of LE constraints that hold with equality on the whole set.
-
-    ``point`` is a feasible point already known (any one gives the same
-    answer); without it one is computed.  On the empty set every LE index is
-    returned.
-    """
-    rows = int_rows(poly)
-    found = _int_feasible_point(rows, poly.n) if point is None else _int_point(point)
-    if found is None:
-        return [i for i, h in enumerate(poly.constraints) if h.relation == LE]
-    return _int_implicit_equalities(rows, poly.n, found)
-
-
-def ref_nullspace(rows, ncols: int):
-    """Basis of {x : A x = 0} for the matrix with the given rows."""
-    mat = ref_row_echelon(rows)
-    mat = [row for row in mat if any(v != 0 for v in row)]
-    pivot_cols = []
-    for row in mat:
-        pivot_cols.append(next(i for i, v in enumerate(row) if v != 0))
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    for free in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row, pcol in zip(mat, pivot_cols):
-            vec[pcol] = -row[free]
-        basis.append(tuple(vec))
-    return basis
-
-
-def ref_rank(rows):
-    mat = ref_row_echelon([list(map(Fraction, r)) for r in rows])
-    return sum(1 for row in mat if any(v != 0 for v in row))
-
-
-# -- oracles: the former integer Fourier-Motzkin kernel --------------------------
-
-
-def ref_int_normalize(rows: list[IntRow]) -> list[IntRow] | None:
-    """Drop trivial rows and dedupe; None when a constant row is violated.
-
-    Rows are deduplicated on their primitive normal a / gcd(a); of two
-    inequalities the one with the smaller b / gcd(a) is kept (the strict one
-    on a tie), and two equalities, signed by their first non-zero entry,
-    must agree.  Each kept row is divided by the gcd of its entries.
-    """
-    eqs: dict[tuple[int, ...], tuple[IntRow, int]] = {}
-    best: dict[tuple[int, ...], tuple[IntRow, int]] = {}
-    for a, b, rel in rows:
-        g = gcd(*a)
-        if g == 0:
-            if b < 0 or (b == 0 and rel == LT) or (b != 0 and rel == EQ):
-                return None
-            continue
-        if rel == EQ and next(x for x in a if x) < 0:
-            a, b = tuple(-x for x in a), -b
-        content = gcd(g, b)
-        if content > 1:
-            a, b, g = tuple(x // content for x in a), b // content, g // content
-        key = a if g == 1 else tuple(x // g for x in a)
-        table = eqs if rel == EQ else best
-        old = table.get(key)
-        if old is None:
-            table[key] = ((a, b, rel), g)
-            continue
-        (_, old_b, _), old_g = old
-        if rel == EQ:
-            if b * old_g != old_b * g:
-                return None
-        elif b * old_g < old_b * g or (b * old_g == old_b * g and rel == LT):
-            table[key] = ((a, b, rel), g)
-    return [row for row, _ in eqs.values()] + [row for row, _ in best.values()]
-
-
-def ref_int_eliminate_last(rows: list[IntRow], n: int) -> list[IntRow] | None:
-    """Project onto the first n-1 coordinates; None when infeasibility is evident.
-
-    With an equality pivot p every other row is replaced by
-    |p_j| * row - sgn(p_j) * row_j * p; otherwise each row with a negative
-    last entry is paired with each row with a positive one.  Both combine
-    rows with integer weights, positive on every inequality.
-    """
-    j = n - 1
-    kept: list[IntRow] = []
-    pivot: IntRow | None = None
-    lowers: list[IntRow] = []
-    uppers: list[IntRow] = []
-    for row in rows:
-        c = row[0][j]
-        if c == 0:
-            kept.append((row[0][:j], row[1], row[2]))
-        elif row[2] == EQ and pivot is None:
-            pivot = row
-        elif c < 0:
-            lowers.append(row)
-        else:
-            uppers.append(row)
-    if pivot is not None:
-        pa, pb, _ = pivot
-        weight, sign = abs(pa[j]), 1 if pa[j] > 0 else -1
-        pa = pa[:j]
-        for a, b, rel in lowers + uppers:
-            f = sign * a[j]
-            combined = tuple(weight * x - f * p for x, p in zip(a, pa))
-            kept.append((combined, weight * b - f * pb, rel))
-        return ref_int_normalize(kept)
-    for la, lb, lr in lowers:
-        up_w = -la[j]
-        for ua, ub, ur in uppers:
-            lo_w = ua[j]
-            a = tuple(lo_w * x + up_w * y for x, y in zip(la[:j], ua))
-            kept.append((a, lo_w * lb + up_w * ub, LT if LT in (lr, ur) else LE))
-    return ref_int_normalize(kept)
-
-
-def ref_int_coordinate(rows: list[IntRow], nums: list[int], den: int) -> Fraction | None:
-    """The chosen value of the last coordinate over the base point nums / den.
-
-    A row a.x rel b bounds it by t / (a_j den) with t = b den - a[:j].nums;
-    bounds are compared by cross-multiplication, and only the chosen value
-    is a Fraction: the forced value, the midpoint of a bounded interval, a
-    bound moved by one into a half-line, or 0 on the whole line.
-    """
-    j = len(nums)
-    forced = lower = upper = None  # bounds (t, q) meaning t / q, with q > 0
-    for a, b, rel in rows:
-        c = a[j]
-        if c == 0:
-            continue
-        t, q = b * den - sum(x * y for x, y in zip(a, nums)), c * den
-        if q < 0:
-            t, q = -t, -q
-        if rel == EQ:
-            if forced is None:
-                forced = (t, q)
-            elif t * forced[1] != forced[0] * q:
-                return None
-        elif c > 0:
-            if upper is None or t * upper[1] < upper[0] * q:
-                upper = (t, q)
-        elif lower is None or t * lower[1] > lower[0] * q:
-            lower = (t, q)
-    if forced is not None:
-        return Fraction(*forced)
-    if lower is None and upper is None:
-        return Fraction(0)
-    if lower is None:
-        return Fraction(upper[0] - upper[1], upper[1])
-    if upper is None:
-        return Fraction(lower[0] + lower[1], lower[1])
-    # elimination guarantees lower <= upper, and equality only when both are non-strict
-    return Fraction(lower[0] * upper[1] + upper[0] * lower[1], 2 * lower[1] * upper[1])
-
-
-def ref_int_feasible_point(rows: list[IntRow], n: int) -> IntPoint | None:
-    """A point (nums, den) of the integer system, or None when it is empty.
-
-    This is the one Fourier-Motzkin solve: the rows are normalized, then
-    eliminated down to the constant level; the coordinates are then fixed
-    first to last, each in its interval over the ones before, with the point
-    kept over a common denominator den > 0.
-    """
-    rows = ref_int_normalize(rows)
-    levels = []
-    for k in range(n, 0, -1):
-        if rows is None:
-            return None
-        levels.append(rows)
-        rows = ref_int_eliminate_last(rows, k)
-    if rows is None:
-        return None
-    nums: list[int] = []
-    den = 1
-    for rows in reversed(levels):
-        value = ref_int_coordinate(rows, nums, den)
-        if value is None:
-            return None
-        scale = value.denominator // gcd(den, value.denominator)
-        nums = [x * scale for x in nums]
-        den *= scale
-        nums.append(value.numerator * (den // value.denominator))
-    return tuple(nums), den
-
-
-def ref_fm_eliminate(poly: Polyhedron, index: int) -> Polyhedron:
-    """Exact projection dropping the given coordinate (ambient shrinks by one).
-
-    A point lies in the output exactly when it lifts to the input.
-    """
-    if not 0 <= index < poly.n:
-        raise ValueError(f"coordinate index {index} out of range for n={poly.n}")
-    # move the coordinate to the end, then eliminate it
-    order = [i for i in range(poly.n) if i != index] + [index]
-    rows = []
-    for h in poly.constraints:
-        rows.append(_int_row(tuple(h.normal[i] for i in order), h.rhs, h.relation))
-    reduced = ref_int_eliminate_last(rows, poly.n)
-    if reduced is None:
-        # projection of an (evidently) empty set: encode a constant contradiction
-        zero = tuple([Fraction(0)] * (poly.n - 1))
-        return Polyhedron((HalfSpace(zero, Fraction(-1), LE),), poly.n - 1)
-    out = []
-    for a, b, rel in reduced:
-        out.append(HalfSpace(tuple(map(Fraction, a)), Fraction(b), LE if rel == LT else rel))
-    return Polyhedron(tuple(out), poly.n - 1)
+from oracles.varieties import ref_difference
 
 
 # -- seeded inputs ----------------------------------------------------------------
@@ -479,7 +106,7 @@ def test_feasible_point_matches_fraction_oracle():
     for _ in range(20000):
         cons, n = _system(rng)
         expected = ref_feasible_point(cons, n)
-        assert _feasible_point(cons, n) == expected, (cons, n)
+        assert system_point(cons, n) == expected, (cons, n)
         if expected is None:
             outcomes["empty"] += 1
         elif _has_ray_along_an_axis(cons, n):
@@ -537,14 +164,14 @@ def _turns_constant(rows, n) -> bool:
     return False
 
 
-def test_int_feasible_point_matches_former_kernel():
+def test_int_feasible_point_matches_fraction_oracle_on_integer_systems():
     rng = random.Random(20261101)
     seen = {f"n={n}": 0 for n in range(6)}
     seen.update({"empty": 0, "unbounded": 0, "duplicate": 0, "parallel": 0,
                  "disagreeing equalities": 0, "turns constant": 0, "EQ": 0, "LE": 0, "LT": 0})
     for _ in range(3000):
         rows, n = _int_system(rng)
-        expected = ref_int_feasible_point(rows, n)
+        expected = ref_point_pair(rows, n)
         assert _int_feasible_point(rows, n) == expected, (rows, n)
         seen[f"n={n}"] += 1
         seen["empty"] += expected is None
@@ -590,10 +217,11 @@ def test_normalize_runs_only_before_pairing_and_on_the_constant_level(monkeypatc
     exactly one constant row (last-level lemma of ``polyhedra``).  The
     constant rows are normalized once, at the end.  Fewer rows go through
     ``_normalize`` than through the former kernel's, which normalized every
-    level.
+    level (`ref_int_normalize` after each `ref_int_eliminate_last`).
     """
     events = []
-    normalize, eliminate, former = polyhedra._normalize, polyhedra._eliminate_last, ref_int_normalize
+    normalize, eliminate = polyhedra._normalize, polyhedra._eliminate_last
+    former = oracles.polyhedra.ref_int_normalize
     counts = {"rows": 0, "former rows": 0}
 
     def spy_normalize(rows):
@@ -616,7 +244,7 @@ def test_normalize_runs_only_before_pairing_and_on_the_constant_level(monkeypatc
 
     monkeypatch.setattr(polyhedra, "_normalize", spy_normalize)
     monkeypatch.setattr(polyhedra, "_eliminate_last", spy_eliminate)
-    monkeypatch.setitem(globals(), "ref_int_normalize", former_normalize)
+    monkeypatch.setattr(oracles.polyhedra, "ref_int_normalize", former_normalize)
     rng = random.Random(20261103)
     steps = {"pairing": 0, "passed through": 0}
     last_level = 0
@@ -624,7 +252,11 @@ def test_normalize_runs_only_before_pairing_and_on_the_constant_level(monkeypatc
         rows, n = _int_system(rng)
         events.clear()
         _int_feasible_point(rows, n)
-        ref_int_feasible_point(rows, n)
+        reduced = oracles.polyhedra.ref_int_normalize(rows)
+        for k in range(n, 0, -1):
+            if reduced is None:
+                break
+            reduced = oracles.polyhedra.ref_int_eliminate_last(reduced, k)
         *levels, (kind, constants) = events
         assert kind == "normalize" and all(len(a) == 0 for a, _, _ in constants), events
         i = 0
@@ -685,7 +317,7 @@ def _tied_last_level(rng):
 
 
 def test_last_level_reads_the_tightest_bounds():
-    """On the last level the point, and whether there is one, are the former kernel's.
+    """On the last level the point, and whether there is one, are the `Fraction` oracle's.
 
     The systems are one-variable ones where several lower and several upper
     bounds tie, only one of the tied rows is strict, and the tightest lower
@@ -697,7 +329,7 @@ def test_last_level_reads_the_tightest_bounds():
     seen = {"point": 0, "empty": 0, "interval": 0, "strict lower": 0, "strict upper": 0}
     for _ in range(3000):
         rows, n = _tied_last_level(rng)
-        expected = ref_int_feasible_point(rows, n)
+        expected = ref_point_pair(rows, n)
         assert _int_feasible_point(rows, n) == expected, rows
         kept, (lower, upper) = polyhedra._eliminate_last(rows, n)
         v = max(Fraction(b, a[0]) for a, b, _ in rows if a[0] < 0)

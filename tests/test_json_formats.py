@@ -14,14 +14,10 @@ field takes no coefficient.
 
 import json
 import random
-import re
 from pathlib import Path
 
 import pytest
 
-from test_circuit_scan import _random_ideal
-from test_face_sizes import random_polynomial
-from test_parsing_cli import MATRIX_READERS, run_cli
 from tropica import traces
 from tropica.krull import EmptyVarietyError, coordinate_dimension
 from tropica.parsing import format_polynomial
@@ -37,6 +33,10 @@ from tropica.varieties import (
     hypersurface,
     prevariety,
 )
+
+from oracles.cli import MATRIX_READERS, readme_json, run_cli
+from oracles.tropical_linear import random_ideal
+from oracles.varieties import collinear_or_random_polynomial
 
 REPO = Path(__file__).resolve().parent.parent
 CIRCUIT_PINS = sorted((REPO / "tests" / "pins").glob("tideal_trop_*.json"))
@@ -63,11 +63,12 @@ def _complexes(rng, count):
         n = rng.randint(1, 3)
         mode = rng.choice((POLY, LAURENT))
         if i % 3 == 0:
-            yield "hypersurface", hypersurface(random_polynomial(rng, n, mode))
+            yield "hypersurface", hypersurface(collinear_or_random_polynomial(rng, n, mode))
         elif i % 3 == 1:
-            yield "prevariety", prevariety([random_polynomial(rng, n, mode) for _ in range(2)])
+            gens = [collinear_or_random_polynomial(rng, n, mode) for _ in range(2)]
+            yield "prevariety", prevariety(gens)
         else:
-            gens = [random_polynomial(rng, n, POLY) for _ in range(rng.randint(1, 2))]
+            gens = [collinear_or_random_polynomial(rng, n, POLY) for _ in range(rng.randint(1, 2))]
             yield "affine", affine_prevariety(gens)
 
 
@@ -99,7 +100,7 @@ def test_seeded_circuits_round_trip_in_both_monomial_forms():
     rng = random.Random(2902)
     seen = {"trivial": 0, "constant": 0, "several": 0}
     for _ in range(200):
-        gens, n, degree = _random_ideal(rng)
+        gens, n, degree = random_ideal(rng)
         circuits = truncated_tropicalization(gens, n, degree)
         data = circuits_to_json(circuits)
         assert circuits_from_json(_decoded(data)) == circuits
@@ -150,7 +151,7 @@ def test_dim_witness_round_trips_and_prime_variety_reads_it(capsys):
     checked = 0
     for _ in range(120):
         n, mode = rng.randint(1, 3), rng.choice((POLY, LAURENT))
-        gens = [random_polynomial(rng, n, mode) for _ in range(rng.randint(1, 2))]
+        gens = [collinear_or_random_polynomial(rng, n, mode) for _ in range(rng.randint(1, 2))]
         try:
             report = coordinate_dimension(gens)
         except EmptyVarietyError:
@@ -196,20 +197,13 @@ def test_cli_plots_a_complex_it_wrote(capsys, poly, mode):
 # -- the README examples: missing keys and retyped fields --------------------------
 
 
-def _readme_json():
-    """The JSON blocks of the README, by the key that marks each format."""
-    readme = (REPO / "README.md").read_text()
-    blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)\n```", readme, re.DOTALL)]
-    return {key: next(b for b in blocks if key in b) for key in ("steps", "circuits", "cells")}
-
-
 def _examples():
     """(format, the argv before its input, the README example, its optional keys).
 
     The matrix is that of the README's prime-variety example, given to
     each of the five commands that read a matrix.
     """
-    blocks = _readme_json()
+    blocks = readme_json()
     matrices = [("matrix", [*argv, "--matrix"], [[1, 1, 2]], set()) for argv in MATRIX_READERS]
     return matrices + [
         ("circuit", ["tideal-check", "--circuits"], blocks["circuits"], {"mode", "trivial"}),
@@ -342,6 +336,9 @@ def test_a_coefficient_on_a_trace_monomial_is_named(capsys, tmp_path, path):
         ([["x", 3]], "circuit JSON: circuits[0] monomial 3 is neither monomial text nor an exponent vector"),
         ([["x^2"]], "monomial (2, 0) is outside the window"),
         ([["x^-1"]], "monomial (-1, 0) is outside the window"),
+        ([["x", "x", "y"]], "circuit JSON: circuits[0] repeats a monomial"),
+        ([["y"], ["x", [1, 0], "y"]], "circuit JSON: circuits[1] repeats a monomial"),
+        ([[[1, 0], [1, 0], [0, 1]]], "circuit JSON: circuits[0] repeats a monomial"),
     ],
 )
 def test_circuit_monomial_errors_are_named(capsys, circuits, message):

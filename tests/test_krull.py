@@ -13,15 +13,11 @@ from tropica.krull import (
     coordinate_dimension,
     witness_prime,
 )
-from tropica.parsing import parse_polynomial
-from tropica.polynomials import LAURENT, Polynomial
 from tropica.primes import admissibility_violations, check_admissible
 from tropica.sampling import random_admissible, random_polynomial
 from tropica.varieties import complex_dim, hypersurface, prevariety
 
-
-def P(text, n=None):
-    return parse_polynomial(text, LAURENT, n)
+from oracles.parsing import P
 
 
 def test_contains_bends_examples():

@@ -1,148 +1,51 @@
 """Each polynomial is built once: the parser, the point sampler and the trace reader.
 
-`ref_parse_polynomial` is the former term-by-term fold of `parse_polynomial`
-(one polynomial per term, summed one at a time), and `ref_cli_polynomials`
-the former two-pass reading of `--poly` texts without `--nvars`.
-`ref_random_member_polynomial` and `ref_point_members` are the former
-`Fraction` sampling loop, which built a polynomial for every draw, repeats
-and rejects included.  `ref_prime_members` is the former integer-key loop
-of `prime_members`, which built a polynomial for every accepted draw and
-three per partner, and dropped repeats by hashing them.  They are kept here
-only as oracles.  Where `ref_prime_members` draws no member, `prime_members`
-raises instead (`assert_no_member_error`).
+The oracles are those of `oracles.parsing` and `oracles.sampling`:
+`ref_parse_polynomial` is the former term-by-term fold of
+`parse_polynomial` (one polynomial per term, summed one at a time), and
+`ref_cli_polynomials` the former two-pass reading of `--poly` texts without
+`--nvars`.  `ref_random_member_polynomial` and `ref_point_members` are the
+former `Fraction` sampling loop, which built a polynomial for every draw,
+repeats and rejects included.  `ref_prime_members` decides each draw and
+its partner by the top key of its terms over the prime's integer rows.
+Where `ref_prime_members` draws no member, `prime_members` raises instead
+(`assert_no_member_error`).
 """
 
-import functools
 import itertools
 import json
 import random
 from fractions import Fraction
-from operator import mul
 from pathlib import Path
 
 import pytest
 
 from tropica import parsing, traces
-from tropica.matrices import dot, to_fraction
+from tropica.matrices import dot
 from tropica.parsing import ParseError, parse_polynomial, parse_polynomials
 from tropica.polynomials import LAURENT, POLY, Polynomial
-from tropica.primes import AdmissibilityError, check_admissible, geometric_prime_of_point, variety_of_prime
+from tropica.primes import AdmissibilityError, check_admissible
 from tropica.sampling import (
     point_members,
     prime_members,
     random_admissible,
-    random_exponents,
-    random_fraction,
     random_member_polynomial,
     random_point,
     window_admits_member,
 )
-from tropica.tropical_linear import MembershipSample, monomial_window
+from tropica.tropical_linear import monomial_window
 
-from test_integer_kernel import rank
+from oracles.matrices import rank
+from oracles.parsing import outcome, ref_cli_polynomials, ref_parse_polynomial
+from oracles.sampling import (
+    assert_no_member_error,
+    ref_point_members,
+    ref_prime_members,
+    ref_random_member_polynomial,
+    tied_prime,
+)
 
 REPO = Path(__file__).resolve().parent.parent
-
-# -- reference implementations -------------------------------------------------
-
-
-def ref_parse_polynomial(text, mode=LAURENT, nvars=None):
-    terms, n = parsing._read_terms(text, nvars, classical=False)
-    poly = Polynomial.zero(n, mode)
-    for _, coeff, key in terms:
-        if mode == POLY and any(e < 0 for e in key):
-            raise ParseError("negative exponents are not allowed in poly mode", 0)
-        poly = poly + Polynomial({key: coeff}, n, mode)
-    return poly
-
-
-def ref_cli_polynomials(texts, mode, nvars):
-    inferred = nvars
-    if inferred is None:
-        inferred = 0
-        for text in texts:
-            inferred = max(inferred, parse_polynomial(text, mode).n)
-    return [parse_polynomial(text, mode, inferred) for text in texts]
-
-
-def ref_random_member_polynomial(rng, point, mode=LAURENT, max_extra=3, max_deg=2):
-    if max_deg < 1:
-        raise ValueError("member polynomials need max_deg >= 1 (two distinct exponents)")
-    point = [to_fraction(p) for p in point]
-    n = len(point)
-    target = random_fraction(rng)
-    support = set()
-    while len(support) < 2:
-        support.add(random_exponents(rng, n, mode, max_deg))
-    coeffs = {}
-    for expo in support:
-        coeffs[expo] = target - dot(expo, point)
-    for _ in range(rng.randint(0, max_extra)):
-        expo = random_exponents(rng, n, mode, max_deg)
-        if expo in coeffs:
-            continue
-        drop = Fraction(rng.randint(1, 4), rng.randint(1, 3))
-        coeffs[expo] = target - dot(expo, point) - drop
-    return Polynomial(coeffs, n, mode)
-
-
-def ref_point_members(rng, point, window, count):
-    prime = geometric_prime_of_point(point, window.mode)
-    point = variety_of_prime(prime)
-    members = {}
-    attempts = 0
-    while len(members) < count and attempts < count * 200:
-        attempts += 1
-        poly = ref_random_member_polynomial(rng, point, window.mode, max_deg=window.degree)
-        if poly.degree() <= window.degree:
-            members[poly] = None
-    return MembershipSample(tuple(members), prime)
-
-
-def ref_prime_members(rng, matrix, window, count):
-    if window.n != matrix.n:
-        raise ValueError(f"the window has {window.n} variables, the prime {matrix.n}")
-    if len(window) < 2:
-        raise ValueError(f"the window holds {len(window)} monomial; a member needs two terms")
-    weights = [row[0] for row in matrix.cleared_rows]
-    lifted = {
-        expo: [sum(map(mul, row[1:], expo)) for row in matrix.cleared_rows]
-        for expo in window.monomials
-    }
-
-    @functools.cache
-    def key(coeff: int, expo) -> tuple[int, ...]:
-        return tuple(coeff * w + x for w, x in zip(weights, lifted[expo]))
-
-    members: dict[Polynomial, None] = {}
-    attempts = 0
-    while len(members) < count and attempts < count * 200:
-        attempts += 1
-        drawn = rng.sample(window.monomials, k=min(3, len(window)))
-        coeffs = {expo: rng.randint(-2, 2) for expo in drawn}
-        keys = {expo: key(c, expo) for expo, c in coeffs.items()}
-        top = max(keys.values())
-        if list(keys.values()).count(top) < 2:
-            continue
-        poly = Polynomial(coeffs, window.n, window.mode)
-        members[poly] = None
-        low = [e for e in poly.support() if keys[e] != top]
-        if low:
-            moved = rng.choice(low)
-            target = rng.choice(window.monomials)
-            if target not in coeffs and key(coeffs[moved], target) <= top:
-                term = Polynomial({target: coeffs[moved]}, window.n, window.mode)
-                members[poly.delete_term(moved) + term] = None
-    return MembershipSample(tuple(members), matrix)
-
-
-def outcome(call, *args):
-    """The result of a call, or the type and message of the error it raised."""
-    try:
-        return "ok", call(*args)
-    except (ValueError, TypeError) as exc:
-        return type(exc).__name__, str(exc)
-
 
 # -- the parser ------------------------------------------------------------------
 
@@ -307,16 +210,6 @@ def test_point_members_count_zero_draws_nothing():
 # -- the prime sampler ------------------------------------------------------------
 
 
-def tied_prime(rng, n, rank, mode):
-    """An admissible matrix of 0/1 entries: many terms share a key."""
-    while True:
-        rows = [[rng.randint(0, 1) for _ in range(n + 1)] for _ in range(rank)]
-        try:
-            return check_admissible(rows, n, mode)
-        except AdmissibilityError:
-            continue
-
-
 def _prime_case(seed):
     """(matrix, window, count) for one seed: every mode and row count.
 
@@ -345,23 +238,6 @@ def _prime_case(seed):
         rows[n - 1][0], rows[n - 1][n] = 1, rng.choice((4, -4))
         return check_admissible(rows, n, mode), monomial_window(n, mode, 2 if n < 3 else 1), 1
     return matrix, monomial_window(n, mode, degree), rng.randint(1, 10)
-
-
-def assert_no_member_error(rng, matrix, window, count, drawn):
-    """Where the former loop drew no member, ``prime_members`` raises instead.
-
-    A window where no two monomials tie at a coefficient gap in -4..4 (the
-    gaps of draws in -2..2) fails before any draw, so ``rng`` is left as it
-    was; otherwise the error comes after the former loop's draws, which left
-    the generator at ``drawn``.  Returns whether such a tie exists.
-    """
-    before = rng.getstate()
-    admits = window_admits_member(matrix, window)
-    message = "no member in" if admits else "no member can be drawn"
-    with pytest.raises(ValueError, match=message):
-        prime_members(rng, matrix, window, count)
-    assert rng.getstate() == (drawn if admits else before)
-    return admits
 
 
 def test_prime_members_match_key_loop():

@@ -24,6 +24,9 @@ from tropica.rendering import render_svg
 from tropica.sampling import random_polynomial
 from tropica.varieties import hypersurface
 
+from oracles.cli import MATRIX_READERS, SEED_5_ARGV, SEED_5_STDOUT, readme_json, run_cli
+from oracles.parsing import ref_parse_classical
+
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -111,12 +114,6 @@ def test_matrix_json():
 
 
 # -- CLI ---------------------------------------------------------------------
-
-
-def run_cli(args, capsys):
-    code = main(args)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def test_cli_eval(capsys):
@@ -275,41 +272,6 @@ def test_cli_tideal_trop_error_position(capsys):
     assert json.loads(err) == {"error": "parse", "message": "unknown variable 'q' (at position 6)"}
 
 
-def _parse_classical(text, nvars):
-    """The former CLI reader: split on +/-, parse each piece with the tropical grammar."""
-    out = {}
-    pieces = []
-    current = ""
-    for ch in text:
-        if ch in "+-" and current.strip():
-            pieces.append(current)
-            current = ch
-        else:
-            current += ch
-    if current.strip():
-        pieces.append(current)
-    terms = []
-    for piece in pieces:
-        piece = piece.strip()
-        sign = Fraction(1)
-        if piece.startswith("-"):
-            sign, piece = Fraction(-1), piece[1:].strip()
-        elif piece.startswith("+"):
-            piece = piece[1:].strip()
-        poly = parse_polynomial(piece, POLY, nvars)
-        if not poly.is_monomial():
-            raise ValueError(f"classical term {piece!r} did not parse to a single term")
-        expo = poly.support()[0]
-        coeff = poly.coefficient(expo)
-        coeff = Fraction(1) if coeff == 0 else coeff  # tropical unit marks "no coefficient"
-        terms.append((expo, sign * coeff))
-    n = nvars if nvars is not None else max(len(e) for e, _ in terms)
-    for expo, value in terms:
-        key = tuple(expo) + (0,) * (n - len(expo))
-        out[key] = out.get(key, Fraction(0)) + value
-    return {k: v for k, v in out.items() if v != 0}, n
-
-
 def _classical_text(rng):
     """Classical polynomial text with no zero coefficient, in one naming style."""
     n = rng.randint(1, 4)
@@ -335,7 +297,7 @@ def test_parse_classical_matches_split_parser():
     for _ in range(600):
         text = _classical_text(rng)
         nvars = rng.choice([None, 4, 5])
-        assert parse_classical(text, nvars) == _parse_classical(text, nvars), text
+        assert parse_classical(text, nvars) == ref_parse_classical(text, nvars), text
 
 
 def test_cli_tideal_check_circuits(capsys):
@@ -347,22 +309,6 @@ def test_cli_tideal_check_circuits(capsys):
     }
     code, out, _ = run_cli(["tideal-check", "--circuits", json.dumps(circuits)], capsys)
     assert code == 0 and json.loads(out) == {"passed": True}
-
-
-# the degree prime fails the axiom, and the counterexample depends on the seed
-SEED_5_ARGV = ["tideal-check", "--matrix", "[[0,1,1]]", "--degree", "2", "--trials", "8", "--seed", "5"]
-SEED_5_STDOUT = json.dumps(
-    {
-        "counterexample": {
-            "f": "2*x^2*y^-1 + x^-1*y^2 + x^-2*y^-2",
-            "g": "2*x^2*y^-1 + x^-1*y^2 + x^2*y^-2",
-            "monomial": "x^-1*y^2",
-        },
-        "passed": False,
-    },
-    indent=2,
-    sort_keys=True,
-) + "\n"
 
 
 def test_cli_tideal_check_matrix_counterexample(capsys):
@@ -569,16 +515,6 @@ def test_cli_help_keeps_text_and_exit_code(capsys):
         main(["eval", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: tropica eval")
-
-
-# the commands that read --matrix, each with the rest of a line that runs on a 1-variable prime
-MATRIX_READERS = [
-    ["prime-check"],
-    ["prime-variety"],
-    ["prime-compare", "--term1", "x", "--term2", "1"],
-    ["prime-member", "--poly", "x + 1"],
-    ["tideal-check", "--degree", "1"],
-]
 
 
 @pytest.mark.parametrize("args", MATRIX_READERS)
@@ -1049,25 +985,18 @@ def test_cli_entry_point_installed():
     assert proc.returncode == 2  # empty point is a parse error
 
 
-def _readme_trace_json():
-    import re
-
-    readme = (REPO / "README.md").read_text()
-    return json.loads(re.search(r'```json\n(\{.*?\})\n```', readme, re.DOTALL).group(1))
-
-
 def test_readme_trace_example_verifies():
     # the schema example documented in the README must stay valid
     from tropica.traces import trace_from_json, verify_trace
 
-    trace = trace_from_json(_readme_trace_json())
+    trace = trace_from_json(readme_json()["steps"])
     assert verify_trace(trace).accepted
 
 
 @pytest.mark.parametrize("rule, field", [("GEN", "generator"), ("SYM", "step")])
 def test_cli_trace_verify_rejects_boolean_indices(capsys, tmp_path, rule, field):
     # false == 0 in Python, so the README trace with a false index was accepted
-    data = _readme_trace_json()
+    data = readme_json()["steps"]
     index = next(i for i, step in enumerate(data["steps"]) if step["rule"] == rule)
     assert data["steps"][index][field] == 0
     data["steps"][index][field] = False
@@ -1093,7 +1022,7 @@ _TRACE_TEXT_FIELDS = {
 @pytest.mark.parametrize("value, kind", [(7, "int"), (["x"], "list"), (None, "NoneType")])
 @pytest.mark.parametrize("field", sorted(_TRACE_TEXT_FIELDS))
 def test_cli_trace_verify_non_text_polynomial(capsys, tmp_path, field, value, kind):
-    data = _readme_trace_json()
+    data = readme_json()["steps"]
     path, key = _TRACE_TEXT_FIELDS[field]
     node = data
     for step in path:
@@ -1112,7 +1041,7 @@ def test_cli_trace_verify_non_text_polynomial(capsys, tmp_path, field, value, ki
 @pytest.mark.parametrize("field", sorted(_TRACE_TEXT_FIELDS))
 def test_cli_trace_verify_repeated_malformed_text(capsys, tmp_path, field):
     # the malformed text stands in the given field and in the goal's left side
-    data = _readme_trace_json()
+    data = readme_json()["steps"]
     path, key = _TRACE_TEXT_FIELDS[field]
     node = data
     for step in path:

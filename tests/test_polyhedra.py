@@ -1,7 +1,7 @@
 """Exact polyhedra: feasibility, dimension, interior points, projection.
 
 Most tests state their polyhedra as `Fraction` constraints, through the
-front end kept in `fraction_polyhedra`, which clears each constraint and
+front end of `oracles.polyhedra`, which clears each constraint and
 calls the library's integer functions.  The last section calls those
 functions on integer rows directly.
 """
@@ -16,8 +16,7 @@ from tropica import polyhedra
 from tropica.matrices import dot
 from tropica.polyhedra import EQ, LE, _int_feasible_point, _int_implicit_equalities
 
-from fraction_polyhedra import (
-    Polyhedron,
+from oracles.polyhedra import (
     affine_hull_directions,
     contains_point,
     dimension,
@@ -27,6 +26,7 @@ from fraction_polyhedra import (
     intersect,
     is_empty,
     make_polyhedron,
+    ref_lift_exists,
     relative_interior_point,
 )
 
@@ -199,37 +199,6 @@ def test_projection_of_point():
     assert contains_point(proj, (1,)) and not contains_point(proj, (0,))
 
 
-def _lift_interval_oracle(p: Polyhedron, index: int, base) -> bool:
-    """Independent lift search: scan the fiber line over the base point.
-
-    Exact one-variable interval arithmetic per constraint; no elimination.
-    """
-    lo, hi = None, None
-    for h in p.constraints:
-        cj = h.normal[index]
-        others = [v for k, v in enumerate(h.normal) if k != index]
-        rest = dot(others, base)
-        if cj == 0:
-            if h.relation == EQ and rest != h.rhs:
-                return False
-            if h.relation == LE and rest > h.rhs:
-                return False
-            continue
-        bound = (h.rhs - rest) / cj
-        if h.relation == EQ:
-            if lo is None or bound > lo:
-                lo = bound
-            if hi is None or bound < hi:
-                hi = bound
-        elif cj > 0:
-            hi = bound if hi is None or bound < hi else hi
-        else:
-            lo = bound if lo is None or bound > lo else lo
-    if lo is None or hi is None:
-        return True
-    return lo <= hi
-
-
 def test_projection_membership_vs_lift_oracle():
     rng = random.Random(13)
     cases = 0
@@ -249,7 +218,7 @@ def test_projection_membership_vs_lift_oracle():
         proj = fm_eliminate(p, index)
         point = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 2)) for _ in range(n - 1))
         cases += 1
-        assert contains_point(proj, point) == _lift_interval_oracle(p, index, point)
+        assert contains_point(proj, point) == ref_lift_exists(p, index, point)
 
 
 def test_projection_preserves_emptiness():

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropica.matrices import to_fraction
-from tropica.parsing import parse_polynomial
 from tropica.polynomials import (
     LAURENT,
     POLY,
@@ -22,9 +21,7 @@ from tropica.polynomials import (
 from tropica.sampling import random_point, random_polynomial
 from tropica.scalars import BOTTOM, is_bottom, trop_add, trop_mul
 
-
-def P(text, n=None, mode=LAURENT):
-    return parse_polynomial(text, mode, n)
+from oracles.parsing import P
 
 
 # -- arithmetic ---------------------------------------------------------------

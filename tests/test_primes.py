@@ -8,8 +8,7 @@ from operator import mul
 import pytest
 
 from tropica.matrices import int_rank
-from tropica.parsing import parse_polynomial
-from tropica.polynomials import LAURENT, Pair, Polynomial, twisted_mul
+from tropica.polynomials import Pair, Polynomial, twisted_mul
 from tropica.primes import (
     EQUAL,
     GREATER,
@@ -33,9 +32,7 @@ from tropica.sampling import (
     random_polynomial,
 )
 
-
-def P(text, n=None):
-    return parse_polynomial(text, LAURENT, n)
+from oracles.parsing import P
 
 
 def random_term(rng, n, max_deg=3):

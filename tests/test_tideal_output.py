@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from tropica.cli import main
+from oracles.cli import run_cli
+
 
 GRID = [(mode, degree, seed) for mode in ("poly", "laurent") for degree in (1, 2) for seed in range(4)]
 
@@ -127,10 +128,9 @@ CORPUS = (
 
 @pytest.mark.parametrize("argv, expected", CORPUS, ids=[" ".join(argv) for argv, _ in CORPUS])
 def test_tideal_stdout_pinned(capsys, argv, expected):
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert (code, captured.err) == (0, "")
-    assert captured.out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 PINS = Path(__file__).resolve().parent / "pins"
@@ -147,11 +147,10 @@ CAP_PINS = [
 @pytest.mark.parametrize("argv, pin, count", CAP_PINS, ids=[" ".join(argv) for argv, _, _ in CAP_PINS])
 def test_tideal_trop_at_the_window_cap_pinned(capsys, argv, pin, count):
     """Stdout of the two cap inputs equals the subset scan's output, kept in tests/pins."""
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert (code, captured.err) == (0, "")
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
     expected = (PINS / pin).read_text()
-    assert captured.out == expected
+    assert out == expected
     assert len(json.loads(expected)["circuits"]) == count
 
 
@@ -166,7 +165,6 @@ README_PINS = [
 
 @pytest.mark.parametrize("argv, pin", README_PINS, ids=[pin for _, pin in README_PINS])
 def test_readme_tideal_check_examples_pinned(capsys, argv, pin):
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert (code, captured.err) == (0, "")
-    assert captured.out == (PINS / pin).read_text()
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out == (PINS / pin).read_text()

@@ -9,10 +9,9 @@ import pytest
 
 from tropica.corpus import SHIPPED_TRACES
 from tropica.parsing import parse_polynomial
-from tropica.polynomials import LAURENT, Pair, Polynomial
+from tropica.polynomials import Pair, Polynomial
 from tropica.primes import bend_ideal_member, pair_in_prime
 from tropica.sampling import random_admissible, random_fraction
-from test_parsing_cli import _readme_trace_json
 from tropica.traces import (
     ADD,
     GEN,
@@ -33,11 +32,10 @@ from tropica.traces import (
     verify_trace,
 )
 
+from oracles.cli import readme_json
+from oracles.parsing import P
+
 TRACE_DIR = Path(__file__).resolve().parent.parent / "traces"
-
-
-def P(text, n=None):
-    return parse_polynomial(text, LAURENT, n)
 
 
 # -- bend generator instantiation ------------------------------------------------
@@ -163,7 +161,7 @@ ARITY = {
 
 def _readme_trace() -> DerivationTrace:
     """The README's trace JSON, which uses each of the seven rules once."""
-    return trace_from_json(_readme_trace_json())
+    return trace_from_json(readme_json()["steps"])
 
 
 def _replaced(trace: DerivationTrace, index: int, rule, args) -> DerivationTrace:
@@ -204,14 +202,14 @@ def test_rule_that_is_no_rule_name_rejected(rule):
     trace = _readme_trace()
     result = verify_trace(_replaced(trace, 3, rule, trace.steps[3].args))
     assert result == TraceResult(False, 3, f"unknown rule {rule!r}")
-    data = _readme_trace_json()
+    data = readme_json()["steps"]
     data["steps"][3]["rule"] = rule
     with pytest.raises(ValueError, match="unknown rule"):
         trace_from_json(data)
 
 
 def test_readme_trace_round_trips_both_ways():
-    data = _readme_trace_json()
+    data = readme_json()["steps"]
     trace = trace_from_json(data)
     assert trace_to_json(trace) == data
     assert trace_from_json(trace_to_json(trace)) == trace

@@ -6,15 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from tropica.parsing import format_polynomial, parse_polynomial
+from tropica.parsing import format_polynomial
 from tropica.polynomials import LAURENT, POLY, Polynomial
 from tropica.primes import bend_ideal_member, check_admissible, geometric_prime_of_point, variety_of_prime
 from tropica.sampling import point_members, prime_members, random_member_polynomial, random_point
-from tropica.scalars import BOTTOM, is_bottom, trop_add, trop_mul
+from tropica.scalars import BOTTOM, is_bottom
 from tropica import tropical_linear
 from tropica.tropical_linear import (
     MAX_WINDOW_SIZE,
-    AxiomResult,
     CircuitSet,
     MembershipSample,
     check_tropical_axiom,
@@ -25,12 +24,8 @@ from tropica.tropical_linear import (
 )
 from tropica.varieties import affine_prevariety, prevariety
 
-from test_axiom_keys import ref_elimination_witness
-from test_circuit_supports import ref_set_witness
-
-
-def P(text, n=None, mode=POLY):
-    return parse_polynomial(text, mode, n)
+from oracles.parsing import P
+from oracles.tropical_linear import combine, grid_scalars, ref_elimination_witness, ref_set_witness
 
 
 # -- windows -----------------------------------------------------------------------
@@ -74,25 +69,13 @@ def test_window_cap(monkeypatch):
 def test_span_examples():
     from tropica.tropical_linear import span_membership
 
-    g1 = P("x + y", 3)
-    g2 = P("x + z", 3)
-    v = P("x + y + z", 3)
+    g1 = P("x + y", 3, POLY)
+    g2 = P("x + z", 3, POLY)
+    v = P("x + y + z", 3, POLY)
     assert span_membership(v, [g1, g2]) == [Fraction(0), Fraction(0)]
-    assert span_membership(P("y + z", 3), [g1, g2]) is None
+    assert span_membership(P("y + z", 3, POLY), [g1, g2]) is None
     lams = span_membership(g1, [g1, g2])
     assert lams is not None and lams[0] == Fraction(0)
-
-
-def _grid_scalars(lo=-4, hi=4):
-    return [BOTTOM] + [Fraction(v) for v in range(lo, hi + 1)]
-
-
-def _combine(lams, gens, window):
-    out = {}
-    for lam, g in zip(lams, gens):
-        for expo, value in g.terms():
-            out[expo] = trop_add(out.get(expo, BOTTOM), trop_mul(lam, value))
-    return {k: v for k, v in out.items() if not is_bottom(v)}
 
 
 def test_residuation_vs_grid_brute_force():
@@ -119,19 +102,19 @@ def test_residuation_vs_grid_brute_force():
                 c: Fraction(rng.randint(-2, 2)) for c in coords if rng.random() < 0.7
             }
         else:  # bias toward actual combinations
-            lams = [rng.choice(_grid_scalars(-2, 2)) for _ in range(k)]
-            v_entries = _combine(lams, gens, w)
+            lams = [rng.choice(grid_scalars(-2, 2)) for _ in range(k)]
+            v_entries = combine(lams, gens)
         v = Polynomial(v_entries, 5, POLY)
         cases += 1
         fast = span_membership(v, gens)
         slow = None
-        for lams in itertools.product(_grid_scalars(), repeat=k):
-            if _combine(lams, gens, w) == v.coeffs:
+        for lams in itertools.product(grid_scalars(), repeat=k):
+            if combine(lams, gens) == v.coeffs:
                 slow = lams
                 break
         assert (fast is None) == (slow is None)
         if fast is not None:
-            assert _combine(fast, gens, w) == v.coeffs
+            assert combine(fast, gens) == v.coeffs
 
 
 # -- elimination witness ------------------------------------------------------------------
@@ -151,8 +134,8 @@ def test_elimination_low_term_example():
     # members of the bend ideal at the origin; eliminating x keeps y plus the
     # low data, with the tie dropped to the second level
     point = (Fraction(0), Fraction(0))
-    f = P("x + y + -1", 2)
-    g = P("x + y + -2", 2)
+    f = P("x + y + -1", 2, POLY)
+    g = P("x + y + -2", 2, POLY)
     oracle = _point_oracle(point)
     h = ref_elimination_witness(f, g, (1, 0), oracle, point)
     assert h is not None
@@ -172,7 +155,7 @@ def test_elimination_counterexample_for_degree_prime():
 
 def test_elimination_identical_inputs():
     point = (Fraction(0), Fraction(0))
-    f = P("x + y + 0", 2)
+    f = P("x + y + 0", 2, POLY)
     h = ref_elimination_witness(f, f, (1, 0), _point_oracle(point))
     # first candidate: delete x from f, which still vanishes at the origin
     assert h is not None and h.coeffs == {(0, 0): Fraction(0), (0, 1): Fraction(0)}
@@ -238,7 +221,7 @@ def test_elimination_precondition():
     with pytest.raises(ValueError):
         elimination_witness(f, g, X, lambda h: True)
     with pytest.raises(ValueError):
-        ref_elimination_witness(P("x + y", 2), P("y + 0", 2), X, lambda h: True)
+        ref_elimination_witness(P("x + y", 2, POLY), P("y + 0", 2, POLY), X, lambda h: True)
 
 
 # -- the axiom check ------------------------------------------------------------------------
@@ -382,10 +365,10 @@ def test_realizable_non_primeness_verdicts():
     # the product (x+y+1)(x+y+xy) lies in the degree-3 slice of trop((x-y))
     # while neither factor does, so the tropicalized ideal is not prime
     circuits = truncated_tropicalization([{(1, 0): 1, (0, 1): -1}], 2, 3)
-    product = P("x + y + 0", 2) * P("x + y + x*y", 2)
+    product = P("x + y + 0", 2, POLY) * P("x + y + x*y", 2, POLY)
     assert circuits.member(product.collapse_coefficients())
-    assert not circuits.member(P("x + y + 0", 2).collapse_coefficients())
-    assert not circuits.member(P("x + y + x*y", 2).collapse_coefficients())
+    assert not circuits.member(P("x + y + 0", 2, POLY).collapse_coefficients())
+    assert not circuits.member(P("x + y + x*y", 2, POLY).collapse_coefficients())
 
 
 # -- membership equivalence at desk scale ------------------------------------------------------

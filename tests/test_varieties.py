@@ -6,7 +6,6 @@ from math import gcd, lcm
 
 import pytest
 
-from tropica.parsing import parse_polynomial
 from tropica.polyhedra import contains_point
 from tropica.polynomials import LAURENT, POLY, Polynomial
 from tropica.primes import bend_ideal_member, variety_of_prime
@@ -27,9 +26,7 @@ from tropica.varieties import (
     vanishes_on_complex,
 )
 
-
-def P(text, n=None, mode=LAURENT):
-    return parse_polynomial(text, mode, n)
+from oracles.parsing import P
 
 
 def L(text, n=None):
