@@ -19,14 +19,16 @@ U_int @ (D c, D u), and terms compare as their keys compare
 lexicographically.  Polynomial exponents are integers, so for a polynomial
 D is the lcm of its coefficient denominators alone.
 
-Every query asks only for the top class, which ``_top_class`` finds by
-lexicographic refinement: row 0 is computed for every term and only the
-terms attaining its maximum are kept, then row 1 for those survivors, and so
-on.  Lemma: under a lexicographic order a term that is below the maximum on
-row k is below the top whatever its later entries, and the survivors of
-rows 0..k-1 agree on those rows.  So the survivors after the last row are
-exactly the terms whose key equals max(keys), and the row maxima are that
-key.  Only the terms still tied get a row's entry computed.
+A polynomial query asks only for the top class, which ``_polynomial_top``
+finds by lexicographic refinement: row 0 is computed for every term and
+only the terms attaining its maximum are kept, then row 1 for those
+survivors, and so on.  Lemma: under a lexicographic order a term that is
+below the maximum on row k is below the top whatever its later entries,
+and the survivors of rows 0..k-1 agree on those rows.  So the survivors
+after the last row are exactly the terms whose key equals max(keys), and
+the row maxima are that key.  Only the terms still tied get a row's entry
+computed.  ``compare_terms`` has two terms, so it compares their full keys
+(``_keys``).
 
 For a polynomial the entry of row k = (c0, rest) is read off each term
 (c, u) as c0 (D c) + D (rest . u), with no scaled vector built per term.
@@ -169,27 +171,11 @@ def _keys(matrix: AdmissibleMatrix, vectors) -> tuple[list[tuple[int, ...]], int
     return [tuple(sum(map(mul, row, v)) for row in rows) for v in scaled], den
 
 
-def _top_class(matrix: AdmissibleMatrix, vectors) -> tuple[list[int], tuple[int, ...]]:
-    """Indices of the integer vectors whose key U_int @ v is the largest, and that key.
-
-    Lexicographic refinement (module docstring): each row is computed only
-    for the vectors that attained the maximum of every earlier row.
-    """
-    tied = range(len(vectors))
-    key = []
-    for row in matrix.cleared_rows:
-        values = [sum(map(mul, row, vectors[i])) for i in tied]
-        top = max(values)
-        key.append(top)
-        tied = [i for i, value in zip(tied, values) if value == top]
-    return tied, tuple(key)
-
-
 def _polynomial_top(matrix: AdmissibleMatrix, f: Polynomial) -> tuple[list[int], tuple[int, ...], int]:
     """The top class of a non-zero f as indices into ``f.terms()``, its key, and D.
 
-    The ``_top_class`` refinement, with each row's entries read off the
-    terms as the module docstring states.
+    The lexicographic refinement of the module docstring, with each row's
+    entries read off the terms.
     """
     if f.n != matrix.n:
         raise ValueError(f"polynomial has {f.n} variables, expected {matrix.n}")
@@ -213,12 +199,11 @@ def _polynomial_top(matrix: AdmissibleMatrix, f: Polynomial) -> tuple[list[int],
 
 
 def compare_terms(matrix: AdmissibleMatrix, t1: Term, t2: Term) -> str:
-    """Sign of the first non-zero entry of U @ (t1 - t2)."""
-    scaled, _ = _scaled([_term_vector(t1, matrix.n), _term_vector(t2, matrix.n)])
-    tied, _ = _top_class(matrix, scaled)
-    if len(tied) == 2:
+    """Sign of the first non-zero entry of U @ (t1 - t2): the order of the two full keys."""
+    (key1, key2), _ = _keys(matrix, [_term_vector(t1, matrix.n), _term_vector(t2, matrix.n)])
+    if key1 == key2:
         return EQUAL
-    return GREATER if tied[0] == 0 else LESS
+    return GREATER if key1 > key2 else LESS
 
 
 def leading_class(matrix: AdmissibleMatrix, f: Polynomial) -> tuple[Exponents, ...]:

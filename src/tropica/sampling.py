@@ -4,10 +4,11 @@ Used by the property suites, the CLI axiom checker and the experiment
 scripts.  Everything draws from a caller-supplied random.Random so runs are
 reproducible.
 
-The member samplers (``point_members``, ``prime_members``) draw on
-integers: a draw is accepted or rejected on integer data, before any
-``Polynomial`` is built.  The CLI axiom checker samples only non-geometric
-primes; on a geometric prime the axiom holds for every member.
+The member sampler ``prime_members`` draws on integers: a draw is
+accepted or rejected on integer data, before any ``Polynomial`` is built.
+The CLI axiom checker samples only non-geometric primes; on a geometric
+prime the axiom holds for every member (lemma (a), in ``cli``), so it
+draws none.
 """
 
 from __future__ import annotations
@@ -17,14 +18,8 @@ import random
 from fractions import Fraction
 from operator import mul
 
-from .polyhedra import _int_point
 from .polynomials import LAURENT, POLY, Polynomial, term_key
-from .primes import (
-    AdmissibilityError,
-    AdmissibleMatrix,
-    check_admissible,
-    geometric_prime_of_point,
-)
+from .primes import AdmissibilityError, AdmissibleMatrix, check_admissible
 from .tropical_linear import MembershipSample, MonomialWindow
 
 DRAWN_GAPS = range(-4, 5)  # c1 - c2 for two coefficients drawn in -2..2
@@ -106,90 +101,6 @@ def require_member_window(window: MonomialWindow) -> None:
     """A member has two terms, so its window must hold two monomials."""
     if len(window) < 2:
         raise ValueError(f"the window holds {len(window)} monomial; a member needs two terms")
-
-
-def _member_draws(
-    rng: random.Random, point, mode: str, max_extra: int, max_deg: int, max_total: int | None = None
-):
-    """Endless member draws at ``point``: one (scale, terms) per draw.
-
-    A draw pins two distinct exponents to a common value ``target`` and
-    pushes up to ``max_extra`` further exponents below it by ``drop``; its
-    RNG calls are those of ``random_fraction`` and ``random_exponents``, in
-    that order.  ``terms`` maps each exponent to its coefficient times
-    ``scale``, an integer.
-
-    Lemma: with the point as nums / den, ``scale = 6 * den`` clears every
-    coefficient.  A coefficient is target - e . point - drop (drop 0 for the
-    pinned two); target and drop have denominators in 1..3, which divide 6,
-    and 6 den (e . point) = 6 (e . nums).  Equal polynomials thus have equal
-    terms.  With ``max_total``, a draw whose total degree exceeds it yields
-    ``terms`` None, before any arithmetic.
-    """
-    require_member_degree(max_deg)
-    nums, den = _int_point(point)
-    n, scale = len(nums), 6 * den
-    while True:
-        target = rng.randint(-4, 4) * (6 // rng.randint(1, 3)) * den
-        support: set[tuple[int, ...]] = set()
-        while len(support) < 2:
-            support.add(random_exponents(rng, n, mode, max_deg))
-        drops = dict.fromkeys(support, 0)
-        for _ in range(rng.randint(0, max_extra)):
-            expo = random_exponents(rng, n, mode, max_deg)
-            if expo not in drops:
-                drops[expo] = rng.randint(1, 4) * (6 // rng.randint(1, 3)) * den
-        if max_total is not None and max(map(sum, drops)) > max_total:
-            yield scale, None
-        else:
-            yield scale, {e: target - 6 * sum(map(mul, e, nums)) - d for e, d in drops.items()}
-
-
-def _member_polynomial(scale: int, terms: dict, mode: str) -> Polynomial:
-    n = len(next(iter(terms)))
-    return Polynomial({e: Fraction(c, scale) for e, c in terms.items()}, n, mode)
-
-
-def random_member_polynomial(
-    rng: random.Random,
-    point,
-    mode: str = LAURENT,
-    max_extra: int = 3,
-    max_deg: int = 2,
-) -> Polynomial:
-    """Random polynomial whose maximum at ``point`` is attained at least twice.
-
-    Two support elements are pinned to a common value; any further terms are
-    pushed strictly below it.  The point is read exactly (no floats).  The
-    draw is one of ``_member_draws``.
-    """
-    scale, terms = next(_member_draws(rng, point, mode, max_extra, max_deg))
-    return _member_polynomial(scale, terms, mode)
-
-
-def point_members(rng: random.Random, point, window: MonomialWindow, count: int) -> MembershipSample:
-    """``count`` distinct members of the geometric prime at ``point``, inside ``window``.
-
-    The prime is ``geometric_prime_of_point(point, window.mode)``, whose bend
-    ideal holds the polynomials that vanish at the point.  Members are the
-    draws of ``random_member_polynomial`` with the window's mode and degree
-    whose total degree fits the window.  Stops at ``count`` members or
-    ``count * 200`` draws, since a small window may hold fewer members.
-    Repeats are found on the integer terms of ``_member_draws``, so one
-    ``Polynomial`` is built per member returned.
-    """
-    prime = geometric_prime_of_point(point, window.mode)
-    draws = _member_draws(rng, point, window.mode, 3, window.degree, window.degree)
-    members: dict[frozenset, Polynomial] = {}
-    attempts = 0
-    while len(members) < count and attempts < count * 200:
-        attempts += 1
-        scale, terms = next(draws)
-        if terms is not None:
-            key = frozenset(terms.items())
-            if key not in members:
-                members[key] = _member_polynomial(scale, terms, window.mode)
-    return MembershipSample(tuple(members.values()), prime)
 
 
 def window_admits_member(matrix: AdmissibleMatrix, window: MonomialWindow) -> bool:

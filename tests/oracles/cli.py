@@ -8,7 +8,8 @@ rest of a line that runs on a 1-variable prime, and `SEED_5_ARGV` a
 `SEED_5_STDOUT`.  `readme_json` reads the README's JSON examples.
 
 `ref_cmd_tideal_check` is the former handler of `tideal-check`: it draws
-the full sample of `point_members` or `prime_members` and runs
+the full sample of `oracles.sampling.ref_point_members` (the geometric
+draw loop) or `prime_members` and runs
 `check_tropical_axiom` on it, for every prime.  `ref_run_cli` runs it
 through `cli.main`'s error handling, so that its stdout, stderr and exit
 code compare byte for byte with the handler that decides geometric primes
@@ -25,8 +26,10 @@ from tropica.cli import build_parser, main
 from tropica.parsing import format_polynomial, monomial_text, parse_point
 from tropica.polynomials import LAURENT
 from tropica.primes import matrix_from_json
-from tropica.sampling import point_members, prime_members
+from tropica.sampling import prime_members
 from tropica.tropical_linear import check_tropical_axiom, circuits_from_json, monomial_window
+
+from oracles.sampling import ref_point_members
 
 REPO = Path(__file__).resolve().parents[2]
 TRACE = str(REPO / "traces" / "factor_swap.json")
@@ -107,7 +110,7 @@ def ref_cmd_tideal_check(args):
     elif args.point is not None:
         point = parse_point(args.point)
         window = monomial_window(len(point), mode, degree)
-        description = point_members(random.Random(seed), point, window, trials)
+        description = ref_point_members(random.Random(seed), point, window, trials)
     elif args.matrix is not None:
         matrix = matrix_from_json(cli._load_json_arg(args.matrix), mode)
         window = monomial_window(matrix.n, mode, degree)

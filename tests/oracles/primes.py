@@ -22,9 +22,10 @@ from math import lcm
 from tropica.matrices import dot, int_nullspace, nullspace, to_fraction
 from tropica.polynomials import Polynomial
 from tropica.primes import EQUAL, GREATER, LESS, AdmissibilityError, check_admissible
-from tropica.sampling import random_admissible, random_member_polynomial
+from tropica.sampling import random_admissible
 
 from oracles.matrices import rank
+from oracles.sampling import ref_random_member_polynomial
 
 # -- oracles -----------------------------------------------------------------------
 
@@ -186,7 +187,7 @@ def shifted_polynomial(rng, matrix):
 
 def member_polynomial(rng, matrix):
     point = tuple(small_fraction(rng, 5) for _ in range(matrix.n))
-    return random_member_polynomial(rng, point, max_deg=3)
+    return ref_random_member_polynomial(rng, point, max_deg=3)
 
 
 def tied_terms(rng, matrix, k, count):

@@ -1,17 +1,22 @@
 """Oracles of `tropica.sampling`: the draw loops by their definitions, on the same random stream.
 
-Each oracle draws with the same `random.Random` calls as the library, so a
-test compares samples, polynomials and the generator's state afterwards.
-`ref_random_member_polynomial` and `ref_point_members` are the former
-`Fraction` sampling loop, which built a polynomial for every draw, repeats
-and rejects included.  `ref_prime_members` draws up to three monomials with
-coefficients in -2..2 and keeps a draw whose top key U (c, u), over the
-prime's integer rows, is attained twice; then it tries its partner, one low
-term moved to a random monomial, kept when its top key is attained twice
-too.  It reads no `primes` query.  `ref_random_admissible` is the former
-`random_admissible` loop, which checked the rank itself before
-`check_admissible` checked it again.  The draw primitives `_fraction` and
-`_exponents` are written out here, so no oracle calls `tropica.sampling`.
+`ref_prime_members` and `ref_random_admissible` draw with the same
+`random.Random` calls as the library, so a test compares samples,
+polynomials and the generator's state afterwards.
+`ref_random_member_polynomial` and `ref_point_members` are the one
+geometric draw loop, which the tests build their geometric samples from:
+`tropica` draws no member of a geometric prime, since by lemma (a) the
+elimination axiom holds for every member.  It is a `Fraction` loop that
+builds a polynomial for every draw, repeats and rejects included, and
+`test_point_members_pinned` pins its stream.  `ref_prime_members` draws up
+to three monomials with coefficients in -2..2 and keeps a draw whose top
+key U (c, u), over the prime's integer rows, is attained twice; then it
+tries its partner, one low term moved to a random monomial, kept when its
+top key is attained twice too.  It reads no `primes` query.
+`ref_random_admissible` is the former `random_admissible` loop, which
+checked the rank itself before `check_admissible` checked it again.  The
+draw primitives `_fraction` and `_exponents` are written out here, so no
+oracle calls `tropica.sampling`.
 """
 
 import functools

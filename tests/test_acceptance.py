@@ -12,9 +12,6 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
-from tropica.corpus import SHIPPED_TRACES
 from tropica.krull import contains_bends, coordinate_dimension
 from tropica.polyhedra import EQ, LE
 from tropica.polynomials import POLY, Pair, Polynomial, twisted_mul
@@ -24,12 +21,7 @@ from tropica.primes import (
     pair_in_prime,
     variety_of_prime,
 )
-from tropica.sampling import (
-    point_members,
-    random_admissible,
-    random_nonzero_polynomial,
-    random_point,
-)
+from tropica.sampling import random_admissible, random_nonzero_polynomial, random_point
 from tropica.scalars import is_bottom
 from tropica.traces import load_trace, verify_trace
 from tropica.tropical_linear import (
@@ -44,6 +36,7 @@ from oracles.parsing import P
 from oracles.polyhedra import contains_point, fm_eliminate, make_polyhedron, ref_lift_exists
 from oracles.tropical_linear import combine, grid_scalars
 from oracles.cli import run_cli
+from oracles.sampling import ref_point_members
 
 TRACE_DIR = Path(__file__).resolve().parent.parent / "traces"
 
@@ -203,7 +196,7 @@ def test_criterion_09_tropical_ideal_dichotomy():
         window = monomial_window(2, POLY, 2)
         for _ in range(20):
             point = random_point(rng, 2, -3, 3, 3)
-            sample = point_members(rng, point, window, 14)
+            sample = ref_point_members(rng, point, window, 14)
             npairs = len(sample.samples) * (len(sample.samples) + 1) // 2
             assert npairs >= 100
             result = check_tropical_axiom(sample)

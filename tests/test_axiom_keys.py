@@ -20,7 +20,6 @@ import pytest
 from tropica.polynomials import LAURENT, POLY, Polynomial
 from tropica.primes import check_admissible, geometric_prime_of_point
 from tropica.sampling import (
-    point_members,
     prime_members,
     random_admissible,
     random_fraction,
@@ -35,7 +34,7 @@ from tropica.tropical_linear import (
 )
 
 import oracles.tropical_linear
-from oracles.sampling import assert_no_member_error, ref_prime_members, tied_prime
+from oracles.sampling import assert_no_member_error, ref_point_members, ref_prime_members, tied_prime
 from oracles.tropical_linear import axiom_outcome, ref_check_axiom
 
 FIRST_ENTRIES = ("any", "zero", "positive")
@@ -79,7 +78,7 @@ def _description(seed):
     first = FIRST_ENTRIES[(seed // 48) % 3]
     if kind == 0:
         point = random_point(rng, n, -2, 2, 3)
-        sample = point_members(rng, point, window, rng.randint(2, 7))
+        sample = ref_point_members(rng, point, window, rng.randint(2, 7))
         return "point", sample, lambda h: h.is_zero() or h.vanishes_at(point)
     if kind == 3:
         matrix = tied_prime(rng, n, rank, window.mode)

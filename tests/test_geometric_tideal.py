@@ -1,8 +1,9 @@
 """`tideal-check` on geometric primes, decided by lemma (a) with no sample check.
 
 `ref_cmd_tideal_check` (`oracles.cli`) is the former handler of
-`tideal-check`: it draws the full sample of `point_members` or
-`prime_members` and runs `check_tropical_axiom` on it, for every prime.
+`tideal-check`: it draws the full sample of `ref_point_members` (the
+geometric draw loop of `oracles.sampling`) or `prime_members` and runs
+`check_tropical_axiom` on it, for every prime.
 The oracle test runs it through `cli.main`'s error handling and
 compares stdout, stderr and exit code byte for byte with the handler that
 decides geometric primes by lemma (a) (the `cli._cmd_tideal_check`
@@ -22,11 +23,11 @@ import pytest
 from tropica import cli, sampling
 from tropica.polynomials import LAURENT, POLY
 from tropica.primes import GEOMETRIC, check_admissible, classify_prime, matrix_from_json
-from tropica.sampling import point_members, prime_members, random_admissible, random_point
+from tropica.sampling import prime_members, random_admissible, random_point
 from tropica.tropical_linear import check_tropical_axiom, monomial_window
 
 from oracles.cli import ref_run_cli, run_cli
-from oracles.sampling import tied_prime
+from oracles.sampling import ref_point_members, tied_prime
 
 RARE = ["tideal-check", "--matrix", '[[1,"1/3","2/3"]]', "--mode", "poly", "--degree", "3"]
 RARE_WINDOWS = [
@@ -211,7 +212,6 @@ def _no_draws(monkeypatch, what):
     def no_draws(*_):
         raise AssertionError(f"drew a member for {what}")
 
-    monkeypatch.setattr(sampling, "_member_draws", no_draws)
     monkeypatch.setattr(sampling, "prime_members", no_draws)
     monkeypatch.setattr(cli, "prime_members", no_draws)
     monkeypatch.setattr(cli, "random", SimpleNamespace(Random=no_draws))
@@ -308,7 +308,7 @@ def test_lemma_a_geometric_samples_pass_the_full_check():
         mode = rng.choice((POLY, LAURENT))
         window = monomial_window(n, mode, rng.randint(1, 3 if n < 3 or mode == POLY else 2))
         if checked["point"] <= checked["matrix"]:
-            sample = point_members(rng, random_point(rng, n, -3, 3, 3), window, rng.randint(2, 8))
+            sample = ref_point_members(rng, random_point(rng, n, -3, 3, 3), window, rng.randint(2, 8))
             kind = "point"
         else:
             matrix = random_admissible(rng, n, 1, mode, "positive")

@@ -5,7 +5,8 @@ seeded-input builders that several test modules share.  A test module may
 import from there but not from another test module, so that a change to one
 test file cannot move another's inputs.  Every `ref_*` name and every public
 module-level function of `tests/` (the builders, fixtures and helpers, but
-not the tests themselves) is defined in one file only.
+not the tests themselves) is defined in one file only.  No module of `src/`,
+`tests/` or `scripts/` imports a name at its top level that it never loads.
 """
 
 import ast
@@ -14,6 +15,7 @@ from functools import cache
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
+REPO = TESTS.parent
 
 
 def _modules():
@@ -41,6 +43,21 @@ def _definitions(tree):
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             yield from ((t.id, "assign") for t in targets if isinstance(t, ast.Name))
+
+
+def _unused_imports(tree):
+    """Names a module imports at its top level and never loads; a name in `__all__` is loaded."""
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            loaded.update(ast.literal_eval(node.value))
+    return sorted(imported - loaded)
 
 
 def test_no_test_module_imports_another():
@@ -74,3 +91,18 @@ def test_oracles_are_found_where_the_tests_read_them():
     names = {path.relative_to(TESTS).as_posix() for path in _modules()}
     assert {"oracles/polyhedra.py", "oracles/varieties.py", "test_layout.py"} <= names
     assert not (TESTS / "fraction_polyhedra.py").exists()
+
+
+def test_no_module_imports_a_name_it_never_loads():
+    planted = "from __future__ import annotations\nimport os, a.b\nfrom c import d as e, f\n__all__ = ['f']\na.x\n"
+    assert _unused_imports(ast.parse(planted)) == ["e", "os"]
+    paths = [*REPO.glob("src/**/*.py"), *TESTS.glob("**/*.py"), *REPO.glob("scripts/*.py")]
+    assert {"src/tropica/sampling.py", "tests/oracles/sampling.py", "scripts/showcase.py"} <= {
+        path.relative_to(REPO).as_posix() for path in paths
+    }
+    found = {}
+    for path in sorted(paths):
+        unused = _unused_imports(_tree(path))
+        if unused:
+            found[path.relative_to(REPO).as_posix()] = unused
+    assert not found, found

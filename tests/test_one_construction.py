@@ -1,12 +1,13 @@
-"""Each polynomial is built once: the parser, the point sampler and the trace reader.
+"""Each polynomial is built once: the parser, the prime sampler and the trace reader.
 
 The oracles are those of `oracles.parsing` and `oracles.sampling`:
 `ref_parse_polynomial` is the former term-by-term fold of
 `parse_polynomial` (one polynomial per term, summed one at a time), and
 `ref_cli_polynomials` the former two-pass reading of `--poly` texts without
 `--nvars`.  `ref_random_member_polynomial` and `ref_point_members` are the
-former `Fraction` sampling loop, which built a polynomial for every draw,
-repeats and rejects included.  `ref_prime_members` decides each draw and
+one geometric draw loop, which the tests build their geometric samples
+from: `tropica` draws no member of a geometric prime, which passes the
+elimination axiom by lemma (a).  `ref_prime_members` decides each draw and
 its partner by the top key of its terms over the prime's integer rows.
 Where `ref_prime_members` draws no member, `prime_members` raises instead
 (`assert_no_member_error`).
@@ -24,15 +25,14 @@ from tropica import parsing, traces
 from tropica.matrices import dot
 from tropica.parsing import ParseError, parse_polynomial, parse_polynomials
 from tropica.polynomials import LAURENT, POLY, Polynomial
-from tropica.primes import AdmissibilityError, check_admissible
-from tropica.sampling import (
-    point_members,
-    prime_members,
-    random_admissible,
-    random_member_polynomial,
-    random_point,
-    window_admits_member,
+from tropica.primes import (
+    AdmissibilityError,
+    bend_ideal_member,
+    check_admissible,
+    geometric_prime_of_point,
+    variety_of_prime,
 )
+from tropica.sampling import prime_members, random_admissible, random_point, window_admits_member
 from tropica.tropical_linear import monomial_window
 
 from oracles.matrices import rank
@@ -151,59 +151,67 @@ def _case(seed):
     return point, monomial_window(n, mode, degree), rng.randint(0, 12)
 
 
-def test_point_members_match_fraction_loop():
+def test_point_members_lie_in_the_geometric_prime():
+    # the geometric draw loop against the package's own membership test;
     # x + c at the origin holds 19 members: the last three cases run out of draws
     small = [((Fraction(0),), monomial_window(1, POLY, 1), 20)] * 3
     exhausted = 0
     for seed, (point, window, count) in enumerate([_case(seed) for seed in range(420)] + small):
-        ours, theirs = random.Random(seed), random.Random(seed)
-        sample = point_members(ours, point, window, count)
-        expected = ref_point_members(theirs, point, window, count)
-        assert sample.samples == expected.samples, seed
-        assert sample.prime == expected.prime
-        assert ours.getstate() == theirs.getstate(), seed
+        sample = ref_point_members(random.Random(seed), point, window, count)
+        assert sample.prime == geometric_prime_of_point(point, window.mode)
+        w = variety_of_prime(sample.prime)
+        assert len(set(sample.samples)) == len(sample.samples) <= count
+        for v in sample.samples:
+            assert v.degree() <= window.degree and v.vanishes_at(w), seed
+            assert bend_ideal_member(sample.prime, v), seed
         exhausted += len(sample.samples) < count
     assert exhausted >= 3
 
 
-def test_random_member_polynomial_matches_fraction_loop():
+def test_random_member_polynomial_lies_in_the_geometric_prime():
     for seed in range(400):
         rng = random.Random(seed)
         n = rng.randint(1, 4)
         point = random_point(rng, n, -4, 4, 5)
         mode = rng.choice((LAURENT, POLY))
-        args = (mode, rng.randint(0, 4), rng.randint(1, 3))
-        ours, theirs = random.Random(seed), random.Random(seed)
-        f = random_member_polynomial(ours, point, *args)
-        assert f == ref_random_member_polynomial(theirs, point, *args), seed
-        assert f.terms() == ref_random_member_polynomial(random.Random(seed), point, *args).terms()
-        assert ours.getstate() == theirs.getstate()
-        assert f.vanishes_at(point)
+        max_extra, max_deg = rng.randint(0, 4), rng.randint(1, 3)
+        f = ref_random_member_polynomial(rng, point, mode, max_extra, max_deg)
+        assert 2 <= len(f.support()) <= 2 + max_extra, seed
+        assert all(abs(e) <= max_deg for expo in f.support() for e in expo)
+        assert f.vanishes_at(point), seed
+        assert bend_ideal_member(geometric_prime_of_point(point, mode), f), seed
+
+
+_SAMPLER_ERRORS = [
+    ("member", ((Fraction(1),), POLY, 3, 0), "member polynomials need max_deg >= 1"),
+    ("member", ((0.5,), POLY), "floating point values are not allowed"),
+    ("member", ((0.5,), POLY, 3, 0), "member polynomials need max_deg >= 1"),
+    ("member", (("1/0",), LAURENT), "zero denominator in '1/0'"),
+    ("points", ((Fraction(0),), monomial_window(1, POLY, 0), 1), "member polynomials need max_deg >= 1"),
+    ("points", ((0.1,), monomial_window(1, POLY, 2), 3), "floating point values are not allowed"),
+]
 
 
 @pytest.mark.parametrize(
-    "call, args",
-    [
-        ("member", ((Fraction(1),), POLY, 3, 0)),
-        ("member", ((0.5,), POLY)),
-        ("member", ((0.5,), POLY, 3, 0)),
-        ("member", (("1/0",), LAURENT)),
-        ("points", ((Fraction(0),), monomial_window(1, POLY, 0), 1)),
-        ("points", ((0.1,), monomial_window(1, POLY, 2), 3)),
-    ],
+    "call, args, message",
+    _SAMPLER_ERRORS,
+    ids=[f"{call}-args{i}" for i, (call, _, _) in enumerate(_SAMPLER_ERRORS)],
 )
-def test_sampler_errors_kept(call, args):
-    ours = (random_member_polynomial, point_members)[call == "points"]
-    theirs = (ref_random_member_polynomial, ref_point_members)[call == "points"]
-    got = outcome(ours, random.Random(0), *args)
-    assert got[0] == "ValueError" and got == outcome(theirs, random.Random(0), *args)
+def test_sampler_errors_kept(call, args, message):
+    # the geometric draw loop rejects its input before any draw
+    sampler = (ref_random_member_polynomial, ref_point_members)[call == "points"]
+    rng = random.Random(0)
+    state = rng.getstate()
+    got = outcome(sampler, rng, *args)
+    assert got[0] == "ValueError" and got[1].startswith(message)
+    assert rng.getstate() == state
 
 
 def test_point_members_count_zero_draws_nothing():
     # a degree-0 window raises only once a draw is made, as before
     rng = random.Random(0)
     state = rng.getstate()
-    assert point_members(rng, (Fraction(0),), monomial_window(1, POLY, 0), 0).samples == ()
+    assert ref_point_members(rng, (Fraction(0),), monomial_window(1, POLY, 0), 0).samples == ()
     assert rng.getstate() == state
 
 
@@ -346,15 +354,6 @@ def constructions(monkeypatch):
 def test_one_construction_per_parse(constructions, text):
     parse_polynomial(text, LAURENT)
     assert constructions[0] == 1
-
-
-def test_point_members_build_one_polynomial_per_member(constructions):
-    # x + c at the origin: about 19 members exist, so most draws repeat
-    sample = point_members(random.Random(1), (Fraction(0),), monomial_window(1, POLY, 1), 30)
-    assert constructions[0] == len(sample.samples) == len(set(sample.samples))
-    constructions[0] = 0
-    sample = point_members(random.Random(2), (Fraction(1, 2), Fraction(-1)), monomial_window(2, POLY, 2), 25)
-    assert constructions[0] == len(sample.samples) == 25
 
 
 def test_prime_members_build_one_polynomial_per_member(constructions):

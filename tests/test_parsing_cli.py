@@ -565,8 +565,7 @@ def test_cli_tideal_check_trials_above_cap_is_domain_error(capsys, monkeypatch, 
     def no_draws(*_):
         raise AssertionError("sampled although --trials is over the cap")
 
-    # the draw loop of point_members, and the sampler the CLI imports by name
-    monkeypatch.setattr(sampling, "_member_draws", no_draws)
+    # the sampler in its module, and where the CLI imports it by name
     monkeypatch.setattr(sampling, "prime_members", no_draws)
     monkeypatch.setattr(cli, "prime_members", no_draws)
     code, out, err = run_cli(["tideal-check", *args, "--trials", str(cli.MAX_TRIALS + 1)], capsys)

@@ -6,7 +6,6 @@ calls the library's integer functions.  The last section calls those
 functions on integer rows directly.
 """
 
-import itertools
 import random
 from fractions import Fraction
 

@@ -19,7 +19,7 @@ from tropica.polynomials import (
     unit_pair,
 )
 from tropica.sampling import random_point, random_polynomial
-from tropica.scalars import BOTTOM, is_bottom, trop_add, trop_mul
+from tropica.scalars import is_bottom, trop_add, trop_mul
 
 from oracles.parsing import P
 

@@ -1,14 +1,13 @@
 """Admissible matrices: ordering, membership, classification, varieties."""
 
-import itertools
 import random
 from fractions import Fraction
 from operator import mul
 
 import pytest
 
-from tropica.matrices import int_rank
-from tropica.polynomials import Pair, Polynomial, twisted_mul
+from tropica.matrices import dot, int_rank
+from tropica.polynomials import LAURENT, POLY, Pair, Polynomial, twisted_mul
 from tropica.primes import (
     EQUAL,
     GREATER,
@@ -375,6 +374,59 @@ def test_at_most_one_point():
         m = random_admissible(rng, n, rng.randint(1, n + 1))
         point = variety_of_prime(m)
         assert point is None or len(point) == n
+
+
+def _refuting_pair(w, x, mode):
+    """A pair that holds at w and fails at x != w, read off one coordinate where they differ.
+
+    With d = |x_i - w_i| / 2: for x_i > w_i the pair (x_i + (w_i + d), w_i + d),
+    whose first side is the constant at w and x_i at x; for x_i < w_i the pair
+    (x_i + (w_i - d), x_i), whose first side is x_i at w and w_i - d at x.
+    """
+    n = len(w)
+    i = next(j for j in range(n) if x[j] != w[j])
+    d = abs(x[i] - w[i]) / 2
+    variable = Polynomial.variable(i, n, mode)
+    if x[i] > w[i]:
+        level = Polynomial.constant(w[i] + d, n, mode)
+        return variable + level, level
+    return variable + Polynomial.constant(w[i] - d, n, mode), variable
+
+
+def test_first_result_every_other_point_is_refuted():
+    # the paper's first result: the variety of a prime is its point w or empty.
+    # Every x != w is refuted by a pair the prime accepts; with column 0 of
+    # row 0 zero, row 0 is (0, a), b = sign(a_i) e_i has a.b > 0, and the prime
+    # accepts (x^b + c, x^b) for every c, a pair that fails at x once c > b.x
+    rng = random.Random(16)
+    refuted = {"positive": 0, "zero": 0}
+    for trial in range(400):
+        n = rng.randint(1, 4)
+        first = ("positive", "zero")[trial % 2]
+        mode = LAURENT if first == "zero" else rng.choice((LAURENT, POLY))
+        m = random_admissible(rng, n, rng.randint(1, n + 1), mode, first)
+        w = variety_of_prime(m)
+        assert (w is None) == (first == "zero")
+        for _ in range(3):
+            if w is not None:
+                x = tuple(wj + random_fraction(rng) if rng.random() < 0.5 else wj for wj in w)
+                if x == w:
+                    continue
+                f, g = _refuting_pair(w, x, mode)
+                assert f.evaluate(w) == g.evaluate(w)
+                fails = True
+            else:
+                x = random_point(rng, n)
+                i = next(j for j, a in enumerate(m.rows[0][1:]) if a)
+                b = tuple((1 if m.rows[0][1 + i] > 0 else -1) * (j == i) for j in range(n))
+                c = dot(b, x) + random_fraction(rng)
+                g = Polynomial.term(0, b, n, mode)
+                f = g + Polynomial.constant(c, n, mode)
+                fails = c > dot(b, x)
+            assert pair_in_prime(m, f, g), (m.rows, x)
+            assert (f.evaluate(x) != g.evaluate(x)) == fails, (m.rows, x)
+            refuted[first] += fails
+    assert min(refuted.values()) >= 200, refuted
 
 
 def test_geometric_round_trip():

@@ -2,7 +2,6 @@
 
 import json
 import random
-from fractions import Fraction
 from pathlib import Path
 
 import pytest

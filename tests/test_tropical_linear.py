@@ -9,7 +9,7 @@ import pytest
 from tropica.parsing import format_polynomial
 from tropica.polynomials import LAURENT, POLY, Polynomial
 from tropica.primes import bend_ideal_member, check_admissible, geometric_prime_of_point, variety_of_prime
-from tropica.sampling import point_members, prime_members, random_member_polynomial, random_point
+from tropica.sampling import prime_members, random_point
 from tropica.scalars import BOTTOM, is_bottom
 from tropica import tropical_linear
 from tropica.tropical_linear import (
@@ -25,6 +25,7 @@ from tropica.tropical_linear import (
 from tropica.varieties import affine_prevariety, prevariety
 
 from oracles.parsing import P
+from oracles.sampling import ref_point_members, ref_random_member_polynomial
 from oracles.tropical_linear import combine, grid_scalars, ref_elimination_witness, ref_set_witness
 
 
@@ -232,15 +233,15 @@ def test_axiom_passes_for_geometric_primes():
     w = monomial_window(2, POLY, 2)
     for _ in range(6):
         point = random_point(rng, 2, -2, 2, 2)
-        result = check_tropical_axiom(point_members(rng, point, w, 10))
+        result = check_tropical_axiom(ref_point_members(rng, point, w, 10))
         assert result.passed, result.counterexample
 
 
 def test_point_members_pinned():
-    # the samples and RNG state of the sampling loop that point_members replaced
+    # the samples and RNG state of the geometric draw loop, which the tests build from
     rng = random.Random(0)
     point = (Fraction(1), Fraction(-1, 2))
-    sample = point_members(rng, point, monomial_window(2, POLY, 2), 4)
+    sample = ref_point_members(rng, point, monomial_window(2, POLY, 2), 4)
     assert [format_polynomial(v) for v in sample.samples] == [
         "-3/2*x*y + y^2", "-5*x^2 + -3", "-3/2*x + y", "3*y^2 + 1*x",
     ]
@@ -248,17 +249,17 @@ def test_point_members_pinned():
     assert variety_of_prime(sample.prime) == point
     assert all(bend_ideal_member(sample.prime, v) for v in sample.samples)
     # x + c at the origin: few members, so draws repeat and only distinct ones count
-    small = point_members(random.Random(1), (Fraction(0),), monomial_window(1, POLY, 1), 12)
+    small = ref_point_members(random.Random(1), (Fraction(0),), monomial_window(1, POLY, 1), 12)
     assert len(set(small.samples)) == 12
 
 
 def test_member_samplers_reject_float_points():
     # 0.1 was read as 3602879701896397/36028797018963968 and leaked into the samples
     with pytest.raises(ValueError):
-        random_member_polynomial(random.Random(0), (0.1,), POLY)
+        ref_random_member_polynomial(random.Random(0), (0.1,), POLY)
     with pytest.raises(ValueError):
-        point_members(random.Random(0), (0.1,), monomial_window(1, POLY, 2), 3)
-    sample = point_members(random.Random(0), ("1/10",), monomial_window(1, POLY, 2), 3)
+        ref_point_members(random.Random(0), (0.1,), monomial_window(1, POLY, 2), 3)
+    sample = ref_point_members(random.Random(0), ("1/10",), monomial_window(1, POLY, 2), 3)
     assert variety_of_prime(sample.prime) == (Fraction(1, 10),)
 
 
