@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .polyhedra import affine_hull_directions, line_bounds
+from .polyhedra import _fractions, affine_hull_directions, line_bounds
 from .polynomials import Polynomial
 from .primes import AdmissibleMatrix, bend_ideal_member, check_admissible
 from .varieties import Cell, PolyComplex, complex_dim, prevariety
@@ -54,26 +54,18 @@ def contains_bends(matrix: AdmissibleMatrix, gens: list[Polynomial]) -> bool:
     return all(bend_ideal_member(matrix, g) for g in gens)
 
 
-def _interior_shift(cell: Cell, direction) -> tuple[Fraction, ...]:
-    """omega + t * direction staying inside the cell, with t > 0 rational."""
-    omega = cell.interior_point
-    _, t_max = line_bounds(cell.rows, omega, direction)
-    t = Fraction(1) if t_max is None else t_max / 2
-    if t <= 0:
-        raise ValueError("interior point is not strictly inside the cell")
-    return tuple(w + t * d for w, d in zip(omega, direction))
-
-
 def witness_prime(x: PolyComplex, gens: list[Polynomial]) -> AdmissibleMatrix:
     """Admissible matrix of rank d+1 whose prime contains every generator bend.
 
     Rows are (1, p) for d+1 affinely independent rational points of a maximal
-    cell: its relative interior point and one shift along each affine-hull
-    basis direction.  The directions are read off that point: the rows tight
-    there are the equalities and implicit equalities of the cell, so their
-    nullspace is its affine hull (``affine_hull_directions``).  Ties between
-    maximal cells are broken by the canonical cell serialization, so the
-    witness is deterministic.
+    cell: its relative interior point omega, and omega + t v for each
+    affine-hull basis direction v, with t half the way to the cell's boundary
+    (1 on a ray).  The directions are read off the point (nums, den) as the
+    cell keeps it: the rows tight there are the equalities and implicit
+    equalities of the cell, so their nullspace is its affine hull
+    (``affine_hull_directions``).  Only then is omega made rational, once.
+    Ties between maximal cells are broken by the canonical cell
+    serialization, so the witness is deterministic.
     """
     if not x.cells:
         raise EmptyVarietyError("cannot build a witness over an empty complex")
@@ -81,14 +73,17 @@ def witness_prime(x: PolyComplex, gens: list[Polynomial]) -> AdmissibleMatrix:
         raise ValueError("witness construction expects an R^n complex")
     d = complex_dim(x)
     cell = min((c for c in x.cells if c.dim == d), key=Cell.key)
-    omega = cell.interior_point
-    rows = [[Fraction(1), *omega]]
-    directions = affine_hull_directions(cell.rows, x.ambient, omega)
+    directions = affine_hull_directions(cell.rows, x.ambient, cell.interior_point)
     if len(directions) != d:  # a boundary point has more tight rows
         raise ValueError("interior point is not strictly inside the cell")
+    omega = _fractions(cell.interior_point)
+    rows = [[Fraction(1), *omega]]
     for direction in directions:
-        point = _interior_shift(cell, direction)
-        rows.append([Fraction(1), *point])
+        _, t_max = line_bounds(cell.rows, omega, direction)
+        t = Fraction(1) if t_max is None else t_max / 2
+        if t <= 0:
+            raise ValueError("interior point is not strictly inside the cell")
+        rows.append([Fraction(1), *(w + t * v for w, v in zip(omega, direction))])
     mode = gens[0].mode if gens else x.mode
     return check_admissible(rows, x.ambient, mode)
 

@@ -6,10 +6,10 @@ Fourier-Motzkin elimination with equality pivoting and deduplication of
 parallel rows; no LP solver and no floating point.  There is one
 implementation of each solve: ``_int_feasible_point`` (a point as integers
 (nums, den), the point nums / den), ``_int_implicit_equalities`` and
-``_int_interior_point``.  ``_fractions`` and ``_int_point`` turn a point
-into rational coordinates and back; ``dimension``, ``contains_point``,
-``affine_hull_directions`` and ``line_bounds`` read integer rows too.
-Rational constraints are cleared of denominators once, by ``_int_row``.
+``_int_interior_point``.  ``dimension``, ``contains_point``,
+``affine_hull_directions`` and ``line_bounds`` read integer rows too, the
+middle two with the point (nums, den) as the solve returns it.  Rational
+constraints are cleared of denominators once, by ``_int_row``.
 
 Representation lemma: the solve fixes x_k from the fibre of the projection
 onto x_1..x_k over the coordinates already fixed.  It takes the forced
@@ -302,9 +302,9 @@ def _int_point(point) -> IntPoint:
     return tuple(x.numerator * (den // x.denominator) for x in point), den
 
 
-def contains_point(rows: list[IntRow], point) -> bool:
-    """Whether the rational point satisfies every EQ and LE row."""
-    nums, den = _int_point(point)
+def contains_point(rows: list[IntRow], point: IntPoint) -> bool:
+    """Whether the point nums / den satisfies every EQ and LE row."""
+    nums, den = point
     for a, b, rel in rows:
         value, bound = sum(map(mul, a, nums)), b * den
         if value > bound or (rel == EQ and value != bound):
@@ -321,10 +321,11 @@ def dimension(rows: list[IntRow], n: int) -> int:
     return n - int_rank([a for i, (a, _, rel) in enumerate(rows) if rel == EQ or i in implicit])
 
 
-def affine_hull_directions(rows: list[IntRow], n: int, point) -> list[tuple[Fraction, ...]]:
+def affine_hull_directions(rows: list[IntRow], n: int, point: IntPoint) -> list[tuple[Fraction, ...]]:
     """Rational basis of the direction space of the affine hull, read off ``point``.
 
-    ``point`` must be a relative interior point (``_int_interior_point``).
+    ``point`` must be a relative interior point, (nums, den) as
+    ``_int_interior_point`` returns it.
     Tight-row lemma: at such a point the rows that hold with equality are
     exactly the EQ rows and the implicit equalities (Schrijver, *Theory of
     Linear and Integer Programming*, 8.2), so the hull is the nullspace of
@@ -333,7 +334,7 @@ def affine_hull_directions(rows: list[IntRow], n: int, point) -> list[tuple[Frac
     same tight rows, and any positive scaling of the rows, gives the same
     directions.
     """
-    nums, den = _int_point(point)
+    nums, den = point
     return nullspace([a for a, b, _ in rows if sum(map(mul, a, nums)) == b * den], n)
 
 

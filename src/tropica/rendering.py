@@ -69,8 +69,9 @@ def render_svg(x: PolyComplex, bbox) -> str:
         found = _int_feasible_point(clipped, 2)
         if found is None:
             continue
-        q = _fractions(_int_interior_point(clipped, 2, found))
-        directions = affine_hull_directions(clipped, 2, q)
+        at = _int_interior_point(clipped, 2, found)
+        directions = affine_hull_directions(clipped, 2, at)
+        q = _fractions(at)  # rational, for line_bounds and the SVG mapper
         if len(directions) >= 2:
             raise ValueError("2-dimensional cells are not supported by the renderer")
         if directions:

@@ -41,10 +41,10 @@ by the representation lemma of ``polyhedra`` they give the same points.
 Argmax sets are compared as integers L den times the term values at the
 point nums / den; L den > 0 keeps their order.  A tie cell picks its rows
 from the difference table, and a cell keeps integer rows with a canonical
-scale (see ``Cell``).  Rational text ("p/q") appears only where a complex
-is written to or read from JSON (``complex_to_json``,
-``complex_from_json``), in the SVG, and in the sort key of a cell, which
-writes it from the integers (``_text``).
+scale and the solve's interior point (nums, den) (see ``Cell``).  Rational
+text ("p/q") appears only where a complex is written to or read from JSON
+(``complex_to_json``, ``complex_from_json``), in the SVG, in a witness
+row, and in the sort key of a cell, written from the integers by ``_text``.
 
 Conventions: monomials never vanish and the zero polynomial vanishes nowhere
 on R^n, so both contribute empty hypersurfaces.  On a bottom stratum of the
@@ -67,9 +67,9 @@ from .polyhedra import (
     LT,
     IntPoint,
     IntRow,
-    _fractions,
     _int_feasible_point,
     _int_interior_point,
+    _int_point,
     _tight_rows,
     affine_hull_directions,
     contains_point,
@@ -89,13 +89,17 @@ class Cell:
     cells with the same constraints are then equal however they were made:
     computed, or read back from JSON.  ``stratum`` lists the variables pinned
     to bottom; the rows live in the space of the remaining coordinates (in
-    increasing variable order), as many as the interior point has.
+    increasing variable order).  The interior point is the solve's ``IntPoint``
+    (nums, den).  Point lemma: ``_int_feasible_point`` reduces each coordinate
+    t / q and keeps den = lcm of the reduced q, so (nums, den) is canonical:
+    ``_int_point(_fractions(p)) == p``.  Two cells are therefore equal exactly
+    when their rational points are, and ``_text(v, den)`` is ``str`` of v / den.
     """
 
     rows: tuple[IntRow, ...]
     scale: int
     dim: int
-    interior_point: tuple[Fraction, ...]
+    interior_point: IntPoint
     stratum: tuple[int, ...] = ()
 
     def key(self):
@@ -222,7 +226,7 @@ def _make_cell(
             dim = n - 1  # e_i != e_j
         else:
             dim = n - int_rank([tuple(a - b for a, b in zip(ei, ej)) for ei, ej in tied])
-    return signature, Cell(*_canonical(rows, scale), dim, _fractions(at))
+    return signature, Cell(*_canonical(rows, scale), dim, at)
 
 
 def _contains_any(sig: Signature, smaller: list[Signature]) -> bool:
@@ -340,7 +344,7 @@ def affine_prevariety(gens: list[Polynomial]) -> PolyComplex:
         live = [r for r in restricted if not r.is_zero()]
         if not live:
             ambient = n - len(dead)
-            cells.append(Cell((), 1, ambient, (Fraction(0),) * ambient, dead))
+            cells.append(Cell((), 1, ambient, ((0,) * ambient, 1), dead))
             continue
         cells.extend(replace(cell, stratum=dead) for cell in prevariety(live).cells)
     return PolyComplex(n, POLY, tuple(cells))
@@ -353,7 +357,10 @@ def complex_dim(x: PolyComplex) -> int:
 
 
 def complex_contains_point(x: PolyComplex, point) -> bool:
-    """Point membership in the R^n part of the complex."""
+    """Whether the rational point lies in the R^n part of the complex; it is read once."""
+    point = _int_point(point)
+    if len(point[0]) != x.ambient:
+        raise ValueError(f"point has length {len(point[0])}, expected {x.ambient}")
     return any(cell.stratum == () and contains_point(cell.rows, point) for cell in x.cells)
 
 
@@ -380,7 +387,7 @@ def vanishes_on_complex(f: Polynomial, x: PolyComplex) -> bool:
             return False  # the zero polynomial vanishes nowhere on R^n
         if restricted.is_monomial():
             return False
-        ncoords = len(cell.interior_point)
+        ncoords = x.ambient - len(cell.stratum)
         for others in strict:
             if _int_feasible_point([*cell.rows, *others], ncoords) is not None:
                 return False
@@ -400,6 +407,7 @@ def complex_to_json(x: PolyComplex) -> dict:
     cells = []
     for cell in x.cells:
         s = cell.scale
+        nums, den = cell.interior_point
         cells.append(
             {
                 "stratum": list(cell.stratum),
@@ -407,7 +415,7 @@ def complex_to_json(x: PolyComplex) -> dict:
                 "rhs": [_text(b, s) for _, b, _ in cell.rows],
                 "relations": [rel for _, _, rel in cell.rows],
                 "dim": cell.dim,
-                "interior_point": [str(v) for v in cell.interior_point],
+                "interior_point": [_text(v, den) for v in nums],
             }
         )
     return {"ambient": x.ambient, "mode": x.mode, "cells": cells}
@@ -464,7 +472,8 @@ def complex_from_json(data) -> PolyComplex:
         )
         dim = to_int(json_field(c, "dim", where), "dim")
         _require(0 <= dim <= ncoords, f"dim must be an integer in 0..{ncoords}")
-        point = _rationals(json_field(c, "interior_point", where), ncoords, "interior_point")
+        values = json_field(c, "interior_point", where)
+        point = _int_point(_rationals(values, ncoords, "interior_point"))
         _require(contains_point(rows, point), "interior_point violates the cell's constraints")
         actual = dimension(rows, ncoords)
         _require(dim == actual, f"dim is {dim} but the cell has dimension {actual}")

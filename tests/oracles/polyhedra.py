@@ -10,14 +10,16 @@ projects with the library's `_eliminate_last` and `_normalize`.
 `system_point`, `feasible_point`, `contains_point`, `dimension`,
 `affine_hull_directions` and `line_bounds` read a `Polyhedron` (or a list
 of constraints) and call the library's integer versions on its cleared
-rows; `implicit_equality_indices` is the former
+rows, with a rational point read as (nums, den) by `_int_point` where the
+library takes one; `implicit_equality_indices` is the former
 `polyhedra.implicit_equality_indices`.  `cell_polyhedron` and
 `fraction_cell` convert between a `Cell` and its `Fraction` constraints
 (each row divided by the scale, and back over the lcm of the
-denominators).  Every solve goes through the `polyhedra` module, so a test
-that counts `polyhedra._int_feasible_point` by monkeypatching counts these
-too.  The front end calls `tropica.polyhedra`, so it is no oracle of it: it
-serves the `varieties` oracles, one layer up.
+denominators), and `fraction_cell` keeps its point as (nums, den).  Every
+solve goes through the `polyhedra` module, so a test that counts
+`polyhedra._int_feasible_point` by monkeypatching counts these too.  The
+front end calls `tropica.polyhedra`, so it is no oracle of it: it serves
+the `varieties` oracles, one layer up.
 
 **The oracles.**  `ref_feasible_point` is Fourier-Motzkin elimination on
 `Fraction` rows, with its own normalization (`ref_normalize`) and
@@ -164,7 +166,7 @@ def fm_eliminate(poly: Polyhedron, index: int) -> Polyhedron:
 
 
 def contains_point(poly: Polyhedron, point) -> bool:
-    return polyhedra.contains_point(int_rows(poly), point)
+    return polyhedra.contains_point(int_rows(poly), _int_point(point))
 
 
 def dimension(poly: Polyhedron) -> int:
@@ -172,7 +174,7 @@ def dimension(poly: Polyhedron) -> int:
 
 
 def affine_hull_directions(poly: Polyhedron, point) -> list[tuple[Fraction, ...]]:
-    return polyhedra.affine_hull_directions(int_rows(poly), poly.n, point)
+    return polyhedra.affine_hull_directions(int_rows(poly), poly.n, _int_point(point))
 
 
 def line_bounds(poly: Polyhedron, point, direction):
@@ -199,7 +201,7 @@ def cell_polyhedron(cell: Cell) -> Polyhedron:
     cons = tuple(
         HalfSpace(tuple(Fraction(x, s) for x in a), Fraction(b, s), rel) for a, b, rel in cell.rows
     )
-    return Polyhedron(cons, len(cell.interior_point))
+    return Polyhedron(cons, len(cell.interior_point[0]))
 
 
 def fraction_cell(poly: Polyhedron, dim: int, point, stratum=()) -> Cell:
@@ -210,7 +212,7 @@ def fraction_cell(poly: Polyhedron, dim: int, point, stratum=()) -> Cell:
          h.rhs.numerator * (scale // h.rhs.denominator), h.relation)
         for h in poly.constraints
     )
-    return Cell(rows, scale, dim, tuple(point), tuple(stratum))
+    return Cell(rows, scale, dim, _int_point(point), tuple(stratum))
 
 
 # -- oracles: Fraction Fourier-Motzkin elimination ------------------------------------

@@ -20,6 +20,7 @@ from collections import defaultdict
 from fractions import Fraction
 from math import gcd
 
+from tropica.polyhedra import _fractions
 from tropica.polynomials import LAURENT, POLY, Polynomial
 from tropica.varieties import hypersurface
 
@@ -85,7 +86,7 @@ def test_plane_curves_balance_at_every_vertex():
         assert cells, f
         for cell in cells:
             assert cell.dim == 1, (f, cell)
-            p = cell.interior_point
+            p = _fractions(cell.interior_point)
             weight, d, top, tied_slope = dual_edge(f, p)
             for sign in (1, -1):
                 direction = (sign * d[0], sign * d[1])

@@ -24,7 +24,7 @@ from math import lcm
 import pytest
 
 from tropica import varieties
-from tropica.polyhedra import EQ, LE, LT, _fractions, _tight_rows
+from tropica.polyhedra import EQ, LE, LT, _tight_rows
 from tropica.polynomials import LAURENT, POLY
 from tropica.varieties import complex_to_json, prevariety
 
@@ -83,7 +83,7 @@ def test_signatures_read_off_tie_pairs_match_the_fraction_cells(monkeypatch):
             assert signature == tuple(
                 frozenset((terms[i][0], terms[j][0])) for terms, (i, j) in zip(scaled, pairs)
             )
-            assert cell.interior_point == _fractions(found)
+            assert cell.interior_point == found
             if len(gens) == 1:
                 assert cell.dim == n - 1
             else:

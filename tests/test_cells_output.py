@@ -126,6 +126,8 @@ def test_cells_stdout_pinned(capsys, argv, digest):
 PINS = {
     "hypersurface_cubic_n2_10_terms.json": 16,
     "hypersurface_quadric_n4_5_terms.json": 12,
+    "affine_prevariety_n3_two_gens.json": 31,
+    "dim_poly_n3_quadric.json": 36,
 }
 
 
@@ -133,5 +135,5 @@ PINS = {
 def test_console_script_pins_are_corpus_outputs(name, index):
     """Each pin holds the stdout whose digest the corpus pins, so the two cannot drift apart."""
     pin = Path(__file__).parent / "pins" / name
-    assert CORPUS[index][0][0] == "hypersurface"
+    assert name.startswith(CORPUS[index][0][0].replace("-", "_") + "_")
     assert hashlib.sha256(pin.read_bytes()).hexdigest() == CORPUS[index][1]

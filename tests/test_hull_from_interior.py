@@ -23,7 +23,7 @@ import pytest
 from tropica import polyhedra
 from tropica.krull import coordinate_dimension, witness_prime
 from tropica.parsing import parse_polynomials
-from tropica.polyhedra import EQ, LE
+from tropica.polyhedra import EQ, LE, _fractions, _int_point
 from tropica.polynomials import LAURENT, POLY
 from tropica.rendering import render_svg
 from tropica.sampling import random_polynomial
@@ -107,7 +107,7 @@ def test_hull_of_every_cell_matches_the_probing_oracle(builder):
         for cell in x.cells:
             cells += 1
             point = cell.interior_point
-            directions = polyhedra.affine_hull_directions(cell.rows, len(point), point)
+            directions = polyhedra.affine_hull_directions(cell.rows, len(point[0]), point)
             assert directions == ref_affine_hull_directions(cell_polyhedron(cell)), gens
             assert len(directions) == cell.dim
     assert cells >= 300
@@ -132,8 +132,9 @@ def test_every_cell_round_trips_and_its_boundary_points_do_not(builder):
         assert complex_from_json(data) == x, gens
         for cell, entry in zip(x.cells, data["cells"]):
             cells += 1
-            point = cell.interior_point
-            for direction in polyhedra.affine_hull_directions(cell.rows, len(point), point):
+            point = _fractions(cell.interior_point)
+            hull = polyhedra.affine_hull_directions(cell.rows, len(point), cell.interior_point)
+            for direction in hull:
                 _, hi = polyhedra.line_bounds(cell.rows, point, direction)
                 if hi is None:
                     continue
@@ -166,7 +167,7 @@ def test_witness_rejects_a_boundary_interior_point():
     # a ray with its apex as interior point: the directions read off a
     # boundary point are too few, which the witness must not hide
     ray = (((1, 0), 0, EQ), ((0, 1), 0, LE))
-    x = PolyComplex(2, LAURENT, (Cell(ray, 1, 1, (Fraction(0), Fraction(0))),))
+    x = PolyComplex(2, LAURENT, (Cell(ray, 1, 1, _int_point((Fraction(0), Fraction(0)))),))
     with pytest.raises(ValueError, match="not strictly inside the cell"):
         witness_prime(x, [])
     # JSON cannot carry such a cell: complex_from_json rejects the apex

@@ -21,6 +21,7 @@ import pytest
 from tropica import traces
 from tropica.krull import EmptyVarietyError, coordinate_dimension
 from tropica.parsing import format_polynomial
+from tropica.polyhedra import _fractions
 from tropica.polynomials import LAURENT, POLY
 from tropica.primes import matrix_from_json
 from tropica.traces import trace_from_json, trace_to_json
@@ -169,7 +170,7 @@ def test_dim_witness_round_trips_and_prime_variety_reads_it(capsys):
         cell = next(c for c in x.cells if c.dim == complex_dim(x))
         code, out, err = run_cli(["prime-variety", "--matrix", json.dumps(witness)], capsys)
         assert (code, err) == (0, "")
-        assert json.loads(out) == {"point": [str(v) for v in cell.interior_point]}
+        assert json.loads(out) == {"point": [str(v) for v in _fractions(cell.interior_point)]}
         checked += 1
     assert checked >= 40, checked
 

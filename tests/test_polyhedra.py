@@ -13,7 +13,7 @@ import pytest
 
 from tropica import polyhedra
 from tropica.matrices import dot
-from tropica.polyhedra import EQ, LE, _int_feasible_point, _int_implicit_equalities
+from tropica.polyhedra import EQ, LE, _int_feasible_point, _int_implicit_equalities, _int_point
 
 from oracles.polyhedra import (
     affine_hull_directions,
@@ -244,6 +244,7 @@ def test_integer_row_functions_give_exact_answers_on_integer_input():
     assert polyhedra.line_bounds(seg, (0,), (1,)) == (0, Fraction(3, 2))
     assert all(type(t) is Fraction for t in polyhedra.line_bounds(seg, (1,), (2,)))
     assert polyhedra.dimension(seg, 1) == 1
-    assert polyhedra.affine_hull_directions(seg, 1, (Fraction(3, 4),)) == [(Fraction(1),)]
-    assert polyhedra.affine_hull_directions(seg, 1, (0,)) == []  # a boundary point
-    assert polyhedra.contains_point(seg, ("3/2",)) and not polyhedra.contains_point(seg, (2,))
+    assert polyhedra.affine_hull_directions(seg, 1, _int_point((Fraction(3, 4),))) == [(Fraction(1),)]
+    assert polyhedra.affine_hull_directions(seg, 1, _int_point((0,))) == []  # a boundary point
+    assert polyhedra.contains_point(seg, _int_point(("3/2",)))
+    assert not polyhedra.contains_point(seg, _int_point((2,)))

@@ -6,7 +6,7 @@ from math import gcd, lcm
 
 import pytest
 
-from tropica.polyhedra import contains_point
+from tropica.polyhedra import _fractions, _int_point, contains_point
 from tropica.polynomials import LAURENT, POLY, Polynomial
 from tropica.primes import bend_ideal_member, variety_of_prime
 from tropica.sampling import random_admissible, random_point, random_polynomial
@@ -39,12 +39,12 @@ def test_tropical_line():
     assert complex_dim(x) == 1
     # the origin lies in every cell
     for cell in x.cells:
-        assert contains_point(cell.rows, (0, 0))
+        assert contains_point(cell.rows, _int_point((0, 0)))
 
 
 def test_binomial_point():
     x = hypersurface(L("x + 0", 1))
-    assert [(c.dim, c.interior_point) for c in x.cells] == [(0, (Fraction(0),))]
+    assert [(c.dim, _fractions(c.interior_point)) for c in x.cells] == [(0, (Fraction(0),))]
 
 
 def test_monomial_hypersurface_empty():
@@ -62,7 +62,7 @@ def test_hypersurface_soundness_by_sampling():
         hits += 1
         x = hypersurface(f)
         for cell in x.cells:
-            assert f.vanishes_at(cell.interior_point)
+            assert f.vanishes_at(_fractions(cell.interior_point))
         for _ in range(10):
             p = random_point(rng, 2, -6, 6, 4)
             if not complex_contains_point(x, p):
@@ -84,12 +84,28 @@ def test_off_complex_points_do_not_vanish():
     assert rejected >= 200
 
 
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ((0,), "point has length 1, expected 2"),
+        ((0, 0, 5), "point has length 3, expected 2"),
+        ((0, 0.5), "floating point values are not allowed"),
+    ],
+)
+def test_complex_contains_point_reads_the_point_exactly(point, message):
+    # a point of the wrong length is an error, not a prefix or a padded point
+    x = hypersurface(P("x + y + 0"))
+    assert complex_contains_point(x, (0, 0)) and complex_contains_point(x, ("1/2", "1/2"))
+    with pytest.raises(ValueError, match=message):
+        complex_contains_point(x, point)
+
+
 # -- prevarieties ------------------------------------------------------------------
 
 
 def test_two_binomial_point():
     x = prevariety([L("x + 1", 2), L("y + 2", 2)])
-    assert [(c.dim, c.interior_point) for c in x.cells] == [
+    assert [(c.dim, _fractions(c.interior_point)) for c in x.cells] == [
         (0, (Fraction(1), Fraction(2)))
     ]
 
@@ -102,7 +118,7 @@ def test_single_generator_matches_hypersurface():
 
 def test_tie_constraint_solution():
     x = prevariety([L("x + y"), L("x + 0", 2)])
-    assert [(c.dim, c.interior_point) for c in x.cells] == [
+    assert [(c.dim, _fractions(c.interior_point)) for c in x.cells] == [
         (0, (Fraction(0), Fraction(0)))
     ]
 
@@ -173,7 +189,7 @@ def test_affine_binomial_strata():
 
 def test_affine_constant_only_real_stratum():
     x = affine_prevariety([P("x + 0", 1, POLY)])
-    assert [(c.stratum, c.dim, c.interior_point) for c in x.cells] == [
+    assert [(c.stratum, c.dim, _fractions(c.interior_point)) for c in x.cells] == [
         ((), 0, (Fraction(0),))
     ]
 
