@@ -4,9 +4,9 @@ A polyhedron is a list of integer rows a.x rel b (``IntRow``); that is the
 only representation in the package.  Everything is decided by
 Fourier-Motzkin elimination with equality pivoting and deduplication of
 parallel rows; no LP solver and no floating point.  There is one
-implementation of each solve: ``_int_feasible_point`` (a point as integers
-(nums, den), the point nums / den), ``_int_implicit_equalities`` and
-``_int_interior_point``.  ``dimension``, ``contains_point``,
+implementation of each solve, ``_int_feasible_point``: a point as integers
+(nums, den), the point nums / den, which is a relative interior point
+(interior lemma below).  ``dimension``, ``contains_point``,
 ``affine_hull_directions`` and ``line_bounds`` read integer rows too, the
 middle two with the point (nums, den) as the solve returns it.  Rational
 constraints are cleared of denominators once, by ``_int_row``.
@@ -27,23 +27,20 @@ right before a pairing step above the last level, where they multiply;
 pivot and truncate-only levels pass their rows through; the last level
 reads two bounds (last-level lemma below); constant rows are checked once,
 on the constant level; and back-substitution stays on integers.  Strict
-inequalities are supported internally so that implicit equalities and
-relative interior points are exact.  Desk scale: a handful of dimensions
-and a few dozen constraints.
+inequalities are supported for the strict-dominance systems of
+``varieties``.  Desk scale: a handful of dimensions and a few dozen
+constraints.
 
-Strictness lemma: let R be EQ/LE rows, P the point ``_int_feasible_point``
-returns for R, and R' the same rows with every LE row made strict.  When
-no LE row is tight at P, P lies in R'.  Conversely, when R' is not empty no
-LE row is an implicit equality of R, so R' is the relative interior of R.
-Its projections are then the relative interiors of those of R, and over a
-base point in one of them the fibre of R' is the relative interior of the
-fibre of R (Rockafellar, *Convex Analysis*, Thms. 6.6 and 6.8): the two
-fibres have the same ends.  By the representation lemma the solve of R'
-fixes every coordinate as the solve of R does, and returns P.  So R' is
-feasible exactly when no LE row is tight at P, and then its solve returns
-P.  ``_int_interior_point`` uses this: when no LE row is tight at P, P is
-the interior point, with no further solve; only otherwise are the tight
-rows probed and the strict system solved.
+Interior lemma: the point P the solve returns lies in the relative
+interior of its polyhedron.  Each value it picks (forced, a midpoint, a
+bound moved by one, or 0) lies in the relative interior of its fibre.  By
+induction on k, (P_1..P_k) lies in the relative interior of the projection
+onto x_1..x_k: the relative interior of a convex set is the union, over
+the relative interior of its projection, of the relative interiors of the
+fibres (Rockafellar, *Convex Analysis*, Thm. 6.8).  So the LE rows tight at
+P are exactly the implicit equalities (tight-row lemma of
+``affine_hull_directions``), and neither they nor an interior point take a
+further solve.
 
 Last-level lemma: on the last level one variable x_1 is left, and with no
 equality pivot each row bounding it is a lower bound x_1 >= v or an upper
@@ -255,41 +252,6 @@ def _tight_rows(rows: list[IntRow], point: IntPoint) -> list[int]:
     ]
 
 
-def _int_implicit_equalities(rows: list[IntRow], n: int, point: IntPoint) -> list[int]:
-    """Indices of the LE rows that hold with equality on the whole (non-empty) set.
-
-    An implicit equality is tight at every feasible point, so only the LE
-    rows tight at the feasible ``point`` are probed: such a row is implicit
-    when making it strict leaves no feasible point.
-    """
-    out = []
-    for i in _tight_rows(rows, point):
-        a, b, _ = rows[i]
-        probe = list(rows)
-        probe[i] = (a, b, LT)
-        if _int_feasible_point(probe, n) is None:
-            out.append(i)
-    return out
-
-
-def _int_interior_point(rows: list[IntRow], n: int, point: IntPoint) -> IntPoint:
-    """A point satisfying every row that is not an implicit equality strictly.
-
-    ``point`` is the one ``_int_feasible_point(rows, n)`` returns.  When no
-    LE row is tight there it is the answer (strictness lemma above);
-    otherwise the tight rows are probed and the system with every other LE
-    row strict is solved.
-    """
-    if not _tight_rows(rows, point):
-        return point
-    implicit = set(_int_implicit_equalities(rows, n, point))
-    probe = [(a, b, EQ if rel == EQ or i in implicit else LT) for i, (a, b, rel) in enumerate(rows)]
-    found = _int_feasible_point(probe, n)
-    if found is None:
-        raise ValueError("polyhedron is empty")
-    return found
-
-
 def _fractions(point: IntPoint) -> tuple[Fraction, ...]:
     nums, den = point
     return tuple(Fraction(x, den) for x in nums)
@@ -312,20 +274,29 @@ def contains_point(rows: list[IntRow], point: IntPoint) -> bool:
     return True
 
 
+def _tight_normals(rows: list[IntRow], point: IntPoint) -> list[tuple[int, ...]]:
+    """Normals of the rows that hold with equality at the point nums / den."""
+    nums, den = point
+    return [a for a, b, _ in rows if sum(map(mul, a, nums)) == b * den]
+
+
 def dimension(rows: list[IntRow], n: int) -> int:
-    """Dimension of the affine hull of the rows in R^n; -1 for the empty set."""
+    """Dimension of the affine hull of the rows in R^n; -1 for the empty set.
+
+    One solve: its point is a relative interior point (interior lemma), so
+    the hull is read off the rows tight there, as in ``affine_hull_directions``.
+    """
     point = _int_feasible_point(rows, n)
     if point is None:
         return -1
-    implicit = set(_int_implicit_equalities(rows, n, point))
-    return n - int_rank([a for i, (a, _, rel) in enumerate(rows) if rel == EQ or i in implicit])
+    return n - int_rank(_tight_normals(rows, point))
 
 
 def affine_hull_directions(rows: list[IntRow], n: int, point: IntPoint) -> list[tuple[Fraction, ...]]:
     """Rational basis of the direction space of the affine hull, read off ``point``.
 
     ``point`` must be a relative interior point, (nums, den) as
-    ``_int_interior_point`` returns it.
+    ``_int_feasible_point`` returns it (interior lemma).
     Tight-row lemma: at such a point the rows that hold with equality are
     exactly the EQ rows and the implicit equalities (Schrijver, *Theory of
     Linear and Integer Programming*, 8.2), so the hull is the nullspace of
@@ -334,8 +305,7 @@ def affine_hull_directions(rows: list[IntRow], n: int, point: IntPoint) -> list[
     same tight rows, and any positive scaling of the rows, gives the same
     directions.
     """
-    nums, den = point
-    return nullspace([a for a, b, _ in rows if sum(map(mul, a, nums)) == b * den], n)
+    return nullspace(_tight_normals(rows, point), n)
 
 
 def line_bounds(rows: list[IntRow], point, direction) -> tuple[Fraction | None, Fraction | None]:

@@ -8,7 +8,7 @@ inputs produce byte-identical documents.
 from __future__ import annotations
 
 from .matrices import to_fraction
-from .polyhedra import EQ, LE, IntRow, _fractions, _int_feasible_point, _int_interior_point
+from .polyhedra import EQ, LE, IntRow, _fractions, _int_feasible_point
 from .polyhedra import _int_row, affine_hull_directions, line_bounds
 from .varieties import PolyComplex
 
@@ -53,7 +53,7 @@ def _segment_endpoints(rows: list[IntRow], q, direction):
 def render_svg(x: PolyComplex, bbox) -> str:
     """SVG document for a 2-dimensional complex clipped to (xmin,ymin,xmax,ymax).
 
-    Each clipped cell takes one feasibility check and one relative interior
+    Each clipped cell takes one solve, whose point is a relative interior
     point; its affine hull, and so its dimension, is read off that point.
     """
     if x.ambient != 2:
@@ -69,9 +69,8 @@ def render_svg(x: PolyComplex, bbox) -> str:
         found = _int_feasible_point(clipped, 2)
         if found is None:
             continue
-        at = _int_interior_point(clipped, 2, found)
-        directions = affine_hull_directions(clipped, 2, at)
-        q = _fractions(at)  # rational, for line_bounds and the SVG mapper
+        directions = affine_hull_directions(clipped, 2, found)
+        q = _fractions(found)  # rational, for line_bounds and the SVG mapper
         if len(directions) >= 2:
             raise ValueError("2-dimensional cells are not supported by the renderer")
         if directions:

@@ -18,14 +18,13 @@ size in its complex is maximal with no test: every untight hypersurface
 cell, whose signature is one pair.
 
 Untight-signature lemma: a candidate carries, per generator, the pair
-(i, j) of its tie cell, and the point its solve found.  When no LE row is
-tight at that point, it is the relative interior point (strictness lemma of
-``polyhedra``), and there term i equals term j and every other term of the
+(i, j) of its tie cell, and the point its solve found, which is its
+relative interior point (interior lemma of ``polyhedra``).  When no LE row
+is tight there, term i equals term j and every other term of the
 generator lies strictly below them.  So each argmax set is exactly
 {e_i, e_j}, with no evaluation, and the cell's dimension is n minus the
 rank of the differences e_j - e_i: n - 1 for a hypersurface, with no rank
-computed.  Only a candidate with a tight row takes the interior solve and
-evaluates its terms.
+computed.  Only a candidate with a tight row evaluates its terms.
 
 Difference table: the rows of a polynomial are the differences
 term_k - term_i, built once per polynomial (``_differences``).  A tie cell
@@ -68,7 +67,6 @@ from .polyhedra import (
     IntPoint,
     IntRow,
     _int_feasible_point,
-    _int_interior_point,
     _int_point,
     _tight_rows,
     affine_hull_directions,
@@ -207,26 +205,25 @@ def _make_cell(
     A candidate is (rows, found, pairs): its constraints, each L = scale
     times the rational constraint it stands for, the point its solve found,
     and the tie pair (i, j) of each generator.  The cell keeps the rows over
-    their canonical scale.  Near its relative interior point the cell is cut
-    out by the ties within each argmax set: its dimension is n minus the
-    rank of those differences.  With no tight row the signature is read off
-    the pairs (untight-signature lemma above).
+    their canonical scale.  Near ``found``, its relative interior point
+    (interior lemma of ``polyhedra``), the cell is cut out by the ties
+    within each argmax set: its dimension is n minus the rank of those
+    differences.  With no tight row the signature is read off the pairs
+    (untight-signature lemma above).
     """
     rows, found, pairs = candidate
     if _tight_rows(rows, found):
-        at = _int_interior_point(rows, n, found)
-        signature = tuple(_argmax(terms, at) for terms in scaled)
+        signature = tuple(_argmax(terms, found) for terms in scaled)
         ties = [tuple(a - b for a, b in zip(e, min(terms))) for terms in signature for e in terms]
         dim = n - int_rank(ties)
     else:
-        at = found
         tied = [(terms[i][0], terms[j][0]) for terms, (i, j) in zip(scaled, pairs)]
         signature = tuple(frozenset(pair) for pair in tied)
         if len(tied) == 1:
             dim = n - 1  # e_i != e_j
         else:
             dim = n - int_rank([tuple(a - b for a, b in zip(ei, ej)) for ei, ej in tied])
-    return signature, Cell(*_canonical(rows, scale), dim, at)
+    return signature, Cell(*_canonical(rows, scale), dim, found)
 
 
 def _contains_any(sig: Signature, smaller: list[Signature]) -> bool:
@@ -439,7 +436,8 @@ def complex_from_json(data) -> PolyComplex:
     denominators, which is the canonical scale of ``Cell``.  A cell whose
     dim is not its polyhedron's dimension, or whose interior_point is off
     its relative interior (where fewer than dim hull directions remain), is
-    malformed too.
+    malformed too.  Each cell takes one solve, for its dimension; the given
+    point is checked with none.
     """
     _require(isinstance(data, dict), "a complex must be a JSON object")
     ambient = to_int(json_field(data, "ambient", "complex JSON"), "ambient")

@@ -11,11 +11,16 @@ projects with the library's `_eliminate_last` and `_normalize`.
 `affine_hull_directions` and `line_bounds` read a `Polyhedron` (or a list
 of constraints) and call the library's integer versions on its cleared
 rows, with a rational point read as (nums, den) by `_int_point` where the
-library takes one; `implicit_equality_indices` is the former
-`polyhedra.implicit_equality_indices`.  `cell_polyhedron` and
-`fraction_cell` convert between a `Cell` and its `Fraction` constraints
-(each row divided by the scale, and back over the lcm of the
-denominators), and `fraction_cell` keeps its point as (nums, den).  Every
+library takes one.  `relative_interior_point` is the library's solve
+point, a relative interior point by the interior lemma of `polyhedra`.
+`int_implicit_equalities` (the former `polyhedra._int_implicit_equalities`)
+probes each LE row tight at a feasible point strict with the library's
+solve, and `implicit_equality_indices` runs it on a `Polyhedron`; the
+library itself reads the implicit equalities off its point with no probe.
+`cell_polyhedron` and `fraction_cell` convert between a `Cell` and its
+`Fraction` constraints (each row divided by the scale, and back over the
+lcm of the denominators), and `fraction_cell` keeps its point as
+(nums, den).  Every
 solve goes through the `polyhedra` module, so a test that counts
 `polyhedra._int_feasible_point` by monkeypatching counts these too.  The
 front end calls `tropica.polyhedra`, so it is no oracle of it: it serves
@@ -55,8 +60,6 @@ from tropica.polyhedra import (
     LT,
     IntRow,
     _fractions,
-    _int_feasible_point,
-    _int_implicit_equalities,
     _int_point,
     _int_row,
 )
@@ -124,12 +127,11 @@ def is_empty(poly: Polyhedron) -> bool:
 
 
 def relative_interior_point(poly: Polyhedron) -> tuple[Fraction, ...]:
-    """A rational point satisfying every non-implied inequality strictly."""
-    rows = int_rows(poly)
-    found = polyhedra._int_feasible_point(rows, poly.n)
+    """The library's point: it satisfies every non-implied inequality strictly."""
+    found = polyhedra._int_feasible_point(int_rows(poly), poly.n)
     if found is None:
         raise ValueError("polyhedron is empty")
-    return _fractions(polyhedra._int_interior_point(rows, poly.n, found))
+    return _fractions(found)
 
 
 def intersect(p: Polyhedron, q: Polyhedron) -> Polyhedron:
@@ -181,18 +183,33 @@ def line_bounds(poly: Polyhedron, point, direction):
     return polyhedra.line_bounds(int_rows(poly), point, direction)
 
 
-def implicit_equality_indices(poly: Polyhedron, point=None) -> list[int]:
+def int_implicit_equalities(rows: list[IntRow], n: int, point) -> list[int]:
+    """Indices of the LE rows that hold with equality on the whole (non-empty) set.
+
+    An implicit equality is tight at every feasible point, so only the LE
+    rows tight at the feasible ``point`` (nums, den) are probed: such a row
+    is implicit when making it strict leaves no feasible point.
+    """
+    out = []
+    for i in polyhedra._tight_rows(rows, point):
+        a, b, _ = rows[i]
+        probe = list(rows)
+        probe[i] = (a, b, LT)
+        if polyhedra._int_feasible_point(probe, n) is None:
+            out.append(i)
+    return out
+
+
+def implicit_equality_indices(poly: Polyhedron) -> list[int]:
     """Indices of LE constraints that hold with equality on the whole set.
 
-    ``point`` is a feasible point already known (any one gives the same
-    answer); without it one is computed.  On the empty set every LE index is
-    returned.
+    On the empty set every LE index is returned.
     """
     rows = int_rows(poly)
-    found = _int_feasible_point(rows, poly.n) if point is None else _int_point(point)
+    found = polyhedra._int_feasible_point(rows, poly.n)
     if found is None:
         return [i for i, h in enumerate(poly.constraints) if h.relation == LE]
-    return _int_implicit_equalities(rows, poly.n, found)
+    return int_implicit_equalities(rows, poly.n, found)
 
 
 def cell_polyhedron(cell: Cell) -> Polyhedron:

@@ -21,7 +21,8 @@ These oracles solve through `tropica.polyhedra`, the layer below, with the
 `Fraction` front end of `oracles.polyhedra`, so the `solves` fixture counts
 their solves as well as the library's.  `ref_partials`, `schedule_offset`,
 `affine_schedule_offset` and `dominance_solves` state how many solves the
-library makes beside the oracle.
+library makes beside the oracle: the library's solve of a candidate already
+gives its relative interior point, where the oracle probes and solves again.
 """
 
 import functools
@@ -47,6 +48,7 @@ from oracles.polyhedra import (
     feasible_point,
     fraction_cell,
     full_space,
+    int_implicit_equalities,
     int_rows,
     intersect,
     is_empty,
@@ -80,7 +82,7 @@ def ref_difference(terms, k, i, rel):
 
 def ref_int_interior_point(rows, n, point):
     """The former `polyhedra._int_interior_point`: probe every tight LE row, then solve."""
-    implicit = set(polyhedra._int_implicit_equalities(rows, n, point))
+    implicit = set(int_implicit_equalities(rows, n, point))
     probe = [(a, b, EQ if rel == EQ or i in implicit else LT) for i, (a, b, rel) in enumerate(rows)]
     found = polyhedra._int_feasible_point(probe, n)
     if found is None:
@@ -249,15 +251,15 @@ def ref_vanishes_on_complex(f, x):
 
 
 def ref_partials(gens):
-    """Products, partial intersections solved, those found empty, and interior shortcuts.
+    """Products, partial intersections solved, those found empty, and the oracle's interior solves.
 
     The oracle solves each product of non-empty tie cells once.  One generator
     at a time, the first level reuses each tie cell's point and every later
     level solves each extension of a non-empty partial intersection once.
-    A full candidate has the same rows either way, so the probes and interior
-    solves that follow agree, except that a non-empty candidate whose
-    feasible point meets every LE row strictly (a shortcut) needs no
-    interior solve: new solves = oracle solves - products + solved - shortcuts.
+    A full candidate has the same rows either way, and its point is its
+    relative interior point, so it takes no further solve; the oracle probes
+    each LE row tight at that point and solves the strict system:
+    new solves = oracle solves - products + solved - interior solves.
     """
     if any(len(g) < 2 for g in gens):
         return 0, 0, 0, 0
@@ -275,14 +277,14 @@ def ref_partials(gens):
         partial = [p for p in extended if not is_empty(p)]
         solved += len(extended)
         empty += len(extended) - len(partial)
-    shortcuts = sum(not tight_rows(p, feasible_point(p)) for p in partial)
-    return prod(len(polys) for polys in per_gen), solved, empty, shortcuts
+    interior = sum(1 + len(tight_rows(p, feasible_point(p))) for p in partial)
+    return prod(len(polys) for polys in per_gen), solved, empty, interior
 
 
 def schedule_offset(gens):
     """New solves minus oracle solves for prevariety(gens)."""
-    products, solved, _, shortcuts = ref_partials(gens)
-    return solved - products - shortcuts
+    products, solved, _, interior = ref_partials(gens)
+    return solved - products - interior
 
 
 def affine_schedule_offset(gens):

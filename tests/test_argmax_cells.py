@@ -8,9 +8,9 @@ hypersurfaces, prevarieties and affine prevarieties with many tied terms
 both must give the same complex, byte for byte.  The implicit equalities of
 a polyhedron are checked against `ref_implicit_equality_indices`, which
 makes each LE row strict in turn and solves with the `Fraction`
-Fourier-Motzkin oracle: on a non-empty set against
-`polyhedra._int_implicit_equalities` over `int_rows`, and on the empty set
-it names every LE row.
+Fourier-Motzkin oracle: on a non-empty set they are the LE rows tight at
+the library's solve point (`polyhedra._tight_rows` over `int_rows`, by the
+interior lemma of `polyhedra`), and on the empty set it names every LE row.
 """
 
 import itertools
@@ -20,7 +20,7 @@ from fractions import Fraction
 import pytest
 
 from tropica import varieties
-from tropica.polyhedra import EQ, LE, _int_feasible_point, _int_implicit_equalities
+from tropica.polyhedra import EQ, LE, _int_feasible_point, _tight_rows
 from tropica.polynomials import LAURENT, POLY, Polynomial
 
 from oracles.polyhedra import (
@@ -125,7 +125,7 @@ def test_implicit_equalities_match_probe_every_constraint():
             assert expected == [i for i, h in enumerate(p.constraints) if h.relation == LE]
             empty += 1
         else:
-            assert _int_implicit_equalities(rows, p.n, point) == expected
+            assert _tight_rows(rows, point) == expected
             implicit += bool(expected)
     assert empty >= 20 and implicit >= 20
 

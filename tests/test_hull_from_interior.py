@@ -194,6 +194,33 @@ def test_dimension_report_makes_no_hull_solve(solves):
     assert solves[0] == 3
 
 
+def test_reading_a_complex_makes_one_solve_per_cell(solves):
+    # the segment x = 0, -1 <= y <= 1, with x = 0 written as two opposite LE
+    # rows tight at its solve point, and the ray y = 0, x >= 0: each cell's
+    # dimension is read off the rows tight at its one solve point
+    segment = {
+        "normals": [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"]],
+        "rhs": ["0", "0", "1", "1"],
+        "relations": ["le", "le", "le", "le"],
+        "dim": 1,
+        "interior_point": ["0", "1/2"],
+    }
+    ray = {
+        "normals": [["0", "1"], ["-1", "0"]],
+        "rhs": ["0", "0"],
+        "relations": ["eq", "le"],
+        "dim": 1,
+        "interior_point": ["3", "0"],
+    }
+    data = {"ambient": 2, "mode": "laurent", "cells": [segment, ray]}
+    rows = [((1, 0), 0, LE), ((-1, 0), 0, LE), ((0, 1), 1, LE), ((0, -1), 1, LE)]
+    assert polyhedra._tight_rows(rows, polyhedra._int_feasible_point(rows, 2)) == [0, 1]
+    solves[0] = 0
+    x = complex_from_json(data)
+    assert solves[0] == len(x.cells) == 2
+    assert [cell.dim for cell in x.cells] == [1, 1]
+
+
 def test_plot_of_a_line_makes_one_solve_per_clipped_cell(solves):
     # two axes and three rays: one feasibility check each, whose point is the
     # interior point when no row is tight there (was 10, and 18 before that)

@@ -16,12 +16,13 @@ L > 1; generators of different scales, so the shared L is no generator's
 own; poly and Laurent mode; affine strata; complexes read back from JSON)
 the JSON bytes and the booleans must agree.  The solves agree too, up to
 the schedule, which each test states exactly: `prevariety` intersects one
-generator at a time and drops empty partial intersections, a candidate
-whose feasible point meets every LE row strictly needs no interior solve
-(`ref_partials` counts both on the oracle), and vanishing makes one
-strict-dominance solve per term read (`dominance_solves`).  The interior
-point itself is checked against `ref_relative_interior_point`, which
-probes the LE rows with the `Fraction` Fourier-Motzkin oracle.
+generator at a time and drops empty partial intersections, and a
+candidate's one solve gives its relative interior point, where the oracle
+probes its tight rows and solves again (`ref_partials` counts both on the
+oracle); vanishing makes one strict-dominance solve per term read
+(`dominance_solves`).  The solve's point itself is checked against
+`ref_relative_interior_point`, which probes the LE rows with the
+`Fraction` Fourier-Motzkin oracle.
 """
 
 import random
@@ -33,7 +34,7 @@ from tropica.polyhedra import EQ, LE, LT, _fractions
 from tropica.polynomials import LAURENT, POLY
 from tropica.varieties import affine_prevariety, hypersurface, prevariety, vanishes_on_complex
 
-from oracles.polyhedra import make_polyhedron, ref_relative_interior_point, relative_interior_point
+from oracles.polyhedra import make_polyhedron, ref_relative_interior_point
 from oracles.varieties import (
     MIXED,
     affine_schedule_offset,
@@ -57,7 +58,7 @@ from oracles.varieties import (
 
 def test_hypersurfaces_match_fraction_oracle(solves):
     rng = random.Random(91)
-    merged = skipped = 0
+    merged = saved = 0
     for mode in (LAURENT, POLY):
         for _ in range(45):
             f = valued_polynomial(rng, rng.randint(1, 3), mode, rng.randint(2, 6), MIXED)
@@ -65,16 +66,16 @@ def test_hypersurfaces_match_fraction_oracle(solves):
                 solves, hypersurface, ref_hypersurface, f
             )
             assert as_bytes(got) == as_bytes(expected), f
-            shortcuts = ref_partials([f])[3]
-            assert new_solves == ref_solves - shortcuts
+            interior = ref_partials([f])[3]
+            assert new_solves == ref_solves - interior
             merged += len(got.cells) < len(f) * (len(f) - 1) // 2
-            skipped += shortcuts
-    assert merged >= 20 and skipped >= 100
+            saved += interior
+    assert merged >= 20 and saved >= 100
 
 
 def test_prevarieties_match_fraction_oracle(solves):
     rng = random.Random(92)
-    cells = skipped = 0
+    cells = saved = 0
     for mode in (LAURENT, POLY):
         for _ in range(30):
             n = rng.choice([2, 2, 3])
@@ -87,8 +88,8 @@ def test_prevarieties_match_fraction_oracle(solves):
             assert as_bytes(got) == as_bytes(expected), gens
             assert new_solves == ref_solves + schedule_offset(gens)
             cells += len(got.cells)
-            skipped += ref_partials(gens)[3]
-    assert cells >= 60 and skipped >= 60
+            saved += ref_partials(gens)[3]
+    assert cells >= 60 and saved >= 60
 
 
 def test_pruned_prevarieties_match_product_oracle(solves):
@@ -103,8 +104,8 @@ def test_pruned_prevarieties_match_product_oracle(solves):
         ]
         got, expected, new_solves, ref_solves = same(solves, prevariety, ref_prevariety, gens)
         assert as_bytes(got) == as_bytes(expected), gens
-        products, solved, dropped, shortcuts = ref_partials(gens)
-        assert new_solves == ref_solves - products + solved - shortcuts
+        products, solved, dropped, interior = ref_partials(gens)
+        assert new_solves == ref_solves - products + solved - interior
         empty += dropped
     assert empty >= 2000
 
@@ -191,7 +192,7 @@ def test_vanishing_on_read_back_complexes_matches_fraction_oracle(solves):
     assert saved >= 500
 
 
-# -- the strictness lemma ---------------------------------------------------------
+# -- the interior lemma ---------------------------------------------------------
 
 
 def random_int_system(rng):
@@ -216,8 +217,9 @@ def random_int_system(rng):
 def test_strict_system_is_feasible_iff_no_row_is_tight():
     """R with every LE row strict is feasible iff no LE row is tight at R's FM point.
 
-    Then both solves give the same point, and `relative_interior_point`
-    returns it with no further solve; either way it matches the oracle.
+    Then both solves give the same point.  Either way the point is the
+    oracle's relative interior point (interior lemma of `polyhedra`), which
+    probes the rows tight there and solves the strict system.
     """
     rng = random.Random(96)
     shortcut = probed = empty = 0
@@ -238,6 +240,5 @@ def test_strict_system_is_feasible_iff_no_row_is_tight():
             shortcut += 1
         else:
             probed += 1
-        expected = ref_relative_interior_point(poly)
-        assert relative_interior_point(poly) == expected, rows
+        assert _fractions(point) == ref_relative_interior_point(poly), rows
     assert shortcut >= 500 and probed >= 150 and empty >= 300

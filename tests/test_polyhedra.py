@@ -13,7 +13,7 @@ import pytest
 
 from tropica import polyhedra
 from tropica.matrices import dot
-from tropica.polyhedra import EQ, LE, _int_feasible_point, _int_implicit_equalities, _int_point
+from tropica.polyhedra import EQ, LE, _int_point
 
 from oracles.polyhedra import (
     affine_hull_directions,
@@ -21,7 +21,7 @@ from oracles.polyhedra import (
     dimension,
     fm_eliminate,
     full_space,
-    int_rows,
+    implicit_equality_indices,
     intersect,
     is_empty,
     make_polyhedron,
@@ -32,12 +32,6 @@ from oracles.polyhedra import (
 
 def poly(rows, n):
     return make_polyhedron(rows, n)
-
-
-def _implicit(p):
-    """The implicit equalities of a non-empty polyhedron, on its integer rows."""
-    rows = int_rows(p)
-    return _int_implicit_equalities(rows, p.n, _int_feasible_point(rows, p.n))
 
 
 # -- emptiness ----------------------------------------------------------------
@@ -85,7 +79,7 @@ def test_dimension_examples():
 
 def test_dimension_detects_implicit_equalities():
     squeezed = poly([((1, 1), 1, LE), ((-1, -1), -1, LE), ((1, 0), 5, LE)], 2)
-    assert _implicit(squeezed) == [0, 1]
+    assert implicit_equality_indices(squeezed) == [0, 1]
     assert dimension(squeezed) == 1
 
 
@@ -150,7 +144,7 @@ def test_relative_interior_is_strict_on_non_implied_constraints():
             continue
         done += 1
         point = relative_interior_point(p)
-        implied = set(_implicit(p))
+        implied = set(implicit_equality_indices(p))
         for i, h in enumerate(p.constraints):
             value = dot(h.normal, point)
             if i in implied:
