@@ -5,6 +5,12 @@ Exit codes: 0 on success, 1 on domain errors, 2 on parse/syntax errors
 Each subcommand accepts only the options its handler reads.  The
 argument parser is built once per process and reused by every ``main``
 call; each call parses into a fresh namespace.
+
+``parse_args`` hands the arguments after a subcommand's name straight to
+that subcommand's parser, which is all the top-level parser would do with
+them: its subcommand argument takes every remaining argument, so the
+namespace and any usage error are the same.  Any other command line (an
+empty one, ``-h`` or an unknown name) goes through the top-level parser.
 """
 
 from __future__ import annotations
@@ -335,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact tropical commutative algebra workbench.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # the subparser of each name, for parse_args
 
     def command(name, func, summary, mode: bool = True, emits_json: bool = True):
         """A subparser with --mode unless ``mode`` is false, and --format if it prints JSON."""
@@ -400,9 +407,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parse_args(argv) -> argparse.Namespace:
+    """The namespace of ``argv`` (no program name), as ``build_parser().parse_args(argv)``."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
         args.func(args)
     except (ParseError, UsageError) as exc:
         json.dump({"error": "parse", "message": str(exc)}, sys.stderr)

@@ -10,8 +10,12 @@ Grammar::
 Coefficients are rational literals ("3", "-1", "7/2"); "+" is the tropical
 sum, "*" the tropical product.  A bare monomial carries the unit coefficient
 (rational 0).  "-inf" terms are dropped, and a repeated monomial keeps the
-largest coefficient.  Variables are x, y, z, w or x1..xn; the two styles
-cannot be mixed in one expression.
+largest coefficient.  Variables are x, y, z, w or x1..xn, numbered in
+ASCII digits; the two styles cannot be mixed in one expression.
+
+Text is read in one tokenizer pass (``_tokenize``, one regex match per
+token) and one loop over the tokens (``_read_terms``), which both grammars
+share; an error names its character position.
 
 ``parse_polynomials`` reads each of several texts once and pads their
 exponents to a common variable count; ``parse_polynomial`` is its one-text
@@ -30,17 +34,20 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .polynomials import LAURENT, POLY, Exponents, Polynomial
+from .polynomials import LAURENT, POLY, Exponents, Polynomial, _check_mode
 from .matrices import to_fraction, to_int
 from .scalars import BOTTOM, TropScalar, trop_add
 
 _LETTER_VARS = {"x": 0, "y": 1, "z": 2, "w": 3}
+_NUMBERED_VAR = re.compile(r"x[0-9]+")
 
+# one match per token; "bad" catches the first character no token starts with
 _TOKEN = re.compile(
-    r"\s*(?:(?P<inf>-inf\b)|(?P<number>-?[0-9]+(?:/[0-9]+)?)|(?P<name>[A-Za-z]\w*)|(?P<op>[+*^]))"
+    r"\s*(?:(?P<inf>-inf\b)|(?P<number>-?[0-9]+(?:/[0-9]+)?)|(?P<name>[A-Za-z]\w*)|(?P<op>[+*^])"
+    r"|(?P<bad>\S))"
 )
 _CLASSICAL_TOKEN = re.compile(
-    r"\s*(?:(?P<number>[0-9]+(?:/[0-9]+)?)|(?P<name>[A-Za-z]\w*)|(?P<op>[-+*^]))"
+    r"\s*(?:(?P<number>[0-9]+(?:/[0-9]+)?)|(?P<name>[A-Za-z]\w*)|(?P<op>[-+*^])|(?P<bad>\S))"
 )
 
 
@@ -60,42 +67,29 @@ def _rational(text: str, pos: int) -> Fraction:
         raise ParseError(str(exc), pos) from None
 
 
-def _tokenize(text: str, pattern=_TOKEN):
+def _tokenize(text: str, pattern=_TOKEN) -> list[tuple[str | None, str | None, int]]:
+    """(kind, value, position) of each token, in one pass, then the end (None, None, len(text)).
+
+    Each match starts where the previous one ended, so a character no token
+    starts with is reported at its match's start, leading whitespace
+    included.  Trailing whitespace matches nothing.
+    """
     if not isinstance(text, str):
         raise ParseError(f"expected polynomial text, got {type(text).__name__}", 0)
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos:].strip() == "":
-            break
-        m = pattern.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    for m in pattern.finditer(text):
         kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text[m.start()]!r}", m.start())
         tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+    tokens.append((None, None, len(text)))
     return tokens
-
-
-class _Parser:
-    def __init__(self, tokens, text_len: int):
-        self.tokens = tokens
-        self.i = 0
-        self.text_len = text_len
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, self.text_len)
-
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
 
 
 def _var_index(name: str, pos: int, style: dict) -> int:
     if name in _LETTER_VARS:
         idx, kind = _LETTER_VARS[name], "letters"
-    elif re.fullmatch(r"x\d+", name):
+    elif _NUMBERED_VAR.fullmatch(name):
         sub = int(name[1:])
         if sub < 1:
             raise ParseError(f"variable {name!r} must be numbered from x1", pos)
@@ -107,77 +101,66 @@ def _var_index(name: str, pos: int, style: dict) -> int:
     return idx
 
 
-def _parse_monomial(p: _Parser, style: dict) -> dict[int, int]:
-    expos: dict[int, int] = {}
-    while True:
-        kind, value, pos = p.peek()
-        if kind != "name":
-            raise ParseError("expected a variable name", pos)
-        p.take()
-        idx = _var_index(value, pos, style)
-        power = 1
-        kind2, _, _ = p.peek()
-        if kind2 == "op" and p.peek()[1] == "^":
-            p.take()
-            kind3, v3, pos3 = p.take()
-            if kind3 != "number" or "/" in v3:
-                raise ParseError("expected an integer exponent", pos3)
-            power = int(v3)
-        expos[idx] = expos.get(idx, 0) + power
-        kind4, v4, _ = p.peek()
-        if kind4 == "op" and v4 == "*":
-            following = p.tokens[p.i + 1][0] if p.i + 1 < len(p.tokens) else None
-            if following == "name":
-                p.take()
-                continue
-        break
-    return expos
-
-
 def _read_terms(text: str, nvars: int | None, classical: bool):
-    """Terms of ``text`` as (negated, coefficient, exponent tuple), and the variable count."""
+    """Terms of ``text`` as (negated, coefficient, exponent tuple), and the variable count.
+
+    One loop reads one factor per step: a coefficient, which only starts a
+    term, or a variable with its power.  A "*" then joins the next variable
+    to the term; "+" ("-" in classical text) or the end closes the term.
+    """
     tokens = _tokenize(text, _CLASSICAL_TOKEN if classical else _TOKEN)
-    if not tokens:
+    if len(tokens) == 1:
         raise ParseError("empty polynomial text", 0)
-    p = _Parser(tokens, len(text))
+    unit = Fraction(1) if classical else Fraction(0)
     style: dict = {}
     terms: list[tuple[bool, object, dict[int, int]]] = []
-    negated = False
-    if classical and p.peek()[0] == "op" and p.peek()[1] in "+-":
-        negated = p.take()[1] == "-"
+    kind, value, _ = tokens[0]
+    signed = classical and kind == "op" and value in "+-"
+    negated = signed and value == "-"
+    i = int(signed)
+    coeff = None  # the open term's coefficient; None before its first factor
     while True:
-        kind, value, pos = p.peek()
-        if kind in ("inf", "number"):
-            p.take()
+        kind, value, pos = tokens[i]
+        i += 1
+        if kind == "name":
+            if coeff is None:
+                coeff, expos = unit, {}
+            idx = _var_index(value, pos, style)
+            power = 1
+            if tokens[i][1] == "^":
+                kind, value, pos = tokens[i + 1]
+                i += 2
+                if kind != "number" or "/" in value:
+                    raise ParseError("expected an integer exponent", pos)
+                power = int(value)
+            expos[idx] = expos.get(idx, 0) + power
+            joined = tokens[i][1] == "*" and tokens[i + 1][0] == "name"
+        elif coeff is None and (kind == "number" or kind == "inf"):
             coeff = BOTTOM if kind == "inf" else _rational(value, pos)
-            expos: dict[int, int] = {}
-            k2, v2, _ = p.peek()
-            if k2 == "op" and v2 == "*":
-                p.take()
-                expos = _parse_monomial(p, style)
-        elif kind == "name":
-            coeff = Fraction(1) if classical else Fraction(0)
-            expos = _parse_monomial(p, style)
-        else:
+            expos = {}
+            joined = tokens[i][1] == "*"
+        elif coeff is None:
             raise ParseError("expected a term", pos)
-        terms.append((negated, coeff, expos))
-        k3, v3, pos3 = p.peek()
-        if k3 is None:
-            break
-        if k3 == "op" and v3 in "+-":
-            p.take()
-            negated = v3 == "-"
+        else:  # a coefficient's "*" with no variable after it
+            raise ParseError("expected a variable name", pos)
+        if joined:
+            i += 1
             continue
-        raise ParseError(f"unexpected token {v3!r}", pos3)
+        terms.append((negated, coeff, expos))
+        coeff = None
+        kind, value, pos = tokens[i]
+        i += 1
+        if kind is None:
+            break
+        if kind != "op" or value not in "+-":
+            raise ParseError(f"unexpected token {value!r}", pos)
+        negated = value == "-"
 
-    inferred = 0
-    for _, _, expos in terms:
-        for idx in expos:
-            inferred = max(inferred, idx + 1)
+    inferred = 1 + max((idx for _, _, expos in terms for idx in expos), default=-1)
     n = inferred if nvars is None else to_int(nvars, "nvars")
     if n < inferred:
         raise ParseError(f"expression uses {inferred} variables but nvars={n}", 0)
-    return [(neg, c, tuple(e.get(i, 0) for i in range(n))) for neg, c, e in terms], n
+    return [(neg, c, tuple([e.get(j, 0) for j in range(n)])) for neg, c, e in terms], n
 
 
 def parse_polynomial(text: str, mode: str = LAURENT, nvars: int | None = None) -> Polynomial:
@@ -194,20 +177,24 @@ def parse_polynomials(texts, mode: str = LAURENT, nvars: int | None = None) -> l
 
     The first text that does not parse raises its ``ParseError``.  An
     inferred count pads each text's exponents with zeros, which is what
-    parsing the text again with that count would give.
+    parsing the text again with that count would give.  The terms read are
+    valid as they stand, so each polynomial is built by ``Polynomial._of``.
     """
+    _check_mode(mode)
     folded = []
     for text in texts:
         terms, k = _read_terms(text, nvars, classical=False)
         coeffs: dict[Exponents, TropScalar] = {}
         for _, coeff, key in terms:
-            if mode == POLY and any(e < 0 for e in key):
+            if mode == POLY and key and min(key) < 0:
                 raise ParseError("negative exponents are not allowed in poly mode", 0)
             coeffs[key] = trop_add(coeffs.get(key, BOTTOM), coeff)
         folded.append((coeffs, k))
     n = max((k for _, k in folded), default=0)
     return [
-        Polynomial({key + (0,) * (n - k): c for key, c in coeffs.items()}, n, mode)
+        Polynomial._of(
+            {key + (0,) * (n - k): c for key, c in coeffs.items() if c is not BOTTOM}, n, mode
+        )
         for coeffs, k in folded
     ]
 

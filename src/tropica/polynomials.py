@@ -4,6 +4,13 @@ A polynomial is a finite map from integer exponent vectors to non-bottom
 rational coefficients.  Two polynomials are equal exactly when their
 coefficient maps are equal; no functional identification is performed.
 Values are immutable after construction.
+
+Input is validated once, at the public boundary: ``Polynomial(...)`` reads
+its exponents with ``to_exponents`` and its coefficients with ``scalar``.
+A polynomial the library builds from terms it already holds (a sum,
+product, scaling, deleted term, collapse or stratum restriction, and the
+parser's output) goes through ``Polynomial._of``, which takes the terms as
+they are.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .matrices import to_fraction, to_int
-from .scalars import BOTTOM, ONE, TropScalar, is_bottom, scalar, trop_add, trop_mul
+from .scalars import BOTTOM, ONE, TropScalar, is_bottom, scalar
 
 LAURENT = "laurent"
 POLY = "poly"
@@ -44,13 +51,17 @@ def term_key(expo: Exponents):
 
 
 class Polynomial:
-    """Immutable formal max-plus polynomial in ``n`` variables."""
+    """Immutable formal max-plus polynomial in ``n`` variables.
+
+    ``Polynomial(coeffs, n, mode)`` reads public input: exponents by
+    ``to_exponents``, coefficients by ``scalar`` (bottom terms dropped).
+    """
 
     __slots__ = ("n", "mode", "_coeffs", "_items", "_hash")
 
     def __init__(self, coeffs: Mapping[Exponents, object], n: int, mode: str = LAURENT):
-        self.n = n = n if type(n) is int else to_int(n, "variable count")
-        self.mode = _check_mode(mode)
+        n = n if type(n) is int else to_int(n, "variable count")
+        _check_mode(mode)
         if n < 0:
             raise ValueError("variable count must be non-negative")
         clean: dict[Exponents, Fraction] = {}
@@ -59,9 +70,26 @@ class Polynomial:
             if not is_bottom(value):
                 # distinct keys of one mapping read as distinct integer tuples
                 clean[to_exponents(expo, n, mode)] = value
+        self._set(clean, n, mode)
+
+    @classmethod
+    def _of(cls, clean: dict[Exponents, Fraction], n: int, mode: str) -> "Polynomial":
+        """The polynomial of terms that need no reading: ``clean`` is kept, not copied.
+
+        ``clean`` maps distinct tuples of n ints (none negative in poly mode)
+        to ``Fraction``s, none of them bottom; n and ``mode`` are valid.
+        """
+        self = object.__new__(cls)
+        self._set(clean, n, mode)
+        return self
+
+    def _set(self, clean: dict[Exponents, Fraction], n: int, mode: str) -> None:
+        self.n = n
+        self.mode = mode
         self._coeffs = clean
-        self._items = tuple(sorted(clean.items(), key=lambda kv: term_key(kv[0])))
-        self._hash = hash((self.n, self.mode, self._items))
+        # (sum(e), e) from the top is term_key's order, the keys being distinct
+        self._items = tuple(sorted(clean.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True))
+        self._hash = hash((n, mode, self._items))
 
     # -- constructors ------------------------------------------------------
 
@@ -142,17 +170,18 @@ class Polynomial:
         self._require_compatible(other)
         out = dict(self._coeffs)
         for expo, c in other._coeffs.items():
-            out[expo] = trop_add(out.get(expo, BOTTOM), c)
-        return Polynomial(out, self.n, self.mode)
+            out[expo] = max(out.get(expo, c), c)
+        return Polynomial._of(out, self.n, self.mode)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._require_compatible(other)
-        out: dict[Exponents, TropScalar] = {}
+        out: dict[Exponents, Fraction] = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
                 expo = tuple(a + b for a, b in zip(e1, e2))
-                out[expo] = trop_add(out.get(expo, BOTTOM), trop_mul(c1, c2))
-        return Polynomial(out, self.n, self.mode)
+                c = c1 + c2
+                out[expo] = max(out.get(expo, c), c)
+        return Polynomial._of(out, self.n, self.mode)
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -167,7 +196,7 @@ class Polynomial:
         value = scalar(c)
         if is_bottom(value):
             return Polynomial.zero(self.n, self.mode)
-        return Polynomial({e: v + value for e, v in self._coeffs.items()}, self.n, self.mode)
+        return Polynomial._of({e: v + value for e, v in self._coeffs.items()}, self.n, self.mode)
 
     # -- bend machinery -------------------------------------------------------
 
@@ -177,7 +206,7 @@ class Polynomial:
             raise KeyError(f"monomial {key} is not in the support")
         out = dict(self._coeffs)
         del out[key]
-        return Polynomial(out, self.n, self.mode)
+        return Polynomial._of(out, self.n, self.mode)
 
     def bend_pairs(self) -> tuple["Pair", ...]:
         """One pair (f, f with the i-th term deleted) per support element."""
@@ -206,7 +235,7 @@ class Polynomial:
 
     def collapse_coefficients(self) -> "Polynomial":
         """Send every coefficient to the unit (image in the Boolean subsemifield)."""
-        return Polynomial({e: ONE for e in self._coeffs}, self.n, self.mode)
+        return Polynomial._of(dict.fromkeys(self._coeffs, ONE), self.n, self.mode)
 
     def restrict_to_stratum(self, dead_vars) -> "Polynomial":
         """Substitute bottom for the given variables and drop their coordinates.
@@ -219,13 +248,13 @@ class Polynomial:
             raise ValueError("stratum restriction requires poly mode")
         dead = frozenset(dead_vars)
         alive = [i for i in range(self.n) if i not in dead]
-        out: dict[Exponents, TropScalar] = {}
+        out: dict[Exponents, Fraction] = {}
         for expo, c in self._coeffs.items():
             if any(expo[i] > 0 for i in dead):
                 continue
             key = tuple(expo[i] for i in alive)
-            out[key] = trop_add(out.get(key, BOTTOM), c)
-        return Polynomial(out, len(alive), POLY)
+            out[key] = max(out.get(key, c), c)
+        return Polynomial._of(out, len(alive), POLY)
 
     def __repr__(self) -> str:
         from .parsing import format_polynomial

@@ -42,10 +42,12 @@ def is_bottom(a: TropScalar) -> bool:
 
 
 def scalar(x) -> TropScalar:
-    """Coerce a value to a tropical scalar ("-inf" and BOTTOM pass through)."""
-    if is_bottom(x):
-        return BOTTOM
-    if isinstance(x, str) and x.strip() == "-inf":
+    """Coerce a value to a tropical scalar: exactly "-inf" and BOTTOM are bottom.
+
+    Any other value goes to ``to_fraction``, which rejects padded text, so
+    " -inf" is an error as " 3" is.
+    """
+    if is_bottom(x) or (isinstance(x, str) and x == "-inf"):
         return BOTTOM
     return to_fraction(x)
 

@@ -18,11 +18,13 @@ they state the question, not its answer.  The `Fraction` front end of
 `polyhedra` (`make_polyhedron` and the functions on a `Polyhedron`) calls
 the library's integer kernel: it states inputs and serves the `varieties`
 oracles, and is no oracle of `polyhedra`.  Two kinds of oracle read their
-input with their own layer's readers: the parsing oracles take terms from
-the tropical term reader and check what is built from them (the fold of a
-polynomial, the variable count of several texts, the signs of classical
+input with their own layer's readers: the parsing oracles other than
+`ref_read_terms` read text through `parse_polynomial` and check what is
+built from it (the variable count of several texts, the signs of classical
 text), and `ref_cmd_tideal_check` reads argv and JSON with the CLI's own
-helpers and checks the decision taken on them.
+helpers and checks the decision taken on them.  The fold oracle
+`ref_parse_polynomial` reads its terms with `ref_read_terms`, the former
+term reader.
 
 No test module imports another test module; what two of them share lives
 here.

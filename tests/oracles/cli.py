@@ -5,7 +5,8 @@ stderr).  `BASES` holds one argv per subcommand that exits 0,
 `MATRIX_READERS` the five subcommands that read `--matrix`, each with the
 rest of a line that runs on a 1-variable prime, and `SEED_5_ARGV` a
 `tideal-check` whose counterexample depends on the seed, with its stdout
-`SEED_5_STDOUT`.  `readme_json` reads the README's JSON examples.
+`SEED_5_STDOUT`.  `readme_commands` reads the argv of each `tropica ...`
+line of the README's command block, and `readme_json` its JSON examples.
 
 `ref_cmd_tideal_check` is the former handler of `tideal-check`: it draws
 the full sample of `oracles.sampling.ref_point_members` (the geometric
@@ -19,10 +20,11 @@ by lemma (a).
 import json
 import random
 import re
+import shlex
 from pathlib import Path
 
 from tropica import cli
-from tropica.cli import build_parser, main
+from tropica.cli import main
 from tropica.parsing import format_polynomial, monomial_text, parse_point
 from tropica.polynomials import LAURENT
 from tropica.primes import matrix_from_json
@@ -39,6 +41,13 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of each `tropica ...` line of the README's command block."""
+    readme = (REPO / "README.md").read_text()
+    block = re.search(r"## Command line.*?```sh\n(.*?)```", readme, re.DOTALL).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("tropica ")]
 
 
 def readme_json():
@@ -129,17 +138,15 @@ def ref_cmd_tideal_check(args):
     cli._emit(payload, args)
 
 
-class _RefParser:
-    """The CLI's parser, with the former handler in place of the tideal-check one."""
-
-    def parse_args(self, argv):
-        args = build_parser().parse_args(argv)
-        if args.func is cli._cmd_tideal_check:
-            args.func = ref_cmd_tideal_check
-        return args
+def _ref_parse_args(argv, parse_args=cli.parse_args):
+    """The CLI's namespace, with the former handler in place of the tideal-check one."""
+    args = parse_args(argv)
+    if args.func is cli._cmd_tideal_check:
+        args.func = ref_cmd_tideal_check
+    return args
 
 
 def ref_run_cli(argv, capsys, monkeypatch):
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "build_parser", _RefParser)
+        patch.setattr(cli, "parse_args", _ref_parse_args)
         return run_cli(argv, capsys)

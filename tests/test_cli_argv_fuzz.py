@@ -7,6 +7,11 @@ rational slot, or passes the matrix `[[]]`.  Whatever the mutation, `main`
 returns 0, 1 or 2; on 1 or 2, stderr is one JSON object whose `error` is
 `domain` or `parse` respectively; and no exception, `SystemExit` included,
 escapes `main`.
+
+The same mutations, the README command lines and the top-level lines
+(none, `-h`, an unknown name) check `cli.parse_args`, which hands a
+subcommand's arguments straight to its parser: it gives the namespace, the
+usage error or the help text and exit of `build_parser().parse_args`.
 """
 
 import json
@@ -15,9 +20,10 @@ import re
 
 import pytest
 
-from tropica.cli import main
+from tropica import cli
+from tropica.cli import UsageError, build_parser, main
 
-from oracles.cli import BASES
+from oracles.cli import BASES, readme_commands
 
 INT_OPTIONS = {"--nvars", "--seed", "--degree", "--trials"}
 MATRIX_OPTIONS = {"--matrix"}
@@ -116,3 +122,28 @@ def test_mutated_argv_keeps_the_error_contract(capsys, tmp_path, monkeypatch):
     codes = [_assert_contract(argv, capsys) for argv in _cases(20261018, 25)]
     # the mutations reach all three outcomes
     assert {0, 1, 2} <= set(codes)
+
+
+# the top-level parser's own lines: no subcommand, its help, an unknown name, a subcommand's help
+TOP_LEVEL = [[], ["-h"], ["--help"], ["frobnicate"], ["eval", "--help"], ["--poly", "x", "eval"]]
+
+
+def _parsed(parse, argv, capsys):
+    """The namespace, the usage error or the exit code of ``parse(argv)``, and what it printed."""
+    try:
+        got = "ok", vars(parse(argv))
+    except UsageError as exc:
+        got = "usage", str(exc)
+    except SystemExit as exc:
+        got = "exit", exc.code
+    return got, capsys.readouterr()
+
+
+def test_dispatch_matches_the_full_parser(capsys):
+    lines = _cases(20261018, 25) + _cases(20261020, 200) + readme_commands() + TOP_LEVEL
+    seen = set()
+    for argv in lines:
+        got = _parsed(cli.parse_args, argv, capsys)
+        assert got == _parsed(build_parser().parse_args, argv, capsys), argv
+        seen.add(got[0][0])
+    assert seen == {"ok", "usage", "exit"}

@@ -11,8 +11,6 @@ Last, `TROPICA_SEED` set in the environment changes no output.
 """
 
 import os
-import re
-import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -21,15 +19,9 @@ import pytest
 
 from tropica.cli import build_parser
 
-from oracles.cli import SEED_5_ARGV, SEED_5_STDOUT, run_cli
+from oracles.cli import SEED_5_ARGV, SEED_5_STDOUT, readme_commands, run_cli
 
 REPO = Path(__file__).resolve().parent.parent
-
-
-def _readme_commands() -> list[list[str]]:
-    readme = (REPO / "README.md").read_text()
-    block = re.search(r"## Command line.*?```sh\n(.*?)```", readme, re.DOTALL).group(1)
-    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("tropica ")]
 
 
 def _with_output(argv, directory: Path) -> list[str]:
@@ -63,7 +55,7 @@ def test_parser_is_built_once():
 
 
 def test_readme_commands_match_fresh_processes(repo_cwd, capsys, tmp_path):
-    commands = _readme_commands()
+    commands = readme_commands()
     assert len(commands) == 15 and len({argv[0] for argv in commands}) == 14  # every subcommand
     (tmp_path / "fresh").mkdir()
     (tmp_path / "reused").mkdir()

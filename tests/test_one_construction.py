@@ -336,15 +336,24 @@ def test_window_admits_member_matches_pairwise_ties():
 
 @pytest.fixture
 def constructions(monkeypatch):
-    """The number of Polynomial constructions so far, as a one-element list."""
+    """The number of Polynomial constructions so far, as a one-element list.
+
+    A polynomial is built by ``Polynomial(...)`` or, from terms the library
+    already holds, by ``Polynomial._of``; both are counted.
+    """
     count = [0]
-    init = Polynomial.__init__
+    init, of = Polynomial.__init__, Polynomial._of
 
     def counting(self, *args, **kwargs):
         count[0] += 1
         init(self, *args, **kwargs)
 
+    def counting_of(*args):
+        count[0] += 1
+        return of(*args)
+
     monkeypatch.setattr(Polynomial, "__init__", counting)
+    monkeypatch.setattr(Polynomial, "_of", staticmethod(counting_of))
     return count
 
 

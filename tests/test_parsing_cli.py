@@ -2,21 +2,24 @@
 
 import json
 import random
+import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from tropica import cli, sampling
+from tropica import cli, parsing, sampling
 from tropica.cli import main
 from tropica.parsing import (
     ParseError,
     format_polynomial,
     parse_classical,
     parse_polynomial,
+    parse_polynomials,
 )
 from tropica.polynomials import LAURENT, POLY, Polynomial
 from tropica.primes import matrix_from_json
@@ -25,7 +28,7 @@ from tropica.sampling import random_polynomial
 from tropica.varieties import hypersurface
 
 from oracles.cli import MATRIX_READERS, SEED_5_ARGV, SEED_5_STDOUT, readme_json, run_cli
-from oracles.parsing import ref_parse_classical
+from oracles.parsing import outcome, ref_parse_classical, ref_read_terms
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -43,6 +46,12 @@ def test_parse_examples():
 def test_parse_rejects_negative_exponent_in_poly_mode():
     with pytest.raises(ParseError):
         parse_polynomial("x^-1 + y", POLY)
+
+
+@pytest.mark.parametrize("texts", [["x + 1"], ["x + * y"], []])
+def test_parse_rejects_unknown_mode_first(texts):
+    with pytest.raises(ValueError, match="unknown mode 'Laurent'"):
+        parse_polynomials(texts, "Laurent")
 
 
 def test_parse_laurent_negative_exponent():
@@ -87,6 +96,39 @@ def test_parse_error_positions():
         parse_polynomial("")
     with pytest.raises(ParseError):
         parse_polynomial("x $ y")
+
+
+@pytest.mark.parametrize("text, name", [("x١ + 0", "x١"), ("x١٠ + 0", "x١٠"), ("2*x۳", "x۳")])
+def test_subscripts_are_ascii_digits(capsys, text, name):
+    message = f"unknown variable {name!r} (at position {text.index(name)})"
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_polynomial(text)
+    code, out, err = run_cli(["eval", "--poly", text, "--point", "3"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "parse", "message": message}
+
+
+# tokens that, concatenated with no separator, reach every error message of the reader
+READER_TOKENS = (
+    "x", "y", "z", "w", "x1", "x0", "q", " ", "\t", "\n", "+", "*", "^", "-", "/",
+    "2", "-1", "3/2", "1/0", "-inf", "$", "ab",
+)
+READER_WEIGHTS = (6, 4, 3, 2, 4, 1, 1, 6, 1, 1, 6, 6, 3, 3, 1, 4, 2, 2, 1, 1, 1, 1)
+
+
+def test_term_reader_matches_former_reader():
+    rng = random.Random(20261020)
+    read = Counter()
+    for k in range(100_000):
+        text = "".join(rng.choices(READER_TOKENS, READER_WEIGHTS, k=rng.randint(0, 10)))
+        nvars = (None, 0, 3)[k % 3]
+        for classical in (False, True):
+            # a ParseError's message ends in its position
+            got = outcome(parsing._read_terms, text, nvars, classical)
+            assert got == outcome(ref_read_terms, text, nvars, classical), (text, nvars, classical)
+            read[got[0] == "ok", classical] += 1
+    # both grammars read some texts and reject others
+    assert min(read.values()) >= 4_000, read
 
 
 def test_round_trip_random():

@@ -72,6 +72,17 @@ def test_rejects_non_integral_exponents():
     assert Polynomial({(Fraction(2),): 0}, 1).support() == ((2,),)
 
 
+@pytest.mark.parametrize("text", [" -inf\n", "-inf ", "\t-inf", " 3"])
+def test_padded_coefficient_text_is_rejected(text):
+    # only the exact text "-inf" is bottom; padded it is no rational literal either
+    with pytest.raises(ValueError, match="expected an integer or a 'p/q' string"):
+        Polynomial({(1,): text, (0,): 2}, 1)
+    with pytest.raises(ValueError, match="expected an integer or a 'p/q' string"):
+        P("x + 2", 1).scale(text)
+    assert Polynomial({(1,): "-inf", (0,): 2}, 1) == P("2", 1)
+    assert P("x + 2", 1).scale("-inf") == Polynomial.zero(1)
+
+
 def test_fraction_coefficients_are_kept():
     # to_fraction returns a Fraction as it is instead of copying it per coefficient
     c = Fraction(1, 3)
