@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -141,8 +142,8 @@ def _polynomial(args, mode: str, nvars: int | None) -> Polynomial:
 
 def _cmd_eval(args):
     f = _polynomial(args, args.mode, args.nvars)
-    point = parse_point(args.point)
-    _emit({"value": scalar_str(f.evaluate(point)), "vanishes": f.vanishes_at(point)}, args)
+    value, vanishes = f.value_and_vanishing(parse_point(args.point))
+    _emit({"value": scalar_str(value), "vanishes": vanishes}, args)
 
 
 def _cmd_bend(args):
@@ -310,14 +311,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _count(text: str) -> int:
-    """A variable count: a non-negative integer, else an argument error naming the option."""
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # the integer form of a rational literal
+
+
+def _integer(text: str, non_negative: bool = False) -> int:
+    """An integer option: ASCII digits with an optional sign, at least 0 if ``non_negative``."""
     try:
-        value = int(text)
-    except ValueError:
+        value = int(text) if _INTEGER.fullmatch(text) else None
+    except ValueError:  # more digits than int() converts
         value = None
-    if value is None or value < 0:
-        raise argparse.ArgumentTypeError(f"invalid non-negative int value: {text!r}")
+    if value is None or (non_negative and value < 0):
+        kind = "non-negative int" if non_negative else "int"
+        raise argparse.ArgumentTypeError(f"invalid {kind} value: {text!r}")
     return value
 
 
@@ -325,7 +330,7 @@ def _add_polys(sub, nvars: bool = True):
     sub.add_argument("--poly", action="append", help="polynomial text (repeatable)")
     sub.add_argument("--file", help="file with one polynomial per line")
     if nvars:
-        sub.add_argument("--nvars", type=_count, default=None)
+        sub.add_argument("--nvars", type=functools.partial(_integer, non_negative=True))
 
 
 @functools.cache
@@ -385,17 +390,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("tideal-check", _cmd_tideal_check, "monomial elimination axiom check")
     p.set_defaults(mode=None)  # unset, like --seed, --degree and --trials: --circuits reads none
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_integer)
     p.add_argument("--circuits", help="circuit JSON (or file path)")
     p.add_argument("--point", help="geometric point, e.g. 0,0")
     p.add_argument("--matrix", help="admissible matrix JSON")
-    p.add_argument("--degree", type=int)
-    p.add_argument("--trials", type=int)
+    p.add_argument("--degree", type=_integer)
+    p.add_argument("--trials", type=_integer)
 
     p = command("tideal-trop", _cmd_tideal_trop, "circuits of a tropicalized rational ideal", mode=False)
     p.add_argument("--gens", action="append", required=True, help="classical polynomial, e.g. 'x - y'")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--nvars", type=_count, default=None)
+    p.add_argument("--degree", type=_integer, required=True)
+    p.add_argument("--nvars", type=functools.partial(_integer, non_negative=True))
 
     p = command("plot", _cmd_plot, "render a planar complex to SVG", emits_json=False)
     p.set_defaults(mode=None)  # --complex reads no --mode

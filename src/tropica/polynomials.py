@@ -57,7 +57,7 @@ class Polynomial:
     ``to_exponents``, coefficients by ``scalar`` (bottom terms dropped).
     """
 
-    __slots__ = ("n", "mode", "_coeffs", "_items", "_hash")
+    __slots__ = ("n", "mode", "_coeffs", "_items")
 
     def __init__(self, coeffs: Mapping[Exponents, object], n: int, mode: str = LAURENT):
         n = n if type(n) is int else to_int(n, "variable count")
@@ -89,7 +89,6 @@ class Polynomial:
         self._coeffs = clean
         # (sum(e), e) from the top is term_key's order, the keys being distinct
         self._items = tuple(sorted(clean.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True))
-        self._hash = hash((n, mode, self._items))
 
     # -- constructors ------------------------------------------------------
 
@@ -154,7 +153,7 @@ class Polynomial:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self.mode, self._items))
 
     def _require_compatible(self, other: "Polynomial") -> None:
         if not isinstance(other, Polynomial):
@@ -230,8 +229,13 @@ class Polynomial:
         Monomials never vanish, and by convention neither does the zero
         polynomial.
         """
+        return self.value_and_vanishing(point)[1]
+
+    def value_and_vanishing(self, point) -> tuple[TropScalar, bool]:
+        """``evaluate`` and ``vanishes_at`` at ``point``, from one computation of the term values."""
         values = self._values(point)
-        return len(values) >= 2 and values.count(max(values)) >= 2
+        top = max(values, default=BOTTOM)
+        return top, values.count(top) >= 2
 
     def collapse_coefficients(self) -> "Polynomial":
         """Send every coefficient to the unit (image in the Boolean subsemifield)."""

@@ -52,57 +52,44 @@ def window_order(expo: Exponents):
     return (sum(expo), expo)
 
 
-def _window_ints(n, degree) -> tuple[int, int]:
-    return to_int(n, "window variable count"), to_int(degree, "window degree")
+def _monomials(n: int, mode: str, degree: int):
+    """The window's monomials, lazily and unsorted."""
+    if mode == LAURENT:
+        return itertools.product(range(-degree, degree + 1), repeat=n)
+    # stars and bars: the exponents are the gaps between n bars among n + d slots;
+    # combinations copies its pool first, so with no bars there are no slots
+    bars = itertools.combinations(range(n + degree), n) if n else [()]
+    return (tuple(b - a - 1 for a, b in zip((-1, *c), c)) for c in bars)
 
 
-def window_size(n: int, mode: str, degree: int, limit: int) -> int:
-    """The number of monomials in the window, or limit + 1 when it holds more.
+def _window(n, mode: str, degree, cap: int, what: str) -> MonomialWindow:
+    """The window, built one monomial at a time and refused once it passes ``cap``.
 
-    Counted without building the window: C(n + d, n) in poly mode and
-    (2d + 1)^n in Laurent mode, one variable at a time until the count
-    passes ``limit``.
+    When n >= 1 and d >= 1 the window holds 1 and each variable, and 1, x1,
+    ..., x1^d, so more than max(n, d) monomials: max(n, d) >= cap is refused
+    before any monomial is built.  Otherwise at most cap + 1 are built.
     """
-    n, degree = _window_ints(n, degree)
+    n = to_int(n, "window variable count")
+    degree = to_int(degree, "window degree")
     if n < 0:
         raise ValueError("window variable count must be non-negative")
     if degree < 0:
         raise ValueError("window degree must be non-negative")
     _check_mode(mode)
-    if degree == 0:
-        return 1  # the constant monomial alone, whatever n is
-    size = 1
-    for k in range(1, n + 1):
-        # C(d + k, k) after k poly-mode steps, (2d + 1)^k in Laurent mode
-        size = size * (degree + k) // k if mode == POLY else size * (2 * degree + 1)
-        if size > limit:
-            return limit + 1
-    return size
-
-
-def _require_window_size(n: int, mode: str, degree: int, cap: int, what: str) -> None:
-    size = window_size(n, mode, degree, cap)
-    if size > cap:
+    at_once = min(n, degree) >= 1 and max(n, degree) >= cap
+    monos = [] if at_once else list(itertools.islice(_monomials(n, mode, degree), cap + 1))
+    if at_once or len(monos) > cap:
         raise ValueError(
             f"the degree-{degree} {mode} window in {n} variables has more than {cap} "
             f"monomials; the cap {what} is {cap}"
         )
+    monos.sort(key=window_order)
+    return MonomialWindow(n, mode, degree, tuple(monos))
 
 
 def monomial_window(n: int, mode: str, degree: int) -> MonomialWindow:
-    """The window, after checking that it holds at most MAX_WINDOW_SIZE monomials."""
-    _require_window_size(n, mode, degree, MAX_WINDOW_SIZE, "on monomial windows")
-    n, degree = _window_ints(n, degree)
-    if mode == POLY:
-        monos = [
-            expo
-            for expo in itertools.product(range(degree + 1), repeat=n)
-            if sum(expo) <= degree
-        ]
-    else:
-        monos = list(itertools.product(range(-degree, degree + 1), repeat=n))
-    monos.sort(key=window_order)
-    return MonomialWindow(n, mode, degree, tuple(monos))
+    """The window, refused when it holds more than MAX_WINDOW_SIZE monomials."""
+    return _window(n, mode, degree, MAX_WINDOW_SIZE, "on monomial windows")
 
 
 def _require_same_ring(vectors) -> None:
@@ -438,8 +425,7 @@ def truncated_tropicalization(rational_gens: list[dict], n: int, degree: int) ->
     representatives is either solved, giving H, or lies in a recorded flat
     of rank >= r - 1, which can only be H itself.
     """
-    _require_window_size(n, POLY, degree, MAX_WINDOW_MONOMIALS, "for circuit enumeration")
-    window = monomial_window(n, POLY, degree)
+    window = _window(n, POLY, degree, MAX_WINDOW_MONOMIALS, "for circuit enumeration")
     n, degree = window.n, window.degree
     gen_maps = []
     for g in rational_gens:

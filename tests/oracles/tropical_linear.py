@@ -1,4 +1,9 @@
-"""Oracles of `tropica.tropical_linear`: witness searches, circuit scans and span brute force.
+"""Oracles of `tropica.tropical_linear`: window sizes, witness searches, circuit scans and span brute force.
+
+**Windows.**  `ref_window_size` counts a window by its closed form,
+C(n + d, n) monomials in poly mode and (2d + 1)^n in Laurent mode, one
+variable at a time until the count passes a limit; `monomial_window`
+counts by building.
 
 **The elimination axiom.**  `ref_elimination_witness` searches the witness
 of a triple (f, g, u) among the polynomials that drop u, equal max(f_v, g_v)
@@ -42,12 +47,27 @@ from tropica.tropical_linear import (
     MembershipSample,
     monomial_window,
     window_order,
-    window_size,
 )
 
 from oracles.matrices import rank, ref_row_echelon
 
 MAX_TIES = 16  # tie positions per triple the reference searches try (2^ties candidates)
+
+# -- windows -----------------------------------------------------------------------------
+
+
+def ref_window_size(n: int, mode: str, degree: int, limit: int) -> int:
+    """The number of monomials in the window, or limit + 1 when it holds more."""
+    if degree == 0:
+        return 1  # the constant monomial alone, whatever n is
+    size = 1
+    for k in range(1, n + 1):
+        # C(d + k, k) after k poly-mode steps, (2d + 1)^k in Laurent mode
+        size = size * (degree + k) // k if mode == POLY else size * (2 * degree + 1)
+        if size > limit:
+            return limit + 1
+    return size
+
 
 # -- the elimination axiom ---------------------------------------------------------------
 
@@ -310,7 +330,7 @@ def random_ideal(rng, coefficient=random_coefficient):
     the one before it.
     """
     n = rng.randint(1, 3)
-    degree = rng.choice([d for d in range(1, 15) if window_size(n, POLY, d, 15) <= 15])
+    degree = rng.choice([d for d in range(1, 15) if ref_window_size(n, POLY, d, 15) <= 15])
     window = monomial_window(n, POLY, degree).monomials
     gens = []
     for _ in range(rng.randint(1, 3)):

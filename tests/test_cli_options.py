@@ -102,6 +102,46 @@ def test_negative_nvars_is_an_argument_error(capsys, tmp_path, monkeypatch, comm
     assert json.loads(err) == {"error": "parse", "message": message}
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # int() read these: Unicode digits, padding and digit-group underscores
+        (["tideal-trop", "--gens", "x - y", "--degree=\u0663"], "--degree: invalid int value: '\u0663'"),
+        (["eval", "--poly", "x + 0", "--nvars", "\u0661", "--point", "1"],
+         "--nvars: invalid non-negative int value: '\u0661'"),
+        (["tideal-check", "--point", "0", "--trials", "\uff13"], "--trials: invalid int value: '\uff13'"),
+        (["tideal-check", "--point", "0", "--seed", "\u0663"], "--seed: invalid int value: '\u0663'"),
+        (["eval", "--poly", "x + 0", "--nvars", " 1", "--point", "1"],
+         "--nvars: invalid non-negative int value: ' 1'"),
+        (["tideal-check", "--point", "0", "--degree", "1 "], "--degree: invalid int value: '1 '"),
+        (["tideal-trop", "--gens", "x - y", "--degree=1_0"], "--degree: invalid int value: '1_0'"),
+        # rejected before, with these messages
+        (["tideal-trop", "--gens", "x - y", "--degree", "1.0"], "--degree: invalid int value: '1.0'"),
+        (["tideal-check", "--point", "0", "--seed", "x"], "--seed: invalid int value: 'x'"),
+        (["tideal-check", "--point", "0", "--trials", "1/1"], "--trials: invalid int value: '1/1'"),
+        (["tideal-trop", "--gens", "x - y", "--degree", "1", "--nvars", "-2"],
+         "--nvars: invalid non-negative int value: '-2'"),
+    ],
+)
+def test_integer_options_are_ascii_digits(capsys, argv, message):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "parse", "message": f"argument {message}"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tideal-trop", "--gens", "x - y", "--degree=+1"],
+        ["eval", "--poly", "x + 0", "--nvars=+1", "--point", "1"],
+        ["tideal-check", "--point", "0", "--degree", "1", "--trials", "+3", "--seed", "-7"],
+    ],
+)
+def test_signed_integer_options_are_read(capsys, argv):
+    code, _, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+
+
 def test_negative_nvars_in_trace_json_is_a_domain_error(capsys, tmp_path):
     # this was a parse error (exit 2): "expression uses 0 variables but nvars=-1"
     data = json.loads((REPO / "traces" / "factor_swap.json").read_text())

@@ -24,7 +24,6 @@ from tropica.tropical_linear import (
     circuits_from_json,
     monomial_window,
     truncated_tropicalization,
-    window_size,
 )
 from tropica.varieties import (
     affine_prevariety,
@@ -68,8 +67,6 @@ READERS = {
         lambda v: check_admissible([[1, 1]], v),
         lambda m: m.n == 1 and type(m.n) is int,
     ),
-    "window_size n": (lambda v: window_size(v, POLY, 1, 100), lambda size: size == 3),
-    "window_size degree": (lambda v: window_size(1, POLY, v, 100), lambda size: size == 3),
     "monomial_window n": (
         lambda v: monomial_window(v, POLY, 1),
         lambda w: w.n == 2 and type(w.n) is int and len(w) == 3,

@@ -164,6 +164,25 @@ def test_cli_eval(capsys):
     assert json.loads(out) == {"value": "2", "vanishes": False}
 
 
+@pytest.mark.parametrize(
+    "poly, point, expected",
+    [
+        ("x + y + 0", "1,2", {"value": "2", "vanishes": False}),
+        ("x + y + 0", "1,1", {"value": "1", "vanishes": True}),
+        ("3*x", "1", {"value": "4", "vanishes": False}),
+        ("x + -inf", "1", {"value": "1", "vanishes": False}),
+    ],
+)
+def test_cli_eval_computes_term_values_once(capsys, monkeypatch, poly, point, expected):
+    # evaluate and vanishes_at each computed every term's value at the point
+    calls = []
+    values = Polynomial._values
+    monkeypatch.setattr(Polynomial, "_values", lambda f, pt: calls.append(pt) or values(f, pt))
+    code, out, _ = run_cli(["eval", "--poly", poly, "--point", point], capsys)
+    assert (code, json.loads(out)) == (0, expected)
+    assert len(calls) == 1
+
+
 def test_cli_bend(capsys):
     code, out, _ = run_cli(["bend", "--poly", "x + y"], capsys)
     assert code == 0
@@ -460,12 +479,21 @@ def test_cli_tideal_check_matrix_window_with_member(capsys, matrix):
     ],
 )
 def test_cli_window_caps(capsys, args):
-    # the window size is computed before the window is built: degree 10^6 did not return
+    # refused at once, as n or d alone reaches the cap: degree 10^6 did not return
     code, out, err = run_cli(args, capsys)
     assert code == 1 and out == ""
     error = json.loads(err)
     assert error["error"] == "domain"
     assert "monomials; the cap" in error["message"]
+
+
+def test_cli_tideal_check_point_many_variables(capsys):
+    # the 29-monomial window was filtered from the 2^28 points of a box
+    args = ["tideal-check", "--mode", "poly", "--point", ",".join(["0"] * 28), "--degree", "1"]
+    start = time.perf_counter()
+    code, out, err = run_cli(args, capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, err, json.loads(out)) == (0, "", {"passed": True})
 
 
 def test_cli_tideal_check_point_small_window(capsys):

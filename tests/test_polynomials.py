@@ -24,6 +24,24 @@ from tropica.scalars import is_bottom, trop_add, trop_mul
 from oracles.parsing import P
 
 
+# -- equality and hashing ------------------------------------------------------
+
+
+def test_equal_polynomials_hash_equal_however_built():
+    # Polynomial(...) reads its input; + and the parser build by Polynomial._of
+    built = [
+        Polynomial({(1, 0): 2, (0, 0): Fraction(1, 2)}, 2),
+        Polynomial({(1, 0): 2}, 2) + Polynomial({(0, 0): "1/2"}, 2),
+        P("2*x + 1/2", 2),
+        P("1/2 + 2*x + 0*x", 2),
+    ]
+    assert len(set(built)) == 1 and len({hash(f) for f in built}) == 1
+    table = {f: i for i, f in enumerate(built)}
+    assert len(table) == 1 and all(table[f] == 3 for f in built)
+    other = [Polynomial({(1, 0): 2, (0, 0): Fraction(1, 2)}, 2, POLY), P("2*x + 1", 2)]
+    assert not any(f in table for f in other)
+
+
 # -- arithmetic ---------------------------------------------------------------
 
 

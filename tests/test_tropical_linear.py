@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,20 +14,26 @@ from tropica.sampling import prime_members, random_point
 from tropica.scalars import BOTTOM, is_bottom
 from tropica import tropical_linear
 from tropica.tropical_linear import (
+    MAX_WINDOW_MONOMIALS,
     MAX_WINDOW_SIZE,
     CircuitSet,
     MembershipSample,
     check_tropical_axiom,
     elimination_witness,
     monomial_window,
-    window_size,
     truncated_tropicalization,
 )
 from tropica.varieties import affine_prevariety, prevariety
 
 from oracles.parsing import P
 from oracles.sampling import ref_point_members, ref_random_member_polynomial
-from oracles.tropical_linear import combine, grid_scalars, ref_elimination_witness, ref_set_witness
+from oracles.tropical_linear import (
+    combine,
+    grid_scalars,
+    ref_elimination_witness,
+    ref_set_witness,
+    ref_window_size,
+)
 
 
 # -- windows -----------------------------------------------------------------------
@@ -38,16 +45,29 @@ def test_window_sizes():
     assert monomial_window(2, POLY, 1).monomials == ((0, 0), (0, 1), (1, 0))
 
 
-def test_window_size_counts_without_building():
+def _build_nothing(monkeypatch):
+    """Any monomial the window builder asks for fails the test, before it is built."""
+
+    def fail(*args):
+        raise AssertionError(f"monomials of the window {args} were asked for")
+
+    monkeypatch.setattr(tropical_linear, "_monomials", fail)
+
+
+def test_window_sizes_match_the_closed_form(monkeypatch):
     for mode in (POLY, LAURENT):
         for n in range(5):
             for degree in range(5):
-                size = len(monomial_window(n, mode, degree))
-                assert window_size(n, mode, degree, 10**6) == size
-                assert window_size(n, mode, degree, size - 1) == size  # limit + 1
-    assert window_size(3, POLY, 1_000_000, 20) == 21
-    assert window_size(10**6, LAURENT, 10**6, 100) == 101
-    assert window_size(10**6, POLY, 0, 100) == 1
+                assert len(monomial_window(n, mode, degree)) == ref_window_size(n, mode, degree, 10**6)
+    assert len(monomial_window(10**6, POLY, 0)) == ref_window_size(10**6, POLY, 0, 100) == 1
+    # refused before a monomial is built, however large n and d are
+    _build_nothing(monkeypatch)
+    for n, mode, degree in ((3, POLY, 10**6), (10**6, LAURENT, 10**6), (10**6, POLY, 10**6)):
+        assert ref_window_size(n, mode, degree, MAX_WINDOW_SIZE) == MAX_WINDOW_SIZE + 1
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="more than 10000 monomials"):
+            monomial_window(n, mode, degree)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_window_cap(monkeypatch):
@@ -55,13 +75,40 @@ def test_window_cap(monkeypatch):
     assert len(monomial_window(1, POLY, MAX_WINDOW_SIZE - 1)) == MAX_WINDOW_SIZE
     assert len(monomial_window(8, LAURENT, 1)) == 3**8 <= MAX_WINDOW_SIZE
 
-    def fail(*args, **kwargs):
-        raise AssertionError("the window was built")
+    built = []
+    monomials = tropical_linear._monomials
 
-    monkeypatch.setattr(tropical_linear.itertools, "product", fail)
-    for n, mode, degree in ((1, POLY, MAX_WINDOW_SIZE), (9, LAURENT, 1), (3, POLY, 10**6)):
+    def counted(*args):
+        for expo in monomials(*args):
+            built.append(expo)
+            yield expo
+
+    monkeypatch.setattr(tropical_linear, "_monomials", counted)
+    # over the cap: at most cap + 1 monomials are built
+    for n, mode, degree in ((9, LAURENT, 1), (10, POLY, 7)):  # 3^9 and C(17, 7) = 19,448
+        built.clear()
         with pytest.raises(ValueError, match="more than 10000 monomials"):
             monomial_window(n, mode, degree)
+        assert len(built) == MAX_WINDOW_SIZE + 1, (n, mode, degree)
+    built.clear()
+    with pytest.raises(ValueError, match="the cap for circuit enumeration is 20"):
+        truncated_tropicalization([], 2, 5)  # C(7, 2) = 21
+    assert len(built) == MAX_WINDOW_MONOMIALS + 1
+    # and none when n or d alone reaches the cap
+    _build_nothing(monkeypatch)
+    for n, mode, degree in ((1, POLY, MAX_WINDOW_SIZE), (MAX_WINDOW_SIZE, LAURENT, 1), (3, POLY, 10**6)):
+        with pytest.raises(ValueError, match="more than 10000 monomials"):
+            monomial_window(n, mode, degree)
+    with pytest.raises(ValueError, match="the cap for circuit enumeration is 20"):
+        truncated_tropicalization([], MAX_WINDOW_MONOMIALS, 1)
+
+
+def test_window_is_built_in_time_with_its_size():
+    # the window was the (d + 1)^n box filtered by degree: 7.9 s for these 153 monomials
+    start = time.perf_counter()
+    window = monomial_window(16, POLY, 2)
+    assert time.perf_counter() - start < 1
+    assert len(window) == 153 == ref_window_size(16, POLY, 2, 10**6)
 
 
 # -- span membership by residuation ---------------------------------------------------
