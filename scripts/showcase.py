@@ -61,7 +61,7 @@ def elimination_dichotomy() -> None:
     window = monomial_window(2, POLY, 2)
     point = random_point(rng, 2, -2, 2, 2)
     # 1 and x^2 tie at the coefficient gap 2 * point[0], an integer in -4..4, so draws find members
-    sample = prime_members(rng, geometric_prime_of_point(point, POLY), window, 12)
+    sample = prime_members(rng, geometric_prime_of_point(point), window, 12)
     result = check_tropical_axiom(sample)
     print(f"  geometric prime at {tuple(map(str, point))}: passed={result.passed}")
 

@@ -40,6 +40,7 @@ from .primes import (
     bend_ideal_member,
     classify_prime,
     compare_terms,
+    geometric_prime_of_point,
     matrix_from_json,
     variety_of_prime,
 )
@@ -181,7 +182,7 @@ def _cmd_prime_check(args):
 
 
 def _cmd_prime_compare(args):
-    matrix = matrix_from_json(_load_json_arg(args.matrix), args.mode)
+    matrix = matrix_from_json(_load_json_arg(args.matrix))
     t1 = parse_term(args.term1, args.mode, matrix.n)
     t2 = parse_term(args.term2, args.mode, matrix.n)
     _emit({"order": compare_terms(matrix, t1, t2)}, args)
@@ -194,7 +195,7 @@ def _cmd_prime_variety(args):
 
 
 def _cmd_prime_member(args):
-    matrix = matrix_from_json(_load_json_arg(args.matrix), args.mode)
+    matrix = matrix_from_json(_load_json_arg(args.matrix))
     f = _polynomial(args, args.mode, matrix.n)
     _emit({"member": bend_ideal_member(matrix, f)}, args)
 
@@ -227,10 +228,10 @@ def _cmd_tideal_check(args):
     w != v, which contradicts S = {v}.  So M = K is attained twice in F and
     T, case 2.
 
-    So ``--point``, which presents the geometric prime [[1, p]] of its point
-    p, and a geometric ``--matrix`` pass with no draw once the window and
-    degree are valid, even where draws would find no member.  A
-    non-geometric ``--matrix`` checks the full sample of ``prime_members``.
+    So ``--point p``, which is the geometric prime [[1, p]], and a geometric
+    ``--matrix`` pass with no draw once the window and degree are valid,
+    even where draws would find no member.  A non-geometric ``--matrix``
+    checks the full sample of ``prime_members``.
     """
     given = [f"--{k}" for k in ("circuits", "point", "matrix") if getattr(args, k) is not None]
     if given == ["--circuits"]:  # it reads none of the four options below
@@ -249,15 +250,14 @@ def _cmd_tideal_check(args):
     if args.circuits is not None:
         result = check_tropical_axiom(circuits_from_json(_load_json_arg(args.circuits)))
     else:
-        if args.point is not None:  # the geometric prime [[1, p]] of its point p
-            n, prime = len(parse_point(args.point)), None
+        if args.point is not None:
+            prime = geometric_prime_of_point(parse_point(args.point))
         elif args.matrix is not None:
-            prime = matrix_from_json(_load_json_arg(args.matrix), mode)
-            n = prime.n
+            prime = matrix_from_json(_load_json_arg(args.matrix))
         else:
             raise ValueError("one of --circuits, --point or --matrix is required")
-        window = monomial_window(n, mode, degree)  # the window cap
-        if prime is None or classify_prime(prime)[0] == GEOMETRIC:
+        window = monomial_window(prime.n, mode, degree)  # the window cap
+        if classify_prime(prime)[0] == GEOMETRIC:
             require_member_degree(degree)
             require_member_window(window)
             result = AxiomResult(True)  # lemma (a)

@@ -84,8 +84,7 @@ def witness_prime(x: PolyComplex, gens: list[Polynomial]) -> AdmissibleMatrix:
         if t <= 0:
             raise ValueError("interior point is not strictly inside the cell")
         rows.append([Fraction(1), *(w + t * v for w, v in zip(omega, direction))])
-    mode = gens[0].mode if gens else x.mode
-    return check_admissible(rows, x.ambient, mode)
+    return check_admissible(rows, x.ambient)
 
 
 def coordinate_dimension(gens: list[Polynomial]) -> DimensionReport:

@@ -45,11 +45,6 @@ def to_exponents(expo, n: int, mode: str) -> Exponents:
     return key
 
 
-def term_key(expo: Exponents):
-    """Canonical display order: graded-lex, highest first."""
-    return (-sum(expo), tuple(-e for e in expo))
-
-
 class Polynomial:
     """Immutable formal max-plus polynomial in ``n`` variables.
 
@@ -87,7 +82,7 @@ class Polynomial:
         self.n = n
         self.mode = mode
         self._coeffs = clean
-        # (sum(e), e) from the top is term_key's order, the keys being distinct
+        # display order: graded-lex from the top, ``window_order`` reversed
         self._items = tuple(sorted(clean.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True))
 
     # -- constructors ------------------------------------------------------

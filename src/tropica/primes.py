@@ -4,9 +4,12 @@ A prime congruence of the (Laurent) polynomial semiring is a total,
 cancellative ordering of terms.  It is presented by a rational matrix with
 n+1 columns: column 0 weights the coefficient and columns 1..n weight the
 exponents; term t1 beats term t2 when the first non-zero entry of
-U @ ((c1, u1) - (c2, u2)) is positive.  Rows are stored exactly as given:
-adding earlier rows to later ones preserves the order, but upward row
-operations change the prime, so no automatic reduction is applied.
+U @ ((c1, u1) - (c2, u2)) is positive.  A matrix presents a prime of the
+polynomial and of the Laurent semiring alike (Joó and Mincheva, cited
+below), so it carries no mode: every query reads only its rows.  Rows are
+stored exactly as given: adding earlier rows to later ones preserves the
+order, but upward row operations change the prime, so no automatic
+reduction is applied.
 
 Queries run on integers.  Multiplying a row by a positive number leaves the
 sign of each entry of U @ (t1 - t2) unchanged, hence the order too (Joó and
@@ -47,7 +50,7 @@ from math import lcm
 from operator import mul
 
 from .matrices import clear_denominators, int_rank, to_fraction, to_int
-from .polynomials import Exponents, LAURENT, Polynomial, _check_mode
+from .polynomials import Exponents, Polynomial
 from .scalars import is_bottom
 
 Term = tuple[Fraction, Exponents]
@@ -82,7 +85,6 @@ class AdmissibleMatrix:
 
     rows: tuple[tuple[Fraction, ...], ...]
     n: int
-    mode: str = LAURENT
     cleared_rows: tuple[tuple[int, ...], ...] = field(kw_only=True, repr=False, compare=False)
 
     @property
@@ -93,17 +95,17 @@ class AdmissibleMatrix:
         return [[str(x) for x in row] for row in self.rows]
 
 
-def matrix_from_json(data, mode: str = LAURENT) -> AdmissibleMatrix:
+def matrix_from_json(data) -> AdmissibleMatrix:
     """Matrix JSON, as ``to_json`` writes it: a non-empty array of non-empty rows.
 
     The first row fixes n + 1 columns, and ``check_admissible`` reads each entry once.
     """
     if not isinstance(data, list) or not data or not all(isinstance(r, list) and r for r in data):
         raise ValueError("matrix JSON must be a non-empty array of non-empty arrays")
-    return check_admissible(data, len(data[0]) - 1, mode)
+    return check_admissible(data, len(data[0]) - 1)
 
 
-def check_admissible(rows, n: int, mode: str = LAURENT) -> AdmissibleMatrix:
+def check_admissible(rows, n: int) -> AdmissibleMatrix:
     """Validate and freeze a defining matrix; raises AdmissibilityError with every violation.
 
     Each entry is read once (a ``Fraction`` is taken as is) and each row is
@@ -114,7 +116,6 @@ def check_admissible(rows, n: int, mode: str = LAURENT) -> AdmissibleMatrix:
     so they are linearly dependent without a rank computation.
     """
     n = to_int(n, "variable count")
-    _check_mode(mode)
     frozen = tuple([tuple([x if type(x) is Fraction else to_fraction(x) for x in row]) for row in rows])
     if not frozen:
         raise AdmissibilityError(["matrix must have at least one row"])
@@ -131,7 +132,7 @@ def check_admissible(rows, n: int, mode: str = LAURENT) -> AdmissibleMatrix:
         problems.append("first non-zero entry of column 0 must be positive")
     if problems:
         raise AdmissibilityError(problems)
-    return AdmissibleMatrix(frozen, n, mode, cleared_rows=cleared)
+    return AdmissibleMatrix(frozen, n, cleared_rows=cleared)
 
 
 def admissibility_violations(rows, n: int) -> list[str]:
@@ -276,7 +277,7 @@ def variety_of_prime(matrix: AdmissibleMatrix) -> tuple[Fraction, ...] | None:
     return tuple(x / first[0] for x in first[1:])
 
 
-def geometric_prime_of_point(point, mode: str = LAURENT) -> AdmissibleMatrix:
+def geometric_prime_of_point(point) -> AdmissibleMatrix:
     """Single-row matrix (1, p) of the prime that evaluates terms at p."""
     row = [1, *point]
-    return check_admissible([row], len(row) - 1, mode)
+    return check_admissible([row], len(row) - 1)

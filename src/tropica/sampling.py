@@ -18,7 +18,7 @@ import random
 from fractions import Fraction
 from operator import mul
 
-from .polynomials import LAURENT, POLY, Polynomial, term_key
+from .polynomials import LAURENT, POLY, Polynomial
 from .primes import AdmissibilityError, AdmissibleMatrix, check_admissible
 from .tropical_linear import MembershipSample, MonomialWindow
 
@@ -65,7 +65,6 @@ def random_admissible(
     rng: random.Random,
     n: int,
     nrows: int,
-    mode: str = LAURENT,
     first_entry: str = "any",
 ) -> AdmissibleMatrix:
     """Random admissible matrix with exactly ``nrows`` independent rows.
@@ -86,7 +85,7 @@ def random_admissible(
         if pivot is not None and col0[pivot] < 0:
             rows[pivot] = [-x for x in rows[pivot]]
         try:
-            return check_admissible(rows, n, mode)
+            return check_admissible(rows, n)
         except AdmissibilityError:  # dependent rows: draw again
             continue
 
@@ -152,9 +151,10 @@ def prime_members(
     member when its top key is attained twice; a partner keeps the top class
     (the moved term is below it), so it is a member when its new term's key
     is at most the top.  Repeats are found on the integer coefficient maps,
-    and a partner is a map edit.  The low terms are listed in display order
-    (``term_key``), the order the partner's RNG choice reads them in.  One
-    ``Polynomial`` is built per member returned.
+    and a partner is a map edit.  A draw has at most three terms and a
+    member at least two at its top, so at most one term is below the top,
+    and the partner's RNG choice of it reads no order.  One ``Polynomial``
+    is built per member returned.
     """
     if window.n != matrix.n:
         raise ValueError(f"the window has {window.n} variables, the prime {matrix.n}")
@@ -183,7 +183,7 @@ def prime_members(
         if list(keys.values()).count(top) < 2:
             continue
         partner = None
-        low = sorted((e for e in coeffs if keys[e] != top), key=term_key)
+        low = [e for e in coeffs if keys[e] != top]  # two of at most three terms are at the top
         if low:
             moved = rng.choice(low)
             target = rng.choice(window.monomials)

@@ -31,7 +31,7 @@ from .primes import (
 from .scalars import BOTTOM, ONE, TropScalar, is_bottom, trop_add, trop_mul
 
 MAX_WINDOW_MONOMIALS = 20  # desk-scale cap for circuit enumeration
-MAX_WINDOW_SIZE = 10_000  # the largest window monomial_window builds
+MAX_WINDOW_SIZE = 10_000  # the most entries (n per monomial) of a window monomial_window builds
 
 
 @dataclass(frozen=True)
@@ -62,12 +62,15 @@ def _monomials(n: int, mode: str, degree: int):
     return (tuple(b - a - 1 for a, b in zip((-1, *c), c)) for c in bars)
 
 
-def _window(n, mode: str, degree, cap: int, what: str) -> MonomialWindow:
+def _window(n, mode: str, degree, cap: int, what: str, entries: bool = False) -> MonomialWindow:
     """The window, built one monomial at a time and refused once it passes ``cap``.
 
-    When n >= 1 and d >= 1 the window holds 1 and each variable, and 1, x1,
-    ..., x1^d, so more than max(n, d) monomials: max(n, d) >= cap is refused
-    before any monomial is built.  Otherwise at most cap + 1 are built.
+    The cap counts monomials, or with ``entries`` their entries, n per
+    monomial: then a window in n >= 1 variables holds at most cap // n
+    monomials.  When n >= 1 and d >= 1 the window holds 1 and each variable,
+    and 1, x1, ..., x1^d, so more than max(n, d) monomials, and otherwise
+    one: a window refused by that count is refused before any monomial is
+    built.  Otherwise at most one monomial more than it may hold is built.
     """
     n = to_int(n, "window variable count")
     degree = to_int(degree, "window degree")
@@ -76,20 +79,22 @@ def _window(n, mode: str, degree, cap: int, what: str) -> MonomialWindow:
     if degree < 0:
         raise ValueError("window degree must be non-negative")
     _check_mode(mode)
-    at_once = min(n, degree) >= 1 and max(n, degree) >= cap
-    monos = [] if at_once else list(itertools.islice(_monomials(n, mode, degree), cap + 1))
-    if at_once or len(monos) > cap:
+    most = cap // n if entries and n else cap
+    at_once = (max(n, degree) + 1 if min(n, degree) >= 1 else 1) > most
+    monos = [] if at_once else list(itertools.islice(_monomials(n, mode, degree), most + 1))
+    if at_once or len(monos) > most:
+        unit = f" entries, {n} per monomial" if entries else ""
         raise ValueError(
-            f"the degree-{degree} {mode} window in {n} variables has more than {cap} "
-            f"monomials; the cap {what} is {cap}"
+            f"the degree-{degree} {mode} window in {n} variables has more than {most} "
+            f"monomials; the cap {what} is {cap}{unit}"
         )
     monos.sort(key=window_order)
     return MonomialWindow(n, mode, degree, tuple(monos))
 
 
 def monomial_window(n: int, mode: str, degree: int) -> MonomialWindow:
-    """The window, refused when it holds more than MAX_WINDOW_SIZE monomials."""
-    return _window(n, mode, degree, MAX_WINDOW_SIZE, "on monomial windows")
+    """The window, refused when its entries, n per monomial, pass MAX_WINDOW_SIZE."""
+    return _window(n, mode, degree, MAX_WINDOW_SIZE, "on monomial windows", entries=True)
 
 
 def _require_same_ring(vectors) -> None:
@@ -172,10 +177,6 @@ class MembershipSample:
 
     samples: tuple[Polynomial, ...]
     prime: AdmissibleMatrix
-
-    @property
-    def geometric(self) -> bool:
-        return classify_prime(self.prime)[0] == GEOMETRIC
 
 
 @dataclass(frozen=True)
@@ -325,8 +326,9 @@ def _check_on_keys(sample: MembershipSample) -> AxiomResult:
 
     One ``_keys`` call gives every term of every sample its key at one
     common denominator, so keys of different samples compare directly.  The
-    triples and their order are those of the circuit check; each triple
-    costs O(ties).
+    triples and their order are those of the circuit check: a sample's
+    ``terms()`` run in display order, so reversed they run in window order.
+    Each triple costs O(ties).
     """
     prime, samples = sample.prime, sample.samples
     if any(f.n != prime.n for f in samples):
@@ -334,13 +336,12 @@ def _check_on_keys(sample: MembershipSample) -> AxiomResult:
     _require_same_ring(samples)
     keys = iter(_keys(prime, [(coeff, expo) for f in samples for expo, coeff in f.terms()])[0])
     tables = [{expo: (coeff, next(keys)) for expo, coeff in f.terms()} for f in samples]
-    orders = [sorted(table, key=window_order) for table in tables]
-    geometric = sample.geometric
+    geometric = classify_prime(prime)[0] == GEOMETRIC
     for i, j in itertools.combinations_with_replacement(range(len(samples)), 2):
         tf, tg = tables[i], tables[j]
         forced = [key for expo, (_, key) in tg.items() if expo not in tf]
         ties = []
-        for expo in orders[i]:
+        for expo in reversed(tf):
             coeff, key = tf[expo]
             other = tg.get(expo)
             if other is None:

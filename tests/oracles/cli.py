@@ -121,7 +121,7 @@ def ref_cmd_tideal_check(args):
         window = monomial_window(len(point), mode, degree)
         description = ref_point_members(random.Random(seed), point, window, trials)
     elif args.matrix is not None:
-        matrix = matrix_from_json(cli._load_json_arg(args.matrix), mode)
+        matrix = matrix_from_json(cli._load_json_arg(args.matrix))
         window = monomial_window(matrix.n, mode, degree)
         description = prime_members(random.Random(seed), matrix, window, trials)
     else:

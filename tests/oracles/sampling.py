@@ -70,7 +70,7 @@ def ref_random_member_polynomial(rng, point, mode=LAURENT, max_extra=3, max_deg=
 
 
 def ref_point_members(rng, point, window, count):
-    prime = geometric_prime_of_point(point, window.mode)
+    prime = geometric_prime_of_point(point)
     point = variety_of_prime(prime)
     members = {}
     attempts = 0
@@ -124,7 +124,7 @@ def ref_prime_members(rng, matrix, window, count):
     return MembershipSample(tuple(members), matrix)
 
 
-def ref_random_admissible(rng, n, nrows, mode=LAURENT, first_entry="any"):
+def ref_random_admissible(rng, n, nrows, first_entry="any"):
     while True:
         rows = [[_fraction(rng) for _ in range(n + 1)] for _ in range(nrows)]
         if first_entry == "zero":
@@ -137,15 +137,15 @@ def ref_random_admissible(rng, n, nrows, mode=LAURENT, first_entry="any"):
         pivot = next((i for i, x in enumerate(col0) if x != 0), None)
         if pivot is not None and col0[pivot] < 0:
             rows[pivot] = [-x for x in rows[pivot]]
-        return check_admissible(rows, n, mode)
+        return check_admissible(rows, n)
 
 
-def tied_prime(rng, n, rank, mode):
+def tied_prime(rng, n, rank):
     """An admissible matrix of 0/1 entries: many terms share a key."""
     while True:
         rows = [[rng.randint(0, 1) for _ in range(n + 1)] for _ in range(rank)]
         try:
-            return check_admissible(rows, n, mode)
+            return check_admissible(rows, n)
         except AdmissibilityError:
             continue
 

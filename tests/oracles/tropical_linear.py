@@ -39,7 +39,7 @@ from typing import Callable
 
 from tropica.matrices import clear_denominators, dot, int_nullspace, to_fraction
 from tropica.polynomials import POLY, Exponents, Polynomial
-from tropica.primes import bend_ideal_member, variety_of_prime
+from tropica.primes import GEOMETRIC, bend_ideal_member, classify_prime, variety_of_prime
 from tropica.scalars import BOTTOM, is_bottom, trop_add, trop_mul
 from tropica.tropical_linear import (
     AxiomResult,
@@ -144,7 +144,7 @@ def ref_elimination_witness(
 
 def ref_check_axiom(sample: MembershipSample, oracle=None) -> AxiomResult:
     oracle = oracle or (lambda h: bend_ideal_member(sample.prime, h))
-    point = variety_of_prime(sample.prime) if sample.geometric else None
+    point = variety_of_prime(sample.prime) if classify_prime(sample.prime)[0] == GEOMETRIC else None
     for f, g in itertools.combinations_with_replacement(sample.samples, 2):
         for u in sorted(set(f.support()).intersection(g.support()), key=window_order):
             if f.coefficient(u) != g.coefficient(u):

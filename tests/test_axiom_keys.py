@@ -18,7 +18,7 @@ import random
 import pytest
 
 from tropica.polynomials import LAURENT, POLY, Polynomial
-from tropica.primes import check_admissible, geometric_prime_of_point
+from tropica.primes import GEOMETRIC, check_admissible, classify_prime, geometric_prime_of_point
 from tropica.sampling import (
     prime_members,
     random_admissible,
@@ -63,7 +63,7 @@ def _variants(rng, polys, window):
 
 
 def _description(seed):
-    """(label, sample, oracle of the former search) for one seed.
+    """((label, window mode), sample, oracle of the former search) for one seed.
 
     Seeds cycle through point samples, prime samples and arbitrary
     polynomials with fractional coefficients (with their variants) on a
@@ -79,18 +79,18 @@ def _description(seed):
     if kind == 0:
         point = random_point(rng, n, -2, 2, 3)
         sample = ref_point_members(rng, point, window, rng.randint(2, 7))
-        return "point", sample, lambda h: h.is_zero() or h.vanishes_at(point)
+        return ("point", window.mode), sample, lambda h: h.is_zero() or h.vanishes_at(point)
     if kind == 3:
-        matrix = tied_prime(rng, n, rank, window.mode)
+        matrix = tied_prime(rng, n, rank)
     else:
-        matrix = random_admissible(rng, n, rank, window.mode, first)
+        matrix = random_admissible(rng, n, rank, first)
     if kind == 1:
         try:
             sample = prime_members(rng, matrix, window, rng.randint(2, 6))
         except ValueError as exc:  # the former loop returned an empty sample here
             assert "no member" in str(exc)
             sample = MembershipSample((), matrix)
-        return "prime", sample, None
+        return ("prime", window.mode), sample, None
     if kind == 2:
         polys = [
             random_polynomial(rng, n, window.mode, max_terms=5, max_deg=window.degree, min_terms=2)
@@ -101,7 +101,7 @@ def _description(seed):
             Polynomial({rng.choice(window.monomials): rng.randint(0, 1) for _ in range(5)}, n, window.mode)
             for _ in range(rng.randint(1, 3))
         ]
-    label = "tied" if kind == 3 else "random"
+    label = ("tied" if kind == 3 else "random"), window.mode
     return label, MembershipSample(tuple(polys + _variants(rng, polys, window)), matrix), None
 
 
@@ -116,8 +116,8 @@ def test_axiom_on_keys_matches_witness_search():
             expected = axiom_outcome(lambda: ref_check_axiom(part, oracle))
             got = axiom_outcome(lambda: check_tropical_axiom(part))
             assert got == expected, (seed, label, part.samples)
-        labels.add((label, sample.prime.mode))
-        ranks.add((sample.prime.n, sample.prime.rank, sample.geometric))
+        labels.add(label)
+        ranks.add((sample.prime.n, sample.prime.rank, classify_prime(sample.prime)[0] == GEOMETRIC))
         failed += not check_tropical_axiom(sample).passed
     assert len(labels) == 8
     assert {(n, r) for n, r, _ in ranks} == {(n, r) for n in (1, 2, 3) for r in range(1, n + 2)}
@@ -161,7 +161,7 @@ def test_prime_members_on_random_primes_match_key_oracle():
         rng = random.Random(10_000 + seed)
         n = 1 + seed % 3
         window = _window(rng, n)
-        matrix = random_admissible(rng, n, 1 + (seed // 3) % (n + 1), window.mode, FIRST_ENTRIES[seed % 3])
+        matrix = random_admissible(rng, n, 1 + (seed // 3) % (n + 1), FIRST_ENTRIES[seed % 3])
         count = rng.randint(1, 5)
         old, new = random.Random(seed), random.Random(seed)
         expected = ref_prime_members(old, matrix, window, count).samples

@@ -48,9 +48,8 @@ def _geometric(argv) -> bool:
     """Whether the --matrix of ``argv`` is an admissible geometric prime."""
     if "--matrix" not in argv:
         return False
-    mode = argv[argv.index("--mode") + 1] if "--mode" in argv else LAURENT
     try:
-        matrix = matrix_from_json(json.loads(argv[argv.index("--matrix") + 1]), mode)
+        matrix = matrix_from_json(json.loads(argv[argv.index("--matrix") + 1]))
     except ValueError:
         return False
     return classify_prime(matrix)[0] == GEOMETRIC
@@ -99,7 +98,7 @@ def _matrix(rng, n):
         row[rng.randint(1, n)] = 1
         return kind, [row]
     if kind == "tied":
-        rows = tied_prime(rng, n, rng.randint(1, n + 1), LAURENT).rows
+        rows = tied_prime(rng, n, rng.randint(1, n + 1)).rows
         return kind, [[_json_entry(str(x)) for x in row] for row in rows]
     if kind == "any":  # dependent rows and a negative column 0 are errors
         return kind, [[rng.randint(-2, 2) for _ in range(n + 1)] for _ in range(rng.randint(1, n + 1))]
@@ -283,7 +282,7 @@ def test_geometric_matrix_passes_where_draws_find_no_member(capsys):
     # passes on every seed
     matrix, mode, degree = RARE_WINDOWS[3]
     window = monomial_window(2, mode, degree)
-    prime = check_admissible([[1, Fraction(5, 4), Fraction(-4, 5)]], 2, mode)
+    prime = check_admissible([[1, Fraction(5, 4), Fraction(-4, 5)]], 2)
     misses = []
     for seed in range(40):
         try:
@@ -311,16 +310,16 @@ def test_lemma_a_geometric_samples_pass_the_full_check():
             sample = ref_point_members(rng, random_point(rng, n, -3, 3, 3), window, rng.randint(2, 8))
             kind = "point"
         else:
-            matrix = random_admissible(rng, n, 1, mode, "positive")
+            matrix = random_admissible(rng, n, 1, "positive")
             if rng.random() < 0.5:  # integer points: many ties
-                matrix = check_admissible([[1, *(rng.randint(-1, 1) for _ in range(n))]], n, mode)
+                matrix = check_admissible([[1, *(rng.randint(-1, 1) for _ in range(n))]], n)
             try:
                 sample = prime_members(rng, matrix, window, rng.randint(2, 8))
             except ValueError as exc:
                 assert "no member" in str(exc)
                 continue
             kind = "matrix"
-        assert sample.geometric and classify_prime(sample.prime)[0] == GEOMETRIC
+        assert classify_prime(sample.prime)[0] == GEOMETRIC
         result = check_tropical_axiom(sample)
         assert result.passed, (kind, result.counterexample)
         checked[kind] += 1

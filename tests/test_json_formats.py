@@ -158,8 +158,8 @@ def test_dim_witness_round_trips_and_prime_variety_reads_it(capsys):
         except EmptyVarietyError:
             continue
         witness = report.to_json()["witness"]
-        assert matrix_from_json(_decoded(witness), mode) == report.witness
-        assert matrix_from_json(_decoded(witness), mode).to_json() == witness
+        assert matrix_from_json(_decoded(witness)) == report.witness
+        assert matrix_from_json(_decoded(witness)).to_json() == witness
         # the CLI's dim witness, read by prime-variety: by the paper's first result
         # its prime's variety is one point, the interior point of the first
         # top-dimensional cell, which the witness was built on

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from tropica.matrices import int_nullspace
-from tropica.polynomials import LAURENT, Polynomial
+from tropica.polynomials import Polynomial
 from tropica.primes import (
     GREATER,
     LESS,
@@ -184,7 +184,7 @@ def test_compare_terms_matches_fraction_products():
 
 
 def test_monomial_queries():
-    matrix = check_admissible([[0, 1, 0], [1, 0, 0]], 2, LAURENT)
+    matrix = check_admissible([[0, 1, 0], [1, 0, 0]], 2)
     f = Polynomial({(0, 0): Fraction(3, 7)}, 2)
     assert leading_class(matrix, f) == ((0, 0),)
     assert not bend_ideal_member(matrix, f)

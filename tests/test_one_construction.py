@@ -158,7 +158,7 @@ def test_point_members_lie_in_the_geometric_prime():
     exhausted = 0
     for seed, (point, window, count) in enumerate([_case(seed) for seed in range(420)] + small):
         sample = ref_point_members(random.Random(seed), point, window, count)
-        assert sample.prime == geometric_prime_of_point(point, window.mode)
+        assert sample.prime == geometric_prime_of_point(point)
         w = variety_of_prime(sample.prime)
         assert len(set(sample.samples)) == len(sample.samples) <= count
         for v in sample.samples:
@@ -179,7 +179,7 @@ def test_random_member_polynomial_lies_in_the_geometric_prime():
         assert 2 <= len(f.support()) <= 2 + max_extra, seed
         assert all(abs(e) <= max_deg for expo in f.support() for e in expo)
         assert f.vanishes_at(point), seed
-        assert bend_ideal_member(geometric_prime_of_point(point, mode), f), seed
+        assert bend_ideal_member(geometric_prime_of_point(point), f), seed
 
 
 _SAMPLER_ERRORS = [
@@ -236,15 +236,15 @@ def _prime_case(seed):
     first = ("any", "zero", "positive")[seed // 3 % 3]
     kind = seed // 9 % 10
     if kind < 7:
-        matrix = tied_prime(rng, n, rng.randint(1, n), mode)
+        matrix = tied_prime(rng, n, rng.randint(1, n))
     elif kind == 7:
-        matrix = random_admissible(rng, n, rng.randint(1, n + 1), mode, first)
+        matrix = random_admissible(rng, n, rng.randint(1, n + 1), first)
     else:
         rows = [[0] * (n + 1) for _ in range(n)]
         for i in range(1, n):
             rows[i - 1][i] = 1
         rows[n - 1][0], rows[n - 1][n] = 1, rng.choice((4, -4))
-        return check_admissible(rows, n, mode), monomial_window(n, mode, 2 if n < 3 else 1), 1
+        return check_admissible(rows, n), monomial_window(n, mode, 2 if n < 3 else 1), 1
     return matrix, monomial_window(n, mode, degree), rng.randint(1, 10)
 
 
@@ -278,13 +278,13 @@ def test_prime_members_match_key_loop():
     ],
 )
 def test_prime_members_errors_kept(matrix, window):
-    matrix = check_admissible(matrix, len(matrix[0]) - 1, window.mode)
+    matrix = check_admissible(matrix, len(matrix[0]) - 1)
     got = outcome(prime_members, random.Random(0), matrix, window, 5)
     assert got[0] == "ValueError"
     assert got == outcome(ref_prime_members, random.Random(0), matrix, window, 5)
 
 
-def _small_prime(rng, n, nrows, mode):
+def _small_prime(rng, n, nrows):
     """An admissible matrix of integers in -6..6, column 0 signed as admissibility asks."""
     while True:
         rows = [[rng.randint(-6, 6) for _ in range(n + 1)] for _ in range(nrows)]
@@ -292,7 +292,7 @@ def _small_prime(rng, n, nrows, mode):
         if pivot is not None and pivot[0] < 0:
             pivot[:] = [-a for a in pivot]
         try:
-            return check_admissible(rows, n, mode)
+            return check_admissible(rows, n)
         except AdmissibilityError:
             continue
 
@@ -308,7 +308,7 @@ def test_window_admits_member_matches_pairwise_ties():
     for _ in range(400):
         n = rng.randint(1, 3)
         mode = rng.choice((LAURENT, POLY))
-        matrix = _small_prime(rng, n, rng.randint(1, n), mode)
+        matrix = _small_prime(rng, n, rng.randint(1, n))
         window = monomial_window(n, mode, rng.randint(1, 4 - n))
         expected = any(
             all(dot(row, (gap, *(a - b for a, b in zip(e1, e2)))) == 0 for row in matrix.rows)
@@ -367,7 +367,7 @@ def test_one_construction_per_parse(constructions, text):
 
 def test_prime_members_build_one_polynomial_per_member(constructions):
     # [[0, 1, 1]] at degree 2: few members exist, so most accepted draws repeat
-    matrix = check_admissible([[0, 1, 1]], 2, LAURENT)
+    matrix = check_admissible([[0, 1, 1]], 2)
     sample = prime_members(random.Random(3), matrix, monomial_window(2, LAURENT, 2), 200)
     assert constructions[0] == len(sample.samples) == len(set(sample.samples))
     sampled = 0

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 import pytest
@@ -31,6 +32,7 @@ from tropica.sampling import (
     random_polynomial,
 )
 
+from oracles.matrices import ref_nullspace
 from oracles.parsing import P
 
 
@@ -404,7 +406,7 @@ def test_first_result_every_other_point_is_refuted():
         n = rng.randint(1, 4)
         first = ("positive", "zero")[trial % 2]
         mode = LAURENT if first == "zero" else rng.choice((LAURENT, POLY))
-        m = random_admissible(rng, n, rng.randint(1, n + 1), mode, first)
+        m = random_admissible(rng, n, rng.randint(1, n + 1), first)
         w = variety_of_prime(m)
         assert (w is None) == (first == "zero")
         for _ in range(3):
@@ -427,6 +429,86 @@ def test_first_result_every_other_point_is_refuted():
             assert (f.evaluate(x) != g.evaluate(x)) == fails, (m.rows, x)
             refuted[first] += fails
     assert min(refuted.values()) >= 200, refuted
+
+
+def _below_and_above(row0, x):
+    """v with row0 . v < 0 < (1, x) . v, when (1, x) is not a positive multiple of row0.
+
+    v = (1, x) - mu row0.  With p = row0 . (1, x) <= 0, mu = 1 will do; with
+    p > 0, strict Cauchy-Schwarz gives p / |row0|^2 < |(1, x)|^2 / p, and mu
+    is their midpoint.
+    """
+    point = (Fraction(1), *x)
+    p = dot(row0, point)
+    mu = Fraction(1) if p <= 0 else (p / dot(row0, row0) + dot(point, point) / p) / 2
+    return [a - mu * b for a, b in zip(point, row0)]
+
+
+def test_first_result_for_prime_ideals_every_other_point_is_refuted():
+    """The paper's first result for the bend ideals of prime congruences.
+
+    The abstract: the variety of a non-zero prime ideal of the tropical
+    (Laurent) polynomial semiring holds at most one point.  The prime ideals
+    checked here are the bend ideals I_P = {f : every bend relation of f
+    lies in P} of prime congruences P (``bend_ideal_member``), at points of
+    R^n.  I_P is a prime ideal: if neither f nor g is in I_P, each has one
+    top term under P, and as P orders terms compatibly with products and
+    cancellatively, the product of the two tops beats every other product,
+    so fg has one top term too.  Whether every non-zero prime ideal of the
+    paper is a bend ideal is not checked here.
+
+    For x != w = ``variety_of_prime(P)``, or any x when the (1,1) entry is
+    0, f = s + t + u is in I_P and does not vanish at x.  s - t lies in
+    ker U with a non-zero exponent part, so s and t tie in P.  u - t is a
+    positive multiple of ``_below_and_above(row 0, x)``: row 0 . (u - t) < 0
+    puts u below that tie, so f's top class is {s, t}, and u(x) > max(s(x),
+    t(x)), so f's maximum at x is attained once.  (1, x) is not a positive
+    multiple of row 0: with a zero (1,1) entry it cannot be one, and with a
+    non-zero one it would make x = w.  In poly mode one monomial shifts the
+    three exponents into N^n, which changes no comparison in P and no gap
+    at x.
+
+    A prime whose kernel holds no vector with a non-zero exponent part (column
+    0 zero and rank n, at r <= n rows) ties no two distinct monomials, so its
+    bend ideal is the zero ideal, which the result leaves out; such primes
+    are counted and skipped.
+    """
+    rng = random.Random(20)
+    refuted = {"positive": 0, "zero": 0}
+    zero_ideals = 0
+    for trial in range(3000):
+        n = rng.randint(1, 4)
+        first = ("positive", "zero")[trial % 2]
+        mode = rng.choice((LAURENT, POLY))
+        m = random_admissible(rng, n, rng.randint(1, n), first)
+        w = variety_of_prime(m)
+        kernel = [v for v in ref_nullspace(m.rows, n + 1) if any(v[1:])]
+        if not kernel:
+            assert first == "zero" and all(row[0] == 0 for row in m.rows) and m.rank == n
+            zero_ideals += 1
+            continue
+        if w is not None and rng.random() < 0.5:  # along the exponent part of row 1 (row 0 at rank 1)
+            x = tuple(wj + random_fraction(rng) * a for wj, a in zip(w, m.rows[min(1, m.rank - 1)][1:]))
+        else:
+            x = random_point(rng, n)
+        if x == w:
+            continue
+        scale = lcm(*(e.denominator for e in kernel[0][1:]))
+        s_coeff, *s_expo = (scale * e for e in kernel[0])  # t is the term 0 at exponent 0
+        v = _below_and_above(m.rows[0], x)
+        v = [lcm(*(e.denominator for e in v[1:])) * e for e in v]
+        k = max(Fraction(0), s_coeff + dot(s_expo, x)) // dot((1, *x), v) + 1
+        if [k * e for e in v[1:]] == s_expo:  # u and s would share a monomial
+            k += 1
+        u_coeff, *u_expo = (k * e for e in v)
+        shift = [max(0, -a, -b) if mode == POLY else 0 for a, b in zip(s_expo, u_expo)]
+        terms = {(0,) * n: 0, tuple(s_expo): s_coeff, tuple(u_expo): u_coeff}
+        f = Polynomial({tuple(map(int, map(sum, zip(e, shift)))): c for e, c in terms.items()}, n, mode)
+        assert len(f) == 3, (m.rows, x)
+        assert bend_ideal_member(m, f), (m.rows, x)
+        assert not f.vanishes_at(x), (m.rows, x)
+        refuted[first] += 1
+    assert min(refuted.values()) >= 1000 and zero_ideals >= 100, (refuted, zero_ideals)
 
 
 def test_geometric_round_trip():

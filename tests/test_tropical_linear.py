@@ -9,7 +9,14 @@ import pytest
 
 from tropica.parsing import format_polynomial
 from tropica.polynomials import LAURENT, POLY, Polynomial
-from tropica.primes import bend_ideal_member, check_admissible, geometric_prime_of_point, variety_of_prime
+from tropica.primes import (
+    GEOMETRIC,
+    bend_ideal_member,
+    check_admissible,
+    classify_prime,
+    geometric_prime_of_point,
+    variety_of_prime,
+)
 from tropica.sampling import prime_members, random_point
 from tropica.scalars import BOTTOM, is_bottom
 from tropica import tropical_linear
@@ -58,49 +65,78 @@ def test_window_sizes_match_the_closed_form(monkeypatch):
     for mode in (POLY, LAURENT):
         for n in range(5):
             for degree in range(5):
-                assert len(monomial_window(n, mode, degree)) == ref_window_size(n, mode, degree, 10**6)
-    assert len(monomial_window(10**6, POLY, 0)) == ref_window_size(10**6, POLY, 0, 100) == 1
+                size = ref_window_size(n, mode, degree, 10**6)
+                if n * size <= MAX_WINDOW_SIZE:
+                    assert len(monomial_window(n, mode, degree)) == size
+                else:  # 9^4 Laurent monomials of 4 entries
+                    assert (n, mode, degree) == (4, LAURENT, 4)
+                    with pytest.raises(ValueError, match="more than 2500 monomials"):
+                        monomial_window(n, mode, degree)
+    assert len(monomial_window(MAX_WINDOW_SIZE, POLY, 0)) == ref_window_size(10**6, POLY, 0, 100) == 1
+    assert len(monomial_window(0, POLY, 10**6)) == 1
     # refused before a monomial is built, however large n and d are
     _build_nothing(monkeypatch)
-    for n, mode, degree in ((3, POLY, 10**6), (10**6, LAURENT, 10**6), (10**6, POLY, 10**6)):
-        assert ref_window_size(n, mode, degree, MAX_WINDOW_SIZE) == MAX_WINDOW_SIZE + 1
+    for n, mode, degree in ((3, POLY, 10**6), (10**6, LAURENT, 10**6), (10**6, POLY, 10**6), (10**6, POLY, 0)):
+        assert n * ref_window_size(n, mode, degree, MAX_WINDOW_SIZE) > MAX_WINDOW_SIZE
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="more than 10000 monomials"):
+        with pytest.raises(ValueError, match="monomials; the cap on monomial windows is 10000 entries"):
             monomial_window(n, mode, degree)
         assert time.perf_counter() - start < 0.1
 
 
-def test_window_cap(monkeypatch):
-    # C(1 + d, 1) = d + 1 and 3^n: the largest windows under the cap are built
-    assert len(monomial_window(1, POLY, MAX_WINDOW_SIZE - 1)) == MAX_WINDOW_SIZE
-    assert len(monomial_window(8, LAURENT, 1)) == 3**8 <= MAX_WINDOW_SIZE
-
+def _count_built(monkeypatch):
+    """The entry count of each monomial the window builder builds, in a list it fills."""
     built = []
     monomials = tropical_linear._monomials
 
     def counted(*args):
         for expo in monomials(*args):
-            built.append(expo)
+            built.append(len(expo))
             yield expo
 
     monkeypatch.setattr(tropical_linear, "_monomials", counted)
-    # over the cap: at most cap + 1 monomials are built
-    for n, mode, degree in ((9, LAURENT, 1), (10, POLY, 7)):  # 3^9 and C(17, 7) = 19,448
-        built.clear()
-        with pytest.raises(ValueError, match="more than 10000 monomials"):
-            monomial_window(n, mode, degree)
-        assert len(built) == MAX_WINDOW_SIZE + 1, (n, mode, degree)
-    built.clear()
-    with pytest.raises(ValueError, match="the cap for circuit enumeration is 20"):
+    return built
+
+
+def test_window_cap(monkeypatch):
+    # C(1 + d, 1) = d + 1 monomials of one entry: the largest such window under the cap
+    assert len(monomial_window(1, POLY, MAX_WINDOW_SIZE - 1)) == MAX_WINDOW_SIZE
+    built = _count_built(monkeypatch)
+    with pytest.raises(ValueError, match="the cap for circuit enumeration is 20$"):
         truncated_tropicalization([], 2, 5)  # C(7, 2) = 21
     assert len(built) == MAX_WINDOW_MONOMIALS + 1
     # and none when n or d alone reaches the cap
     _build_nothing(monkeypatch)
-    for n, mode, degree in ((1, POLY, MAX_WINDOW_SIZE), (MAX_WINDOW_SIZE, LAURENT, 1), (3, POLY, 10**6)):
-        with pytest.raises(ValueError, match="more than 10000 monomials"):
-            monomial_window(n, mode, degree)
-    with pytest.raises(ValueError, match="the cap for circuit enumeration is 20"):
+    with pytest.raises(ValueError, match="more than 10000 monomials"):
+        monomial_window(1, POLY, MAX_WINDOW_SIZE)
+    with pytest.raises(ValueError, match="the cap for circuit enumeration is 20$"):
         truncated_tropicalization([], MAX_WINDOW_MONOMIALS, 1)
+
+
+def test_window_cap_counts_entries(monkeypatch):
+    # a window holds n entries per monomial, and the cap of 10,000 counts entries:
+    # 100 monomials of 99 entries and 3^6 of 6 are built
+    assert len(monomial_window(99, POLY, 1)) == 100
+    assert len(monomial_window(6, LAURENT, 1)) == 3**6
+    assert len(monomial_window(26, POLY, 2)) == 378
+    built = _count_built(monkeypatch)
+    # over the cap: the monomials the window may hold and one more, at most cap + n entries
+    for n, mode, degree in ((7, LAURENT, 1), (9, LAURENT, 1), (10, POLY, 7), (27, POLY, 2), (2, POLY, 100)):
+        built.clear()
+        most = MAX_WINDOW_SIZE // n
+        message = f"more than {most} monomials; the cap on monomial windows is 10000 entries, {n} per monomial"
+        with pytest.raises(ValueError, match=message):
+            monomial_window(n, mode, degree)
+        assert built == [n] * (most + 1), (n, mode, degree)
+        assert sum(built) <= MAX_WINDOW_SIZE + n
+    # none when n + 1 monomials of n entries pass the cap: n + 1 tuples of n entries
+    # were built for n up to 9,999, which took seconds at n = 6,000
+    _build_nothing(monkeypatch)
+    for n, mode, degree in ((100, POLY, 1), (6000, POLY, 1), (9999, POLY, 1), (MAX_WINDOW_SIZE + 1, LAURENT, 0)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"the cap on monomial windows is 10000 entries, {n} per monomial"):
+            monomial_window(n, mode, degree)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_window_is_built_in_time_with_its_size():
@@ -174,7 +210,7 @@ def test_residuation_vs_grid_brute_force():
 
 
 def _point_oracle(point):
-    prime = geometric_prime_of_point(point, POLY)
+    prime = geometric_prime_of_point(point)
     return lambda h: bend_ideal_member(prime, h)
 
 
@@ -313,17 +349,17 @@ def test_member_samplers_reject_float_points():
 def test_prime_members_pinned():
     # as above for the CLI's matrix loop; a partner may overshoot the count
     rng = random.Random(0)
-    matrix = check_admissible([[1, 1, -1]], 2, POLY)
+    matrix = check_admissible([[1, 1, -1]], 2)
     sample = prime_members(rng, matrix, monomial_window(2, POLY, 2), 4)
     assert [format_polynomial(v) for v in sample.samples] == [
         "x*y + 2*y^2 + 0", "-1*x*y + -1*y^2 + -2*x", "-1*x*y + -2*x + -1",
         "-2*y^2 + 2*y + 1", "-2*x + 2*y + 1",
     ]
     assert rng.random() == 0.07000430092833387
-    assert sample.geometric and variety_of_prime(sample.prime) == (1, -1)
+    assert classify_prime(sample.prime)[0] == GEOMETRIC and variety_of_prime(sample.prime) == (1, -1)
     assert all(bend_ideal_member(sample.prime, v) for v in sample.samples)
     degree_prime = check_admissible([[0, 1, 1]], 2)
-    assert not prime_members(rng, degree_prime, monomial_window(2, LAURENT, 1), 2).geometric
+    assert classify_prime(prime_members(rng, degree_prime, monomial_window(2, LAURENT, 1), 2).prime)[0] != GEOMETRIC
 
 
 def test_axiom_fails_for_degree_prime():
