@@ -1,8 +1,8 @@
-"""Regenerate the shipped trace corpus under traces/."""
+"""Regenerate the shipped trace corpus under traces/, written by the CLI's JSON writer."""
 
-import json
 from pathlib import Path
 
+from tropica.cli import json_text
 from tropica.corpus import SHIPPED_TRACES
 from tropica.traces import trace_to_json, verify_trace
 
@@ -15,7 +15,7 @@ def main() -> None:
         result = verify_trace(trace)
         assert result.accepted, f"{name}: {result.reason}"
         path = out_dir / f"{name}.json"
-        path.write_text(json.dumps(trace_to_json(trace), indent=2, sort_keys=True) + "\n")
+        path.write_text(json_text(trace_to_json(trace)) + "\n")
         print(f"wrote {path}")
 
 

@@ -11,6 +11,10 @@ that subcommand's parser, which is all the top-level parser would do with
 them: its subcommand argument takes every remaining argument, so the
 namespace and any usage error are the same.  Any other command line (an
 empty one, ``-h`` or an unknown name) goes through the top-level parser.
+
+Every JSON reply on stdout, and every trace of ``traces/``, is written by
+one writer, ``json_text``, whose bytes are those of ``json.dumps(data,
+indent=2, sort_keys=True)``.  Errors on stderr stay on ``json.dump``.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import json
 import random
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 
 from .krull import EmptyVarietyError, coordinate_dimension
@@ -68,10 +73,64 @@ MAX_TRIALS = 1_000  # tideal-check members; sampling stops after 200 draws per t
 
 
 def _emit(data, args) -> None:
-    if args.format == "text":
-        print(_as_text(data))
+    print(_as_text(data) if args.format == "text" else json_text(data))
+
+
+def json_text(data) -> str:
+    """``data`` as the text of ``json.dumps(data, indent=2, sort_keys=True)``, byte for byte.
+
+    CPython writes indented JSON with its pure-Python encoder; this writer
+    does the same work in one pass.  Keys are sorted, strings go through
+    ``encode_basestring_ascii`` (the C escaper ``json.dumps`` uses), ints
+    through ``int.__repr__``, and an empty list or dict is ``[]`` or ``{}``.
+    It takes dicts with str keys, lists, tuples, str, int, bool and None;
+    any other value, floats and Fractions included, is a TypeError.
+    """
+    parts: list[str] = []
+    _write_json(data, parts, "\n")
+    return "".join(parts)
+
+
+def _write_json(value, parts: list[str], newline: str) -> None:
+    """Append ``value``'s JSON text to ``parts``; ``newline`` ends a line at its depth."""
+    if isinstance(value, str):
+        parts.append(_escape(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(separator)
+            parts.append(_escape(key))
+            parts.append(": ")
+            _write_json(value[key], parts, inner)
+            separator = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            parts.append(separator)
+            _write_json(item, parts, inner)
+            separator = "," + inner
+        parts.append(newline + "]")
     else:
-        print(json.dumps(data, indent=2, sort_keys=True))
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _as_text(data, indent: str = "") -> str:
@@ -95,10 +154,14 @@ def _as_text(data, indent: str = "") -> str:
 
 
 def _load_json_arg(text: str):
+    """JSON text, or the JSON of the file it names; nesting too deep to decode is a domain error."""
     candidate = Path(text)
     if not text.lstrip().startswith(("[", "{")) and candidate.is_file():
-        return json.loads(candidate.read_text())
-    return json.loads(text)
+        text = candidate.read_text()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON is nested too deeply to read") from None
 
 
 def _file_name(value: str | None, option: str) -> str | None:

@@ -344,4 +344,9 @@ def trace_from_json(data: dict) -> DerivationTrace:
 
 
 def load_trace(path) -> DerivationTrace:
-    return trace_from_json(json.loads(Path(path).read_text()))
+    """The trace in a JSON file; nesting too deep to decode is a ValueError."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError("trace JSON is nested too deeply to read") from None
+    return trace_from_json(data)

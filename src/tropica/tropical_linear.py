@@ -211,14 +211,18 @@ class CircuitSet:
 
 
 def circuits_to_json(circuits: CircuitSet) -> dict:
-    """Circuit JSON: each circuit as its sorted monomial texts, and whether the slice holds 1."""
+    """Circuit JSON: each circuit as its sorted monomial texts, and whether the slice holds 1.
+
+    Each window monomial is written once, and every circuit reads its texts.
+    """
     window = circuits.window
+    text = {e: monomial_text(e, window.n) for e in window.monomials}
     return {
         "nvars": window.n,
         "degree": window.degree,
         "mode": window.mode,
         "trivial": circuits.trivial,
-        "circuits": [sorted(monomial_text(e, window.n) for e in c) for c in circuits.circuits],
+        "circuits": [sorted(text[e] for e in c) for c in circuits.circuits],
     }
 
 
@@ -425,6 +429,12 @@ def truncated_tropicalization(rational_gens: list[dict], n: int, degree: int) ->
     Every hyperplane H is found: its lex-first independent (r - 1)-subset of
     representatives is either solved, giving H, or lies in a recorded flat
     of rank >= r - 1, which can only be H itself.
+
+    The recorded flats are indexed by column: bit k of ``flats[j]`` says
+    that column j lies in the k-th recorded flat.  So T lies in a recorded
+    flat iff the AND of ``flats[j]`` over j in T, started from the mask of
+    all recorded flats, is non-zero.  Over the empty T of a rank-1 slice
+    the AND is that mask, 0 before the first solve, so the empty T is solved.
     """
     window = _window(n, POLY, degree, MAX_WINDOW_MONOMIALS, "for circuit enumeration")
     n, degree = window.n, window.degree
@@ -452,14 +462,16 @@ def truncated_tropicalization(rational_gens: list[dict], n: int, degree: int) ->
     basis, pivots = int_echelon(rows, m)
     if not basis:
         return CircuitSet(window, ())
-    # each recorded flat is kept as the bitmask of the columns outside it
-    outsides: list[int] = []
+    flats = [0] * m  # bit k of flats[j]: column j lies in the k-th recorded flat
+    recorded = 0  # the mask of all recorded flats
     circuits: list[int] = []
     for subset in itertools.combinations(_parallel_representatives(basis, m), len(basis) - 1):
-        mask = sum(1 << j for j in subset)
-        if not all(mask & recorded for recorded in outsides):
+        common = recorded
+        for j in subset:
+            common &= flats[j]
+        if common:
             continue  # T lies in a recorded flat
-        live = [row for row, p in zip(basis, pivots) if not mask >> p & 1]
+        live = [row for row, p in zip(basis, pivots) if p not in subset]
         restricted = [[row[j] for row in live] for j in subset if j not in pivots]
         null = int_nullspace(restricted, len(live))
         outside = 0
@@ -469,7 +481,11 @@ def truncated_tropicalization(rational_gens: list[dict], n: int, degree: int) ->
                 if y:
                     vector = [a + y * b for a, b in zip(vector, row)]
             outside |= sum(1 << j for j, value in enumerate(vector) if value)
-        outsides.append(outside)
+        flat = recorded + 1  # recorded is 2^k - 1 after k flats, so this is bit k
+        for j in range(m):
+            if not outside >> j & 1:
+                flats[j] |= flat
+        recorded |= flat
         if len(null) == 1:
             circuits.append(outside)
     supports = sorted([j for j in range(m) if c >> j & 1] for c in circuits)

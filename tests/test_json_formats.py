@@ -8,17 +8,21 @@ and `primes.matrix_from_json`, `tropical_linear.circuits_to_json` and
 what a writer wrote gives the object back, and writing it again gives the
 same bytes.  The command line reads what it prints.  On the README example
 of each format, a deleted key is named with its object, and a field of
-another JSON type ends in a JSON error, never a traceback.  A monomial
-field takes no coefficient.
+another JSON type ends in a JSON error, never a traceback, and so does JSON
+nested too deeply to decode.  A monomial field takes no coefficient.  The
+one writer of the command line's stdout, `cli.json_text`, writes the bytes
+of `json.dumps(data, indent=2, sort_keys=True)` on seeded payloads.
 """
 
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from tropica import traces
+from tropica.cli import json_text
 from tropica.krull import EmptyVarietyError, coordinate_dimension
 from tropica.parsing import format_polynomial
 from tropica.polyhedra import _fractions
@@ -347,3 +351,84 @@ def test_circuit_monomial_errors_are_named(capsys, circuits, message):
     code, out, err = run_cli(["tideal-check", "--circuits", json.dumps(data)], capsys)
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": "domain", "message": message}
+
+
+# -- JSON nested too deeply to decode ------------------------------------------------
+
+# every command line that reads JSON, with the option that takes it
+JSON_READERS = [[*argv, "--matrix"] for argv in MATRIX_READERS] + [
+    ["tideal-check", "--circuits"],
+    ["plot", "--complex"],
+    ["trace-verify", "--trace"],
+]
+DEEP = {"array": "[" * 100_000, "object": '{"a": ' * 100_000 + "1" + "}" * 100_000}
+# --trace reads a file only
+DEEP_LINES = [
+    (argv, form) for argv in JSON_READERS for form in ("inline", "file") if argv[-1] != "--trace" or form == "file"
+]
+
+
+@pytest.mark.parametrize("body", DEEP)
+@pytest.mark.parametrize("argv, form", DEEP_LINES, ids=[f"{' '.join(argv)} {form}" for argv, form in DEEP_LINES])
+def test_deeply_nested_json_is_a_domain_error(capsys, tmp_path, argv, form, body):
+    # json.loads raised RecursionError, which ended in a traceback
+    text = DEEP[body]
+    if form == "file":
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        text = str(path)
+    code, out, err = run_cli([*argv, text], capsys)
+    assert (code, out) == (1, "")
+    what = "trace JSON" if argv[-1] == "--trace" else "JSON"
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "domain", "message": f"{what} is nested too deeply to read"}
+
+
+# -- the stdout writer ------------------------------------------------------------------
+
+# quotes, backslashes, control characters, non-ASCII text, and characters
+# beyond the BMP, which json.dumps writes as surrogate pairs
+CHARACTERS = ['"', "\\", "\x00", "\n", "\t", "\x1f", "\x7f", "/", "a", "Z", " ", "\u00e9", "\u2028", "\u4e2d",
+              "\U0001f600", "\U0010ffff"]
+INTS = [0, 1, -1, 2**63 - 1, 2**64, -(2**64) - 1, 10**40, -(10**40)]
+
+
+def _text(rng) -> str:
+    return "".join(rng.choice(CHARACTERS) for _ in range(rng.randint(0, 6)))
+
+
+def _payload(rng, depth: int, seen: set):
+    """A random payload of the CLI's types, nested below ``depth`` <= 5, empty containers noted in ``seen``."""
+    kind = rng.randrange(7 if depth < 5 else 4)
+    if kind == 0:
+        return _text(rng)
+    if kind == 1:
+        return rng.choice([*INTS, rng.randint(-(10**30), 10**30)])
+    if kind == 2:
+        return rng.choice([True, False])
+    if kind == 3:
+        return None
+    size = rng.choice([0, 0, 1, 2, 3, 4])
+    if size == 0:
+        seen.add(depth)
+    items = [_payload(rng, depth + 1, seen) for _ in range(size)]
+    if kind == 4:
+        return {_text(rng): item for item in items} if items else {}
+    return items if kind == 5 else tuple(items)
+
+
+def test_json_text_is_the_bytes_of_json_dumps():
+    rng = random.Random(3701)
+    seen: set = set()
+    for _ in range(3000):
+        payload = _payload(rng, 0, seen)
+        assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True), payload
+    assert seen == set(range(5)), seen  # an empty container at every depth
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, Fraction(1, 2), {1: "a"}, [{"a": [0.0]}], {"a": Fraction(3)}], ids=repr
+)
+def test_json_text_refuses_what_stdout_never_holds(value):
+    with pytest.raises(TypeError):
+        json_text(value)

@@ -154,6 +154,20 @@ def test_tideal_trop_at_the_window_cap_pinned(capsys, argv, pin, count):
     assert len(json.loads(expected)["circuits"]) == count
 
 
+# The 82 circuits of x + y - 2 at degree 3 (a 10-monomial window, 252
+# subsets for the hyperplane walk), written before the walk indexed its
+# flats by column, before the circuit texts were written once per monomial
+# and before stdout had its own JSON writer: all three act on this output.
+WALK_PIN = "tideal_trop_x+y-2_d3.json"
+
+
+def test_tideal_trop_of_x_plus_y_minus_2_pinned(capsys):
+    code, out, err = run_cli(["tideal-trop", "--gens", "x + y - 2", "--degree", "3"], capsys)
+    assert (code, err) == (0, "")
+    assert out == (PINS / WALK_PIN).read_text()
+    assert len(json.loads(out)["circuits"]) == 82
+
+
 # The README's two tideal-check examples; CI diffs the installed console
 # script's stdout against the same files.
 README_PINS = [
