@@ -31,6 +31,7 @@ from pathlib import Path
 from .krull import EmptyVarietyError, coordinate_dimension
 from .parsing import (
     ParseError,
+    clip,
     format_polynomial,
     monomial_text,
     parse_classical,
@@ -153,11 +154,18 @@ def _as_text(data, indent: str = "") -> str:
     return "\n".join(lines)
 
 
-def _load_json_arg(text: str):
-    """JSON text, or the JSON of the file it names; nesting too deep to decode is a domain error."""
-    candidate = Path(text)
-    if not text.lstrip().startswith(("[", "{")) and candidate.is_file():
-        text = candidate.read_text()
+def _load_json_arg(text: str, option: str):
+    """JSON text, or the JSON of the file it names; nesting too deep to decode is a domain error.
+
+    Text that is no JSON and no readable file name is a domain error naming
+    the option, with the text cut to 80 characters.
+    """
+    if not text.lstrip().startswith(("[", "{")):
+        try:
+            if Path(text).is_file():
+                text = Path(text).read_text()
+        except OSError as exc:
+            raise ValueError(f"{option}: cannot read {clip(text)!r} as a file: {exc.strerror}") from None
     try:
         return json.loads(text)
     except RecursionError:
@@ -236,7 +244,7 @@ def _cmd_dim(args):
 
 def _cmd_prime_check(args):
     try:
-        matrix = matrix_from_json(_load_json_arg(args.matrix))
+        matrix = matrix_from_json(_load_json_arg(args.matrix, "--matrix"))
     except AdmissibilityError as exc:
         _emit({"admissible": False, "violations": exc.violations}, args)
         return
@@ -245,26 +253,26 @@ def _cmd_prime_check(args):
 
 
 def _cmd_prime_compare(args):
-    matrix = matrix_from_json(_load_json_arg(args.matrix))
+    matrix = matrix_from_json(_load_json_arg(args.matrix, "--matrix"))
     t1 = parse_term(args.term1, args.mode, matrix.n)
     t2 = parse_term(args.term2, args.mode, matrix.n)
     _emit({"order": compare_terms(matrix, t1, t2)}, args)
 
 
 def _cmd_prime_variety(args):
-    matrix = matrix_from_json(_load_json_arg(args.matrix))
+    matrix = matrix_from_json(_load_json_arg(args.matrix, "--matrix"))
     point = variety_of_prime(matrix)
     _emit({"point": None if point is None else [str(x) for x in point]}, args)
 
 
 def _cmd_prime_member(args):
-    matrix = matrix_from_json(_load_json_arg(args.matrix))
+    matrix = matrix_from_json(_load_json_arg(args.matrix, "--matrix"))
     f = _polynomial(args, args.mode, matrix.n)
     _emit({"member": bend_ideal_member(matrix, f)}, args)
 
 
 def _cmd_trace_verify(args):
-    result = verify_trace(load_trace(args.trace))
+    result = verify_trace(load_trace(args.trace, "--trace"))
     payload = {"accepted": result.accepted}
     if not result.accepted:
         payload["failed_step"] = result.failed_step
@@ -311,12 +319,13 @@ def _cmd_tideal_check(args):
         got = " and ".join(given)
         raise ValueError(f"tideal-check takes one of --circuits, --point or --matrix, got {got}")
     if args.circuits is not None:
-        result = check_tropical_axiom(circuits_from_json(_load_json_arg(args.circuits)))
+        circuits = circuits_from_json(_load_json_arg(args.circuits, "--circuits"))
+        result = check_tropical_axiom(circuits)
     else:
         if args.point is not None:
             prime = geometric_prime_of_point(parse_point(args.point))
         elif args.matrix is not None:
-            prime = matrix_from_json(_load_json_arg(args.matrix))
+            prime = matrix_from_json(_load_json_arg(args.matrix, "--matrix"))
         else:
             raise ValueError("one of --circuits, --point or --matrix is required")
         window = monomial_window(prime.n, mode, degree)  # the window cap
@@ -350,7 +359,7 @@ def _cmd_plot(args):
         if args.poly or args.file is not None:
             raise ValueError("plot takes --complex or --poly/--file, not both")
         _unread(args, "--complex", ("mode", "nvars"))
-        x = complex_from_json(_load_json_arg(args.complex))
+        x = complex_from_json(_load_json_arg(args.complex, "--complex"))
     else:
         x = hypersurface(_polynomial(args, args.mode or LAURENT, args.nvars))
     bbox = parse_point(args.bbox)
@@ -497,6 +506,8 @@ def main(argv=None) -> int:
     except (
         ValueError, KeyError, AdmissibilityError, EmptyVarietyError, ZeroDivisionError, OSError
     ) as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:  # from --file or --output, say
+            exc = OSError(exc.errno, exc.strerror, clip(str(exc.filename)))
         json.dump({"error": "domain", "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1

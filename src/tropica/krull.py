@@ -16,7 +16,7 @@ from fractions import Fraction
 from .polyhedra import _fractions, affine_hull_directions, line_bounds
 from .polynomials import Polynomial
 from .primes import AdmissibleMatrix, bend_ideal_member, check_admissible
-from .varieties import Cell, PolyComplex, complex_dim, prevariety
+from .varieties import PolyComplex, complex_dim, key_order, prevariety
 
 
 class EmptyVarietyError(ValueError):
@@ -64,15 +64,16 @@ def witness_prime(x: PolyComplex, gens: list[Polynomial]) -> AdmissibleMatrix:
     cell keeps it: the rows tight there are the equalities and implicit
     equalities of the cell, so their nullspace is its affine hull
     (``affine_hull_directions``).  Only then is omega made rational, once.
-    Ties between maximal cells are broken by the canonical cell
-    serialization, so the witness is deterministic.
+    The cell is the key-smallest of top dimension (``key_order``), on a
+    complex in any cell order, so the witness is deterministic.
     """
     if not x.cells:
         raise EmptyVarietyError("cannot build a witness over an empty complex")
     if any(cell.stratum for cell in x.cells):
         raise ValueError("witness construction expects an R^n complex")
     d = complex_dim(x)
-    cell = min((c for c in x.cells if c.dim == d), key=Cell.key)
+    top = [c for c in x.cells if c.dim == d]
+    cell = top[key_order(top)[0]]
     directions = affine_hull_directions(cell.rows, x.ambient, cell.interior_point)
     if len(directions) != d:  # a boundary point has more tight rows
         raise ValueError("interior point is not strictly inside the cell")

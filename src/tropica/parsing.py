@@ -278,6 +278,11 @@ def parse_point(text: str) -> tuple[Fraction, ...]:
     return tuple(point)
 
 
+def clip(text: str) -> str:
+    """The text as an error echoes it: at most 80 characters, a cut one ending in "..."."""
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 def json_field(data: dict, key: str, where: str):
     """``data[key]`` of a decoded JSON object; a missing key is a ValueError naming it and ``where``.
 

@@ -37,7 +37,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .matrices import to_int
-from .parsing import format_polynomial, json_field, monomial_text, parse_monomial, parse_polynomial
+from .parsing import (
+    clip,
+    format_polynomial,
+    json_field,
+    monomial_text,
+    parse_monomial,
+    parse_polynomial,
+)
 from .polynomials import Exponents, LAURENT, Pair, Polynomial
 
 GEN, REFL, SYM, TRANS, ADD, MUL, TWIST = "GEN", "REFL", "SYM", "TRANS", "ADD", "MUL", "TWIST"
@@ -343,10 +350,18 @@ def trace_from_json(data: dict) -> DerivationTrace:
     return DerivationTrace(gens, tuple(steps), _parse_pair(json_field(data, "goal", "trace JSON"), parse))
 
 
-def load_trace(path) -> DerivationTrace:
-    """The trace in a JSON file; nesting too deep to decode is a ValueError."""
+def load_trace(path, where: str = "trace file") -> DerivationTrace:
+    """The trace in a JSON file; an unreadable file or nesting too deep to decode is a ValueError.
+
+    The error of an unreadable file names ``where`` (the option that gave the
+    path, say) and echoes the path cut to 80 characters.
+    """
     try:
-        data = json.loads(Path(path).read_text())
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"{where}: cannot read {clip(str(path))!r}: {exc.strerror}") from None
+    try:
+        data = json.loads(text)
     except RecursionError:
         raise ValueError("trace JSON is nested too deeply to read") from None
     return trace_from_json(data)

@@ -43,7 +43,18 @@ from the difference table, and a cell keeps integer rows with a canonical
 scale and the solve's interior point (nums, den) (see ``Cell``).  Rational
 text ("p/q") appears only where a complex is written to or read from JSON
 (``complex_to_json``, ``complex_from_json``), in the SVG, in a witness
-row, and in the sort key of a cell, written from the integers by ``_text``.
+row, and in the key and head of a cell, written from the integers by ``_text``.
+
+Head lemma: every computed cell has one EQ row per generator, the tie row
+of its pair.  Relations sort as "eq" < "le", so the smallest constraint of
+a cell's key is the smallest text of its EQ rows, and ``Cell.head``, the
+key cut off after its first constraint, writes the EQ rows only (every
+row only for a cell with none, such as one read from JSON; a cell with no
+rows has no constraint in its head).  A key is a tuple that begins with
+its head, so keys whose heads differ compare as their heads do.  Sorting
+by head, and then by full key within each run of equal heads, therefore
+gives exactly the order of ``sorted(cells, key=Cell.key)`` (``key_order``),
+and the full key is written only for cells that share a head.
 
 Conventions: monomials never vanish and the zero polynomial vanishes nowhere
 on R^n, so both contribute empty hypersurfaces.  On a bottom stratum of the
@@ -57,7 +68,6 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter
 
 from .matrices import int_rank, to_fraction, to_int
 from .polyhedra import (
@@ -101,15 +111,41 @@ class Cell:
     stratum: tuple[int, ...] = ()
 
     def key(self):
-        """Stratum, then larger dimension, then the sorted constraints in their JSON text."""
-        s = self.scale
-        if s == 1:
-            cons = sorted((rel, tuple(map(str, a)), str(b)) for a, b, rel in self.rows)
-        else:
-            cons = sorted(
-                (rel, tuple([_text(x, s) for x in a]), _text(b, s)) for a, b, rel in self.rows
-            )
-        return (self.stratum, -self.dim, tuple(cons))
+        """Stratum, then larger dimension, then the sorted constraints in their JSON text.
+
+        Cells are ordered by ``head`` first; ``key_order`` writes the full
+        key only for cells whose heads are equal (head lemma of the module).
+        """
+        return (self.stratum, -self.dim, tuple(sorted(_row_texts(self.rows, self.scale))))
+
+    def head(self):
+        """The key cut off after its first constraint: the text of the EQ rows only, if any."""
+        rows = [row for row in self.rows if row[2] == EQ] or self.rows
+        return (self.stratum, -self.dim, (min(_row_texts(rows, self.scale)),) if rows else ())
+
+
+def _row_texts(rows, scale: int):
+    """Each row as its constraint's JSON text (relation, normal, rhs), the order of the key."""
+    if scale == 1:
+        return [(rel, tuple(map(str, a)), str(b)) for a, b, rel in rows]
+    return [(rel, tuple([_text(x, scale) for x in a]), _text(b, scale)) for a, b, rel in rows]
+
+
+def key_order(cells: list[Cell]) -> list[int]:
+    """The indices of the cells in ``Cell.key`` order, equal keys in list order.
+
+    The cells are sorted by head, and each run of equal heads by full key:
+    the order of ``sorted(cells, key=Cell.key)`` (head lemma of the module).
+    """
+    heads = [cell.head() for cell in cells]
+    order = []
+    by_head = sorted(range(len(cells)), key=heads.__getitem__)
+    for _, run in itertools.groupby(by_head, heads.__getitem__):
+        run = list(run)
+        if len(run) > 1:
+            run.sort(key=lambda i: cells[i].key())
+        order.extend(run)
+    return order
 
 
 def _text(x: int, scale: int) -> str:
@@ -238,7 +274,9 @@ def _maximal_cells(made) -> tuple[Cell, ...]:
     Cell A lies in cell B exactly when each of B's argmax sets is contained
     in A's, so equal cells share a signature (the key-smallest represents
     them) and a signature strictly containing another marks a proper face.
-    Each cell's key is computed once, for both choices and the sort.
+    The made cells are put in key order once (``key_order``), so the first
+    cell of each signature is its key-smallest and the kept cells need no
+    sort.
 
     Size lemma: a proper face's signature contains the other's sets, one of
     them strictly, so its size (the sum of its set sizes) is strictly
@@ -247,12 +285,11 @@ def _maximal_cells(made) -> tuple[Cell, ...]:
     which include every untight hypersurface cell's pair, are never faces
     and are not compared at all.
     """
-    groups: dict[Signature, tuple[tuple, Cell]] = {}
-    for signature, cell in made:
-        key = cell.key()
-        old = groups.get(signature)
-        if old is None or key < old[0]:
-            groups[signature] = key, cell
+    made = list(made)
+    groups: dict[Signature, Cell] = {}
+    for i in key_order([cell for _, cell in made]):
+        signature, cell = made[i]
+        groups.setdefault(signature, cell)
     layers: dict[int, list[Signature]] = {}
     for sig in groups:
         layers.setdefault(sum(map(len, sig)), []).append(sig)
@@ -263,8 +300,7 @@ def _maximal_cells(made) -> tuple[Cell, ...]:
         layer = layers[size]
         faces.update(sig for sig in layer if _contains_any(sig, smaller))
         smaller = smaller + layer
-    kept = sorted((v for sig, v in groups.items() if sig not in faces), key=itemgetter(0))
-    return tuple(cell for _, cell in kept)
+    return tuple(cell for sig, cell in groups.items() if sig not in faces)
 
 
 def _extend(candidates, ties, n: int):
@@ -323,7 +359,7 @@ def affine_prevariety(gens: list[Polynomial]) -> PolyComplex:
     rest cut out an R^(n-|S|) prevariety labelled by S.
 
     A cell's key begins with its stratum and ``prevariety`` returns cells in
-    key order, so sorted strata give the complex in key order, keyed once.
+    key order, so sorted strata give the complex in key order with no sort.
     """
     if not gens:
         raise ValueError("at least one generator is required")

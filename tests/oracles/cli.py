@@ -115,13 +115,13 @@ def ref_cmd_tideal_check(args):
         got = " and ".join(given)
         raise ValueError(f"tideal-check takes one of --circuits, --point or --matrix, got {got}")
     if args.circuits is not None:
-        description = circuits_from_json(cli._load_json_arg(args.circuits))
+        description = circuits_from_json(cli._load_json_arg(args.circuits, "--circuits"))
     elif args.point is not None:
         point = parse_point(args.point)
         window = monomial_window(len(point), mode, degree)
         description = ref_point_members(random.Random(seed), point, window, trials)
     elif args.matrix is not None:
-        matrix = matrix_from_json(cli._load_json_arg(args.matrix))
+        matrix = matrix_from_json(cli._load_json_arg(args.matrix, "--matrix"))
         window = monomial_window(matrix.n, mode, degree)
         description = prime_members(random.Random(seed), matrix, window, trials)
     else:

@@ -5,13 +5,16 @@ stratum's cells in key order, so taking the strata in sorted order (`()`,
 `(0,)`, `(0, 1)`, `(1,)`, ...) puts the whole complex in key order.  The
 oracle is `ref_affine_prevariety` of `oracles.varieties`, which takes the
 strata by size, builds each stratum's cells with the `Fraction` cell layer
-and sorts all cells by `Cell.key` at the end.  A spy on `Cell.key` shows
-that every key is computed inside `_maximal_cells`.
+and sorts all cells by `Cell.key` at the end.  Spies on `Cell.head`,
+`Cell.key` and `varieties.key_order` show that every head and key is
+computed inside `key_order`, and that `key_order` runs only in
+`_maximal_cells`.
 """
 
 import random
 import sys
 
+from tropica import varieties
 from tropica.polynomials import POLY
 from tropica.varieties import Cell, affine_prevariety, complex_to_json
 
@@ -37,18 +40,32 @@ def test_affine_prevariety_matches_the_sorted_oracle():
     assert min(seen.values()) >= 30, seen
 
 
+def _caller():
+    """The function that called the spy, past comprehension and lambda frames."""
+    frame = sys._getframe(2)
+    while frame.f_code.co_name.startswith("<"):
+        frame = frame.f_back
+    return frame.f_code.co_name
+
+
 def test_cell_keys_are_computed_only_in_maximal_cells(monkeypatch):
-    callers = []
-    key = Cell.key
+    callers = {"head": [], "key": [], "key_order": []}
 
-    def spy(cell):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return key(cell)
+    def spy(name, function):
+        def counted(*args):
+            callers[name].append(_caller())
+            return function(*args)
 
-    monkeypatch.setattr(Cell, "key", spy)
+        return counted
+
+    monkeypatch.setattr(Cell, "head", spy("head", Cell.head))
+    monkeypatch.setattr(Cell, "key", spy("key", Cell.key))
+    monkeypatch.setattr(varieties, "key_order", spy("key_order", varieties.key_order))
     rng = random.Random(2905)
     cells = 0
     for _ in range(150):
         cells += len(affine_prevariety(_generators(rng)).cells)
-    assert cells >= 300 and callers, (cells, len(callers))
-    assert set(callers) == {"_maximal_cells"}, set(callers)
+    counts = {name: len(names) for name, names in callers.items()}
+    assert cells >= 300 and min(counts.values()) >= 1, (cells, counts)
+    assert set(callers["head"]) == set(callers["key"]) == {"key_order"}, callers
+    assert set(callers["key_order"]) == {"_maximal_cells"}, set(callers["key_order"])

@@ -5,7 +5,9 @@
 drawn once from a seeded generator and is written out literally: polynomials
 with two or three terms tied at an integer point (poly and Laurent mode),
 4-variable 5-term quadratic forms, the 10-term 2-variable cubic, and
-prevarieties and dimension reports of 2-3 generators.  Every cell, interior
+prevarieties and dimension reports of 2-3 generators.  One hypersurface was
+added by hand, `0 + x + y + x*y`, whose cells share the text of their EQ
+rows, so that their order is decided by the full key.  Every cell, interior
 point and witness in these outputs comes out of the exact polyhedral kernel,
 so any change in how that kernel represents or orders its rows that moved a
 chosen point would show here.
@@ -112,6 +114,9 @@ CORPUS = [
      "452415242b6de0e8ca01e2a61e9c93407748c6894c5c334898f54d310b5efb0c"),
     (["dim", "--mode", "laurent", "--nvars", "2", "--poly", "4*x^-1 + -3/2*y^-1 + 2*x", "--poly", "1*x^-1*y + -2*x^-1 + 0"],
      "028c3d9fc1ef3816d30fedd9b6160f96148fc7d1933cd502bc8f6c22b792e469"),
+    # two pairs of cells share the text of their EQ row (x = 0, and y = 0)
+    (["hypersurface", "--nvars", "2", "--poly", "0 + x + y + x*y"],
+     "8aa1bd34089830c27063b980b719e6b80296ba5029d47fc02be638a4dc68a6dc"),
 ]
 
 
@@ -128,6 +133,8 @@ PINS = {
     "hypersurface_quadric_n4_5_terms.json": 12,
     "affine_prevariety_n3_two_gens.json": 31,
     "dim_poly_n3_quadric.json": 36,
+    "hypersurface_0+x+y+xy_n2.json": 46,
+    "prevariety_n3_three_gens.json": 28,
 }
 
 

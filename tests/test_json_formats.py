@@ -9,9 +9,11 @@ what a writer wrote gives the object back, and writing it again gives the
 same bytes.  The command line reads what it prints.  On the README example
 of each format, a deleted key is named with its object, and a field of
 another JSON type ends in a JSON error, never a traceback, and so does JSON
-nested too deeply to decode.  A monomial field takes no coefficient.  The
-one writer of the command line's stdout, `cli.json_text`, writes the bytes
-of `json.dumps(data, indent=2, sort_keys=True)` on seeded payloads.
+nested too deeply to decode.  An over-long argument is echoed in an error
+cut to 80 characters, naming its option where the reader knows it.  A
+monomial field takes no coefficient.  The one writer of the command line's
+stdout, `cli.json_text`, writes the bytes of
+`json.dumps(data, indent=2, sort_keys=True)` on seeded payloads.
 """
 
 import json
@@ -382,6 +384,31 @@ def test_deeply_nested_json_is_a_domain_error(capsys, tmp_path, argv, form, body
     what = "trace JSON" if argv[-1] == "--trace" else "JSON"
     assert err.count("\n") == 1
     assert json.loads(err) == {"error": "domain", "message": f"{what} is nested too deeply to read"}
+
+
+# -- an over-long argument in an error ---------------------------------------------------
+
+LONG = "x" * 100_000
+# (argv, the option the error names, or None where cli.main clips the OSError's file name)
+LONG_LINES = [([*argv, LONG], argv[-1]) for argv in JSON_READERS if argv[-1] != "--trace"] + [
+    (["trace-verify", "--trace", "[" * 100_000], "--trace"),
+    (["trace-verify", "--trace", "a/" * 50_000], "--trace"),  # no such directory
+    (["hypersurface", "--file", LONG], None),
+    (["plot", "--poly", "x + y + 0", "--output", LONG], None),
+]
+
+
+@pytest.mark.parametrize("argv, option", LONG_LINES, ids=[" ".join(a[:-1]) for a, _ in LONG_LINES])
+def test_an_over_long_argument_is_clipped_in_the_error(capsys, argv, option):
+    # the OSError of Path.is_file or Path.read_text echoed all 100,000 characters
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and len(err.encode()) < 300, err[:300]
+    message = json.loads(err)["message"]
+    assert json.loads(err)["error"] == "domain"
+    assert argv[-1][:77] + "..." in message and argv[-1][:78] not in message
+    if option is not None:
+        assert message.startswith(f"{option}: cannot read "), message
 
 
 # -- the stdout writer ------------------------------------------------------------------
