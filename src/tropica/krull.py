@@ -58,9 +58,11 @@ def witness_prime(x: PolyComplex, gens: list[Polynomial]) -> AdmissibleMatrix:
     """Admissible matrix of rank d+1 whose prime contains every generator bend.
 
     Rows are (1, p) for d+1 affinely independent rational points of a maximal
-    cell: its relative interior point omega, and omega + t v for each
-    affine-hull basis direction v, with t half the way to the cell's boundary
-    (1 on a ray).  The directions are read off the point (nums, den) as the
+    cell: its relative interior point omega, and omega + t d for each
+    affine-hull basis direction d, with t half the way to the cell's boundary
+    (1 / f on a ray, f > 0 the last non-zero entry of d: one unit of the
+    direction's free coordinate, by the scaling lemma of ``polyhedra``).  The
+    integer directions and the clip are read off the point (nums, den) as the
     cell keeps it: the rows tight there are the equalities and implicit
     equalities of the cell, so their nullspace is its affine hull
     (``affine_hull_directions``).  Only then is omega made rational, once.
@@ -80,8 +82,8 @@ def witness_prime(x: PolyComplex, gens: list[Polynomial]) -> AdmissibleMatrix:
     omega = _fractions(cell.interior_point)
     rows = [[Fraction(1), *omega]]
     for direction in directions:
-        _, t_max = line_bounds(cell.rows, omega, direction)
-        t = Fraction(1) if t_max is None else t_max / 2
+        _, t_max = line_bounds(cell.rows, cell.interior_point, direction)
+        t = Fraction(1, next(v for v in reversed(direction) if v)) if t_max is None else t_max / 2
         if t <= 0:
             raise ValueError("interior point is not strictly inside the cell")
         rows.append([Fraction(1), *(w + t * v for w, v in zip(omega, direction))])

@@ -7,9 +7,7 @@ only), and variable counts, degrees and exponents by ``to_int`` (integers
 and integral ``Fraction``s only).  Rank comes from Bareiss fraction-free
 elimination on integer rows (``int_rank``).  Kernels and bases come from
 one integer Gauss-Jordan elimination, ``int_echelon``: ``int_nullspace``
-reads the kernel of an integer matrix off it as primitive integer vectors,
-and ``nullspace`` is its ``Fraction`` front end, whose vectors reach the
-JSON output.
+reads the kernel of an integer matrix off it as primitive integer vectors.
 """
 
 from __future__ import annotations
@@ -17,8 +15,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-
-Row = tuple[Fraction, ...]
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
@@ -126,10 +122,14 @@ def int_nullspace(rows, ncols: int) -> list[tuple[int, ...]]:
     """Basis of {x : A x = 0} for an integer matrix, as primitive integer vectors.
 
     Read off ``int_echelon``: for each free column j, x_j = L (the lcm of
-    the a_k with a non-zero entry at j) and x_{c_k} = -row_k[j] * L / a_k,
-    divided by its content.  That is the ``nullspace`` vector of column j
-    (1 at j, 0 at the other free columns) times the lcm of its denominators,
-    and the vectors come in the same order.
+    the |a_k| with a non-zero entry at j) and x_{c_k} = -row_k[j] * L / a_k,
+    divided by its content.  So x_j > 0, and it is the vector's last
+    non-zero entry: row k of the echelon form is zero before its pivot, so
+    x_{c_k}, a multiple of row_k[j], is non-zero only when c_k < j.  Divided
+    by x_j the vector is 1 at j, 0 at the other free columns and
+    -row_k[j] / a_k at c_k: the kernel basis vector of column j read off the
+    reduced row echelon form.  The vectors come in the order of their free
+    columns.
     """
     mat, pivots = int_echelon(rows, ncols)
     basis = []
@@ -144,24 +144,3 @@ def int_nullspace(rows, ncols: int) -> list[tuple[int, ...]]:
         content = gcd(*vec)
         basis.append(tuple(a // content for a in vec))
     return basis
-
-
-def nullspace(rows, ncols: int) -> list[Row]:
-    """Basis of {x : A x = 0} for a rational matrix: ``int_nullspace`` in ``Fraction``s.
-
-    Each row is cleared of denominators, and each integer kernel vector is
-    divided by its entry at its free column j.  That is its last non-zero
-    entry: row k of the echelon form is zero before its pivot, so x_{c_k},
-    a multiple of row_k[j], is non-zero only when c_k < j.  The vector is
-    then 1 at j, 0 at the other free columns and -row_k[j] / a_k at c_k.
-    """
-    basis = []
-    for vec in int_nullspace([clear_denominators([to_fraction(x) for x in r]) for r in rows], ncols):
-        free = next(a for a in reversed(vec) if a)
-        basis.append(tuple(Fraction(a, free) for a in vec))
-    return basis
-
-
-def dot(a, b) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-

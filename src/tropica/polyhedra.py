@@ -8,7 +8,8 @@ implementation of each solve, ``_int_feasible_point``: a point as integers
 (nums, den), the point nums / den, which is a relative interior point
 (interior lemma below).  ``dimension``, ``contains_point``,
 ``affine_hull_directions`` and ``line_bounds`` read integer rows too, the
-middle two with the point (nums, den) as the solve returns it.  Rational
+last three with the point (nums, den) as the solve returns it, and hull
+directions are integer vectors (scaling lemma below).  Rational
 constraints are cleared of denominators once, by ``_int_row``.
 
 Representation lemma: the solve fixes x_k from the fibre of the projection
@@ -51,6 +52,13 @@ either of the two is strict, where of tied bounds a strict one is taken.
 So ``_eliminate_last`` keeps only those two rows and emits their one
 constant row.  ``_coordinate`` picks the same tightest bounds from all the
 rows, so by the representation lemma the point does not change.
+
+Scaling lemma: the ``int_nullspace`` vector d of a free column has its
+last non-zero entry f > 0 there, so d = f v with v the kernel vector of the
+reduced row echelon form.  A clip along d gives v's bounds divided by f, so
+every point omega + t v and every segment end is the same rational, and lo
+and hi keep their order; t = 1 along v is t = 1 / f along d, one unit of
+the direction's free coordinate.
 """
 
 from __future__ import annotations
@@ -59,7 +67,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .matrices import clear_denominators, dot, int_rank, nullspace, to_fraction
+from .matrices import clear_denominators, int_nullspace, int_rank, to_fraction
 
 LE, EQ, LT = "le", "eq", "lt"
 
@@ -292,35 +300,37 @@ def dimension(rows: list[IntRow], n: int) -> int:
     return n - int_rank(_tight_normals(rows, point))
 
 
-def affine_hull_directions(rows: list[IntRow], n: int, point: IntPoint) -> list[tuple[Fraction, ...]]:
-    """Rational basis of the direction space of the affine hull, read off ``point``.
+def affine_hull_directions(rows: list[IntRow], n: int, point: IntPoint) -> list[tuple[int, ...]]:
+    """Primitive integer basis of the direction space of the affine hull, read off ``point``.
 
     ``point`` must be a relative interior point, (nums, den) as
     ``_int_feasible_point`` returns it (interior lemma).
     Tight-row lemma: at such a point the rows that hold with equality are
     exactly the EQ rows and the implicit equalities (Schrijver, *Theory of
     Linear and Integer Programming*, 8.2), so the hull is the nullspace of
-    their normals, with no solve.  The basis is that of ``nullspace``: the
-    reduced row echelon form of a row space is unique, so any point with the
-    same tight rows, and any positive scaling of the rows, gives the same
-    directions.
+    their normals, with no solve.  The basis is ``int_nullspace``'s, each
+    vector the primitive positive multiple of one of the reduced row echelon
+    form, which is unique for a row space: any point with the same tight
+    rows, and any positive scaling of the rows, gives the same directions.
     """
-    return nullspace(_tight_normals(rows, point), n)
+    return int_nullspace(_tight_normals(rows, point), n)
 
 
-def line_bounds(rows: list[IntRow], point, direction) -> tuple[Fraction | None, Fraction | None]:
-    """The interval (lo, hi) of t with point + t * direction satisfying the rows.
+def line_bounds(rows: list[IntRow], point: IntPoint, direction) -> tuple[Fraction | None, Fraction | None]:
+    """The interval (lo, hi) of t with nums / den + t * direction satisfying the rows.
 
-    ``point`` satisfies the rows and ``direction`` lies in their affine hull,
-    so EQ rows hold along the whole line and are skipped, as are rows
-    parallel to it.  A side with no bound reads None.
+    ``point`` (nums, den) satisfies the rows and the integer ``direction``
+    lies in their affine hull, so EQ rows hold along the whole line and are
+    skipped, as are rows parallel to it.  Row a.x rel b bounds t by
+    (b den - a.nums) / (den a.direction).  A side with no bound reads None.
     """
+    nums, den = point
     lo = hi = None
     for a, b, rel in rows:
-        slope = dot(a, direction)
+        slope = sum(map(mul, a, direction))
         if rel == EQ or slope == 0:
             continue
-        bound = (b - dot(a, point)) / slope
+        bound = Fraction(b * den - sum(map(mul, a, nums)), den * slope)
         if slope > 0:
             hi = bound if hi is None or bound < hi else hi
         else:

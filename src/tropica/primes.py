@@ -19,8 +19,9 @@ matrix caches its rows cleared of denominators (``cleared_rows``), and the
 terms of one query are scaled by their common denominator D > 0, which
 again keeps every sign.  A term's key is then the integer tuple
 U_int @ (D c, D u), and terms compare as their keys compare
-lexicographically.  Polynomial exponents are integers, so for a polynomial
-D is the lcm of its coefficient denominators alone.
+lexicographically.  Exponents are integers (a term's are read by
+``polynomials.to_exponents``), so D is the lcm of the coefficient
+denominators alone.
 
 A polynomial query asks only for the top class, which ``_polynomial_top``
 finds by lexicographic refinement: row 0 is computed for every term and
@@ -50,7 +51,7 @@ from math import lcm
 from operator import mul
 
 from .matrices import clear_denominators, int_rank, to_fraction, to_int
-from .polynomials import Exponents, Polynomial
+from .polynomials import LAURENT, Exponents, Polynomial, to_exponents
 from .scalars import is_bottom
 
 Term = tuple[Fraction, Exponents]
@@ -144,25 +145,20 @@ def admissibility_violations(rows, n: int) -> list[str]:
     return []
 
 
-def _term_vector(term: Term, n: int) -> tuple[Fraction, tuple[Fraction, ...]]:
+def _term_vector(term: Term, n: int) -> tuple[Fraction, Exponents]:
     coeff, expo = term
     if is_bottom(coeff):
         raise ValueError("terms must have a non-bottom coefficient")
     if len(expo) != n:
         raise ValueError(f"exponent vector has length {len(expo)}, expected {n}")
     coeff = coeff if type(coeff) is Fraction else to_fraction(coeff)
-    return coeff, tuple([e if type(e) is Fraction else to_fraction(e) for e in expo])
+    return coeff, to_exponents(expo, n, LAURENT)
 
 
 def _scaled(vectors) -> tuple[list[tuple[int, ...]], int]:
     """(c, u) vectors times their common denominator D, as integer tuples (D c, D u), and D."""
-    den = 1
-    for coeff, expo in vectors:
-        den = lcm(den, coeff.denominator, *(e.denominator for e in expo))
-    scaled = [
-        tuple(x.numerator * (den // x.denominator) for x in (coeff, *expo)) for coeff, expo in vectors
-    ]
-    return scaled, den
+    den = lcm(*[c.denominator for c, _ in vectors])
+    return [(c.numerator * (den // c.denominator), *[den * e for e in u]) for c, u in vectors], den
 
 
 def _keys(matrix: AdmissibleMatrix, vectors) -> tuple[list[tuple[int, ...]], int]:

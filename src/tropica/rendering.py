@@ -8,7 +8,7 @@ inputs produce byte-identical documents.
 from __future__ import annotations
 
 from .matrices import to_fraction
-from .polyhedra import EQ, LE, IntRow, _fractions, _int_feasible_point
+from .polyhedra import EQ, LE, IntPoint, IntRow, _fractions, _int_feasible_point
 from .polyhedra import _int_row, affine_hull_directions, line_bounds
 from .varieties import PolyComplex
 
@@ -40,11 +40,12 @@ class _Mapper:
         return float(x), float(y)
 
 
-def _segment_endpoints(rows: list[IntRow], q, direction):
-    """Endpoints of a bounded 1-dimensional polyhedron, with q in its relative interior."""
-    t_lo, t_hi = line_bounds(rows, q, direction)
+def _segment_endpoints(rows: list[IntRow], point: IntPoint, direction):
+    """Endpoints of a bounded 1-dimensional polyhedron, with ``point`` in its relative interior."""
+    t_lo, t_hi = line_bounds(rows, point, direction)
     if t_lo is None or t_hi is None:
         raise ValueError("cell is unbounded inside the box")
+    q = _fractions(point)
     a = tuple(qi + t_lo * d for qi, d in zip(q, direction))
     b = tuple(qi + t_hi * d for qi, d in zip(q, direction))
     return a, b
@@ -53,8 +54,9 @@ def _segment_endpoints(rows: list[IntRow], q, direction):
 def render_svg(x: PolyComplex, bbox) -> str:
     """SVG document for a 2-dimensional complex clipped to (xmin,ymin,xmax,ymax).
 
-    Each clipped cell takes one solve, whose point is a relative interior
-    point; its affine hull, and so its dimension, is read off that point.
+    Each clipped cell takes one solve, whose point (nums, den) is a relative
+    interior point; its affine hull (so its dimension) and a segment's clip
+    are read off that point, made rational only for the ends and the mapper.
     """
     if x.ambient != 2:
         raise ValueError("SVG rendering requires an ambient dimension of 2")
@@ -70,17 +72,16 @@ def render_svg(x: PolyComplex, bbox) -> str:
         if found is None:
             continue
         directions = affine_hull_directions(clipped, 2, found)
-        q = _fractions(found)  # rational, for line_bounds and the SVG mapper
         if len(directions) >= 2:
             raise ValueError("2-dimensional cells are not supported by the renderer")
         if directions:
-            a, b = _segment_endpoints(clipped, q, directions[0])
+            a, b = _segment_endpoints(clipped, found, directions[0])
             (x1, y1), (x2, y2) = mapper.to_svg(a), mapper.to_svg(b)
             shapes.append(
                 f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" {style}/>'
             )
         else:
-            px, py = mapper.to_svg(q)
+            px, py = mapper.to_svg(_fractions(found))
             shapes.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="3" fill="#b23a1f"/>')
     body = "\n".join(shapes)
     return (

@@ -4,7 +4,8 @@
 `ref_nullspace` and `ref_rank` read the kernel basis and the rank off it.
 `rank` is the former `matrices.rank`, a `Fraction` front end of `int_rank`
 that no code in the package calls; the oracles of the layers above rank
-their rational matrices with it.
+their rational matrices with it.  `dot` is the former `matrices.dot`, the
+`Fraction` dot product the oracles and tests evaluate rows with.
 """
 
 from fractions import Fraction
@@ -62,3 +63,7 @@ def ref_rank(rows):
 def rank(rows) -> int:
     """Rank of a rational matrix: ``int_rank`` of its rows cleared of denominators."""
     return int_rank([clear_denominators([to_fraction(x) for x in r]) for r in rows])
+
+
+def dot(a, b) -> Fraction:
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))

@@ -11,7 +11,10 @@ projects with the library's `_eliminate_last` and `_normalize`.
 `affine_hull_directions` and `line_bounds` read a `Polyhedron` (or a list
 of constraints) and call the library's integer versions on its cleared
 rows, with a rational point read as (nums, den) by `_int_point` where the
-library takes one.  `relative_interior_point` is the library's solve
+library takes one.  `line_bounds` also clears a rational direction by the
+lcm L of its denominators, and returns L times the library's bounds along
+the cleared direction: the bounds along the rational one.
+`relative_interior_point` is the library's solve
 point, a relative interior point by the interior lemma of `polyhedra`.
 `int_implicit_equalities` (the former `polyhedra._int_implicit_equalities`)
 probes each LE row tight at a feasible point strict with the library's
@@ -34,7 +37,9 @@ strict with it, and `ref_relative_interior_point` solves the system with
 the implicit equalities as equalities and every other LE row strict.
 `ref_lift_exists` decides whether a point lifts through one eliminated
 coordinate by interval arithmetic on the fiber line.
-`ref_affine_hull_directions` is the kernel of the EQ and implicit normals;
+`ref_affine_hull_directions` is the `Fraction` kernel of the EQ and implicit
+normals, each vector 1 at its free column (the library's integer directions
+are positive multiples of these);
 `ref_interior_shift_bound` and `ref_segment_bounds` are the former
 line-clipping loops of `krull` and `rendering`.
 
@@ -53,7 +58,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from tropica import polyhedra
-from tropica.matrices import clear_denominators, dot, nullspace, to_fraction
+from tropica.matrices import clear_denominators, to_fraction
 from tropica.polyhedra import (
     EQ,
     LE,
@@ -64,6 +69,8 @@ from tropica.polyhedra import (
     _int_row,
 )
 from tropica.varieties import Cell
+
+from oracles.matrices import dot, ref_nullspace
 
 Constraint = tuple[tuple[Fraction, ...], Fraction, str]
 
@@ -175,12 +182,16 @@ def dimension(poly: Polyhedron) -> int:
     return polyhedra.dimension(int_rows(poly), poly.n)
 
 
-def affine_hull_directions(poly: Polyhedron, point) -> list[tuple[Fraction, ...]]:
+def affine_hull_directions(poly: Polyhedron, point) -> list[tuple[int, ...]]:
     return polyhedra.affine_hull_directions(int_rows(poly), poly.n, _int_point(point))
 
 
 def line_bounds(poly: Polyhedron, point, direction):
-    return polyhedra.line_bounds(int_rows(poly), point, direction)
+    """The bounds along a rational direction: L times those along it cleared by the lcm L."""
+    direction = [to_fraction(x) for x in direction]
+    scale = lcm(*(x.denominator for x in direction))
+    bounds = polyhedra.line_bounds(int_rows(poly), _int_point(point), clear_denominators(direction))
+    return tuple(None if t is None else t * scale for t in bounds)
 
 
 def int_implicit_equalities(rows: list[IntRow], n: int, point) -> list[int]:
@@ -430,7 +441,7 @@ def ref_affine_hull_directions(poly):
     normals.extend(h.normal for i, h in enumerate(poly.constraints) if i in implicit)
     if not normals:
         return [tuple(Fraction(int(i == k)) for i in range(poly.n)) for k in range(poly.n)]
-    return nullspace(normals, poly.n)
+    return ref_nullspace(normals, poly.n)
 
 
 def ref_interior_shift_bound(poly, omega, direction):

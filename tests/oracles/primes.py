@@ -13,18 +13,20 @@ The builders draw admissible matrices of every shape (n = 1-4, every rank
 1..n+1) over denominators up to 12, each with a cap on its draws so that a
 defect making every draw inadmissible fails a test instead of hanging it,
 and polynomials whose top terms tie on some or all rows.
+`integral_exponent_terms` scales two terms with rational exponents to
+integer ones, which `primes.compare_terms` reads, keeping their order.
 """
 
 import random
 from fractions import Fraction
 from math import lcm
 
-from tropica.matrices import dot, int_nullspace, nullspace, to_fraction
+from tropica.matrices import int_nullspace, to_fraction
 from tropica.polynomials import Polynomial
 from tropica.primes import EQUAL, GREATER, LESS, AdmissibilityError, check_admissible
 from tropica.sampling import random_admissible
 
-from oracles.matrices import rank
+from oracles.matrices import dot, rank, ref_nullspace
 from oracles.sampling import ref_random_member_polynomial
 
 # -- oracles -----------------------------------------------------------------------
@@ -85,6 +87,19 @@ def ref_admissibility_violations(rows, n):
     if first_nonzero is not None and first_nonzero < 0:
         problems.append("first non-zero entry of column 0 must be positive")
     return problems
+
+
+def integral_exponent_terms(t1, t2):
+    """(t1, t2) times the lcm D of their exponent denominators, and D.
+
+    U is linear and D > 0, so the scaled pair compares as (t1, t2) does.
+    With D = 1 the terms come back as they are, integral `Fraction`
+    exponents included.
+    """
+    den = lcm(*(Fraction(e).denominator for _, expo in (t1, t2) for e in expo))
+    if den == 1:
+        return (t1, t2), den
+    return tuple((den * c, tuple(int(den * e) for e in expo)) for c, expo in (t1, t2)), den
 
 
 # -- seeded primes -----------------------------------------------------------------
@@ -162,7 +177,7 @@ def matrices(seed, per_shape):
 
 def kernel_direction(matrix):
     """(dc, du) with U @ (dc, du) = 0 and du a non-zero integer vector, or None."""
-    for vec in nullspace(matrix.rows, matrix.n + 1):
+    for vec in ref_nullspace(matrix.rows, matrix.n + 1):
         if any(vec[1:]):
             scale = lcm(*(x.denominator for x in vec[1:]))
             return vec[0] * scale, tuple(int(x * scale) for x in vec[1:])

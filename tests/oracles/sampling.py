@@ -25,7 +25,7 @@ from operator import mul
 
 import pytest
 
-from tropica.matrices import dot, to_fraction
+from tropica.matrices import to_fraction
 from tropica.polynomials import LAURENT, POLY, Polynomial
 from tropica.primes import (
     AdmissibilityError,
@@ -36,7 +36,7 @@ from tropica.primes import (
 from tropica.sampling import prime_members, window_admits_member
 from tropica.tropical_linear import MembershipSample
 
-from oracles.matrices import rank
+from oracles.matrices import dot, rank
 
 
 def _fraction(rng, lo=-4, hi=4, max_den=3):

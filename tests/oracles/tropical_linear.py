@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable
 
-from tropica.matrices import clear_denominators, dot, int_nullspace, to_fraction
+from tropica.matrices import clear_denominators, int_nullspace, to_fraction
 from tropica.polynomials import POLY, Exponents, Polynomial
 from tropica.primes import GEOMETRIC, bend_ideal_member, classify_prime, variety_of_prime
 from tropica.scalars import BOTTOM, is_bottom, trop_add, trop_mul
@@ -49,7 +49,7 @@ from tropica.tropical_linear import (
     window_order,
 )
 
-from oracles.matrices import rank, ref_row_echelon
+from oracles.matrices import dot, rank, ref_row_echelon
 
 MAX_TIES = 16  # tie positions per triple the reference searches try (2^ties candidates)
 

@@ -35,12 +35,11 @@ from math import lcm, prod
 import pytest
 
 from tropica import polyhedra, rendering, varieties
-from tropica.matrices import dot
 from tropica.polyhedra import EQ, LE, LT, _fractions, _int_point
 from tropica.polynomials import POLY, Exponents, Polynomial
 from tropica.varieties import Cell, PolyComplex, complex_from_json, complex_to_json
 
-from oracles.matrices import rank
+from oracles.matrices import dot, rank
 from oracles.polyhedra import (
     HalfSpace,
     Polyhedron,
@@ -413,12 +412,13 @@ def fan_polynomial(rng, n, mode, max_terms=6):
     """Small exponents and coefficients, so that cells are often non-generic.
 
     Half the polynomials have all coefficients 0: their hypersurfaces are fans
-    on which many terms tie at the origin.
+    on which many terms tie at the origin.  The number of terms is drawn from
+    2..max_terms and capped at the (3 - low)^n exponents of the window.
     """
     low = 0 if mode == POLY else -1
     values = rng.choice([[0], [0, 0, 1, -1, Fraction(1, 2)]])
     coeffs = {}
-    target = rng.randint(2, max_terms)
+    target = min(rng.randint(2, max_terms), (3 - low) ** n)
     while len(coeffs) < target:
         expo = tuple(rng.randint(low, 2) for _ in range(n))
         coeffs[expo] = rng.choice(values)

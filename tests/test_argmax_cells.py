@@ -41,6 +41,24 @@ from oracles.varieties import (
 )
 
 
+@pytest.mark.parametrize("mode", [POLY, LAURENT])
+def test_fan_polynomial_caps_its_terms_at_the_window(mode):
+    """One variable has 3 exponents in poly mode and 4 in Laurent mode, below max_terms 6.
+
+    A target drawn above the window is capped, so every draw returns, with
+    at most min(max_terms, window) terms.
+    """
+    window = 3 if mode == POLY else 4
+    rng = random.Random(412)
+    full = 0
+    for max_terms in range(2, 7):
+        for _ in range(20):
+            f = fan_polynomial(rng, 1, mode, max_terms)
+            assert 2 <= len(f.terms()) <= min(max_terms, window)
+            full += len(f.terms()) == window
+    assert full >= 20
+
+
 def lp_hypersurface(f):
     return ref_hypersurface(f, ref_maximal_by_containment)
 

@@ -7,7 +7,9 @@ with two or three terms tied at an integer point (poly and Laurent mode),
 4-variable 5-term quadratic forms, the 10-term 2-variable cubic, and
 prevarieties and dimension reports of 2-3 generators.  One hypersurface was
 added by hand, `0 + x + y + x*y`, whose cells share the text of their EQ
-rows, so that their order is decided by the full key.  Every cell, interior
+rows, so that their order is decided by the full key, and one dimension
+report, `x^2 + y^3 + 0`, whose witness steps along a ray: its hull
+direction (3, 2) has last entry 2, not 1.  Every cell, interior
 point and witness in these outputs comes out of the exact polyhedral kernel,
 so any change in how that kernel represents or orders its rows that moved a
 chosen point would show here.
@@ -117,6 +119,10 @@ CORPUS = [
     # two pairs of cells share the text of their EQ row (x = 0, and y = 0)
     (["hypersurface", "--nvars", "2", "--poly", "0 + x + y + x*y"],
      "8aa1bd34089830c27063b980b719e6b80296ba5029d47fc02be638a4dc68a6dc"),
+    # the witness steps along the ray 2x = 3y, whose hull direction (3, 2) has
+    # free entry 2: one unit of y, not one unit of the direction
+    (["dim", "--poly", "x^2 + y^3 + 0"],
+     "d377513d6867be6888d62c77cd82a48f042acc34e8c9df13f059f3f4bf89ea8d"),
 ]
 
 
@@ -135,6 +141,7 @@ PINS = {
     "dim_poly_n3_quadric.json": 36,
     "hypersurface_0+x+y+xy_n2.json": 46,
     "prevariety_n3_three_gens.json": 28,
+    "dim_x2+y3+0.json": 47,
 }
 
 

@@ -4,6 +4,8 @@ The oracles multiply the stored `Fraction` rows: `ref_compare_terms` takes
 the sign of the first non-zero entry of U (c1 - c2, u1 - u2),
 `ref_leading_class` is the pairwise loop over the terms on it, and
 `ref_pair_in_prime` and `ref_bend_ideal_member` are built on those two.
+`compare_terms` reads integer exponents, so terms with rational ones are
+compared scaled by `integral_exponent_terms`, and must be refused as given.
 `ref_admissibility_violations` is the former check, which read the rows as
 `Fraction`s and ranked them through `oracles.matrices.rank`, and
 `ref_random_admissible` (`oracles.sampling`) the former
@@ -35,6 +37,7 @@ from tropica.sampling import random_admissible
 
 import oracles.primes
 from oracles.primes import (
+    integral_exponent_terms,
     kernel_direction,
     matrices,
     member_polynomial,
@@ -90,8 +93,12 @@ def test_compare_terms_matches_reference():
             else:
                 t2 = (small_fraction(rng, 5), tuple(rng.randint(-3, 3) for _ in range(n)))
             expected = ref_compare_terms(matrix, t1, t2)
-            assert compare_terms(matrix, t1, t2) == expected, (matrix, t1, t2)
-            assert compare_terms(matrix, t2, t1) == ref_compare_terms(matrix, t2, t1)
+            (s1, s2), den = integral_exponent_terms(t1, t2)
+            if den > 1:
+                with pytest.raises(ValueError, match="an exponent must be an integer"):
+                    compare_terms(matrix, t1, t2)
+            assert compare_terms(matrix, s1, s2) == expected, (matrix, t1, t2)
+            assert compare_terms(matrix, s2, s1) == ref_compare_terms(matrix, t2, t1)
             equal += expected == EQUAL
     assert equal > 200
 

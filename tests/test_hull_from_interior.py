@@ -1,15 +1,19 @@
 """The affine hull read off a relative interior point, and one line-clipping loop.
 
-`affine_hull_directions(rows, n, point)` takes the nullspace of the normals of
-the rows tight at a relative interior point.  Tight-row lemma: there the
-tight rows are exactly the EQ rows and the implicit equalities, so the row
-space, and with it the reduced echelon basis, is that of the definition.
-The oracle `ref_affine_hull_directions` of `oracles.polyhedra` finds the
-implicit equalities by probing with the `Fraction` Fourier-Motzkin oracle
-and takes the nullspace of the EQ and implicit normals.  `line_bounds`
-replaces two clipping loops, kept as `ref_interior_shift_bound` (the
-witness shift in `krull`) and `ref_segment_bounds` (the segment endpoints
-in `rendering`).  Seeded polyhedra are stated as `Fraction` constraints
+`affine_hull_directions(rows, n, point)` takes the integer nullspace of the
+normals of the rows tight at a relative interior point.  Tight-row lemma:
+there the tight rows are exactly the EQ rows and the implicit equalities,
+so the row space, and with it the reduced echelon basis, is that of the
+definition.  The oracle `ref_affine_hull_directions` of `oracles.polyhedra`
+finds the implicit equalities by probing with the `Fraction` Fourier-Motzkin
+oracle and takes the `Fraction` nullspace of the EQ and implicit normals.
+Scaling lemma of `polyhedra`: each library direction is primitive, its last
+non-zero entry f is positive, and divided by f it is the oracle's vector,
+so the hull tests compare the directions divided by f.  `line_bounds`
+clips along an integer direction from the solve's (nums, den); it replaces
+two clipping loops, kept as `ref_interior_shift_bound` (the witness shift
+in `krull`) and `ref_segment_bounds` (the segment endpoints in
+`rendering`).  Seeded polyhedra are stated as `Fraction` constraints
 through the front end of `oracles.polyhedra`; cells are read on their
 integer rows directly.
 """
@@ -17,6 +21,7 @@ integer rows directly.
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -77,6 +82,15 @@ def random_rows(rng):
     return rows, n
 
 
+def by_free_entry(directions):
+    """Each integer direction divided by its last non-zero entry, as `Fraction`s."""
+    out = []
+    for direction in directions:
+        f = next(v for v in reversed(direction) if v)
+        out.append(tuple(Fraction(v, f) for v in direction))
+    return out
+
+
 def test_hull_at_the_interior_point_matches_the_probing_oracle():
     rng = random.Random(1689)
     checked = with_implicit = 0
@@ -88,8 +102,29 @@ def test_hull_at_the_interior_point_matches_the_probing_oracle():
         checked += 1
         with_implicit += bool(implicit_equality_indices(poly))
         point = relative_interior_point(poly)
-        assert affine_hull_directions(poly, point) == ref_affine_hull_directions(poly), rows
+        assert by_free_entry(affine_hull_directions(poly, point)) == ref_affine_hull_directions(poly), rows
     assert with_implicit >= 400
+
+
+def test_directions_are_primitive_positive_multiples_of_the_reference_basis():
+    """Scaling lemma: d is primitive, its last non-zero entry f > 0, and d = f v for the oracle's v."""
+    rng = random.Random(1690)
+    checked = scaled = 0
+    while checked < 600:
+        rows, n = random_rows(rng)
+        poly = make_polyhedron(rows, n)
+        if is_empty(poly):
+            continue
+        checked += 1
+        got = affine_hull_directions(poly, relative_interior_point(poly))
+        expected = ref_affine_hull_directions(poly)
+        assert len(got) == len(expected), rows
+        for d, v in zip(got, expected):
+            assert all(type(x) is int for x in d) and gcd(*d) == 1, (rows, d)
+            f = next(x for x in reversed(d) if x)
+            assert f > 0 and d == tuple(f * x for x in v), (rows, d, v)
+            scaled += f > 1
+    assert scaled >= 100
 
 
 @pytest.mark.parametrize("builder", ["prevariety", "affine_prevariety"])
@@ -108,7 +143,7 @@ def test_hull_of_every_cell_matches_the_probing_oracle(builder):
             cells += 1
             point = cell.interior_point
             directions = polyhedra.affine_hull_directions(cell.rows, len(point[0]), point)
-            assert directions == ref_affine_hull_directions(cell_polyhedron(cell)), gens
+            assert by_free_entry(directions) == ref_affine_hull_directions(cell_polyhedron(cell)), gens
             assert len(directions) == cell.dim
     assert cells >= 300
 
@@ -135,7 +170,7 @@ def test_every_cell_round_trips_and_its_boundary_points_do_not(builder):
             point = _fractions(cell.interior_point)
             hull = polyhedra.affine_hull_directions(cell.rows, len(point), cell.interior_point)
             for direction in hull:
-                _, hi = polyhedra.line_bounds(cell.rows, point, direction)
+                _, hi = polyhedra.line_bounds(cell.rows, cell.interior_point, direction)
                 if hi is None:
                     continue
                 moved += 1
@@ -161,6 +196,24 @@ def test_line_bounds_match_the_former_loops():
             lo, hi = line_bounds(poly, point, direction)
             assert hi == ref_interior_shift_bound(poly, point, direction), rows
             assert (lo, hi) == ref_segment_bounds(poly, point, direction), rows
+
+
+def test_witness_on_a_ray_steps_one_unit_of_the_free_coordinate():
+    """x^2 + y^3 + 0 has the ray 2x = 3y, x >= -1/3, and its hull direction (3, 2) has f = 2.
+
+    The witness steps t = 1 / 2 along (3, 2), which is (3/2, 1): the point of
+    the pin `tests/pins/dim_x2+y3+0.json`.  A step of t = 1 would read (4, 8/3).
+    """
+    (f,) = parse_polynomials(["x^2 + y^3 + 0"], LAURENT, None)
+    x = prevariety([f])
+    (cell,) = [c for c in x.cells if c.dim == 1 and c.interior_point == ((3, 2), 3)]
+    (direction,) = polyhedra.affine_hull_directions(cell.rows, 2, cell.interior_point)
+    assert direction == (3, 2)
+    assert polyhedra.line_bounds(cell.rows, cell.interior_point, direction) == (Fraction(-1, 3), None)
+    assert witness_prime(x, [f]).rows == (
+        (1, 1, Fraction(2, 3)),
+        (1, Fraction(5, 2), Fraction(5, 3)),
+    )
 
 
 def test_witness_rejects_a_boundary_interior_point():

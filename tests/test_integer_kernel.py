@@ -2,15 +2,18 @@
 
 `system_point` (the `Fraction` front end of `oracles.polyhedra`) clears its
 constraints and runs Fourier-Motzkin on integer rows, `matrices.int_rank`
-runs Bareiss elimination on integer rows, and `matrices.nullspace` reads
-its basis off the integer Gauss-Jordan elimination `matrices.int_echelon`.
+runs Bareiss elimination on integer rows, and `matrices.int_nullspace`
+reads its basis off the integer Gauss-Jordan elimination
+`matrices.int_echelon`.
 Their oracles are the `Fraction` versions of `oracles.polyhedra`
 (`ref_feasible_point`) and `oracles.matrices` (`ref_row_echelon`, the
 former `matrices.row_echelon`, `ref_nullspace` and `ref_rank`): on seeded
 systems and matrices (empty and unbounded systems, zero columns and rows,
 dependent, duplicate and parallel rows, no rows, `int`, `Fraction` and
-"p/q" input) the new code must give the same point, or also report the
-system empty, the same rank and the same kernel basis.  The rows of
+"p/q" input, cleared of denominators where the code reads integers) the
+new code must give the same point, or also report the system empty, the
+same rank, and the same kernel basis up to one positive factor per vector,
+its last non-zero entry (scaling lemma of `polyhedra`).  The rows of
 `int_echelon` must be non-zero multiples of the reduced row echelon rows,
 with the same pivots.
 
@@ -35,7 +38,7 @@ from math import gcd
 import pytest
 
 from tropica import polyhedra, varieties
-from tropica.matrices import clear_denominators, int_echelon, int_rank, nullspace, to_fraction
+from tropica.matrices import clear_denominators, int_echelon, int_nullspace, int_rank, to_fraction
 from tropica.parsing import parse_polynomial
 from tropica.polyhedra import EQ, LE, LT, _int_feasible_point
 
@@ -462,15 +465,19 @@ def _kernel_matrix(rng):
     return [[str(x) for x in row] if rng.random() < 0.1 else row for row in rows], ncols
 
 
-def test_nullspace_matches_fraction_oracle():
+def test_int_nullspace_is_the_fraction_oracle_scaled():
+    """Each vector is primitive, with last non-zero entry f > 0, and is f times the oracle's."""
     rng = random.Random(20261019)
     seen = {"no rows": 0, "dependent rows": 0, "zero kernel": 0, "kernel": 0}
     for _ in range(1500):
         rows, ncols = _kernel_matrix(rng)
         expected = ref_nullspace(rows, ncols)
-        got = nullspace(rows, ncols)
-        assert got == expected, rows
-        assert all(type(x) is Fraction for vec in got for x in vec)
+        got = int_nullspace([clear_denominators([to_fraction(x) for x in r]) for r in rows], ncols)
+        assert len(got) == len(expected), rows
+        for vec, ref in zip(got, expected):
+            assert all(type(x) is int for x in vec) and gcd(*vec) == 1, rows
+            f = next(x for x in reversed(vec) if x)
+            assert f > 0 and vec == tuple(f * x for x in ref), rows
         seen["no rows"] += not rows
         seen["dependent rows"] += len(rows) > ncols - len(expected)
         seen["zero kernel" if not expected else "kernel"] += 1
@@ -502,10 +509,8 @@ def test_int_echelon_rows_are_multiples_of_rref_rows():
         lambda: rank([[0.1, 1], [1, 10]]),
         lambda: rank([["1.5", 1]]),
         lambda: rank([[True, 1]]),
-        lambda: nullspace([[0.5, 1]], 2),
-        lambda: nullspace([[1, "1e2"]], 2),
     ],
-    ids=["rank-float", "rank-decimal-string", "rank-bool", "nullspace-float", "nullspace-exponent-string"],
+    ids=["rank-float", "rank-decimal-string", "rank-bool"],
 )
 def test_matrices_reject_inexact_entries(call):
     with pytest.raises(ValueError):
@@ -514,7 +519,6 @@ def test_matrices_reject_inexact_entries(call):
 
 def test_matrices_read_rational_strings():
     assert rank([["1/10", 1], [1, 10]]) == 1
-    assert nullspace([["1/2", 1]], 2) == [(Fraction(-2), Fraction(1))]
 
 
 # -- one feasible point per candidate --------------------------------------------

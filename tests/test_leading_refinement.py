@@ -10,6 +10,9 @@ what `_polynomial_top` must agree with, but it is no oracle of the queries.
 The inputs cover n = 1-4, every rank 1..n+1 and denominators up to 12.  A
 polynomial tied on the first k rows has its terms shifted from one term
 along the integer kernel of those rows, so the refinement reaches every row.
+`compare_terms` reads integer exponents only: two terms with rational
+exponents are refused, and compared scaled to integer exponents by
+`integral_exponent_terms`, which keeps their order.
 """
 
 import random
@@ -39,6 +42,7 @@ from oracles.primes import (
     cases,
     fraction,
     fraction_polynomial,
+    integral_exponent_terms,
     random_matrix,
     ref_bend_ideal_member,
     ref_compare_terms,
@@ -177,7 +181,11 @@ def test_compare_terms_matches_fraction_products():
                 t2 = (t1[0] + a * vec[0], tuple(e + a * v for e, v in zip(t1[1], vec[1:])))
             else:
                 t2 = fraction_term(rng, n, rng.random() < 0.5)
-            got = compare_terms(matrix, t1, t2)
+            scaled, den = integral_exponent_terms(t1, t2)
+            if den > 1:
+                with pytest.raises(ValueError, match="an exponent must be an integer"):
+                    compare_terms(matrix, t1, t2)
+            got = compare_terms(matrix, *scaled)
             assert got == ref_compare_terms(matrix, t1, t2), (matrix, t1, t2)
             answers[got] += 1
     assert min(answers.values()) >= 200, answers

@@ -22,7 +22,6 @@ from pathlib import Path
 import pytest
 
 from tropica import parsing, traces
-from tropica.matrices import dot
 from tropica.parsing import ParseError, parse_polynomial, parse_polynomials
 from tropica.polynomials import LAURENT, POLY, Polynomial
 from tropica.primes import (
@@ -35,7 +34,7 @@ from tropica.primes import (
 from tropica.sampling import prime_members, random_admissible, random_point, window_admits_member
 from tropica.tropical_linear import monomial_window
 
-from oracles.matrices import rank
+from oracles.matrices import dot, rank
 from oracles.parsing import outcome, ref_cli_polynomials, ref_parse_polynomial
 from oracles.sampling import (
     assert_no_member_error,

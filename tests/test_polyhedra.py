@@ -12,9 +12,9 @@ from fractions import Fraction
 import pytest
 
 from tropica import polyhedra
-from tropica.matrices import dot
 from tropica.polyhedra import EQ, LE, _int_point
 
+from oracles.matrices import dot
 from oracles.polyhedra import (
     affine_hull_directions,
     contains_point,
@@ -233,12 +233,13 @@ def test_projection_preserves_emptiness():
 
 
 def test_integer_row_functions_give_exact_answers_on_integer_input():
-    """Integer rows, points and directions: the answers are Fractions, never floats."""
+    """Integer rows, points (nums, den) and directions: the bounds are Fractions, never floats."""
     seg = [((2,), 3, LE), ((-2,), 0, LE)]  # 0 <= x <= 3/2
-    assert polyhedra.line_bounds(seg, (0,), (1,)) == (0, Fraction(3, 2))
-    assert all(type(t) is Fraction for t in polyhedra.line_bounds(seg, (1,), (2,)))
+    assert polyhedra.line_bounds(seg, ((0,), 1), (1,)) == (0, Fraction(3, 2))
+    assert all(type(t) is Fraction for t in polyhedra.line_bounds(seg, ((1,), 1), (2,)))
+    assert polyhedra.line_bounds(seg, _int_point((Fraction(3, 4),)), (2,)) == (Fraction(-3, 8), Fraction(3, 8))
     assert polyhedra.dimension(seg, 1) == 1
-    assert polyhedra.affine_hull_directions(seg, 1, _int_point((Fraction(3, 4),))) == [(Fraction(1),)]
+    assert polyhedra.affine_hull_directions(seg, 1, _int_point((Fraction(3, 4),))) == [(1,)]
     assert polyhedra.affine_hull_directions(seg, 1, _int_point((0,))) == []  # a boundary point
     assert polyhedra.contains_point(seg, _int_point(("3/2",)))
     assert not polyhedra.contains_point(seg, _int_point((2,)))

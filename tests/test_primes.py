@@ -7,7 +7,7 @@ from operator import mul
 
 import pytest
 
-from tropica.matrices import dot, int_rank
+from tropica.matrices import int_rank
 from tropica.polynomials import LAURENT, POLY, Pair, Polynomial, twisted_mul
 from tropica.primes import (
     EQUAL,
@@ -32,7 +32,7 @@ from tropica.sampling import (
     random_polynomial,
 )
 
-from oracles.matrices import ref_nullspace
+from oracles.matrices import dot, ref_nullspace
 from oracles.parsing import P
 
 
@@ -131,6 +131,19 @@ def test_compare_rejects_floats(t1, t2):
     # floats used to be wrapped in Fraction() and compared
     with pytest.raises(ValueError):
         compare_terms(check_admissible([[1, 1]], 1), t1, t2)
+
+
+def test_compare_reads_exponents_as_integers():
+    # exponents are read by to_exponents, as everywhere else: a rational one is refused
+    m = check_admissible([[1, 1]], 1)
+    with pytest.raises(ValueError, match="an exponent must be an integer"):
+        compare_terms(m, (0, ("1/2",)), (0, (0,)))
+    with pytest.raises(ValueError, match="an exponent must be an integer"):
+        compare_terms(m, (0, (0,)), (0, (Fraction(1, 2),)))
+    # integral Fractions are integers, and compare as the ints do
+    t1, t2 = (Fraction(1, 2), (Fraction(2),)), (Fraction(3), (Fraction(-1),))
+    assert compare_terms(m, t1, t2) == compare_terms(m, (Fraction(1, 2), (2,)), (3, (-1,))) == GREATER
+    assert compare_terms(m, (0, (Fraction(1),)), (1, (0,))) == EQUAL
 
 
 def test_total_order_trichotomy_and_transitivity():
